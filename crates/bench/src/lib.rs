@@ -777,7 +777,7 @@ fn tiers_json(specs: &[tahoe_hms::TierSpec]) -> String {
 }
 
 /// The `"policies"` block of a `tahoe-bench-real/v2` artifact.
-fn policies_json(reports: &[tahoe_core::measured::MeasuredPolicyReport]) -> String {
+fn policies_json(reports: &[tahoe_core::parallel::ParallelPolicyReport]) -> String {
     let mut out = String::from("  \"policies\": [\n");
     for (i, r) in reports.iter().enumerate() {
         let per_tier = r
@@ -2099,7 +2099,7 @@ pub fn sanitize(smoke: bool, dir: &str) -> Result<(), String> {
 /// `run_policy*` migrates at.
 fn assignment_plan(app: &App, tiers: &[u8], n_tiers: usize) -> tahoe_core::MigrationPlan {
     let last = (n_tiers - 1) as u8;
-    let boundary = app.windows().saturating_sub(1).min(2);
+    let boundary = tahoe_core::engine::profile_boundary(app.windows());
     tahoe_core::MigrationPlan {
         initial_tiers: vec![last; app.objects.len()],
         steps: tiers

@@ -45,7 +45,7 @@ fn solver_plan(app: &App, specs: &[TierSpec], solver: usize) -> (MigrationPlan, 
         _ => solve_mck(&items, &caps).expect("mck solves"),
     };
     let last = (specs.len() - 1) as u8;
-    let boundary = app.windows().saturating_sub(1).min(2);
+    let boundary = tahoe_core::engine::profile_boundary(app.windows());
     let plan = MigrationPlan {
         initial_tiers: vec![last; app.objects.len()],
         steps: assignment

@@ -1,0 +1,363 @@
+//! The wall-clock execution engine's task kernel: the one copy of
+//! "run a data-annotated task on real memory".
+//!
+//! Every measured execution — `run_policy` (one worker),
+//! `run_policy_parallel` (a [`tahoe_taskrt::WsExecutor`]) and the
+//! multi-tenant server (a shared [`tahoe_taskrt::TaskPool`]) — runs its
+//! tasks through [`GraphRun::run_task`]: pin the task's objects, run each
+//! declared access as real traffic at native speed, inject the
+//! Quartz-style delay of the tier the object sits on, record the access
+//! checksum in its slot, unpin. The executors differ only in who calls
+//! it and when; what a task *does* lives here.
+//!
+//! * [`GraphLayout`] — what is fixed about one app on one memory system:
+//!   the HMS id of every object, the checksum-slot map, and the per-tier
+//!   delay model. Built once (per run, or per registered tenant).
+//! * [`GraphRun`] — one execution of that graph: seeded object
+//!   initialisation, the checksum slots, the executor's [`DataGate`],
+//!   the task kernel and the canonical [`GraphRun::checksum`].
+//! * [`residence_values`] — the one value model: what residence on each
+//!   tier is worth to each object, priced by the same
+//!   [`tahoe_hms::AccessProfile::mem_time_ns`] the delay injection uses.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+use tahoe_hms::{AccessProfile, HmsConfig, Ns, ObjectId, SharedHms, TierId, TierSpec};
+use tahoe_memprof::wallclock::WallClockCalibration;
+use tahoe_realmem::traffic;
+// Part of `run_task`'s signature, so callers need not depend on the
+// sanitizer crate to name the no-op hook.
+pub use tahoe_sanitize::{NoSanitize, SanitizeHook};
+use tahoe_taskrt::{DataGate, TaskGraph, TaskSpec};
+
+use crate::app::App;
+use crate::measured::{fold, init_seed, site_seed};
+
+/// The window at which Tahoe hands its plan to the migration thread:
+/// after the profiling windows (at most two), never past the last one.
+pub fn profile_boundary(windows: u32) -> u32 {
+    windows.saturating_sub(1).min(2)
+}
+
+/// Modelled memory time of `profile` on `spec`; with a calibration, the
+/// wall-clock time the delay injection reproduces (the bandwidth or the
+/// latency correction factor, by which roofline binds the profile).
+fn model_ns(profile: &AccessProfile, spec: &TierSpec, cal: Option<&WallClockCalibration>) -> f64 {
+    let cf = match cal {
+        None => 1.0,
+        Some(c) if profile.bandwidth_limited_on(spec) => c.cf_bw,
+        Some(c) => c.cf_lat,
+    };
+    profile.mem_time_ns(spec) * cf
+}
+
+/// What residence on each tier is worth to each object:
+/// `values[i][t]` = ns saved over the whole run by object `i` living on
+/// tier `t` of `specs` (fastest first) instead of the slowest tier, so
+/// the last column is 0. `cal: None` is the pure model (deterministic
+/// across machines); `Some` applies the wall-clock correction factors —
+/// the prediction the measured planner and the server's arbiter act on.
+pub fn residence_values(
+    app: &App,
+    specs: &[TierSpec],
+    cal: Option<&WallClockCalibration>,
+) -> Vec<Vec<f64>> {
+    let n = specs.len();
+    let mut values = vec![vec![0.0f64; n]; app.objects.len()];
+    for t in app.graph.tasks() {
+        for a in &t.accesses {
+            let on_last = model_ns(&a.profile, &specs[n - 1], cal);
+            for (ti, spec) in specs.iter().enumerate().take(n - 1) {
+                values[a.object.index()][ti] +=
+                    (on_last - model_ns(&a.profile, spec, cal)).max(0.0);
+            }
+        }
+    }
+    values
+}
+
+/// Per-(object, tier) wall-clock access timing, accumulated by the
+/// workers during a measured run. The model-accuracy audit compares
+/// `mean_nvm_ns - mean_dram_ns` (measured per-access saving of DRAM
+/// residence) against the planner's prediction.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AccessTierTiming {
+    /// Total wall ns of accesses that hit the object on DRAM.
+    pub dram_ns: f64,
+    /// Number of those accesses.
+    pub dram_samples: u64,
+    /// Total wall ns of accesses that hit the object on a slower tier
+    /// (includes the injected Quartz-style delay).
+    pub nvm_ns: f64,
+    /// Number of those accesses.
+    pub nvm_samples: u64,
+}
+
+impl AccessTierTiming {
+    /// Mean wall ns per DRAM access, if any were observed.
+    pub fn mean_dram_ns(&self) -> Option<f64> {
+        (self.dram_samples > 0).then(|| self.dram_ns / self.dram_samples as f64)
+    }
+
+    /// Mean wall ns per slower-tier access, if any were observed.
+    pub fn mean_nvm_ns(&self) -> Option<f64> {
+        (self.nvm_samples > 0).then(|| self.nvm_ns / self.nvm_samples as f64)
+    }
+
+    /// Measured per-access saving of DRAM over slower residence, ns —
+    /// requires samples on both sides (Tahoe's promoted objects have
+    /// both: NVM during profiling, DRAM after migration).
+    pub fn measured_saving_ns(&self) -> Option<f64> {
+        Some(self.mean_nvm_ns()? - self.mean_dram_ns()?)
+    }
+}
+
+/// What is fixed about one app on one memory system.
+#[derive(Debug)]
+pub struct GraphLayout {
+    /// HMS id of app object `i`.
+    ids: Vec<ObjectId>,
+    /// First checksum slot of each task. Slots are numbered in the
+    /// canonical fold order of
+    /// [`reference_checksum_seeded`](crate::measured::reference_checksum_seeded)
+    /// (windows → window tasks → accesses), so folding them by index
+    /// *is* the canonical re-fold.
+    slot_base: Vec<usize>,
+    n_slots: usize,
+    /// Tier specs, fastest first, and the calibration correcting them:
+    /// the delay model of [`GraphRun::run_task`].
+    specs: Vec<TierSpec>,
+    cal: WallClockCalibration,
+}
+
+impl GraphLayout {
+    /// Lay out `graph` over the objects `ids` (indexed like the app's
+    /// objects) of a memory system configured as `config`.
+    pub fn new(
+        graph: &TaskGraph,
+        ids: Vec<ObjectId>,
+        config: &HmsConfig,
+        cal: &WallClockCalibration,
+    ) -> Self {
+        let mut slot_base = vec![0usize; graph.len()];
+        let mut n_slots = 0usize;
+        for w in 0..graph.window_count() {
+            for tid in graph.window_tasks(w) {
+                slot_base[tid.index()] = n_slots;
+                n_slots += graph.task(tid).accesses.len();
+            }
+        }
+        GraphLayout {
+            ids,
+            slot_base,
+            n_slots,
+            specs: config.tier_specs().into_iter().cloned().collect(),
+            cal: cal.clone(),
+        }
+    }
+
+    /// HMS ids of the app's objects, in app order.
+    pub fn ids(&self) -> &[ObjectId] {
+        &self.ids
+    }
+
+    /// The task's objects as HMS ids (declaration order, deduplicated).
+    fn task_ids(&self, task: &TaskSpec) -> Vec<ObjectId> {
+        task.objects().iter().map(|o| self.ids[o.index()]).collect()
+    }
+}
+
+/// What one executed task cost, for the caller's event stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskOutcome {
+    /// Completion stamp on the shared HMS clock, ns.
+    pub t: Ns,
+    /// Wall-clock ns from pin to unpin.
+    pub wall_ns: f64,
+    /// Of that, ns spent waiting for in-flight migrations before the
+    /// pins were granted.
+    pub gate_wait_ns: f64,
+}
+
+/// One execution of a laid-out graph on a [`SharedHms`].
+///
+/// Workers fill the checksum slots in whatever order they race to;
+/// [`GraphRun::checksum`] folds them in the canonical order, so the
+/// result equals the sequential heap reference bit for bit at any
+/// worker count, under any schedule and any migration plan.
+#[derive(Debug)]
+pub struct GraphRun {
+    shared: Arc<SharedHms>,
+    layout: Arc<GraphLayout>,
+    run_seed: u64,
+    init_sums: Vec<u64>,
+    slots: Vec<AtomicU64>,
+    bytes_touched: AtomicU64,
+    /// Access wall ns and sample counts per object: entry `2i` is DRAM,
+    /// `2i + 1` any slower tier. Two relaxed adds per access.
+    acc_ns: Vec<AtomicU64>,
+    acc_n: Vec<AtomicU64>,
+}
+
+impl GraphRun {
+    /// Begin an execution: (re-)initialise every object with the seeded
+    /// deterministic fill — real traffic, the first touch the policies
+    /// differ on — so each run starts from the bytes a solo run would.
+    ///
+    /// No task of an earlier run over the same objects may still be
+    /// executing (runs of one layout are serialised by their driver).
+    pub fn start(
+        shared: Arc<SharedHms>,
+        layout: Arc<GraphLayout>,
+        run_seed: u64,
+    ) -> Result<Self, String> {
+        let mut init_sums = Vec::with_capacity(layout.ids.len());
+        let mut bytes = 0u64;
+        {
+            let pins = shared
+                .pin_for_task(&layout.ids)
+                .map_err(|e| format!("pin objects for init: {e}"))?;
+            for (i, pin) in pins.objects.iter().enumerate() {
+                // SAFETY: the pin blocks moves and frees, the arenas
+                // never remap, and no task of this graph runs before
+                // `start` returns while runs over the same objects are
+                // serialised — this is the only live reference to the
+                // object's bytes.
+                #[allow(unsafe_code)]
+                let buf = unsafe { std::slice::from_raw_parts_mut(pin.as_ptr(), pin.len()) };
+                init_sums.push(traffic::init_fill(buf, init_seed(run_seed, i)));
+                bytes += pin.len() as u64;
+            }
+        }
+        let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        Ok(GraphRun {
+            slots: atomics(layout.n_slots),
+            acc_ns: atomics(2 * layout.ids.len()),
+            acc_n: atomics(2 * layout.ids.len()),
+            bytes_touched: AtomicU64::new(bytes),
+            shared,
+            layout,
+            run_seed,
+            init_sums,
+        })
+    }
+
+    /// Execute one task: pin its objects (waiting out any in-flight
+    /// migration of them), run every declared access, unpin.
+    ///
+    /// Each access runs at native speed; residence on any tier slower
+    /// than DRAM then injects the cf-corrected model *difference*
+    /// between that device and the fast one (Quartz-style). Injecting
+    /// the delta rather than flooring to an absolute model time keeps
+    /// the asymmetry honest whatever the native kernels cost.
+    pub fn run_task<S: SanitizeHook>(
+        &self,
+        task: &TaskSpec,
+        hook: &S,
+    ) -> Result<TaskOutcome, String> {
+        let t0 = Instant::now();
+        let l = &*self.layout;
+        let pins = self
+            .shared
+            .pin_for_task(&l.task_ids(task))
+            .map_err(|e| format!("pin task {}: {e}", task.id.0))?;
+        for (ai, access) in task.accesses.iter().enumerate() {
+            let object = access.object.index();
+            let pin = pins
+                .objects
+                .iter()
+                .find(|p| p.id == l.ids[object])
+                .expect("every access object is pinned");
+            let slow = pin.tier != TierId::FASTEST;
+            let inject_ns = if slow {
+                let cal = Some(&l.cal);
+                (model_ns(&access.profile, &l.specs[pin.tier.index()], cal)
+                    - model_ns(&access.profile, &l.specs[0], cal))
+                .max(0.0)
+            } else {
+                0.0
+            };
+            if S::ENABLED {
+                hook.on_access(
+                    task.id.0,
+                    ai,
+                    object as u32,
+                    self.shared.is_mid_move(pin.id),
+                );
+            }
+            let a_t0 = Instant::now();
+            // SAFETY: the pin blocks moves and frees for the whole task,
+            // the arenas never remap, and writes are exclusive by the
+            // graph's derived dependences (a writer's task is ordered
+            // against every other toucher of the object); graphs sharing
+            // one `SharedHms` reach disjoint objects.
+            #[allow(unsafe_code)]
+            let c = unsafe {
+                traffic::run_access_ptr(
+                    pin.as_ptr(),
+                    pin.len(),
+                    access.profile.loads,
+                    access.profile.stores,
+                    site_seed(self.run_seed, task.id.0, ai),
+                )
+            };
+            self.slots[l.slot_base[task.id.index()] + ai].store(c, Ordering::Release);
+            self.bytes_touched
+                .fetch_add(pin.len() as u64, Ordering::Relaxed);
+            if inject_ns > 0.0 {
+                tahoe_realmem::throttle::pace_until(Instant::now(), inject_ns);
+            }
+            // Charge the access (kernel + injected delay) to the side
+            // it actually hit.
+            let side = 2 * object + usize::from(slow);
+            self.acc_ns[side].fetch_add(a_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.acc_n[side].fetch_add(1, Ordering::Relaxed);
+        }
+        let gate_wait_ns = pins.waited_ns;
+        // RAII unpin: releases every pin even if a kernel above panicked
+        // and we unwound past this point.
+        drop(pins);
+        Ok(TaskOutcome {
+            t: self.shared.now_ns(),
+            wall_ns: t0.elapsed().as_nanos() as f64,
+            gate_wait_ns,
+        })
+    }
+
+    /// The run's checksum: object inits, then every access slot, folded
+    /// in the canonical order. Call after every task has run.
+    pub fn checksum(&self) -> u64 {
+        let inits = self.init_sums.iter().copied();
+        let accesses = self.slots.iter().map(|s| s.load(Ordering::Acquire));
+        inits.chain(accesses).fold(0, fold)
+    }
+
+    /// Bytes of object data walked so far (init fill + accesses).
+    pub fn bytes_touched(&self) -> u64 {
+        self.bytes_touched.load(Ordering::Relaxed)
+    }
+
+    /// Per-object access timing, indexed like the app's objects.
+    pub fn access_timing(&self) -> Vec<AccessTierTiming> {
+        let ns = |i: usize| self.acc_ns[i].load(Ordering::Relaxed) as f64;
+        let n = |i: usize| self.acc_n[i].load(Ordering::Relaxed);
+        (0..self.layout.ids.len())
+            .map(|i| AccessTierTiming {
+                dram_ns: ns(2 * i),
+                dram_samples: n(2 * i),
+                nvm_ns: ns(2 * i + 1),
+                nvm_samples: n(2 * i + 1),
+            })
+            .collect()
+    }
+}
+
+/// The executor's data gate: a task is data-ready when none of its
+/// objects is mid-migration.
+impl DataGate for GraphRun {
+    fn wait_ready(&self, task: &TaskSpec) -> f64 {
+        self.shared.wait_ready(&self.layout.task_ids(task))
+    }
+}

@@ -65,15 +65,17 @@
 //! assert!(report.makespan_ns > 0.0);
 //! ```
 
-// Unsafe is the exception here, not the rule: only the two measured-mode
-// sites that hand raw arena memory to the traffic kernel may use it, each
-// behind a scoped `#[allow(unsafe_code)]` with a SAFETY comment.
+// Unsafe is the exception here, not the rule: only the engine's two
+// sites that hand raw arena memory to the traffic kernels (and the
+// calibration scratch buffer) may use it, each behind a scoped
+// `#[allow(unsafe_code)]` with a SAFETY comment.
 #![deny(unsafe_code)]
 
 pub mod app;
 pub mod audit;
 pub mod config;
 pub mod driver;
+pub mod engine;
 pub mod hwcache;
 pub mod measured;
 pub mod overhead;
@@ -85,7 +87,7 @@ pub mod runtime;
 pub use app::{App, AppBuilder, ObjectSpec, TaskBuilder};
 pub use audit::{ModelAudit, ObjectAudit, ObsOverhead};
 pub use config::{Platform, RuntimeConfig, RuntimeMode};
-pub use measured::{MeasuredPolicyReport, MeasuredReport, MeasuredRuntime};
+pub use measured::{MeasuredReport, MeasuredRuntime};
 pub use parallel::{AccessTierTiming, ParallelPolicyReport};
 pub use policy::{PolicyKind, TahoeOptions};
 pub use report::RunReport;

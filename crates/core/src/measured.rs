@@ -8,14 +8,15 @@
 //!    `CF_bw`/`CF_lat` from the wall-clock numbers
 //!    ([`tahoe_memprof::wallclock`]). The NVM spec is the fitted DRAM
 //!    spec scaled by the reference platform's DRAM→NVM ratios.
-//! 2. **Execute** — allocate every app object in [`RealBackend`]-backed
-//!    arenas, then run the task graph window by window as *real memory
-//!    traffic* ([`tahoe_realmem::traffic`]): each declared access walks
-//!    the object's live bytes at native speed; NVM residence then
-//!    injects the cf-corrected model *difference* between the slow and
-//!    fast device (Quartz-style delay injection). DRAM-resident
-//!    accesses run untouched, NVM-resident accesses are spun out by the
-//!    derived slowdown.
+//! 2. **Prepare** — allocate every app object in [`RealBackend`]-backed
+//!    arenas on its policy-chosen tier, solve Tahoe's placement, and
+//!    refuse to run unless the static auditor certifies the resulting
+//!    [`MigrationPlan`]. The wall-clock engine ([`crate::parallel`] over
+//!    the [`crate::engine`] task kernel) then executes exactly that
+//!    plan: each declared access walks the object's live bytes at
+//!    native speed, and residence on a slow tier injects the
+//!    cf-corrected model *difference* to the fast device (Quartz-style
+//!    delay injection).
 //! 3. **Compare** — every access folds into a run checksum that is a
 //!    pure function of the deterministic traffic, so a reference
 //!    execution on plain heap buffers ([`reference_checksum`]) must
@@ -25,29 +26,26 @@
 //! NVM-only, first-touch, Tahoe); the cache/oracle baselines are
 //! simulator-only by construction.
 
-use std::time::Instant;
-
-use tahoe_hms::{Hms, HmsConfig, ObjectId, TierId, TierKind, TierSpec};
+use tahoe_hms::{Hms, HmsConfig, ObjectId, TierKind, TierSpec};
 use tahoe_memprof::wallclock::{
     derive_scaled_spec, fit_calibration, measure_tier, WallClockCalibration, WallClockConfig,
 };
 use tahoe_obs::{Emitter, Event, Metrics, Tier};
 use tahoe_placement::{solve_mck, MckAssignment, MckItem};
-use tahoe_realmem::{traffic, MmapArena, RealBackend};
+use tahoe_realmem::{traffic, CopyConfig, MmapArena, RealBackend};
 use tahoe_sanitize::{audit_plan, MigrationPlan, PlanContext, PlanStep, SanitizeReport};
 
 use crate::app::App;
 use crate::config::Platform;
+use crate::engine::{profile_boundary, residence_values};
+use crate::parallel::ParallelPolicyReport;
 use crate::policy::PolicyKind;
 
 /// Deterministic per-site seed (splitmix64 of a site key), parameterized
 /// by a run seed so the stress suite can vary the traffic contents.
 /// `run_seed == 0` reproduces the historical unseeded site key exactly,
 /// so existing artifacts stay comparable.
-///
-/// Public so out-of-crate executors (the multi-tenant server) can run
-/// the exact traffic stream the sequential reference folds.
-pub fn site_seed(run_seed: u64, task: u32, access: usize) -> u64 {
+pub(crate) fn site_seed(run_seed: u64, task: u32, access: usize) -> u64 {
     let mut z = ((task as u64) << 20)
         ^ access as u64
         ^ 0xA5A5_0000_0000
@@ -58,42 +56,11 @@ pub fn site_seed(run_seed: u64, task: u32, access: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-fn seed(task: u32, access: usize) -> u64 {
-    site_seed(0, task, access)
-}
-
 /// The canonical checksum fold. Not commutative — equality with the
 /// reference requires folding in the canonical order (object inits,
 /// then windows → window tasks → accesses).
-pub fn fold(acc: u64, x: u64) -> u64 {
+pub(crate) fn fold(acc: u64, x: u64) -> u64 {
     acc.rotate_left(7) ^ x
-}
-
-/// One policy's measured outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredPolicyReport {
-    /// Policy display name.
-    pub policy: String,
-    /// Wall-clock time of the execution phase, ns (excludes setup and
-    /// calibration).
-    pub wall_ns: f64,
-    /// Bytes of object data walked by the traffic kernels.
-    pub bytes_touched: u64,
-    /// `bytes_touched / wall_ns` (== GB/s).
-    pub throughput_gbps: f64,
-    /// Fold of every access checksum, in execution order.
-    pub checksum: u64,
-    /// Physical inter-tier copies the policy triggered.
-    pub migrations: u64,
-    /// Bytes those copies moved.
-    pub migrated_bytes: u64,
-    /// Wall-clock ns spent inside the throttled copy engine.
-    pub copy_wall_ns: f64,
-    /// Objects resident in DRAM when the run finished.
-    pub final_dram_objects: usize,
-    /// Objects resident on each tier (fastest first) when the run
-    /// finished. Length = tier count; `[0]` equals `final_dram_objects`.
-    pub final_tier_objects: Vec<usize>,
 }
 
 /// A full measured-mode comparison across policies.
@@ -105,7 +72,7 @@ pub struct MeasuredReport {
     /// pure software emulation.
     pub numa_nodes: (i64, i64),
     /// Per-policy results, in the order requested.
-    pub policies: Vec<MeasuredPolicyReport>,
+    pub policies: Vec<ParallelPolicyReport>,
     /// Checksum of the reference execution on plain heap buffers.
     pub reference_checksum: u64,
 }
@@ -113,29 +80,39 @@ pub struct MeasuredReport {
 /// Everything a measured policy run needs before its first task: the
 /// derived HMS configuration, the backend-loaded [`Hms`] with every
 /// object allocated per the policy's initial placement, the app-order →
-/// HMS object id map, Tahoe's migration plan (if the policy is Tahoe),
-/// and the copy-engine throttle (for the background migration thread).
+/// HMS object id map, the migration plan to execute, and the copy-engine
+/// throttles (for the background migration thread).
 pub(crate) struct PreparedRun {
     pub(crate) config: HmsConfig,
     pub(crate) hms: Hms,
     pub(crate) ids: Vec<ObjectId>,
-    pub(crate) tahoe_plan: Option<tahoe_placement::Solution>,
-    /// Tahoe's full N-tier assignment on platforms with middle tiers
-    /// (`None` on two-tier platforms, where `tahoe_plan` is the whole
-    /// story). When present, `tahoe_plan` is its binary projection —
-    /// tier 0 vs everything else — so two-tier consumers (the parallel
-    /// runtime's migrator, the model audit) keep working unchanged.
-    pub(crate) tahoe_assignment: Option<MckAssignment>,
-    pub(crate) copy_cfg: tahoe_realmem::CopyConfig,
-    /// Tahoe's per-object knapsack value (predicted ns saved by DRAM
-    /// residence over the whole run); `None` for non-Tahoe policies.
+    /// Where the allocator placed every object plus the moves to issue,
+    /// window by window (no steps for the static policies). This is the
+    /// value [`MeasuredRuntime::audit_prepared`] certifies *and* the
+    /// value the engine's window loop reads its moves from.
+    pub(crate) plan: MigrationPlan,
+    /// Row-major per-(src, dst) copy throttles of the backend.
+    pub(crate) copy_cfgs: Vec<CopyConfig>,
+    /// Tahoe's per-object knapsack value of DRAM residence (predicted
+    /// ns saved over the whole run); `None` for non-Tahoe policies.
     /// This is the prediction the model-accuracy audit scores.
     pub(crate) plan_values: Option<Vec<f64>>,
 }
 
+impl PreparedRun {
+    /// Tier every object ends on once the plan has fully executed.
+    pub(crate) fn target_tiers(&self) -> Vec<u8> {
+        let mut tiers = self.plan.initial_tiers.clone();
+        for step in &self.plan.steps {
+            tiers[step.object as usize] = step.to_tier;
+        }
+        tiers
+    }
+}
+
 /// Seed for object `i`'s initialization fill. `run_seed == 0` reproduces
 /// the historical per-object seed (`i` itself).
-pub fn init_seed(run_seed: u64, object: usize) -> u64 {
+pub(crate) fn init_seed(run_seed: u64, object: usize) -> u64 {
     object as u64 ^ run_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
@@ -209,9 +186,8 @@ impl MeasuredRuntime {
     /// configuration, install a [`RealBackend`], allocate every object on
     /// its policy-chosen tier, and (for Tahoe) compute the knapsack plan
     /// — then refuse to hand the run over unless the static plan auditor
-    /// certifies the plan sound. Both the sequential `run_policy` and
-    /// `run_policy_parallel` pass through here, so no unsound plan can
-    /// reach either executor.
+    /// certifies the plan sound. Every wall-clock run passes through
+    /// here, so no unsound plan can reach the executor.
     pub(crate) fn prepare(
         &self,
         app: &App,
@@ -245,18 +221,18 @@ impl MeasuredRuntime {
         policy: &PolicyKind,
         cal: &WallClockCalibration,
     ) -> Result<PreparedRun, String> {
-        match policy {
-            PolicyKind::DramOnly
-            | PolicyKind::NvmOnly
-            | PolicyKind::FirstTouch
-            | PolicyKind::Tahoe(_) => {}
+        let preferred = match policy {
+            // First-touch fills DRAM in allocation order and spills.
+            PolicyKind::DramOnly | PolicyKind::FirstTouch => TierKind::Dram,
+            // Tahoe starts NVM-resident and migrates after profiling.
+            PolicyKind::NvmOnly | PolicyKind::Tahoe(_) => TierKind::Nvm,
             other => {
                 return Err(format!(
                     "policy {} is not supported in measured mode",
                     other.name()
                 ))
             }
-        }
+        };
         app.validate()?;
         let footprint = app.footprint();
 
@@ -292,177 +268,78 @@ impl MeasuredRuntime {
 
         let backend =
             RealBackend::with_observability(&config, self.emitter.clone(), self.metrics.clone())?;
-        let copy_cfg = backend.copy_config();
+        let copy_cfgs = backend.copy_configs();
         let mut hms = Hms::new(config.clone());
         hms.set_backend(Box::new(backend));
 
         // ---- placement + allocation ----------------------------------
-        let prefer_dram: Vec<bool> = match policy {
-            PolicyKind::DramOnly => vec![true; app.objects.len()],
-            PolicyKind::NvmOnly => vec![false; app.objects.len()],
-            // First-touch fills DRAM in allocation order and spills.
-            PolicyKind::FirstTouch => vec![true; app.objects.len()],
-            // Tahoe starts NVM-resident and migrates after profiling.
-            PolicyKind::Tahoe(_) => vec![false; app.objects.len()],
-            // Rejected above.
-            _ => unreachable!("unsupported policy reached placement"),
-        };
         let fallback = !matches!(policy, PolicyKind::DramOnly);
         let mut ids: Vec<ObjectId> = Vec::with_capacity(app.objects.len());
-        for (spec, &dram) in app.objects.iter().zip(&prefer_dram) {
-            let preferred = if dram { TierKind::Dram } else { TierKind::Nvm };
+        for spec in &app.objects {
             let id = hms
                 .alloc_object(&spec.name, spec.size, preferred, fallback)
                 .map_err(|e| format!("alloc {}: {e}", spec.name))?;
             ids.push(id);
         }
 
-        // Tahoe's plan: value of DRAM residence per object over the
-        // whole run, from the ground-truth profiles on the fitted specs.
-        // Two-tier platforms keep the exact binary-knapsack path; with
-        // middle tiers the multiple-choice knapsack assigns every object
-        // one tier, and the binary projection (tier 0 vs the rest) is
-        // kept alongside for two-tier consumers.
+        // Where the allocator actually placed everything.
+        let initial_tiers: Vec<u8> = ids
+            .iter()
+            .map(|&id| hms.tier_index_of(id).map(|t| t.0))
+            .collect::<Result<_, _>>()
+            .map_err(|e| e.to_string())?;
+
+        // Tahoe's plan: the value of residence on each tier per object
+        // over the whole run, from the ground-truth profiles on the
+        // fitted specs; the multiple-choice knapsack assigns every
+        // object one tier (at two tiers it *is* the 0/1 knapsack, bit
+        // for bit), and every object not already there moves at the
+        // profile-window boundary.
         let mut plan_values: Option<Vec<f64>> = None;
-        let mut tahoe_assignment: Option<MckAssignment> = None;
-        let tahoe_plan: Option<tahoe_placement::Solution> = match policy {
-            PolicyKind::Tahoe(_) if config.n_tiers() == 2 => {
-                let mut value = vec![0.0f64; app.objects.len()];
-                for t in app.graph.tasks() {
-                    for a in &t.accesses {
-                        let on_nvm =
-                            a.profile.mem_time_ns(&config.nvm) * cf(cal, &a.profile, &config.nvm);
-                        let on_dram =
-                            a.profile.mem_time_ns(&config.dram) * cf(cal, &a.profile, &config.dram);
-                        value[a.object.index()] += (on_nvm - on_dram).max(0.0);
-                    }
+        let mut steps = Vec::new();
+        if matches!(policy, PolicyKind::Tahoe(_)) {
+            let specs: Vec<TierSpec> = config.tier_specs().into_iter().cloned().collect();
+            let values = residence_values(app, &specs, Some(cal));
+            plan_values = Some(values.iter().map(|v| v[0]).collect());
+            let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
+            let assignment = solve_mck(&mck_items(app, values), &caps)?;
+            let window = profile_boundary(app.windows());
+            for (i, &to_tier) in assignment.tiers.iter().enumerate() {
+                if to_tier != initial_tiers[i] {
+                    steps.push(PlanStep {
+                        object: i as u32,
+                        to_tier,
+                        window,
+                    });
                 }
-                let items: Vec<tahoe_placement::Item> = app
-                    .objects
-                    .iter()
-                    .enumerate()
-                    .map(|(i, o)| tahoe_placement::Item {
-                        id: ObjectId(i as u32),
-                        size: o.size,
-                        value: value[i],
-                    })
-                    .collect();
-                let solution = tahoe_placement::solve(&items, config.dram.capacity);
-                plan_values = Some(value);
-                Some(solution)
             }
-            PolicyKind::Tahoe(_) => {
-                let specs: Vec<TierSpec> = config.tier_specs().into_iter().cloned().collect();
-                let n = specs.len();
-                let mut values = vec![vec![0.0f64; n]; app.objects.len()];
-                for t in app.graph.tasks() {
-                    for a in &t.accesses {
-                        let on_last = a.profile.mem_time_ns(&specs[n - 1])
-                            * cf(cal, &a.profile, &specs[n - 1]);
-                        for (ti, spec) in specs.iter().enumerate().take(n - 1) {
-                            let on_tier = a.profile.mem_time_ns(spec) * cf(cal, &a.profile, spec);
-                            values[a.object.index()][ti] += (on_last - on_tier).max(0.0);
-                        }
-                    }
-                }
-                let items: Vec<MckItem> = app
-                    .objects
-                    .iter()
-                    .enumerate()
-                    .map(|(i, o)| MckItem {
-                        id: ObjectId(i as u32),
-                        size: o.size,
-                        values: values[i].clone(),
-                    })
-                    .collect();
-                let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
-                let assignment = solve_mck(&items, &caps)?;
-                // Binary projection for the two-tier facade: objects the
-                // MCK put on tier 0 are "chosen", with their DRAM value.
-                let chosen = assignment.objects_on(&items, 0);
-                let total_size = chosen.iter().map(|o| app.objects[o.index()].size).sum();
-                let total_value = chosen.iter().map(|o| values[o.index()][0]).sum();
-                tahoe_assignment = Some(assignment);
-                plan_values = Some(values.iter().map(|v| v[0]).collect());
-                Some(tahoe_placement::Solution {
-                    chosen,
-                    total_value,
-                    total_size,
-                })
-            }
-            _ => None,
-        };
+        }
 
         Ok(PreparedRun {
             config,
             hms,
             ids,
-            tahoe_plan,
-            tahoe_assignment,
-            copy_cfg,
+            plan: MigrationPlan {
+                initial_tiers,
+                steps,
+            },
+            copy_cfgs,
             plan_values,
         })
     }
 
-    /// The [`MigrationPlan`] a prepared run will execute: where the
-    /// allocator actually placed every object, plus the moves the
-    /// Tahoe plan will issue at the profile-window boundary (the same
-    /// boundary `run_policy`/`run_policy_parallel` migrate at).
-    pub(crate) fn planned_migration(app: &App, prepared: &PreparedRun) -> MigrationPlan {
-        let initial_tiers: Vec<u8> = prepared
-            .ids
-            .iter()
-            .map(|&id| {
-                prepared
-                    .hms
-                    .tier_index_of(id)
-                    .map(|t| t.0)
-                    .unwrap_or_else(|_| (prepared.config.n_tiers() - 1) as u8)
-            })
-            .collect();
-        let boundary = app.windows().saturating_sub(1).min(2);
-        let mut steps = Vec::new();
-        if let Some(assignment) = &prepared.tahoe_assignment {
-            for (i, &t) in assignment.tiers.iter().enumerate() {
-                if t != initial_tiers[i] {
-                    steps.push(PlanStep {
-                        object: i as u32,
-                        to_tier: t,
-                        window: boundary,
-                    });
-                }
-            }
-        } else if let Some(plan) = &prepared.tahoe_plan {
-            for o in &plan.chosen {
-                if initial_tiers[o.index()] != 0 {
-                    steps.push(PlanStep {
-                        object: o.0,
-                        to_tier: 0,
-                        window: boundary,
-                    });
-                }
-            }
-        }
-        MigrationPlan {
-            initial_tiers,
-            steps,
-        }
-    }
-
-    /// Run the static plan auditor over a prepared run.
+    /// Run the static plan auditor over the plan a prepared run carries.
     pub(crate) fn audit_prepared(app: &App, prepared: &PreparedRun) -> SanitizeReport {
-        let plan = Self::planned_migration(app, prepared);
         let specs: Vec<TierSpec> = prepared.config.tier_specs().into_iter().cloned().collect();
         let ctx = PlanContext::new(app.objects.iter().map(|o| o.size).collect());
-        audit_plan(&app.graph, &plan, &specs, &ctx)
+        audit_plan(&app.graph, &prepared.plan, &specs, &ctx)
     }
 
     /// Pre-flight a policy's migration plan without executing anything:
-    /// prepare the run exactly as `run_policy` would (same allocator
+    /// prepare the run exactly as a real run would (same allocator
     /// decisions, same solver) and return the static auditor's report.
-    /// `run_policy` and `run_policy_parallel` enforce the same audit
-    /// internally, erroring on an unsound plan; this entry point exposes
-    /// the full diagnostic set.
+    /// Every run enforces the same audit internally, erroring on an
+    /// unsound plan; this entry point exposes the full diagnostic set.
     pub fn verify_plan(
         &self,
         app: &App,
@@ -474,163 +351,50 @@ impl MeasuredRuntime {
     }
 
     /// Execute `app` under `policy` on arena-backed objects with the
-    /// given calibration. Unsupported policies (cache/oracle baselines)
-    /// return an error.
+    /// given calibration: the wall-clock engine at one worker, folding
+    /// the historical seed-0 traffic. Unsupported policies (cache/oracle
+    /// baselines) return an error.
     pub fn run_policy(
         &self,
         app: &App,
         policy: &PolicyKind,
         cal: &WallClockCalibration,
-    ) -> Result<MeasuredPolicyReport, String> {
-        let PreparedRun {
-            config,
-            mut hms,
-            ids,
-            tahoe_plan,
-            tahoe_assignment,
-            ..
-        } = self.prepare(app, policy, cal)?;
-
-        // ---- execution ------------------------------------------------
-        let profile_windows = app.windows().saturating_sub(1).min(2);
-        let mut checksum = 0u64;
-        let mut bytes_touched = 0u64;
-        let start = Instant::now();
-
-        // Objects are initialized as real traffic too (this is the
-        // first-touch the policies differ on).
-        for (i, id) in ids.iter().enumerate() {
-            let buf = hms
-                .object_bytes(*id)
-                .map_err(|e| e.to_string())?
-                .ok_or("real backend must expose bytes")?;
-            checksum = fold(checksum, traffic::init_fill(buf, i as u64));
-            bytes_touched += buf.len() as u64;
-        }
-
-        for w in 0..app.windows() {
-            // Tahoe migrates its plan in after the profiling windows —
-            // real throttled copies through the backend. With an N-tier
-            // assignment every object walks to its assigned tier (the
-            // per-pair copy config throttles each hop); the two-tier
-            // plan keeps promoting the chosen set into DRAM.
-            if w == profile_windows {
-                if let Some(assignment) = &tahoe_assignment {
-                    for (i, &t) in assignment.tiers.iter().enumerate() {
-                        let id = ids[i];
-                        let target = TierId(t);
-                        if hms.tier_index_of(id).map_err(|e| e.to_string())? != target {
-                            let _ = hms.move_object_to(id, target);
-                        }
-                    }
-                } else if let Some(plan) = &tahoe_plan {
-                    for oid in &plan.chosen {
-                        let id = ids[oid.index()];
-                        if hms.tier_of(id).map_err(|e| e.to_string())? == TierKind::Nvm {
-                            let _ = hms.move_object(id, TierKind::Dram);
-                        }
-                    }
-                }
-            }
-            for tid in app.graph.window_tasks(w) {
-                let task = app.graph.task(tid);
-                for (ai, access) in task.accesses.iter().enumerate() {
-                    let id = ids[access.object.index()];
-                    let tier = hms.tier_index_of(id).map_err(|e| e.to_string())?;
-                    // Quartz-style software emulation: the access runs
-                    // at native speed, then residence on any tier slower
-                    // than DRAM injects the cf-corrected model
-                    // *difference* between that device and the fast one.
-                    // Injecting the delta (rather than flooring to an
-                    // absolute model time) keeps the asymmetry honest
-                    // whatever the native kernels cost.
-                    let inject_ns = if tier != TierId::FASTEST {
-                        let resident = config.tier_spec_at(tier);
-                        let slow = access.profile.mem_time_ns(resident)
-                            * cf(cal, &access.profile, resident);
-                        let fast = access.profile.mem_time_ns(&config.dram)
-                            * cf(cal, &access.profile, &config.dram);
-                        (slow - fast).max(0.0)
-                    } else {
-                        0.0
-                    };
-                    let buf = hms
-                        .object_bytes(id)
-                        .map_err(|e| e.to_string())?
-                        .ok_or("real backend must expose bytes")?;
-                    bytes_touched += buf.len() as u64;
-                    let c = traffic::run_access(
-                        buf,
-                        access.profile.loads,
-                        access.profile.stores,
-                        seed(tid.0, ai),
-                    );
-                    checksum = fold(checksum, c);
-                    if inject_ns > 0.0 {
-                        tahoe_realmem::throttle::pace_until(Instant::now(), inject_ns);
-                    }
-                }
-            }
-        }
-        let wall_ns = (start.elapsed().as_nanos() as f64).max(1.0);
-
-        let stats = hms.backend_stats();
-        let final_dram_objects = hms.objects_on(TierKind::Dram).len();
-        let mut final_tier_objects = vec![0usize; config.n_tiers()];
-        for id in &ids {
-            let t = hms.tier_index_of(*id).map_err(|e| e.to_string())?;
-            final_tier_objects[t.index()] += 1;
-        }
-        Ok(MeasuredPolicyReport {
-            policy: policy.name(),
-            wall_ns,
-            bytes_touched,
-            throughput_gbps: bytes_touched as f64 / wall_ns,
-            checksum,
-            migrations: stats.copies,
-            migrated_bytes: stats.copied_bytes,
-            copy_wall_ns: stats.copy_wall_ns,
-            final_dram_objects,
-            final_tier_objects,
-        })
+    ) -> Result<ParallelPolicyReport, String> {
+        self.run_policy_parallel(app, policy, cal, 1, 0)
     }
 
     /// Calibrate once, run every policy, and attach the reference
     /// checksum.
     pub fn run_suite(&self, app: &App, policies: &[PolicyKind]) -> Result<MeasuredReport, String> {
         let cal = self.calibrate()?;
-        let mut reports = Vec::with_capacity(policies.len());
-        let mut numa_nodes = (-1i64, -1i64);
-        for p in policies {
-            let r = self.run_policy(app, p, &cal)?;
-            reports.push(r);
-        }
+        let policies = policies
+            .iter()
+            .map(|p| self.run_policy(app, p, &cal))
+            .collect::<Result<_, _>>()?;
         // NUMA topology is a machine property; probe it once for the
         // report.
-        let topo = tahoe_realmem::numa::probe();
-        if topo.has_remote_node() {
-            numa_nodes = (0, topo.nvm_node().map(i64::from).unwrap_or(-1));
-        }
+        let nvm_node = tahoe_realmem::numa::probe().nvm_node();
         Ok(MeasuredReport {
             calibration: cal,
-            numa_nodes,
-            policies: reports,
+            numa_nodes: nvm_node.map_or((-1, -1), |n| (0, i64::from(n))),
+            policies,
             reference_checksum: reference_checksum(app),
         })
     }
 }
 
-/// Which correction factor applies to a profile on a spec.
-pub fn cf(
-    cal: &WallClockCalibration,
-    profile: &tahoe_hms::AccessProfile,
-    spec: &tahoe_hms::TierSpec,
-) -> f64 {
-    if profile.bandwidth_limited_on(spec) {
-        cal.cf_bw
-    } else {
-        cal.cf_lat
-    }
+/// One knapsack item per app object from its per-tier value row.
+fn mck_items(app: &App, values: Vec<Vec<f64>>) -> Vec<MckItem> {
+    app.objects
+        .iter()
+        .zip(values)
+        .enumerate()
+        .map(|(i, (o, values))| MckItem {
+            id: ObjectId(i as u32),
+            size: o.size,
+            values,
+        })
+        .collect()
 }
 
 /// Build multiple-choice knapsack items for `app` over an ordered tier
@@ -640,26 +404,7 @@ pub fn cf(
 /// the numbers are deterministic across machines and usable in
 /// self-validated artifacts.
 pub fn mck_items_for(app: &App, specs: &[TierSpec]) -> Vec<MckItem> {
-    let n = specs.len();
-    let mut values = vec![vec![0.0f64; n]; app.objects.len()];
-    for t in app.graph.tasks() {
-        for a in &t.accesses {
-            let on_last = a.profile.mem_time_ns(&specs[n - 1]);
-            for (ti, spec) in specs.iter().enumerate().take(n - 1) {
-                values[a.object.index()][ti] += (on_last - a.profile.mem_time_ns(spec)).max(0.0);
-            }
-        }
-    }
-    let mut values = values.into_iter();
-    app.objects
-        .iter()
-        .enumerate()
-        .map(|(i, o)| MckItem {
-            id: ObjectId(i as u32),
-            size: o.size,
-            values: values.next().expect("one value row per object"),
-        })
-        .collect()
+    mck_items(app, residence_values(app, specs, None))
 }
 
 /// Modelled memory time of the whole run with object `i` pinned to tier
@@ -760,8 +505,8 @@ mod tests {
 
     #[test]
     fn seeds_are_distinct_across_sites() {
-        assert_ne!(seed(0, 0), seed(0, 1));
-        assert_ne!(seed(0, 0), seed(1, 0));
+        assert_ne!(site_seed(0, 0, 0), site_seed(0, 0, 1));
+        assert_ne!(site_seed(0, 0, 0), site_seed(0, 1, 0));
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Parallel measured mode: work-stealing execution with overlapped
-//! background migration.
+//! The wall-clock engine's window loop: work-stealing execution with
+//! overlapped background migration.
 //!
-//! The sequential measured path ([`crate::measured`]) proves the
-//! policies move real bytes; this module proves the *runtime shape* of
-//! the paper: tasks execute on a pool of work-stealing workers
-//! ([`tahoe_taskrt::wsexec`]) while a dedicated migration thread
-//! ([`tahoe_realmem::BackgroundMigrator`]) drains the proactive plan's
-//! copy queue concurrently — the paper's computation/data-movement
-//! overlap, measured in wall-clock time.
+//! [`crate::measured`] prepares a run (allocation, placement, audited
+//! plan) and [`crate::engine`] knows what a task does on real memory;
+//! this module is the *runtime shape* of the paper around them: window
+//! by window, the audited plan's steps go to a dedicated migration
+//! thread ([`tahoe_realmem::BackgroundMigrator`]) while the window's
+//! tasks execute on a pool of work-stealing workers
+//! ([`tahoe_taskrt::wsexec`]) — the paper's computation/data-movement
+//! overlap, measured in wall-clock time. Every measured run goes
+//! through here; `run_policy` is this loop at one worker and seed 0.
 //!
 //! **Determinism of results, not schedules.** Worker interleavings vary
 //! run to run, but the final answer cannot: the task graph's derived
@@ -74,19 +76,22 @@
 //! assert_eq!(report.workers, 2);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use tahoe_hms::{MigrationStats, ObjectId, SharedHms, TierKind};
+use tahoe_hms::{MigrationStats, SharedHms, TierId};
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::{BlameTable, CritPath, CritPathDigest, Emitter, Event, FlightRecorder, WhatIf};
-use tahoe_realmem::{traffic, BackgroundMigrator};
-use tahoe_sanitize::{AccessSanitizer, ExtraAccess, NoSanitize, SanitizeHook, SanitizeReport};
-use tahoe_taskrt::{DataGate, TaskSpec, WsExecutor};
+use tahoe_realmem::BackgroundMigrator;
+use tahoe_sanitize::{
+    AccessSanitizer, ExtraAccess, NoSanitize, SanitizeHook, SanitizeReport, ViolationKind,
+};
+use tahoe_taskrt::WsExecutor;
 
 use crate::app::App;
-use crate::measured::{cf, fold, init_seed, site_seed, MeasuredRuntime, PreparedRun};
+pub use crate::engine::AccessTierTiming;
+use crate::engine::{profile_boundary, GraphLayout, GraphRun};
+use crate::measured::MeasuredRuntime;
 use crate::policy::PolicyKind;
 
 /// Flight-recorder ring capacity per lane. At one event plus up to a
@@ -99,43 +104,8 @@ const RING_CAPACITY: usize = 1 << 14;
 /// and background-copy chunk time.
 const HIST_KEYS: &[&str] = &["gate_wait_ns", "mig_chunk_ns", "steal_ns", "task_ns"];
 
-/// Per-(object, tier) wall-clock access timing, accumulated by the
-/// workers during a parallel measured run. The model-accuracy audit
-/// compares `mean_nvm_ns - mean_dram_ns` (measured per-access saving of
-/// DRAM residence) against the planner's prediction.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AccessTierTiming {
-    /// Total wall ns of accesses that hit the object on DRAM.
-    pub dram_ns: f64,
-    /// Number of those accesses.
-    pub dram_samples: u64,
-    /// Total wall ns of accesses that hit the object on NVM (includes
-    /// the injected Quartz-style delay).
-    pub nvm_ns: f64,
-    /// Number of those accesses.
-    pub nvm_samples: u64,
-}
-
-impl AccessTierTiming {
-    /// Mean wall ns per DRAM access, if any were observed.
-    pub fn mean_dram_ns(&self) -> Option<f64> {
-        (self.dram_samples > 0).then(|| self.dram_ns / self.dram_samples as f64)
-    }
-
-    /// Mean wall ns per NVM access, if any were observed.
-    pub fn mean_nvm_ns(&self) -> Option<f64> {
-        (self.nvm_samples > 0).then(|| self.nvm_ns / self.nvm_samples as f64)
-    }
-
-    /// Measured per-access saving of DRAM over NVM residence, ns —
-    /// requires samples on both tiers (Tahoe's promoted objects have
-    /// both: NVM during profiling, DRAM after migration).
-    pub fn measured_saving_ns(&self) -> Option<f64> {
-        Some(self.mean_nvm_ns()? - self.mean_dram_ns()?)
-    }
-}
-
-/// One policy's parallel measured outcome at a given worker count.
+/// One policy's measured outcome at a given worker count — the single
+/// report of every wall-clock run (`run_policy` is one worker, seed 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelPolicyReport {
     /// Policy display name.
@@ -170,6 +140,9 @@ pub struct ParallelPolicyReport {
     pub steals: u64,
     /// Objects resident in DRAM when the run finished.
     pub final_dram_objects: usize,
+    /// Objects resident on each tier (fastest first) when the run
+    /// finished. Length = tier count; `[0]` equals `final_dram_objects`.
+    pub final_tier_objects: Vec<usize>,
     /// Per-object wall-clock access timing split by the tier the access
     /// hit (indexed like `app.objects`). Always populated — two relaxed
     /// atomic adds per access.
@@ -184,44 +157,6 @@ pub struct ParallelPolicyReport {
     /// per-object what-if estimates reconstructed from the merged
     /// flight-recorder stream. `None` on unobserved runs (no recorder).
     pub crit: Option<CritPathDigest>,
-}
-
-/// Static counter key for a violation-kind tag (the metrics registry
-/// stores `&'static str` keys; [`tahoe_sanitize::ViolationKind::tag`]
-/// values are the source of truth for the suffixes).
-fn violation_counter_key(tag: &str) -> &'static str {
-    match tag {
-        "dependency_cycle" => "sanitize.violations.dependency_cycle",
-        "unordered_conflict" => "sanitize.violations.unordered_conflict",
-        "use_after_free" => "sanitize.violations.use_after_free",
-        "infeasible_footprint" => "sanitize.violations.infeasible_footprint",
-        "dead_declaration" => "sanitize.violations.dead_declaration",
-        "undeclared_access" => "sanitize.violations.undeclared_access",
-        "write_under_read" => "sanitize.violations.write_under_read",
-        "mid_move_access" => "sanitize.violations.mid_move_access",
-        "pinned_copy" => "sanitize.violations.pinned_copy",
-        "plan_over_capacity" => "sanitize.violations.plan_over_capacity",
-        "plan_move_race" => "sanitize.violations.plan_move_race",
-        "plan_unknown_tier" => "sanitize.violations.plan_unknown_tier",
-        "plan_dead_object" => "sanitize.violations.plan_dead_object",
-        "plan_double_move" => "sanitize.violations.plan_double_move",
-        "plan_cost_regression" => "sanitize.violations.plan_cost_regression",
-        _ => "sanitize.violations.other",
-    }
-}
-
-/// The executor's data gate over a [`SharedHms`]: a task is
-/// data-ready when none of its objects is mid-migration.
-struct HmsGate<'a> {
-    shared: &'a SharedHms,
-    ids: &'a [ObjectId],
-}
-
-impl DataGate for HmsGate<'_> {
-    fn wait_ready(&self, task: &TaskSpec) -> f64 {
-        let ids: Vec<ObjectId> = task.objects().iter().map(|o| self.ids[o.index()]).collect();
-        self.shared.wait_ready(&ids)
-    }
 }
 
 impl MeasuredRuntime {
@@ -293,9 +228,10 @@ impl MeasuredRuntime {
                 detail: v.detail.clone(),
             });
         }
-        for (tag, n) in sanitize.by_kind() {
+        for kind in ViolationKind::ALL {
+            let n = sanitize.count(kind);
             if n > 0 {
-                self.metrics.add(violation_counter_key(tag), n);
+                self.metrics.add(kind.counter_key(), n);
             }
         }
         self.metrics
@@ -312,19 +248,9 @@ impl MeasuredRuntime {
         run_seed: u64,
         hook: &S,
     ) -> Result<ParallelPolicyReport, String> {
-        // The parallel runtime migrates through the two-tier facade
-        // (SharedHms's lock-free words encode DRAM/NVM), so on N-tier
-        // platforms it uses the plan's binary projection and ignores
-        // the full assignment; the sequential measured path honors it.
-        let PreparedRun {
-            config,
-            hms,
-            ids,
-            tahoe_plan,
-            tahoe_assignment: _,
-            copy_cfg,
-            plan_values,
-        } = self.prepare(app, policy, cal)?;
+        let prepared = self.prepare(app, policy, cal)?;
+        let targets = prepared.target_tiers();
+        let (config, plan, plan_values) = (prepared.config, prepared.plan, prepared.plan_values);
         let nw = workers.max(1);
 
         // The flight recorder exists only when someone is listening:
@@ -334,41 +260,12 @@ impl MeasuredRuntime {
         let recorder = (self.emitter.enabled() || self.metrics.is_enabled())
             .then(|| FlightRecorder::new(nw + 2, RING_CAPACITY, HIST_KEYS));
 
-        // One checksum slot per (task, access) site; workers fill slots
-        // in racing order, the end re-folds them canonically.
-        let n_tasks = app.graph.len();
-        let mut slot_base = vec![0usize; n_tasks];
-        let mut n_slots = 0usize;
-        for t in app.graph.tasks() {
-            slot_base[t.id.index()] = n_slots;
-            n_slots += t.accesses.len();
-        }
-        let slots: Vec<AtomicU64> = (0..n_slots).map(|_| AtomicU64::new(0)).collect();
-
-        let profile_windows = app.windows().saturating_sub(1).min(2);
-        let bytes_touched = AtomicU64::new(0);
-        // Per-(object, tier) access timing: slot 2i is DRAM, 2i+1 NVM;
-        // whole-ns totals plus sample counts, two relaxed adds per
-        // access. Always on — the audit needs it on unobserved runs too,
-        // and the self-overhead probe charges it to both sides.
-        let acc_ns: Vec<AtomicU64> = (0..2 * ids.len()).map(|_| AtomicU64::new(0)).collect();
-        let acc_n: Vec<AtomicU64> = (0..2 * ids.len()).map(|_| AtomicU64::new(0)).collect();
         let start = Instant::now();
+        let shared = Arc::new(SharedHms::new(prepared.hms));
+        let layout = Arc::new(GraphLayout::new(&app.graph, prepared.ids, &config, cal));
+        // Init traffic runs here, before the pool spins up.
+        let run = GraphRun::start(Arc::clone(&shared), Arc::clone(&layout), run_seed)?;
 
-        // ---- init traffic (sequential, before the pool spins up) -----
-        let mut init_sums = Vec::with_capacity(ids.len());
-        let mut hms = hms;
-        for (i, id) in ids.iter().enumerate() {
-            let buf = hms
-                .object_bytes(*id)
-                .map_err(|e| e.to_string())?
-                .ok_or("real backend must expose bytes")?;
-            init_sums.push(traffic::init_fill(buf, init_seed(run_seed, i)));
-            bytes_touched.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        }
-
-        // ---- parallel execution --------------------------------------
-        let shared = Arc::new(SharedHms::new(hms));
         // Register before the migrator spawns so no move-start can slip
         // past the sanitizer's pinned-copy check.
         if S::ENABLED {
@@ -379,166 +276,88 @@ impl MeasuredRuntime {
         // With a recorder, the migration thread writes its own lock-free
         // lane (merged into the emitter at drain); the emitter handed to
         // it is disabled so events are never double-reported.
-        let migrator = BackgroundMigrator::spawn_traced(
+        let migrator = BackgroundMigrator::spawn(
             Arc::clone(&shared),
-            copy_cfg,
+            prepared.copy_cfgs,
             if recorder.is_some() {
                 Emitter::disabled()
             } else {
                 self.emitter.clone()
             },
             recorder.as_ref().map(|r| r.handle(nw)),
+            None,
         );
         let executor = WsExecutor::new(workers).with_metrics(self.metrics.clone());
-        let gate = HmsGate {
-            shared: &shared,
-            ids: &ids,
-        };
         let first_error: Mutex<Option<String>> = Mutex::new(None);
         let mut gate_wait_ns = 0.0;
         let mut steals = 0u64;
+        // Driver-lane and worker-lane events go to the recorder when one
+        // is attached, else straight to the emitter.
+        let emit = |lane: usize, ev: Event| match &recorder {
+            Some(rec) => {
+                let _ = rec.emit(lane, ev);
+            }
+            None => self.emitter.emit(|| ev),
+        };
 
         for w in 0..app.windows() {
-            // Tahoe hands its plan to the migration thread at the
-            // profiling boundary and keeps executing: the copies overlap
-            // with this window's (and later windows') tasks.
-            if let (Some(plan), true) = (&tahoe_plan, w == profile_windows) {
-                // Stamp every decision the planner took — chosen or not
-                // — with its predicted benefit; the audit pairs these
-                // with measured per-access deltas.
+            // The plan the auditor certified is the plan that runs: its
+            // steps for this window go to the migration thread, which
+            // copies while this window's (and later windows') tasks
+            // execute.
+            if let (Some(values), true) = (&plan_values, w == profile_boundary(app.windows())) {
+                // Stamp every decision the planner took — promoted to
+                // DRAM or not — with its predicted benefit; the audit
+                // pairs these with measured per-access deltas.
                 let t = shared.now_ns();
                 for (i, spec) in app.objects.iter().enumerate() {
-                    let predicted = plan_values.as_ref().map_or(0.0, |v| v[i]);
-                    let chosen = plan.chosen.iter().any(|o| o.index() == i);
-                    if !chosen && predicted <= 0.0 {
-                        continue;
-                    }
-                    let ev = Event::PlacementDecision {
-                        t,
-                        object: i as u32,
-                        bytes: spec.size,
-                        predicted_benefit_ns: predicted,
-                        chosen,
-                    };
-                    match &recorder {
-                        Some(rec) => {
-                            let _ = rec.emit(nw + 1, ev);
-                        }
-                        None => self.emitter.emit(|| ev),
+                    let (predicted, chosen) = (values[i], targets[i] == 0);
+                    if chosen || predicted > 0.0 {
+                        emit(
+                            nw + 1,
+                            Event::PlacementDecision {
+                                t,
+                                object: i as u32,
+                                bytes: spec.size,
+                                predicted_benefit_ns: predicted,
+                                chosen,
+                            },
+                        );
                     }
                 }
-                for oid in &plan.chosen {
-                    migrator.enqueue(ids[oid.index()], TierKind::Dram);
-                }
+            }
+            for step in plan.steps.iter().filter(|s| s.window == w) {
+                migrator.enqueue(layout.ids()[step.object as usize], TierId(step.to_tier));
             }
             let stats = executor.run_window_traced(
                 &app.graph,
                 Some(w),
-                &gate,
+                &run,
                 recorder.as_ref(),
-                |worker, task| {
-                    let t0 = Instant::now();
-                    let obj_ids: Vec<ObjectId> =
-                        task.objects().iter().map(|o| ids[o.index()]).collect();
-                    let pins = match shared.pin_for_task(&obj_ids) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            let mut slot = first_error.lock().expect("error slot");
-                            slot.get_or_insert_with(|| format!("pin task {}: {e}", task.id.0));
-                            return;
-                        }
-                    };
-                    for (ai, access) in task.accesses.iter().enumerate() {
-                        let hid = ids[access.object.index()];
-                        let pin = pins
-                            .objects
-                            .iter()
-                            .find(|p| p.id == hid)
-                            .expect("every access object is pinned");
-                        // Quartz-style software NVM emulation, same as the
-                        // sequential path: native-speed kernel, then inject
-                        // the cf-corrected slow-minus-fast model difference.
-                        let inject_ns = if pin.tier == TierKind::Nvm {
-                            let slow = access.profile.mem_time_ns(&config.nvm)
-                                * cf(cal, &access.profile, &config.nvm);
-                            let fast = access.profile.mem_time_ns(&config.dram)
-                                * cf(cal, &access.profile, &config.dram);
-                            (slow - fast).max(0.0)
-                        } else {
-                            0.0
-                        };
-                        if S::ENABLED {
-                            hook.on_access(
-                                task.id.0,
-                                ai,
-                                access.object.index() as u32,
-                                shared.is_mid_move(hid),
-                            );
-                        }
-                        // SAFETY: the pin blocks moves and frees for the
-                        // whole task, the arenas never remap, and writes are
-                        // exclusive by the graph's derived dependences (a
-                        // writer's task is ordered against every other
-                        // toucher of the object).
-                        let a_t0 = Instant::now();
-                        #[allow(unsafe_code)]
-                        let c = unsafe {
-                            traffic::run_access_ptr(
-                                pin.as_ptr(),
-                                pin.len(),
-                                access.profile.loads,
-                                access.profile.stores,
-                                site_seed(run_seed, task.id.0, ai),
-                            )
-                        };
-                        slots[slot_base[task.id.index()] + ai].store(c, Ordering::Release);
-                        bytes_touched.fetch_add(pin.len() as u64, Ordering::Relaxed);
-                        if inject_ns > 0.0 {
-                            tahoe_realmem::throttle::pace_until(Instant::now(), inject_ns);
-                        }
-                        // Charge the access (kernel + injected delay) to the
-                        // tier it actually hit.
-                        let slot =
-                            2 * access.object.index() + usize::from(pin.tier == TierKind::Nvm);
-                        acc_ns[slot].fetch_add(a_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        acc_n[slot].fetch_add(1, Ordering::Relaxed);
-                    }
-                    let waited = pins.waited_ns;
-                    // RAII unpin: releases every pin even if a kernel
-                    // above panicked and we unwound past this point.
-                    drop(pins);
-                    let t = shared.now_ns();
-                    let (task_id, window, wall) =
-                        (task.id.0, task.window, t0.elapsed().as_nanos() as f64);
-                    match &recorder {
-                        Some(rec) => {
-                            rec.record(worker, "task_ns", wall);
-                            if waited > 0.0 {
-                                rec.record(worker, "gate_wait_ns", waited);
+                |worker, task| match run.run_task(task, hook) {
+                    Ok(out) => {
+                        if let Some(rec) = &recorder {
+                            rec.record(worker, "task_ns", out.wall_ns);
+                            if out.gate_wait_ns > 0.0 {
+                                rec.record(worker, "gate_wait_ns", out.gate_wait_ns);
                             }
-                            let _ = rec.emit(
-                                worker,
-                                Event::WorkerTask {
-                                    t,
-                                    // Single-tenant runtime: tenant 0.
-                                    tenant: 0,
-                                    worker: worker as u32,
-                                    task: task_id,
-                                    window,
-                                    wall_ns: wall,
-                                    gate_wait_ns: waited,
-                                },
-                            );
                         }
-                        None => self.emitter.emit(|| Event::WorkerTask {
-                            t,
-                            tenant: 0,
-                            worker: worker as u32,
-                            task: task_id,
-                            window,
-                            wall_ns: wall,
-                            gate_wait_ns: waited,
-                        }),
+                        emit(
+                            worker,
+                            Event::WorkerTask {
+                                t: out.t,
+                                // Single-tenant runtime: tenant 0.
+                                tenant: 0,
+                                worker: worker as u32,
+                                task: task.id.0,
+                                window: task.window,
+                                wall_ns: out.wall_ns,
+                                gate_wait_ns: out.gate_wait_ns,
+                            },
+                        );
+                    }
+                    Err(e) => {
+                        first_error.lock().expect("error slot").get_or_insert(e);
                     }
                 },
             );
@@ -558,6 +377,10 @@ impl MeasuredRuntime {
         // Close the migration queue; anything still copying completes
         // (with no consumer left to block, it counts as fully hidden).
         let mig = migrator.finish();
+        let checksum = run.checksum();
+        let bytes_touched = run.bytes_touched();
+        let access_timing = run.access_timing();
+        drop(run);
         let shared = Arc::try_unwrap(shared).map_err(|_| "migration thread still holds hms")?;
         // How contended were the lock-free paths? Folded into the obs
         // metrics so a scaling regression is diagnosable from artifacts.
@@ -583,7 +406,6 @@ impl MeasuredRuntime {
             // it is handed to the emitter. Blame labels objects by HMS
             // id, the model by app index; `prepare` allocates app
             // objects in order into a fresh heap, so the two agree.
-            debug_assert!(ids.iter().enumerate().all(|(i, id)| id.0 as usize == i));
             let path = CritPath::from_events(&cap.events);
             let blame = BlameTable::from_events(&cap.events);
             let mut digest = CritPathDigest::new(&path, &blame);
@@ -593,11 +415,11 @@ impl MeasuredRuntime {
             // knapsack's prediction, and bound the wall-clock win of an
             // earlier migration by the stall the object exposed.
             let specs = [config.dram.clone(), config.nvm.clone()];
-            let base_tiers = vec![1u8; ids.len()];
+            let base_tiers = vec![1u8; app.objects.len()];
             let modelled_base = crate::measured::modelled_total_ns(app, &specs, &base_tiers);
             for e in blame.entries.iter().filter(|e| e.exposed_ns > 0.0) {
                 let i = e.object as usize;
-                if i >= ids.len() {
+                if i >= app.objects.len() {
                     continue;
                 }
                 let mut tiers = base_tiers.clone();
@@ -624,37 +446,15 @@ impl MeasuredRuntime {
         // instead of inferring it from a missing counter key.
         self.metrics.add("obs.ring_dropped", obs_ring_dropped);
 
-        // ---- canonical re-fold ---------------------------------------
-        let mut checksum = 0u64;
-        for s in &init_sums {
-            checksum = fold(checksum, *s);
-        }
-        for w in 0..app.windows() {
-            for tid in app.graph.window_tasks(w) {
-                let task = app.graph.task(tid);
-                for ai in 0..task.accesses.len() {
-                    checksum = fold(
-                        checksum,
-                        slots[slot_base[tid.index()] + ai].load(Ordering::Acquire),
-                    );
-                }
-            }
-        }
-
         let stats = hms.backend_stats();
-        let final_dram_objects = hms.objects_on(TierKind::Dram).len();
-        let bytes_touched = bytes_touched.load(Ordering::Relaxed);
-        let access_timing: Vec<AccessTierTiming> = (0..ids.len())
-            .map(|i| AccessTierTiming {
-                dram_ns: acc_ns[2 * i].load(Ordering::Relaxed) as f64,
-                dram_samples: acc_n[2 * i].load(Ordering::Relaxed),
-                nvm_ns: acc_ns[2 * i + 1].load(Ordering::Relaxed) as f64,
-                nvm_samples: acc_n[2 * i + 1].load(Ordering::Relaxed),
-            })
-            .collect();
+        let mut final_tier_objects = vec![0usize; config.n_tiers()];
+        for id in layout.ids() {
+            let t = hms.tier_index_of(*id).map_err(|e| e.to_string())?;
+            final_tier_objects[t.index()] += 1;
+        }
         Ok(ParallelPolicyReport {
             policy: policy.name(),
-            workers: workers.max(1),
+            workers: nw,
             run_seed,
             wall_ns,
             bytes_touched,
@@ -667,7 +467,8 @@ impl MeasuredRuntime {
             migrations_skipped: mig.skipped,
             gate_wait_ns,
             steals,
-            final_dram_objects,
+            final_dram_objects: final_tier_objects[0],
+            final_tier_objects,
             access_timing,
             obs_ring_dropped,
             contention,
@@ -775,6 +576,65 @@ mod tests {
             r.migration.overlapped_ns + r.migration.exposed_ns > 0.0,
             "wall-clock accounting must be populated"
         );
+    }
+
+    /// Three tiers at two workers: what ran is what was audited. At the
+    /// parent of this test's commit the parallel path executed the
+    /// plan's DRAM-vs-rest projection and left the middle tier empty.
+    #[test]
+    fn three_tier_parallel_run_executes_the_audited_plan() {
+        // Two streamed blocks plus four pointer-chased indices of 32 KiB:
+        // DRAM holds two objects, CXL (low latency, modest bandwidth)
+        // another two — the chased ones that miss DRAM want it.
+        let mut b = AppBuilder::new("par-3tier");
+        let blocks: Vec<_> = (0..2)
+            .map(|i| b.object(&format!("a{i}"), 32 << 10))
+            .collect();
+        let idx: Vec<_> = (0..4)
+            .map(|i| b.object(&format!("idx{i}"), 32 << 10))
+            .collect();
+        let c = b.class("step");
+        for w in 0..4 {
+            if w > 0 {
+                b.next_window();
+            }
+            for a in &blocks {
+                b.task(c).update_streaming(*a, 512).submit();
+            }
+            for i in &idx {
+                b.task(c).read_chasing(*i, 64).submit();
+            }
+        }
+        let app = b.build();
+        // The spill tier keeps Optane's shape against the scaled CXL
+        // (850 ns / 2.5 GB/s): far higher latency, a little more
+        // bandwidth.
+        let mut cal = test_cal(64 << 10, 4 * app.footprint());
+        cal.nvm.read_lat_ns = 3000.0;
+        let rt = MeasuredRuntime::new(
+            crate::config::Platform::optane_cxl(64 << 10, 64 << 10, 1 << 24),
+            tahoe_memprof::wallclock::WallClockConfig::smoke(),
+        );
+        let policy = PolicyKind::tahoe();
+
+        let prepared = rt.prepare(&app, &policy, &cal).expect("plan audits clean");
+        let mut planned = vec![0usize; 3];
+        for t in prepared.target_tiers() {
+            planned[t as usize] += 1;
+        }
+        drop(prepared);
+        assert!(
+            planned[1] > 0,
+            "the plan must use the middle tier: {planned:?}"
+        );
+
+        let r = rt
+            .run_policy_parallel(&app, &policy, &cal, 2, 9)
+            .expect("3-tier parallel tahoe");
+        assert_eq!(r.checksum, reference_checksum_seeded(&app, 9));
+        assert_eq!(r.final_tier_objects, planned, "executed == audited");
+        assert_eq!(r.migrations_skipped, 0);
+        assert_eq!(r.migrations as usize, planned[0] + planned[1]);
     }
 
     #[test]

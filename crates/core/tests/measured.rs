@@ -33,6 +33,28 @@ fn test_app() -> App {
     b.build()
 }
 
+/// `run_policy` is the engine at one worker and seed 0: the report must
+/// agree with the explicit call on everything a schedule cannot change.
+fn assert_is_engine_at_one_worker(
+    rt: &MeasuredRuntime,
+    app: &App,
+    policy: &PolicyKind,
+    cal: &tahoe_memprof::wallclock::WallClockCalibration,
+    seq: &tahoe_core::ParallelPolicyReport,
+) {
+    let par = rt
+        .run_policy_parallel(app, policy, cal, 1, 0)
+        .expect("parallel run");
+    assert_eq!((seq.workers, seq.run_seed), (1, 0), "{}", seq.policy);
+    assert_eq!(par.checksum, seq.checksum, "{}", seq.policy);
+    assert_eq!(par.migrations, seq.migrations, "{}", seq.policy);
+    assert_eq!(
+        par.final_tier_objects, seq.final_tier_objects,
+        "{}",
+        seq.policy
+    );
+}
+
 fn platform(app: &App) -> Platform {
     // DRAM holds roughly half the footprint.
     Platform::emulated_bw(0.25, app.footprint() / 2, 4 * app.footprint()).expect("valid platform")
@@ -61,6 +83,7 @@ fn all_policies_match_the_reference_bit_for_bit() {
         );
         assert!(r.wall_ns > 0.0, "{}: wall clock advanced", r.policy);
         assert!(r.bytes_touched > 0, "{}: traffic flowed", r.policy);
+        assert_is_engine_at_one_worker(&rt, &app, &policy, &cal, &r);
     }
 }
 
@@ -69,14 +92,19 @@ fn nvm_emulation_is_slower_than_dram() {
     let app = test_app();
     let rt = MeasuredRuntime::new(platform(&app), WallClockConfig::smoke());
     let cal = rt.calibrate().expect("calibration runs unprivileged");
-    // Wall-clock comparisons are noisy; compare best-of-3.
-    let best = |p: &PolicyKind| {
-        (0..3)
-            .map(|_| rt.run_policy(&app, p, &cal).expect("runs").wall_ns)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let dram = best(&PolicyKind::DramOnly);
-    let nvm = best(&PolicyKind::NvmOnly);
+    // Wall-clock comparisons are noisy (sibling tests share the cores):
+    // compare best-of-5, alternating the policies so a busy spell hits
+    // both sides alike.
+    let (mut dram, mut nvm) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        for (policy, best) in [
+            (PolicyKind::DramOnly, &mut dram),
+            (PolicyKind::NvmOnly, &mut nvm),
+        ] {
+            let wall = rt.run_policy(&app, &policy, &cal).expect("runs").wall_ns;
+            *best = best.min(wall);
+        }
+    }
     assert!(
         nvm > dram,
         "NVM-emulated ({nvm} ns) must be slower than DRAM-only ({dram} ns)"
@@ -133,6 +161,7 @@ fn three_tier_platform_runs_every_policy_bit_for_bit() {
             "{}",
             r.policy
         );
+        assert_is_engine_at_one_worker(&rt, &app, &policy, &cal, &r);
     }
     let tahoe = rt
         .run_policy(&app, &PolicyKind::tahoe(), &cal)

@@ -272,10 +272,6 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 /// 1Mi objects — far above any workload here).
 const MAX_CHUNKS: usize = 1 << 10;
 
-/// Tier encoding in [`Slot::tier`].
-pub(crate) const TIER_DRAM: u32 = 0;
-pub(crate) const TIER_NVM: u32 = 1;
-
 /// Per-object entry of the sharded table: the CAS state word plus a
 /// location cache so the pin hot path never touches the inner [`Mutex`].
 ///
@@ -293,7 +289,7 @@ pub(crate) struct Slot {
     pub ptr: AtomicPtr<u8>,
     /// Cached object size in bytes.
     pub len: AtomicU64,
-    /// Cached residency tier ([`TIER_DRAM`]/[`TIER_NVM`]).
+    /// Cached residency tier (a [`crate::TierId`] index, fastest = 0).
     pub tier: AtomicU32,
     /// Whether the object is live (0 after free, before alloc sync).
     pub live: AtomicU32,
@@ -308,7 +304,7 @@ impl Slot {
             state: AtomicU64::new(0),
             ptr: AtomicPtr::new(std::ptr::null_mut()),
             len: AtomicU64::new(0),
-            tier: AtomicU32::new(TIER_DRAM),
+            tier: AtomicU32::new(0),
             live: AtomicU32::new(0),
             needed_at: AtomicU64::new(0),
         }

@@ -223,7 +223,7 @@ struct ObjectRecord {
 /// An in-flight two-phase migration: the destination block is reserved
 /// and the source is still live, but the bytes have not moved yet.
 ///
-/// Produced by [`Hms::begin_move`]; the holder copies the bytes itself
+/// Produced by [`Hms::begin_move_to`]; the holder copies the bytes itself
 /// (typically off-thread through [`Hms::move_ptrs`]) and must resolve
 /// the ticket with exactly one of [`Hms::commit_move`] /
 /// [`Hms::abort_move`] — dropping it leaks the destination reservation
@@ -644,13 +644,6 @@ impl Hms {
         Ok(self.finish_move(ticket))
     }
 
-    /// Phase one of a two-phase move (two-tier facade over
-    /// [`Hms::begin_move_to`]).
-    pub fn begin_move(&mut self, id: ObjectId, to: TierKind) -> Result<MoveTicket, HmsError> {
-        let to = self.to_id(to);
-        self.begin_move_to(id, to)
-    }
-
     /// Phase one of a two-phase move: reserve the destination and mark
     /// the object mid-move, without copying anything.
     ///
@@ -765,24 +758,17 @@ impl Hms {
         ticket.size
     }
 
-    /// Resolve an object's live bytes to a raw pointer with its length
-    /// and current tier (real substrates), or `Ok(None)` on the virtual
-    /// one. Unlike [`Hms::object_bytes`] this hands out a raw pointer,
-    /// for callers that manage aliasing themselves (the parallel
-    /// measured path pins objects and lets concurrent readers share the
-    /// range without materializing overlapping `&mut`s).
-    pub fn object_ptr(
-        &mut self,
-        id: ObjectId,
-    ) -> Result<Option<(*mut u8, u64, TierKind)>, HmsError> {
-        let (tier, addr, size) = {
-            let rec = self.objects.get(&id).ok_or(HmsError::NoSuchObject(id))?;
-            (rec.tier, rec.addr, rec.meta.size)
-        };
-        Ok(self
-            .backend
-            .data_ptr(tier, addr, size)
-            .map(|p| (p, size, tier.kind())))
+    /// Resolve an object's live bytes to a raw pointer (null on the
+    /// byte-less virtual substrate) with its length and current tier.
+    /// Unlike [`Hms::object_bytes`] this hands out a raw pointer, for
+    /// callers that manage aliasing themselves (the measured engine pins
+    /// objects and lets concurrent readers share the range without
+    /// materializing overlapping `&mut`s).
+    pub fn object_ptr(&mut self, id: ObjectId) -> Result<(*mut u8, u64, TierId), HmsError> {
+        let rec = self.objects.get(&id).ok_or(HmsError::NoSuchObject(id))?;
+        let (tier, addr, size) = (rec.tier, rec.addr, rec.meta.size);
+        let ptr = self.backend.data_ptr(tier, addr, size);
+        Ok((ptr.unwrap_or(std::ptr::null_mut()), size, tier))
     }
 
     /// Whether `bytes` more would fit on `tier` right now.
@@ -1108,7 +1094,7 @@ mod tests {
     fn two_phase_move_reserves_then_commits() {
         let mut h = small_hms(1024, 4096);
         let a = h.alloc_object("a", 256, TierKind::Nvm, false).unwrap();
-        let t = h.begin_move(a, TierKind::Dram).unwrap();
+        let t = h.begin_move_to(a, TierId::FASTEST).unwrap();
         assert_eq!(
             (t.object(), t.from(), t.to(), t.size()),
             (a, TierKind::Nvm, TierKind::Dram, 256)
@@ -1133,7 +1119,7 @@ mod tests {
     fn aborted_two_phase_move_restores_state() {
         let mut h = small_hms(1024, 4096);
         let a = h.alloc_object("a", 256, TierKind::Nvm, false).unwrap();
-        let t = h.begin_move(a, TierKind::Dram).unwrap();
+        let t = h.begin_move_to(a, TierId::FASTEST).unwrap();
         h.abort_move(t);
         assert!(!h.is_moving(a).unwrap());
         assert_eq!(h.tier_of(a).unwrap(), TierKind::Nvm);

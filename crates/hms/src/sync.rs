@@ -46,11 +46,11 @@ use std::time::{Duration, Instant};
 
 use crate::backend::CopyOutcome;
 use crate::error::HmsError;
-use crate::lockfree::{word, Counters, ShardedTable, Slot, TIER_DRAM, TIER_NVM};
+use crate::lockfree::{word, Counters, ShardedTable, Slot};
 use crate::memory::Hms;
 use crate::migrate::MigrationRecord;
 use crate::object::ObjectId;
-use crate::tier::TierKind;
+use crate::tier::TierId;
 use crate::Ns;
 
 pub use crate::lockfree::ContentionStats;
@@ -65,7 +65,7 @@ pub struct PinnedObject {
     /// The pinned object.
     pub id: ObjectId,
     /// Tier the object resides on for the duration of the pin.
-    pub tier: TierKind,
+    pub tier: TierId,
     ptr: *mut u8,
     len: u64,
 }
@@ -140,6 +140,16 @@ impl StartedMove {
     /// The object being moved.
     pub fn object(&self) -> ObjectId {
         self.ticket.object()
+    }
+
+    /// Exact source tier (selects the copy engine's per-pair throttle).
+    pub fn from_tier(&self) -> TierId {
+        self.ticket.from_tier()
+    }
+
+    /// Exact destination tier.
+    pub fn to_tier(&self) -> TierId {
+        self.ticket.to_tier()
     }
 }
 
@@ -311,21 +321,11 @@ impl SharedHms {
             let id = ObjectId(raw);
             let slot = self.table.ensure_slot(id);
             match hms.object_ptr(id) {
-                Ok(Some((ptr, len, tier))) => {
+                // The pointer is null on a byte-less (virtual) substrate.
+                Ok((ptr, len, tier)) => {
                     slot.ptr.store(ptr, Ordering::SeqCst);
                     slot.len.store(len, Ordering::SeqCst);
-                    slot.tier.store(encode_tier(tier), Ordering::SeqCst);
-                    slot.live.store(1, Ordering::SeqCst);
-                }
-                Ok(None) => {
-                    // Live object on a byte-less (virtual) substrate.
-                    slot.ptr.store(std::ptr::null_mut(), Ordering::SeqCst);
-                    if let Ok(size) = hms.size_of(id) {
-                        slot.len.store(size, Ordering::SeqCst);
-                    }
-                    if let Ok(tier) = hms.tier_of(id) {
-                        slot.tier.store(encode_tier(tier), Ordering::SeqCst);
-                    }
+                    slot.tier.store(u32::from(tier.0), Ordering::SeqCst);
                     slot.live.store(1, Ordering::SeqCst);
                 }
                 Err(_) => slot.live.store(0, Ordering::SeqCst),
@@ -516,7 +516,7 @@ impl SharedHms {
             }
             objects.push(PinnedObject {
                 id: *id,
-                tier: decode_tier(slot.tier.load(Ordering::SeqCst)),
+                tier: TierId(slot.tier.load(Ordering::SeqCst) as u8),
                 ptr,
                 len: slot.len.load(Ordering::SeqCst),
             });
@@ -538,7 +538,7 @@ impl SharedHms {
     pub fn begin_move_blocking(
         &self,
         id: ObjectId,
-        to: TierKind,
+        to: TierId,
         cancel: &AtomicBool,
     ) -> Result<Option<StartedMove>, HmsError> {
         let issued_at = self.now_ns();
@@ -593,7 +593,7 @@ impl SharedHms {
         // `MOVING` is claimed: no pins exist and none can be taken.
         // Reserve the destination under the inner (slow-path) lock.
         let mut hms = self.lock_inner();
-        match hms.begin_move(id, to) {
+        match hms.begin_move_to(id, to) {
             Ok(ticket) => match hms.move_ptrs(&ticket) {
                 Some((src, dst)) => {
                     let started_at = self.now_ns();
@@ -650,10 +650,10 @@ impl SharedHms {
         let slot = self.table.slot(object).expect("moved object has a slot");
         let mut hms = self.lock_inner();
         hms.commit_move(started.ticket, outcome);
-        if let Ok(Some((ptr, len, tier))) = hms.object_ptr(object) {
+        if let Ok((ptr, len, tier)) = hms.object_ptr(object) {
             slot.ptr.store(ptr, Ordering::SeqCst);
             slot.len.store(len, Ordering::SeqCst);
-            slot.tier.store(encode_tier(tier), Ordering::SeqCst);
+            slot.tier.store(u32::from(tier.0), Ordering::SeqCst);
         }
         drop(hms);
         let needed_bits = slot.needed_at.swap(0, Ordering::Relaxed);
@@ -723,21 +723,6 @@ impl SharedHms {
     }
 }
 
-fn encode_tier(t: TierKind) -> u32 {
-    match t {
-        TierKind::Dram => TIER_DRAM,
-        TierKind::Nvm => TIER_NVM,
-    }
-}
-
-fn decode_tier(t: u32) -> TierKind {
-    if t == TIER_NVM {
-        TierKind::Nvm
-    } else {
-        TierKind::Dram
-    }
-}
-
 // SAFETY: `PinnedObject`/`StartedMove` carry raw pointers but are created
 // and consumed on a single thread; they are deliberately !Send by default
 // and we do not override that. `SharedHms` itself is Send + Sync because
@@ -749,7 +734,7 @@ mod tests {
     use super::*;
     use crate::memory::HmsConfig;
     use crate::presets;
-    use crate::tier::TierId;
+    use crate::tier::TierKind;
     use std::sync::Arc;
 
     // A minimal byte-backed test substrate (heap, not mmap — tahoe-realmem
@@ -821,13 +806,13 @@ mod tests {
         let id = sh.with(|h| h.alloc_object("x", 4096, TierKind::Nvm, false).unwrap());
         let pins = sh.pin_for_task(&[id]).unwrap();
         assert_eq!(pins.objects.len(), 1);
-        assert_eq!(pins.objects[0].tier, TierKind::Nvm);
+        assert_eq!(pins.objects[0].tier, TierId(1));
         assert_eq!(pins.objects[0].len(), 4096);
         assert_eq!(sh.pin_count(id), 1);
         // A pinned object rejects a (cancelled) migration outright.
         let cancel = AtomicBool::new(true);
         assert!(sh
-            .begin_move_blocking(id, TierKind::Dram, &cancel)
+            .begin_move_blocking(id, TierId::FASTEST, &cancel)
             .unwrap()
             .is_none());
         drop(pins);
@@ -846,7 +831,7 @@ mod tests {
 
         let cancel = AtomicBool::new(false);
         let sm = sh
-            .begin_move_blocking(id, TierKind::Dram, &cancel)
+            .begin_move_blocking(id, TierId::FASTEST, &cancel)
             .unwrap()
             .expect("move must start");
         // Mid-move, pins must wait — emulate a worker on another thread.
@@ -875,7 +860,7 @@ mod tests {
             },
         );
         let (tier, first, waited) = waiter.join().unwrap();
-        assert_eq!(tier, TierKind::Dram, "waiter must see post-move residency");
+        assert_eq!(tier, TierId::FASTEST, "waiter must see post-move residency");
         assert_eq!(first, 0xCD, "bytes must have physically moved");
         assert!(waited > 0.0, "waiter must have measured its block");
         assert_eq!(rec.object, id);
@@ -897,7 +882,7 @@ mod tests {
         let cancel = AtomicBool::new(true);
         // Pinned + cancelled: returns None instead of waiting forever.
         assert!(sh
-            .begin_move_blocking(id, TierKind::Dram, &cancel)
+            .begin_move_blocking(id, TierId::FASTEST, &cancel)
             .unwrap()
             .is_none());
     }
@@ -911,7 +896,7 @@ mod tests {
         let mover = std::thread::spawn(move || {
             let cancel = AtomicBool::new(false);
             let sm = sh2
-                .begin_move_blocking(id, TierKind::Dram, &cancel)
+                .begin_move_blocking(id, TierId::FASTEST, &cancel)
                 .unwrap()
                 .expect("move must start once pins drain");
             sh2.abort_move(sm);
@@ -930,7 +915,7 @@ mod tests {
         let id = sh.with(|h| h.alloc_object("x", 4096, TierKind::Nvm, false).unwrap());
         let cancel = AtomicBool::new(false);
         let sm = sh
-            .begin_move_blocking(id, TierKind::Dram, &cancel)
+            .begin_move_blocking(id, TierId::FASTEST, &cancel)
             .unwrap()
             .unwrap();
         sh.abort_move(sm);
@@ -948,7 +933,7 @@ mod tests {
         let cancel = AtomicBool::new(false);
         let there = sh.with(|h| h.alloc_object("d", 1024, TierKind::Dram, false).unwrap());
         assert!(sh
-            .begin_move_blocking(there, TierKind::Dram, &cancel)
+            .begin_move_blocking(there, TierId::FASTEST, &cancel)
             .unwrap()
             .is_none());
         let big = sh.with(|h| {
@@ -957,7 +942,7 @@ mod tests {
         });
         // 16 KiB cannot fit the 4 KiB DRAM tier: skipped, not an error.
         assert!(sh
-            .begin_move_blocking(big, TierKind::Dram, &cancel)
+            .begin_move_blocking(big, TierId::FASTEST, &cancel)
             .unwrap()
             .is_none());
         // Both skips fully released the move state.
@@ -981,7 +966,7 @@ mod tests {
         assert!(sh.mid_move_objects().is_empty());
         let cancel = AtomicBool::new(false);
         let sm = sh
-            .begin_move_blocking(id, TierKind::Dram, &cancel)
+            .begin_move_blocking(id, TierId::FASTEST, &cancel)
             .unwrap()
             .unwrap();
         assert!(sh.is_mid_move(id));
@@ -1003,7 +988,7 @@ mod tests {
         }));
         let cancel = AtomicBool::new(false);
         let sm = sh
-            .begin_move_blocking(id, TierKind::Dram, &cancel)
+            .begin_move_blocking(id, TierId::FASTEST, &cancel)
             .unwrap()
             .unwrap();
         sh.abort_move(sm);
@@ -1029,7 +1014,7 @@ mod tests {
         assert_eq!(sh.pin_count(id), 0);
         let cancel = AtomicBool::new(false);
         let sm = sh
-            .begin_move_blocking(id, TierKind::Dram, &cancel)
+            .begin_move_blocking(id, TierId::FASTEST, &cancel)
             .unwrap()
             .expect("migration proceeds after the panicked worker");
         sh.abort_move(sm);

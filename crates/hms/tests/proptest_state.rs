@@ -216,7 +216,7 @@ mod hammer {
             let stop = Arc::clone(&stop);
             threads.push(std::thread::spawn(move || {
                 let cancel = AtomicBool::new(false);
-                let mut to = TierKind::Dram;
+                let mut to = TierId::FASTEST;
                 while !stop.load(Ordering::Relaxed) {
                     if let Ok(Some(sm)) = sh.begin_move_blocking(id, to, &cancel) {
                         // SAFETY: the ticket fences both disjoint ranges.
@@ -233,10 +233,8 @@ mod hammer {
                             },
                         );
                     }
-                    to = match to {
-                        TierKind::Dram => TierKind::Nvm,
-                        TierKind::Nvm => TierKind::Dram,
-                    };
+                    // Two tiers: bounce between 0 and 1.
+                    to = TierId(1 - to.0);
                 }
             }));
         }

@@ -153,10 +153,10 @@ impl RealBackend {
         &mut self.arenas[tier.index()]
     }
 
-    /// The copy-engine throttle of the DRAM↔spill pair (what the
-    /// background migrator, a two-tier consumer, runs with).
-    pub fn copy_config(&self) -> CopyConfig {
-        self.copy_config_between(TierId::FASTEST, TierId((self.n() - 1) as u8))
+    /// Every pair's copy-engine throttle, row-major n×n (entry
+    /// `[from][to]`): what the background migrator runs with.
+    pub fn copy_configs(&self) -> Vec<CopyConfig> {
+        self.copy_cfgs.clone()
     }
 
     /// The copy-engine throttle of one (src, dst) tier pair.
@@ -394,8 +394,8 @@ mod tests {
         let dc = b.copy_config_between(TierId(0), TierId(1));
         assert_eq!(dc.bandwidth_gbps, cfg.copy_bw_between(TierId(0), TierId(1)));
         assert_eq!(dc.latency_ns, presets::cxl(1).write_lat_ns);
-        // The legacy accessor is the DRAM↔spill pair.
-        assert_eq!(b.copy_config(), dn);
+        // The migrator's matrix holds the same entries.
+        assert_eq!(b.copy_configs()[2], dn);
     }
 
     #[test]

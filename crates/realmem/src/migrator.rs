@@ -20,7 +20,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tahoe_hms::{MigrationRecord, MigrationStats, ObjectId, SharedHms, TierKind};
+use tahoe_hms::{MigrationRecord, MigrationStats, ObjectId, SharedHms, TierId, TierKind};
 use tahoe_obs::{Emitter, Event, FlightHandle, Tier};
 
 use crate::copy::{throttled_copy_observed, CopyConfig};
@@ -38,7 +38,7 @@ pub struct MigrationRequest {
     /// Object to migrate.
     pub object: ObjectId,
     /// Destination tier.
-    pub to: TierKind,
+    pub to: TierId,
 }
 
 /// What the migration thread did, returned by
@@ -71,40 +71,30 @@ pub struct BackgroundMigrator {
 }
 
 impl BackgroundMigrator {
-    /// Start the migration thread over `shared`, copying with `copy_cfg`
-    /// and reporting each committed migration on `emitter` (a
-    /// `migration_issued` span plus a `migration_completed` instant, the
-    /// same events the virtual-time engine emits, here on wall-clock
-    /// time).
-    pub fn spawn(shared: Arc<SharedHms>, copy_cfg: CopyConfig, emitter: Emitter) -> Self {
-        Self::spawn_traced(shared, copy_cfg, emitter, None)
-    }
-
-    /// [`spawn`](Self::spawn) with an optional flight-recorder lane: when
-    /// present, migration events go to the lock-free lane instead of the
-    /// emitter (merged into the shared stream at drain time) and each
-    /// copy chunk's wall time lands in the lane's `mig_chunk_ns`
-    /// histogram.
-    pub fn spawn_traced(
+    /// Start the migration thread over `shared`, throttling each copy
+    /// with its (src, dst) pair's entry of `copy_cfgs` (row-major n×n
+    /// over `shared`'s tiers, as [`crate::RealBackend::copy_configs`]
+    /// returns it).
+    ///
+    /// Each committed migration is reported as a `migration_issued` span
+    /// plus a `migration_completed` instant (the same events the
+    /// virtual-time engine emits, here on wall-clock time): to the
+    /// lock-free `flight` lane when one is given (merged into the shared
+    /// stream at drain time; each copy chunk's wall time also lands in
+    /// the lane's `mig_chunk_ns` histogram), else to `emitter`. A
+    /// per-commit `observer` lets live consumers (the server's telemetry
+    /// blame board) see each committed record as it happens instead of
+    /// waiting for [`finish`](Self::finish).
+    pub fn spawn(
         shared: Arc<SharedHms>,
-        copy_cfg: CopyConfig,
-        emitter: Emitter,
-        flight: Option<FlightHandle>,
-    ) -> Self {
-        Self::spawn_observed(shared, copy_cfg, emitter, flight, None)
-    }
-
-    /// [`spawn_traced`](Self::spawn_traced) with an optional
-    /// per-commit [`MigrationObserver`] — live consumers (the server's
-    /// telemetry blame board) see each committed record as it happens
-    /// instead of waiting for [`finish`](Self::finish).
-    pub fn spawn_observed(
-        shared: Arc<SharedHms>,
-        copy_cfg: CopyConfig,
+        copy_cfgs: Vec<CopyConfig>,
         emitter: Emitter,
         flight: Option<FlightHandle>,
         observer: Option<MigrationObserver>,
     ) -> Self {
+        let n = shared.with(|h| h.n_tiers());
+        assert_eq!(copy_cfgs.len(), n * n, "one copy config per tier pair");
+        let copy_cfg = move |from: TierId, to: TierId| copy_cfgs[from.index() * n + to.index()];
         let (tx, rx) = mpsc::channel::<MigrationRequest>();
         let pending = Arc::new(AtomicUsize::new(0));
         let cancel = Arc::new(AtomicBool::new(false));
@@ -123,7 +113,7 @@ impl BackgroundMigrator {
 
     /// Queue one migration. Requests are processed in order by the
     /// single engine thread (the paper's copy channel is sequential).
-    pub fn enqueue(&self, object: ObjectId, to: TierKind) {
+    pub fn enqueue(&self, object: ObjectId, to: TierId) {
         self.pending.fetch_add(1, Ordering::SeqCst);
         // A closed channel only happens after finish(), which consumes
         // self; unwrap communicates the invariant.
@@ -172,7 +162,7 @@ fn obs_tier(t: TierKind) -> Tier {
 fn run_engine(
     shared: Arc<SharedHms>,
     rx: mpsc::Receiver<MigrationRequest>,
-    copy_cfg: CopyConfig,
+    copy_cfg: impl Fn(TierId, TierId) -> CopyConfig,
     emitter: Emitter,
     flight: Option<FlightHandle>,
     observer: Option<MigrationObserver>,
@@ -191,6 +181,7 @@ fn run_engine(
                 // The long copy runs with no lock held: workers execute
                 // and pin other objects concurrently; only this object
                 // is fenced (mid-move) until commit.
+                let copy_cfg = copy_cfg(started.from_tier(), started.to_tier());
                 // SAFETY: `begin_move_blocking` resolved both ranges
                 // inside their arenas and fenced the object, so the
                 // source cannot be freed or written and the destination
@@ -288,11 +279,13 @@ mod tests {
 
         let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
-            CopyConfig::unthrottled(),
+            vec![CopyConfig::unthrottled(); 4],
             Emitter::disabled(),
+            None,
+            None,
         );
-        eng.enqueue(a, TierKind::Dram);
-        eng.enqueue(b, TierKind::Dram);
+        eng.enqueue(a, TierId::FASTEST);
+        eng.enqueue(b, TierId::FASTEST);
         eng.drain();
         assert_eq!(eng.pending(), 0);
         let report = eng.finish();
@@ -318,10 +311,12 @@ mod tests {
         let d = sh.with(|h| h.alloc_object("d", 4096, TierKind::Dram, false).unwrap());
         let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
-            CopyConfig::unthrottled(),
+            vec![CopyConfig::unthrottled(); 4],
             Emitter::disabled(),
+            None,
+            None,
         );
-        eng.enqueue(d, TierKind::Dram); // already there
+        eng.enqueue(d, TierId::FASTEST); // already there
         let report = eng.finish();
         assert_eq!(report.skipped, 1);
         assert_eq!(report.stats.count, 0);
@@ -338,14 +333,19 @@ mod tests {
             Arc::clone(&sh),
             // Slow enough (0.05 GB/s ⇒ ~5 ms for 256 KiB) that cancel
             // lands mid-copy; 4 KiB chunks bound the abort latency.
-            CopyConfig {
-                bandwidth_gbps: 0.05,
-                latency_ns: 0.0,
-                chunk_bytes: 4096,
-            },
+            vec![
+                CopyConfig {
+                    bandwidth_gbps: 0.05,
+                    latency_ns: 0.0,
+                    chunk_bytes: 4096,
+                };
+                4
+            ],
             Emitter::disabled(),
+            None,
+            None,
         );
-        eng.enqueue(a, TierKind::Dram);
+        eng.enqueue(a, TierId::FASTEST);
         std::thread::sleep(Duration::from_millis(1));
         eng.cancel();
         let report = eng.finish();
@@ -372,17 +372,21 @@ mod tests {
         let sh = shared(1 << 20, 1 << 22);
         let a = sh.with(|h| h.alloc_object("a", 16 << 10, TierKind::Nvm, false).unwrap());
         let (emitter, buffer) = Emitter::buffered();
-        let eng = BackgroundMigrator::spawn_traced(
+        let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
-            CopyConfig {
-                bandwidth_gbps: f64::INFINITY,
-                latency_ns: 0.0,
-                chunk_bytes: 4096,
-            },
+            vec![
+                CopyConfig {
+                    bandwidth_gbps: f64::INFINITY,
+                    latency_ns: 0.0,
+                    chunk_bytes: 4096,
+                };
+                4
+            ],
             emitter,
             Some(rec.handle(0)),
+            None,
         );
-        eng.enqueue(a, TierKind::Dram);
+        eng.enqueue(a, TierId::FASTEST);
         let report = eng.finish();
         assert_eq!(report.stats.count, 1);
         // Events went to the flight lane, not the emitter.
@@ -406,17 +410,17 @@ mod tests {
         let d = sh.with(|h| h.alloc_object("d", 4096, TierKind::Dram, false).unwrap());
         let seen: Arc<std::sync::Mutex<Vec<(u32, u64)>>> = Arc::default();
         let sink = Arc::clone(&seen);
-        let eng = BackgroundMigrator::spawn_observed(
+        let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
-            CopyConfig::unthrottled(),
+            vec![CopyConfig::unthrottled(); 4],
             Emitter::disabled(),
             None,
             Some(Arc::new(move |rec: &MigrationRecord| {
                 sink.lock().unwrap().push((rec.object.0, rec.bytes));
             })),
         );
-        eng.enqueue(a, TierKind::Dram);
-        eng.enqueue(d, TierKind::Dram); // moot: already resident
+        eng.enqueue(a, TierId::FASTEST);
+        eng.enqueue(d, TierId::FASTEST); // moot: already resident
         let report = eng.finish();
         assert_eq!(report.stats.count, 1);
         assert_eq!(report.skipped, 1);
@@ -429,8 +433,14 @@ mod tests {
         let (emitter, buffer) = Emitter::buffered();
         let sh = shared(1 << 20, 1 << 22);
         let a = sh.with(|h| h.alloc_object("a", 8 << 10, TierKind::Nvm, false).unwrap());
-        let eng = BackgroundMigrator::spawn(Arc::clone(&sh), CopyConfig::unthrottled(), emitter);
-        eng.enqueue(a, TierKind::Dram);
+        let eng = BackgroundMigrator::spawn(
+            Arc::clone(&sh),
+            vec![CopyConfig::unthrottled(); 4],
+            emitter,
+            None,
+            None,
+        );
+        eng.enqueue(a, TierId::FASTEST);
         let report = eng.finish();
         assert_eq!(report.stats.count, 1);
         let kinds: Vec<&str> = buffer.drain().iter().map(|e| e.kind()).collect();

@@ -58,6 +58,29 @@ pub enum ViolationKind {
     PlanCostRegression,
 }
 
+/// One table names every kind twice — its tag and its metrics counter —
+/// so a kind added without both fails to compile (the matches are
+/// exhaustive) instead of silently counting under a catch-all key.
+macro_rules! kind_names {
+    ($($variant:ident => $tag:literal,)*) => {
+        /// Stable snake_case tag.
+        pub fn tag(&self) -> &'static str {
+            match self {
+                $(ViolationKind::$variant => $tag,)*
+            }
+        }
+
+        /// Metrics counter the kind is counted under:
+        /// `sanitize.violations.<tag>` (the registry keys on
+        /// `&'static str`).
+        pub fn counter_key(&self) -> &'static str {
+            match self {
+                $(ViolationKind::$variant => concat!("sanitize.violations.", $tag),)*
+            }
+        }
+    };
+}
+
 impl ViolationKind {
     /// Every kind, in canonical (report/JSON) order.
     pub const ALL: [ViolationKind; 15] = [
@@ -78,25 +101,22 @@ impl ViolationKind {
         ViolationKind::PlanCostRegression,
     ];
 
-    /// Stable snake_case tag.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ViolationKind::DependencyCycle => "dependency_cycle",
-            ViolationKind::UnorderedConflict => "unordered_conflict",
-            ViolationKind::UseAfterFree => "use_after_free",
-            ViolationKind::InfeasibleFootprint => "infeasible_footprint",
-            ViolationKind::DeadDeclaration => "dead_declaration",
-            ViolationKind::UndeclaredAccess => "undeclared_access",
-            ViolationKind::WriteUnderRead => "write_under_read",
-            ViolationKind::MidMoveAccess => "mid_move_access",
-            ViolationKind::PinnedCopy => "pinned_copy",
-            ViolationKind::PlanOverCapacity => "plan_over_capacity",
-            ViolationKind::PlanMoveRace => "plan_move_race",
-            ViolationKind::PlanUnknownTier => "plan_unknown_tier",
-            ViolationKind::PlanDeadObject => "plan_dead_object",
-            ViolationKind::PlanDoubleMove => "plan_double_move",
-            ViolationKind::PlanCostRegression => "plan_cost_regression",
-        }
+    kind_names! {
+        DependencyCycle => "dependency_cycle",
+        UnorderedConflict => "unordered_conflict",
+        UseAfterFree => "use_after_free",
+        InfeasibleFootprint => "infeasible_footprint",
+        DeadDeclaration => "dead_declaration",
+        UndeclaredAccess => "undeclared_access",
+        WriteUnderRead => "write_under_read",
+        MidMoveAccess => "mid_move_access",
+        PinnedCopy => "pinned_copy",
+        PlanOverCapacity => "plan_over_capacity",
+        PlanMoveRace => "plan_move_race",
+        PlanUnknownTier => "plan_unknown_tier",
+        PlanDeadObject => "plan_dead_object",
+        PlanDoubleMove => "plan_double_move",
+        PlanCostRegression => "plan_cost_regression",
     }
 }
 
@@ -199,6 +219,20 @@ mod tests {
         assert_eq!(dedup.len(), ViolationKind::ALL.len());
         for t in tags {
             assert!(t.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
+        }
+    }
+
+    #[test]
+    fn every_kind_has_its_own_counter_key() {
+        let keys: std::collections::BTreeSet<_> =
+            ViolationKind::ALL.iter().map(|k| k.counter_key()).collect();
+        assert_eq!(keys.len(), ViolationKind::ALL.len(), "keys are distinct");
+        for k in ViolationKind::ALL {
+            assert_eq!(
+                k.counter_key(),
+                format!("sanitize.violations.{}", k.tag()),
+                "the key is the tag under the violations namespace, never a catch-all"
+            );
         }
     }
 

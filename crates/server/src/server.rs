@@ -33,21 +33,20 @@
 //! app running alone.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tahoe_core::app::App;
-use tahoe_core::measured::{cf, fold, init_seed, site_seed};
+use tahoe_core::engine::{residence_values, GraphLayout, GraphRun, NoSanitize};
 use tahoe_hms::{
     ContentionStats, Hms, HmsConfig, MigrationRecord, MigrationStats, Ns, ObjectId, SharedHms,
-    TierKind,
+    TierId, TierKind,
 };
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::{Emitter, Event, HistData, Histogram, Metrics};
 use tahoe_placement::Item;
-use tahoe_realmem::{traffic, BackgroundMigrator, RealBackend};
-use tahoe_taskrt::{DataGate, JobSpec, TaskGraph, TaskPool, TaskSpec};
+use tahoe_realmem::{BackgroundMigrator, RealBackend};
+use tahoe_taskrt::{JobSpec, TaskGraph, TaskPool, TaskSpec};
 
 use crate::arbiter::{self, QuotaPolicy, TenantDemand};
 use crate::namespace::{self, AdmitError, Namespace};
@@ -106,16 +105,14 @@ struct TenantInfo {
     name: String,
     weight: f64,
     graph: Arc<TaskGraph>,
-    /// Global hms ids, indexed by the tenant's local object index.
-    ids: Arc<Vec<ObjectId>>,
+    /// Global hms ids (by the tenant's local object index), checksum
+    /// slots and delay model every execution of the graph shares.
+    layout: Arc<GraphLayout>,
     sizes: Vec<u64>,
     /// Predicted whole-run value of DRAM residence per object.
     values: Vec<f64>,
     /// Bytes of objects with positive value (declared DRAM demand).
     demand: u64,
-    slot_base: Vec<usize>,
-    n_slots: usize,
-    windows: u32,
 }
 
 /// Completed-execution record delivered through a [`GraphTicket`].
@@ -363,20 +360,6 @@ impl ServerReport {
     }
 }
 
-/// The executor's data gate for one tenant's job: a task is
-/// data-ready when none of its (global) objects is mid-migration.
-struct ServerGate {
-    hms: Arc<SharedHms>,
-    ids: Arc<Vec<ObjectId>>,
-}
-
-impl DataGate for ServerGate {
-    fn wait_ready(&self, task: &TaskSpec) -> f64 {
-        let ids: Vec<ObjectId> = task.objects().iter().map(|o| self.ids[o.index()]).collect();
-        self.hms.wait_ready(&ids)
-    }
-}
-
 /// The long-lived multi-tenant runtime server.
 pub struct TahoeServer {
     pub(crate) sh: Arc<ServerShared>,
@@ -407,7 +390,7 @@ impl TahoeServer {
         let copy_bw = nvm.write_bw_gbps.min(dram.read_bw_gbps) * 0.8;
         let hms_cfg = HmsConfig::new(dram, nvm, copy_bw).map_err(|e| e.to_string())?;
         let backend = RealBackend::with_observability(&hms_cfg, emitter.clone(), metrics.clone())?;
-        let copy_cfg = backend.copy_config();
+        let copy_cfgs = backend.copy_configs();
         let mut hms = Hms::new(hms_cfg.clone());
         hms.set_backend(Box::new(backend));
         let hms = Arc::new(SharedHms::new(hms));
@@ -416,9 +399,9 @@ impl TahoeServer {
         // moment it commits, not at shutdown.
         let blame = Arc::new(BlameBoard::new());
         let board = Arc::clone(&blame);
-        let migrator = BackgroundMigrator::spawn_observed(
+        let migrator = BackgroundMigrator::spawn(
             Arc::clone(&hms),
-            copy_cfg,
+            copy_cfgs,
             emitter.clone(),
             None,
             Some(Arc::new(move |rec: &MigrationRecord| board.record(rec))),
@@ -488,16 +471,11 @@ impl TahoeServer {
 
         // Predicted value of DRAM residence per object — the same
         // ground-truth model the single-tenant planner uses.
-        let mut values = vec![0.0f64; app.objects.len()];
-        for t in app.graph.tasks() {
-            for a in &t.accesses {
-                let on_nvm = a.profile.mem_time_ns(&self.sh.hms_cfg.nvm)
-                    * cf(&self.sh.cal, &a.profile, &self.sh.hms_cfg.nvm);
-                let on_dram = a.profile.mem_time_ns(&self.sh.hms_cfg.dram)
-                    * cf(&self.sh.cal, &a.profile, &self.sh.hms_cfg.dram);
-                values[a.object.index()] += (on_nvm - on_dram).max(0.0);
-            }
-        }
+        let specs = [self.sh.hms_cfg.dram.clone(), self.sh.hms_cfg.nvm.clone()];
+        let values: Vec<f64> = residence_values(&app, &specs, Some(&self.sh.cal))
+            .into_iter()
+            .map(|v| v[0])
+            .collect();
         let demand = app
             .objects
             .iter()
@@ -505,26 +483,17 @@ impl TahoeServer {
             .filter(|(i, _)| values[*i] > 0.0)
             .map(|(_, o)| o.size)
             .sum();
-        let mut slot_base = vec![0usize; app.graph.len()];
-        let mut n_slots = 0usize;
-        for t in app.graph.tasks() {
-            slot_base[t.id.index()] = n_slots;
-            n_slots += t.accesses.len();
-        }
-        let windows = app.windows();
+        let layout = GraphLayout::new(&app.graph, ids, &self.sh.hms_cfg, &self.sh.cal);
         let App { objects, graph, .. } = app;
         let info = Arc::new(TenantInfo {
             id: tid,
             name: spec.name,
             weight: spec.weight,
             graph: Arc::new(graph),
-            ids: Arc::new(ids),
+            layout: Arc::new(layout),
             sizes: objects.iter().map(|o| o.size).collect(),
             values,
             demand,
-            slot_base,
-            n_slots,
-            windows,
         });
         inner.tenants.push(TenantState {
             info,
@@ -668,9 +637,25 @@ impl TenantHandle {
 }
 
 /// Escape a tenant name for embedding in a Prometheus label value or a
-/// JSON string (both use backslash escapes for `"` and `\`).
+/// JSON string: backslash escapes for `"`, `\` and newline (shared by
+/// both formats), `\uXXXX` for every other control character — so a
+/// hostile name can break neither the one-sample-per-line exposition
+/// nor the one-object-per-line journal.
 fn label_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 impl ServerShared {
@@ -903,7 +888,8 @@ impl ServerShared {
             .collect();
         let solution = tahoe_placement::solve(&items, cap);
         let chosen: BTreeSet<usize> = solution.chosen.iter().map(|o| o.index()).collect();
-        let mut moves: Vec<(ObjectId, TierKind)> = Vec::new();
+        let (dram, nvm) = (TierId::FASTEST, self.hms_cfg.last_tier());
+        let mut moves: Vec<(ObjectId, TierId)> = Vec::new();
 
         // Self-demotions: planned residents the new plan dropped.
         let drops: Vec<usize> = inner.tenants[tid]
@@ -916,7 +902,7 @@ impl ServerShared {
             inner.tenants[tid].planned.remove(&i);
             inner.tenants[tid].demoted_bytes += info.sizes[i];
             free += info.sizes[i];
-            moves.push((info.ids[i], TierKind::Nvm));
+            moves.push((info.layout.ids()[i], nvm));
         }
 
         // Promotions, highest predicted value first; under quota modes
@@ -956,7 +942,7 @@ impl ServerShared {
                     let bytes = victim.info.sizes[oi];
                     victim.demoted_bytes += bytes;
                     free += bytes;
-                    moves.push((victim.info.ids[oi], TierKind::Nvm));
+                    moves.push((victim.info.layout.ids()[oi], nvm));
                     let tenant = victim.info.id;
                     self.emitter.emit(|| Event::TenantPreempt {
                         t: now,
@@ -971,7 +957,7 @@ impl ServerShared {
                 inner.tenants[tid].planned.insert(i);
                 inner.tenants[tid].promoted_bytes += sz;
                 free -= sz;
-                moves.push((info.ids[i], TierKind::Dram));
+                moves.push((info.layout.ids()[i], dram));
             }
         }
 
@@ -1020,120 +1006,38 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
 
     // Seeded re-init: every execution starts from the same fill a solo
     // run would, so the canonical checksum is comparable run to run.
-    let mut init_sums = Vec::with_capacity(info.ids.len());
-    {
-        let pins = sh
-            .hms
-            .pin_for_task(&info.ids)
-            .expect("tenant objects are never freed");
-        for (i, pin) in pins.objects.iter().enumerate() {
-            // SAFETY: the pin blocks migration for every object, the
-            // arenas never remap, tenant objects are never freed, and
-            // per-tenant serialization plus cross-tenant disjointness
-            // make this the only live reference to these bytes.
-            #[allow(unsafe_code)]
-            let buf = unsafe { std::slice::from_raw_parts_mut(pin.as_ptr(), pin.len()) };
-            init_sums.push(traffic::init_fill(buf, init_seed(run_seed, i)));
-        }
-    }
-
-    let slots: Arc<Vec<AtomicU64>> =
-        Arc::new((0..info.n_slots).map(|_| AtomicU64::new(0)).collect());
-    let gate = Arc::new(ServerGate {
-        hms: Arc::clone(&sh.hms),
-        ids: Arc::clone(&info.ids),
-    });
+    // Per-tenant serialization plus cross-tenant disjointness (the
+    // namespace check at admission) make this graph the only toucher of
+    // its objects.
+    let run = Arc::new(
+        GraphRun::start(Arc::clone(&sh.hms), Arc::clone(&info.layout), run_seed)
+            .expect("tenant objects are never freed"),
+    );
 
     let work = {
         let sh = Arc::clone(sh);
-        let info = Arc::clone(&info);
-        let slots = Arc::clone(&slots);
+        let run = Arc::clone(&run);
         Arc::new(move |worker: usize, tag: u32, task: &TaskSpec| {
-            let t0 = Instant::now();
-            let obj_ids: Vec<ObjectId> =
-                task.objects().iter().map(|o| info.ids[o.index()]).collect();
-            let pins = sh
-                .hms
-                .pin_for_task(&obj_ids)
+            let out = run
+                .run_task(task, &NoSanitize)
                 .expect("tenant objects are never freed");
-            for (ai, access) in task.accesses.iter().enumerate() {
-                let hid = info.ids[access.object.index()];
-                let pin = pins
-                    .objects
-                    .iter()
-                    .find(|p| p.id == hid)
-                    .expect("every access object is pinned");
-                // Quartz-style software NVM emulation, identical to the
-                // single-tenant parallel path: native-speed kernel, then
-                // inject the cf-corrected slow-minus-fast difference.
-                let inject_ns = if pin.tier == TierKind::Nvm {
-                    let slow = access.profile.mem_time_ns(&sh.hms_cfg.nvm)
-                        * cf(&sh.cal, &access.profile, &sh.hms_cfg.nvm);
-                    let fast = access.profile.mem_time_ns(&sh.hms_cfg.dram)
-                        * cf(&sh.cal, &access.profile, &sh.hms_cfg.dram);
-                    (slow - fast).max(0.0)
-                } else {
-                    0.0
-                };
-                // SAFETY: the pin blocks moves and frees for the whole
-                // task, the arenas never remap, writes are exclusive by
-                // the graph's derived dependences, and tenants only ever
-                // reach their own (disjoint) objects — enforced at
-                // admission by the namespace check.
-                #[allow(unsafe_code)]
-                let c = unsafe {
-                    traffic::run_access_ptr(
-                        pin.as_ptr(),
-                        pin.len(),
-                        access.profile.loads,
-                        access.profile.stores,
-                        site_seed(run_seed, task.id.0, ai),
-                    )
-                };
-                slots[info.slot_base[task.id.index()] + ai].store(c, Ordering::Release);
-                if inject_ns > 0.0 {
-                    tahoe_realmem::throttle::pace_until(Instant::now(), inject_ns);
-                }
-            }
-            let waited = pins.waited_ns;
-            drop(pins);
-            let t = sh.hms.now_ns();
-            let (task_id, window, wall) = (task.id.0, task.window, t0.elapsed().as_nanos() as f64);
             sh.emitter.emit(|| Event::WorkerTask {
-                t,
+                t: out.t,
                 tenant: tag,
                 worker: worker as u32,
-                task: task_id,
-                window,
-                wall_ns: wall,
-                gate_wait_ns: waited,
+                task: task.id.0,
+                window: task.window,
+                wall_ns: out.wall_ns,
+                gate_wait_ns: out.gate_wait_ns,
             });
         })
     };
 
     let on_done: Box<dyn FnOnce() + Send> = {
         let sh = Arc::clone(sh);
-        let info = Arc::clone(&info);
-        let slots = Arc::clone(&slots);
+        let run = Arc::clone(&run);
         Box::new(move || {
-            // Canonical re-fold: init sums in object order, then every
-            // access slot in window/task/access order — the reference
-            // checksum's exact fold sequence.
-            let mut checksum = 0u64;
-            for s in &init_sums {
-                checksum = fold(checksum, *s);
-            }
-            for w in 0..info.windows {
-                for tid in info.graph.window_tasks(w) {
-                    let task = info.graph.task(tid);
-                    for ai in 0..task.accesses.len() {
-                        checksum = fold(
-                            checksum,
-                            slots[info.slot_base[tid.index()] + ai].load(Ordering::Acquire),
-                        );
-                    }
-                }
-            }
+            let checksum = run.checksum();
             let finished_ns = sh.hms.now_ns();
             let latency_ns = (finished_ns - submitted_ns).max(0.0);
             let wall_ns = (finished_ns - admitted_ns).max(0.0);
@@ -1179,11 +1083,86 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
     let job = JobSpec {
         tag: tenant,
         graph: Arc::clone(&info.graph),
-        gate,
+        gate: run,
         work,
         on_window: None,
         on_done: Some(on_done),
     };
     let pool = sh.pool.lock().expect("pool slot");
     pool.as_ref().expect("pool live until shutdown").submit(job);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tahoe_core::app::AppBuilder;
+    use tahoe_hms::TierSpec;
+    use tahoe_memprof::wallclock::MeasuredTier;
+
+    #[test]
+    fn hostile_tenant_name_breaks_neither_exposition_nor_journal() {
+        let cal = WallClockCalibration {
+            dram: TierSpec::symmetric("dram", 100.0, 10.0, 1 << 20),
+            nvm: TierSpec::symmetric("nvm", 300.0, 3.0, 1 << 24),
+            cf_bw: 1.0,
+            cf_lat: 1.0,
+            measured: MeasuredTier {
+                stream_bw_gbps: 10.0,
+                chase_lat_ns: 100.0,
+                stream_wall_ns: 1000.0,
+                chase_wall_ns: 1000.0,
+            },
+        };
+        let cfg = ServerConfig {
+            workers: 1,
+            dram_budget: 64 << 10,
+            nvm_capacity: 1 << 24,
+            mode: ArbiterMode::FreeForAll,
+            max_queue: 1,
+        };
+        let srv =
+            TahoeServer::new(cfg, cal, Emitter::disabled(), Metrics::disabled()).expect("server");
+        let name = "a\"b\nc\r\u{1}";
+        let mut b = AppBuilder::new("t");
+        let x = b.object("x", 4096);
+        let c = b.class("step");
+        b.task(c).update_streaming(x, 8).submit();
+        let handle = srv
+            .register_tenant(TenantSpec::new(name, 1.0), b.build())
+            .expect("register");
+        handle.submit(1).ticket().expect("admitted").wait();
+
+        // Every exposition line is a comment or `name{labels} value`
+        // whose label section closes its quotes and whose value parses.
+        let text = srv.sh.telemetry_text(4);
+        let mut labelled = 0;
+        for line in text.lines() {
+            if line.starts_with('#') {
+                continue;
+            }
+            let (series, value) = line.rsplit_once(' ').expect("sample has a value");
+            value
+                .parse::<f64>()
+                .unwrap_or_else(|_| panic!("bad value in {line:?}"));
+            if let Some((_, labels)) = series.split_once('{') {
+                let labels = labels.strip_suffix('}').expect("labels close");
+                let unescaped = labels.replace("\\\\", "").replace("\\\"", "");
+                assert_eq!(unescaped.matches('"').count() % 2, 0, "{line:?}");
+                labelled += 1;
+            }
+        }
+        assert!(labelled > 0, "tenant series present");
+
+        // The journal snapshot is one line, valid JSON, and round-trips
+        // the name exactly.
+        let json = srv.sh.telemetry_json(4);
+        assert_eq!(json.lines().count(), 1);
+        let doc = tahoe_obs::json::parse(&json).expect("journal line parses");
+        let tenants = doc
+            .get("tenants")
+            .and_then(|t| t.as_array())
+            .expect("tenants");
+        assert_eq!(tenants[0].get("name").and_then(|n| n.as_str()), Some(name));
+        srv.shutdown();
+    }
 }

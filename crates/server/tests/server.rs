@@ -3,9 +3,11 @@
 //! cold tenants, and admission-control shedding.
 
 use tahoe_core::app::{App, AppBuilder, ObjectSpec};
-use tahoe_core::measured::reference_checksum_seeded;
+use tahoe_core::config::Platform;
+use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
+use tahoe_core::policy::PolicyKind;
 use tahoe_hms::{AccessProfile, ObjectId, TierSpec};
-use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration};
+use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration, WallClockConfig};
 use tahoe_obs::{Emitter, Metrics};
 use tahoe_server::{
     driver, AdmitError, ArbiterMode, QuotaPolicy, ServerConfig, TahoeServer, TelemetryConfig,
@@ -164,6 +166,19 @@ fn checksums_under_contention_match_solo_references() {
         .zip(&apps)
         .map(|(h, app)| reference_checksum_seeded(app, driver::tenant_seed(11, h.tenant())))
         .collect();
+
+    // The batch engine runs the same task kernel: tenant 0's app alone
+    // through `run_policy_parallel` folds to the same checksum.
+    let solo = MeasuredRuntime::new(Platform::optane(1 << 20, 1 << 24), WallClockConfig::smoke())
+        .run_policy_parallel(
+            &apps[0],
+            &PolicyKind::tahoe(),
+            &cal(),
+            2,
+            driver::tenant_seed(11, 0),
+        )
+        .expect("solo batch run");
+    assert_eq!(solo.checksum, refs[0]);
 
     let outcomes = driver::closed_loop(&handles.iter().collect::<Vec<_>>(), 4, 11);
     assert_eq!(outcomes.len(), 12);
