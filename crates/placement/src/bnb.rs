@@ -16,7 +16,6 @@ pub const BNB_ITEM_LIMIT: usize = 40;
 
 struct Search<'a> {
     items: &'a [SortedItem],
-    capacity: u64,
     best_value: f64,
     best_mask: u64,
 }
@@ -99,12 +98,10 @@ pub fn solve_bnb(items: &[Item], capacity: u64) -> Option<Solution> {
     });
     let mut search = Search {
         items: &eligible,
-        capacity,
         best_value: 0.0,
         best_mask: 0,
     };
     search.branch(0, capacity, 0.0, 0);
-    let _ = search.capacity;
 
     let mut chosen = Vec::new();
     let mut total_size = 0;

@@ -4,6 +4,24 @@
 //! The exact solver scales sizes *up* to a grain so the DP table stays
 //! small; rounding up can only under-fill the knapsack, never overflow
 //! DRAM — an admissible approximation for a memory budget.
+//!
+//! # Solver cost
+//!
+//! With `grain = max(1, capacity / 8192)`, `need_i = ⌈size_i / grain⌉`,
+//! `width = ⌊capacity / grain⌋` (8192..16383 columns once the capacity
+//! exceeds 8192 bytes) and `g = gcd(need_i)`, [`solve_exact`] sweeps at
+//! most `items × (⌊width / g⌋ + 1)` cells — every reachable budget is a
+//! multiple of `g`, so equal chunks or page-multiple sizes shrink the
+//! table by `g` while coprime sizes leave it as it was. Columns below
+//! `width − Σ later needs` cannot be reached by the reconstruction and
+//! are skipped (the *band*). The working set is two value rows plus one
+//! take *bit* per (item, column): `items × ⌈(⌊width/g⌋ + 1) / 64⌉ × 8`
+//! bytes, 2 MiB for 8192 equal items at a quarter of their footprint.
+//!
+//! Tie-break contract: an item is taken at a column only when that is
+//! *strictly* better than leaving it, so among equal-valued alternatives
+//! the earlier item wins, and `total_value` is summed over the chosen
+//! items from the last to the first. Digest-gated baselines pin both.
 
 use tahoe_hms::ObjectId;
 
@@ -49,49 +67,101 @@ impl Solution {
 /// this, sizes are scaled to a coarser grain.
 const MAX_DP_WIDTH: u64 = 8192;
 
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// One item over 64 columns: `new[w] = max(old[w], old[w − need] + value)`
+/// with `below = old[w − need]`, returning bit `w` set where the item is
+/// taken (strictly better). Reads one row and writes the other, so no
+/// iteration depends on another and the loop vectorises; the 0/1 bytes
+/// are gathered eight at a time by a multiply that lands byte `k`'s low
+/// bit on bit `56 + k`.
+fn relax64(below: &[f64], old: &[f64], new: &mut [f64], value: f64) -> u64 {
+    let (below, old, new) = (&below[..64], &old[..64], &mut new[..64]);
+    let mut taken = [0u8; 64];
+    for w in 0..64 {
+        let cand = below[w] + value;
+        let take = cand > old[w];
+        new[w] = if take { cand } else { old[w] };
+        taken[w] = take as u8;
+    }
+    let mut bits = 0u64;
+    for (k, bytes) in taken.chunks_exact(8).enumerate() {
+        let bytes = u64::from_le_bytes(bytes.try_into().expect("chunk of 8"));
+        bits |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    bits
+}
+
 /// Exact 0/1 knapsack by dynamic programming over scaled capacity.
 ///
 /// Items with non-positive value or zero size are never chosen; items
 /// larger than the capacity are skipped. `grain` is chosen so the DP
 /// width is at most `MAX_DP_WIDTH`; item sizes round *up* to the grain.
+/// See the module docs for the cost and the tie-break contract.
 pub fn solve_exact(items: &[Item], capacity: u64) -> Solution {
-    let eligible: Vec<&Item> = items
+    let grain = (capacity / MAX_DP_WIDTH).max(1);
+    // Floor, to stay within capacity.
+    let width = (capacity / grain) as usize;
+    // Each candidate with its need in grains; one that rounds up past
+    // the width can never be taken.
+    let mut eligible: Vec<(&Item, usize)> = items
         .iter()
         .filter(|it| it.value > 0.0 && it.size > 0 && it.size <= capacity)
+        .map(|it| (it, it.size.div_ceil(grain) as usize))
+        .filter(|&(_, need)| need <= width)
         .collect();
-    if eligible.is_empty() || capacity == 0 {
+    if eligible.is_empty() {
         return Solution::empty();
     }
-    let grain = (capacity / MAX_DP_WIDTH).max(1);
-    let width = (capacity / grain) as usize; // floor: stay within capacity
-                                             // dp[w] = best value using scaled budget w; parent bit per (item, w).
-    let mut dp = vec![0.0f64; width + 1];
-    let mut take = vec![false; (width + 1) * eligible.len()];
-    for (i, it) in eligible.iter().enumerate() {
-        let need = it.size.div_ceil(grain) as usize;
-        if need > width {
-            continue;
+    // Every reachable budget is a multiple of the needs' gcd: solve in
+    // those units.
+    let unit = eligible.iter().fold(0, |g, &(_, need)| gcd(g, need));
+    let width = width / unit;
+    // `later`: Σ needs of the items after the current one; `pad`: the
+    // largest need.
+    let (mut later, mut pad) = (0, 0);
+    for (_, need) in &mut eligible {
+        *need /= unit;
+        later += *need;
+        pad = pad.max(*need);
+    }
+    // Rows hold `words × 64` columns behind `pad` cells of −∞, so a read
+    // of `old[w − need]` below column 0 yields a candidate that never
+    // wins and the sweep has no edge cases.
+    let words = width / 64 + 1;
+    let mut old = vec![0.0f64; pad + words * 64];
+    old[..pad].fill(f64::NEG_INFINITY);
+    let mut new = old.clone();
+    let mut take = vec![0u64; words * eligible.len()];
+    for (row, &(it, need)) in take.chunks_exact_mut(words).zip(&eligible) {
+        // The reconstruction reaches this item with at least
+        // `width − later` budget left; lower columns (of this row and,
+        // inductively, of every earlier one it reads) are never used, so
+        // they may hold stale values.
+        later -= need;
+        let first = width.saturating_sub(later) / 64;
+        for (k, word) in row.iter_mut().enumerate().skip(first) {
+            let at = pad + 64 * k;
+            *word = relax64(&old[at - need..], &old[at..], &mut new[at..], it.value);
         }
-        // Classic reverse scan so each item is used at most once.
-        for w in (need..=width).rev() {
-            let cand = dp[w - need] + it.value;
-            if cand > dp[w] {
-                dp[w] = cand;
-                take[i * (width + 1) + w] = true;
-            }
-        }
+        std::mem::swap(&mut old, &mut new);
     }
     // Best budget is the full width (dp is monotone in w).
     let mut w = width;
     let mut chosen = Vec::new();
     let mut total_size = 0u64;
     let mut total_value = 0.0;
-    for (i, it) in eligible.iter().enumerate().rev() {
-        if take[i * (width + 1) + w] {
+    for (row, &(it, need)) in take.chunks_exact(words).zip(&eligible).rev() {
+        if row[w / 64] >> (w % 64) & 1 == 1 {
             chosen.push(it.id);
             total_size += it.size;
             total_value += it.value;
-            w -= it.size.div_ceil(grain) as usize;
+            w -= need;
         }
     }
     chosen.sort_unstable();

@@ -5,9 +5,14 @@
 //! over net weights `w = benefit − migration_cost − eviction_cost`
 //! (the paper's formulation). This crate provides:
 //!
-//! * [`knapsack`] — an exact dynamic-programming solver (with capacity
-//!   scaling so the DP stays small) and a density-greedy fallback,
-//!   cross-checked against each other by property tests.
+//! * [`knapsack`] — an exact dynamic-programming solver and a
+//!   density-greedy fallback, cross-checked against each other by
+//!   property tests. The DP scales sizes up to a *grain* (at most 16383
+//!   columns), divides them by their *gcd* (equal chunks collapse to one
+//!   unit each) and skips the *band* of columns no reconstruction can
+//!   reach; it keeps one take bit per cell. Its tie-break contract —
+//!   strict `>`, earlier item wins — is what the digest-gated baselines
+//!   pin; `tests/differential.rs` checks it against the plain loops.
 //! * [`weight`] — assembly of knapsack items from model outputs,
 //!   including the paper's treatment of already-resident objects (no
 //!   promotion cost) and of eviction pressure.

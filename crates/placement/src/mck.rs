@@ -27,6 +27,14 @@
 //! two-tier plans are bit-identical to what the existing solver produces
 //! — the N-tier path is a strict generalization, not a reimplementation.
 //!
+//! Cost: the DP visits `items × Π(width_d + 1)` cells (the product is
+//! capped at [`MCK_MAX_DP_CELLS`]) with one add-and-compare per tier,
+//! keeping two value rows and ⌈log₂ tiers⌉ bits (rounded up to a power
+//! of two: 2 bits for 3 or 4 tiers) of `choice` per (item, cell). Ties
+//! resolve to the spill tier first, then to the faster tier, by strict
+//! `>`. The greedy pops moves off a max-heap instead of rescanning every
+//! item per move.
+//!
 //! # Example: a 3-tier toy instance
 //!
 //! DRAM holds 64 bytes, CXL 128, NVM spills. The streaming object wants
@@ -50,6 +58,9 @@
 //! assert_eq!(plan.tiers, vec![0, 1, 2]);
 //! assert!((plan.total_value - 160.0).abs() < 1e-9);
 //! ```
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use tahoe_hms::ObjectId;
 
@@ -164,12 +175,12 @@ pub fn solve_mck(items: &[MckItem], caps: &[u64]) -> Result<MckAssignment, Strin
     if n == 2 {
         return Ok(binary_restriction(items, caps, n));
     }
-    let mut best = solve_mck_greedy(items, caps)?;
-    let dp = solve_mck_dp(items, caps)?;
+    let mut best = greedy(items, caps, n);
+    let dp = dp(items, caps, n);
     if dp.total_value > best.total_value {
         best = dp;
     }
-    if let Some(bnb) = solve_mck_bnb(items, caps)? {
+    if let Some(bnb) = bnb(items, caps, n) {
         if bnb.total_value > best.total_value {
             best = bnb;
         }
@@ -216,63 +227,115 @@ fn binary_restriction(items: &[MckItem], caps: &[u64], n: usize) -> MckAssignmen
     out
 }
 
+/// A candidate upgrade of `item` from tier `from` to paid tier `to`.
+/// Ordered so the heap's maximum is the densest move, then the lowest
+/// item, then the fastest destination.
+struct Move {
+    density: f64,
+    item: usize,
+    from: u8,
+    to: u8,
+}
+
+impl PartialEq for Move {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Move {}
+
+impl Ord for Move {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Densities are positive and never NaN, so `total_cmp` agrees
+        // with `>` / `==`.
+        self.density
+            .total_cmp(&other.density)
+            .then_with(|| other.item.cmp(&self.item))
+            .then_with(|| other.to.cmp(&self.to))
+    }
+}
+
+impl PartialOrd for Move {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// Density-greedy upgrade loop.
 ///
 /// Every item starts on the spill tier; the best feasible upgrade by
-/// value-gain density (gain per byte) is applied repeatedly until no
-/// upgrade fits or pays. Items may climb through several tiers as
-/// capacity allows. Paid-tier capacities are respected by construction:
-/// a move is only considered when the destination tier has room.
+/// value-gain density (gain per byte; ties to the lower item, then the
+/// faster tier) is applied repeatedly until no upgrade fits or pays.
+/// Items may climb through several tiers as capacity allows. Paid-tier
+/// capacities are respected by construction: a move is only applied
+/// when the destination tier has room.
 pub fn solve_mck_greedy(items: &[MckItem], caps: &[u64]) -> Result<MckAssignment, String> {
-    let n = validate(items, caps)?;
+    Ok(greedy(items, caps, validate(items, caps)?))
+}
+
+fn greedy(items: &[MckItem], caps: &[u64], n: usize) -> MckAssignment {
     let last = (n - 1) as u8;
     let mut tiers = vec![last; items.len()];
     let mut used = vec![0u64; n];
-    used[n - 1] = items.iter().map(|it| it.size).sum();
-    // Each applied move strictly increases total value, so the loop
-    // terminates; the cap is a safety net against float-edge churn.
-    let max_moves = items.len() * n * 4;
-    for _ in 0..max_moves {
-        let mut best: Option<(f64, usize, u8, f64)> = None; // (density, item, tier, gain)
-        for (i, item) in items.iter().enumerate() {
-            let cur = tiers[i] as usize;
-            for t in 0..n - 1 {
-                if t == cur {
-                    continue;
-                }
-                if used[t] + item.size > caps[t] {
-                    continue;
-                }
-                let gain = item.values[t] - item.values[cur];
-                if gain <= 0.0 {
-                    continue;
-                }
-                let density = gain / item.size as f64;
-                let better = match &best {
-                    None => true,
-                    Some((bd, bi, bt, _)) => {
-                        density > *bd
-                            || (density == *bd && (i < *bi || (i == *bi && (t as u8) < *bt)))
-                    }
-                };
-                if better {
-                    best = Some((density, i, t as u8, gain));
-                }
+    // Every paying move of an item off its current tier is either in the
+    // heap or parked on its destination's `blocked` list; a parked move
+    // cannot fit again until something leaves that tier.
+    let mut heap = BinaryHeap::new();
+    let mut blocked: Vec<Vec<Move>> = (0..n - 1).map(|_| Vec::new()).collect();
+    let push_moves = |heap: &mut BinaryHeap<Move>, item: usize, from: u8| {
+        let it = &items[item];
+        for to in (0..last).filter(|&to| to != from) {
+            let gain = it.values[to as usize] - it.values[from as usize];
+            if gain > 0.0 {
+                let density = gain / it.size as f64;
+                heap.push(Move {
+                    density,
+                    item,
+                    from,
+                    to,
+                });
             }
         }
-        match best {
-            Some((_, i, t, _)) => {
-                let size = items[i].size;
-                used[tiers[i] as usize] -= size;
-                used[t as usize] += size;
-                tiers[i] = t;
-            }
-            None => break,
+    };
+    for item in 0..items.len() {
+        push_moves(&mut heap, item, last);
+    }
+    // Each applied move strictly raises its item's value, so an item
+    // never returns to a tier it left: `from` alone tells a live move
+    // from a stale one, and the loop terminates.
+    while let Some(mv) = heap.pop() {
+        let (size, to) = (items[mv.item].size, mv.to as usize);
+        if tiers[mv.item] != mv.from {
+            continue;
         }
+        if used[to] + size > caps[to] {
+            blocked[to].push(mv);
+            continue;
+        }
+        used[to] += size;
+        tiers[mv.item] = mv.to;
+        if mv.from != last {
+            used[mv.from as usize] -= size;
+            heap.extend(blocked[mv.from as usize].drain(..));
+        }
+        push_moves(&mut heap, mv.item, mv.to);
     }
     let out = MckAssignment::from_tiers(items, n, tiers);
     debug_assert!(out.respects(caps));
-    Ok(out)
+    out
+}
+
+/// `best[j] = max(best[j], from[j] + value)`, recording `tier` in
+/// `pick[j]` where the candidate is strictly better.
+fn relax(from: &[f64], best: &mut [f64], pick: &mut [u8], value: f64, tier: u8) {
+    for ((best, pick), from) in best.iter_mut().zip(pick).zip(from) {
+        let cand = from + value;
+        if cand > *best {
+            *best = cand;
+            *pick = tier;
+        }
+    }
 }
 
 /// Dynamic programming over the paid tiers' capacities.
@@ -284,7 +347,10 @@ pub fn solve_mck_greedy(items: &[MckItem], caps: &[u64]) -> Result<MckAssignment
 /// conservative scaling as the binary [`crate::knapsack::solve_exact`]).
 /// At unit grain the DP is exact.
 pub fn solve_mck_dp(items: &[MckItem], caps: &[u64]) -> Result<MckAssignment, String> {
-    let n = validate(items, caps)?;
+    Ok(dp(items, caps, validate(items, caps)?))
+}
+
+fn dp(items: &[MckItem], caps: &[u64], n: usize) -> MckAssignment {
     let paid = n - 1;
     let last = (n - 1) as u8;
 
@@ -308,36 +374,61 @@ pub fn solve_mck_dp(items: &[MckItem], caps: &[u64]) -> Result<MckAssignment, St
         strides[d] = acc;
         acc *= widths[d] + 1;
     }
-
-    // Rounded-up per-dimension unit needs for every item.
-    let needs: Vec<Vec<u64>> = items
+    // `choice` packs one tier index per (item, state), each item's row
+    // starting on a word boundary.
+    let bits = (n - 1).ilog2() as usize + 1; // ⌈log₂ n⌉ for n ≥ 2 …
+    let bits = bits.next_power_of_two(); // … widened so entries never straddle words
+    let per_word = 64 / bits;
+    let row_words = cells.div_ceil(per_word);
+    // Rounded-up per-dimension unit needs, `paid` per item.
+    let needs: Vec<u64> = items
         .iter()
-        .map(|it| (0..paid).map(|d| it.size.div_ceil(grains[d])).collect())
+        .flat_map(|it| grains.iter().map(|&g| it.size.div_ceil(g)))
         .collect();
 
     let mut dp = vec![0.0f64; cells];
-    let mut choice = vec![0u8; cells * items.len()];
     let mut next = vec![0.0f64; cells];
+    let mut pick = vec![last; cells];
+    let mut choice = vec![0u64; row_words * items.len()];
+    // States with equal higher digits are contiguous runs along
+    // dimension 0; each candidate tier relaxes a whole run at once.
+    let run = widths[0] + 1;
+    let mut digits = vec![0usize; paid];
     for (k, item) in items.iter().enumerate() {
-        let row = &mut choice[k * cells..(k + 1) * cells];
-        for s in 0..cells {
+        for base in (0..cells).step_by(run) {
+            let (best, pick) = (&mut next[base..base + run], &mut pick[base..base + run]);
             // Default: spill tier, free in every paid dimension.
-            let mut best = dp[s] + item.values[n - 1];
-            let mut pick = last;
-            for d in 0..paid {
-                let digit = (s / strides[d]) % (widths[d] + 1);
-                let need = needs[k][d];
-                if (digit as u64) < need {
-                    continue;
-                }
-                let cand = dp[s - (need as usize) * strides[d]] + item.values[d];
-                if cand > best {
-                    best = cand;
-                    pick = d as u8;
-                }
+            for (best, from) in best.iter_mut().zip(&dp[base..base + run]) {
+                *best = from + item.values[n - 1];
             }
-            next[s] = best;
-            row[s] = pick;
+            pick.fill(last);
+            // Tier 0 shifts within the run; tier d ≥ 1 reads the run
+            // `need` digits down dimension d, when there is one.
+            let need = &needs[k * paid..(k + 1) * paid];
+            if need[0] < run as u64 {
+                let (shift, from) = (need[0] as usize, &dp[base..base + run]);
+                let (best, pick) = (&mut best[shift..], &mut pick[shift..]);
+                relax(from, best, pick, item.values[0], 0);
+            }
+            for d in (1..paid).filter(|&d| need[d] <= digits[d] as u64) {
+                let from = &dp[base - need[d] as usize * strides[d]..][..run];
+                relax(from, best, pick, item.values[d], d as u8);
+            }
+            // Odometer step over the higher digits.
+            for d in 1..paid {
+                digits[d] += 1;
+                if digits[d] <= widths[d] {
+                    break;
+                }
+                digits[d] = 0;
+            }
+        }
+        let row = &mut choice[k * row_words..(k + 1) * row_words];
+        for (word, picks) in row.iter_mut().zip(pick.chunks(per_word)) {
+            *word = picks
+                .iter()
+                .enumerate()
+                .fold(0, |w, (j, &p)| w | (p as u64) << (j * bits));
         }
         std::mem::swap(&mut dp, &mut next);
     }
@@ -346,16 +437,16 @@ pub fn solve_mck_dp(items: &[MckItem], caps: &[u64]) -> Result<MckAssignment, St
     let mut tiers = vec![last; items.len()];
     let mut s = cells - 1;
     for k in (0..items.len()).rev() {
-        let pick = choice[k * cells + s];
-        tiers[k] = pick;
-        if (pick as usize) < paid {
-            let d = pick as usize;
-            s -= (needs[k][d] as usize) * strides[d];
+        let word = choice[k * row_words + s / per_word];
+        let d = (word >> (s % per_word * bits)) as usize & ((1 << bits) - 1);
+        tiers[k] = d as u8;
+        if d < paid {
+            s -= needs[k * paid + d] as usize * strides[d];
         }
     }
     let out = MckAssignment::from_tiers(items, n, tiers);
     debug_assert!(out.respects(caps));
-    Ok(out)
+    out
 }
 
 /// Exact depth-first branch-and-bound on the unscaled instance.
@@ -365,9 +456,12 @@ pub fn solve_mck_dp(items: &[MckItem], caps: &[u64]) -> Result<MckAssignment, St
 /// every remaining item's best value (capacities ignored), so pruning
 /// is sound. Returns `Ok(None)` above [`MCK_BNB_ITEM_LIMIT`] items.
 pub fn solve_mck_bnb(items: &[MckItem], caps: &[u64]) -> Result<Option<MckAssignment>, String> {
-    let n = validate(items, caps)?;
+    Ok(bnb(items, caps, validate(items, caps)?))
+}
+
+fn bnb(items: &[MckItem], caps: &[u64], n: usize) -> Option<MckAssignment> {
     if items.len() > MCK_BNB_ITEM_LIMIT {
-        return Ok(None);
+        return None;
     }
     let last = (n - 1) as u8;
     // Suffix sums of per-item best values: the optimistic completion.
@@ -448,7 +542,7 @@ pub fn solve_mck_bnb(items: &[MckItem], caps: &[u64]) -> Result<Option<MckAssign
     search.dfs(0, 0.0);
     let out = MckAssignment::from_tiers(items, n, search.best_assign);
     debug_assert!(out.respects(caps));
-    Ok(Some(out))
+    Some(out)
 }
 
 #[cfg(test)]
