@@ -1,151 +1,65 @@
-//! Experiment driver: regenerate any table/figure of the reproduction.
+//! Experiment driver: regenerate any table/figure of the reproduction,
+//! or any gated `BENCH_*.json` artifact (`tahoe_bench::ARTIFACTS`).
 //!
 //! ```sh
 //! cargo run -p tahoe-bench --release --bin exp -- all
 //! cargo run -p tahoe-bench --release --bin exp -- e4 e7
 //! cargo run -p tahoe-bench --release --bin exp -- obs    # CI smoke artifact
-//! cargo run -p tahoe-bench --release --bin exp -- real --smoke
+//! cargo run -p tahoe-bench --release --bin exp -- real --smoke --out /tmp/real
+//! cargo run -p tahoe-bench --release --bin exp -- bless  # re-bless baselines/
 //! ```
 
 use std::process::ExitCode;
 
-/// Output directory for the `obs` artifact (override with `OBS_DIR`).
-fn obs_dir() -> String {
-    std::env::var("OBS_DIR").unwrap_or_else(|_| "target/obs-artifact".to_string())
+/// Remove `flag` and the value after it from `args`.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if i + 1 >= args.len() {
+        return Err(format!("{flag} requires an argument"));
+    }
+    Ok(args.drain(i..=i + 1).nth(1))
 }
 
-/// Output directory for the `real` artifact (override with `REAL_DIR`).
-fn real_dir() -> String {
-    std::env::var("REAL_DIR").unwrap_or_else(|_| "target/real-artifact".to_string())
-}
-
-/// Output directory for the 3-tier `real --tiers 3` artifact (override
-/// with `REAL3_DIR`). Separate from `real_dir` so the two sweeps'
-/// `BENCH_real.json` files never clobber each other.
-fn real3_dir() -> String {
-    std::env::var("REAL3_DIR").unwrap_or_else(|_| "target/real3-artifact".to_string())
-}
-
-/// Output directory for the `par` artifact (override with `PAR_DIR`).
-fn par_dir() -> String {
-    std::env::var("PAR_DIR").unwrap_or_else(|_| "target/par-artifact".to_string())
-}
-
-/// Output directory for the `audit` artifact (override with `AUDIT_DIR`).
-fn audit_dir() -> String {
-    std::env::var("AUDIT_DIR").unwrap_or_else(|_| "target/audit-artifact".to_string())
-}
-
-/// Output directory for the `sanitize` artifact (override with `SANITIZE_DIR`).
-fn sanitize_dir() -> String {
-    std::env::var("SANITIZE_DIR").unwrap_or_else(|_| "target/sanitize-artifact".to_string())
-}
-
-/// Output directory for the `verify` artifact (override with `VERIFY_DIR`).
-fn verify_dir() -> String {
-    std::env::var("VERIFY_DIR").unwrap_or_else(|_| "target/verify-artifact".to_string())
-}
-
-/// Output directory for the `tenant` artifact (override with `TENANT_DIR`).
-fn tenant_dir() -> String {
-    std::env::var("TENANT_DIR").unwrap_or_else(|_| "target/tenant-artifact".to_string())
-}
-
-/// Output directory for the `blame` artifact (override with `BLAME_DIR`).
-fn blame_dir() -> String {
-    std::env::var("BLAME_DIR").unwrap_or_else(|_| "target/blame-artifact".to_string())
+fn run(mut args: Vec<String>) -> Result<(), String> {
+    let smoke = args.iter().any(|a| a == "--smoke");
+    args.retain(|a| a != "--smoke");
+    // `--tiers 3` turns `real` into the DRAM/CXL/NVM sweep (`real3`).
+    let tiers = take_value(&mut args, "--tiers")?;
+    // `--out DIR` replaces the default `target/<kind>-artifact`.
+    let out = take_value(&mut args, "--out")?;
+    if args.is_empty() {
+        let kinds: Vec<&str> = tahoe_bench::ARTIFACTS.iter().map(|a| a.0).collect();
+        return Err(format!(
+            "usage: exp <all|e1..e13|{}|bless [kind...]> [--smoke] [--tiers N] [--out DIR] [more experiments]",
+            kinds.join("|")
+        ));
+    }
+    if args[0] == "bless" {
+        return tahoe_bench::bless(&args[1..]);
+    }
+    for arg in &args {
+        let table = tahoe_bench::EXPERIMENTS.iter().find(|e| e.0 == arg);
+        match (arg.as_str(), tiers.as_deref(), table) {
+            (_, _, Some((_, run))) => run(),
+            ("all", ..) => tahoe_bench::all(),
+            ("real", Some("3"), _) => drop(tahoe_bench::produce("real3", smoke, out.as_deref())?),
+            ("real", Some(n), _) if n != "2" => {
+                return Err(format!("exp real supports --tiers 2 or 3, got {n}"))
+            }
+            (kind, ..) => drop(tahoe_bench::produce(kind, smoke, out.as_deref())?),
+        }
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    args.retain(|a| a != "--smoke");
-    // `--tiers N` (default 2) selects the platform depth of `real`.
-    let mut tiers = 2usize;
-    if let Some(i) = args.iter().position(|a| a == "--tiers") {
-        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-            eprintln!("--tiers requires a numeric argument");
-            return ExitCode::FAILURE;
-        };
-        tiers = v;
-        args.drain(i..=i + 1);
-    }
-    if args.is_empty() {
-        eprintln!(
-            "usage: exp <all|e1|e2|...|e13|obs|real|par|audit|sanitize|verify|tenant|blame> [--smoke] [--tiers N] [more experiments]"
-        );
-        return ExitCode::FAILURE;
-    }
-    for arg in &args {
-        match arg.as_str() {
-            "all" => tahoe_bench::all(),
-            "obs" => {
-                if let Err(e) = tahoe_bench::obs_artifact(&obs_dir()) {
-                    eprintln!("obs artifact failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "real" => {
-                let dir = if tiers >= 3 { real3_dir() } else { real_dir() };
-                if let Err(e) = tahoe_bench::real(smoke, tiers, &dir) {
-                    eprintln!("real experiment failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "par" => {
-                if let Err(e) = tahoe_bench::par(smoke, &par_dir()) {
-                    eprintln!("par experiment failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "audit" => {
-                if let Err(e) = tahoe_bench::audit(smoke, &audit_dir()) {
-                    eprintln!("audit experiment failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "sanitize" => {
-                if let Err(e) = tahoe_bench::sanitize(smoke, &sanitize_dir()) {
-                    eprintln!("sanitize experiment failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "verify" => {
-                if let Err(e) = tahoe_bench::verify(smoke, &verify_dir()) {
-                    eprintln!("verify experiment failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "tenant" => {
-                if let Err(e) = tahoe_bench::tenant(smoke, &tenant_dir()) {
-                    eprintln!("tenant experiment failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "blame" => {
-                if let Err(e) = tahoe_bench::blame(smoke, &blame_dir()) {
-                    eprintln!("blame experiment failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "e1" => tahoe_bench::e1(),
-            "e2" => tahoe_bench::e2(),
-            "e3" => tahoe_bench::e3(),
-            "e4" => tahoe_bench::e4(),
-            "e5" => tahoe_bench::e5(),
-            "e6" => tahoe_bench::e6(),
-            "e7" => tahoe_bench::e7(),
-            "e8" => tahoe_bench::e8(),
-            "e9" => tahoe_bench::e9(),
-            "e10" => tahoe_bench::e10(),
-            "e11" => tahoe_bench::e11(),
-            "e12" => tahoe_bench::e12(),
-            "e13" => tahoe_bench::e13(),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                return ExitCode::FAILURE;
-            }
+    match run(std::env::args().skip(1).collect()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("exp: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

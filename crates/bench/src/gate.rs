@@ -1,726 +1,815 @@
-//! Perf-regression gate: compare a freshly produced `BENCH_*.json`
-//! artifact against the committed baseline under `baselines/`.
+//! Regression gate: one declarative band table ([`BANDS`]) and one
+//! interpreter ([`check`]) over `BENCH_*.json` artifacts.
 //!
-//! The gate is schema-dispatched — each artifact family gets the
-//! comparison its numbers can bear:
-//!
-//! * `tahoe-bench-obs/v1` — the simulated capture is deterministic, so
-//!   the digest must match the baseline **exactly** (event counts per
-//!   kind, task count, makespan).
-//! * `tahoe-bench-real/v1` and `/v2` — wall clocks vary per machine;
-//!   the gate checks the consistency flags and that the DRAM/NVM
-//!   throughput ratio stays within a tolerance band of the baseline's
-//!   ratio. A committed v1 baseline may gate a v2 fresh artifact (v2
-//!   is a superset: it adds the `tiers` table, per-policy
-//!   `final_tier_objects`, and — for 3-tier sweeps — `plan`/`modelled`
-//!   blocks), so the schema bump does not orphan old baselines. When
-//!   the fresh artifact carries a `modelled` block the gate also
-//!   re-derives the 3-tier case: the middle tier holds a latency-bound
-//!   object, the 3-tier modelled runtime beats both 2-tier
-//!   degenerations, and — the modelled numbers being calibration-free
-//!   and deterministic — a baseline `modelled` block must be
-//!   reproduced to float round-off. A fresh `sweep` block (the
-//!   middle-tier capacity study) is re-derived for monotonicity and
-//!   reproduced against a baseline sweep the same way.
-//! * `tahoe-bench-par/v1` — consistency flags, Tahoe still migrates at
-//!   ≥2 workers, the best migration overlap has not collapsed relative
-//!   to the baseline, and — when the fresh machine actually has ≥2
-//!   cores — DRAM-only parallel speedup clears its floor at 2 workers
-//!   and does not degrade as workers grow (up to the core count).
-//! * `tahoe-bench-audit/v1` — the model audit still audits objects, the
-//!   recorder's self-overhead stays under its ceiling, and MAPE /
-//!   sign-agreement have not regressed beyond the tolerance bands.
-//! * `tahoe-bench-sanitize/v1` — violation counts are deterministic by
-//!   construction (schedule-independent reports), so the whole digest
-//!   — fuzz coverage, static pass, per-fixture violation sets — must
-//!   match the baseline **exactly**.
-//! * `tahoe-bench-verify/v1` — everything the plan auditor and the
-//!   protocol model checker report is a pure function of the code (no
-//!   wall clocks, no calibration), so the whole digest must match the
-//!   baseline **exactly**: solver-plan audit counts, preflight
-//!   coverage, per-fixture diagnostic sets, and — the canary for any
-//!   change to the word algebra or the checker — the pinned
-//!   explored-state and transition counts of the certification sweep.
-//! * `tahoe-bench-tenant/v1` — walls are machine-dependent, so the gate
-//!   re-derives the arbiter's case from the fresh run's own numbers:
-//!   checksums match the solo references, quota mode beats free-for-all
-//!   on the worst per-tenant p99, aggregate throughput retains ≥90% of
-//!   free-for-all, the Jain fairness index clears its floor (and does
-//!   not collapse relative to the baseline), the quota arbiter
-//!   preempted while free-for-all never does, and the burst shed.
-//! * `tahoe-bench-blame/v1` — the causal profiler's self-consistency is
-//!   machine-independent even though the walls are not: the
-//!   critical-path length stays within its band of the observed span,
-//!   the blame table's aggregate overlap reconciles with the engine's
-//!   (re-derived from the fresh numbers, never trusted from the flags),
-//!   the blame table covers every committed migration, what-if signs
-//!   agree with the knapsack, the flight recorder dropped nothing, and
-//!   a telemetry plane that served must have matched the shutdown
-//!   report bit for bit.
-//!
-//! [`compare`] returns the list of violations (empty = gate passes);
-//! structural problems (unparseable JSON, schema mismatch) are `Err`.
+//! Each row states one invariant once: the artifact's `schema`, a JSON
+//! path (or a small named derivation), an operator, a tolerance, a
+//! precondition and the message to print when it fails. `exp <kind>`
+//! runs the rows that need no baseline on the artifact it just built —
+//! that decides its exit status — and `benchgate` runs the same table
+//! against a committed baseline under `baselines/`. A row whose
+//! precondition does not hold is reported *vacuous*, never silently
+//! passed. The rationale per row is the table itself, rendered by
+//! [`bands_markdown`] into `EXPERIMENTS.md` § "Regression gate".
 
 use tahoe_obs::json::{self, Value};
 
-/// Hard ceiling on the flight recorder's self-overhead, percent.
-pub const OVERHEAD_CEILING_PCT: f64 = 5.0;
+/// The quantity a band judges. Paths are dotted; a segment may carry a
+/// selector — `runs[*]` (every element), `tiers[1]` (one element),
+/// `modes[mode=quota]` (elements whose field equals the value) — and a
+/// trailing `.#` is an array's length. A multi-valued quantity must
+/// satisfy the band at every value.
+pub enum What {
+    /// Each of these paths, judged alike.
+    Paths(&'static [&'static str]),
+    /// Ratios `next / previous` along a multi-valued numeric path.
+    Steps(&'static str),
+    /// A named derivation over the whole document.
+    Derived(&'static str, fn(&Value) -> Result<Vec<f64>, String>),
+}
 
-/// Multiplicative tolerance band for the real-mode throughput ratio.
-pub const REAL_RATIO_BAND: f64 = 2.5;
+/// What a band compares against.
+pub enum Tol {
+    Num(f64),
+    Str(&'static str),
+    /// Another path in the same document, times a factor.
+    Fresh(&'static str, f64),
+    /// The same quantity in the baseline, exactly.
+    Base,
+    /// The same quantity in the baseline, to this relative tolerance.
+    BaseRel(f64),
+    /// A described function of the same quantity in the baseline.
+    BaseFn(&'static str, fn(f64) -> f64),
+}
 
-/// Relative tolerance for the deterministic 3-tier `modelled` block:
-/// the numbers derive from preset tier specs and the task graph alone
-/// (no machine calibration), so baseline and fresh must agree to float
-/// round-off.
-pub const REAL3_MODEL_TOL: f64 = 1e-9;
+pub enum Op {
+    IsTrue,
+    In(&'static [&'static str]),
+    Eq(Tol),
+    Ne(Tol),
+    Lt(Tol),
+    Le(Tol),
+    Ge(Tol),
+    Gt(Tol),
+}
 
-/// Fresh best-overlap must retain at least this fraction of baseline's.
-pub const PAR_OVERLAP_RETENTION: f64 = 0.2;
+/// A precondition; when it does not hold the row is vacuous.
+pub enum When {
+    /// There is a baseline: the row judges the machine the gate runs on
+    /// as much as the code, so `exp` alone does not fail on it.
+    Gated,
+    /// The document (and the baseline, if the row reads it) has this path.
+    Has(&'static str),
+    /// This numeric field is at least the bound (absent counts as below).
+    AtLeast(&'static str, f64),
+    /// This flag is true.
+    IsTrue(&'static str),
+}
 
-/// On a multicore machine, DRAM-only must reach at least this speedup
-/// at 2 workers over its own 1-worker run.
-pub const PAR_SPEEDUP_2W_FLOOR: f64 = 1.3;
+/// One row of the band table. `why` is the failure message: `{p}` is
+/// the concrete path, `{v}` the fresh value, `{b}` what it was held to.
+pub struct Band {
+    pub what: What,
+    pub op: Op,
+    pub when: &'static [When],
+    pub why: &'static str,
+}
 
-/// Speedup may not degrade by more than this factor between consecutive
-/// measured worker counts (both within the machine's core count).
-pub const PAR_SCALING_SLACK: f64 = 0.9;
+const fn band(what: What, op: Op, why: &'static str) -> Band {
+    Band {
+        what,
+        op,
+        when: &[],
+        why,
+    }
+}
 
-/// Jain fairness floor for the quota-arbitrated multi-tenant run.
-pub const TENANT_JAIN_FLOOR: f64 = 0.9;
+/// How one row fared.
+#[derive(Debug, PartialEq)]
+pub enum Verdict {
+    Pass,
+    /// One message per value that broke the band.
+    Fail(Vec<String>),
+    /// The row judged nothing, and why.
+    Vacuous(String),
+}
 
-/// Quota mode must retain at least this fraction of free-for-all's
-/// aggregate throughput.
-pub const TENANT_THROUGHPUT_RETENTION: f64 = 0.9;
+use Op::{Eq, Ge, Gt, In, Le, Lt, Ne};
+use Tol::{Base, BaseFn, BaseRel, Fresh, Num, Str};
+use What::{Derived, Paths, Steps};
+use When::{AtLeast, Gated, Has};
 
-/// Fresh quota-mode Jain may not drop more than this below baseline's.
-pub const TENANT_JAIN_DRIFT: f64 = 0.05;
+const FLAG: &str = "fresh `{p}` is false";
+const REFERENCE: &str = "`{p}` is {v}, the sequential heap reference is {b}";
 
-/// Critical-path length must land within this percentage of the
-/// observed execution span.
-pub const BLAME_CRIT_BAND_PCT: f64 = 5.0;
+/// One artifact schema's rows. `exp <kind>` judges the artifact it just
+/// built by both lists (less the rows that read a baseline); `benchgate`
+/// by `gate` only — the `exp_only` rows read fields a hand-reduced or
+/// older artifact may lack, and never were the gate's to judge.
+pub struct Bands {
+    pub schema: &'static str,
+    pub gate: &'static [Band],
+    pub exp_only: &'static [Band],
+}
 
-/// Blame-side aggregate `%overlap` must reconcile with the migration
-/// engine's `pct_overlap` within this many percentage points.
-pub const BLAME_OVERLAP_BAND_PCT: f64 = 1.0;
+/// Every invariant held over the artifacts, each stated once.
+#[rustfmt::skip]
+pub static BANDS: &[Bands] = &[
+    Bands { schema: "tahoe-bench-obs/v1", gate: &[
+        // The simulated capture is deterministic.
+        band(Paths(&["workload.name", "workload.footprint_bytes", "workload.windows",
+             "workload.tasks", "events.total", "events.by_kind", "makespan_ns", "migrations",
+             "ring_dropped"]), Eq(Base),
+             "obs digest field `{p}` changed: baseline {b} vs fresh {v}"),
+        // A saturated recorder silently truncates the stream every
+        // downstream consumer (exporters, crit-path, blame) trusts.
+        band(Paths(&["ring_dropped"]), Eq(Num(0.0)),
+             "flight recorder dropped {v} events during the obs artifact run"),
+    ], exp_only: &[
+        band(Paths(&["migrations"]), Ge(Num(1.0)), "expected at least one migration event"),
+    ]},
+    Bands { schema: "tahoe-bench-real/v2", gate: &[
+        band(Paths(&["consistency.all_policies_match_reference",
+             "consistency.dram_throughput_ge_nvm"]), Op::IsTrue, FLAG),
+        band(Paths(&["policies[policy=DRAM-only].throughput_gbps"]),
+             Ge(Fresh("policies[policy=NVM-only].throughput_gbps", 1.0)),
+             "DRAM-only throughput {v} GB/s below NVM-emulated {b} GB/s"),
+        // Absolute throughputs are machine-dependent; the injected
+        // slowdown ratio is portable within a generous band.
+        band(Derived("nvm_slowdown", nvm_slowdown),
+             Ge(BaseFn("max(1, baseline / 2.5)", |b| (b / 2.5).max(1.0))),
+             "NVM slowdown ratio {v} below the band's lower edge {b}"),
+        band(Derived("nvm_slowdown", nvm_slowdown), Le(BaseFn("baseline × 2.5", |b| b * 2.5)),
+             "NVM slowdown ratio {v} above the band's upper edge {b}"),
+        // ---- 3-tier sweep (`--tiers 3`): the middle tier's case ----
+        band(Paths(&["consistency.mid_tier_wins_latency_bound",
+             "consistency.three_tier_beats_both_two_tier", "consistency.tahoe_uses_mid_tier"]),
+             Op::IsTrue, FLAG).when(&[Has("modelled")]),
+        band(Paths(&["modelled.tahoe3_ns"]), Le(Fresh("modelled.two_tier_dram_nvm_ns", 1.0 + 1e-9)),
+             "3-tier modelled runtime {v} ns worse than 2-tier DRAM+NVM {b} ns")
+             .when(&[Has("modelled")]),
+        band(Paths(&["modelled.tahoe3_ns"]), Le(Fresh("modelled.two_tier_dram_cxl_ns", 1.0 + 1e-9)),
+             "3-tier modelled runtime {v} ns worse than 2-tier DRAM+CXL {b} ns")
+             .when(&[Has("modelled")]),
+        band(Paths(&["modelled.mid_tier_objects"]), Ge(Num(1.0)),
+             "3-tier plan left the middle tier empty").when(&[Has("modelled")]),
+        band(Paths(&["modelled.mid_tier_latency_bound_objects"]), Ge(Num(1.0)),
+             "no latency-bound object won the middle tier").when(&[Has("modelled")]),
+        // Calibration-free, so reproduced to round-off.
+        band(Paths(&["modelled.tahoe3_ns", "modelled.two_tier_dram_nvm_ns",
+             "modelled.two_tier_dram_cxl_ns", "modelled.mid_tier_objects",
+             "modelled.mid_tier_latency_bound_objects"]), Eq(BaseRel(1e-9)),
+             "deterministic `{p}` drifted: baseline {b} vs fresh {v}").when(&[Has("modelled")]),
+        band(Paths(&["consistency.sweep_monotone"]), Op::IsTrue, FLAG).when(&[Has("sweep")]),
+        band(Paths(&["sweep.#"]), Ge(Num(4.0)),
+             "middle-tier sweep covers only {v} capacities (need >= {b})").when(&[Has("sweep")]),
+        // More middle-tier room only relaxes the knapsack; re-derived
+        // from the raw rows, never trusted from the flag.
+        band(Steps("sweep[*].modelled_ns"), Le(Num(1.0 + 1e-9)),
+             "middle-tier sweep not monotone: `{p}` grows the modelled runtime {v}x")
+             .when(&[Has("sweep")]),
+        band(Paths(&["sweep[*].cxl_capacity_bytes", "sweep[*].mid_tier_objects",
+             "sweep[*].modelled_ns"]), Eq(BaseRel(1e-9)),
+             "deterministic `{p}` drifted: baseline {b} vs fresh {v}").when(&[Has("sweep")]),
+    ], exp_only: &[
+        band(Paths(&["policies[*].checksum"]), Eq(Fresh("consistency.reference_checksum", 1.0)),
+             REFERENCE),
+        band(Paths(&["policies[policy=DRAM-only].wall_ns", "policies[policy=NVM-only].wall_ns",
+             "policies[policy=first-touch].wall_ns", "policies[policy=tahoe].wall_ns",
+             "policies[*].bytes_touched", "tiers[*].capacity_bytes",
+             "policies[policy=tahoe].migrations"]), Gt(Num(0.0)),
+             "`{p}` is {v}: the run exercised nothing"),
+        band(Paths(&["policies.#"]), Eq(Num(4.0)), "{v} policies ran, want the four headline ones"),
+        band(Paths(&["tiers[0].name"]), Eq(Str("DRAM")), "fastest tier is `{v}`"),
+        // The v2 fix: rows carry the preset's name, not a fixed label.
+        band(Paths(&["tiers[1].name"]), Ne(Str("NVM")),
+             "slow tier carries the hardcoded label `{v}`"),
+        band(Paths(&["policies[*].final_tier_objects.#"]), Eq(Fresh("tiers.#", 1.0)),
+             "`{p}` is {v} but the platform has {b} tiers"),
+        band(Steps("sweep[*].cxl_capacity_bytes"), Gt(Num(1.0)),
+             "`{p}`: sweep capacities must grow").when(&[Has("sweep")]),
+        band(Paths(&["tiers.#"]), Eq(Num(3.0)), "3-tier sweep ran on {v} tiers")
+             .when(&[Has("modelled")]),
+        band(Paths(&["tiers[1].name"]), Eq(Str("CXL")), "middle tier is `{v}`")
+             .when(&[Has("modelled")]),
+        band(Paths(&["policies[policy=tahoe].final_tier_objects[1]"]), Ge(Num(1.0)),
+             "measured Tahoe left the middle tier empty").when(&[Has("modelled")]),
+    ]},
+    Bands { schema: "tahoe-bench-par/v1", gate: &[
+        band(Paths(&["consistency.all_runs_match_reference",
+             "consistency.tahoe_multiworker_overlapped"]), Op::IsTrue, FLAG),
+        band(Derived("tahoe_multiworker_min_migrations", tahoe_min_migrations), Ge(Num(1.0)),
+             "tahoe at >=2 workers performed no migrations"),
+        band(Derived("tahoe_multiworker_best_overlap", tahoe_best_overlap),
+             Ge(BaseFn("0.2 × baseline", |b| b * 0.2)),
+             "best tahoe overlap {v}% collapsed below {b}%"),
+        // Speedups are recomputed from the fresh wall clocks, and
+        // only judged where the machine had cores to scale onto: a
+        // 1-cpu box oversubscribes the spin-paced compute, as do
+        // worker counts beyond the core count.
+        band(Derived("dram_speedup_2w", dram_speedup_2w), Ge(Num(1.3)),
+             "DRAM-only speedup at 2 workers is {v}x, below the {b}x floor")
+             .when(&[Gated, AtLeast("machine.cpus", 2.0)]),
+        band(Derived("dram_scaling_steps", dram_scaling_steps), Ge(Num(0.9)),
+             "DRAM-only speedup degrades to {v} of the previous worker count's (floor {b})")
+             .when(&[Gated, AtLeast("machine.cpus", 2.0)]),
+    ], exp_only: &[
+        band(Paths(&["runs[*].checksum"]), Eq(Fresh("consistency.reference_checksum", 1.0)),
+             REFERENCE),
+        band(Paths(&["runs[*].wall_ns", "runs[*].bytes_touched", "machine.cpus"]), Gt(Num(0.0)),
+             "`{p}` is {v}: the run exercised nothing"),
+        band(Paths(&["runs[*].pct_overlap", "runs[*].cas_retries", "runs[*].parks",
+             "runs[*].unparks"]), Ge(Num(0.0)), "`{p}` is {v}"),
+        band(Paths(&["runs[*].pct_overlap"]), Le(Num(100.0)), "`{p}` is {v}%"),
+        band(Derived("worker_counts", worker_counts), Ge(Num(2.0)),
+             "only {v} distinct worker counts ran"),
+        band(Derived("speedup_field_error", speedup_field_error), Le(Num(1e-3)),
+             "a recorded `speedup` is off its wall clocks by {v} (relative)"),
+    ]},
+    Bands { schema: "tahoe-bench-audit/v1", gate: &[
+        band(Paths(&["audit.audited", "audit.migrations"]), Ge(Num(1.0)),
+             "`{p}` is {v}: the audit exercised nothing"),
+        band(Paths(&["overhead.overhead_pct"]), Le(Num(5.0)),
+             "recorder self-overhead {v}% exceeds {b}% ceiling").when(&[Gated]),
+        // Wall clocks are noisy: headroom over the baseline, but
+        // catch a model that has come apart.
+        band(Paths(&["audit.mape_pct"]),
+             Le(BaseFn("max(2 × baseline, baseline + 25)", |b| (b * 2.0).max(b + 25.0))),
+             "MAPE {v}% exceeds limit {b}%"),
+        band(Paths(&["audit.sign_agreement_pct"]),
+             Ge(BaseFn("max(baseline − 25, 50)", |b| (b - 25.0).max(50.0))),
+             "sign agreement {v}% below floor {b}%"),
+    ], exp_only: &[
+        band(Paths(&["histograms.task_ns.count"]), Ge(Num(1.0)),
+             "flight recorder produced no task latency digest"),
+        band(Paths(&["audit.sign_agreement_pct"]), Le(Num(100.0)), "`{p}` is {v}%"),
+        band(Derived("unsound_object_rows", unsound_audit_rows), Eq(Num(0.0)),
+             "{v} object rows disagree with `audit.audited` or lack a positive prediction"),
+    ]},
+    Bands { schema: "tahoe-bench-sanitize/v1", gate: &[
+        band(Paths(&["static.clean", "fuzz.clean", "fixtures[*].static_match",
+             "fixtures[*].dynamic_match", "consistency.correct_workloads_clean",
+             "consistency.fixtures_exact"]), Op::IsTrue, FLAG),
+        // Violation sets are schedule-independent by construction.
+        band(Paths(&["static", "fuzz", "fixtures"]), Eq(Base),
+             "sanitize digest `{p}` changed: baseline {b} vs fresh {v}"),
+    ], exp_only: &[
+        band(Paths(&["static.workloads_verified", "fuzz.accesses_checked", "fixtures[*].runs"]),
+             Ge(Num(1.0)), "`{p}` is {v}: the pass exercised nothing"),
+        band(Paths(&["fixtures.#"]), Ge(Num(4.0)), "only {v} buggy fixtures ran"),
+        band(Derived("fuzz_grid_gap", fuzz_grid_gap), Eq(Num(0.0)),
+             "fuzz runs miss the workloads × workers × seeds grid by {v}"),
+    ]},
+    Bands { schema: "tahoe-bench-verify/v1", gate: &[
+        band(Paths(&["plans.clean", "preflight.clean", "mcheck.clean", "fixtures[*].exact",
+             "consistency.solver_plans_clean", "consistency.preflight_clean",
+             "consistency.fixtures_exact", "consistency.protocol_certified",
+             "consistency.bugs_all_caught"]), Op::IsTrue, FLAG),
+        // Pure functions of the code: `mcheck.configs[*].states` /
+        // `transitions` pin the certification sweep's state space.
+        band(Paths(&["plans", "preflight", "fixtures", "mcheck"]), Eq(Base),
+             "verify digest `{p}` changed: baseline {b} vs fresh {v}"),
+    ], exp_only: &[
+    ]},
+    Bands { schema: "tahoe-bench-tenant/v1", gate: &[
+        band(Paths(&["consistency.checksums_match_solo", "consistency.quota_beats_ffa_worst_p99",
+             "consistency.throughput_within_10pct", "consistency.jain_quota_ge_090",
+             "consistency.quota_preempts", "consistency.ffa_never_preempts",
+             "consistency.burst_sheds"]), Op::IsTrue, FLAG),
+        // The arbiter's case, re-derived from the per-mode numbers.
+        band(Paths(&["modes[mode=quota].worst_p99_ms"]),
+             Lt(Fresh("modes[mode=free_for_all].worst_p99_ms", 1.0)),
+             "quota worst p99 {v} ms does not beat free-for-all {b} ms"),
+        band(Paths(&["modes[mode=quota].aggregate_graphs_per_s"]),
+             Ge(Fresh("modes[mode=free_for_all].aggregate_graphs_per_s", 0.9)),
+             "quota throughput {v} graphs/s retains less than 90% of free-for-all's"),
+        band(Paths(&["modes[mode=quota].jain"]),
+             Ge(BaseFn("max(0.9, baseline − 0.05)", |b| 0.9_f64.max(b - 0.05))),
+             "quota Jain index {v} below floor {b}"),
+        band(Paths(&["modes[mode=quota].preempted"]), Ge(Num(1.0)),
+             "quota mode performed no preemptions"),
+        band(Paths(&["modes[mode=free_for_all].preempted"]), Eq(Num(0.0)),
+             "free-for-all mode preempted {v} times"),
+        band(Paths(&["modes[mode=quota].shed"]), Ge(Num(1.0)), "quota burst shed nothing"),
+    ], exp_only: &[
+        band(Paths(&["modes[*].checksums_match_solo"]), Op::IsTrue, FLAG),
+        band(Paths(&["modes.#"]), Eq(Num(2.0)),
+             "{v} arbitration modes ran, want quota and free-for-all"),
+        band(Derived("malformed_tenant_rows", malformed_tenant_rows), Eq(Num(0.0)),
+             "{v} modes or tenant rows malformed (want 1 cold + 4 active, p99 >= p50 >= 0)"),
+    ]},
+    Bands { schema: "tahoe-bench-blame/v1", gate: &[
+        band(Paths(&["consistency.checksum_matches_reference",
+             "consistency.blame_covers_all_migrations"]), Op::IsTrue, FLAG),
+        band(Paths(&["workload.name"]), Eq(Base),
+             "workload changed under the baseline: {b} vs {v}"),
+        // Every band is re-derived from the fresh numbers.
+        band(Paths(&["critpath.crit_vs_span_pct"]), Le(Num(5.0)),
+             "critical path strayed {v}% from the observed span (band {b}%)"),
+        band(Derived("overlap_delta_pct", overlap_delta_pct), Le(Num(1.0)),
+             "blame overlap is {v} points off the engine overlap (band {b})"),
+        band(Paths(&["run.migrations"]), Ge(Num(1.0)), "blame run performed no migrations"),
+        band(Paths(&["reconciliation.blamed_migrations"]),
+             Eq(Fresh("reconciliation.engine_migrations", 1.0)),
+             "blame table covers {v} migrations, engine committed {b}"),
+        band(Paths(&["run.ring_dropped", "consistency.ring_dropped"]), Eq(Num(0.0)),
+             "flight recorder dropped {v} events; the blame table is incomplete"),
+        band(Paths(&["consistency.whatif_agreeing"]), Eq(Fresh("consistency.whatif_checked", 1.0)),
+             "what-if sign agreement {v}/{b}: model and knapsack disagree")
+             .when(&[AtLeast("consistency.whatif_checked", 1.0)]),
+        // The plane may be unavailable (no loopback sockets).
+        band(Paths(&["telemetry.scrape_matches_report"]), Op::IsTrue,
+             "telemetry served but its scrape diverged from the shutdown report")
+             .when(&[When::IsTrue("telemetry.served")]),
+    ], exp_only: &[
+        band(Derived("tiling_error", tiling_error), Le(Num(1e-6)),
+             "chain does not tile its interval: compute + stall + idle off by {v} (relative)"),
+        band(Paths(&["critpath.exec_wall_ns"]), Ge(Fresh("critpath.span_ns", 1.0)),
+             "execution wall {v} ns shorter than the observed span {b} ns"),
+        band(Paths(&["critpath.span_ns", "blame[*].bytes"]), Gt(Num(0.0)), "`{p}` is {v}"),
+        band(Derived("blame_row_migrations", blame_row_migrations),
+             Eq(Fresh("reconciliation.engine_migrations", 1.0)),
+             "blame rows sum to {v} migrations, engine committed {b}"),
+        band(Paths(&["blame[*].tier"]), In(&["dram", "nvm"]), "`{p}` is `{v}`"),
+        band(Paths(&["whatif[*].whatif_wall_ns"]), Le(Fresh("critpath.exec_wall_ns", 1.0)),
+             "what-if wall {v} ns exceeds the measured wall {b} ns"),
+        band(Paths(&["whatif[*].modelled_saving_ns"]), Ge(Num(0.0)),
+             "`{p}`: DRAM residence cannot cost time in the model ({v} ns)"),
+    ]},
+];
 
-fn field<'v>(v: &'v Value, path: &[&str]) -> Result<&'v Value, String> {
-    let mut cur = v;
-    for p in path {
-        cur = cur
-            .get(p)
-            .ok_or_else(|| format!("missing field `{}`", path.join(".")))?;
+/// Nodes a dotted path selects, each with its concrete path.
+fn resolve<'v>(root: &'v Value, path: &str) -> Result<Vec<(String, &'v Value)>, String> {
+    let mut cur = vec![(String::new(), root)];
+    for seg in path.split('.') {
+        let (key, sel) = match seg.split_once('[') {
+            Some((key, rest)) => (key, Some(rest.trim_end_matches(']'))),
+            None => (seg, None),
+        };
+        let mut next = Vec::new();
+        for (at, node) in cur {
+            let child = node
+                .get(key)
+                .ok_or_else(|| format!("missing field `{path}`"))?;
+            let at = format!("{at}{}{key}", if at.is_empty() { "" } else { "." });
+            let Some(sel) = sel else {
+                next.push((at, child));
+                continue;
+            };
+            let items = child
+                .as_array()
+                .ok_or_else(|| format!("field `{at}` is not an array"))?;
+            let found = next.len();
+            next.extend(
+                items
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, item)| match sel.split_once('=') {
+                        Some((k, want)) => item.get(k).and_then(Value::as_str) == Some(want),
+                        None => sel == "*" || sel.parse() == Ok(*i),
+                    })
+                    .map(|(i, item)| (format!("{at}[{i}]"), item)),
+            );
+            if sel != "*" && next.len() == found {
+                return Err(format!("`{at}[{sel}]` missing from `{path}`"));
+            }
+        }
+        cur = next;
     }
     Ok(cur)
 }
 
-fn num(v: &Value, path: &[&str]) -> Result<f64, String> {
-    field(v, path)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{}` is not a number", path.join(".")))
+/// The values at `path` (a trailing `.#` takes array lengths).
+fn values(doc: &Value, path: &str) -> Result<Vec<(String, Value)>, String> {
+    let Some(arrays) = path.strip_suffix(".#") else {
+        let nodes = resolve(doc, path)?;
+        return Ok(nodes.into_iter().map(|(at, v)| (at, v.clone())).collect());
+    };
+    resolve(doc, arrays)?
+        .into_iter()
+        .map(|(at, v)| match v.as_array() {
+            Some(items) => Ok((format!("{at}.#"), items.len().into())),
+            None => Err(format!("field `{at}` is not an array")),
+        })
+        .collect()
 }
 
-fn flag(v: &Value, path: &[&str]) -> Result<bool, String> {
-    field(v, path)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{}` is not a bool", path.join(".")))
+fn number(at: &str, v: &Value) -> Result<f64, String> {
+    v.as_f64()
+        .ok_or_else(|| format!("field `{at}` is not a number"))
+}
+
+/// The numbers at `path`; a non-number there is an error.
+pub fn nums(doc: &Value, path: &str) -> Result<Vec<f64>, String> {
+    let found = values(doc, path)?;
+    found.iter().map(|(at, v)| number(at, v)).collect()
+}
+
+fn measure(doc: &Value, what: &What) -> Result<Vec<(String, Value)>, String> {
+    match what {
+        Paths(paths) => {
+            let per_path: Result<Vec<_>, _> = paths.iter().map(|p| values(doc, p)).collect();
+            Ok(per_path?.into_iter().flatten().collect())
+        }
+        Steps(path) => Ok(nums(doc, path)?
+            .windows(2)
+            .enumerate()
+            .map(|(i, p)| (format!("{path} step {}", i + 1), (p[1] / p[0]).into()))
+            .collect()),
+        Derived(name, f) => Ok(f(doc)?
+            .into_iter()
+            .map(|x| (name.to_string(), x.into()))
+            .collect()),
+    }
+}
+
+impl Op {
+    fn tol(&self) -> Option<&Tol> {
+        match self {
+            Op::IsTrue | In(_) => None,
+            Eq(t) | Ne(t) | Lt(t) | Le(t) | Ge(t) | Gt(t) => Some(t),
+        }
+    }
+
+    fn reads_baseline(&self) -> bool {
+        matches!(self.tol(), Some(Base | BaseRel(_) | BaseFn(..)))
+    }
+}
+
+impl When {
+    /// Why the precondition does not hold on `docs` (the fresh document,
+    /// then the baseline if the row reads it), if it does not.
+    fn unmet(&self, docs: &[&Value], gated: bool) -> Option<String> {
+        let leaf = |p: &'static str| p.rsplit('.').next().unwrap_or(p);
+        let fresh = docs[0];
+        match self {
+            Gated => (!gated).then(|| "benchgate's to judge".to_string()),
+            Has(p) => docs
+                .iter()
+                .position(|d| resolve(d, p).is_err())
+                .map(|i| format!("{} `{p}`", ["no", "baseline has no"][i])),
+            AtLeast(p, min) => match nums(fresh, p).ok().and_then(|n| n.first().copied()) {
+                Some(n) if n >= *min => None,
+                Some(n) => Some(format!("{}={n}", leaf(p))),
+                None => Some(format!("{} absent", leaf(p))),
+            },
+            When::IsTrue(p) => match resolve(fresh, p).ok().and_then(|n| n[0].1.as_bool()) {
+                Some(true) => None,
+                _ => Some(format!("{}=false", leaf(p))),
+            },
+        }
+    }
+}
+
+/// Render a value for a failure message; inequality bands round to
+/// three decimals, equality bands print exactly.
+fn show(v: &Value, exact: bool) -> String {
+    match v {
+        Value::Number(n) if !exact => ((n * 1e3).round() / 1e3).to_string(),
+        Value::Number(n) => n.to_string(),
+        Value::String(s) => s.clone(),
+        other => format!("{other:?}"),
+    }
+}
+
+impl Band {
+    const fn when(self, when: &'static [When]) -> Band {
+        Band { when, ..self }
+    }
+
+    fn judge(&self, baseline: Option<&Value>, fresh: &Value) -> Result<Verdict, String> {
+        let gated = baseline.is_some();
+        let baseline = baseline.filter(|_| self.op.reads_baseline());
+        let docs: Vec<&Value> = std::iter::once(fresh).chain(baseline).collect();
+        if let Some(reason) = self.when.iter().find_map(|w| w.unmet(&docs, gated)) {
+            return Ok(Verdict::Vacuous(reason));
+        }
+        let got = measure(fresh, &self.what)?;
+        if got.is_empty() {
+            return Ok(Verdict::Vacuous("n=0".into()));
+        }
+        let base = baseline.map(|b| measure(b, &self.what)).transpose()?;
+        if let Some(base) = base.as_ref().filter(|b| b.len() != got.len()) {
+            return Ok(Verdict::Fail(vec![format!(
+                "`{}` length changed: baseline {} rows vs fresh {}",
+                got[0].0,
+                base.len(),
+                got.len()
+            )]));
+        }
+        let exact = matches!(self.op, Eq(_) | Ne(_));
+        let mut failures = Vec::new();
+        for (i, (at, v)) in got.iter().enumerate() {
+            let reference = match self.op.tol() {
+                None => Value::Null,
+                Some(Num(x)) => (*x).into(),
+                Some(Str(s)) => (*s).into(),
+                Some(Fresh(p, k)) => match &values(fresh, p)?[..] {
+                    [(_, Value::Number(n))] => (n * k).into(),
+                    [(_, other)] => other.clone(),
+                    _ => return Err(format!("`{p}` is not a single value")),
+                },
+                Some(Base | BaseRel(_)) => base.as_ref().expect("baseline measured")[i].1.clone(),
+                Some(BaseFn(_, f)) => {
+                    let (b_at, b) = &base.as_ref().expect("baseline measured")[i];
+                    f(number(b_at, b)?).into()
+                }
+            };
+            let cmp = |ok: fn(f64, f64) -> bool| -> Result<bool, String> {
+                Ok(ok(number(at, v)?, number("the bound", &reference)?))
+            };
+            let holds = match &self.op {
+                Op::IsTrue => v
+                    .as_bool()
+                    .ok_or_else(|| format!("field `{at}` is not a bool"))?,
+                In(set) => v.as_str().is_some_and(|s| set.contains(&s)),
+                Eq(BaseRel(tol)) => {
+                    let (f, b) = (number(at, v)?, number(at, &reference)?);
+                    (f - b).abs() <= tol * b.abs().max(1.0)
+                }
+                Eq(_) => *v == reference,
+                Ne(_) => *v != reference,
+                Lt(_) => cmp(|f, b| f < b)?,
+                Le(_) => cmp(|f, b| f <= b)?,
+                Ge(_) => cmp(|f, b| f >= b)?,
+                Gt(_) => cmp(|f, b| f > b)?,
+            };
+            if !holds {
+                failures.push(
+                    self.why
+                        .replace("{p}", at)
+                        .replace("{v}", &show(v, exact))
+                        .replace("{b}", &show(&reference, exact)),
+                );
+            }
+        }
+        Ok(if failures.is_empty() {
+            Verdict::Pass
+        } else {
+            Verdict::Fail(failures)
+        })
+    }
+
+    /// The row's cells after the schema: quantity, op, tolerance,
+    /// precondition, message.
+    fn cells(&self, exp_only: bool) -> [String; 5] {
+        let code = |p: &&str| format!("`{p}`");
+        let what = match &self.what {
+            Paths(paths) => paths.iter().map(code).collect::<Vec<_>>().join(", "),
+            Steps(path) => format!("steps of `{path}`"),
+            Derived(name, _) => format!("*{name}*"),
+        };
+        let op = match &self.op {
+            Op::IsTrue => "is true",
+            In(_) => "in",
+            Eq(_) => "=",
+            Ne(_) => "≠",
+            Lt(_) => "<",
+            Le(_) => "≤",
+            Ge(_) => "≥",
+            Gt(_) => ">",
+        };
+        let tol = match (&self.op, self.op.tol()) {
+            (In(set), _) => set.join(" / "),
+            (_, None) => String::new(),
+            (_, Some(Num(x))) => x.to_string(),
+            (_, Some(Str(s))) => format!("\"{s}\""),
+            (_, Some(Fresh(p, k))) if *k == 1.0 => code(p),
+            (_, Some(Fresh(p, k))) => format!("{k} × `{p}`"),
+            (_, Some(Base)) => "baseline".into(),
+            (_, Some(BaseRel(tol))) => format!("baseline ± {tol:e} relative"),
+            (_, Some(BaseFn(doc, _))) => (*doc).into(),
+        };
+        let scope = exp_only.then(|| "`exp` only".to_string());
+        let when: Vec<String> = scope
+            .into_iter()
+            .chain(self.when.iter().map(|w| match w {
+                Gated => "`benchgate` only".into(),
+                Has(p) => format!("has `{p}`"),
+                AtLeast(p, min) => format!("`{p}` ≥ {min}"),
+                When::IsTrue(p) => format!("`{p}`"),
+            }))
+            .collect();
+        [what, op.into(), tol, when.join(", "), self.why.into()]
+    }
+
+    /// `quantity op tolerance`, for one-line-per-row reports.
+    pub fn label(&self) -> String {
+        self.cells(false)[..3].join(" ").trim_end().to_string()
+    }
+}
+
+/// [`BANDS`] as the markdown table `EXPERIMENTS.md` § "Regression gate"
+/// carries verbatim (a unit test holds the two together).
+pub fn bands_markdown() -> String {
+    let mut out = String::from(
+        "| schema | quantity | op | tolerance | precondition | failure message |\n|---|---|---|---|---|---|\n",
+    );
+    for bands in BANDS {
+        let rows = bands.gate.iter().map(|r| (r, false));
+        for (row, exp_only) in rows.chain(bands.exp_only.iter().map(|r| (r, true))) {
+            let cells = row.cells(exp_only).join(" | ");
+            out.push_str(&format!("| `{}` | {cells} |\n", bands.schema));
+        }
+    }
+    out
 }
 
 fn schema_of(v: &Value) -> Result<&str, String> {
-    field(v, &["schema"])?
-        .as_str()
-        .ok_or_else(|| "field `schema` is not a string".to_string())
+    let schema = v.get("schema").ok_or("missing field `schema`")?;
+    Ok(schema.as_str().ok_or("field `schema` is not a string")?)
 }
 
-/// Compare a fresh artifact against its committed baseline. Both must
-/// carry the same `schema` tag. Returns the violations found (an empty
-/// vector means the gate passes).
-pub fn compare(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let bs = schema_of(baseline)?;
+/// Judge `fresh` by its schema's rows: with a `baseline` (which must
+/// carry the same `schema` tag) the `gate` rows; without one, every row
+/// that reads no baseline. Structural problems (schema mismatch, a
+/// missing or mistyped field) are `Err`.
+pub fn check(
+    baseline: Option<&Value>,
+    fresh: &Value,
+) -> Result<Vec<(&'static Band, Verdict)>, String> {
     let fs = schema_of(fresh)?;
-    // Migration shim: a committed `tahoe-bench-real/v1` baseline still
-    // gates a v2 fresh artifact — every field the v1 comparison reads
-    // survives unchanged in v2, which only adds blocks.
-    if bs == "tahoe-bench-real/v1" && fs == "tahoe-bench-real/v2" {
-        return compare_real_any(baseline, fresh);
-    }
-    if bs != fs {
+    if let Some(bs) = baseline.map(schema_of).transpose()?.filter(|bs| *bs != fs) {
         return Err(format!("schema mismatch: baseline `{bs}` vs fresh `{fs}`"));
     }
-    match bs {
-        "tahoe-bench-obs/v1" => compare_obs(baseline, fresh),
-        "tahoe-bench-real/v1" | "tahoe-bench-real/v2" => compare_real_any(baseline, fresh),
-        "tahoe-bench-par/v1" => compare_par(baseline, fresh),
-        "tahoe-bench-audit/v1" => compare_audit(baseline, fresh),
-        "tahoe-bench-sanitize/v1" => compare_sanitize(baseline, fresh),
-        "tahoe-bench-verify/v1" => compare_verify(baseline, fresh),
-        "tahoe-bench-tenant/v1" => compare_tenant(baseline, fresh),
-        "tahoe-bench-blame/v1" => compare_blame(baseline, fresh),
-        other => Err(format!("unknown artifact schema `{other}`")),
-    }
+    let bands = BANDS
+        .iter()
+        .find(|b| b.schema == fs)
+        .ok_or_else(|| format!("unknown artifact schema `{fs}`"))?;
+    let exp_only = bands.exp_only.iter().filter(|_| baseline.is_none());
+    let in_scope = |row: &&Band| baseline.is_some() || !row.op.reads_baseline();
+    let rows = bands.gate.iter().chain(exp_only).filter(in_scope);
+    rows.map(|row| Ok((row, row.judge(baseline, fresh)?)))
+        .collect()
 }
 
-/// Convenience wrapper over [`compare`] for raw JSON text.
+/// [`check`] over raw JSON text, reduced to the violations found (an
+/// empty vector means the gate passes).
 pub fn compare_text(baseline: &str, fresh: &str) -> Result<Vec<String>, String> {
     let b = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
     let f = json::parse(fresh).map_err(|e| format!("fresh: {e}"))?;
-    compare(&b, &f)
+    let verdicts = check(Some(&b), &f)?;
+    Ok(verdicts
+        .into_iter()
+        .filter_map(|(_, v)| match v {
+            Verdict::Fail(messages) => Some(messages),
+            _ => None,
+        })
+        .flatten()
+        .collect())
 }
 
-fn compare_obs(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    // Deterministic capture: every digest field must match exactly.
-    for path in [
-        ["workload", "name"].as_slice(),
-        &["workload", "footprint_bytes"],
-        &["workload", "windows"],
-        &["workload", "tasks"],
-        &["events", "total"],
-        &["makespan_ns"],
-        &["migrations"],
-        &["ring_dropped"],
-    ] {
-        let b = field(baseline, path)?;
-        let f = field(fresh, path)?;
-        if b != f {
-            violations.push(format!(
-                "obs digest field `{}` changed: baseline {b:?} vs fresh {f:?}",
-                path.join(".")
-            ));
-        }
-    }
-    let b_kinds = field(baseline, &["events", "by_kind"])?;
-    let f_kinds = field(fresh, &["events", "by_kind"])?;
-    if b_kinds != f_kinds {
-        violations.push(format!(
-            "obs per-kind event counts changed: baseline {b_kinds:?} vs fresh {f_kinds:?}"
-        ));
-    }
-    // Beyond matching the baseline, the drop counter must be absolutely
-    // zero: a saturated recorder silently truncates the event stream
-    // every downstream consumer (exporters, crit-path, blame) trusts.
-    if num(fresh, &["ring_dropped"])? != 0.0 {
-        violations.push(format!(
-            "flight recorder dropped {} events during the obs artifact run",
-            num(fresh, &["ring_dropped"])?
-        ));
-    }
-    Ok(violations)
+// ---- named derivations the table references -------------------------
+
+/// DRAM-only over NVM-only throughput, floored at 1.
+fn nvm_slowdown(v: &Value) -> Result<Vec<f64>, String> {
+    let dram = nums(v, "policies[policy=DRAM-only].throughput_gbps")?[0];
+    let nvm = nums(v, "policies[policy=NVM-only].throughput_gbps")?[0];
+    Ok(vec![(dram / nvm.max(f64::MIN_POSITIVE)).max(1.0)])
 }
 
-fn real_throughput(v: &Value, policy: &str) -> Result<f64, String> {
-    let runs = field(v, &["policies"])?
-        .as_array()
-        .ok_or("`policies` is not an array")?;
-    runs.iter()
-        .find(|r| r.get("policy").and_then(|p| p.as_str()) == Some(policy))
-        .and_then(|r| r.get("throughput_gbps").and_then(|t| t.as_f64()))
-        .ok_or_else(|| format!("policy `{policy}` missing from `policies`"))
-}
-
-/// The real-mode comparison across schema versions: the v1 checks
-/// always apply; a fresh artifact carrying the 3-tier `modelled` block
-/// additionally gets the N-tier case re-derived.
-fn compare_real_any(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = compare_real(baseline, fresh)?;
-    if fresh.get("modelled").is_some() {
-        violations.extend(compare_real3(baseline, fresh)?);
-    }
-    Ok(violations)
-}
-
-fn compare_real(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    for path in [
-        ["consistency", "all_policies_match_reference"].as_slice(),
-        &["consistency", "dram_throughput_ge_nvm"],
-    ] {
-        if !flag(fresh, path)? {
-            violations.push(format!("fresh `{}` is false", path.join(".")));
-        }
-    }
-    let f_dram = real_throughput(fresh, "DRAM-only")?;
-    let f_nvm = real_throughput(fresh, "NVM-only")?;
-    if f_dram < f_nvm {
-        violations.push(format!(
-            "DRAM-only throughput {f_dram:.3} GB/s below NVM-emulated {f_nvm:.3} GB/s"
-        ));
-    }
-    // The absolute throughputs are machine-dependent, but the injected
-    // NVM slowdown ratio should be portable within a generous band.
-    let b_ratio =
-        (real_throughput(baseline, "DRAM-only")? / real_throughput(baseline, "NVM-only")?).max(1.0);
-    let f_ratio = (f_dram / f_nvm.max(f64::MIN_POSITIVE)).max(1.0);
-    let (lo, hi) = (
-        (b_ratio / REAL_RATIO_BAND).max(1.0),
-        b_ratio * REAL_RATIO_BAND,
-    );
-    if f_ratio < lo || f_ratio > hi {
-        violations.push(format!(
-            "NVM slowdown ratio {f_ratio:.3} outside [{lo:.3}, {hi:.3}] (baseline {b_ratio:.3})"
-        ));
-    }
-    Ok(violations)
-}
-
-/// 3-tier extras for `tahoe-bench-real/v2` artifacts with a `modelled`
-/// block: self-validation flags hold, the middle tier earned its keep
-/// (holds ≥1 object, ≥1 of them latency-bound), the 3-tier modelled
-/// runtime beats both 2-tier degenerations, and — when the baseline
-/// also carries the block — the deterministic numbers are reproduced
-/// to round-off.
-fn compare_real3(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    for path in [
-        ["consistency", "mid_tier_wins_latency_bound"].as_slice(),
-        &["consistency", "three_tier_beats_both_two_tier"],
-        &["consistency", "tahoe_uses_mid_tier"],
-    ] {
-        if !flag(fresh, path)? {
-            violations.push(format!("fresh `{}` is false", path.join(".")));
-        }
-    }
-    let t3 = num(fresh, &["modelled", "tahoe3_ns"])?;
-    let t2_nvm = num(fresh, &["modelled", "two_tier_dram_nvm_ns"])?;
-    let t2_cxl = num(fresh, &["modelled", "two_tier_dram_cxl_ns"])?;
-    let eps = 1.0 + REAL3_MODEL_TOL;
-    if t3 > t2_nvm * eps {
-        violations.push(format!(
-            "3-tier modelled runtime {t3:.1} ns worse than 2-tier DRAM+NVM {t2_nvm:.1} ns"
-        ));
-    }
-    if t3 > t2_cxl * eps {
-        violations.push(format!(
-            "3-tier modelled runtime {t3:.1} ns worse than 2-tier DRAM+CXL {t2_cxl:.1} ns"
-        ));
-    }
-    if num(fresh, &["modelled", "mid_tier_objects"])? < 1.0 {
-        violations.push("3-tier plan left the middle tier empty".into());
-    }
-    if num(fresh, &["modelled", "mid_tier_latency_bound_objects"])? < 1.0 {
-        violations.push("no latency-bound object won the middle tier".into());
-    }
-    if baseline.get("modelled").is_some() {
-        for name in [
-            "tahoe3_ns",
-            "two_tier_dram_nvm_ns",
-            "two_tier_dram_cxl_ns",
-            "mid_tier_objects",
-            "mid_tier_latency_bound_objects",
-        ] {
-            let b = num(baseline, &["modelled", name])?;
-            let f = num(fresh, &["modelled", name])?;
-            if (b - f).abs() > REAL3_MODEL_TOL * b.abs().max(1.0) {
-                violations.push(format!(
-                    "deterministic `modelled.{name}` drifted: baseline {b} vs fresh {f}"
-                ));
-            }
-        }
-    }
-    // Middle-tier capacity sweep: monotonicity is re-derived from the
-    // fresh rows (never trusted from the flag), and a baseline sweep —
-    // the numbers being calibration-free — must be reproduced to
-    // round-off.
-    if let Some(sweep) = fresh.get("sweep") {
-        if !flag(fresh, &["consistency", "sweep_monotone"])? {
-            violations.push("fresh `consistency.sweep_monotone` is false".into());
-        }
-        let rows = sweep.as_array().ok_or("`sweep` is not an array")?;
-        if rows.len() < 4 {
-            violations.push(format!(
-                "middle-tier sweep covers only {} capacities (need >= 4)",
-                rows.len()
-            ));
-        }
-        let row_ns = |r: &Value| {
-            r.get("modelled_ns")
-                .and_then(|n| n.as_f64())
-                .ok_or("sweep row missing `modelled_ns`".to_string())
-        };
-        for pair in rows.windows(2) {
-            let (prev, next) = (row_ns(&pair[0])?, row_ns(&pair[1])?);
-            if next > prev * (1.0 + REAL3_MODEL_TOL) {
-                violations.push(format!(
-                    "middle-tier sweep not monotone: {next:.1} ns after {prev:.1} ns"
-                ));
-            }
-        }
-        if let Some(bsweep) = baseline.get("sweep") {
-            let brows = bsweep
-                .as_array()
-                .ok_or("baseline `sweep` is not an array")?;
-            if brows.len() != rows.len() {
-                violations.push(format!(
-                    "sweep length changed: baseline {} rows vs fresh {}",
-                    brows.len(),
-                    rows.len()
-                ));
-            }
-            for (i, (b, f)) in brows.iter().zip(rows).enumerate() {
-                for name in ["cxl_capacity_bytes", "mid_tier_objects"] {
-                    if b.get(name) != f.get(name) {
-                        violations.push(format!(
-                            "sweep[{i}].{name} changed: baseline {:?} vs fresh {:?}",
-                            b.get(name),
-                            f.get(name)
-                        ));
-                    }
-                }
-                let (bn, fn_) = (row_ns(b)?, row_ns(f)?);
-                if (bn - fn_).abs() > REAL3_MODEL_TOL * bn.abs().max(1.0) {
-                    violations.push(format!(
-                        "deterministic `sweep[{i}].modelled_ns` drifted: baseline {bn} vs fresh {fn_}"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(violations)
-}
-
-fn par_best_overlap(v: &Value) -> Result<(f64, bool), String> {
-    let runs = field(v, &["runs"])?
-        .as_array()
-        .ok_or("`runs` is not an array")?;
-    let mut best = 0.0f64;
-    let mut migrated = false;
-    for r in runs {
-        let policy = r.get("policy").and_then(|p| p.as_str()).unwrap_or("");
-        let workers = r.get("workers").and_then(|w| w.as_f64()).unwrap_or(0.0);
-        if policy != "tahoe" || workers < 2.0 {
-            continue;
-        }
-        if r.get("migrations").and_then(|m| m.as_f64()).unwrap_or(0.0) > 0.0 {
-            migrated = true;
-        }
-        best = best.max(r.get("pct_overlap").and_then(|p| p.as_f64()).unwrap_or(0.0));
-    }
-    Ok((best, migrated))
-}
-
-/// Measured `(workers, wall_ns)` points for one policy, sorted by
-/// worker count. Runs without both fields are skipped (older artifacts
-/// did not record `wall_ns` per parallel run).
-fn par_policy_walls(v: &Value, policy: &str) -> Result<Vec<(f64, f64)>, String> {
-    let runs = field(v, &["runs"])?
-        .as_array()
-        .ok_or("`runs` is not an array")?;
-    let mut pts: Vec<(f64, f64)> = Vec::new();
-    for r in runs {
-        if r.get("policy").and_then(|p| p.as_str()) != Some(policy) {
-            continue;
-        }
-        let workers = r.get("workers").and_then(|w| w.as_f64());
-        let wall = r.get("wall_ns").and_then(|w| w.as_f64());
-        if let (Some(w), Some(wall)) = (workers, wall) {
-            if w >= 1.0 && wall > 0.0 {
-                pts.push((w, wall));
-            }
-        }
-    }
-    pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-    Ok(pts)
-}
-
-fn compare_par(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    for path in [
-        ["consistency", "all_runs_match_reference"].as_slice(),
-        &["consistency", "tahoe_multiworker_overlapped"],
-    ] {
-        if !flag(fresh, path)? {
-            violations.push(format!("fresh `{}` is false", path.join(".")));
-        }
-    }
-    let (b_best, _) = par_best_overlap(baseline)?;
-    let (f_best, f_migrated) = par_best_overlap(fresh)?;
-    if !f_migrated {
-        violations.push("tahoe at >=2 workers performed no migrations".into());
-    }
-    let floor = b_best * PAR_OVERLAP_RETENTION;
-    if f_best < floor {
-        violations.push(format!(
-            "best tahoe overlap {f_best:.1}% collapsed below {floor:.1}% (baseline best {b_best:.1}%)"
-        ));
-    }
-    // Parallel-scaling band. Speedups are recomputed from the fresh
-    // run's own wall clocks (never trusted from the recorded `speedup`
-    // field) and only enforced where the machine had real cores to
-    // scale onto: a 1-CPU box oversubscribes the spin-paced compute and
-    // legitimately slows down, as do worker counts beyond the core
-    // count, so those points are exempt.
-    let cpus = fresh
-        .get("machine")
-        .and_then(|m| m.get("cpus"))
-        .and_then(|c| c.as_f64())
-        .unwrap_or(1.0);
-    if cpus >= 2.0 {
-        let pts = par_policy_walls(fresh, "DRAM-only")?;
-        if let Some(&(_, base)) = pts.iter().find(|(w, _)| *w == 1.0) {
-            let speedups: Vec<(f64, f64)> = pts
-                .iter()
-                .filter(|(w, _)| *w <= cpus)
-                .map(|&(w, wall)| (w, base / wall))
-                .collect();
-            if let Some(&(_, s2)) = speedups.iter().find(|(w, _)| *w == 2.0) {
-                if s2 < PAR_SPEEDUP_2W_FLOOR {
-                    violations.push(format!(
-                        "DRAM-only speedup at 2 workers is {s2:.2}x, below the \
-                         {PAR_SPEEDUP_2W_FLOOR:.1}x floor ({cpus:.0} cpus)"
-                    ));
-                }
-            }
-            for pair in speedups.windows(2) {
-                let ((wa, sa), (wb, sb)) = (pair[0], pair[1]);
-                if sb < sa * PAR_SCALING_SLACK {
-                    violations.push(format!(
-                        "DRAM-only speedup degrades from {sa:.2}x at {wa:.0} workers to \
-                         {sb:.2}x at {wb:.0} (floor {:.2}x)",
-                        sa * PAR_SCALING_SLACK
-                    ));
-                }
-            }
-        }
-    }
-    Ok(violations)
-}
-
-fn compare_audit(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    if num(fresh, &["audit", "audited"])? < 1.0 {
-        violations.push("audit covered zero objects".into());
-    }
-    if num(fresh, &["audit", "migrations"])? < 1.0 {
-        violations.push("audit run performed no migrations".into());
-    }
-    let overhead = num(fresh, &["overhead", "overhead_pct"])?;
-    if overhead > OVERHEAD_CEILING_PCT {
-        violations.push(format!(
-            "recorder self-overhead {overhead:.2}% exceeds {OVERHEAD_CEILING_PCT:.1}% ceiling"
-        ));
-    }
-    // Model accuracy: allow headroom over the committed baseline (wall
-    // clocks are noisy), but catch a model that has come apart.
-    let b_mape = num(baseline, &["audit", "mape_pct"])?;
-    let f_mape = num(fresh, &["audit", "mape_pct"])?;
-    let mape_limit = (b_mape * 2.0).max(b_mape + 25.0);
-    if f_mape > mape_limit {
-        violations.push(format!(
-            "MAPE {f_mape:.1}% exceeds limit {mape_limit:.1}% (baseline {b_mape:.1}%)"
-        ));
-    }
-    let b_sign = num(baseline, &["audit", "sign_agreement_pct"])?;
-    let f_sign = num(fresh, &["audit", "sign_agreement_pct"])?;
-    let sign_floor = (b_sign - 25.0).max(50.0);
-    if f_sign < sign_floor {
-        violations.push(format!(
-            "sign agreement {f_sign:.1}% below floor {sign_floor:.1}% (baseline {b_sign:.1}%)"
-        ));
-    }
-    Ok(violations)
-}
-
-fn compare_sanitize(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    // Self-reported health flags must hold on the fresh run.
-    for path in [
-        ["static", "clean"].as_slice(),
-        &["fuzz", "clean"],
-        &["consistency", "correct_workloads_clean"],
-        &["consistency", "fixtures_exact"],
-    ] {
-        if !flag(fresh, path)? {
-            violations.push(format!("fresh `{}` is false", path.join(".")));
-        }
-    }
-    // Everything the sanitizer reports is schedule-independent, so the
-    // digest must match the baseline exactly: same workloads verified,
-    // same fuzz coverage and shadowed-access count, same per-fixture
-    // violation sets.
-    for path in [["static"].as_slice(), &["fuzz"], &["fixtures"]] {
-        let b = field(baseline, path)?;
-        let f = field(fresh, path)?;
-        if b != f {
-            violations.push(format!(
-                "sanitize digest `{}` changed: baseline {b:?} vs fresh {f:?}",
-                path.join(".")
-            ));
-        }
-    }
-    Ok(violations)
-}
-
-fn compare_verify(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    // Self-reported health flags must hold on the fresh run.
-    for path in [
-        ["plans", "clean"].as_slice(),
-        &["preflight", "clean"],
-        &["mcheck", "clean"],
-        &["consistency", "solver_plans_clean"],
-        &["consistency", "preflight_clean"],
-        &["consistency", "fixtures_exact"],
-        &["consistency", "protocol_certified"],
-        &["consistency", "bugs_all_caught"],
-    ] {
-        if !flag(fresh, path)? {
-            violations.push(format!("fresh `{}` is false", path.join(".")));
-        }
-    }
-    // The auditor and the model checker are deterministic pure
-    // functions — no tolerance bands, the digest matches exactly or
-    // something changed. In particular `mcheck.configs[*].states` /
-    // `transitions` pin the certification sweep's explored state space.
-    for path in [
-        ["plans"].as_slice(),
-        &["preflight"],
-        &["fixtures"],
-        &["mcheck"],
-    ] {
-        let b = field(baseline, path)?;
-        let f = field(fresh, path)?;
-        if b != f {
-            violations.push(format!(
-                "verify digest `{}` changed: baseline {b:?} vs fresh {f:?}",
-                path.join(".")
-            ));
-        }
-    }
-    Ok(violations)
-}
-
-/// Locate one arbitration mode's block in a tenant artifact.
-fn tenant_mode<'v>(v: &'v Value, mode: &str) -> Result<&'v Value, String> {
-    field(v, &["modes"])?
-        .as_array()
-        .ok_or("`modes` is not an array")?
+/// `field` of every tahoe run at >= 2 workers (absent reads as 0).
+fn tahoe_multiworker(v: &Value, field: &str) -> Result<Vec<f64>, String> {
+    let get = |r: &Value, k: &str| r.get(k).and_then(Value::as_f64).unwrap_or(0.0);
+    Ok(resolve(v, "runs[policy=tahoe]")?
         .iter()
-        .find(|m| m.get("mode").and_then(|s| s.as_str()) == Some(mode))
-        .ok_or_else(|| format!("mode `{mode}` missing from `modes`"))
+        .filter(|(_, r)| get(r, "workers") >= 2.0)
+        .map(|(_, r)| get(r, field))
+        .collect())
 }
 
-fn compare_tenant(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    // Self-reported consistency flags must hold on the fresh run.
-    for name in [
-        "checksums_match_solo",
-        "quota_beats_ffa_worst_p99",
-        "throughput_within_10pct",
-        "jain_quota_ge_090",
-        "quota_preempts",
-        "ffa_never_preempts",
-        "burst_sheds",
-    ] {
-        if !flag(fresh, &["consistency", name])? {
-            violations.push(format!("fresh `consistency.{name}` is false"));
-        }
-    }
-    // Re-derive the arbiter's case from the fresh per-mode numbers —
-    // never trust the flags alone.
-    let fq = tenant_mode(fresh, "quota")?;
-    let ff = tenant_mode(fresh, "free_for_all")?;
-    let (q_p99, f_p99) = (num(fq, &["worst_p99_ms"])?, num(ff, &["worst_p99_ms"])?);
-    if q_p99 >= f_p99 {
-        violations.push(format!(
-            "quota worst p99 {q_p99:.2} ms does not beat free-for-all {f_p99:.2} ms"
-        ));
-    }
-    let (q_thr, f_thr) = (
-        num(fq, &["aggregate_graphs_per_s"])?,
-        num(ff, &["aggregate_graphs_per_s"])?,
-    );
-    if q_thr < TENANT_THROUGHPUT_RETENTION * f_thr {
-        violations.push(format!(
-            "quota throughput {q_thr:.1} graphs/s retains less than {:.0}% of free-for-all's {f_thr:.1}",
-            TENANT_THROUGHPUT_RETENTION * 100.0
-        ));
-    }
-    let q_jain = num(fq, &["jain"])?;
-    let b_jain = num(tenant_mode(baseline, "quota")?, &["jain"])?;
-    let jain_floor = TENANT_JAIN_FLOOR.max(b_jain - TENANT_JAIN_DRIFT);
-    if q_jain < jain_floor {
-        violations.push(format!(
-            "quota Jain index {q_jain:.3} below floor {jain_floor:.3} (baseline {b_jain:.3})"
-        ));
-    }
-    if num(fq, &["preempted"])? < 1.0 {
-        violations.push("quota mode performed no preemptions".into());
-    }
-    if num(ff, &["preempted"])? > 0.0 {
-        violations.push("free-for-all mode preempted".into());
-    }
-    if num(fq, &["shed"])? < 1.0 {
-        violations.push("quota burst shed nothing".into());
-    }
-    Ok(violations)
+/// Fewest migrations of any such run; 0 when there is none.
+fn tahoe_min_migrations(v: &Value) -> Result<Vec<f64>, String> {
+    let migrations = tahoe_multiworker(v, "migrations")?;
+    Ok(vec![migrations.into_iter().reduce(f64::min).unwrap_or(0.0)])
 }
 
-fn compare_blame(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
-    let mut violations = Vec::new();
-    // Self-reported consistency flags must hold on the fresh run.
-    for name in ["checksum_matches_reference", "blame_covers_all_migrations"] {
-        if !flag(fresh, &["consistency", name])? {
-            violations.push(format!("fresh `consistency.{name}` is false"));
-        }
+fn tahoe_best_overlap(v: &Value) -> Result<Vec<f64>, String> {
+    let overlaps = tahoe_multiworker(v, "pct_overlap")?;
+    Ok(vec![overlaps.into_iter().fold(0.0, f64::max)])
+}
+
+/// `(workers, wall)` of every run of `policy` that recorded both.
+fn policy_walls(v: &Value, policy: &str) -> Result<Vec<(f64, f64)>, String> {
+    let get = |r: &Value, k: &str| r.get(k).and_then(Value::as_f64);
+    Ok(resolve(v, "runs[*]")?
+        .iter()
+        .filter(|(_, r)| r.get("policy").and_then(Value::as_str) == Some(policy))
+        .filter_map(|(_, r)| Some((get(r, "workers")?, get(r, "wall_ns")?)))
+        .collect())
+}
+
+/// DRAM-only `(workers, speedup over 1 worker)` by worker count, for
+/// the counts the machine has cores for.
+fn dram_speedups(v: &Value) -> Result<Vec<(f64, f64)>, String> {
+    let cpus = nums(v, "machine.cpus").map_or(1.0, |c| c[0]);
+    let mut walls = policy_walls(v, "DRAM-only")?;
+    walls.retain(|&(w, wall)| w >= 1.0 && w <= cpus && wall > 0.0);
+    walls.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let base = walls.iter().find(|(w, _)| *w == 1.0).map(|&(_, wall)| wall);
+    Ok(base.map_or(Vec::new(), |base| {
+        walls.iter().map(|&(w, wall)| (w, base / wall)).collect()
+    }))
+}
+
+fn dram_speedup_2w(v: &Value) -> Result<Vec<f64>, String> {
+    let at2 = dram_speedups(v)?.into_iter().find(|(w, _)| *w == 2.0);
+    Ok(at2.map(|(_, s)| s).into_iter().collect())
+}
+
+/// Each measured speedup over the previous worker count's.
+fn dram_scaling_steps(v: &Value) -> Result<Vec<f64>, String> {
+    let speedups = dram_speedups(v)?;
+    Ok(speedups.windows(2).map(|p| p[1].1 / p[0].1).collect())
+}
+
+/// How many distinct worker counts ran.
+fn worker_counts(v: &Value) -> Result<Vec<f64>, String> {
+    let mut workers = nums(v, "runs[*].workers")?;
+    workers.sort_by(f64::total_cmp);
+    workers.dedup();
+    Ok(vec![workers.len() as f64])
+}
+
+/// Relative error of each run's recorded `speedup` against its policy's
+/// own 1-worker wall clock.
+fn speedup_field_error(v: &Value) -> Result<Vec<f64>, String> {
+    let mut errors = Vec::new();
+    for (at, run) in resolve(v, "runs[*]")? {
+        let policy = run.get("policy").and_then(Value::as_str).unwrap_or("");
+        let walls = policy_walls(v, policy)?;
+        let base = walls.iter().find(|(w, _)| *w == 1.0);
+        let base = base
+            .ok_or_else(|| format!("`{policy}` has no 1-worker run"))?
+            .1;
+        let want = base / nums(v, &format!("{at}.wall_ns"))?[0];
+        errors.push((nums(v, &format!("{at}.speedup"))?[0] - want).abs() / want);
     }
-    // Same workload family as the committed baseline, or the bands
-    // below gate numbers that were never comparable.
-    let b_name = field(baseline, &["workload", "name"])?;
-    let f_name = field(fresh, &["workload", "name"])?;
-    if b_name != f_name {
-        violations.push(format!(
-            "workload changed under the baseline: {b_name:?} vs {f_name:?}"
-        ));
+    Ok(errors)
+}
+
+/// Audited object rows (non-null `ape_pct`) must number `audit.audited`
+/// and each pair a positive prediction with a measurement.
+fn unsound_audit_rows(v: &Value) -> Result<Vec<f64>, String> {
+    let rows = resolve(v, "objects[*]")?;
+    let audited: Vec<_> = rows
+        .iter()
+        .filter(|(_, o)| o.get("ape_pct").is_some_and(|a| *a != Value::Null))
+        .collect();
+    let unpaired = audited.iter().filter(|(_, o)| {
+        let num = |k| o.get(k).and_then(Value::as_f64);
+        num("predicted_saving_ns").is_none_or(|p| p <= 0.0) || num("measured_saving_ns").is_none()
+    });
+    let miscount = (audited.len() as f64 - nums(v, "audit.audited")?[0]).abs();
+    Ok(vec![miscount + unpaired.count() as f64])
+}
+
+/// Fuzz runs short of (or beyond) workloads × workers × seeds.
+fn fuzz_grid_gap(v: &Value) -> Result<Vec<f64>, String> {
+    let n = |p| Ok::<_, String>(nums(v, p)?[0]);
+    let grid = n("fuzz.workloads")? * n("fuzz.workers.#")? * n("fuzz.seeds.#")?;
+    Ok(vec![n("fuzz.runs")? - grid])
+}
+
+/// Blame-side aggregate `%overlap` against the migration engine's.
+fn overlap_delta_pct(v: &Value) -> Result<Vec<f64>, String> {
+    let blame = nums(v, "reconciliation.blame_pct_overlap")?[0];
+    Ok(vec![(blame
+        - nums(v, "reconciliation.engine_pct_overlap")?[0])
+        .abs()])
+}
+
+/// Relative gap between the critical path and compute + stall + idle.
+fn tiling_error(v: &Value) -> Result<Vec<f64>, String> {
+    let n = |p| Ok::<_, String>(nums(v, p)?[0]);
+    let total = n("critpath.crit_total_ns")?;
+    let parts = n("critpath.compute_ns")? + n("critpath.stall_ns")? + n("critpath.idle_ns")?;
+    Ok(vec![(total - parts).abs() / total.max(1.0)])
+}
+
+fn blame_row_migrations(v: &Value) -> Result<Vec<f64>, String> {
+    Ok(vec![nums(v, "blame[*].migrations")?.iter().sum()])
+}
+
+/// Modes whose tenants are not one cold + four active, plus tenant rows
+/// without a graph or with `p99 < p50` or `p50 < 0`.
+fn malformed_tenant_rows(v: &Value) -> Result<Vec<f64>, String> {
+    let mut bad = 0usize;
+    for (at, _) in resolve(v, "modes[*]")? {
+        let roles = values(v, &format!("{at}.tenants[*].role"))?;
+        let count = |role| {
+            roles
+                .iter()
+                .filter(|(_, r)| r.as_str() == Some(role))
+                .count()
+        };
+        bad += usize::from(count("cold") != 1 || count("active") != 4);
+        let col = |k| nums(v, &format!("{at}.tenants[*].{k}"));
+        let (graphs, p50, p99) = (col("graphs")?, col("p50_ms")?, col("p99_ms")?);
+        bad += (0..graphs.len())
+            .filter(|&i| graphs[i] < 1.0 || p50[i] < 0.0 || p99[i] < p50[i])
+            .count();
     }
-    // Re-derive every band from the fresh numbers — never trust the
-    // artifact's own pass/fail verdicts.
-    let crit_pct = num(fresh, &["critpath", "crit_vs_span_pct"])?;
-    if crit_pct > BLAME_CRIT_BAND_PCT {
-        violations.push(format!(
-            "critical path strayed {crit_pct:.2}% from the observed span \
-             (band {BLAME_CRIT_BAND_PCT:.1}%)"
-        ));
-    }
-    let blame_ov = num(fresh, &["reconciliation", "blame_pct_overlap"])?;
-    let engine_ov = num(fresh, &["reconciliation", "engine_pct_overlap"])?;
-    let delta = (blame_ov - engine_ov).abs();
-    if delta > BLAME_OVERLAP_BAND_PCT {
-        violations.push(format!(
-            "blame overlap {blame_ov:.3}% vs engine overlap {engine_ov:.3}% \
-             (delta {delta:.3}%, band {BLAME_OVERLAP_BAND_PCT:.1}%)"
-        ));
-    }
-    if num(fresh, &["run", "migrations"])? < 1.0 {
-        violations.push("blame run performed no migrations".into());
-    }
-    let blamed = num(fresh, &["reconciliation", "blamed_migrations"])?;
-    let committed = num(fresh, &["reconciliation", "engine_migrations"])?;
-    if blamed != committed {
-        violations.push(format!(
-            "blame table covers {blamed} migrations, engine committed {committed}"
-        ));
-    }
-    if num(fresh, &["run", "ring_dropped"])? != 0.0 {
-        violations.push(format!(
-            "flight recorder dropped {} events; the blame table is incomplete",
-            num(fresh, &["run", "ring_dropped"])?
-        ));
-    }
-    let checked = num(fresh, &["consistency", "whatif_checked"])?;
-    let agreeing = num(fresh, &["consistency", "whatif_agreeing"])?;
-    if agreeing != checked {
-        violations.push(format!(
-            "what-if sign agreement {agreeing}/{checked}: model and knapsack disagree"
-        ));
-    }
-    // The telemetry plane may be unavailable (no loopback sockets), but
-    // when it served, the scrape must have matched the shutdown report.
-    if flag(fresh, &["telemetry", "served"])?
-        && !flag(fresh, &["telemetry", "scrape_matches_report"])?
-    {
-        violations.push("telemetry served but its scrape diverged from the shutdown report".into());
-    }
-    Ok(violations)
+    Ok(vec![bad as f64])
 }
 
 #[cfg(test)]
@@ -786,7 +875,7 @@ mod tests {
 
     fn real_doc(dram_thr: f64, nvm_thr: f64) -> String {
         format!(
-            r#"{{"schema": "tahoe-bench-real/v1",
+            r#"{{"schema": "tahoe-bench-real/v2",
                 "policies": [
                   {{"policy": "DRAM-only", "throughput_gbps": {dram_thr}}},
                   {{"policy": "NVM-only", "throughput_gbps": {nvm_thr}}},
@@ -968,6 +1057,38 @@ mod tests {
     }
 
     #[test]
+    fn experiments_md_carries_the_band_table_verbatim() {
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let section = doc
+            .split_once("## Regression gate")
+            .map_or("", |(_, rest)| rest.split("\n## ").next().unwrap_or(""));
+        let table = bands_markdown();
+        assert!(
+            section.contains(&table),
+            "EXPERIMENTS.md § \"Regression gate\" must carry this table verbatim:\n{table}"
+        );
+    }
+
+    #[test]
+    fn rows_that_judge_nothing_say_so() {
+        let vacuous = |doc: &str, label: &str| {
+            let doc = json::parse(doc).unwrap();
+            let rows = check(Some(&doc), &doc).unwrap();
+            let row = rows.iter().find(|(band, _)| band.label().contains(label));
+            match row.map(|(_, verdict)| verdict) {
+                Some(Verdict::Vacuous(why)) => why.clone(),
+                other => panic!("`{label}`: expected a vacuous row, got {other:?}"),
+            }
+        };
+        // 0-of-0 what-if signs, and a scaling band on a 1-cpu artifact.
+        let none_priced =
+            healthy_blame_doc().replace("\"whatif_checked\": 3", "\"whatif_checked\": 0");
+        assert_eq!(vacuous(&none_priced, "whatif_agreeing"), "whatif_checked=0");
+        let one_cpu = par_scaling_doc(1, &[(1, 100_000.0), (2, 190_000.0)]);
+        assert_eq!(vacuous(&one_cpu, "dram_speedup_2w"), "cpus=1");
+    }
+
+    #[test]
     fn identical_artifacts_pass_every_schema() {
         for doc in [
             obs_doc(40, 123456.0),
@@ -1138,22 +1259,12 @@ mod tests {
     }
 
     #[test]
-    fn real_v2_artifacts_pass_and_v1_baselines_still_gate_them() {
+    fn real_v2_artifacts_pass() {
         // v2 vs v2, with and without the 3-tier blocks.
         for doc in [real_v2_doc(8.0, 2.0, None, true), healthy_real3_doc()] {
             let v = compare_text(&doc, &doc).expect("well-formed");
             assert!(v.is_empty(), "unexpected violations: {v:?}");
         }
-        // Migration shim: the committed v1 baseline gates a v2 fresh.
-        let v = compare_text(&real_doc(8.0, 2.0), &real_v2_doc(8.0, 3.0, None, true)).unwrap();
-        assert!(v.is_empty(), "{v:?}");
-        // ...and still catches a throughput inversion in the v2 fresh.
-        let v = compare_text(&real_doc(8.0, 2.0), &real_v2_doc(2.0, 3.0, None, true)).unwrap();
-        assert!(v.iter().any(|m| m.contains("below NVM-emulated")), "{v:?}");
-        // No reverse shim: a v2 baseline cannot gate a v1 fresh.
-        let err =
-            compare_text(&real_v2_doc(8.0, 2.0, None, true), &real_doc(8.0, 2.0)).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
     }
 
     #[test]

@@ -13,9 +13,18 @@
 // The harness only drives the runtime crates; it never needs raw memory.
 #![forbid(unsafe_code)]
 
+use std::path::{Path, PathBuf};
+
+use tahoe_core::measured::{
+    modelled_plan, object_latency_bound, reference_checksum, reference_checksum_seeded,
+    MeasuredRuntime,
+};
 use tahoe_core::prelude::*;
 use tahoe_core::TahoeOptions;
 use tahoe_hms::ObjectId;
+use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
+use tahoe_obs::json::{self, Value};
+use tahoe_obs::{Emitter, Metrics};
 use tahoe_workloads::{all_workloads, cg, stream, Scale};
 
 pub mod gate;
@@ -49,6 +58,17 @@ fn banner(title: &str) {
     println!("\n================================================================");
     println!("{title}");
     println!("================================================================");
+}
+
+/// Banner and wall-clock probe sizing of an artifact run, at CI scale
+/// (`smoke`) or full scale.
+fn artifact_banner(title: &str, smoke: bool) -> WallClockConfig {
+    banner(&format!("{title}{}", if smoke { " (smoke)" } else { "" }));
+    if smoke {
+        WallClockConfig::smoke()
+    } else {
+        WallClockConfig::full()
+    }
 }
 
 /// Parse a comma-separated numeric list from env var `name`, falling
@@ -474,16 +494,134 @@ pub fn e13() {
     }
 }
 
-/// Observability artifact: run STREAM at test scale with the full
-/// observability layer on, check the capture is well-formed and
-/// deterministic, and write the machine-diffable artifact (JSONL event
-/// stream, Chrome/Perfetto trace, metrics JSON) under `dir`.
-///
-/// Used by the CI bench-smoke job; any malformed or non-deterministic
-/// output is an error, not a warning.
-pub fn obs_artifact(dir: &str) -> Result<(), String> {
-    use tahoe_obs::{json, Event};
+// ---- gated artifacts --------------------------------------------------
+//
+// Each `exp <kind>` below builds its `BENCH_*.json` as a `Value` whose
+// health flags are computed, not asserted; `produce` writes it and lets
+// the band table in `gate.rs` decide whether the run passed.
 
+/// `{"key": value, ...}` with every value converted through
+/// `Value::from`; `obj!(base; ...)` adds the fields to an object.
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        obj!(Value::object::<&str>([]); $($key: $value),*)
+    };
+    ($base:expr; $($key:literal: $value:expr),* $(,)?) => {{
+        let mut doc = $base;
+        if let Value::Object(map) = &mut doc {
+            $(map.insert($key.to_string(), Value::from($value));)*
+        }
+        doc
+    }};
+}
+
+fn hex(x: u64) -> Value {
+    format!("{x:016x}").into()
+}
+
+/// The `machine` block. The CPU count travels with the artifacts whose
+/// bands depend on having cores to scale onto.
+fn machine_json(smoke: bool, with_cpus: bool) -> Value {
+    let machine = obj! {
+        "arch": std::env::consts::ARCH,
+        "os": std::env::consts::OS,
+        "numa_nodes": tahoe_realmem::numa::probe().nodes,
+        "smoke": smoke,
+    };
+    if with_cpus {
+        obj!(machine; "cpus": std::thread::available_parallelism().map_or(1, |n| n.get()))
+    } else {
+        machine
+    }
+}
+
+fn workload_json(app: &App, tasks: Option<u64>) -> Value {
+    let workload = obj! {
+        "name": app.name.as_str(),
+        "footprint_bytes": app.footprint(),
+        "windows": app.windows(),
+    };
+    match tasks {
+        Some(tasks) => obj!(workload; "tasks": tasks),
+        None => workload,
+    }
+}
+
+/// The four policies every measured artifact compares, fast bound first.
+fn headline_policies() -> [PolicyKind; 4] {
+    use PolicyKind::{DramOnly, FirstTouch, NvmOnly};
+    [DramOnly, NvmOnly, FirstTouch, PolicyKind::tahoe()]
+}
+
+/// What the measured-mode artifacts share: one app on a calibrated
+/// wall-clock runtime, at CI scale (`smoke`) or full scale.
+struct Measured {
+    smoke: bool,
+    app: App,
+    tiers: Vec<tahoe_hms::TierSpec>,
+    rt: MeasuredRuntime,
+    cal: WallClockCalibration,
+}
+
+impl Measured {
+    fn start(
+        title: &str,
+        smoke: bool,
+        app: fn(Scale) -> App,
+        platform: impl FnOnce(&App) -> Platform,
+        observe: Option<(Emitter, Metrics)>,
+    ) -> Result<Self, String> {
+        let cfg = artifact_banner(title, smoke);
+        let app = app(if smoke { Scale::Test } else { Scale::Bench });
+        let platform = platform(&app);
+        let tiers = platform.tier_specs();
+        let mut rt = MeasuredRuntime::new(platform, cfg);
+        if let Some((emitter, metrics)) = observe {
+            rt = rt.with_observability(emitter, metrics);
+        }
+        let cal = rt.calibrate()?;
+        println!(
+            "  fitted DRAM {:.2} GB/s / {:.1} ns, emulated slow tier {:.2} GB/s / {:.1} ns, cf_bw {:.3}, cf_lat {:.3}",
+            cal.dram.read_bw_gbps,
+            cal.dram.read_lat_ns,
+            cal.nvm.read_bw_gbps,
+            cal.nvm.read_lat_ns,
+            cal.cf_bw,
+            cal.cf_lat
+        );
+        Ok(Measured {
+            smoke,
+            app,
+            tiers,
+            rt,
+            cal,
+        })
+    }
+
+    /// The `machine` / `workload` / `calibration` preamble.
+    fn head(&self, with_cpus: bool, with_tasks: bool) -> Value {
+        let cal = &self.cal;
+        obj! {
+            "machine": machine_json(self.smoke, with_cpus),
+            "workload": workload_json(&self.app, with_tasks.then(|| self.app.graph.len() as u64)),
+            "calibration": obj! {
+                "dram_bw_gbps": Value::fixed(cal.dram.read_bw_gbps, 6),
+                "dram_lat_ns": Value::fixed(cal.dram.read_lat_ns, 6),
+                "nvm_bw_gbps": Value::fixed(cal.nvm.read_bw_gbps, 6),
+                "nvm_lat_ns": Value::fixed(cal.nvm.read_lat_ns, 6),
+                "cf_bw": Value::fixed(cal.cf_bw, 6),
+                "cf_lat": Value::fixed(cal.cf_lat, 6),
+            },
+        }
+    }
+}
+
+/// Observability artifact: run STREAM at test scale with the full
+/// observability layer on and write the machine-diffable capture (JSONL
+/// event stream, Chrome/Perfetto trace, metrics JSON) under `dir`; the
+/// returned digest is what the gate holds to exact equality. A capture
+/// that is malformed or differs between two runs is an error.
+fn obs_artifact(_smoke: bool, dir: &Path) -> Result<Value, String> {
     banner("OBS  observability artifact (stream @ test scale, all data starts in NVM)");
     let app = stream::app(Scale::Test);
     // 1/8-bandwidth NVM: at test scale the promotion gain must clear the
@@ -508,114 +646,60 @@ pub fn obs_artifact(dir: &str) -> Result<(), String> {
             return Err(format!("events.jsonl line {} lacks an `ev` tag", i + 1));
         }
     }
-    if !capture
-        .events
-        .iter()
-        .any(|e| matches!(e, Event::MigrationIssued { .. }))
-    {
-        return Err("expected at least one migration event".into());
-    }
     let trace = capture.to_chrome_trace();
     json::parse(&trace).map_err(|e| format!("trace.json: {e}"))?;
     let metrics = report.metrics.to_json();
     json::parse(&metrics).map_err(|e| format!("metrics.json: {e}"))?;
-
-    // BENCH_obs.json: the gate-comparable digest of the capture. The
-    // simulated run is deterministic (checked above), so the gate may
-    // demand exact equality against the committed baseline.
-    let mut by_kind = std::collections::BTreeMap::<&str, u64>::new();
-    for e in &capture.events {
-        *by_kind.entry(e.kind()).or_insert(0) += 1;
-    }
-    let mut summary = String::new();
-    summary.push_str("{\n  \"schema\": \"tahoe-bench-obs/v1\",\n");
-    summary.push_str(&format!(
-        "  \"workload\": {{\"name\": \"{}\", \"footprint_bytes\": {}, \"windows\": {}, \"tasks\": {}}},\n",
-        app.name,
-        app.footprint(),
-        app.windows(),
-        report.tasks
-    ));
-    summary.push_str(&format!(
-        "  \"events\": {{\"total\": {}, \"by_kind\": {{",
-        capture.events.len()
-    ));
-    for (i, (kind, n)) in by_kind.iter().enumerate() {
-        summary.push_str(&format!("{}\"{kind}\": {n}", if i > 0 { ", " } else { "" }));
-    }
-    summary.push_str("}},\n");
-    // The simulated path records through an unbounded buffer, so the
-    // drop counter must read zero; surfacing it here lets the gate
-    // assert "no drops" instead of inferring it from an absent key.
-    summary.push_str(&format!(
-        "  \"makespan_ns\": {:.1},\n  \"migrations\": {},\n  \"ring_dropped\": {}\n}}\n",
-        report.makespan_ns,
-        report.migrations.count,
-        report.metrics.counter("obs.ring_dropped").unwrap_or(0)
-    ));
-    json::parse(&summary).map_err(|e| format!("BENCH_obs.json self-check: {e}"))?;
-
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
     for (name, text) in [
         ("events.jsonl", &jsonl),
         ("trace.json", &trace),
         ("metrics.json", &metrics),
-        ("BENCH_obs.json", &summary),
     ] {
-        std::fs::write(path.join(name), text).map_err(|e| format!("write {name}: {e}"))?;
+        std::fs::write(dir.join(name), text).map_err(|e| format!("write {name}: {e}"))?;
+    }
+
+    let mut by_kind = std::collections::BTreeMap::<&str, u64>::new();
+    for e in &capture.events {
+        *by_kind.entry(e.kind()).or_insert(0) += 1;
     }
     println!(
-        "{} events, {} counters, {} tasks, makespan {:.3}ms -> {dir}/",
+        "{} events, {} counters, {} tasks, makespan {:.3}ms",
         capture.events.len(),
         report.metrics.counters.len(),
         report.tasks,
         report.makespan_ns / 1e6
     );
-    Ok(())
+    Ok(obj! {
+        "workload": workload_json(&app, Some(report.tasks)),
+        "events": obj! {
+            "total": capture.events.len(),
+            "by_kind": Value::object(by_kind.into_iter().map(|(k, n)| (k, n.into()))),
+        },
+        "makespan_ns": Value::fixed(report.makespan_ns, 1),
+        "migrations": report.migrations.count,
+        // The simulated path records through an unbounded buffer, so
+        // this reads zero; recording it lets the gate assert "no drops"
+        // instead of inferring it from an absent key.
+        "ring_dropped": report.metrics.counter("obs.ring_dropped").unwrap_or(0),
+    })
 }
 
-/// `exp audit`: the model-accuracy audit. Calibrates the machine, runs
-/// the parallel measured Tahoe policy with the flight recorder on, pairs
-/// every placement decision's predicted per-access saving with the
-/// measured NVM-vs-DRAM wall-clock delta, probes the recorder's
-/// self-overhead, and writes a machine-readable `BENCH_audit.json`.
-pub fn audit(smoke: bool, dir: &str) -> Result<(), String> {
-    use tahoe_core::measured::MeasuredRuntime;
-    use tahoe_memprof::wallclock::WallClockConfig;
-    use tahoe_obs::json;
-
-    banner(if smoke {
-        "AUDIT model accuracy (smoke): predicted vs measured placement benefit"
-    } else {
-        "AUDIT model accuracy: predicted vs measured placement benefit"
-    });
-    let (app, cfg, workers, reps) = if smoke {
-        (
-            stream::app(Scale::Test),
-            WallClockConfig::smoke(),
-            2usize,
-            3u32,
-        )
-    } else {
-        (stream::app(Scale::Bench), WallClockConfig::full(), 4, 3)
-    };
-    let platform = platform_bw(&app, 0.25);
-    let rt = MeasuredRuntime::new(platform, cfg);
-    let cal = rt.calibrate()?;
-    println!(
-        "  fitted DRAM {:.2} GB/s / {:.1} ns, emulated NVM {:.2} GB/s / {:.1} ns, cf_bw {:.3}, cf_lat {:.3}",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    );
-
-    let run_seed = 0u64;
-    let audit = rt.run_model_audit(&app, &cal, workers, run_seed)?;
-    let probe = rt.probe_obs_overhead(&app, &cal, workers, run_seed, reps)?;
+/// `exp audit`: the model-accuracy audit. Runs the parallel measured
+/// Tahoe policy with the flight recorder on, pairs every placement
+/// decision's predicted per-access saving with the measured NVM-vs-DRAM
+/// wall-clock delta, and probes the recorder's self-overhead.
+fn audit(smoke: bool, _dir: &Path) -> Result<Value, String> {
+    let m = Measured::start(
+        "AUDIT model accuracy: predicted vs measured placement benefit",
+        smoke,
+        stream::app,
+        |app| platform_bw(app, 0.25),
+        None,
+    )?;
+    let (workers, reps, run_seed) = (if smoke { 2 } else { 4 }, 3, 0);
+    let audit = m.rt.run_model_audit(&m.app, &m.cal, workers, run_seed)?;
+    let probe =
+        m.rt.probe_obs_overhead(&m.app, &m.cal, workers, run_seed, reps)?;
 
     println!(
         "  {:<8} {:>10} {:>7} {:>9} {:>13} {:>13} {:>9} {:>5}",
@@ -657,365 +741,172 @@ pub fn audit(smoke: bool, dir: &str) -> Result<(), String> {
         probe.reps
     );
 
-    // ---- acceptance invariants ------------------------------------
-    if audit.audited == 0 {
-        return Err("no object was auditable (no DRAM/NVM sample pair)".into());
-    }
-    if audit.migrations == 0 {
-        return Err("tahoe performed no migrations; audit exercises nothing".into());
-    }
-    if !audit.hists.iter().any(|(k, _)| k == "task_ns") {
-        return Err("flight recorder produced no task latency digest".into());
-    }
-
-    // ---- BENCH_audit.json ------------------------------------------
-    let topo = tahoe_realmem::numa::probe();
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tahoe-bench-audit/v1\",\n");
-    out.push_str(&format!(
-        "  \"machine\": {{\"arch\": \"{}\", \"os\": \"{}\", \"numa_nodes\": {}, \"smoke\": {}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        topo.nodes,
-        smoke
-    ));
-    out.push_str(&format!(
-        "  \"workload\": {{\"name\": \"{}\", \"footprint_bytes\": {}, \"windows\": {}, \"tasks\": {}}},\n",
-        app.name,
-        app.footprint(),
-        app.windows(),
-        app.graph.len()
-    ));
-    out.push_str(&format!(
-        "  \"calibration\": {{\"dram_bw_gbps\": {:.6}, \"dram_lat_ns\": {:.6}, \"nvm_bw_gbps\": {:.6}, \"nvm_lat_ns\": {:.6}, \"cf_bw\": {:.6}, \"cf_lat\": {:.6}}},\n",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    ));
-    out.push_str(&format!(
-        "  \"audit\": {{\"policy\": \"{}\", \"workers\": {}, \"run_seed\": {}, \"audited\": {}, \"mape_pct\": {:.6}, \"sign_agreement_pct\": {:.6}, \"migrations\": {}, \"wall_ns\": {:.1}}},\n",
-        audit.policy,
-        audit.workers,
-        audit.run_seed,
-        audit.audited,
-        audit.mape_pct,
-        audit.sign_agreement_pct,
-        audit.migrations,
-        audit.wall_ns
-    ));
-    out.push_str("  \"objects\": [\n");
-    for (i, r) in audit.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"object\": {}, \"name\": \"{}\", \"bytes\": {}, \"chosen\": {}, \"accesses\": {}, \"predicted_saving_ns\": {:.6}, \"measured_saving_ns\": {}, \"ape_pct\": {}, \"sign_agrees\": {}}}{}\n",
-            r.object,
-            r.name,
-            r.bytes,
-            r.chosen,
-            r.accesses,
-            r.predicted_saving_ns,
-            r.measured_saving_ns
-                .map_or("null".to_string(), |v| format!("{v:.6}")),
-            r.ape_pct.map_or("null".to_string(), |v| format!("{v:.6}")),
-            r.sign_agrees
-                .map_or("null".to_string(), |b| b.to_string()),
-            if i + 1 < audit.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"histograms\": {");
-    for (i, (key, h)) in audit.hists.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{}\": {{\"count\": {}, \"p50\": {:.6}, \"p90\": {:.6}, \"p99\": {:.6}, \"max\": {:.6}}}",
-            if i > 0 { ", " } else { "" },
-            key,
-            h.count,
-            h.p50,
-            h.p90,
-            h.p99,
-            h.max
-        ));
-    }
-    out.push_str("},\n");
-    out.push_str(&format!(
-        "  \"overhead\": {{\"off_wall_ns\": {:.1}, \"on_wall_ns\": {:.1}, \"overhead_pct\": {:.6}, \"reps\": {}}}\n}}\n",
-        probe.off_wall_ns, probe.on_wall_ns, probe.overhead_pct, probe.reps
-    ));
-    json::parse(&out).map_err(|e| format!("BENCH_audit.json self-check: {e}"))?;
-
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
-    std::fs::write(path.join("BENCH_audit.json"), &out)
-        .map_err(|e| format!("write BENCH_audit.json: {e}"))?;
-    println!("  -> {dir}/BENCH_audit.json");
-    Ok(())
-}
-
-/// The `"tiers"` block of a `tahoe-bench-real/v2` artifact: the
-/// platform's ordered tier list with each tier's *preset* name and
-/// reference device numbers. This is the v2 fix for the v1 artifact
-/// labelling the slow tier "NVM" unconditionally — rows now carry the
-/// actual preset name ("NVM(0.25x BW)", "CXL", "Optane PMM", ...).
-fn tiers_json(specs: &[tahoe_hms::TierSpec]) -> String {
-    let mut out = String::from("  \"tiers\": [\n");
-    for (i, s) in specs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"index\": {i}, \"name\": \"{}\", \"read_bw_gbps\": {:.6}, \"write_bw_gbps\": {:.6}, \"read_lat_ns\": {:.6}, \"write_lat_ns\": {:.6}, \"capacity_bytes\": {}}}{}\n",
-            s.name,
-            s.read_bw_gbps,
-            s.write_bw_gbps,
-            s.read_lat_ns,
-            s.write_lat_ns,
-            s.capacity,
-            if i + 1 < specs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out
-}
-
-/// The `"policies"` block of a `tahoe-bench-real/v2` artifact.
-fn policies_json(reports: &[tahoe_core::parallel::ParallelPolicyReport]) -> String {
-    let mut out = String::from("  \"policies\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let per_tier = r
-            .final_tier_objects
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"wall_ns\": {:.1}, \"bytes_touched\": {}, \"throughput_gbps\": {:.6}, \"checksum\": \"{:016x}\", \"migrations\": {}, \"migrated_bytes\": {}, \"copy_wall_ns\": {:.1}, \"final_dram_objects\": {}, \"final_tier_objects\": [{}]}}{}\n",
-            r.policy,
-            r.wall_ns,
-            r.bytes_touched,
-            r.throughput_gbps,
-            r.checksum,
-            r.migrations,
-            r.migrated_bytes,
-            r.copy_wall_ns,
-            r.final_dram_objects,
-            per_tier,
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out
-}
-
-/// `exp real [--tiers N]`: the measured-mode experiment. Calibrates the
-/// machine, runs the headline policies on `mmap`-arena-backed objects
-/// with software-emulated slow tiers, checks the acceptance invariants
-/// (every policy's traffic matches the heap reference bit for bit;
-/// DRAM-only throughput is at least slow-tier-only throughput), and
-/// writes a machine-readable `BENCH_real.json` (schema
-/// `tahoe-bench-real/v2`) to `dir`.
-///
-/// `tiers == 2` is the classic DRAM + emulated-NVM sweep on the stream
-/// workload. `tiers == 3` runs the CG workload on a DRAM / CXL / Optane
-/// platform sized so the gathered (latency-bound) vector blocks
-/// overflow the DRAM budget: the artifact's self-validated `plan` and
-/// `modelled` blocks demonstrate the middle tier winning for
-/// latency-bound objects and the 3-tier plan beating both 2-tier
-/// configurations (DRAM+NVM and DRAM+CXL) on modelled runtime.
-pub fn real(smoke: bool, tiers: usize, dir: &str) -> Result<(), String> {
-    match tiers {
-        2 => real_two(smoke, dir),
-        3 => real_three(smoke, dir),
-        other => Err(format!("exp real supports --tiers 2 or 3, got {other}")),
-    }
-}
-
-fn real_two(smoke: bool, dir: &str) -> Result<(), String> {
-    use tahoe_core::measured::{reference_checksum, MeasuredRuntime};
-    use tahoe_memprof::wallclock::WallClockConfig;
-    use tahoe_obs::json;
-
-    banner(if smoke {
-        "REAL measured mode (smoke): mmap arenas + wall-clock calibration"
-    } else {
-        "REAL measured mode: mmap arenas + wall-clock calibration"
+    let objects = audit.rows.iter().map(|r| {
+        obj! {
+            "object": r.object,
+            "name": r.name.as_str(),
+            "bytes": r.bytes,
+            "chosen": r.chosen,
+            "accesses": r.accesses,
+            "predicted_saving_ns": Value::fixed(r.predicted_saving_ns, 6),
+            "measured_saving_ns": r.measured_saving_ns.map(|v| Value::fixed(v, 6)),
+            "ape_pct": r.ape_pct.map(|v| Value::fixed(v, 6)),
+            "sign_agrees": r.sign_agrees,
+        }
     });
-    let (app, cfg, reps) = if smoke {
-        (stream::app(Scale::Test), WallClockConfig::smoke(), 2)
-    } else {
-        (stream::app(Scale::Bench), WallClockConfig::full(), 3)
-    };
-    let platform = platform_bw(&app, 0.25);
-    let tier_list = platform.tier_specs();
-    let rt = MeasuredRuntime::new(platform, cfg);
-    let cal = rt.calibrate()?;
-    println!(
-        "  fitted DRAM {:.2} GB/s / {:.1} ns, emulated NVM {:.2} GB/s / {:.1} ns, cf_bw {:.3}, cf_lat {:.3}",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    );
+    let histograms = audit.hists.iter().map(|(key, h)| {
+        let digest = obj! {
+            "count": h.count,
+            "p50": Value::fixed(h.p50, 6),
+            "p90": Value::fixed(h.p90, 6),
+            "p99": Value::fixed(h.p99, 6),
+            "max": Value::fixed(h.max, 6),
+        };
+        (key.as_str(), digest)
+    });
+    Ok(obj!(m.head(false, true);
+        "audit": obj! {
+            "policy": audit.policy.as_str(),
+            "workers": audit.workers,
+            "run_seed": audit.run_seed,
+            "audited": audit.audited,
+            "mape_pct": Value::fixed(audit.mape_pct, 6),
+            "sign_agreement_pct": Value::fixed(audit.sign_agreement_pct, 6),
+            "migrations": audit.migrations,
+            "wall_ns": Value::fixed(audit.wall_ns, 1),
+        },
+        "objects": Value::array(objects),
+        "histograms": Value::object(histograms),
+        "overhead": obj! {
+            "off_wall_ns": Value::fixed(probe.off_wall_ns, 1),
+            "on_wall_ns": Value::fixed(probe.on_wall_ns, 1),
+            "overhead_pct": Value::fixed(probe.overhead_pct, 6),
+            "reps": probe.reps,
+        },
+    ))
+}
 
-    let reference = reference_checksum(&app);
-    let policies = [
-        PolicyKind::DramOnly,
-        PolicyKind::NvmOnly,
-        PolicyKind::FirstTouch,
-        PolicyKind::tahoe(),
-    ];
-    // Wall clocks are noisy; keep each policy's best-of-`reps` run.
-    let mut reports = Vec::with_capacity(policies.len());
-    for p in &policies {
-        let mut best = rt.run_policy(&app, p, &cal)?;
+/// `exp real [--tiers N]`: the measured-mode experiment. Runs the
+/// headline policies (best of `reps`, wall clocks being noisy) on
+/// `mmap`-arena-backed objects with software-emulated slow tiers and
+/// returns the `tahoe-bench-real/v2` document: the preamble, the tier
+/// list by *preset* name, one row per policy, and the two consistency
+/// flags every real-mode run owes — traffic matches the heap reference
+/// bit for bit, DRAM-only throughput is at least slow-tier-only.
+fn real_doc(m: &Measured) -> Result<Value, String> {
+    let reps = if m.smoke { 2 } else { 3 };
+    let reference = reference_checksum(&m.app);
+    let mut reports = Vec::new();
+    for policy in &headline_policies() {
+        let mut best = m.rt.run_policy(&m.app, policy, &m.cal)?;
         for _ in 1..reps {
-            let r = rt.run_policy(&app, p, &cal)?;
+            let r = m.rt.run_policy(&m.app, policy, &m.cal)?;
             if r.wall_ns < best.wall_ns {
                 best = r;
             }
         }
         println!(
-            "  {:<12} {:>9.3} ms  {:>7.2} GB/s  {} migrations ({} KiB)",
+            "  {:<12} {:>9.3} ms  {:>7.2} GB/s  {} migrations ({} KiB)  objects per tier {:?}",
             best.policy,
             best.wall_ns / 1e6,
             best.throughput_gbps,
             best.migrations,
-            best.migrated_bytes >> 10
+            best.migrated_bytes >> 10,
+            best.final_tier_objects
         );
         reports.push(best);
     }
-
-    // ---- acceptance invariants ------------------------------------
-    for r in &reports {
-        if r.checksum != reference {
-            return Err(format!(
-                "{}: checksum {:016x} != reference {reference:016x}",
-                r.policy, r.checksum
-            ));
+    let tiers = m.tiers.iter().enumerate().map(|(i, s)| {
+        obj! {
+            "index": i,
+            "name": s.name.as_str(),
+            "read_bw_gbps": Value::fixed(s.read_bw_gbps, 6),
+            "write_bw_gbps": Value::fixed(s.write_bw_gbps, 6),
+            "read_lat_ns": Value::fixed(s.read_lat_ns, 6),
+            "write_lat_ns": Value::fixed(s.write_lat_ns, 6),
+            "capacity_bytes": s.capacity,
         }
-    }
-    let thr = |name: &str| {
-        reports
-            .iter()
-            .find(|r| r.policy == name)
-            .map(|r| r.throughput_gbps)
-            .expect("policy present")
-    };
-    let (dram_thr, nvm_thr) = (thr("DRAM-only"), thr("NVM-only"));
-    if dram_thr < nvm_thr {
-        return Err(format!(
-            "DRAM-only throughput {dram_thr:.3} GB/s below NVM-emulated {nvm_thr:.3} GB/s"
-        ));
-    }
-
-    // ---- BENCH_real.json -------------------------------------------
-    let topo = tahoe_realmem::numa::probe();
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tahoe-bench-real/v2\",\n");
-    out.push_str(&format!(
-        "  \"machine\": {{\"arch\": \"{}\", \"os\": \"{}\", \"numa_nodes\": {}, \"smoke\": {}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        topo.nodes,
-        smoke
-    ));
-    out.push_str(&format!(
-        "  \"workload\": {{\"name\": \"{}\", \"footprint_bytes\": {}, \"windows\": {}}},\n",
-        app.name,
-        app.footprint(),
-        app.windows()
-    ));
-    out.push_str(&format!(
-        "  \"calibration\": {{\"dram_bw_gbps\": {:.6}, \"dram_lat_ns\": {:.6}, \"nvm_bw_gbps\": {:.6}, \"nvm_lat_ns\": {:.6}, \"cf_bw\": {:.6}, \"cf_lat\": {:.6}}},\n",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    ));
-    out.push_str(&tiers_json(&tier_list));
-    out.push_str(&policies_json(&reports));
-    out.push_str(&format!(
-        "  \"consistency\": {{\"reference_checksum\": \"{reference:016x}\", \"all_policies_match_reference\": true, \"dram_throughput_ge_nvm\": true}}\n}}\n"
-    ));
-    json::parse(&out).map_err(|e| format!("BENCH_real.json self-check: {e}"))?;
-
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
-    std::fs::write(path.join("BENCH_real.json"), &out)
-        .map_err(|e| format!("write BENCH_real.json: {e}"))?;
-    println!("  -> {dir}/BENCH_real.json");
-    Ok(())
+    });
+    let policies = reports.iter().map(|r| {
+        obj! {
+            "policy": r.policy.as_str(),
+            "wall_ns": Value::fixed(r.wall_ns, 1),
+            "bytes_touched": r.bytes_touched,
+            "throughput_gbps": Value::fixed(r.throughput_gbps, 6),
+            "checksum": hex(r.checksum),
+            "migrations": r.migrations,
+            "migrated_bytes": r.migrated_bytes,
+            "copy_wall_ns": Value::fixed(r.copy_wall_ns, 1),
+            "final_dram_objects": r.final_dram_objects,
+            "final_tier_objects": Value::array(r.final_tier_objects.iter().copied()),
+        }
+    });
+    Ok(obj!(m.head(false, false);
+        "tiers": Value::array(tiers),
+        "policies": Value::array(policies),
+        "consistency": obj! {
+            "reference_checksum": hex(reference),
+            "all_policies_match_reference": reports.iter().all(|r| r.checksum == reference),
+            "dram_throughput_ge_nvm": reports[0].throughput_gbps >= reports[1].throughput_gbps,
+        },
+    ))
 }
 
-/// The 3-tier sweep behind `exp real --tiers 3`: CG on DRAM / CXL /
-/// Optane. Capacities are sized off the footprint so the gathered
-/// (latency-bound) `p` blocks overflow DRAM: `dram = 5/8` of the
-/// p-vector bytes (two of four blocks fit), `cxl = footprint/5`
-/// (holds every vector block that misses DRAM, but not a matrix
-/// block), `nvm = 4×footprint` (spill).
+/// `--tiers 2`: the classic DRAM + emulated-NVM sweep on stream.
+fn real_two(smoke: bool, _dir: &Path) -> Result<Value, String> {
+    real_doc(&Measured::start(
+        "REAL measured mode: mmap arenas + wall-clock calibration",
+        smoke,
+        stream::app,
+        |app| platform_bw(app, 0.25),
+        None,
+    )?)
+}
+
+/// `--tiers 3`: CG on DRAM / CXL / Optane. Capacities are sized off the
+/// footprint so the gathered (latency-bound) `p` blocks overflow DRAM:
+/// `dram = 5/8` of the p-vector bytes (two of four blocks fit),
+/// `cxl = footprint/5` (holds every vector block that misses DRAM, but
+/// not a matrix block), `nvm = 4×footprint` (spill). On top of the
+/// measured run the artifact carries three calibration-free blocks:
 ///
-/// Two self-validated demonstrations ride in the artifact:
-///
-/// 1. **plan** — the deterministic (calibration-free) MCK plan over the
-///    preset tier specs puts at least one latency-bound object on the
-///    middle tier: CXL's 85 ns beats Optane's 250 ns for the gathers,
-///    while the streaming matrix reads stay on Optane (3.9 GB/s read
-///    beats CXL's symmetric 2.5 GB/s).
-/// 2. **modelled** — the 3-tier plan's modelled runtime beats the best
-///    2-tier plan on *both* degenerate platforms (DRAM+Optane and
-///    DRAM+CXL) with the same DRAM budget.
-/// 3. **sweep** — growing the CXL tier through four capacities
-///    (half / headline / double / quadruple) must monotonically
-///    improve (never worsen) the modelled runtime: the knapsack only
-///    relaxes as the middle tier grows.
-///
-/// The measured run then executes all four headline policies on the
-/// real 3-tier arena stack and checks the usual bit-for-bit reference
-/// checksums, plus that measured Tahoe actually lands objects on the
-/// middle tier and migrates.
-fn real_three(smoke: bool, dir: &str) -> Result<(), String> {
-    use tahoe_core::measured::{
-        modelled_plan, object_latency_bound, reference_checksum, MeasuredRuntime,
-    };
+/// * **plan** — the MCK plan over the preset tier specs: CXL's 85 ns
+///   beats Optane's 250 ns for the gathers, while the streaming matrix
+///   reads stay on Optane (3.9 GB/s read beats CXL's symmetric 2.5);
+/// * **modelled** — the 3-tier plan's modelled runtime against the best
+///   2-tier plan on both degenerate platforms with the same DRAM budget;
+/// * **sweep** — the CXL tier grown through four capacities (half /
+///   headline / double / quadruple): more middle-tier room only relaxes
+///   the knapsack, so the modelled runtime must never worsen.
+fn real_three(smoke: bool, _dir: &Path) -> Result<Value, String> {
     use tahoe_hms::presets;
-    use tahoe_memprof::wallclock::WallClockConfig;
-    use tahoe_obs::json;
 
-    banner(if smoke {
-        "REAL measured mode, 3 tiers (smoke): DRAM / CXL / Optane on CG"
-    } else {
-        "REAL measured mode, 3 tiers: DRAM / CXL / Optane on CG"
-    });
-    let (app, cfg, reps) = if smoke {
-        (cg::app(Scale::Test), WallClockConfig::smoke(), 2)
-    } else {
-        (cg::app(Scale::Bench), WallClockConfig::full(), 3)
-    };
-    let footprint = app.footprint();
-    let p_total = footprint / 20; // the four gathered p-blocks
-    let dram_cap = p_total * 5 / 8;
-    let cxl_cap = footprint / 5;
-    let nvm_cap = 4 * footprint;
-    let platform = Platform::optane_cxl(dram_cap, cxl_cap, nvm_cap);
-    let tier_list = platform.tier_specs();
+    // (dram, cxl, nvm) capacities for a footprint; p_total = footprint/20
+    // is the four gathered p-blocks.
+    let caps = |footprint: u64| (footprint / 20 * 5 / 8, footprint / 5, 4 * footprint);
+    let m = Measured::start(
+        "REAL measured mode, 3 tiers: DRAM / CXL / Optane on CG",
+        smoke,
+        cg::app,
+        |app| {
+            let (dram, cxl, nvm) = caps(app.footprint());
+            Platform::optane_cxl(dram, cxl, nvm)
+        },
+        None,
+    )?;
+    let (app, (dram_cap, cxl_cap, nvm_cap)) = (&m.app, caps(m.app.footprint()));
 
-    // ---- deterministic modelled plan (calibration-free) -------------
-    let (plan3, t3_ns) = modelled_plan(&app, &tier_list)?;
-    let (_, t2_nvm_ns) = modelled_plan(&app, &Platform::optane(dram_cap, nvm_cap).tier_specs())?;
-    let (_, t2_cxl_ns) = modelled_plan(&app, &[presets::dram(dram_cap), presets::cxl(nvm_cap)])?;
+    let (plan3, t3_ns) = modelled_plan(app, &m.tiers)?;
+    let (_, t2_nvm_ns) = modelled_plan(app, &Platform::optane(dram_cap, nvm_cap).tier_specs())?;
+    let (_, t2_cxl_ns) = modelled_plan(app, &[presets::dram(dram_cap), presets::cxl(nvm_cap)])?;
     // Latency- vs bandwidth-bound classification on the spill tier: the
     // tier an object must escape is the one whose roofline matters.
-    let lat_bound = object_latency_bound(&app, &tier_list[2]);
-    let mid_objects: Vec<usize> = plan3
-        .tiers
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| **t == 1)
-        .map(|(i, _)| i)
-        .collect();
-    let mid_lat_bound = mid_objects.iter().filter(|&&i| lat_bound[i]).count();
+    let lat_bound = object_latency_bound(app, &m.tiers[2]);
+    let on_tier = |tiers: &[u8], t: u8| tiers.iter().filter(|x| **x == t).count();
+    let mid_objects = on_tier(&plan3.tiers, 1);
+    let mid_lat_bound = (0..app.objects.len())
+        .filter(|&i| plan3.tiers[i] == 1 && lat_bound[i])
+        .count();
     println!(
         "  modelled: 3-tier {:.3} ms vs 2-tier DRAM+Optane {:.3} ms, DRAM+CXL {:.3} ms",
         t3_ns / 1e6,
@@ -1023,288 +914,90 @@ fn real_three(smoke: bool, dir: &str) -> Result<(), String> {
         t2_cxl_ns / 1e6
     );
     println!(
-        "  plan: {} objects on CXL ({} latency-bound), {} on DRAM, {} on Optane",
-        mid_objects.len(),
-        mid_lat_bound,
-        plan3.tiers.iter().filter(|t| **t == 0).count(),
-        plan3.tiers.iter().filter(|t| **t == 2).count()
+        "  plan: {mid_objects} objects on CXL ({mid_lat_bound} latency-bound), {} on DRAM, {} on Optane",
+        on_tier(&plan3.tiers, 0),
+        on_tier(&plan3.tiers, 2)
     );
-    if mid_objects.is_empty() {
-        return Err("3-tier plan left the middle tier empty".into());
-    }
-    if mid_lat_bound == 0 {
-        return Err("no latency-bound object won the middle tier".into());
-    }
-    let eps = 1.0 + 1e-9;
-    if t3_ns > t2_nvm_ns * eps {
-        return Err(format!(
-            "3-tier modelled runtime {t3_ns:.1} ns worse than 2-tier DRAM+Optane {t2_nvm_ns:.1} ns"
-        ));
-    }
-    if t3_ns > t2_cxl_ns * eps {
-        return Err(format!(
-            "3-tier modelled runtime {t3_ns:.1} ns worse than 2-tier DRAM+CXL {t2_cxl_ns:.1} ns"
-        ));
-    }
 
-    // ---- middle-tier capacity sweep (deterministic) -----------------
-    // Grow the CXL tier through 4 sizes around the headline capacity.
-    // More middle-tier room can only relax the knapsack, so the
-    // modelled runtime must be non-increasing along the sweep — the
-    // calibration-free counterpart of the paper's capacity-sensitivity
-    // study, and the check that the solver actually uses the room.
-    struct SweepRow {
-        cxl_cap: u64,
-        modelled_ns: f64,
-        mid_objects: usize,
-    }
-    let mut sweep_rows: Vec<SweepRow> = Vec::new();
+    let mut sweep = Vec::new();
     for cap in [cxl_cap / 2, cxl_cap, 2 * cxl_cap, 4 * cxl_cap] {
         let specs = Platform::optane_cxl(dram_cap, cap, nvm_cap).tier_specs();
-        let (plan, ns) = modelled_plan(&app, &specs)?;
-        let mid_objects = plan.tiers.iter().filter(|t| **t == 1).count();
-        if let Some(prev) = sweep_rows.last() {
-            if ns > prev.modelled_ns * eps {
-                return Err(format!(
-                    "middle-tier sweep is not monotone: {} B -> {:.1} ns after {} B -> {:.1} ns",
-                    cap, ns, prev.cxl_cap, prev.modelled_ns
-                ));
-            }
-        }
+        let (plan, ns) = modelled_plan(app, &specs)?;
+        let mid = on_tier(&plan.tiers, 1);
         println!(
-            "  sweep: CXL {:>10} B -> modelled {:.3} ms, {} objects on the middle tier",
-            cap,
-            ns / 1e6,
-            mid_objects
+            "  sweep: CXL {cap:>10} B -> modelled {:.3} ms, {mid} objects on the middle tier",
+            ns / 1e6
         );
-        sweep_rows.push(SweepRow {
-            cxl_cap: cap,
-            modelled_ns: ns,
-            mid_objects,
-        });
+        sweep.push((cap, ns, mid));
     }
 
-    // ---- measured run on the 3-tier arena stack ---------------------
-    let rt = MeasuredRuntime::new(platform, cfg);
-    let cal = rt.calibrate()?;
-    println!(
-        "  fitted DRAM {:.2} GB/s / {:.1} ns, emulated slow tier {:.2} GB/s / {:.1} ns, cf_bw {:.3}, cf_lat {:.3}",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    );
-    let reference = reference_checksum(&app);
-    let policies = [
-        PolicyKind::DramOnly,
-        PolicyKind::NvmOnly,
-        PolicyKind::FirstTouch,
-        PolicyKind::tahoe(),
-    ];
-    let mut reports = Vec::with_capacity(policies.len());
-    for p in &policies {
-        let mut best = rt.run_policy(&app, p, &cal)?;
-        for _ in 1..reps {
-            let r = rt.run_policy(&app, p, &cal)?;
-            if r.wall_ns < best.wall_ns {
-                best = r;
-            }
-        }
-        let per_tier = best
-            .final_tier_objects
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join("/");
-        println!(
-            "  {:<12} {:>9.3} ms  {:>7.2} GB/s  {} migrations ({} KiB)  tiers {}",
-            best.policy,
-            best.wall_ns / 1e6,
-            best.throughput_gbps,
-            best.migrations,
-            best.migrated_bytes >> 10,
-            per_tier
-        );
-        reports.push(best);
-    }
-
-    // ---- acceptance invariants --------------------------------------
-    for r in &reports {
-        if r.checksum != reference {
-            return Err(format!(
-                "{}: checksum {:016x} != reference {reference:016x}",
-                r.policy, r.checksum
-            ));
-        }
-    }
-    let find = |name: &str| {
-        reports
-            .iter()
-            .find(|r| r.policy == name)
-            .expect("policy present")
-    };
-    let (dram_thr, nvm_thr) = (
-        find("DRAM-only").throughput_gbps,
-        find("NVM-only").throughput_gbps,
-    );
-    if dram_thr < nvm_thr {
-        return Err(format!(
-            "DRAM-only throughput {dram_thr:.3} GB/s below slow-tier-only {nvm_thr:.3} GB/s"
-        ));
-    }
-    let tahoe = find(&PolicyKind::tahoe().name());
-    if tahoe.migrations == 0 {
-        return Err("3-tier Tahoe performed no migrations".into());
-    }
-    if tahoe.final_tier_objects.len() != 3 || tahoe.final_tier_objects[1] == 0 {
-        return Err(format!(
-            "measured Tahoe left the middle tier empty: {:?}",
-            tahoe.final_tier_objects
-        ));
-    }
-
-    // ---- BENCH_real.json --------------------------------------------
-    let topo = tahoe_realmem::numa::probe();
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tahoe-bench-real/v2\",\n");
-    out.push_str(&format!(
-        "  \"machine\": {{\"arch\": \"{}\", \"os\": \"{}\", \"numa_nodes\": {}, \"smoke\": {}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        topo.nodes,
-        smoke
-    ));
-    out.push_str(&format!(
-        "  \"workload\": {{\"name\": \"{}\", \"footprint_bytes\": {}, \"windows\": {}}},\n",
-        app.name,
-        footprint,
-        app.windows()
-    ));
-    out.push_str(&format!(
-        "  \"calibration\": {{\"dram_bw_gbps\": {:.6}, \"dram_lat_ns\": {:.6}, \"nvm_bw_gbps\": {:.6}, \"nvm_lat_ns\": {:.6}, \"cf_bw\": {:.6}, \"cf_lat\": {:.6}}},\n",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    ));
-    out.push_str(&tiers_json(&tier_list));
-    out.push_str(&policies_json(&reports));
-    out.push_str("  \"plan\": [\n");
-    for (i, o) in app.objects.iter().enumerate() {
+    let doc = real_doc(&m)?;
+    let plan = app.objects.iter().enumerate().map(|(i, o)| {
         let t = plan3.tiers[i] as usize;
-        out.push_str(&format!(
-            "    {{\"object\": {i}, \"name\": \"{}\", \"bytes\": {}, \"tier\": {t}, \"tier_name\": \"{}\", \"latency_bound\": {}}}{}\n",
-            o.name,
-            o.size,
-            tier_list[t].name,
-            lat_bound[i],
-            if i + 1 < app.objects.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"modelled\": {{\"tahoe3_ns\": {:.6}, \"two_tier_dram_nvm_ns\": {:.6}, \"two_tier_dram_cxl_ns\": {:.6}, \"mid_tier_objects\": {}, \"mid_tier_latency_bound_objects\": {}}},\n",
-        t3_ns,
-        t2_nvm_ns,
-        t2_cxl_ns,
-        mid_objects.len(),
-        mid_lat_bound
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, r) in sweep_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"cxl_capacity_bytes\": {}, \"modelled_ns\": {:.6}, \"mid_tier_objects\": {}}}{}\n",
-            r.cxl_cap,
-            r.modelled_ns,
-            r.mid_objects,
-            if i + 1 < sweep_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"consistency\": {{\"reference_checksum\": \"{reference:016x}\", \"all_policies_match_reference\": true, \"dram_throughput_ge_nvm\": true, \"mid_tier_wins_latency_bound\": true, \"three_tier_beats_both_two_tier\": true, \"tahoe_uses_mid_tier\": true, \"sweep_monotone\": true}}\n}}\n"
-    ));
-    json::parse(&out).map_err(|e| format!("BENCH_real.json self-check: {e}"))?;
-
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
-    std::fs::write(path.join("BENCH_real.json"), &out)
-        .map_err(|e| format!("write BENCH_real.json: {e}"))?;
-    println!("  -> {dir}/BENCH_real.json");
-    Ok(())
+        obj! {
+            "object": i,
+            "name": o.name.as_str(),
+            "bytes": o.size,
+            "tier": t,
+            "tier_name": m.tiers[t].name.as_str(),
+            "latency_bound": lat_bound[i],
+        }
+    });
+    let sweep_rows = sweep.iter().map(|&(cap, ns, mid)| {
+        obj! {
+            "cxl_capacity_bytes": cap,
+            "modelled_ns": Value::fixed(ns, 6),
+            "mid_tier_objects": mid,
+        }
+    });
+    let eps = 1.0 + 1e-9;
+    let tahoe_mid = gate::nums(&doc, "policies[policy=tahoe].final_tier_objects[1]")?[0];
+    let consistency = obj!(doc.get("consistency").cloned().unwrap_or(Value::Null);
+        "mid_tier_wins_latency_bound": mid_lat_bound >= 1,
+        "three_tier_beats_both_two_tier": t3_ns <= t2_nvm_ns * eps && t3_ns <= t2_cxl_ns * eps,
+        "tahoe_uses_mid_tier": tahoe_mid >= 1.0,
+        "sweep_monotone": sweep.windows(2).all(|p| p[1].1 <= p[0].1 * eps),
+    );
+    Ok(obj!(doc;
+        "plan": Value::array(plan),
+        "modelled": obj! {
+            "tahoe3_ns": Value::fixed(t3_ns, 6),
+            "two_tier_dram_nvm_ns": Value::fixed(t2_nvm_ns, 6),
+            "two_tier_dram_cxl_ns": Value::fixed(t2_cxl_ns, 6),
+            "mid_tier_objects": mid_objects,
+            "mid_tier_latency_bound_objects": mid_lat_bound,
+        },
+        "sweep": Value::array(sweep_rows),
+        "consistency": consistency,
+    ))
 }
 
 /// `exp par`: the parallel measured-mode experiment. Calibrates once,
 /// then runs the headline policies at several worker counts with the
-/// work-stealing executor and the background migration thread, checks
-/// the acceptance invariants (every run's checksum equals the sequential
-/// heap reference bit for bit; Tahoe at ≥2 workers reports nonzero
-/// overlapped migration time whenever it migrated), and writes a
-/// machine-readable `BENCH_par.json` to `dir`.
-pub fn par(smoke: bool, dir: &str) -> Result<(), String> {
-    use tahoe_core::measured::{reference_checksum, MeasuredRuntime};
-    use tahoe_memprof::wallclock::WallClockConfig;
-    use tahoe_obs::json;
-
-    banner(if smoke {
-        "PAR parallel measured mode (smoke): work-stealing + background migration"
-    } else {
-        "PAR parallel measured mode: work-stealing + background migration"
-    });
-    let (app, cfg, worker_counts): (_, _, &[usize]) = if smoke {
-        (
-            stream::app(Scale::Test),
-            WallClockConfig::smoke(),
-            &[1, 2, 4],
-        )
-    } else {
-        (
-            stream::app(Scale::Bench),
-            WallClockConfig::full(),
-            &[1, 2, 4, 8],
-        )
-    };
-    let platform = platform_bw(&app, 0.25);
-    let rt = MeasuredRuntime::new(platform, cfg);
-    let cal = rt.calibrate()?;
-    println!(
-        "  fitted DRAM {:.2} GB/s / {:.1} ns, emulated NVM {:.2} GB/s / {:.1} ns, cf_bw {:.3}, cf_lat {:.3}",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    );
-
-    let reference = reference_checksum(&app);
-    let policies = [
-        PolicyKind::DramOnly,
-        PolicyKind::NvmOnly,
-        PolicyKind::FirstTouch,
-        PolicyKind::tahoe(),
-    ];
+/// work-stealing executor and the background migration thread.
+fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
+    let m = Measured::start(
+        "PAR parallel measured mode: work-stealing + background migration",
+        smoke,
+        stream::app,
+        |app| platform_bw(app, 0.25),
+        None,
+    )?;
+    let worker_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
+    let reference = reference_checksum(&m.app);
 
     println!(
         "  {:<12} {:>7} {:>10} {:>8} {:>10} {:>6} {:>9} {:>9}",
         "policy", "threads", "wall ms", "speedup", "GB/s", "migr", "%overlap", "gate ms"
     );
     let mut runs = Vec::new();
-    for p in &policies {
+    for policy in &headline_policies() {
+        // Speedup is over this policy's own 1-worker run, wall(1w)/wall(Nw).
         let mut base_wall = None;
         for &workers in worker_counts {
-            let r = rt.run_policy_parallel(&app, p, &cal, workers, 0)?;
-            if r.workers == 1 {
-                base_wall = Some(r.wall_ns);
-            }
-            // Parallel speedup over this policy's own 1-worker run:
-            // wall(1w)/wall(Nw). The compare_par gate band enforces the
-            // DRAM-only scaling floor on multi-core machines.
-            let speedup = base_wall.map_or(1.0, |b| b / r.wall_ns);
+            let r =
+                m.rt.run_policy_parallel(&m.app, policy, &m.cal, workers, 0)?;
+            let speedup = *base_wall.get_or_insert(r.wall_ns) / r.wall_ns;
             println!(
                 "  {:<12} {:>7} {:>10.3} {:>7.2}x {:>10.2} {:>6} {:>8.1}% {:>9.3}",
                 r.policy,
@@ -1316,109 +1009,46 @@ pub fn par(smoke: bool, dir: &str) -> Result<(), String> {
                 r.migration.pct_overlap(),
                 r.gate_wait_ns / 1e6
             );
-            runs.push(r);
+            runs.push((r, speedup));
         }
     }
 
-    // ---- acceptance invariants ------------------------------------
-    for r in &runs {
-        if r.checksum != reference {
-            return Err(format!(
-                "{} @ {} workers: checksum {:016x} != reference {reference:016x}",
-                r.policy, r.workers, r.checksum
-            ));
-        }
-    }
     let tahoe_name = PolicyKind::tahoe().name();
-    let tahoe_overlapped = runs
-        .iter()
-        .filter(|r| r.policy == tahoe_name && r.workers >= 2 && r.migration.count > 0)
-        .all(|r| r.migration.overlapped_ns > 0.0);
-    if !tahoe_overlapped {
-        return Err(
-            "Tahoe at >=2 workers migrated but reported zero overlapped copy time".to_string(),
-        );
-    }
-    let tahoe_migrated = runs
-        .iter()
-        .any(|r| r.policy == tahoe_name && r.workers >= 2 && r.migration.count > 0);
-    if !tahoe_migrated {
-        return Err("Tahoe at >=2 workers performed no migrations at all".to_string());
-    }
-
-    // ---- BENCH_par.json --------------------------------------------
-    let topo = tahoe_realmem::numa::probe();
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tahoe-bench-par/v1\",\n");
-    // The CPU count travels with the artifact: the benchgate only holds
-    // the scaling band against runs from machines that can scale.
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push_str(&format!(
-        "  \"machine\": {{\"arch\": \"{}\", \"os\": \"{}\", \"numa_nodes\": {}, \"cpus\": {}, \"smoke\": {}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        topo.nodes,
-        cpus,
-        smoke
-    ));
-    out.push_str(&format!(
-        "  \"workload\": {{\"name\": \"{}\", \"footprint_bytes\": {}, \"windows\": {}, \"tasks\": {}}},\n",
-        app.name,
-        app.footprint(),
-        app.windows(),
-        app.graph.len()
-    ));
-    out.push_str(&format!(
-        "  \"calibration\": {{\"dram_bw_gbps\": {:.6}, \"dram_lat_ns\": {:.6}, \"nvm_bw_gbps\": {:.6}, \"nvm_lat_ns\": {:.6}, \"cf_bw\": {:.6}, \"cf_lat\": {:.6}}},\n",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let base = runs
-            .iter()
-            .find(|b| b.policy == r.policy && b.workers == 1)
-            .map_or(r.wall_ns, |b| b.wall_ns);
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"workers\": {}, \"wall_ns\": {:.1}, \"speedup\": {:.6}, \"bytes_touched\": {}, \"throughput_gbps\": {:.6}, \"checksum\": \"{:016x}\", \"migrations\": {}, \"migrated_bytes\": {}, \"copy_wall_ns\": {:.1}, \"overlapped_ns\": {:.1}, \"exposed_ns\": {:.1}, \"pct_overlap\": {:.3}, \"gate_wait_ns\": {:.1}, \"steals\": {}, \"cas_retries\": {}, \"parks\": {}, \"unparks\": {}, \"final_dram_objects\": {}}}{}\n",
-            r.policy,
-            r.workers,
-            r.wall_ns,
-            base / r.wall_ns,
-            r.bytes_touched,
-            r.throughput_gbps,
-            r.checksum,
-            r.migration.count,
-            r.migration.bytes,
-            r.copy_wall_ns,
-            r.migration.overlapped_ns,
-            r.migration.exposed_ns,
-            r.migration.pct_overlap(),
-            r.gate_wait_ns,
-            r.steals,
-            r.contention.pin_cas_retries,
-            r.contention.parks,
-            r.contention.unparks,
-            r.final_dram_objects,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"consistency\": {{\"reference_checksum\": \"{reference:016x}\", \"all_runs_match_reference\": true, \"tahoe_multiworker_overlapped\": true}}\n}}\n"
-    ));
-    json::parse(&out).map_err(|e| format!("BENCH_par.json self-check: {e}"))?;
-
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
-    std::fs::write(path.join("BENCH_par.json"), &out)
-        .map_err(|e| format!("write BENCH_par.json: {e}"))?;
-    println!("  -> {dir}/BENCH_par.json");
-    Ok(())
+    let rows = runs.iter().map(|(r, speedup)| {
+        obj! {
+            "policy": r.policy.as_str(),
+            "workers": r.workers,
+            "wall_ns": Value::fixed(r.wall_ns, 1),
+            "speedup": Value::fixed(*speedup, 6),
+            "bytes_touched": r.bytes_touched,
+            "throughput_gbps": Value::fixed(r.throughput_gbps, 6),
+            "checksum": hex(r.checksum),
+            "migrations": r.migration.count,
+            "migrated_bytes": r.migration.bytes,
+            "copy_wall_ns": Value::fixed(r.copy_wall_ns, 1),
+            "overlapped_ns": Value::fixed(r.migration.overlapped_ns, 1),
+            "exposed_ns": Value::fixed(r.migration.exposed_ns, 1),
+            "pct_overlap": Value::fixed(r.migration.pct_overlap(), 3),
+            "gate_wait_ns": Value::fixed(r.gate_wait_ns, 1),
+            "steals": r.steals,
+            "cas_retries": r.contention.pin_cas_retries,
+            "parks": r.contention.parks,
+            "unparks": r.contention.unparks,
+            "final_dram_objects": r.final_dram_objects,
+        }
+    });
+    Ok(obj!(m.head(true, true);
+        "runs": Value::array(rows),
+        "consistency": obj! {
+            "reference_checksum": hex(reference),
+            "all_runs_match_reference": runs.iter().all(|(r, _)| r.checksum == reference),
+            // Every multi-worker Tahoe run that migrated hid some copy time.
+            "tahoe_multiworker_overlapped": runs
+                .iter()
+                .filter(|(r, _)| r.policy == tahoe_name && r.workers >= 2 && r.migration.count > 0)
+                .all(|(r, _)| r.migration.overlapped_ns > 0.0),
+        },
+    ))
 }
 
 /// One raw `GET /metrics` over a std `TcpStream` — no curl, no client
@@ -1449,58 +1079,26 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> Result<String, String> {
 /// Tahoe policy with the flight recorder on, reconstructs the critical
 /// path and the exposed-stall blame table from the merged event stream,
 /// prices COZ-style what-if estimates in the CF-free model, then boots a
-/// small two-tenant server and scrapes its live telemetry plane. Every
-/// claim is self-validated before `BENCH_blame.json` (schema
-/// `tahoe-bench-blame/v1`) is written:
-///
-/// * critical-path segments tile their interval exactly and land within
-///   5% of the observed execution span;
-/// * the blame table's aggregate `%overlap` reconciles with the
-///   migration engine's own [`MigrationStats::pct_overlap`] within 1%;
-/// * what-if savings agree in sign with the knapsack's predicted
-///   benefits on every object the planner priced;
-/// * the flight recorder dropped zero events;
-/// * the telemetry scrape's completion counters equal the shutdown
-///   report bit for bit (skipped gracefully where loopback sockets are
-///   unavailable).
-///
-/// [`MigrationStats::pct_overlap`]: tahoe_hms::MigrationStats::pct_overlap
-pub fn blame(smoke: bool, dir: &str) -> Result<(), String> {
-    use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
-    use tahoe_memprof::wallclock::WallClockConfig;
-    use tahoe_obs::{json, Emitter, Metrics};
+/// small two-tenant server and scrapes its live telemetry plane (skipped
+/// gracefully where loopback sockets are unavailable), journalling it to
+/// `dir/telemetry.jsonl`.
+fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
     use tahoe_server::{
         ArbiterMode, QuotaPolicy, ServerConfig, TahoeServer, TelemetryConfig, TenantSpec,
     };
 
-    banner(if smoke {
-        "BLAME causal profiler (smoke): critical path + stall blame + live telemetry"
-    } else {
-        "BLAME causal profiler: critical path + stall blame + live telemetry"
-    });
-    let (app, cfg, workers) = if smoke {
-        (stream::app(Scale::Test), WallClockConfig::smoke(), 2)
-    } else {
-        (stream::app(Scale::Bench), WallClockConfig::full(), 4)
-    };
-    let seed = 7u64;
-    let platform = platform_bw(&app, 0.25);
     let (emitter, _buf) = Emitter::buffered();
-    let rt = MeasuredRuntime::new(platform, cfg).with_observability(emitter, Metrics::enabled());
-    let cal = rt.calibrate()?;
-    println!(
-        "  fitted DRAM {:.2} GB/s / {:.1} ns, emulated NVM {:.2} GB/s / {:.1} ns",
-        cal.dram.read_bw_gbps, cal.dram.read_lat_ns, cal.nvm.read_bw_gbps, cal.nvm.read_lat_ns
-    );
-
-    let r = rt.run_policy_parallel(&app, &PolicyKind::tahoe(), &cal, workers, seed)?;
-    let reference = reference_checksum_seeded(&app, seed);
-    if r.checksum != reference {
-        return Err(format!(
-            "checksum {:016x} != reference {reference:016x}",
-            r.checksum
-        ));
-    }
+    let m = Measured::start(
+        "BLAME causal profiler: critical path + stall blame + live telemetry",
+        smoke,
+        stream::app,
+        |app| platform_bw(app, 0.25),
+        Some((emitter, Metrics::enabled())),
+    )?;
+    let (workers, seed) = (if smoke { 2 } else { 4 }, 7);
+    let r =
+        m.rt.run_policy_parallel(&m.app, &PolicyKind::tahoe(), &m.cal, workers, seed)?;
+    let reference = reference_checksum_seeded(&m.app, seed);
     let crit = r
         .crit
         .as_ref()
@@ -1533,74 +1131,12 @@ pub fn blame(smoke: bool, dir: &str) -> Result<(), String> {
             e.chosen
         );
     }
-
-    // ---- acceptance invariants ------------------------------------
-    if r.obs_ring_dropped != 0 {
-        return Err(format!(
-            "flight recorder dropped {} events; blame is incomplete",
-            r.obs_ring_dropped
-        ));
-    }
-    let tiling = crit.compute_ns + crit.stall_ns + crit.idle_ns;
-    if (crit.crit_total_ns - tiling).abs() > 1e-6 * crit.crit_total_ns.max(1.0) {
-        return Err(format!(
-            "chain does not tile its interval: {} vs {} + {} + {}",
-            crit.crit_total_ns, crit.compute_ns, crit.stall_ns, crit.idle_ns
-        ));
-    }
-    if crit.crit_vs_span_pct > 5.0 {
-        return Err(format!(
-            "critical path {:.1} ns strayed {:.2}% from the observed span {:.1} ns (band 5%)",
-            crit.crit_total_ns, crit.crit_vs_span_pct, crit.span_ns
-        ));
-    }
-    if r.migration.count == 0 {
-        return Err("the plan triggered no migrations: nothing to blame".into());
-    }
     let overlap_delta = (crit.blame_pct_overlap - r.migration.pct_overlap()).abs();
-    if overlap_delta > 1.0 {
-        return Err(format!(
-            "blame overlap {:.3}% vs engine overlap {:.3}% (band 1%)",
-            crit.blame_pct_overlap,
-            r.migration.pct_overlap()
-        ));
-    }
     let blamed_migrations: u64 = crit.blame.iter().map(|e| e.migrations).sum();
-    if blamed_migrations != r.migration.count {
-        return Err(format!(
-            "blame table covers {blamed_migrations} migrations, engine committed {}",
-            r.migration.count
-        ));
-    }
-    let whatif_checked = crit
-        .whatif
-        .iter()
-        .filter(|w| w.predicted_benefit_ns != 0.0)
-        .count();
-    let whatif_agreeing = crit
-        .whatif
-        .iter()
-        .filter(|w| w.predicted_benefit_ns != 0.0 && w.sign_agrees)
-        .count();
-    if whatif_agreeing != whatif_checked {
-        return Err(format!(
-            "what-if sign agreement {whatif_agreeing}/{whatif_checked}: model and knapsack disagree"
-        ));
-    }
-    for w in &crit.whatif {
-        if w.whatif_wall_ns > crit.exec_wall_ns {
-            return Err(format!(
-                "what-if wall {} ns exceeds the measured wall {} ns",
-                w.whatif_wall_ns, crit.exec_wall_ns
-            ));
-        }
-        if w.modelled_saving_ns < 0.0 {
-            return Err(format!(
-                "object {}: DRAM residence cannot cost time in the model ({} ns)",
-                w.object, w.modelled_saving_ns
-            ));
-        }
-    }
+    // Only objects the planner priced can agree or disagree in sign.
+    let priced = || crit.whatif.iter().filter(|w| w.predicted_benefit_ns != 0.0);
+    let (whatif_checked, whatif_agreeing) =
+        (priced().count(), priced().filter(|w| w.sign_agrees).count());
     println!(
         "  reconciliation: blame overlap {:.2}% vs engine {:.2}% (delta {:.3}%), {} what-if estimates, {}/{} signs agree",
         crit.blame_pct_overlap,
@@ -1614,8 +1150,6 @@ pub fn blame(smoke: bool, dir: &str) -> Result<(), String> {
     // ---- live telemetry plane ---------------------------------------
     // A small two-tenant server: the same counters the shutdown report
     // snapshots must be scrapeable over HTTP while the server is idle.
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
     let mk_tenant_app = |name: &str| {
         let mut b = AppBuilder::new(name);
         let x = b.object("x", 8 << 10);
@@ -1636,7 +1170,7 @@ pub fn blame(smoke: bool, dir: &str) -> Result<(), String> {
             mode: ArbiterMode::Quota(QuotaPolicy::DemandProportional { floor_frac: 0.5 }),
             max_queue: 2,
         },
-        cal.clone(),
+        m.cal.clone(),
         Emitter::disabled(),
         Metrics::disabled(),
     )
@@ -1647,9 +1181,10 @@ pub fn blame(smoke: bool, dir: &str) -> Result<(), String> {
     let t1 = srv
         .register_tenant(TenantSpec::new("bob", 1.0), mk_tenant_app("b"))
         .map_err(|e| format!("register bob: {e}"))?;
+    let journal = dir.join("telemetry.jsonl");
     let tele = srv
         .serve_telemetry(TelemetryConfig {
-            journal: Some(path.join("telemetry.jsonl")),
+            journal: Some(journal.clone()),
             ..TelemetryConfig::default()
         })
         .ok();
@@ -1662,159 +1197,132 @@ pub fn blame(smoke: bool, dir: &str) -> Result<(), String> {
     {
         return Err("tenant checksum diverged from its solo reference".into());
     }
-    let scrape = tele.as_ref().map(|h| scrape_metrics(h.addr()));
-    let telemetry_served = scrape.as_ref().is_some_and(|s| s.is_ok());
-    let scraped_body = match scrape {
-        Some(Ok(body)) => body,
-        Some(Err(e)) => {
-            println!("  telemetry scrape unavailable ({e}); recording served=false");
-            String::new()
-        }
-        None => {
-            println!("  telemetry endpoint could not bind; recording served=false");
-            String::new()
-        }
-    };
+    let scraped_body = tele.as_ref().and_then(|h| scrape_metrics(h.addr()).ok());
+    if scraped_body.is_none() {
+        println!("  telemetry endpoint unavailable (bind or scrape); recording served=false");
+    }
     if let Some(h) = tele {
         h.stop();
     }
     let sreport = srv.shutdown();
-    let blame_lines = scraped_body
+    let body = scraped_body.as_deref().unwrap_or("");
+    let blame_lines = body
         .lines()
         .filter(|l| l.starts_with("tahoe_blame_"))
         .count();
-    let scrape_matches = telemetry_served;
-    if telemetry_served {
-        // Bit-for-bit: the scraped integer strings must equal the
-        // shutdown report's counters.
-        for t in &sreport.tenants {
-            for (family, want) in [
-                ("tahoe_tenant_submitted_total", t.submitted),
-                ("tahoe_tenant_completed_total", t.completed),
-                ("tahoe_tenant_shed_total", t.shed),
-            ] {
-                let needle = format!(
-                    "{family}{{tenant=\"{}\",name=\"{}\"}} {want}",
-                    t.tenant, t.name
-                );
-                if !scraped_body.lines().any(|l| l == needle) {
-                    return Err(format!("scrape missing exact sample `{needle}`"));
-                }
-            }
+    // Bit-for-bit: the scraped integer strings must equal the shutdown
+    // report's counters.
+    let samples = sreport.tenants.iter().flat_map(|t| {
+        [
+            ("tahoe_tenant_submitted_total", t.submitted),
+            ("tahoe_tenant_completed_total", t.completed),
+            ("tahoe_tenant_shed_total", t.shed),
+        ]
+        .map(|(family, want)| {
+            format!(
+                "{family}{{tenant=\"{}\",name=\"{}\"}} {want}",
+                t.tenant, t.name
+            )
+        })
+    });
+    let missing: Vec<String> = samples
+        .filter(|sample| !body.lines().any(|l| l == sample))
+        .collect();
+    let scrape_matches = scraped_body.is_some() && missing.is_empty();
+    if scraped_body.is_some() {
+        // The journal is schema-tagged JSONL, one snapshot per line.
+        let text = std::fs::read_to_string(&journal)
+            .map_err(|e| format!("read {}: {e}", journal.display()))?;
+        let tagged = |l: &str| {
+            let schema = json::parse(l).ok()?.get("schema")?.as_str()?.to_string();
+            (schema == "tahoe-telemetry/v1").then_some(())
+        };
+        if text.lines().count() < 2 || !text.lines().all(|l| tagged(l).is_some()) {
+            return Err(format!(
+                "{} is not >= 2 tagged snapshots",
+                journal.display()
+            ));
         }
         println!(
-            "  telemetry: scrape matches the shutdown report on {} tenants; {blame_lines} blame samples",
+            "  telemetry: {} tenants scraped, shutdown-report samples missing from the scrape: {missing:?}; {blame_lines} blame samples",
             sreport.tenants.len()
         );
     }
 
-    // ---- BENCH_blame.json -------------------------------------------
-    let topo = tahoe_realmem::numa::probe();
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tahoe-bench-blame/v1\",\n");
-    out.push_str(&format!(
-        "  \"machine\": {{\"arch\": \"{}\", \"os\": \"{}\", \"numa_nodes\": {}, \"cpus\": {}, \"smoke\": {}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        topo.nodes,
-        cpus,
-        smoke
-    ));
-    out.push_str(&format!(
-        "  \"workload\": {{\"name\": \"{}\", \"footprint_bytes\": {}, \"windows\": {}, \"tasks\": {}}},\n",
-        app.name,
-        app.footprint(),
-        app.windows(),
-        app.graph.len()
-    ));
-    out.push_str(&format!(
-        "  \"calibration\": {{\"dram_bw_gbps\": {:.6}, \"dram_lat_ns\": {:.6}, \"nvm_bw_gbps\": {:.6}, \"nvm_lat_ns\": {:.6}, \"cf_bw\": {:.6}, \"cf_lat\": {:.6}}},\n",
-        cal.dram.read_bw_gbps,
-        cal.dram.read_lat_ns,
-        cal.nvm.read_bw_gbps,
-        cal.nvm.read_lat_ns,
-        cal.cf_bw,
-        cal.cf_lat
-    ));
-    out.push_str(&format!(
-        "  \"run\": {{\"policy\": \"{}\", \"workers\": {}, \"seed\": {seed}, \"wall_ns\": {:.1}, \"checksum\": \"{:016x}\", \"migrations\": {}, \"migrated_bytes\": {}, \"pct_overlap\": {:.6}, \"gate_wait_ns\": {:.1}, \"ring_dropped\": {}}},\n",
-        r.policy,
-        r.workers,
-        r.wall_ns,
-        r.checksum,
-        r.migration.count,
-        r.migration.bytes,
-        r.migration.pct_overlap(),
-        r.gate_wait_ns,
-        r.obs_ring_dropped
-    ));
-    out.push_str(&format!(
-        "  \"critpath\": {{\"crit_total_ns\": {:.1}, \"span_ns\": {:.1}, \"exec_wall_ns\": {:.1}, \"compute_ns\": {:.1}, \"stall_ns\": {:.1}, \"idle_ns\": {:.1}, \"segments\": {}, \"tasks_on_path\": {}, \"crit_vs_span_pct\": {:.6}}},\n",
-        crit.crit_total_ns,
-        crit.span_ns,
-        crit.exec_wall_ns,
-        crit.compute_ns,
-        crit.stall_ns,
-        crit.idle_ns,
-        crit.segments,
-        crit.tasks_on_path,
-        crit.crit_vs_span_pct
-    ));
-    out.push_str("  \"blame\": [\n");
-    for (i, e) in crit.blame.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"object\": {}, \"tier\": \"{}\", \"migrations\": {}, \"bytes\": {}, \"overlapped_ns\": {:.1}, \"exposed_ns\": {:.1}, \"gate_wait_ns\": {:.1}, \"chosen\": {}, \"predicted_benefit_ns\": {:.1}}}{}\n",
-            e.object,
-            e.tier.tag(),
-            e.migrations,
-            e.bytes,
-            e.overlapped_ns,
-            e.exposed_ns,
-            e.gate_wait_ns,
-            e.chosen,
-            e.predicted_benefit_ns,
-            if i + 1 < crit.blame.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"reconciliation\": {{\"blame_pct_overlap\": {:.6}, \"engine_pct_overlap\": {:.6}, \"delta_pct\": {:.6}, \"blamed_migrations\": {blamed_migrations}, \"engine_migrations\": {}, \"unattributed_wait_ns\": {:.1}}},\n",
-        crit.blame_pct_overlap,
-        r.migration.pct_overlap(),
-        overlap_delta,
-        r.migration.count,
-        crit.unattributed_wait_ns
-    ));
-    out.push_str("  \"whatif\": [\n");
-    for (i, w) in crit.whatif.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"object\": {}, \"exposed_ns\": {:.1}, \"whatif_wall_ns\": {:.1}, \"modelled_saving_ns\": {:.1}, \"predicted_benefit_ns\": {:.1}, \"sign_agrees\": {}}}{}\n",
-            w.object,
-            w.exposed_ns,
-            w.whatif_wall_ns,
-            w.modelled_saving_ns,
-            w.predicted_benefit_ns,
-            w.sign_agrees,
-            if i + 1 < crit.whatif.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"telemetry\": {{\"served\": {telemetry_served}, \"scrape_matches_report\": {scrape_matches}, \"tenants\": {}, \"completed_total\": {}, \"blame_samples\": {blame_lines}}},\n",
-        sreport.tenants.len(),
-        sreport.completed_total()
-    ));
-    out.push_str(&format!(
-        "  \"consistency\": {{\"checksum_matches_reference\": true, \"crit_band_pct\": 5.0, \"overlap_band_pct\": 1.0, \"blame_covers_all_migrations\": true, \"whatif_checked\": {whatif_checked}, \"whatif_agreeing\": {whatif_agreeing}, \"ring_dropped\": {}}}\n}}\n",
-        r.obs_ring_dropped
-    ));
-    json::parse(&out).map_err(|e| format!("BENCH_blame.json self-check: {e}"))?;
-
-    std::fs::write(path.join("BENCH_blame.json"), &out)
-        .map_err(|e| format!("write BENCH_blame.json: {e}"))?;
-    println!("  -> {dir}/BENCH_blame.json");
-    Ok(())
+    let blame_rows = crit.blame.iter().map(|e| {
+        obj! {
+            "object": e.object,
+            "tier": e.tier.tag(),
+            "migrations": e.migrations,
+            "bytes": e.bytes,
+            "overlapped_ns": Value::fixed(e.overlapped_ns, 1),
+            "exposed_ns": Value::fixed(e.exposed_ns, 1),
+            "gate_wait_ns": Value::fixed(e.gate_wait_ns, 1),
+            "chosen": e.chosen,
+            "predicted_benefit_ns": Value::fixed(e.predicted_benefit_ns, 1),
+        }
+    });
+    let whatif_rows = crit.whatif.iter().map(|w| {
+        obj! {
+            "object": w.object,
+            "exposed_ns": Value::fixed(w.exposed_ns, 1),
+            "whatif_wall_ns": Value::fixed(w.whatif_wall_ns, 1),
+            "modelled_saving_ns": Value::fixed(w.modelled_saving_ns, 1),
+            "predicted_benefit_ns": Value::fixed(w.predicted_benefit_ns, 1),
+            "sign_agrees": w.sign_agrees,
+        }
+    });
+    Ok(obj!(m.head(true, true);
+        "run": obj! {
+            "policy": r.policy.as_str(),
+            "workers": r.workers,
+            "seed": seed,
+            "wall_ns": Value::fixed(r.wall_ns, 1),
+            "checksum": hex(r.checksum),
+            "migrations": r.migration.count,
+            "migrated_bytes": r.migration.bytes,
+            "pct_overlap": Value::fixed(r.migration.pct_overlap(), 6),
+            "gate_wait_ns": Value::fixed(r.gate_wait_ns, 1),
+            "ring_dropped": r.obs_ring_dropped,
+        },
+        "critpath": obj! {
+            "crit_total_ns": Value::fixed(crit.crit_total_ns, 1),
+            "span_ns": Value::fixed(crit.span_ns, 1),
+            "exec_wall_ns": Value::fixed(crit.exec_wall_ns, 1),
+            "compute_ns": Value::fixed(crit.compute_ns, 1),
+            "stall_ns": Value::fixed(crit.stall_ns, 1),
+            "idle_ns": Value::fixed(crit.idle_ns, 1),
+            "segments": crit.segments,
+            "tasks_on_path": crit.tasks_on_path,
+            "crit_vs_span_pct": Value::fixed(crit.crit_vs_span_pct, 6),
+        },
+        "blame": Value::array(blame_rows),
+        "reconciliation": obj! {
+            "blame_pct_overlap": Value::fixed(crit.blame_pct_overlap, 6),
+            "engine_pct_overlap": Value::fixed(r.migration.pct_overlap(), 6),
+            "delta_pct": Value::fixed(overlap_delta, 6),
+            "blamed_migrations": blamed_migrations,
+            "engine_migrations": r.migration.count,
+            "unattributed_wait_ns": Value::fixed(crit.unattributed_wait_ns, 1),
+        },
+        "whatif": Value::array(whatif_rows),
+        "telemetry": obj! {
+            "served": scraped_body.is_some(),
+            "scrape_matches_report": scrape_matches,
+            "tenants": sreport.tenants.len(),
+            "completed_total": sreport.completed_total(),
+            "blame_samples": blame_lines,
+        },
+        "consistency": obj! {
+            "checksum_matches_reference": r.checksum == reference,
+            "crit_band_pct": 5.0,
+            "overlap_band_pct": 1.0,
+            "blame_covers_all_migrations": blamed_migrations == r.migration.count,
+            "whatif_checked": whatif_checked,
+            "whatif_agreeing": whatif_agreeing,
+            "ring_dropped": r.obs_ring_dropped,
+        },
+    ))
 }
 
 /// Exact-count check: every violation kind in `rep` must carry exactly
@@ -1832,42 +1340,31 @@ fn sanitize_counts_match(
     })
 }
 
+/// `{"kind": count, ...}` for a report's canonical per-kind counts.
+fn by_kind_json(by_kind: &[(&'static str, u64)]) -> Value {
+    Value::object(by_kind.iter().map(|&(tag, n)| (tag, n.into())))
+}
+
 /// `exp sanitize`: the task-graph race detector + access sanitizer with
 /// schedule fuzzing. Three passes:
 ///
-/// 1. **Static** — the graph verifier must find nothing wrong with any
-///    real workload's declared DAG, and the plan auditor must find the
-///    solver's own migration plan sound for each graph (the two-tenant
-///    interleave included).
+/// 1. **Static** — the graph verifier over every real workload's
+///    declared DAG and the plan auditor over the solver's own migration
+///    plan for each graph (the two-tenant interleave included).
 /// 2. **Fuzz** — correct workloads execute in sanitize mode across
-///    worker counts × seeds; every run must report *zero* violations
-///    and still reproduce the sequential reference checksum.
-/// 3. **Fixtures** — the committed buggy workloads must produce their
-///    *exact* expected violation sets, identically at every allowed
-///    worker count and seed (schedule independence).
-///
-/// Any deviation is an error; the summary lands in
-/// `BENCH_sanitize.json`, gated by `benchgate` with exact equality.
-pub fn sanitize(smoke: bool, dir: &str) -> Result<(), String> {
-    use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
+///    worker counts × seeds, checked against the sequential reference.
+/// 3. **Fixtures** — the committed buggy workloads against their
+///    *exact* expected violation sets, at every allowed worker count and
+///    seed (schedule independence).
+fn sanitize(smoke: bool, _dir: &Path) -> Result<Value, String> {
     use tahoe_core::SanitizeReport;
-    use tahoe_memprof::wallclock::WallClockConfig;
-    use tahoe_obs::json;
     use tahoe_sanitize::{verify_graph, StaticContext};
     use tahoe_workloads::fixtures::all_fixtures;
 
-    banner(if smoke {
-        "SANITIZE race detector + access sanitizer (smoke): fuzz + fixtures"
-    } else {
-        "SANITIZE race detector + access sanitizer: fuzz + fixtures"
-    });
-    let mk_cfg = || {
-        if smoke {
-            WallClockConfig::smoke()
-        } else {
-            WallClockConfig::full()
-        }
-    };
+    let cfg = artifact_banner(
+        "SANITIZE race detector + access sanitizer: fuzz + fixtures",
+        smoke,
+    );
     let static_ctx = |app: &App| {
         let plat = platform_bw(app, 0.25);
         StaticContext::new(
@@ -1892,30 +1389,25 @@ pub fn sanitize(smoke: bool, dir: &str) -> Result<(), String> {
     };
 
     // ---- pass 1: static graph verification + plan audit -------------
-    // The static pass is two verifiers deep: the graph checker, and the
-    // plan auditor over the solver's own migration plan for the same
-    // platform — including the cross-tenant interleave, where a move
-    // scheduled against one tenant's windows could race the other's.
-    let mut static_verified = 0u64;
-    let mut plans_audited = 0u64;
+    // The interleave matters to the plan auditor too: a move scheduled
+    // against one tenant's windows could race the other's.
+    let (mut static_verified, mut static_clean) = (0u64, true);
     for app in all_workloads(Scale::Test)
         .iter()
         .chain(std::iter::once(&two_tenant))
     {
         let rep = verify_graph(&app.graph, &static_ctx(app));
         if !rep.is_clean() {
-            return Err(format!(
-                "static verifier flagged correct workload {}: {:?}",
+            eprintln!(
+                "  static verifier flagged correct workload {}: {:?}",
                 app.name, rep.violations
-            ));
+            );
         }
+        let (_, plan_clean) = audit_solver_plan(app, &platform_bw(app, 0.25).tier_specs())?;
+        static_clean &= rep.is_clean() && plan_clean;
         static_verified += 1;
-        audit_solver_plan(app, &platform_bw(app, 0.25).tier_specs())?;
-        plans_audited += 1;
     }
-    println!(
-        "  static: {static_verified} workload graphs verified clean, {plans_audited} solver plans audited sound"
-    );
+    println!("  static: {static_verified} workload graphs verified + solver plans audited");
 
     // ---- pass 2: schedule fuzz over correct workloads ----------------
     let apps: Vec<App> = if smoke {
@@ -1927,63 +1419,45 @@ pub fn sanitize(smoke: bool, dir: &str) -> Result<(), String> {
     // seeds) through these env overrides without a separate code path.
     let worker_counts: Vec<usize> = env_list("SANITIZE_FUZZ_WORKERS", &[1, 2, 4])?;
     let seeds: Vec<u64> = env_list("SANITIZE_FUZZ_SEEDS", &[0, 1, 2])?;
-    let (worker_counts, seeds) = (&worker_counts[..], &seeds[..]);
-    let mut fuzz_runs = 0u64;
-    let mut accesses_checked = 0u64;
+    let (mut fuzz_runs, mut accesses_checked, mut fuzz_clean) = (0u64, 0u64, true);
     for app in &apps {
-        let rt = MeasuredRuntime::new(platform_bw(app, 0.25), mk_cfg());
+        let rt = MeasuredRuntime::new(platform_bw(app, 0.25), cfg);
         let cal = rt.calibrate()?;
-        for &workers in worker_counts {
-            for &seed in seeds {
+        for &workers in &worker_counts {
+            for &seed in &seeds {
                 let (rep, san) =
                     rt.run_policy_sanitized(app, &PolicyKind::tahoe(), &cal, workers, seed, &[])?;
-                if !san.is_clean() {
-                    return Err(format!(
-                        "{} @ {workers} workers seed {seed}: sanitizer flagged a correct workload: {:?}",
-                        app.name, san.violations
-                    ));
-                }
                 let want = reference_checksum_seeded(app, seed);
-                if rep.checksum != want {
-                    return Err(format!(
-                        "{} @ {workers} workers seed {seed}: checksum {:016x} != reference {want:016x} under sanitize mode",
-                        app.name, rep.checksum
-                    ));
+                if !san.is_clean() || rep.checksum != want {
+                    eprintln!(
+                        "  {} @ {workers} workers seed {seed}: checksum {:016x} vs reference {want:016x}, violations {:?}",
+                        app.name, rep.checksum, san.violations
+                    );
+                    fuzz_clean = false;
                 }
                 fuzz_runs += 1;
                 accesses_checked += san.accesses_checked;
             }
         }
         println!(
-            "  fuzz: {:<10} clean across {:?} workers x {:?} seeds",
+            "  fuzz: {:<10} across {:?} workers x {:?} seeds",
             app.name, worker_counts, seeds
         );
     }
 
     // ---- pass 3: committed buggy fixtures ----------------------------
-    struct FixtureRow {
-        name: &'static str,
-        runs: u64,
-        static_match: bool,
-        dynamic_match: bool,
-        by_kind: Vec<(&'static str, u64)>,
-    }
     let fixture_seeds: &[u64] = &[0, 1];
     let mut rows = Vec::new();
+    let mut fixtures_exact = true;
     for f in all_fixtures() {
         let srep = verify_graph(&f.app.graph, &static_ctx(&f.app));
         let static_match = sanitize_counts_match(&srep, &f.expected_static);
-        let rt = MeasuredRuntime::new(platform_bw(&f.app, 0.25), mk_cfg());
+        let rt = MeasuredRuntime::new(platform_bw(&f.app, 0.25), cfg);
         let cal = rt.calibrate()?;
-        let allowed: Vec<usize> = worker_counts
-            .iter()
-            .copied()
-            .filter(|w| *w <= f.max_workers)
-            .collect();
         let mut dynamic_match = true;
         let mut first: Option<SanitizeReport> = None;
         let mut runs = 0u64;
-        for &workers in &allowed {
+        for &workers in worker_counts.iter().filter(|w| **w <= f.max_workers) {
             for &seed in fixture_seeds {
                 let (_, san) = rt.run_policy_sanitized(
                     &f.app,
@@ -1993,16 +1467,11 @@ pub fn sanitize(smoke: bool, dir: &str) -> Result<(), String> {
                     seed,
                     &f.extra,
                 )?;
-                if !sanitize_counts_match(&san, &f.expected_dynamic) {
-                    dynamic_match = false;
-                }
-                match &first {
-                    None => first = Some(san),
-                    // Schedule independence: byte-identical reports at
-                    // every worker count and seed.
-                    Some(prev) if *prev != san => dynamic_match = false,
-                    Some(_) => {}
-                }
+                // Schedule independence: the expected counts, and
+                // byte-identical reports at every worker count and seed.
+                dynamic_match &= sanitize_counts_match(&san, &f.expected_dynamic)
+                    && first.as_ref().is_none_or(|prev| *prev == san);
+                first.get_or_insert(san);
                 runs += 1;
             }
         }
@@ -2016,81 +1485,49 @@ pub fn sanitize(smoke: bool, dir: &str) -> Result<(), String> {
             rep.violations.len() + srep.violations.len()
         );
         if !static_match || !dynamic_match {
-            return Err(format!(
-                "fixture {} deviated from its expected violation set: static {:?}, dynamic {:?}",
+            eprintln!(
+                "  fixture {} deviated from its expected violation set: static {:?}, dynamic {:?}",
                 f.name, srep.violations, rep.violations
-            ));
+            );
+            fixtures_exact = false;
         }
         let mut by_kind = srep.by_kind();
         for (i, (_, n)) in rep.by_kind().into_iter().enumerate() {
             by_kind[i].1 += n;
         }
-        rows.push(FixtureRow {
-            name: f.name,
-            runs,
-            static_match,
-            dynamic_match,
-            by_kind,
+        rows.push(obj! {
+            "name": f.name,
+            "runs": runs,
+            "static_match": static_match,
+            "dynamic_match": dynamic_match,
+            "violations": by_kind_json(&by_kind),
         });
     }
-
-    // ---- BENCH_sanitize.json -----------------------------------------
-    let topo = tahoe_realmem::numa::probe();
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tahoe-bench-sanitize/v1\",\n");
-    out.push_str(&format!(
-        "  \"machine\": {{\"arch\": \"{}\", \"os\": \"{}\", \"numa_nodes\": {}, \"smoke\": {}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        topo.nodes,
-        smoke
-    ));
-    out.push_str(&format!(
-        "  \"static\": {{\"workloads_verified\": {static_verified}, \"plans_audited\": {plans_audited}, \"clean\": true}},\n"
-    ));
-    let fmt_list = |v: &[u64]| {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    out.push_str(&format!(
-        "  \"fuzz\": {{\"workloads\": {}, \"workers\": [{}], \"seeds\": [{}], \"runs\": {fuzz_runs}, \"accesses_checked\": {accesses_checked}, \"clean\": true}},\n",
-        apps.len(),
-        fmt_list(&worker_counts.iter().map(|w| *w as u64).collect::<Vec<_>>()),
-        fmt_list(seeds)
-    ));
-    out.push_str("  \"fixtures\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"runs\": {}, \"static_match\": {}, \"dynamic_match\": {}, \"violations\": {{",
-            r.name, r.runs, r.static_match, r.dynamic_match
-        ));
-        for (j, (tag, n)) in r.by_kind.iter().enumerate() {
-            out.push_str(&format!("{}\"{tag}\": {n}", if j > 0 { ", " } else { "" }));
-        }
-        out.push_str(&format!(
-            "}}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"consistency\": {\"correct_workloads_clean\": true, \"fixtures_exact\": true}\n}\n",
-    );
-    json::parse(&out).map_err(|e| format!("BENCH_sanitize.json self-check: {e}"))?;
-
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
-    std::fs::write(path.join("BENCH_sanitize.json"), &out)
-        .map_err(|e| format!("write BENCH_sanitize.json: {e}"))?;
     println!(
-        "  {} fuzz runs clean ({} accesses shadowed), {} fixtures exact -> {dir}/BENCH_sanitize.json",
-        fuzz_runs,
-        accesses_checked,
+        "  {fuzz_runs} fuzz runs ({accesses_checked} accesses shadowed), {} fixtures",
         rows.len()
     );
-    Ok(())
+    Ok(obj! {
+        "machine": machine_json(smoke, false),
+        "static": obj! {
+            "workloads_verified": static_verified,
+            "plans_audited": static_verified,
+            "clean": static_clean,
+        },
+        "fuzz": obj! {
+            "workloads": apps.len(),
+            "workers": Value::array(worker_counts),
+            "seeds": Value::array(seeds),
+            "runs": fuzz_runs,
+            "accesses_checked": accesses_checked,
+            "clean": fuzz_clean,
+        },
+        "fixtures": Value::array(rows),
+        "consistency": obj! {
+            "correct_workloads_clean": static_clean && fuzz_clean,
+            "fixtures_exact": fixtures_exact,
+        },
+    })
 }
 
 /// The migration plan a solver assignment implies under the Tahoe
@@ -2116,78 +1553,67 @@ fn assignment_plan(app: &App, tiers: &[u8], n_tiers: usize) -> tahoe_core::Migra
 }
 
 /// Solve the placement over `specs` and run the static plan auditor on
-/// the implied migration plan; errs if the auditor flags anything.
-/// Returns the number of migration steps the audited plan carries.
-fn audit_solver_plan(app: &App, specs: &[tahoe_hms::TierSpec]) -> Result<u64, String> {
-    use tahoe_core::measured::modelled_plan;
+/// the implied migration plan. Returns the number of migration steps
+/// the audited plan carries and whether the auditor found it sound.
+fn audit_solver_plan(app: &App, specs: &[tahoe_hms::TierSpec]) -> Result<(u64, bool), String> {
     let (assignment, _) = modelled_plan(app, specs)?;
     let plan = assignment_plan(app, &assignment.tiers, specs.len());
     let ctx = tahoe_core::PlanContext::new(app.objects.iter().map(|o| o.size).collect());
     let rep = tahoe_core::audit_plan(&app.graph, &plan, specs, &ctx);
     if !rep.is_clean() {
-        return Err(format!(
-            "{} ({} tiers): solver-produced plan failed its own audit: {:?}",
+        eprintln!(
+            "  {} ({} tiers): solver-produced plan failed its own audit: {:?}",
             app.name,
             specs.len(),
             rep.violations
-        ));
+        );
     }
-    Ok(plan.steps.len() as u64)
+    Ok((plan.steps.len() as u64, rep.is_clean()))
 }
 
 /// `exp verify`: the static plan-soundness auditor and the lock-free
-/// pin/move protocol model checker, as one self-validated artifact.
-/// Four passes:
+/// pin/move protocol model checker. Four passes, all pure functions of
+/// the code (no wall clocks), so the counts are identical on every
+/// machine:
 ///
 /// 1. **Plans** — every workload's solver-produced migration plan (the
 ///    multiple-choice knapsack over preset 2- and 3-tier platforms)
-///    must audit clean: per-prefix tier capacity, schedule-universal
+///    through the auditor: per-prefix tier capacity, schedule-universal
 ///    move safety, target validity, object liveness, no double moves,
-///    and modelled-cost non-regression. Pure model, no calibration —
-///    the counts are identical on every machine.
+///    and modelled-cost non-regression.
 /// 2. **Preflight** — [`MeasuredRuntime::verify_plan`] (the same audit
 ///    `run_policy`/`run_policy_parallel` enforce before executing
-///    anything) must pass for every headline policy over the real
-///    allocator's placements.
-/// 3. **Fixtures** — the committed buggy plans must reproduce their
-///    *exact* expected diagnostic sets, nothing more, nothing less.
-/// 4. **Mcheck** — the bounded exhaustive interleaving checker
-///    certifies the pin/move word protocol clean at *pinned*
-///    explored-state counts, and each of the four injected protocol
-///    bugs (dropped wakes, unannounced park, pin through MOVING) is
-///    caught.
-///
-/// The summary lands in `BENCH_verify.json`
-/// (`tahoe-bench-verify/v1`), gated by `benchgate` with exact equality.
-pub fn verify(smoke: bool, dir: &str) -> Result<(), String> {
-    use tahoe_core::measured::MeasuredRuntime;
-    use tahoe_memprof::wallclock::WallClockConfig;
-    use tahoe_obs::json;
+///    anything) for every headline policy over the real allocator's
+///    placements.
+/// 3. **Fixtures** — the committed buggy plans against their *exact*
+///    expected diagnostic sets.
+/// 4. **Mcheck** — the bounded exhaustive interleaving checker over the
+///    pin/move word protocol at *pinned* explored-state counts, plus
+///    four injected protocol bugs (dropped wakes, unannounced park, pin
+///    through MOVING) it must catch.
+fn verify(smoke: bool, _dir: &Path) -> Result<Value, String> {
     use tahoe_sanitize::mcheck::{certify, check};
     use tahoe_sanitize::McheckConfig;
     use tahoe_workloads::fixtures::all_plan_fixtures;
 
-    banner(if smoke {
-        "VERIFY plan auditor + protocol model checker (smoke)"
-    } else {
-        "VERIFY plan auditor + protocol model checker"
-    });
+    let cfg = artifact_banner("VERIFY plan auditor + protocol model checker", smoke);
 
-    // ---- pass 1: solver plans audit clean ---------------------------
+    // ---- pass 1: solver plans ----------------------------------------
     let apps = all_workloads(Scale::Test);
-    let mut plans_audited = 0u64;
-    let mut steps_total = 0u64;
+    let (mut plans_audited, mut steps_total, mut plans_clean) = (0u64, 0u64, true);
     for app in &apps {
         let fp = app.footprint();
         let two = Platform::optane(dram_budget(app), 4 * fp).tier_specs();
         let three = Platform::optane_cxl(dram_budget(app), fp / 2, 4 * fp).tier_specs();
         for specs in [&two, &three] {
-            steps_total += audit_solver_plan(app, specs)?;
+            let (steps, clean) = audit_solver_plan(app, specs)?;
+            steps_total += steps;
+            plans_clean &= clean;
             plans_audited += 1;
         }
     }
     println!(
-        "  plans: {plans_audited} solver plans over {} workloads audited sound ({steps_total} migration steps)",
+        "  plans: {plans_audited} solver plans over {} workloads audited ({steps_total} migration steps)",
         apps.len()
     );
 
@@ -2197,186 +1623,139 @@ pub fn verify(smoke: bool, dir: &str) -> Result<(), String> {
     } else {
         all_workloads(Scale::Test)
     };
-    let policies = [
-        PolicyKind::DramOnly,
-        PolicyKind::NvmOnly,
-        PolicyKind::FirstTouch,
-        PolicyKind::tahoe(),
-    ];
-    let mut preflight_runs = 0u64;
+    let policies = headline_policies();
+    let (mut preflight_runs, mut preflight_clean) = (0u64, true);
     for app in &preflight_apps {
-        let cfg = if smoke {
-            WallClockConfig::smoke()
-        } else {
-            WallClockConfig::full()
-        };
         let rt = MeasuredRuntime::new(platform_bw(app, 0.25), cfg);
         let cal = rt.calibrate()?;
         for p in &policies {
             let rep = rt.verify_plan(app, p, &cal)?;
             if !rep.is_clean() {
-                return Err(format!(
-                    "{} under {}: preflight audit flagged the runtime's own plan: {:?}",
+                eprintln!(
+                    "  {} under {}: preflight audit flagged the runtime's own plan: {:?}",
                     app.name,
                     p.name(),
                     rep.violations
-                ));
+                );
+                preflight_clean = false;
             }
             preflight_runs += 1;
         }
     }
     println!(
-        "  preflight: {preflight_runs} policy plans over {} workloads verified clean",
+        "  preflight: {preflight_runs} policy plans over {} workloads verified",
         preflight_apps.len()
     );
 
     // ---- pass 3: committed buggy-plan fixtures -----------------------
-    struct FixtureRow {
-        name: &'static str,
-        by_kind: Vec<(&'static str, u64)>,
-    }
     let mut rows = Vec::new();
+    let mut fixtures_exact = true;
     for f in all_plan_fixtures() {
         let rep = tahoe_core::audit_plan(&f.app.graph, &f.plan, &f.specs, &f.context());
         let got: Vec<(&'static str, u64)> =
             rep.by_kind().into_iter().filter(|&(_, n)| n > 0).collect();
+        let exact = got == f.expected_audit;
         println!(
             "  fixture: {:<26} {} violation(s), {}",
             f.name,
             rep.violations.len(),
-            if got == f.expected_audit {
-                "exact"
-            } else {
-                "MISMATCH"
-            }
+            if exact { "exact" } else { "MISMATCH" }
         );
-        if got != f.expected_audit {
-            return Err(format!(
-                "plan fixture {} deviated from its expected diagnostic set: want {:?}, got {:?}",
+        if !exact {
+            eprintln!(
+                "  plan fixture {} deviated from its expected diagnostic set: want {:?}, got {:?}",
                 f.name, f.expected_audit, rep.violations
-            ));
+            );
+            fixtures_exact = false;
         }
-        rows.push(FixtureRow {
-            name: f.name,
-            by_kind: rep.by_kind(),
+        rows.push(obj! {
+            "name": f.name,
+            "violations": by_kind_json(&rep.by_kind()),
+            "exact": exact,
         });
     }
 
     // ---- pass 4: protocol model checker ------------------------------
     let sweep = certify();
     for r in &sweep {
-        if !r.ok() {
-            return Err(format!(
-                "protocol certification failed at {} pinners: {:?} ({} deadlocks)",
-                r.config.pinners, r.violations, r.deadlocks
-            ));
-        }
         println!(
-            "  mcheck: {} pinners x {} moves certified clean — {} states, {} transitions",
-            r.config.pinners, r.config.moves, r.states, r.transitions
-        );
-    }
-    // Negative controls: each seeded protocol bug must be caught, or
-    // the checker's clean verdicts above mean nothing.
-    let bug_configs: Vec<(&str, McheckConfig)> = {
-        let base = McheckConfig::new(2, 1, 1);
-        let with = |f: fn(&mut McheckConfig)| {
-            let mut c = base;
-            f(&mut c);
-            c
-        };
-        vec![
-            ("skip_unpin_wake", with(|c| c.bugs.skip_unpin_wake = true)),
-            (
-                "skip_release_wake",
-                with(|c| c.bugs.skip_release_wake = true),
-            ),
-            ("skip_parked_bit", with(|c| c.bugs.skip_parked_bit = true)),
-            (
-                "pin_ignores_moving",
-                with(|c| c.bugs.pin_ignores_moving = true),
-            ),
-        ]
-    };
-    let bugs_injected = bug_configs.len() as u64;
-    let mut bugs_caught = 0u64;
-    for (name, cfg) in &bug_configs {
-        let r = check(*cfg);
-        if r.ok() {
-            return Err(format!(
-                "injected protocol bug `{name}` escaped the model checker"
-            ));
-        }
-        bugs_caught += 1;
-    }
-    println!("  mcheck: {bugs_caught}/{bugs_injected} injected protocol bugs caught");
-
-    // ---- BENCH_verify.json -------------------------------------------
-    let topo = tahoe_realmem::numa::probe();
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tahoe-bench-verify/v1\",\n");
-    out.push_str(&format!(
-        "  \"machine\": {{\"arch\": \"{}\", \"os\": \"{}\", \"numa_nodes\": {}, \"smoke\": {}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        topo.nodes,
-        smoke
-    ));
-    out.push_str(&format!(
-        "  \"plans\": {{\"workloads\": {}, \"tier_depths\": [2, 3], \"audited\": {plans_audited}, \"steps_total\": {steps_total}, \"clean\": true}},\n",
-        apps.len()
-    ));
-    out.push_str(&format!(
-        "  \"preflight\": {{\"workloads\": {}, \"policies\": {}, \"runs\": {preflight_runs}, \"clean\": true}},\n",
-        preflight_apps.len(),
-        policies.len()
-    ));
-    out.push_str("  \"fixtures\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"violations\": {{",
-            r.name
-        ));
-        for (j, (tag, n)) in r.by_kind.iter().enumerate() {
-            out.push_str(&format!("{}\"{tag}\": {n}", if j > 0 { ", " } else { "" }));
-        }
-        out.push_str(&format!(
-            "}}, \"exact\": true}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"mcheck\": {\"configs\": [\n");
-    for (i, r) in sweep.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pinners\": {}, \"pin_cycles\": {}, \"moves\": {}, \"states\": {}, \"transitions\": {}, \"terminals\": {}, \"deadlocks\": {}}}{}\n",
+            "  mcheck: {} pinners x {} moves {} — {} states, {} transitions, {:?} ({} deadlocks)",
             r.config.pinners,
-            r.config.pin_cycles,
             r.config.moves,
+            if r.ok() { "certified clean" } else { "FAILED" },
             r.states,
             r.transitions,
-            r.terminals,
-            r.deadlocks,
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
+            r.violations,
+            r.deadlocks
+        );
     }
-    out.push_str(&format!(
-        "  ], \"bugs_injected\": {bugs_injected}, \"bugs_caught\": {bugs_caught}, \"clean\": true}},\n"
-    ));
-    out.push_str(
-        "  \"consistency\": {\"solver_plans_clean\": true, \"preflight_clean\": true, \"fixtures_exact\": true, \"protocol_certified\": true, \"bugs_all_caught\": true}\n}\n",
-    );
-    json::parse(&out).map_err(|e| format!("BENCH_verify.json self-check: {e}"))?;
-
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
-    std::fs::write(path.join("BENCH_verify.json"), &out)
-        .map_err(|e| format!("write BENCH_verify.json: {e}"))?;
+    let protocol_certified = sweep.iter().all(|r| r.ok());
+    // Negative controls: each seeded protocol bug must be caught, or
+    // the checker's clean verdicts above mean nothing.
+    type Bug = (&'static str, fn(&mut McheckConfig));
+    let bugs: [Bug; 4] = [
+        ("skip_unpin_wake", |c| c.bugs.skip_unpin_wake = true),
+        ("skip_release_wake", |c| c.bugs.skip_release_wake = true),
+        ("skip_parked_bit", |c| c.bugs.skip_parked_bit = true),
+        ("pin_ignores_moving", |c| c.bugs.pin_ignores_moving = true),
+    ];
+    let mut bugs_caught = 0usize;
+    for (name, inject) in bugs {
+        let mut cfg = McheckConfig::new(2, 1, 1);
+        inject(&mut cfg);
+        if check(cfg).ok() {
+            eprintln!("  injected protocol bug `{name}` escaped the model checker");
+        } else {
+            bugs_caught += 1;
+        }
+    }
     println!(
-        "  {plans_audited} plans + {preflight_runs} preflights clean, {} fixtures exact, protocol certified -> {dir}/BENCH_verify.json",
-        rows.len()
+        "  mcheck: {bugs_caught}/{} injected protocol bugs caught",
+        bugs.len()
     );
-    Ok(())
+    let bugs_all_caught = bugs_caught == bugs.len();
+
+    let configs = sweep.iter().map(|r| {
+        obj! {
+            "pinners": r.config.pinners,
+            "pin_cycles": u32::from(r.config.pin_cycles),
+            "moves": u32::from(r.config.moves),
+            "states": r.states,
+            "transitions": r.transitions,
+            "terminals": r.terminals,
+            "deadlocks": r.deadlocks,
+        }
+    });
+    Ok(obj! {
+        "machine": machine_json(smoke, false),
+        "plans": obj! {
+            "workloads": apps.len(),
+            "tier_depths": Value::array([2u32, 3]),
+            "audited": plans_audited,
+            "steps_total": steps_total,
+            "clean": plans_clean,
+        },
+        "preflight": obj! {
+            "workloads": preflight_apps.len(),
+            "policies": policies.len(),
+            "runs": preflight_runs,
+            "clean": preflight_clean,
+        },
+        "fixtures": Value::array(rows),
+        "mcheck": obj! {
+            "configs": Value::array(configs),
+            "bugs_injected": bugs.len(),
+            "bugs_caught": bugs_caught,
+            "clean": protocol_certified && bugs_all_caught,
+        },
+        "consistency": obj! {
+            "solver_plans_clean": plans_clean,
+            "preflight_clean": preflight_clean,
+            "fixtures_exact": fixtures_exact,
+            "protocol_certified": protocol_certified,
+            "bugs_all_caught": bugs_all_caught,
+        },
+    })
 }
 
 /// Geometry of the multi-tenant fairness bench: every tenant runs the
@@ -2406,28 +1785,15 @@ struct TenantGeometry {
 
 impl TenantGeometry {
     fn new(smoke: bool) -> Self {
-        if smoke {
-            Self {
-                pieces: 4,
-                piece_bytes: 256 << 10,
-                windows: 3,
-                tasks_per_window: 2,
-                compute_us: 1900.0,
-                run_ms: 300,
-                warmup_graphs: 2,
-                burst: 6,
-            }
-        } else {
-            Self {
-                pieces: 4,
-                piece_bytes: 256 << 10,
-                windows: 4,
-                tasks_per_window: 3,
-                compute_us: 1900.0,
-                run_ms: 700,
-                warmup_graphs: 2,
-                burst: 6,
-            }
+        Self {
+            pieces: 4,
+            piece_bytes: 256 << 10,
+            windows: if smoke { 3 } else { 4 },
+            tasks_per_window: if smoke { 2 } else { 3 },
+            compute_us: 1900.0,
+            run_ms: if smoke { 300 } else { 700 },
+            warmup_graphs: 2,
+            burst: 6,
         }
     }
 
@@ -2478,48 +1844,19 @@ fn pctile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Per-tenant digest of one arbitration mode's run.
-struct TenantRow {
-    tenant: u32,
-    name: String,
-    role: &'static str,
-    graphs: u64,
-    p50_ms: f64,
-    p99_ms: f64,
-    mean_ms: f64,
-    preempted: u64,
-    shed: u64,
-    quota_bytes: u64,
-    promoted_bytes: u64,
-    demoted_bytes: u64,
-}
-
-/// Whole-mode digest: aggregate throughput, fairness, and per-tenant rows.
-struct TenantModeStats {
-    mode: &'static str,
-    wall_ms: f64,
-    aggregate_gps: f64,
-    jain: f64,
-    worst_p99_ms: f64,
-    preempted: u64,
-    shed: u64,
-    checksums_ok: bool,
-}
-
-/// Run one arbitration mode end-to-end: a cold tenant warms up solo
-/// (promoting its whole hot set), four active tenants then drive the
-/// server closed-loop at saturation, and — in quota mode — one tenant
-/// bursts past the queue bound so admission control sheds.
+/// Run one arbitration mode end-to-end and return its `modes[]` block:
+/// a cold tenant warms up solo (promoting its whole hot set), four
+/// active tenants then drive the server closed-loop at saturation, and
+/// — in quota mode — one tenant bursts past the queue bound so
+/// admission control sheds.
 fn tenant_mode(
     mode_name: &'static str,
     mode: tahoe_server::ArbiterMode,
     geo: &TenantGeometry,
     base_seed: u64,
-) -> Result<(TenantModeStats, Vec<TenantRow>), String> {
-    use tahoe_core::measured::reference_checksum_seeded;
+) -> Result<Value, String> {
     use tahoe_hms::TierSpec;
-    use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration};
-    use tahoe_obs::{Emitter, Metrics};
+    use tahoe_memprof::wallclock::MeasuredTier;
     use tahoe_server::{driver, jain, ServerConfig, TahoeServer, TenantSpec};
 
     // Synthetic calibration — machine-independent and strongly
@@ -2603,17 +1940,12 @@ fn tenant_mode(
 
     let report = srv.shutdown();
 
-    // Validate every checksum against its tenant's solo reference.
-    let mut checksums_ok = true;
-    for o in cold_out
+    // Every checksum against its tenant's solo reference.
+    let checksums_ok = cold_out
         .iter()
         .chain(outcomes.iter())
         .chain(burst_out.iter().flat_map(|(v, _)| v.iter()))
-    {
-        if o.checksum != refs[o.tenant as usize] {
-            checksums_ok = false;
-        }
-    }
+        .all(|o| o.checksum == refs[o.tenant as usize]);
 
     // Per-active-tenant latency samples from the contended phase only
     // (exact values; the per-tenant histogram digests in the report
@@ -2622,7 +1954,6 @@ fn tenant_mode(
     let mut rates = Vec::new();
     let mut worst_p99_ms = 0.0f64;
     for (i, t) in report.tenants.iter().enumerate() {
-        let role = if i == 0 { "cold" } else { "active" };
         let mut lat: Vec<f64> = if i == 0 {
             cold_out.iter().map(|o| o.latency_ns).collect()
         } else {
@@ -2634,37 +1965,54 @@ fn tenant_mode(
         };
         lat.sort_by(|a, b| a.total_cmp(b));
         let mean_ns = lat.iter().sum::<f64>() / lat.len().max(1) as f64;
-        let p99_ms = pctile(&lat, 0.99) / 1e6;
+        let (p50_ms, p99_ms) = (pctile(&lat, 0.50) / 1e6, pctile(&lat, 0.99) / 1e6);
         if i > 0 {
             rates.push(1e9 / mean_ns.max(1.0));
             worst_p99_ms = worst_p99_ms.max(p99_ms);
         }
-        rows.push(TenantRow {
-            tenant: t.tenant,
-            name: t.name.clone(),
-            role,
-            graphs: lat.len() as u64,
-            p50_ms: pctile(&lat, 0.50) / 1e6,
-            p99_ms,
-            mean_ms: mean_ns / 1e6,
-            preempted: t.preempted,
-            shed: t.shed,
-            quota_bytes: t.last_quota,
-            promoted_bytes: t.promoted_bytes,
-            demoted_bytes: t.demoted_bytes,
+        let role = if i == 0 { "cold" } else { "active" };
+        println!(
+            "    {:<6} {role:<7} graphs {:>2}  p50 {p50_ms:>8.2} ms  p99 {p99_ms:>8.2} ms  quota {:>7} B  prom {:>7} B  dem {:>7} B",
+            t.name,
+            lat.len(),
+            t.last_quota,
+            t.promoted_bytes,
+            t.demoted_bytes
+        );
+        rows.push(obj! {
+            "tenant": t.tenant,
+            "name": t.name.as_str(),
+            "role": role,
+            "graphs": lat.len(),
+            "p50_ms": Value::fixed(p50_ms, 3),
+            "p99_ms": Value::fixed(p99_ms, 3),
+            "mean_ms": Value::fixed(mean_ns / 1e6, 3),
+            "preempted": t.preempted,
+            "shed": t.shed,
+            "quota_bytes": t.last_quota,
+            "promoted_bytes": t.promoted_bytes,
+            "demoted_bytes": t.demoted_bytes,
         });
     }
-    let stats = TenantModeStats {
-        mode: mode_name,
-        wall_ms: wall_ns / 1e6,
-        aggregate_gps: outcomes.len() as f64 / (wall_ns / 1e9),
-        jain: jain(&rates),
-        worst_p99_ms,
-        preempted: report.preempted_total(),
-        shed: report.shed_total(),
-        checksums_ok,
-    };
-    Ok((stats, rows))
+    let aggregate_gps = outcomes.len() as f64 / (wall_ns / 1e9);
+    println!(
+        "  {mode_name:<13} wall {:>8.1} ms  agg {aggregate_gps:>6.1} graphs/s  jain {:.3}  worst p99 {worst_p99_ms:>8.2} ms  preempted {}  shed {}",
+        wall_ns / 1e6,
+        jain(&rates),
+        report.preempted_total(),
+        report.shed_total()
+    );
+    Ok(obj! {
+        "mode": mode_name,
+        "wall_ms": Value::fixed(wall_ns / 1e6, 3),
+        "aggregate_graphs_per_s": Value::fixed(aggregate_gps, 3),
+        "jain": Value::fixed(jain(&rates), 4),
+        "worst_p99_ms": Value::fixed(worst_p99_ms, 3),
+        "preempted": report.preempted_total(),
+        "shed": report.shed_total(),
+        "checksums_match_solo": checksums_ok,
+        "tenants": Value::array(rows),
+    })
 }
 
 /// TENANT — the multi-tenant fairness experiment (`exp tenant`).
@@ -2674,161 +2022,151 @@ fn tenant_mode(
 /// closed-loop at saturation. The same load runs twice — once under
 /// the cross-tenant quota arbiter (demand-proportional with 50%
 /// weighted floors), once under free-for-all (keep-what-you-have,
-/// never preempt) — and the run self-validates the arbiter's case:
-///
-/// 1. every graph's checksum is bit-identical to the tenant running
-///    alone (determinism survives contention and preemption),
-/// 2. quota mode beats free-for-all on the worst per-tenant p99,
-/// 3. aggregate throughput gives up at most 10% for that fairness,
-/// 4. the Jain index across active tenants' service rates is ≥ 0.9,
-/// 5. the arbiter preempted the cold tenant's DRAM (and free-for-all
-///    never preempts),
-/// 6. an open-loop burst past the queue bound sheds at admission.
-///
-/// The digest lands in `BENCH_tenant.json` (schema
-/// `tahoe-bench-tenant/v1`), gated by `benchgate`.
-pub fn tenant(smoke: bool, dir: &str) -> Result<(), String> {
-    use tahoe_obs::json;
+/// never preempt) — and the `consistency` flags state the arbiter's
+/// case: checksums bit-identical to each tenant running alone, a better
+/// worst per-tenant p99 for at most 10% of the aggregate throughput, a
+/// Jain index ≥ 0.9 across the active tenants' service rates, the cold
+/// tenant's DRAM preempted (never under free-for-all), and an open-loop
+/// burst past the queue bound shed at admission.
+fn tenant(smoke: bool, _dir: &Path) -> Result<Value, String> {
     use tahoe_server::{ArbiterMode, QuotaPolicy};
 
-    banner(if smoke {
-        "TENANT multi-tenant fairness (smoke): quota arbiter vs free-for-all"
-    } else {
-        "TENANT multi-tenant fairness: quota arbiter vs free-for-all"
-    });
+    artifact_banner(
+        "TENANT multi-tenant fairness: quota arbiter vs free-for-all",
+        smoke,
+    );
     let geo = TenantGeometry::new(smoke);
     let base_seed = 40;
     let quota = ArbiterMode::Quota(QuotaPolicy::DemandProportional { floor_frac: 0.5 });
-    let modes = [
-        tenant_mode("quota", quota, &geo, base_seed)?,
-        tenant_mode("free_for_all", ArbiterMode::FreeForAll, &geo, base_seed)?,
-    ];
+    let q = tenant_mode("quota", quota, &geo, base_seed)?;
+    let f = tenant_mode("free_for_all", ArbiterMode::FreeForAll, &geo, base_seed)?;
 
-    for (stats, rows) in &modes {
-        println!(
-            "  {:<13} wall {:>8.1} ms  agg {:>6.1} graphs/s  jain {:.3}  worst p99 {:>8.2} ms  preempted {}  shed {}",
-            stats.mode, stats.wall_ms, stats.aggregate_gps, stats.jain, stats.worst_p99_ms,
-            stats.preempted, stats.shed
-        );
-        for r in rows {
-            println!(
-                "    {:<6} {:<7} graphs {:>2}  p50 {:>8.2} ms  p99 {:>8.2} ms  quota {:>7} B  prom {:>7} B  dem {:>7} B",
-                r.name, r.role, r.graphs, r.p50_ms, r.p99_ms, r.quota_bytes,
-                r.promoted_bytes, r.demoted_bytes
-            );
-        }
-    }
-
-    // ---- self-validation: the quota arbiter must earn its keep ------
-    let (q, f) = (&modes[0].0, &modes[1].0);
-    let checksums_match_solo = q.checksums_ok && f.checksums_ok;
-    if !checksums_match_solo {
-        return Err("a tenant checksum diverged from its solo reference".into());
-    }
-    if q.worst_p99_ms >= f.worst_p99_ms {
-        return Err(format!(
-            "quota worst p99 {:.2} ms does not beat free-for-all {:.2} ms",
-            q.worst_p99_ms, f.worst_p99_ms
-        ));
-    }
-    if q.aggregate_gps < 0.9 * f.aggregate_gps {
-        return Err(format!(
-            "quota aggregate throughput {:.1} graphs/s gave up more than 10% vs free-for-all {:.1}",
-            q.aggregate_gps, f.aggregate_gps
-        ));
-    }
-    if q.jain < 0.9 {
-        return Err(format!(
-            "quota Jain index {:.3} below the 0.9 floor",
-            q.jain
-        ));
-    }
-    if q.preempted == 0 {
-        return Err("quota mode never preempted the cold tenant".into());
-    }
-    if f.preempted != 0 {
-        return Err(format!("free-for-all preempted {} times", f.preempted));
-    }
-    if q.shed == 0 {
-        return Err("the burst past the queue bound shed nothing".into());
-    }
-
-    // ---- BENCH_tenant.json ------------------------------------------
-    let topo = tahoe_realmem::numa::probe();
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"tahoe-bench-tenant/v1\",\n");
-    out.push_str(&format!(
-        "  \"machine\": {{\"arch\": \"{}\", \"os\": \"{}\", \"numa_nodes\": {}, \"cpus\": {}, \"smoke\": {}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        topo.nodes,
-        cpus,
-        smoke
-    ));
-    out.push_str(&format!(
-        "  \"workload\": {{\"active_tenants\": 4, \"cold_tenants\": 1, \"pieces\": {}, \"piece_bytes\": {}, \"windows\": {}, \"tasks_per_window\": {}, \"compute_us\": {:.1}, \"run_ms\": {}, \"warmup_graphs\": {}, \"burst\": {}, \"dram_budget\": {}}},\n",
-        geo.pieces, geo.piece_bytes, geo.windows, geo.tasks_per_window, geo.compute_us,
-        geo.run_ms, geo.warmup_graphs, geo.burst, geo.dram_budget()
-    ));
-    out.push_str(
-        "  \"calibration\": {\"dram_gbps\": 10.0, \"nvm_gbps\": 0.25, \"dram_lat_ns\": 100.0, \"nvm_lat_ns\": 500.0},\n",
-    );
-    out.push_str("  \"modes\": [\n");
-    for (mi, (stats, rows)) in modes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"wall_ms\": {:.3}, \"aggregate_graphs_per_s\": {:.3}, \"jain\": {:.4}, \"worst_p99_ms\": {:.3}, \"preempted\": {}, \"shed\": {}, \"checksums_match_solo\": {}, \"tenants\": [\n",
-            stats.mode, stats.wall_ms, stats.aggregate_gps, stats.jain, stats.worst_p99_ms,
-            stats.preempted, stats.shed, stats.checksums_ok
-        ));
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"tenant\": {}, \"name\": \"{}\", \"role\": \"{}\", \"graphs\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"preempted\": {}, \"shed\": {}, \"quota_bytes\": {}, \"promoted_bytes\": {}, \"demoted_bytes\": {}}}{}\n",
-                r.tenant, r.name, r.role, r.graphs, r.p50_ms, r.p99_ms, r.mean_ms,
-                r.preempted, r.shed, r.quota_bytes, r.promoted_bytes, r.demoted_bytes,
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if mi + 1 < modes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"consistency\": {{\"checksums_match_solo\": true, \"quota_beats_ffa_worst_p99\": true, \"throughput_within_10pct\": true, \"jain_quota_ge_090\": true, \"quota_preempts\": true, \"ffa_never_preempts\": true, \"burst_sheds\": true, \"quota_worst_p99_ms\": {:.3}, \"ffa_worst_p99_ms\": {:.3}, \"throughput_ratio\": {:.4}}}\n}}\n",
-        q.worst_p99_ms,
-        f.worst_p99_ms,
-        q.aggregate_gps / f.aggregate_gps
-    ));
-    json::parse(&out).map_err(|e| format!("BENCH_tenant.json self-check: {e}"))?;
-
-    let path = std::path::Path::new(dir);
-    std::fs::create_dir_all(path).map_err(|e| format!("create {dir}: {e}"))?;
-    std::fs::write(path.join("BENCH_tenant.json"), &out)
-        .map_err(|e| format!("write BENCH_tenant.json: {e}"))?;
+    // The flags judge the numbers as recorded (at artifact precision),
+    // so the gate re-deriving them from the same fields cannot disagree.
+    let num = |mode: &Value, key: &str| mode.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+    let solo = |mode: &Value| mode.get("checksums_match_solo") == Some(&true.into());
+    let (q_p99, f_p99) = (num(&q, "worst_p99_ms"), num(&f, "worst_p99_ms"));
+    let throughput_ratio = num(&q, "aggregate_graphs_per_s") / num(&f, "aggregate_graphs_per_s");
+    let consistency = obj! {
+        "checksums_match_solo": solo(&q) && solo(&f),
+        "quota_beats_ffa_worst_p99": q_p99 < f_p99,
+        "throughput_within_10pct": throughput_ratio >= 0.9,
+        "jain_quota_ge_090": num(&q, "jain") >= 0.9,
+        "quota_preempts": num(&q, "preempted") >= 1.0,
+        "ffa_never_preempts": num(&f, "preempted") == 0.0,
+        "burst_sheds": num(&q, "shed") >= 1.0,
+        "quota_worst_p99_ms": Value::fixed(q_p99, 3),
+        "ffa_worst_p99_ms": Value::fixed(f_p99, 3),
+        "throughput_ratio": Value::fixed(throughput_ratio, 4),
+    };
     println!(
-        "  quota beats free-for-all on worst p99 ({:.2} vs {:.2} ms), jain {:.3} -> {dir}/BENCH_tenant.json",
-        q.worst_p99_ms, f.worst_p99_ms, q.jain
+        "  quota vs free-for-all worst p99: {q_p99:.2} vs {f_p99:.2} ms, jain {:.3}",
+        num(&q, "jain")
     );
+    Ok(obj! {
+        "machine": machine_json(smoke, true),
+        "workload": obj! {
+            "active_tenants": 4u32,
+            "cold_tenants": 1u32,
+            "pieces": geo.pieces,
+            "piece_bytes": geo.piece_bytes,
+            "windows": geo.windows,
+            "tasks_per_window": geo.tasks_per_window,
+            "compute_us": Value::fixed(geo.compute_us, 1),
+            "run_ms": geo.run_ms,
+            "warmup_graphs": geo.warmup_graphs,
+            "burst": geo.burst,
+            "dram_budget": geo.dram_budget(),
+        },
+        "calibration": obj! {
+            "dram_gbps": 10.0,
+            "nvm_gbps": 0.25,
+            "dram_lat_ns": 100.0,
+            "nvm_lat_ns": 500.0,
+        },
+        "modes": Value::array([q, f]),
+        "consistency": consistency,
+    })
+}
+
+/// Builds one artifact: `(smoke, output directory) -> document`.
+type RunFn = fn(bool, &Path) -> Result<Value, String>;
+
+/// Every gated artifact: `(kind, schema, run, file name)`. `exp <kind>`
+/// tags the document `run` builds with `schema` and writes it to
+/// `target/<kind>-artifact/<file name>`; `exp bless` copies that to
+/// `baselines/BENCH_<kind>.smoke.json`.
+#[rustfmt::skip]
+pub static ARTIFACTS: &[(&str, &str, RunFn, &str)] = &[
+    ("obs", "tahoe-bench-obs/v1", obs_artifact, "BENCH_obs.json"),
+    ("real", "tahoe-bench-real/v2", real_two, "BENCH_real.json"),
+    ("real3", "tahoe-bench-real/v2", real_three, "BENCH_real.json"),
+    ("par", "tahoe-bench-par/v1", par, "BENCH_par.json"),
+    ("audit", "tahoe-bench-audit/v1", audit, "BENCH_audit.json"),
+    ("sanitize", "tahoe-bench-sanitize/v1", sanitize, "BENCH_sanitize.json"),
+    ("verify", "tahoe-bench-verify/v1", verify, "BENCH_verify.json"),
+    ("tenant", "tahoe-bench-tenant/v1", tenant, "BENCH_tenant.json"),
+    ("blame", "tahoe-bench-blame/v1", blame, "BENCH_blame.json"),
+];
+
+/// Run artifact `kind`, write it under `out` (default
+/// `target/<kind>-artifact`) and judge it by the band table's
+/// baseline-free rows. The artifact is written even when a row fails,
+/// so CI can upload what failed. Returns the artifact's path.
+pub fn produce(kind: &str, smoke: bool, out: Option<&str>) -> Result<PathBuf, String> {
+    let (_, schema, run, file) = ARTIFACTS
+        .iter()
+        .find(|a| a.0 == kind)
+        .ok_or_else(|| format!("unknown experiment: {kind}"))?;
+    let dir = PathBuf::from(out.map_or_else(|| format!("target/{kind}-artifact"), String::from));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let doc = obj!(run(smoke, &dir)?; "schema": *schema);
+    let path = dir.join(file);
+    std::fs::write(&path, doc.write()).map_err(|e| format!("write {}: {e}", path.display()))?;
+    println!("  -> {}", path.display());
+    let mut failures = Vec::new();
+    for (band, verdict) in gate::check(None, &doc)? {
+        match verdict {
+            gate::Verdict::Pass => {}
+            gate::Verdict::Vacuous(why) => println!("  vacuous ({why}): {}", band.label()),
+            gate::Verdict::Fail(messages) => failures.extend(messages),
+        }
+    }
+    if failures.is_empty() {
+        Ok(path)
+    } else {
+        Err(format!(
+            "{kind} artifact fails its bands:\n  - {}",
+            failures.join("\n  - ")
+        ))
+    }
+}
+
+/// `exp bless [kind...]`: regenerate the smoke artifacts (all, or the
+/// named kinds) and install them as the committed baselines.
+pub fn bless(kinds: &[String]) -> Result<(), String> {
+    let all: Vec<String> = ARTIFACTS.iter().map(|a| a.0.to_string()).collect();
+    for kind in if kinds.is_empty() { &all } else { kinds } {
+        let baseline = format!("baselines/BENCH_{kind}.smoke.json");
+        std::fs::copy(produce(kind, true, None)?, &baseline)
+            .map_err(|e| format!("install {baseline}: {e}"))?;
+        println!("  blessed {baseline}");
+    }
     Ok(())
 }
 
+/// The virtual-time experiments `exp eN` regenerates, in order.
+#[rustfmt::skip]
+pub static EXPERIMENTS: &[(&str, fn())] = &[
+    ("e1", e1), ("e2", e2), ("e3", e3), ("e4", e4), ("e5", e5), ("e6", e6), ("e7", e7),
+    ("e8", e8), ("e9", e9), ("e10", e10), ("e11", e11), ("e12", e12), ("e13", e13),
+];
+
 /// Run every experiment in order.
 pub fn all() {
-    e1();
-    e2();
-    e3();
-    e4();
-    e5();
-    e6();
-    e7();
-    e8();
-    e9();
-    e10();
-    e11();
-    e12();
-    e13();
+    for (_, run) in EXPERIMENTS {
+        run();
+    }
 }
 
 #[cfg(test)]
@@ -2844,6 +2182,37 @@ mod tests {
         assert!(p.nvm.capacity >= app.footprint());
         let q = platform_lat(&app, 4.0);
         assert!(q.nvm.read_lat_ns > q.dram.read_lat_ns);
+    }
+
+    #[test]
+    fn band_table_and_artifact_table_cover_the_same_schemas() {
+        for (kind, schema, ..) in ARTIFACTS {
+            assert!(
+                gate::BANDS.iter().any(|b| b.schema == *schema),
+                "artifact `{kind}` writes `{schema}`, which has no band rows"
+            );
+        }
+        for bands in gate::BANDS {
+            assert!(
+                ARTIFACTS.iter().any(|a| a.1 == bands.schema),
+                "band rows for `{}`, which no artifact writes",
+                bands.schema
+            );
+        }
+    }
+
+    #[test]
+    fn a_quote_in_a_workload_name_still_parses() {
+        let mut b = AppBuilder::new("str\"eam\\");
+        let x = b.object("x", 64);
+        let c = b.class("c");
+        b.task(c).read_streaming(x, 1).submit();
+        let text = workload_json(&b.build(), Some(1)).write();
+        let parsed = json::parse(&text).expect("artifact text parses");
+        assert_eq!(
+            parsed.get("name").and_then(Value::as_str),
+            Some("str\"eam\\")
+        );
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! A minimal JSON parser — just enough to validate the exporters' output
-//! in tests and tooling without pulling an external dependency into the
-//! zero-dep crate.
+//! A minimal JSON parser and writer — just enough to build the bench
+//! artifacts as values and to validate the exporters' output in tests
+//! and tooling without pulling an external dependency into the zero-dep
+//! crate.
 //!
 //! Supports the full JSON grammar (objects, arrays, strings with escapes,
 //! numbers, booleans, null) but keeps numbers as `f64` and makes no
-//! attempt at performance; it exists to *check* JSON, not to be a serde.
+//! attempt at performance; it is not a serde. [`Value::write`] and
+//! [`parse`] are symmetric: `parse(&v.write()) == Ok(v)` for every value
+//! without non-finite numbers.
 
 use std::collections::BTreeMap;
 
@@ -88,6 +91,145 @@ impl Value {
             Value::Bool(b) => Some(*b),
             _ => None,
         }
+    }
+}
+
+impl Value {
+    /// An object from `(key, value)` pairs.
+    pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array from anything convertible to values.
+    pub fn array<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+        Value::Array(items.into_iter().map(Into::into).collect())
+    }
+
+    /// `x` rounded to `decimals` places, exactly as `{:.decimals}` prints
+    /// it — the fixed precisions the artifacts record wall clocks at.
+    /// Non-finite `x` becomes `null`.
+    pub fn fixed(x: f64, decimals: usize) -> Value {
+        let rounded = format!("{x:.decimals$}").parse::<f64>().ok();
+        rounded.filter(|n| n.is_finite()).into()
+    }
+
+    /// Serialise as indented JSON text ending in a newline. Containers
+    /// holding only scalars (or arrays of scalars) stay on one line, so
+    /// a table row reads as a row. Non-finite numbers are written as
+    /// `null` (JSON has no literal for them).
+    pub fn write(&self) -> String {
+        let mut out = String::new();
+        self.write_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn is_flat(&self) -> bool {
+        match self {
+            Value::Array(items) => items
+                .iter()
+                .all(|v| !matches!(v, Value::Array(_) | Value::Object(_))),
+            Value::Object(map) => map.is_empty(),
+            _ => true,
+        }
+    }
+
+    fn write_into(&self, out: &mut String, indent: usize) {
+        let items: Vec<(Option<&String>, &Value)> = match self {
+            Value::Null => return out.push_str("null"),
+            Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) if n.is_finite() => return out.push_str(&n.to_string()),
+            Value::Number(_) => return out.push_str("null"),
+            Value::String(s) => return write_string(out, s),
+            Value::Array(items) => items.iter().map(|v| (None, v)).collect(),
+            Value::Object(map) => map.iter().map(|(k, v)| (Some(k), v)).collect(),
+        };
+        let (open, close) = if matches!(self, Value::Array(_)) {
+            ('[', ']')
+        } else {
+            ('{', '}')
+        };
+        let inline = items.iter().all(|(_, v)| v.is_flat());
+        out.push(open);
+        for (i, (key, v)) in items.iter().enumerate() {
+            out.push_str(match (inline, i) {
+                (true, 0) => "",
+                (true, _) => ", ",
+                (false, 0) => "\n",
+                (false, _) => ",\n",
+            });
+            if !inline {
+                out.push_str(&" ".repeat(indent + 2));
+            }
+            if let Some(k) = key {
+                write_string(out, k);
+                out.push_str(": ");
+            }
+            v.write_into(out, indent + 2);
+        }
+        if !inline {
+            out.push('\n');
+            out.push_str(&" ".repeat(indent));
+        }
+        out.push(close);
+    }
+}
+
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Value {
+        Value::Number(n)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::String(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::String(s)
+    }
+}
+
+/// Counts are exact up to 2^53, far beyond anything an artifact holds.
+macro_rules! value_from_count {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Number(n as f64)
+            }
+        }
+    )*};
+}
+value_from_count!(u32, u64, usize);
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(o: Option<T>) -> Value {
+        o.map_or(Value::Null, Into::into)
     }
 }
 

@@ -67,26 +67,6 @@ fn trailing_garbage_is_rejected() {
     assert!(parse("{\"a\":1}  \n\t").is_ok());
 }
 
-/// Escape a string the way a JSON *writer* would, to feed the parser
-/// arbitrary content through the wire format.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn char_palette() -> Vec<char> {
     // Quotes, backslashes, control chars, ASCII, and multi-byte UTF-8.
     vec![
@@ -95,16 +75,52 @@ fn char_palette() -> Vec<char> {
     ]
 }
 
+fn palette_string(picks: &[usize]) -> String {
+    let palette = char_palette();
+    picks.iter().map(|&i| palette[i]).collect()
+}
+
+/// Values nested up to `depth` containers deep.
+fn value_strategy(depth: u32) -> Box<dyn Strategy<Value = Value>> {
+    let text = || proptest::collection::vec(0usize..21, 0..8).prop_map(|p| palette_string(&p));
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        proptest::bool::ANY.prop_map(Value::from),
+        (0u64..(1 << 53)).prop_map(Value::from),
+        (-1e12f64..1e12, prop_oneof![Just(1usize), Just(3), Just(6)])
+            .prop_map(|(x, decimals)| Value::fixed(x, decimals)),
+        text().prop_map(Value::from),
+    ];
+    if depth == 0 {
+        return Box::new(leaf);
+    }
+    Box::new(prop_oneof![
+        leaf,
+        proptest::collection::vec(value_strategy(depth - 1), 0..4).prop_map(Value::array),
+        proptest::collection::vec((text(), value_strategy(depth - 1)), 0..4)
+            .prop_map(Value::object),
+    ])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Any string, escaped by the book, parses back to itself.
+    /// Any string, escaped by the writer, parses back to itself.
     #[test]
     fn string_escaping_round_trips(picks in proptest::collection::vec(0usize..21, 0..40)) {
-        let palette = char_palette();
-        let s: String = picks.iter().map(|&i| palette[i]).collect();
-        let parsed = parse(&escape_json(&s)).unwrap();
+        let s = palette_string(&picks);
+        let parsed = parse(&Value::from(s.as_str()).write()).unwrap();
         prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+    }
+
+    /// `parse(write(v)) == v` for artifact-shaped values: nested objects
+    /// and arrays whose keys and strings carry quotes, backslashes and
+    /// control characters, and whose numbers are counts or floats at the
+    /// fixed precisions the artifacts use (`{:.1}`, `{:.3}`, `{:.6}`).
+    #[test]
+    fn written_values_parse_back_to_themselves(v in value_strategy(3)) {
+        let text = v.write();
+        prop_assert_eq!(parse(&text).map_err(|e| format!("{e}: {text}")), Ok(v));
     }
 
     /// Every line the JSONL exporter writes parses, and the numeric and
