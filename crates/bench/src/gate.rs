@@ -224,6 +224,8 @@ pub static BANDS: &[Bands] = &[
              "only {v} distinct worker counts ran"),
         band(Derived("speedup_field_error", speedup_field_error), Le(Num(1e-3)),
              "a recorded `speedup` is off its wall clocks by {v} (relative)"),
+        band(Paths(&["runs[*].plan_steps_skipped"]), Eq(Num(0.0)),
+             "`{p}`: {v} objects ended off the tier the audited plan put them on"),
     ]},
     Bands { schema: "tahoe-bench-audit/v1", gate: &[
         band(Paths(&["audit.audited", "audit.migrations"]), Ge(Num(1.0)),
@@ -334,6 +336,8 @@ pub static BANDS: &[Bands] = &[
              "what-if wall {v} ns exceeds the measured wall {b} ns"),
         band(Paths(&["whatif[*].modelled_saving_ns"]), Ge(Num(0.0)),
              "`{p}`: DRAM residence cannot cost time in the model ({v} ns)"),
+        band(Paths(&["run.plan_steps_skipped"]), Eq(Num(0.0)),
+             "`{p}`: {v} objects ended off the tier the audited plan put them on"),
     ]},
 ];
 

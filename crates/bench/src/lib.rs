@@ -16,8 +16,8 @@
 use std::path::{Path, PathBuf};
 
 use tahoe_core::measured::{
-    modelled_plan, object_latency_bound, reference_checksum, reference_checksum_seeded,
-    MeasuredRuntime,
+    mck_items_for, modelled_plan, object_latency_bound, promotion_plan, reference_checksum,
+    reference_checksum_seeded, MeasuredRuntime,
 };
 use tahoe_core::prelude::*;
 use tahoe_core::TahoeOptions;
@@ -1035,6 +1035,10 @@ fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
             "parks": r.contention.parks,
             "unparks": r.contention.unparks,
             "final_dram_objects": r.final_dram_objects,
+            // Time to placement (null for the policies with no plan).
+            "released_at_ns": r.released_at_ns.map(|t| Value::fixed(t, 1)),
+            "placed_at_ns": r.placed_at_ns.map(|t| Value::fixed(t, 1)),
+            "plan_steps_skipped": r.plan_steps_skipped,
         }
     });
     Ok(obj!(m.head(true, true);
@@ -1284,6 +1288,9 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
             "pct_overlap": Value::fixed(r.migration.pct_overlap(), 6),
             "gate_wait_ns": Value::fixed(r.gate_wait_ns, 1),
             "ring_dropped": r.obs_ring_dropped,
+            "released_at_ns": r.released_at_ns.map(|t| Value::fixed(t, 1)),
+            "placed_at_ns": r.placed_at_ns.map(|t| Value::fixed(t, 1)),
+            "plan_steps_skipped": r.plan_steps_skipped,
         },
         "critpath": obj! {
             "crit_total_ns": Value::fixed(crit.crit_total_ns, 1),
@@ -1530,34 +1537,17 @@ fn sanitize(smoke: bool, _dir: &Path) -> Result<Value, String> {
     })
 }
 
-/// The migration plan a solver assignment implies under the Tahoe
-/// convention: every object starts on the slowest (spill) tier and is
-/// promoted to its assigned tier at the same profile-window boundary
-/// `run_policy*` migrates at.
-fn assignment_plan(app: &App, tiers: &[u8], n_tiers: usize) -> tahoe_core::MigrationPlan {
-    let last = (n_tiers - 1) as u8;
-    let boundary = tahoe_core::engine::profile_boundary(app.windows());
-    tahoe_core::MigrationPlan {
-        initial_tiers: vec![last; app.objects.len()],
-        steps: tiers
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t != last)
-            .map(|(i, &t)| tahoe_core::PlanStep {
-                object: i as u32,
-                to_tier: t,
-                window: boundary,
-            })
-            .collect(),
-    }
-}
-
 /// Solve the placement over `specs` and run the static plan auditor on
-/// the implied migration plan. Returns the number of migration steps
-/// the audited plan carries and whether the auditor found it sound.
+/// the migration plan it implies under the Tahoe convention (every
+/// object starts on the spill tier; [`promotion_plan`] is the lowering
+/// `run_policy*` executes). Returns the number of migration steps the
+/// audited plan carries and whether the auditor found it sound.
 fn audit_solver_plan(app: &App, specs: &[tahoe_hms::TierSpec]) -> Result<(u64, bool), String> {
-    let (assignment, _) = modelled_plan(app, specs)?;
-    let plan = assignment_plan(app, &assignment.tiers, specs.len());
+    let items = mck_items_for(app, specs);
+    let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
+    let assignment = tahoe_placement::solve_mck(&items, &caps)?;
+    let spill = vec![(specs.len() - 1) as u8; app.objects.len()];
+    let plan = promotion_plan(&items, spill, &assignment.tiers);
     let ctx = tahoe_core::PlanContext::new(app.objects.iter().map(|o| o.size).collect());
     let rep = tahoe_core::audit_plan(&app.graph, &plan, specs, &ctx);
     if !rep.is_clean() {

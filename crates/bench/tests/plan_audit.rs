@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use tahoe_core::measured::mck_items_for;
+use tahoe_core::measured::{mck_items_for, promotion_plan};
 use tahoe_core::prelude::Platform;
 use tahoe_core::{audit_plan, App, ExtraAccess, MigrationPlan, PlanContext, PlanStep};
 use tahoe_core::{SanitizeReport, ViolationKind};
@@ -30,7 +30,8 @@ fn specs_for(app: &App, tiers: usize) -> Vec<TierSpec> {
 }
 
 /// Solve the placement with the chosen solver and lower it to the
-/// promote-from-spill migration plan the runtime would execute.
+/// promote-from-spill migration plan the runtime would execute
+/// (`window: 0` on every step: due from the first barrier on).
 fn solver_plan(app: &App, specs: &[TierSpec], solver: usize) -> (MigrationPlan, PlanContext) {
     let items = mck_items_for(app, specs);
     let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
@@ -44,22 +45,8 @@ fn solver_plan(app: &App, specs: &[TierSpec], solver: usize) -> (MigrationPlan, 
         2 => solve_mck_greedy(&items, &caps).expect("greedy solves"),
         _ => solve_mck(&items, &caps).expect("mck solves"),
     };
-    let last = (specs.len() - 1) as u8;
-    let boundary = tahoe_core::engine::profile_boundary(app.windows());
-    let plan = MigrationPlan {
-        initial_tiers: vec![last; app.objects.len()],
-        steps: assignment
-            .tiers
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t != last)
-            .map(|(i, &t)| PlanStep {
-                object: i as u32,
-                to_tier: t,
-                window: boundary,
-            })
-            .collect(),
-    };
+    let spill = vec![(specs.len() - 1) as u8; app.objects.len()];
+    let plan = promotion_plan(&items, spill, &assignment.tiers);
     let ctx = PlanContext::new(app.objects.iter().map(|o| o.size).collect());
     (plan, ctx)
 }

@@ -16,8 +16,9 @@
 //!   knapsack's *ranking* depends on; MAPE bounds the magnitude error.
 //!
 //! Only Tahoe's *chosen* objects are auditable: Tahoe starts everything
-//! on NVM and promotes the chosen set after the profiling windows, so
-//! exactly those objects accumulate access samples on both tiers.
+//! on NVM and promotes the chosen set once every task class has run
+//! its quota of instances, so exactly those objects can accumulate
+//! access samples on both tiers.
 //!
 //! [`MeasuredRuntime::probe_obs_overhead`] answers the other question an
 //! always-on flight recorder raises: what does recording cost? It runs

@@ -140,6 +140,12 @@ impl Platform {
     }
 }
 
+/// Completed instances of a task class before its profile is trusted
+/// (PAPER.md §1 step 1, "a few executions"): the default of
+/// [`RuntimeConfig::min_class_instances`] and the per-class quota of the
+/// wall-clock engine's [`ClassQuota`](crate::engine::ClassQuota).
+pub const MIN_CLASS_INSTANCES: u32 = 1;
+
 /// Runtime configuration shared by all policies.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -164,7 +170,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: 4,
             profile_windows: 2,
-            min_class_instances: 1,
+            min_class_instances: MIN_CLASS_INSTANCES,
             model: ModelParams::default(),
             sampler: SamplerConfig::default(),
             chunk_size: 512 << 10,

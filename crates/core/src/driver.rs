@@ -601,39 +601,11 @@ impl<'a> Driver<'a> {
                     .sum::<f64>()
             })
             .sum();
-        if std::env::var("TAHOE_DEBUG").is_ok() {
-            if let Some(first) = demands.first() {
-                for &(id, size, d) in first.iter().take(6) {
-                    let item = ctx.weigh(&tahoe_placement::ObjectCandidate {
-                        id,
-                        size,
-                        demand: d,
-                        resident: initial.contains(&id),
-                    });
-                    eprintln!("[cand] {:?} size={} loads={:.0} stores={:.0} active={:.1}us bw={:.2}GB/s class={:?} value={:.3e}",
-                        id, size, d.loads, d.stores, d.active_ns/1e3, d.consumed_bw_gbps(),
-                        tahoe_perfmodel::classify(&d, ctx.calib.nvm_peak_bw_gbps, &ctx.params), item.value);
-                }
-                eprintln!(
-                    "[cand] nvm_peak={:.2} cf_bw={:.2} cf_lat={:.2} mean_window={:.1}us",
-                    ctx.calib.nvm_peak_bw_gbps,
-                    ctx.calib.cf_bw,
-                    ctx.calib.cf_lat,
-                    mean_window_ns / 1e3
-                );
-            }
-        }
         let overlap_budget = if opts.proactive { mean_window_ns } else { 0.0 };
         let mut best: Option<(Ns, Plan)> = None;
         let mut consider = |plan: Plan, this: &Self| {
             let score =
                 plan.predicted_gain_ns - this.channel_penalty_ns(&plan, overlap_budget) - baseline;
-            if std::env::var("TAHOE_DEBUG").is_ok() {
-                eprintln!("[plan] kind={:?} gain={:.3e} penalty={:.3e} baseline={:.3e} score={:.3e} migr={}",
-                    plan.kind, plan.predicted_gain_ns,
-                    this.channel_penalty_ns(&plan, overlap_budget), baseline, score,
-                    plan.migration_count());
-            }
             if best.as_ref().is_none_or(|(s, _)| score > *s) {
                 best = Some((score, plan));
             }

@@ -16,11 +16,14 @@
 //! * [`GraphRun`] — one execution of that graph: seeded object
 //!   initialisation, the checksum slots, the executor's [`DataGate`],
 //!   the task kernel and the canonical [`GraphRun::checksum`].
+//! * [`ClassQuota`] — when profiling ends: the completion that gives
+//!   the last task class its quota of instances releases the audited
+//!   plan to the migration thread, mid-window.
 //! * [`residence_values`] — the one value model: what residence on each
 //!   tier is worth to each object, priced by the same
 //!   [`tahoe_hms::AccessProfile::mem_time_ns`] the delay injection uses.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,15 +33,80 @@ use tahoe_realmem::traffic;
 // Part of `run_task`'s signature, so callers need not depend on the
 // sanitizer crate to name the no-op hook.
 pub use tahoe_sanitize::{NoSanitize, SanitizeHook};
-use tahoe_taskrt::{DataGate, TaskGraph, TaskSpec};
+use tahoe_taskrt::{DataGate, TaskClassId, TaskGraph, TaskSpec};
 
 use crate::app::App;
+use crate::config::MIN_CLASS_INSTANCES;
 use crate::measured::{fold, init_seed, site_seed};
 
-/// The window at which Tahoe hands its plan to the migration thread:
-/// after the profiling windows (at most two), never past the last one.
-pub fn profile_boundary(windows: u32) -> u32 {
-    windows.saturating_sub(1).min(2)
+/// When the profiling phase ends: the paper profiles each task *class*
+/// for a few executions and then migrates for the tasks still to come,
+/// so the audited plan is released by the completion that gives the
+/// last class its [`MIN_CLASS_INSTANCES`]-th instance — mid-window,
+/// while the rest of that window keeps running — not at a window count.
+///
+/// A class's quota is `min(MIN_CLASS_INSTANCES, its instances in the
+/// windows opened so far)`. Windows are barriers, so every class of the
+/// first window that has tasks meets that quota by the window's end at
+/// the latest: the release always falls inside that window, classes
+/// that first appear later never hold it, and the quotas are a pure
+/// function of the graph.
+#[derive(Debug)]
+pub struct ClassQuota {
+    /// Instances class `c` still owes.
+    owed: Vec<AtomicU32>,
+    /// Classes still owing; 0 once the plan is released (and from the
+    /// start when there is nothing to release).
+    classes_owing: AtomicUsize,
+}
+
+impl ClassQuota {
+    /// Quotas over `graph`'s first window that has tasks.
+    pub fn new(graph: &TaskGraph) -> Self {
+        // Tasks are stored in submission order, so windows only grow.
+        let tasks = graph.tasks();
+        let mut owed = vec![0u32; graph.class_count()];
+        for t in tasks.iter().take_while(|t| t.window == tasks[0].window) {
+            let o = &mut owed[t.class.index()];
+            *o = (*o + 1).min(MIN_CLASS_INSTANCES);
+        }
+        ClassQuota {
+            classes_owing: AtomicUsize::new(owed.iter().filter(|&&o| o > 0).count()),
+            owed: owed.into_iter().map(AtomicU32::new).collect(),
+        }
+    }
+
+    /// A quota that is already met: a run with no plan steps has
+    /// nothing to release and pays one relaxed load per task.
+    pub fn met() -> Self {
+        ClassQuota {
+            owed: Vec::new(),
+            classes_owing: AtomicUsize::new(0),
+        }
+    }
+
+    /// Whether every class has met its quota.
+    pub fn is_met(&self) -> bool {
+        self.classes_owing.load(Ordering::Relaxed) == 0
+    }
+
+    /// Count one completed instance of `class`. Returns `true` to
+    /// exactly one caller: the one whose completion meets the last
+    /// open quota, and who therefore releases the plan.
+    ///
+    /// The counters publish no data — the plan is immutable and the
+    /// migrator's queue synchronises its own hand-off — so `Relaxed`
+    /// suffices; each read-modify-write still has a single winner.
+    pub fn task_done(&self, class: TaskClassId) -> bool {
+        if self.is_met() {
+            return false;
+        }
+        let paid_last =
+            self.owed[class.index()]
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |o| o.checked_sub(1))
+                == Ok(1);
+        paid_last && self.classes_owing.fetch_sub(1, Ordering::Relaxed) == 1
+    }
 }
 
 /// Modelled memory time of `profile` on `spec`; with a calibration, the
@@ -359,5 +427,89 @@ impl GraphRun {
 impl DataGate for GraphRun {
     fn wait_ready(&self, task: &TaskSpec) -> f64 {
         self.shared.wait_ready(&self.layout.task_ids(task))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+    use tahoe_taskrt::{AccessMode, TaskAccess};
+
+    /// `per_window[w][c]` tasks of class `c` in window `w`.
+    fn graph(per_window: &[&[usize]]) -> (TaskGraph, Vec<TaskClassId>) {
+        let mut g = TaskGraph::new();
+        let classes: Vec<_> = (0..per_window[0].len())
+            .map(|c| g.class(&format!("c{c}")))
+            .collect();
+        for (w, counts) in per_window.iter().enumerate() {
+            if w > 0 {
+                g.mark_window();
+            }
+            for (c, &n) in counts.iter().enumerate() {
+                for _ in 0..n {
+                    let a = TaskAccess::new(ObjectId(0), AccessMode::Read, AccessProfile::EMPTY);
+                    g.add_task(classes[c], vec![a], 0.0);
+                }
+            }
+        }
+        (g, classes)
+    }
+
+    #[test]
+    fn quota_releases_on_the_slower_class() {
+        let (g, c) = graph(&[&[4, 1]]);
+        let q = ClassQuota::new(&g);
+        assert!(!q.is_met());
+        for _ in 0..4 {
+            assert!(!q.task_done(c[0]), "class 1 has not run yet");
+        }
+        assert!(q.task_done(c[1]), "the last class to report releases");
+        assert!(q.is_met());
+        assert!(!q.task_done(c[0]), "released once, never again");
+        assert!(!q.task_done(c[1]));
+    }
+
+    #[test]
+    fn quota_is_the_min_of_the_constant_and_what_the_first_window_has() {
+        // Class 1 runs once in the first window with tasks, class 2 only
+        // later: neither can hold the release past that window.
+        let (g, c) = graph(&[&[0, 0, 0], &[8, 1, 0], &[8, 8, 8]]);
+        let q = ClassQuota::new(&g);
+        let mut releases = 0;
+        for class in std::iter::repeat_n(c[0], 8).chain([c[1]]) {
+            releases += usize::from(q.task_done(class));
+        }
+        assert_eq!(releases, 1, "every first-window task ran");
+        assert!(q.is_met());
+        // Nothing to release: met from the start.
+        assert!(ClassQuota::met().is_met());
+        assert!(ClassQuota::new(&TaskGraph::new()).is_met());
+    }
+
+    #[test]
+    fn exactly_one_concurrent_completion_releases() {
+        for workers in [1usize, 2, 4] {
+            let (g, c) = graph(&[&[64, 64, 64]]);
+            let q = ClassQuota::new(&g);
+            let gate = Barrier::new(workers);
+            let releases: usize = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|me| {
+                        let (q, c, gate) = (&q, &c, &gate);
+                        s.spawn(move || {
+                            gate.wait();
+                            (0..192)
+                                .filter(|i| i % workers == me)
+                                .filter(|i| q.task_done(c[i % 3]))
+                                .count()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            assert_eq!(releases, 1, "{workers} workers");
+            assert!(q.is_met());
+        }
     }
 }

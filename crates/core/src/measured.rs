@@ -13,7 +13,8 @@
 //!    refuse to run unless the static auditor certifies the resulting
 //!    [`MigrationPlan`]. The wall-clock engine ([`crate::parallel`] over
 //!    the [`crate::engine`] task kernel) then executes exactly that
-//!    plan: each declared access walks the object's live bytes at
+//!    plan, released once every task class has run its quota of
+//!    instances: each declared access walks the object's live bytes at
 //!    native speed, and residence on a slow tier injects the
 //!    cf-corrected model *difference* to the fast device (Quartz-style
 //!    delay injection).
@@ -37,7 +38,7 @@ use tahoe_sanitize::{audit_plan, MigrationPlan, PlanContext, PlanStep, SanitizeR
 
 use crate::app::App;
 use crate::config::Platform;
-use crate::engine::{profile_boundary, residence_values};
+use crate::engine::residence_values;
 use crate::parallel::ParallelPolicyReport;
 use crate::policy::PolicyKind;
 
@@ -86,10 +87,10 @@ pub(crate) struct PreparedRun {
     pub(crate) config: HmsConfig,
     pub(crate) hms: Hms,
     pub(crate) ids: Vec<ObjectId>,
-    /// Where the allocator placed every object plus the moves to issue,
-    /// window by window (no steps for the static policies). This is the
-    /// value [`MeasuredRuntime::audit_prepared`] certifies *and* the
-    /// value the engine's window loop reads its moves from.
+    /// Where the allocator placed every object plus the moves to issue
+    /// once the plan is released (no steps for the static policies).
+    /// This is the value [`MeasuredRuntime::audit_prepared`] certifies
+    /// *and* the value the engine's window loop reads its moves from.
     pub(crate) plan: MigrationPlan,
     /// Row-major per-(src, dst) copy throttles of the backend.
     pub(crate) copy_cfgs: Vec<CopyConfig>,
@@ -224,7 +225,8 @@ impl MeasuredRuntime {
         let preferred = match policy {
             // First-touch fills DRAM in allocation order and spills.
             PolicyKind::DramOnly | PolicyKind::FirstTouch => TierKind::Dram,
-            // Tahoe starts NVM-resident and migrates after profiling.
+            // Tahoe starts NVM-resident and migrates once every task class
+            // has been profiled.
             PolicyKind::NvmOnly | PolicyKind::Tahoe(_) => TierKind::Nvm,
             other => {
                 return Err(format!(
@@ -293,36 +295,30 @@ impl MeasuredRuntime {
         // over the whole run, from the ground-truth profiles on the
         // fitted specs; the multiple-choice knapsack assigns every
         // object one tier (at two tiers it *is* the 0/1 knapsack, bit
-        // for bit), and every object not already there moves at the
-        // profile-window boundary.
-        let mut plan_values: Option<Vec<f64>> = None;
-        let mut steps = Vec::new();
-        if matches!(policy, PolicyKind::Tahoe(_)) {
+        // for bit), and every object not already there moves once the
+        // engine's class quota releases the plan.
+        let (plan, plan_values) = if matches!(policy, PolicyKind::Tahoe(_)) {
             let specs: Vec<TierSpec> = config.tier_specs().into_iter().cloned().collect();
             let values = residence_values(app, &specs, Some(cal));
-            plan_values = Some(values.iter().map(|v| v[0]).collect());
+            let plan_values = values.iter().map(|v| v[0]).collect();
             let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
-            let assignment = solve_mck(&mck_items(app, values), &caps)?;
-            let window = profile_boundary(app.windows());
-            for (i, &to_tier) in assignment.tiers.iter().enumerate() {
-                if to_tier != initial_tiers[i] {
-                    steps.push(PlanStep {
-                        object: i as u32,
-                        to_tier,
-                        window,
-                    });
-                }
-            }
-        }
+            let items = mck_items(app, values);
+            let assignment = solve_mck(&items, &caps)?;
+            let plan = promotion_plan(&items, initial_tiers, &assignment.tiers);
+            (plan, Some(plan_values))
+        } else {
+            let stay = MigrationPlan {
+                initial_tiers,
+                steps: Vec::new(),
+            };
+            (stay, None)
+        };
 
         Ok(PreparedRun {
             config,
             hms,
             ids,
-            plan: MigrationPlan {
-                initial_tiers,
-                steps,
-            },
+            plan,
             copy_cfgs,
             plan_values,
         })
@@ -454,6 +450,38 @@ pub fn modelled_plan(app: &App, specs: &[TierSpec]) -> Result<(MckAssignment, f6
     let plan = solve_mck(&items, &caps)?;
     let total = modelled_total_ns(app, specs, &plan.tiers);
     Ok((plan, total))
+}
+
+/// Lower a solver assignment to the migration plan the engine executes:
+/// every object whose assigned tier differs from `initial_tiers` (the
+/// spill tier throughout, for a plan that is only audited) moves there
+/// in one step at `window: 0` — due from the first barrier, issued when
+/// the engine's [`ClassQuota`](crate::engine::ClassQuota) releases the
+/// plan. Steps are ordered by descending value per byte on the assigned
+/// tier, ties by object index: the order is deterministic and the copy
+/// channel's first milliseconds carry the most valuable bytes.
+pub fn promotion_plan(
+    items: &[MckItem],
+    initial_tiers: Vec<u8>,
+    assignment: &[u8],
+) -> MigrationPlan {
+    let density = |i: usize| items[i].values[assignment[i] as usize] / items[i].size.max(1) as f64;
+    let mut moved: Vec<usize> = (0..assignment.len())
+        .filter(|&i| assignment[i] != initial_tiers[i])
+        .collect();
+    moved.sort_by(|&a, &b| density(b).total_cmp(&density(a)).then(a.cmp(&b)));
+    let steps = moved
+        .into_iter()
+        .map(|i| PlanStep {
+            object: i as u32,
+            to_tier: assignment[i],
+            window: 0,
+        })
+        .collect();
+    MigrationPlan {
+        initial_tiers,
+        steps,
+    }
 }
 
 /// Execute the app's traffic on plain heap buffers, no tiers, no pacing:

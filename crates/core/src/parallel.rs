@@ -3,11 +3,15 @@
 //!
 //! [`crate::measured`] prepares a run (allocation, placement, audited
 //! plan) and [`crate::engine`] knows what a task does on real memory;
-//! this module is the *runtime shape* of the paper around them: window
-//! by window, the audited plan's steps go to a dedicated migration
-//! thread ([`tahoe_realmem::BackgroundMigrator`]) while the window's
-//! tasks execute on a pool of work-stealing workers
-//! ([`tahoe_taskrt::wsexec`]) — the paper's computation/data-movement
+//! this module is the *runtime shape* of the paper around them: the
+//! graph runs window by window on a pool of work-stealing workers
+//! ([`tahoe_taskrt::wsexec`]) entirely from NVM until every task class
+//! has its quota of completed instances ([`ClassQuota`]); the worker
+//! whose completion meets it hands the audited plan's steps to a
+//! dedicated migration thread ([`tahoe_realmem::BackgroundMigrator`]),
+//! which copies while the rest of that window and every later one
+//! execute — the paper's profile-then-migrate-proactively with its
+//! computation/data-movement
 //! overlap, measured in wall-clock time. Every measured run goes
 //! through here; `run_policy` is this loop at one worker and seed 0.
 //!
@@ -76,10 +80,10 @@
 //! assert_eq!(report.workers, 2);
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use tahoe_hms::{MigrationStats, SharedHms, TierId};
+use tahoe_hms::{MigrationStats, Ns, SharedHms, TierId};
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::{BlameTable, CritPath, CritPathDigest, Emitter, Event, FlightRecorder, WhatIf};
 use tahoe_realmem::BackgroundMigrator;
@@ -90,7 +94,7 @@ use tahoe_taskrt::WsExecutor;
 
 use crate::app::App;
 pub use crate::engine::AccessTierTiming;
-use crate::engine::{profile_boundary, GraphLayout, GraphRun};
+use crate::engine::{ClassQuota, GraphLayout, GraphRun};
 use crate::measured::MeasuredRuntime;
 use crate::policy::PolicyKind;
 
@@ -133,6 +137,20 @@ pub struct ParallelPolicyReport {
     pub migration: MigrationStats,
     /// Migration requests that were moot (already resident, no space).
     pub migrations_skipped: u64,
+    /// Executed ≠ audited: objects that did not end on the tier the
+    /// audited plan put them on, or skipped requests if there were
+    /// more of those. 0 on every sound run; also counted in the
+    /// `core.plan_steps_skipped` metric.
+    pub plan_steps_skipped: u64,
+    /// When the plan was released to the migration thread — the
+    /// completion that met the last class quota — on the run's event
+    /// clock, ns. `None` when the plan has no steps.
+    pub released_at_ns: Option<Ns>,
+    /// When the last migration committed, same clock: the placement the
+    /// plan describes holds from here on. `placed_at_ns −
+    /// released_at_ns` is the time to placement. `None` without
+    /// migrations.
+    pub placed_at_ns: Option<Ns>,
     /// Wall-clock ns workers spent blocked waiting for in-flight
     /// migrations (the executor-observed exposed latency).
     pub gate_wait_ns: f64,
@@ -300,34 +318,52 @@ impl MeasuredRuntime {
             None => self.emitter.emit(|| ev),
         };
 
-        for w in 0..app.windows() {
-            // The plan the auditor certified is the plan that runs: its
-            // steps for this window go to the migration thread, which
-            // copies while this window's (and later windows') tasks
-            // execute.
-            if let (Some(values), true) = (&plan_values, w == profile_boundary(app.windows())) {
-                // Stamp every decision the planner took — promoted to
-                // DRAM or not — with its predicted benefit; the audit
-                // pairs these with measured per-access deltas.
-                let t = shared.now_ns();
-                for (i, spec) in app.objects.iter().enumerate() {
-                    let (predicted, chosen) = (values[i], targets[i] == 0);
-                    if chosen || predicted > 0.0 {
-                        emit(
-                            nw + 1,
-                            Event::PlacementDecision {
-                                t,
-                                object: i as u32,
-                                bytes: spec.size,
-                                predicted_benefit_ns: predicted,
-                                chosen,
-                            },
-                        );
-                    }
+        // Stamp every decision the planner took — promoted to DRAM or
+        // not — with its predicted benefit; the audit pairs these with
+        // measured per-access deltas. The plan exists before the first
+        // task runs, so the stamps do too.
+        if let Some(values) = &plan_values {
+            let t = shared.now_ns();
+            for (i, spec) in app.objects.iter().enumerate() {
+                let (predicted, chosen) = (values[i], targets[i] == 0);
+                if chosen || predicted > 0.0 {
+                    emit(
+                        nw + 1,
+                        Event::PlacementDecision {
+                            t,
+                            object: i as u32,
+                            bytes: spec.size,
+                            predicted_benefit_ns: predicted,
+                            chosen,
+                        },
+                    );
                 }
             }
-            for step in plan.steps.iter().filter(|s| s.window == w) {
-                migrator.enqueue(layout.ids()[step.object as usize], TierId(step.to_tier));
+        }
+
+        // The plan the auditor certified is the plan that runs: steps go
+        // to the migration thread, which copies while tasks execute, in
+        // the (window, issue) order the audit replayed.
+        let issue = |windows: std::ops::RangeInclusive<u32>| {
+            for w in windows {
+                for step in plan.steps.iter().filter(|s| s.window == w) {
+                    migrator.enqueue(layout.ids()[step.object as usize], TierId(step.to_tier));
+                }
+            }
+        };
+        // Profiling ends by class quota, mid-window: the worker whose
+        // completion meets it hands over every step due so far; steps of
+        // windows that open later go out at their barrier.
+        let quota = if plan.steps.is_empty() {
+            ClassQuota::met()
+        } else {
+            ClassQuota::new(&app.graph)
+        };
+        let released_at: OnceLock<Ns> = OnceLock::new();
+
+        for w in 0..app.windows() {
+            if quota.is_met() {
+                issue(w..=w);
             }
             let stats = executor.run_window_traced(
                 &app.graph,
@@ -355,6 +391,18 @@ impl MeasuredRuntime {
                                 gate_wait_ns: out.gate_wait_ns,
                             },
                         );
+                        if quota.task_done(task.class) {
+                            let t = shared.now_ns();
+                            issue(0..=task.window);
+                            released_at.set(t).expect("the quota is met once");
+                            emit(
+                                worker,
+                                Event::ProfilingClosed {
+                                    t,
+                                    window: task.window,
+                                },
+                            );
+                        }
                     }
                     Err(e) => {
                         first_error.lock().expect("error slot").get_or_insert(e);
@@ -447,11 +495,20 @@ impl MeasuredRuntime {
         self.metrics.add("obs.ring_dropped", obs_ring_dropped);
 
         let stats = hms.backend_stats();
+        // Executed == audited: every object must sit where the audited
+        // plan put it. A skipped request or a fragmented destination
+        // shows up here instead of as a quietly slower run.
         let mut final_tier_objects = vec![0usize; config.n_tiers()];
-        for id in layout.ids() {
+        let mut off_target = 0u64;
+        for (id, &target) in layout.ids().iter().zip(&targets) {
             let t = hms.tier_index_of(*id).map_err(|e| e.to_string())?;
             final_tier_objects[t.index()] += 1;
+            off_target += u64::from(t.0 != target);
         }
+        let plan_steps_skipped = off_target.max(mig.skipped);
+        self.metrics
+            .add("core.plan_steps_skipped", plan_steps_skipped);
+        let placed_at_ns = mig.records.iter().map(|r| r.finish).reduce(f64::max);
         Ok(ParallelPolicyReport {
             policy: policy.name(),
             workers: nw,
@@ -465,6 +522,9 @@ impl MeasuredRuntime {
             copy_wall_ns: stats.copy_wall_ns,
             migration: mig.stats,
             migrations_skipped: mig.skipped,
+            plan_steps_skipped,
+            released_at_ns: released_at.get().copied(),
+            placed_at_ns,
             gate_wait_ns,
             steals,
             final_dram_objects: final_tier_objects[0],

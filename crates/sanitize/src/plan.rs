@@ -46,16 +46,17 @@ use crate::dynamic::ExtraAccess;
 use crate::hb::HappensBefore;
 use crate::report::{SanitizeReport, Violation, ViolationKind};
 
-/// One planned migration: move `object` to `to_tier` at the barrier
-/// that opens `window`.
+/// One planned migration: move `object` to `to_tier`, no earlier than
+/// the barrier that opens `window`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanStep {
     /// App index of the object to move.
     pub object: u32,
     /// Destination tier (index into the ordered tier list).
     pub to_tier: u8,
-    /// The move is issued when this window opens; every task of earlier
-    /// windows is barrier-ordered before the copy.
+    /// The move is issued when this window opens or at any point after
+    /// (the engine holds a plan back until its profiling quota is met);
+    /// every task of earlier windows is barrier-ordered before the copy.
     pub window: u32,
 }
 
