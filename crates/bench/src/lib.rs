@@ -574,7 +574,7 @@ impl Measured {
         let cfg = artifact_banner(title, smoke);
         let app = app(if smoke { Scale::Test } else { Scale::Bench });
         let platform = platform(&app);
-        let tiers = platform.tier_specs();
+        let tiers = platform.tier_specs().to_vec();
         let mut rt = MeasuredRuntime::new(platform, cfg);
         if let Some((emitter, metrics)) = observe {
             rt = rt.with_observability(emitter, metrics);
@@ -837,7 +837,7 @@ fn real_doc(m: &Measured) -> Result<Value, String> {
             "migrations": r.migrations,
             "migrated_bytes": r.migrated_bytes,
             "copy_wall_ns": Value::fixed(r.copy_wall_ns, 1),
-            "final_dram_objects": r.final_dram_objects,
+            "final_dram_objects": r.final_tier_objects[0],
             "final_tier_objects": Value::array(r.final_tier_objects.iter().copied()),
         }
     });
@@ -897,7 +897,7 @@ fn real_three(smoke: bool, _dir: &Path) -> Result<Value, String> {
     let (app, (dram_cap, cxl_cap, nvm_cap)) = (&m.app, caps(m.app.footprint()));
 
     let (plan3, t3_ns) = modelled_plan(app, &m.tiers)?;
-    let (_, t2_nvm_ns) = modelled_plan(app, &Platform::optane(dram_cap, nvm_cap).tier_specs())?;
+    let (_, t2_nvm_ns) = modelled_plan(app, Platform::optane(dram_cap, nvm_cap).tier_specs())?;
     let (_, t2_cxl_ns) = modelled_plan(app, &[presets::dram(dram_cap), presets::cxl(nvm_cap)])?;
     // Latency- vs bandwidth-bound classification on the spill tier: the
     // tier an object must escape is the one whose roofline matters.
@@ -921,8 +921,8 @@ fn real_three(smoke: bool, _dir: &Path) -> Result<Value, String> {
 
     let mut sweep = Vec::new();
     for cap in [cxl_cap / 2, cxl_cap, 2 * cxl_cap, 4 * cxl_cap] {
-        let specs = Platform::optane_cxl(dram_cap, cap, nvm_cap).tier_specs();
-        let (plan, ns) = modelled_plan(app, &specs)?;
+        let platform = Platform::optane_cxl(dram_cap, cap, nvm_cap);
+        let (plan, ns) = modelled_plan(app, platform.tier_specs())?;
         let mid = on_tier(&plan.tiers, 1);
         println!(
             "  sweep: CXL {cap:>10} B -> modelled {:.3} ms, {mid} objects on the middle tier",
@@ -1034,7 +1034,7 @@ fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
             "cas_retries": r.contention.pin_cas_retries,
             "parks": r.contention.parks,
             "unparks": r.contention.unparks,
-            "final_dram_objects": r.final_dram_objects,
+            "final_dram_objects": r.final_tier_objects[0],
             // Time to placement (null for the policies with no plan).
             "released_at_ns": r.released_at_ns.map(|t| Value::fixed(t, 1)),
             "placed_at_ns": r.placed_at_ns.map(|t| Value::fixed(t, 1)),
@@ -1127,7 +1127,7 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
         println!(
             "  {:<7} {:>5} {:>5} {:>12.3} {:>12.3} {:>12.3} {:>7}",
             e.object,
-            e.tier.tag(),
+            e.tier,
             e.migrations,
             e.exposed_ns / 1e6,
             e.overlapped_ns / 1e6,
@@ -1256,7 +1256,7 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
     let blame_rows = crit.blame.iter().map(|e| {
         obj! {
             "object": e.object,
-            "tier": e.tier.tag(),
+            "tier": e.tier.to_string(),
             "migrations": e.migrations,
             "bytes": e.bytes,
             "overlapped_ns": Value::fixed(e.overlapped_ns, 1),
@@ -1376,8 +1376,8 @@ fn sanitize(smoke: bool, _dir: &Path) -> Result<Value, String> {
         let plat = platform_bw(app, 0.25);
         StaticContext::new(
             app.objects.iter().map(|o| o.size).collect(),
-            plat.dram.capacity,
-            plat.nvm.capacity,
+            plat.fastest().capacity,
+            plat.spill().capacity,
         )
     };
 
@@ -1410,7 +1410,7 @@ fn sanitize(smoke: bool, _dir: &Path) -> Result<Value, String> {
                 app.name, rep.violations
             );
         }
-        let (_, plan_clean) = audit_solver_plan(app, &platform_bw(app, 0.25).tier_specs())?;
+        let (_, plan_clean) = audit_solver_plan(app, platform_bw(app, 0.25).tier_specs())?;
         static_clean &= rep.is_clean() && plan_clean;
         static_verified += 1;
     }
@@ -1593,10 +1593,10 @@ fn verify(smoke: bool, _dir: &Path) -> Result<Value, String> {
     let (mut plans_audited, mut steps_total, mut plans_clean) = (0u64, 0u64, true);
     for app in &apps {
         let fp = app.footprint();
-        let two = Platform::optane(dram_budget(app), 4 * fp).tier_specs();
-        let three = Platform::optane_cxl(dram_budget(app), fp / 2, 4 * fp).tier_specs();
-        for specs in [&two, &three] {
-            let (steps, clean) = audit_solver_plan(app, specs)?;
+        let two = Platform::optane(dram_budget(app), 4 * fp);
+        let three = Platform::optane_cxl(dram_budget(app), fp / 2, 4 * fp);
+        for platform in [&two, &three] {
+            let (steps, clean) = audit_solver_plan(app, platform.tier_specs())?;
             steps_total += steps;
             plans_clean &= clean;
             plans_audited += 1;
@@ -2168,10 +2168,10 @@ mod tests {
     fn platform_builders_scale_with_app() {
         let app = stream::app(Scale::Test);
         let p = platform_bw(&app, 0.5);
-        assert!(p.dram.capacity >= 1 << 20);
-        assert!(p.nvm.capacity >= app.footprint());
+        assert!(p.fastest().capacity >= 1 << 20);
+        assert!(p.spill().capacity >= app.footprint());
         let q = platform_lat(&app, 4.0);
-        assert!(q.nvm.read_lat_ns > q.dram.read_lat_ns);
+        assert!(q.spill().read_lat_ns > q.fastest().read_lat_ns);
     }
 
     #[test]

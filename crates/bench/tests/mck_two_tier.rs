@@ -17,7 +17,7 @@ fn mck_at_two_tiers_matches_the_binary_plan_on_every_workload() {
             tahoe_core::prelude::Platform::emulated_bw(0.25, app.footprint() / 4, u64::MAX / 4)
                 .expect("valid platform");
         let specs = platform.tier_specs();
-        let items = mck_items_for(app, &specs);
+        let items = mck_items_for(app, specs);
         let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
         let plan = solve_mck(&items, &caps).expect("two-tier MCK solves");
 

@@ -22,11 +22,12 @@ use tahoe_workloads::{all_workloads, Scale};
 fn specs_for(app: &App, tiers: usize) -> Vec<TierSpec> {
     let fp = app.footprint();
     let dram = (fp / 4).max(1 << 20);
-    if tiers >= 3 {
-        Platform::optane_cxl(dram, fp / 2, 4 * fp).tier_specs()
+    let platform = if tiers >= 3 {
+        Platform::optane_cxl(dram, fp / 2, 4 * fp)
     } else {
-        Platform::optane(dram, 4 * fp).tier_specs()
-    }
+        Platform::optane(dram, 4 * fp)
+    };
+    platform.tier_specs().to_vec()
 }
 
 /// Solve the placement with the chosen solver and lower it to the

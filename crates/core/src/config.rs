@@ -1,45 +1,15 @@
 //! Platform and runtime configuration.
 
-use tahoe_hms::{presets, HmsConfig, HmsError, TierSpec};
+use tahoe_hms::{presets, HmsConfig, HmsError, TierId, TierSpec};
 use tahoe_memprof::SamplerConfig;
 use tahoe_perfmodel::ModelParams;
 
-/// Which substrate a run executes on.
-///
-/// `Virtual` is the simulator: tiers are bookkeeping, time is modelled.
-/// `Measured` backs both tiers with `mmap` arenas (`tahoe-realmem`),
-/// executes real memory traffic, and reports wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeMode {
-    /// Virtual-time simulation (the default everywhere it isn't stated).
-    #[default]
-    Virtual,
-    /// Real buffers, wall-clock timing, software-emulated NVM.
-    Measured,
-}
-
-impl std::fmt::Display for RuntimeMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeMode::Virtual => write!(f, "virtual"),
-            RuntimeMode::Measured => write!(f, "measured"),
-        }
-    }
-}
-
-/// The simulated hardware platform: an ordered tier list plus the copy
-/// engine. `dram` is the fastest tier, `nvm` the slowest (spill) tier,
-/// and `mids` holds any middle tiers (e.g. CXL-attached memory) in
-/// fastest-first order between them.
+/// The simulated hardware platform: the ordered tier list (fastest
+/// first, at least two — the first tier's capacity is the scarce fast
+/// budget, the last is the spill tier) plus the copy engine.
 #[derive(Debug, Clone)]
 pub struct Platform {
-    /// DRAM tier spec (capacity = the scarce fast-tier budget).
-    pub dram: TierSpec,
-    /// NVM tier spec.
-    pub nvm: TierSpec,
-    /// Middle tiers between DRAM and NVM, fastest first. Empty for the
-    /// classic two-tier platforms.
-    pub mids: Vec<TierSpec>,
+    tiers: Vec<TierSpec>,
     /// Copy-channel (helper thread) bandwidth in GB/s. The paper's
     /// migrations run over ordinary memcpy; a mid-range value between the
     /// two tiers' bandwidths is the realistic default.
@@ -50,17 +20,15 @@ impl Platform {
     /// A two-tier platform from explicit tier specs.
     pub fn new(dram: TierSpec, nvm: TierSpec, copy_bw_gbps: f64) -> Self {
         Platform {
-            dram,
-            nvm,
-            mids: Vec::new(),
+            tiers: vec![dram, nvm],
             copy_bw_gbps,
         }
     }
 
-    /// Insert a middle tier after any existing middle tiers (so calls
-    /// list tiers fastest-first, matching the ordered tier list).
+    /// Insert a middle tier just above the spill tier, after any
+    /// existing middle tiers (so calls list them fastest-first).
     pub fn with_mid_tier(mut self, spec: TierSpec) -> Self {
-        self.mids.push(spec);
+        self.tiers.insert(self.tiers.len() - 1, spec);
         self
     }
 
@@ -74,18 +42,29 @@ impl Platform {
         Platform::optane(dram_capacity, nvm_capacity).with_mid_tier(presets::cxl(cxl_capacity))
     }
 
-    /// Number of tiers (2 + middle tiers).
+    /// Number of tiers (≥ 2).
     pub fn n_tiers(&self) -> usize {
-        2 + self.mids.len()
+        self.tiers.len()
     }
 
     /// The full ordered tier list, fastest first.
-    pub fn tier_specs(&self) -> Vec<TierSpec> {
-        let mut v = Vec::with_capacity(self.n_tiers());
-        v.push(self.dram.clone());
-        v.extend(self.mids.iter().cloned());
-        v.push(self.nvm.clone());
-        v
+    pub fn tier_specs(&self) -> &[TierSpec] {
+        &self.tiers
+    }
+
+    /// The fastest tier (DRAM; capacity = the scarce fast-tier budget).
+    pub fn fastest(&self) -> &TierSpec {
+        &self.tiers[0]
+    }
+
+    /// The spill tier (NVM): the last, slowest, largest tier.
+    pub fn spill(&self) -> &TierSpec {
+        &self.tiers[self.tiers.len() - 1]
+    }
+
+    /// Index of the spill tier.
+    pub fn last_tier(&self) -> TierId {
+        TierId((self.tiers.len() - 1) as u8)
     }
 
     /// Quartz-style bandwidth-limited NVM: `bw_frac` of DRAM bandwidth.
@@ -125,38 +104,40 @@ impl Platform {
     /// The HMS configuration for this platform. Fails if any tier spec
     /// or the copy bandwidth fails validation.
     pub fn hms_config(&self) -> Result<HmsConfig, HmsError> {
-        if self.mids.is_empty() {
-            HmsConfig::new(self.dram.clone(), self.nvm.clone(), self.copy_bw_gbps)
-        } else {
-            HmsConfig::with_tiers(self.tier_specs(), self.copy_bw_gbps)
-        }
+        HmsConfig::with_tiers(self.tiers.clone(), self.copy_bw_gbps)
     }
 
     /// A copy with a different DRAM capacity (sensitivity sweeps).
     pub fn with_dram_capacity(&self, capacity: u64) -> Self {
         let mut p = self.clone();
-        p.dram = p.dram.with_capacity(capacity);
+        p.tiers[0].capacity = capacity;
+        p
+    }
+
+    /// A copy with a different spill-tier capacity.
+    pub fn with_spill_capacity(&self, capacity: u64) -> Self {
+        let mut p = self.clone();
+        let last = p.tiers.len() - 1;
+        p.tiers[last].capacity = capacity;
         p
     }
 }
 
 /// Completed instances of a task class before its profile is trusted
-/// (PAPER.md §1 step 1, "a few executions"): the default of
-/// [`RuntimeConfig::min_class_instances`] and the per-class quota of the
-/// wall-clock engine's [`ClassQuota`](crate::engine::ClassQuota).
+/// (PAPER.md §1 step 1, "a few executions"): the virtual driver's
+/// per-class profiling quota and the per-class quota of the wall-clock
+/// engine's [`ClassQuota`](crate::engine::ClassQuota).
 pub const MIN_CLASS_INSTANCES: u32 = 1;
+
+/// Windows the virtual driver spends profiling before it computes a
+/// plan (the paper profiles the first two iterations).
+pub const PROFILE_WINDOWS: u32 = 2;
 
 /// Runtime configuration shared by all policies.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Number of simulated workers.
     pub workers: usize,
-    /// Windows spent profiling before the plan is computed (the paper
-    /// profiles the first two iterations).
-    pub profile_windows: u32,
-    /// Minimum profiled instances per task class before its profile is
-    /// trusted.
-    pub min_class_instances: u32,
     /// Model thresholds/knobs.
     pub model: ModelParams,
     /// Sampling profiler configuration.
@@ -169,8 +150,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             workers: 4,
-            profile_windows: 2,
-            min_class_instances: MIN_CLASS_INSTANCES,
             model: ModelParams::default(),
             sampler: SamplerConfig::default(),
             chunk_size: 512 << 10,
@@ -194,7 +173,7 @@ mod tests {
     fn emulated_platforms_have_sane_copy_bandwidth() {
         let p = Platform::emulated_bw(0.5, 1 << 20, 1 << 30).unwrap();
         assert!(p.copy_bw_gbps > 0.0);
-        assert!(p.copy_bw_gbps <= p.dram.read_bw_gbps);
+        assert!(p.copy_bw_gbps <= p.fastest().read_bw_gbps);
         let q = Platform::emulated_lat(4.0, 1 << 20, 1 << 30).unwrap();
         assert!(q.copy_bw_gbps > 0.0);
         assert!(Platform::emulated_bw(-0.5, 1 << 20, 1 << 30).is_err());
@@ -202,19 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn runtime_mode_displays() {
-        assert_eq!(RuntimeMode::Virtual.to_string(), "virtual");
-        assert_eq!(RuntimeMode::Measured.to_string(), "measured");
-        assert_eq!(RuntimeMode::default(), RuntimeMode::Virtual);
-    }
-
-    #[test]
     fn with_dram_capacity_only_changes_capacity() {
         let p = Platform::optane(1 << 20, 1 << 30);
         let q = p.with_dram_capacity(1 << 22);
-        assert_eq!(q.dram.capacity, 1 << 22);
-        assert_eq!(q.dram.read_lat_ns, p.dram.read_lat_ns);
-        assert_eq!(q.nvm.capacity, p.nvm.capacity);
+        assert_eq!(q.fastest().capacity, 1 << 22);
+        assert_eq!(q.fastest().read_lat_ns, p.fastest().read_lat_ns);
+        assert_eq!(q.spill(), p.spill());
     }
 
     #[test]
@@ -237,7 +209,7 @@ mod tests {
     #[test]
     fn default_config_matches_paper_choices() {
         let c = RuntimeConfig::default();
-        assert_eq!(c.profile_windows, 2);
+        assert_eq!(PROFILE_WINDOWS, 2);
         assert_eq!(c.sampler.interval, 1000);
     }
 }

@@ -23,7 +23,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use tahoe_hms::{
     migrate::{CopyChannel, MigrationRecord, MigrationStats},
-    Hms, HmsConfig, Ns, ObjectId, TierKind,
+    Hms, Ns, ObjectId, TierId,
 };
 use tahoe_memprof::{calibrate::calibrate, Calibration, ProfileDb, Sampler};
 use tahoe_obs::{Emitter, Event, Metrics, OverheadKind, ReplanReason};
@@ -34,7 +34,7 @@ use tahoe_placement::{
 use tahoe_taskrt::{SchedulerHooks, TaskSpec};
 
 use crate::app::App;
-use crate::config::{Platform, RuntimeConfig};
+use crate::config::{Platform, RuntimeConfig, MIN_CLASS_INSTANCES, PROFILE_WINDOWS};
 use crate::hwcache::cached_mem_time_ns;
 use crate::overhead::{
     OverheadLedger, PLAN_COST_PER_CANDIDATE_NS, PROFILING_TASK_INFLATION, SYNC_COST_PER_TASK_NS,
@@ -48,13 +48,10 @@ struct Inflight {
     finish: Ns,
 }
 
-/// The observability mirror of a memory tier.
-fn obs_tier(t: TierKind) -> tahoe_obs::Tier {
-    match t {
-        TierKind::Dram => tahoe_obs::Tier::Dram,
-        TierKind::Nvm => tahoe_obs::Tier::Nvm,
-    }
-}
+/// The fast tier every placement decision here is about. The driver is
+/// the paper's two-ended model: objects live on DRAM or on the spill
+/// tier ([`Driver::spill`]); middle tiers of the platform stay empty.
+const DRAM: TierId = TierId::FASTEST;
 
 /// The policy driver (see module docs).
 pub struct Driver<'a> {
@@ -115,18 +112,14 @@ impl<'a> Driver<'a> {
     ) -> Self {
         let footprint = app.footprint();
         // The bounds policies must be able to hold everything in one tier.
-        let mut plat = platform.clone();
-        match policy {
+        let plat = match policy {
             PolicyKind::DramOnly => {
-                plat.dram = plat.dram.with_capacity(plat.dram.capacity.max(footprint));
+                platform.with_dram_capacity(platform.fastest().capacity.max(footprint))
             }
-            _ => {
-                plat.nvm = plat.nvm.with_capacity(plat.nvm.capacity.max(footprint * 2));
-            }
-        }
-        let hms_cfg = HmsConfig::new(plat.dram.clone(), plat.nvm.clone(), plat.copy_bw_gbps)
-            .expect("platform already validated");
-        let mut hms = Hms::new(hms_cfg);
+            _ => platform.with_spill_capacity(platform.spill().capacity.max(footprint * 2)),
+        };
+        let mut hms = Hms::new(plat.hms_config().expect("platform already validated"));
+        let spill = hms.config().last_tier();
 
         let opts = match &policy {
             PolicyKind::Tahoe(o) => Some(o.clone()),
@@ -159,7 +152,7 @@ impl<'a> Driver<'a> {
                 None => unit_descs.push((i, spec.size, spec.name.clone())),
             }
         }
-        let unit_tiers = Self::initial_unit_tiers(app, &plat, &policy, &unit_descs);
+        let unit_tiers = Self::initial_unit_tiers(app, &plat, spill, &policy, &unit_descs);
         let mut units: Vec<Vec<ObjectId>> = vec![Vec::new(); app.objects.len()];
         let mut unit_parent = HashMap::new();
         for ((parent, size, name), tier) in unit_descs.iter().zip(unit_tiers) {
@@ -171,10 +164,10 @@ impl<'a> Driver<'a> {
         }
 
         // ---- offline calibration (Tahoe only needs it, harmless else) --
-        let calib = calibrate(&plat.dram, &plat.nvm, &cfg.sampler);
+        let calib = calibrate(plat.fastest(), plat.spill(), &cfg.sampler);
 
         let profiling_until = match &policy {
-            PolicyKind::Tahoe(_) => cfg.profile_windows,
+            PolicyKind::Tahoe(_) => PROFILE_WINDOWS,
             _ => 0,
         };
 
@@ -221,45 +214,51 @@ impl<'a> Driver<'a> {
         self.metrics = metrics;
     }
 
+    /// The spill tier: where everything outside the DRAM budget lives.
+    fn spill(&self) -> TierId {
+        self.hms.config().last_tier()
+    }
+
     /// Initial tier of each memory unit under `policy`. `unit_descs` is
     /// `(parent object index, unit size, name)` per unit.
     fn initial_unit_tiers(
         app: &App,
         platform: &Platform,
+        spill: TierId,
         policy: &PolicyKind,
         unit_descs: &[(usize, u64, String)],
-    ) -> Vec<TierKind> {
-        let per_parent = |tiers: Vec<TierKind>| -> Vec<TierKind> {
+    ) -> Vec<TierId> {
+        let per_parent = |tiers: Vec<TierId>| -> Vec<TierId> {
             unit_descs.iter().map(|&(p, _, _)| tiers[p]).collect()
         };
         let n = app.objects.len();
         match policy {
-            PolicyKind::DramOnly => vec![TierKind::Dram; unit_descs.len()],
-            PolicyKind::NvmOnly | PolicyKind::HwCache => {
-                vec![TierKind::Nvm; unit_descs.len()]
-            }
+            PolicyKind::DramOnly => vec![DRAM; unit_descs.len()],
+            PolicyKind::NvmOnly | PolicyKind::HwCache => vec![spill; unit_descs.len()],
             PolicyKind::FirstTouch => {
                 // Allocation-order fill with fallback happens naturally at
                 // alloc time: ask for DRAM, overflow goes to NVM.
-                vec![TierKind::Dram; unit_descs.len()]
+                vec![DRAM; unit_descs.len()]
             }
-            PolicyKind::StaticOffline => per_parent(Self::offline_static_tiers(app, platform)),
+            PolicyKind::StaticOffline => {
+                per_parent(Self::offline_static_tiers(app, platform, spill))
+            }
             PolicyKind::Pinned(objs) => per_parent(
                 (0..n)
                     .map(|i| {
                         if objs.contains(&ObjectId(i as u32)) {
-                            TierKind::Dram
+                            DRAM
                         } else {
-                            TierKind::Nvm
+                            spill
                         }
                     })
                     .collect(),
             ),
             PolicyKind::Tahoe(o) => {
                 if o.initial_placement {
-                    Self::compiler_initial_unit_tiers(app, platform, unit_descs)
+                    Self::compiler_initial_unit_tiers(app, platform, spill, unit_descs)
                 } else {
-                    vec![TierKind::Nvm; unit_descs.len()]
+                    vec![spill; unit_descs.len()]
                 }
             }
         }
@@ -267,13 +266,13 @@ impl<'a> Driver<'a> {
 
     /// X-Mem-like oracle: perfect whole-run profile, one knapsack with
     /// the *true* DRAM saving as value, no migration cost.
-    fn offline_static_tiers(app: &App, platform: &Platform) -> Vec<TierKind> {
+    fn offline_static_tiers(app: &App, platform: &Platform, spill: TierId) -> Vec<TierId> {
         use tahoe_placement::{solve, Item};
         let mut true_saving = vec![0.0f64; app.objects.len()];
         for t in app.graph.tasks() {
             for a in &t.accesses {
-                true_saving[a.object.index()] +=
-                    a.profile.mem_time_ns(&platform.nvm) - a.profile.mem_time_ns(&platform.dram);
+                true_saving[a.object.index()] += a.profile.mem_time_ns(platform.spill())
+                    - a.profile.mem_time_ns(platform.fastest());
             }
         }
         let items: Vec<Item> = app
@@ -286,13 +285,13 @@ impl<'a> Driver<'a> {
                 value: true_saving[i],
             })
             .collect();
-        let sol = solve(&items, platform.dram.capacity);
+        let sol = solve(&items, platform.fastest().capacity);
         (0..app.objects.len())
             .map(|i| {
                 if sol.contains(ObjectId(i as u32)) {
-                    TierKind::Dram
+                    DRAM
                 } else {
-                    TierKind::Nvm
+                    spill
                 }
             })
             .collect()
@@ -305,8 +304,9 @@ impl<'a> Driver<'a> {
     fn compiler_initial_unit_tiers(
         app: &App,
         platform: &Platform,
+        spill: TierId,
         unit_descs: &[(usize, u64, String)],
-    ) -> Vec<TierKind> {
+    ) -> Vec<TierId> {
         let mut ranked: Vec<(usize, f64)> = unit_descs
             .iter()
             .enumerate()
@@ -320,13 +320,13 @@ impl<'a> Driver<'a> {
                 .expect("densities are finite")
                 .then(a.0.cmp(&b.0))
         });
-        let mut budget = platform.dram.capacity;
-        let mut tiers = vec![TierKind::Nvm; unit_descs.len()];
+        let mut budget = platform.fastest().capacity;
+        let mut tiers = vec![spill; unit_descs.len()];
         for (u, _) in ranked {
             let size = unit_descs[u].1;
             if size <= budget {
                 budget -= size;
-                tiers[u] = TierKind::Dram;
+                tiers[u] = DRAM;
             }
         }
         tiers
@@ -342,9 +342,9 @@ impl<'a> Driver<'a> {
         match &self.policy {
             PolicyKind::HwCache => cached_mem_time_ns(
                 &access.profile,
-                &self.platform.dram,
-                &self.platform.nvm,
-                self.platform.dram.capacity,
+                self.platform.fastest(),
+                self.platform.spill(),
+                self.platform.fastest().capacity,
                 self.footprint,
             ),
             _ => {
@@ -404,7 +404,7 @@ impl<'a> Driver<'a> {
             due
         };
         for (finish, unit) in due {
-            match self.hms.move_object(unit, TierKind::Dram) {
+            match self.hms.move_object(unit, DRAM) {
                 Ok(bytes) => {
                     if let Some(inf) = self.inflight.remove(&unit) {
                         let overlap = self.records[inf.record].overlapped_ns();
@@ -546,7 +546,7 @@ impl<'a> Driver<'a> {
             return;
         }
         let candidate_count: usize = demands.iter().map(|d| d.len()).sum();
-        let initial: BTreeSet<ObjectId> = self.hms.objects_on(TierKind::Dram).into_iter().collect();
+        let initial: BTreeSet<ObjectId> = self.hms.objects_on(DRAM).into_iter().collect();
 
         let mean_window_ns = self.mean_window_duration_ns();
         let mean_copy_ns = {
@@ -558,8 +558,8 @@ impl<'a> Driver<'a> {
             (total as f64 / n as f64) / self.platform.copy_bw_gbps
         };
         let ctx = WeighCtx {
-            nvm: self.platform.nvm.clone(),
-            dram: self.platform.dram.clone(),
+            nvm: self.platform.spill().clone(),
+            dram: self.platform.fastest().clone(),
             calib: self.calib,
             params: {
                 let mut p = self.cfg.model;
@@ -574,10 +574,10 @@ impl<'a> Driver<'a> {
             } else {
                 0.0
             },
-            dram_pressure: self.hms.used(TierKind::Dram) as f64
-                / self.platform.dram.capacity.max(1) as f64,
+            dram_pressure: self.hms.used(DRAM) as f64
+                / self.platform.fastest().capacity.max(1) as f64,
         };
-        let cap = self.platform.dram.capacity;
+        let cap = self.platform.fastest().capacity;
 
         // A plan's knapsack gain includes the benefit of objects that are
         // *already* resident — which doing nothing collects too. Score
@@ -730,6 +730,7 @@ impl<'a> Driver<'a> {
         };
         let evict = pw.evict.clone();
         let promote = pw.promote.clone();
+        let (spill, n_tiers) = (self.spill(), self.hms.n_tiers());
         if !evict.is_empty() || !promote.is_empty() {
             self.quiet_since = w + 1;
         }
@@ -738,20 +739,20 @@ impl<'a> Driver<'a> {
         // is charged on the channel; residency flips immediately (the
         // data stays readable from either location during the copy).
         for unit in evict {
-            if self.hms.tier_of(unit) != Ok(TierKind::Dram) {
+            if self.hms.tier_of(unit) != Ok(DRAM) {
                 continue;
             }
             let bytes = self.hms.size_of(unit).expect("unit is live");
-            if self.hms.move_object(unit, TierKind::Nvm).is_err() {
+            if self.hms.move_object(unit, spill).is_err() {
                 continue;
             }
             let (start, finish) = self.channel.schedule(bytes, now);
-            self.wear.record_copy(TierKind::Nvm, bytes);
+            self.wear.record_copy(spill, bytes);
             self.records.push(MigrationRecord {
                 object: unit,
                 bytes,
-                from: TierKind::Dram,
-                to: TierKind::Nvm,
+                from: DRAM,
+                to: spill,
                 issued_at: now,
                 start,
                 finish,
@@ -764,8 +765,8 @@ impl<'a> Driver<'a> {
                 t: now,
                 object: unit.0,
                 bytes,
-                from: obs_tier(TierKind::Dram),
-                to: obs_tier(TierKind::Nvm),
+                from: DRAM.label(n_tiers),
+                to: spill.label(n_tiers),
                 start,
                 finish,
                 queue_depth,
@@ -804,17 +805,18 @@ impl<'a> Driver<'a> {
 
     /// Schedule one NVM→DRAM promotion on the copy channel.
     fn issue_promotion(&mut self, unit: ObjectId, now: Ns, opts: &TahoeOptions) {
-        if self.hms.tier_of(unit) != Ok(TierKind::Nvm) || self.inflight.contains_key(&unit) {
+        let (spill, n_tiers) = (self.spill(), self.hms.n_tiers());
+        if self.hms.tier_of(unit) != Ok(spill) || self.inflight.contains_key(&unit) {
             return;
         }
         let bytes = self.hms.size_of(unit).expect("unit is live");
         let (start, finish) = self.channel.schedule(bytes, now);
-        self.wear.record_copy(TierKind::Dram, bytes);
+        self.wear.record_copy(DRAM, bytes);
         self.records.push(MigrationRecord {
             object: unit,
             bytes,
-            from: TierKind::Nvm,
-            to: TierKind::Dram,
+            from: spill,
+            to: DRAM,
             issued_at: now,
             start,
             finish,
@@ -827,8 +829,8 @@ impl<'a> Driver<'a> {
             t: now,
             object: unit.0,
             bytes,
-            from: obs_tier(TierKind::Nvm),
-            to: obs_tier(TierKind::Dram),
+            from: spill.label(n_tiers),
+            to: DRAM.label(n_tiers),
             start,
             finish,
             queue_depth,
@@ -858,10 +860,10 @@ impl<'a> Driver<'a> {
         let d1 = self.window_started_at[n - 1].1 - self.window_started_at[n - 2].1;
         let d0 = self.window_started_at[n - 2].1 - self.window_started_at[n - 3].1;
         if d0 > 0.0 && ((d1 - d0) / d0).abs() > self.cfg.model.variation_threshold {
-            // Re-profile the next profile_windows windows, then replan.
+            // Re-profile the next PROFILE_WINDOWS windows, then replan.
             self.db.clear();
             self.plan = None;
-            self.profiling_until = w + self.cfg.profile_windows;
+            self.profiling_until = w + PROFILE_WINDOWS;
             // Profiling inflation changes window durations too; wait for
             // it to pass before measuring variation again.
             self.quiet_since = self.profiling_until + 1;
@@ -892,7 +894,7 @@ impl<'a> Driver<'a> {
 
     /// Units currently in DRAM (for reports).
     pub fn dram_units(&self) -> usize {
-        self.hms.objects_on(TierKind::Dram).len()
+        self.hms.objects_on(DRAM).len()
     }
 
     /// The chosen plan kind, if a plan was computed.
@@ -911,7 +913,7 @@ impl SchedulerHooks for Driver<'_> {
             let bytes = a.profile.stores * tahoe_hms::CACHELINE;
             if bytes > 0 {
                 let tier = match self.policy {
-                    PolicyKind::HwCache => TierKind::Nvm,
+                    PolicyKind::HwCache => self.spill(),
                     _ => self
                         .hms
                         .tier_of(self.units_of(a.object)[0])
@@ -931,9 +933,7 @@ impl SchedulerHooks for Driver<'_> {
             // first appear long after startup; the paper profiles a few
             // instances of *each class*, whenever they arrive).
             if task.window < self.profiling_until
-                || !self
-                    .db
-                    .is_profiled(task.class, self.cfg.min_class_instances)
+                || !self.db.is_profiled(task.class, MIN_CLASS_INSTANCES)
             {
                 self.profile_task(task);
                 let extra = dur * PROFILING_TASK_INFLATION;
@@ -991,10 +991,11 @@ impl SchedulerHooks for Driver<'_> {
         // Per-tier occupancy sample at every window boundary, whatever the
         // policy — the observability layer's view of residency over time.
         if self.emitter.enabled() || self.metrics.is_enabled() {
-            let dram_used = self.hms.used(TierKind::Dram);
-            let nvm_used = self.hms.used(TierKind::Nvm);
-            let dram_capacity = self.hms.tier_spec(TierKind::Dram).capacity;
-            let nvm_capacity = self.hms.tier_spec(TierKind::Nvm).capacity;
+            let spill = self.spill();
+            let dram_used = self.hms.used(DRAM);
+            let nvm_used = self.hms.used(spill);
+            let dram_capacity = self.hms.tier_spec(DRAM).capacity;
+            let nvm_capacity = self.hms.tier_spec(spill).capacity;
             let inflight = self.inflight.len() as u32;
             self.emitter.emit(|| Event::TierSample {
                 t: now,
@@ -1104,8 +1105,8 @@ mod tests {
         let app = two_object_app(3);
         let cfg = RuntimeConfig::default();
         let d = Driver::new(&app, &platform(), &cfg, PolicyKind::DramOnly);
-        assert_eq!(d.hms.objects_on(TierKind::Dram).len(), 2);
-        assert_eq!(d.hms.objects_on(TierKind::Nvm).len(), 0);
+        assert_eq!(d.hms.objects_on(DRAM).len(), 2);
+        assert_eq!(d.hms.objects_on(TierId(1)).len(), 0);
     }
 
     #[test]
@@ -1113,7 +1114,7 @@ mod tests {
         let app = two_object_app(3);
         let cfg = RuntimeConfig::default();
         let d = Driver::new(&app, &platform(), &cfg, PolicyKind::NvmOnly);
-        assert_eq!(d.hms.objects_on(TierKind::Nvm).len(), 2);
+        assert_eq!(d.hms.objects_on(TierId(1)).len(), 2);
     }
 
     #[test]
@@ -1121,8 +1122,8 @@ mod tests {
         let app = two_object_app(3); // 2 MB footprint, 1 MB DRAM
         let cfg = RuntimeConfig::default();
         let d = Driver::new(&app, &platform(), &cfg, PolicyKind::FirstTouch);
-        assert_eq!(d.hms.objects_on(TierKind::Dram).len(), 1);
-        assert_eq!(d.hms.objects_on(TierKind::Nvm).len(), 1);
+        assert_eq!(d.hms.objects_on(DRAM).len(), 1);
+        assert_eq!(d.hms.objects_on(TierId(1)).len(), 1);
         assert_eq!(d.hms.dram_fallbacks, 1);
     }
 
@@ -1131,7 +1132,7 @@ mod tests {
         let app = two_object_app(3);
         let cfg = RuntimeConfig::default();
         let d = Driver::new(&app, &platform(), &cfg, PolicyKind::StaticOffline);
-        let dram = d.hms.objects_on(TierKind::Dram);
+        let dram = d.hms.objects_on(DRAM);
         assert_eq!(dram.len(), 1);
         // Object 0 ("hot") must be the chosen one.
         assert_eq!(d.hms.meta(dram[0]).unwrap().name, "hot");
@@ -1142,7 +1143,7 @@ mod tests {
         let app = two_object_app(3);
         let cfg = RuntimeConfig::default();
         let d = Driver::new(&app, &platform(), &cfg, PolicyKind::tahoe());
-        let dram = d.hms.objects_on(TierKind::Dram);
+        let dram = d.hms.objects_on(DRAM);
         assert_eq!(dram.len(), 1);
         assert_eq!(d.hms.meta(dram[0]).unwrap().name, "hot");
     }
@@ -1156,7 +1157,7 @@ mod tests {
             ..TahoeOptions::default()
         };
         let d = Driver::new(&app, &platform(), &cfg, PolicyKind::Tahoe(o));
-        assert_eq!(d.hms.objects_on(TierKind::Dram).len(), 0);
+        assert_eq!(d.hms.objects_on(DRAM).len(), 0);
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl GraphLayout {
             ids,
             slot_base,
             n_slots,
-            specs: config.tier_specs().into_iter().cloned().collect(),
+            specs: config.tier_specs().to_vec(),
             cal: cal.clone(),
         }
     }

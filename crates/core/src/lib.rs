@@ -86,8 +86,8 @@ pub mod runtime;
 
 pub use app::{App, AppBuilder, ObjectSpec, TaskBuilder};
 pub use audit::{ModelAudit, ObjectAudit, ObsOverhead};
-pub use config::{Platform, RuntimeConfig, RuntimeMode};
-pub use measured::{MeasuredReport, MeasuredRuntime};
+pub use config::{Platform, RuntimeConfig};
+pub use measured::MeasuredRuntime;
 pub use parallel::{AccessTierTiming, ParallelPolicyReport};
 pub use policy::{PolicyKind, TahoeOptions};
 pub use report::RunReport;
@@ -100,10 +100,10 @@ pub use tahoe_sanitize::{
 /// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use crate::app::{App, AppBuilder};
-    pub use crate::config::{Platform, RuntimeConfig, RuntimeMode};
-    pub use crate::measured::{MeasuredReport, MeasuredRuntime};
+    pub use crate::config::{Platform, RuntimeConfig};
+    pub use crate::measured::MeasuredRuntime;
     pub use crate::policy::{PolicyKind, TahoeOptions};
     pub use crate::report::RunReport;
     pub use crate::runtime::{ObsCapture, Runtime};
-    pub use tahoe_hms::{presets, TierKind};
+    pub use tahoe_hms::{presets, TierId};
 }

@@ -1,7 +1,7 @@
 //! Measured-mode execution: the policy drivers on real memory.
 //!
-//! [`RuntimeMode::Measured`](crate::config::RuntimeMode) swaps the
-//! virtual-time simulator for a physical substrate:
+//! [`MeasuredRuntime`] swaps the virtual-time simulator for a physical
+//! substrate:
 //!
 //! 1. **Calibrate** — map a scratch `mmap` arena, run the executable
 //!    STREAM/pointer-chase kernels on it, and fit a `TierSpec` plus
@@ -27,11 +27,11 @@
 //! NVM-only, first-touch, Tahoe); the cache/oracle baselines are
 //! simulator-only by construction.
 
-use tahoe_hms::{Hms, HmsConfig, ObjectId, TierKind, TierSpec};
+use tahoe_hms::{Hms, HmsConfig, ObjectId, TierId, TierSpec};
 use tahoe_memprof::wallclock::{
     derive_scaled_spec, fit_calibration, measure_tier, WallClockCalibration, WallClockConfig,
 };
-use tahoe_obs::{Emitter, Event, Metrics, Tier};
+use tahoe_obs::{Emitter, Event, Metrics};
 use tahoe_placement::{solve_mck, MckAssignment, MckItem};
 use tahoe_realmem::{traffic, CopyConfig, MmapArena, RealBackend};
 use tahoe_sanitize::{audit_plan, MigrationPlan, PlanContext, PlanStep, SanitizeReport};
@@ -62,20 +62,6 @@ pub(crate) fn site_seed(run_seed: u64, task: u32, access: usize) -> u64 {
 /// then windows → window tasks → accesses).
 pub(crate) fn fold(acc: u64, x: u64) -> u64 {
     acc.rotate_left(7) ^ x
-}
-
-/// A full measured-mode comparison across policies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredReport {
-    /// The fitted calibration every policy ran under.
-    pub calibration: WallClockCalibration,
-    /// NUMA nodes the (dram, nvm) arenas were bound to; `-1` = unbound,
-    /// pure software emulation.
-    pub numa_nodes: (i64, i64),
-    /// Per-policy results, in the order requested.
-    pub policies: Vec<ParallelPolicyReport>,
-    /// Checksum of the reference execution on plain heap buffers.
-    pub reference_checksum: u64,
 }
 
 /// Everything a measured policy run needs before its first task: the
@@ -150,7 +136,7 @@ impl MeasuredRuntime {
     /// Run the wall-clock calibration pass on a scratch `mmap` arena.
     pub fn calibrate(&self) -> Result<WallClockCalibration, String> {
         let bytes = self.kernel_cfg.required_bytes();
-        let arena = MmapArena::new(TierKind::Dram, bytes)?;
+        let arena = MmapArena::new(TierId::FASTEST, "calibration scratch", bytes)?;
         let ptr = arena
             .data_ptr(0, bytes)
             .ok_or_else(|| "scratch arena too small".to_string())?;
@@ -162,17 +148,22 @@ impl MeasuredRuntime {
         let cal = fit_calibration(
             &measured,
             &self.kernel_cfg,
-            &self.platform.dram,
-            &self.platform.nvm,
-            self.platform.dram.capacity,
-            self.platform.nvm.capacity,
+            self.platform.fastest(),
+            self.platform.spill(),
+            self.platform.fastest().capacity,
+            self.platform.spill().capacity,
         )
         .map_err(|e| e.to_string())?;
-        for (tier, spec) in [(Tier::Dram, &cal.dram), (Tier::Nvm, &cal.nvm)] {
+        // The calibration fits the two ends of the tier list.
+        let n = self.platform.n_tiers();
+        for (tier, spec) in [
+            (TierId::FASTEST, &cal.dram),
+            (self.platform.last_tier(), &cal.nvm),
+        ] {
             let (bw_r, bw_w, lat) = (spec.read_bw_gbps, spec.write_bw_gbps, spec.read_lat_ns);
             self.emitter.emit(|| Event::TierFitted {
                 t: 0.0,
-                tier,
+                tier: tier.label(n),
                 read_bw_gbps: bw_r,
                 write_bw_gbps: bw_w,
                 read_lat_ns: lat,
@@ -224,10 +215,10 @@ impl MeasuredRuntime {
     ) -> Result<PreparedRun, String> {
         let preferred = match policy {
             // First-touch fills DRAM in allocation order and spills.
-            PolicyKind::DramOnly | PolicyKind::FirstTouch => TierKind::Dram,
+            PolicyKind::DramOnly | PolicyKind::FirstTouch => TierId::FASTEST,
             // Tahoe starts NVM-resident and migrates once every task class
             // has been profiled.
-            PolicyKind::NvmOnly | PolicyKind::Tahoe(_) => TierKind::Nvm,
+            PolicyKind::NvmOnly | PolicyKind::Tahoe(_) => self.platform.last_tier(),
             other => {
                 return Err(format!(
                     "policy {} is not supported in measured mode",
@@ -248,25 +239,22 @@ impl MeasuredRuntime {
         }
         nvm_spec.capacity = nvm_spec.capacity.max(2 * footprint);
         let copy_bw = nvm_spec.write_bw_gbps.min(dram_spec.read_bw_gbps) * 0.8;
-        let config = if self.platform.mids.is_empty() {
-            HmsConfig::new(dram_spec, nvm_spec, copy_bw).map_err(|e| e.to_string())?
-        } else {
-            // Middle tiers get the same treatment as NVM: the fitted
-            // DRAM spec scaled by the reference preset's ratios, at the
-            // platform's middle-tier capacity.
-            let mut specs = Vec::with_capacity(self.platform.n_tiers());
-            specs.push(dram_spec.clone());
-            for mid in &self.platform.mids {
-                specs.push(derive_scaled_spec(
-                    &cal.dram,
-                    &self.platform.dram,
-                    mid,
-                    mid.capacity,
-                ));
-            }
-            specs.push(nvm_spec);
-            HmsConfig::with_tiers(specs, copy_bw).map_err(|e| e.to_string())?
-        };
+        // Middle tiers get the same treatment as NVM: the fitted DRAM
+        // spec scaled by the reference preset's ratios, at the platform's
+        // middle-tier capacity.
+        let reference = self.platform.tier_specs();
+        let mut specs = Vec::with_capacity(reference.len());
+        specs.push(dram_spec);
+        for mid in &reference[1..reference.len() - 1] {
+            specs.push(derive_scaled_spec(
+                &cal.dram,
+                &reference[0],
+                mid,
+                mid.capacity,
+            ));
+        }
+        specs.push(nvm_spec);
+        let config = HmsConfig::with_tiers(specs, copy_bw).map_err(|e| e.to_string())?;
 
         let backend =
             RealBackend::with_observability(&config, self.emitter.clone(), self.metrics.clone())?;
@@ -287,7 +275,7 @@ impl MeasuredRuntime {
         // Where the allocator actually placed everything.
         let initial_tiers: Vec<u8> = ids
             .iter()
-            .map(|&id| hms.tier_index_of(id).map(|t| t.0))
+            .map(|&id| hms.tier_of(id).map(|t| t.0))
             .collect::<Result<_, _>>()
             .map_err(|e| e.to_string())?;
 
@@ -298,8 +286,8 @@ impl MeasuredRuntime {
         // for bit), and every object not already there moves once the
         // engine's class quota releases the plan.
         let (plan, plan_values) = if matches!(policy, PolicyKind::Tahoe(_)) {
-            let specs: Vec<TierSpec> = config.tier_specs().into_iter().cloned().collect();
-            let values = residence_values(app, &specs, Some(cal));
+            let specs = config.tier_specs();
+            let values = residence_values(app, specs, Some(cal));
             let plan_values = values.iter().map(|v| v[0]).collect();
             let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
             let items = mck_items(app, values);
@@ -326,9 +314,13 @@ impl MeasuredRuntime {
 
     /// Run the static plan auditor over the plan a prepared run carries.
     pub(crate) fn audit_prepared(app: &App, prepared: &PreparedRun) -> SanitizeReport {
-        let specs: Vec<TierSpec> = prepared.config.tier_specs().into_iter().cloned().collect();
         let ctx = PlanContext::new(app.objects.iter().map(|o| o.size).collect());
-        audit_plan(&app.graph, &prepared.plan, &specs, &ctx)
+        audit_plan(
+            &app.graph,
+            &prepared.plan,
+            prepared.config.tier_specs(),
+            &ctx,
+        )
     }
 
     /// Pre-flight a policy's migration plan without executing anything:
@@ -357,25 +349,6 @@ impl MeasuredRuntime {
         cal: &WallClockCalibration,
     ) -> Result<ParallelPolicyReport, String> {
         self.run_policy_parallel(app, policy, cal, 1, 0)
-    }
-
-    /// Calibrate once, run every policy, and attach the reference
-    /// checksum.
-    pub fn run_suite(&self, app: &App, policies: &[PolicyKind]) -> Result<MeasuredReport, String> {
-        let cal = self.calibrate()?;
-        let policies = policies
-            .iter()
-            .map(|p| self.run_policy(app, p, &cal))
-            .collect::<Result<_, _>>()?;
-        // NUMA topology is a machine property; probe it once for the
-        // report.
-        let nvm_node = tahoe_realmem::numa::probe().nvm_node();
-        Ok(MeasuredReport {
-            calibration: cal,
-            numa_nodes: nvm_node.map_or((-1, -1), |n| (0, i64::from(n))),
-            policies,
-            reference_checksum: reference_checksum(app),
-        })
     }
 }
 

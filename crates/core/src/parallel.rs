@@ -156,10 +156,8 @@ pub struct ParallelPolicyReport {
     pub gate_wait_ns: f64,
     /// Successful work steals between workers.
     pub steals: u64,
-    /// Objects resident in DRAM when the run finished.
-    pub final_dram_objects: usize,
     /// Objects resident on each tier (fastest first) when the run
-    /// finished. Length = tier count; `[0]` equals `final_dram_objects`.
+    /// finished. Length = tier count; `[0]` is the DRAM-resident count.
     pub final_tier_objects: Vec<usize>,
     /// Per-object wall-clock access timing split by the tier the access
     /// hit (indexed like `app.objects`). Always populated — two relaxed
@@ -459,12 +457,13 @@ impl MeasuredRuntime {
             let mut digest = CritPathDigest::new(&path, &blame);
             digest.exec_wall_ns = exec_wall_ns;
             // COZ-style what-if per blamed object: price whole-run DRAM
-            // residence with the CF-free model, pair it with the
-            // knapsack's prediction, and bound the wall-clock win of an
-            // earlier migration by the stall the object exposed.
-            let specs = [config.dram.clone(), config.nvm.clone()];
-            let base_tiers = vec![1u8; app.objects.len()];
-            let modelled_base = crate::measured::modelled_total_ns(app, &specs, &base_tiers);
+            // residence (against everything on the spill tier) with the
+            // CF-free model, pair it with the knapsack's prediction, and
+            // bound the wall-clock win of an earlier migration by the
+            // stall the object exposed.
+            let specs = config.tier_specs();
+            let base_tiers = vec![config.last_tier().0; app.objects.len()];
+            let modelled_base = crate::measured::modelled_total_ns(app, specs, &base_tiers);
             for e in blame.entries.iter().filter(|e| e.exposed_ns > 0.0) {
                 let i = e.object as usize;
                 if i >= app.objects.len() {
@@ -473,7 +472,7 @@ impl MeasuredRuntime {
                 let mut tiers = base_tiers.clone();
                 tiers[i] = 0;
                 let modelled_saving_ns =
-                    modelled_base - crate::measured::modelled_total_ns(app, &specs, &tiers);
+                    modelled_base - crate::measured::modelled_total_ns(app, specs, &tiers);
                 let predicted_benefit_ns = plan_values.as_ref().map_or(0.0, |v| v[i]);
                 digest.whatif.push(WhatIf {
                     object: e.object,
@@ -501,7 +500,7 @@ impl MeasuredRuntime {
         let mut final_tier_objects = vec![0usize; config.n_tiers()];
         let mut off_target = 0u64;
         for (id, &target) in layout.ids().iter().zip(&targets) {
-            let t = hms.tier_index_of(*id).map_err(|e| e.to_string())?;
+            let t = hms.tier_of(*id).map_err(|e| e.to_string())?;
             final_tier_objects[t.index()] += 1;
             off_target += u64::from(t.0 != target);
         }
@@ -527,7 +526,6 @@ impl MeasuredRuntime {
             placed_at_ns,
             gate_wait_ns,
             steals,
-            final_dram_objects: final_tier_objects[0],
             final_tier_objects,
             access_timing,
             obs_ring_dropped,
@@ -631,7 +629,7 @@ mod tests {
         assert_eq!(r.checksum, reference_checksum_seeded(&app, 7));
         assert!(r.migration.count > 0, "plan must trigger migrations");
         assert_eq!(r.migrations, r.migration.count, "backend saw each copy");
-        assert!(r.final_dram_objects > 0, "promoted objects end in DRAM");
+        assert!(r.final_tier_objects[0] > 0, "promoted objects end in DRAM");
         assert!(
             r.migration.overlapped_ns + r.migration.exposed_ns > 0.0,
             "wall-clock accounting must be populated"

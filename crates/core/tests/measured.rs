@@ -83,6 +83,13 @@ fn all_policies_match_the_reference_bit_for_bit() {
         );
         assert!(r.wall_ns > 0.0, "{}: wall clock advanced", r.policy);
         assert!(r.bytes_touched > 0, "{}: traffic flowed", r.policy);
+        if policy == PolicyKind::DramOnly {
+            assert_eq!(
+                r.final_tier_objects,
+                [app.objects.len(), 0],
+                "DRAM-only is the no-budget bound: everything ends on tier 0"
+            );
+        }
         assert_is_engine_at_one_worker(&rt, &app, &policy, &cal, &r);
     }
 }
@@ -124,7 +131,7 @@ fn tahoe_migrates_and_still_matches_reference() {
         "tahoe must physically migrate its DRAM plan in"
     );
     assert!(r.migrated_bytes > 0);
-    assert!(r.final_dram_objects > 0);
+    assert!(r.final_tier_objects[0] > 0);
     assert_eq!(r.checksum, reference_checksum(&app));
 }
 
@@ -156,11 +163,6 @@ fn three_tier_platform_runs_every_policy_bit_for_bit() {
             "{}: every object sits on exactly one tier",
             r.policy
         );
-        assert_eq!(
-            r.final_tier_objects[0], r.final_dram_objects,
-            "{}",
-            r.policy
-        );
         assert_is_engine_at_one_worker(&rt, &app, &policy, &cal, &r);
     }
     let tahoe = rt
@@ -178,19 +180,4 @@ fn unsupported_policies_are_rejected() {
         .run_policy(&app, &PolicyKind::HwCache, &cal)
         .expect_err("hardware-cache is simulator-only");
     assert!(err.contains("not supported"), "got: {err}");
-}
-
-#[test]
-fn run_suite_reports_every_policy_and_the_reference() {
-    let app = test_app();
-    let rt = MeasuredRuntime::new(platform(&app), WallClockConfig::smoke());
-    let report = rt
-        .run_suite(&app, &[PolicyKind::DramOnly, PolicyKind::NvmOnly])
-        .expect("suite runs");
-    assert_eq!(report.policies.len(), 2);
-    for p in &report.policies {
-        assert_eq!(p.checksum, report.reference_checksum);
-    }
-    // Single-node CI machines report unbound arenas (-1, -1).
-    assert!(report.numa_nodes.0 >= -1 && report.numa_nodes.1 >= -1);
 }

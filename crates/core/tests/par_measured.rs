@@ -144,7 +144,7 @@ fn parallel_report_fields_are_consistent() {
     // No migrations at all reads as 100% overlapped by convention.
     assert_eq!(r.migration.pct_overlap(), 100.0);
     assert!(r.throughput_gbps > 0.0);
-    assert_eq!(r.final_dram_objects, app.objects.len());
+    assert_eq!(r.final_tier_objects[0], app.objects.len());
 }
 
 #[test]

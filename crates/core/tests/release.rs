@@ -135,7 +135,7 @@ fn assert_plan_executed(r: &ParallelPolicyReport) {
     assert!(r.migrations > 0, "the plan must promote under pressure");
     assert_eq!(r.migrations_skipped, 0, "a step enqueued twice is moot");
     assert_eq!(r.plan_steps_skipped, 0, "executed == audited");
-    assert_eq!(r.migrations as usize, r.final_dram_objects);
+    assert_eq!(r.migrations as usize, r.final_tier_objects[0]);
     let (released, placed) = (r.released_at_ns.unwrap(), r.placed_at_ns.unwrap());
     assert!(released <= placed && placed > 0.0);
 }

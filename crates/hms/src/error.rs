@@ -1,7 +1,7 @@
 //! Error type for heterogeneous-memory operations.
 
 use crate::object::ObjectId;
-use crate::tier::TierKind;
+use crate::tier::TierId;
 use std::fmt;
 
 /// Errors produced by the HMS object manager and allocator.
@@ -11,7 +11,7 @@ pub enum HmsError {
     /// permitted or also failed).
     OutOfMemory {
         /// Tier that was asked for the bytes.
-        tier: TierKind,
+        tier: TierId,
         /// Bytes requested.
         requested: u64,
         /// Largest contiguous free block currently available in that tier.
@@ -20,7 +20,7 @@ pub enum HmsError {
     /// An operation referenced an object id that is not live.
     NoSuchObject(ObjectId),
     /// The object is already resident on the requested tier.
-    AlreadyResident(ObjectId, TierKind),
+    AlreadyResident(ObjectId, TierId),
     /// An allocation of zero bytes was requested.
     ZeroSizeAllocation,
     /// The object is pinned (tasks using it are in flight) and cannot be
@@ -77,12 +77,12 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let e = HmsError::OutOfMemory {
-            tier: TierKind::Dram,
+            tier: TierId(1),
             requested: 128,
             largest_free: 64,
         };
         let s = e.to_string();
-        assert!(s.contains("DRAM") && s.contains("128") && s.contains("64"));
+        assert!(s.contains("tier1") && s.contains("128") && s.contains("64"));
         assert!(HmsError::ZeroSizeAllocation.to_string().contains("zero"));
         let e = HmsError::InvalidSpec {
             name: "PCRAM".into(),

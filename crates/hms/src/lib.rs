@@ -3,16 +3,19 @@
 //! The SC 2018 paper evaluates on emulated NVM (Quartz, NUMA-based
 //! emulation) and, in the journal follow-up, on Intel Optane PMM. None of
 //! those are available here, so this crate provides the substitute: a
-//! *virtual-time* two-tier memory system whose knobs are exactly the knobs
-//! the emulators expose — per-tier read/write latency and bandwidth,
-//! capacity, and a finite migration copy bandwidth.
+//! *virtual-time* tiered memory system (an ordered tier list, fastest
+//! first; the paper's DRAM + NVM is its two-entry case) whose knobs are
+//! exactly the knobs the emulators expose — per-tier read/write latency
+//! and bandwidth, capacity, and a finite migration copy bandwidth.
 //!
 //! The crate provides:
 //!
-//! * [`TierSpec`] / [`TierKind`] — device models with read/write asymmetry,
+//! * [`TierSpec`] / [`TierId`] — device models with read/write asymmetry
+//!   and their index in the tier list (the one tier vocabulary; the
+//!   two-name [`TierKind`] is an argument shorthand for the list's ends),
 //!   plus presets for DRAM, STT-RAM, PCRAM, ReRAM and Optane PMM in
 //!   [`presets`], and Quartz-style scaled-DRAM emulation points.
-//! * [`Hms`] — an object-granularity memory manager over the two tiers with
+//! * [`Hms`] — an object-granularity memory manager over the tiers with
 //!   a real best-fit free-list allocator per tier ([`alloc::TierAllocator`]),
 //!   so capacity pressure, fallback allocation and fragmentation behave
 //!   like a real runtime's DRAM arena.
@@ -49,11 +52,11 @@ pub mod wear;
 
 pub use backend::{BackendStats, CopyOutcome, TierBackend, VirtualBackend};
 pub use error::HmsError;
-pub use memory::{Hms, HmsConfig, MoveTicket, ResidencySnapshot};
+pub use memory::{Hms, HmsConfig, MoveTicket};
 pub use migrate::{CopyChannel, MigrationRecord, MigrationStats};
 pub use object::{ObjectId, ObjectMeta};
 pub use sync::{ContentionStats, MoveObserver, PinnedObject, SharedHms, StartedMove, TaskPins};
-pub use tier::{TierId, TierKind, TierSpec};
+pub use tier::{TierId, TierKind, TierRef, TierSpec};
 pub use timing::AccessProfile;
 pub use wear::WearStats;
 

@@ -1,12 +1,11 @@
 //! The heterogeneous memory manager: object-granularity placement over
 //! an ordered list of memory tiers, each backed by a real allocator.
 //!
-//! The paper's HMS is a DRAM/NVM pair; this module generalizes it to N
-//! ordered tiers (fastest first), with the two-tier [`TierKind`] API
-//! preserved as a facade: `Dram` is tier 0 and `Nvm` is the *last*
-//! tier, so existing two-tier callers (the virtual simulator, the
-//! parallel measured path, the background migrator) compile and behave
-//! unchanged while N-tier callers address tiers by [`TierId`].
+//! The paper's HMS is a DRAM/NVM pair; here it is the two-entry case of
+//! an ordered tier list (fastest first). Every operation names a tier
+//! by [`TierId`]; callers that only ever mean "the fast end" or "the
+//! spill end" may pass the [`TierKind`](crate::TierKind) shorthand,
+//! which [`TierRef`] resolves against the configured list on entry.
 
 use std::collections::HashMap;
 
@@ -14,130 +13,92 @@ use crate::alloc::TierAllocator;
 use crate::backend::{BackendStats, CopyOutcome, TierBackend, VirtualBackend};
 use crate::error::HmsError;
 use crate::object::{ObjectId, ObjectMeta};
-use crate::tier::{TierId, TierKind, TierSpec};
+use crate::tier::{TierId, TierRef, TierSpec};
 
-/// Configuration of the tiered memory system.
-///
-/// The ordered tier list is `[dram, mids…, nvm]` — `dram` is always the
-/// fastest tier and `nvm` the slowest (the spill tier). `mids` is empty
-/// in the classic two-tier setup; a 3-tier DRAM/CXL/NVM platform puts
-/// the CXL spec there.
+/// Configuration of the tiered memory system: the ordered tier list
+/// (fastest first, at least two — the first is the scarce fast tier,
+/// the last the spill tier) and the copy engine's per-pair bandwidths.
 #[derive(Debug, Clone)]
 pub struct HmsConfig {
-    /// Fast-tier device model (tier 0).
-    pub dram: TierSpec,
-    /// Slow-tier device model (the last tier; the spill tier).
-    pub nvm: TierSpec,
-    /// Bandwidth of the DRAM↔spill inter-tier copy engine (helper
-    /// thread), GB/s. Per-pair bandwidths, when configured, live in the
-    /// copy matrix and are read through [`HmsConfig::copy_bw_between`].
-    pub copy_bw_gbps: f64,
-    /// Middle tiers between `dram` and `nvm`, fastest first (empty in
-    /// the two-tier setup).
-    pub mids: Vec<TierSpec>,
+    tiers: Vec<TierSpec>,
     /// Row-major n×n copy-bandwidth matrix, GB/s: entry `[from][to]` is
-    /// the modelled bandwidth of a `from`→`to` migration. `None` falls
-    /// back to the scalar `copy_bw_gbps` for every pair.
-    copy_matrix: Option<Vec<f64>>,
+    /// the modelled bandwidth of a `from`→`to` migration (the diagonal
+    /// is unused).
+    copy_matrix: Vec<f64>,
 }
 
 impl HmsConfig {
-    /// Convenience constructor for the classic two-tier system,
-    /// validating both tiers and the copy engine's bandwidth.
+    /// The classic two-tier system: [`HmsConfig::with_tiers`] over
+    /// `[dram, nvm]`.
     pub fn new(dram: TierSpec, nvm: TierSpec, copy_bw_gbps: f64) -> Result<Self, HmsError> {
-        dram.validate()?;
-        nvm.validate()?;
-        if !(copy_bw_gbps > 0.0 && copy_bw_gbps.is_finite()) {
-            return Err(HmsError::InvalidConfig(format!(
-                "copy bandwidth must be positive and finite, got {copy_bw_gbps} GB/s"
-            )));
-        }
-        Ok(HmsConfig {
-            dram,
-            nvm,
-            copy_bw_gbps,
-            mids: Vec::new(),
-            copy_matrix: None,
-        })
+        Self::with_tiers(vec![dram, nvm], copy_bw_gbps)
     }
 
-    /// Construct an N-tier system from an ordered tier list (fastest
-    /// first, at least two tiers). `copy_bw_gbps` sets the DRAM↔spill
-    /// pair; every other pair's copy bandwidth defaults to
-    /// `0.8 × min(src read BW, dst write BW)` — the copy streams out of
-    /// the source and into the destination, so the slower side of that
-    /// pipe bounds it (the same derivation the two-tier presets use).
-    pub fn with_tiers(mut tiers: Vec<TierSpec>, copy_bw_gbps: f64) -> Result<Self, HmsError> {
-        if tiers.len() < 2 {
+    /// Construct a system from an ordered tier list (fastest first, at
+    /// least two tiers), validating every spec and the copy bandwidth.
+    /// `copy_bw_gbps` sets the fastest↔spill pair; every other pair's
+    /// copy bandwidth defaults to `0.8 × min(src read BW, dst write BW)`
+    /// — the copy streams out of the source and into the destination,
+    /// so the slower side of that pipe bounds it (the same derivation
+    /// the two-tier presets use).
+    pub fn with_tiers(tiers: Vec<TierSpec>, copy_bw_gbps: f64) -> Result<Self, HmsError> {
+        let n = tiers.len();
+        if n < 2 {
             return Err(HmsError::InvalidConfig(format!(
-                "a tier list needs at least 2 tiers, got {}",
-                tiers.len()
+                "a tier list needs at least 2 tiers, got {n}"
             )));
         }
-        if tiers.len() > u8::MAX as usize {
+        if n > u8::MAX as usize {
             return Err(HmsError::InvalidConfig(format!(
-                "at most {} tiers are supported, got {}",
-                u8::MAX,
-                tiers.len()
+                "at most {} tiers are supported, got {n}",
+                u8::MAX
             )));
         }
         for t in &tiers {
             t.validate()?;
         }
-        let nvm = tiers.pop().expect("len >= 2");
-        let dram = tiers.remove(0);
-        let mids = tiers;
-        let mut cfg = HmsConfig::new(dram, nvm, copy_bw_gbps)?;
-        cfg.mids = mids;
-        let n = cfg.n_tiers();
-        let mut matrix = vec![0.0; n * n];
-        for from in 0..n {
-            for to in 0..n {
-                if from == to {
-                    continue;
+        if !(copy_bw_gbps > 0.0 && copy_bw_gbps.is_finite()) {
+            return Err(HmsError::InvalidConfig(format!(
+                "copy bandwidth must be positive and finite, got {copy_bw_gbps} GB/s"
+            )));
+        }
+        let mut copy_matrix = vec![0.0; n * n];
+        for (from, src) in tiers.iter().enumerate() {
+            for (to, dst) in tiers.iter().enumerate() {
+                if from != to {
+                    copy_matrix[from * n + to] = 0.8 * src.read_bw_gbps.min(dst.write_bw_gbps);
                 }
-                let src = cfg.tier_spec_at(TierId(from as u8));
-                let dst = cfg.tier_spec_at(TierId(to as u8));
-                matrix[from * n + to] = 0.8 * src.read_bw_gbps.min(dst.write_bw_gbps);
             }
         }
-        matrix[n - 1] = copy_bw_gbps; // [0][last]
-        matrix[(n - 1) * n] = copy_bw_gbps; // [last][0]
-        cfg.copy_matrix = Some(matrix);
-        Ok(cfg)
+        copy_matrix[n - 1] = copy_bw_gbps; // [0][last]
+        copy_matrix[(n - 1) * n] = copy_bw_gbps; // [last][0]
+        Ok(HmsConfig { tiers, copy_matrix })
     }
 
     /// Number of tiers (≥ 2).
     pub fn n_tiers(&self) -> usize {
-        2 + self.mids.len()
+        self.tiers.len()
     }
 
     /// The ordered tier list, fastest first.
-    pub fn tier_specs(&self) -> Vec<&TierSpec> {
-        let mut v = Vec::with_capacity(self.n_tiers());
-        v.push(&self.dram);
-        v.extend(self.mids.iter());
-        v.push(&self.nvm);
-        v
+    pub fn tier_specs(&self) -> &[TierSpec] {
+        &self.tiers
     }
 
     /// The spec of the tier at `id`. Panics on an out-of-range index.
     pub fn tier_spec_at(&self, id: TierId) -> &TierSpec {
-        let i = id.index();
-        let n = self.n_tiers();
-        assert!(i < n, "tier index {i} out of range (n_tiers = {n})");
-        if i == 0 {
-            &self.dram
-        } else if i == n - 1 {
-            &self.nvm
-        } else {
-            &self.mids[i - 1]
-        }
+        &self.tiers[id.index()]
     }
 
-    /// The [`TierId`] a two-tier [`TierKind`] maps to in this config.
-    pub fn tier_id(&self, kind: TierKind) -> TierId {
-        TierId::from_kind(kind, self.n_tiers())
+    /// The fastest tier's spec (tier 0; its capacity is the scarce
+    /// budget placement fights over).
+    pub fn fastest(&self) -> &TierSpec {
+        &self.tiers[0]
+    }
+
+    /// The spill tier's spec (the last, slowest, largest tier).
+    pub fn spill(&self) -> &TierSpec {
+        &self.tiers[self.tiers.len() - 1]
     }
 
     /// The last (slowest, spill) tier.
@@ -145,24 +106,17 @@ impl HmsConfig {
         TierId((self.n_tiers() - 1) as u8)
     }
 
-    /// Modelled copy bandwidth of a `from`→`to` migration, GB/s. Falls
-    /// back to the scalar `copy_bw_gbps` when no matrix is configured.
+    /// Modelled copy bandwidth of a `from`→`to` migration, GB/s.
     pub fn copy_bw_between(&self, from: TierId, to: TierId) -> f64 {
-        match &self.copy_matrix {
-            Some(m) => {
-                let n = self.n_tiers();
-                assert!(
-                    from.index() < n && to.index() < n,
-                    "tier index out of range"
-                );
-                m[from.index() * n + to.index()]
-            }
-            None => self.copy_bw_gbps,
-        }
+        let n = self.n_tiers();
+        assert!(
+            from.index() < n && to.index() < n,
+            "tier index out of range"
+        );
+        self.copy_matrix[from.index() * n + to.index()]
     }
 
-    /// Override one pair's copy bandwidth (builds the matrix from the
-    /// scalar default on first use).
+    /// Override one pair's copy bandwidth.
     pub fn set_copy_bw(&mut self, from: TierId, to: TierId, bw_gbps: f64) -> Result<(), HmsError> {
         if !(bw_gbps > 0.0 && bw_gbps.is_finite()) {
             return Err(HmsError::InvalidConfig(format!(
@@ -175,19 +129,8 @@ impl HmsConfig {
                 "tier pair ({from}, {to}) out of range for {n} tiers"
             )));
         }
-        let m = self
-            .copy_matrix
-            .get_or_insert_with(|| vec![self.copy_bw_gbps; n * n]);
-        m[from.index() * n + to.index()] = bw_gbps;
+        self.copy_matrix[from.index() * n + to.index()] = bw_gbps;
         Ok(())
-    }
-
-    /// The spec of one tier through the two-tier facade.
-    pub fn tier(&self, kind: TierKind) -> &TierSpec {
-        match kind {
-            TierKind::Dram => &self.dram,
-            TierKind::Nvm => &self.nvm,
-        }
     }
 }
 
@@ -245,23 +188,12 @@ impl MoveTicket {
         self.object
     }
 
-    /// Source tier through the two-tier facade (middle tiers present as
-    /// NVM); [`MoveTicket::from_tier`] has the exact index.
-    pub fn from(&self) -> TierKind {
-        self.from.kind()
-    }
-
-    /// Destination tier through the two-tier facade.
-    pub fn to(&self) -> TierKind {
-        self.to.kind()
-    }
-
-    /// Exact source tier index.
+    /// Source tier.
     pub fn from_tier(&self) -> TierId {
         self.from
     }
 
-    /// Exact destination tier index.
+    /// Destination tier.
     pub fn to_tier(&self) -> TierId {
         self.to
     }
@@ -272,29 +204,12 @@ impl MoveTicket {
     }
 }
 
-/// Snapshot of tier residency, for assertions and reporting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResidencySnapshot {
-    /// Objects currently in DRAM (tier 0).
-    pub dram: Vec<ObjectId>,
-    /// Objects currently in NVM (the last tier).
-    pub nvm: Vec<ObjectId>,
-    /// Objects on middle tiers, ascending (empty in two-tier configs).
-    pub mid: Vec<ObjectId>,
-    /// Bytes used in DRAM.
-    pub dram_used: u64,
-    /// Bytes used in NVM.
-    pub nvm_used: u64,
-    /// Bytes used across all middle tiers.
-    pub mid_used: u64,
-}
-
 /// The heterogeneous memory system: object table plus one allocator per
 /// tier.
 ///
 /// This is the paper's user-level DRAM management service generalized to
-/// every tier. All placement changes go through [`Hms::move_object`] /
-/// [`Hms::move_object_to`], which enforce pinning (never move an object
+/// every tier. All placement changes go through [`Hms::move_object`]
+/// (or its two-phase form), which enforces pinning (never move an object
 /// while a task that declared it is in flight) and capacity (allocation
 /// in the destination must succeed before the source copy is released).
 #[derive(Debug)]
@@ -304,7 +219,7 @@ pub struct Hms {
     tiers: Vec<TierAllocator>,
     objects: HashMap<ObjectId, ObjectRecord>,
     next_id: u32,
-    /// Count of failed DRAM allocations that fell back to a slower tier.
+    /// Count of failed tier-0 allocations that fell back to a slower tier.
     pub dram_fallbacks: u64,
     metrics: tahoe_obs::Metrics,
     backend: Box<dyn TierBackend>,
@@ -376,14 +291,20 @@ impl Hms {
     /// `hms.tier<i>.*`.
     pub fn set_metrics(&mut self, metrics: tahoe_obs::Metrics) {
         self.metrics = metrics;
-        self.metrics
-            .gauge_set("hms.dram.capacity_bytes", self.config.dram.capacity as f64);
-        self.metrics
-            .gauge_set("hms.nvm.capacity_bytes", self.config.nvm.capacity as f64);
-        for (i, spec) in self.config.mids.iter().enumerate() {
-            if let Some(name) = MID_CAPACITY_GAUGES.get(i) {
-                self.metrics.gauge_set(name, spec.capacity as f64);
-            }
+        let last = self.tiers.len() - 1;
+        self.metrics.gauge_set(
+            "hms.dram.capacity_bytes",
+            self.config.fastest().capacity as f64,
+        );
+        self.metrics.gauge_set(
+            "hms.nvm.capacity_bytes",
+            self.config.spill().capacity as f64,
+        );
+        for (name, spec) in MID_CAPACITY_GAUGES
+            .iter()
+            .zip(&self.config.tier_specs()[1..last])
+        {
+            self.metrics.gauge_set(name, spec.capacity as f64);
         }
         self.publish_occupancy();
     }
@@ -394,10 +315,8 @@ impl Hms {
             .gauge_set("hms.dram.used_bytes", self.tiers[0].used() as f64);
         self.metrics
             .gauge_set("hms.nvm.used_bytes", self.tiers[last].used() as f64);
-        for i in 1..last {
-            if let Some(name) = MID_USED_GAUGES.get(i - 1) {
-                self.metrics.gauge_set(name, self.tiers[i].used() as f64);
-            }
+        for (name, tier) in MID_USED_GAUGES.iter().zip(&self.tiers[1..last]) {
+            self.metrics.gauge_set(name, tier.used() as f64);
         }
     }
 
@@ -411,13 +330,16 @@ impl Hms {
         self.tiers.len()
     }
 
-    /// The device spec of `kind`.
-    pub fn tier_spec(&self, kind: TierKind) -> &TierSpec {
-        self.config.tier(kind)
+    /// The device spec of `tier`.
+    pub fn tier_spec(&self, tier: impl TierRef) -> &TierSpec {
+        self.config.tier_spec_at(self.resolve(tier))
     }
 
-    fn to_id(&self, kind: TierKind) -> TierId {
-        self.config.tier_id(kind)
+    /// The one entry point of the [`TierRef`] shorthand into this heap.
+    fn resolve(&self, tier: impl TierRef) -> TierId {
+        let id = tier.resolve(self.tiers.len());
+        assert!(id.index() < self.tiers.len(), "tier {id} out of range");
+        id
     }
 
     fn allocator(&mut self, tier: TierId) -> &mut TierAllocator {
@@ -428,26 +350,25 @@ impl Hms {
         &self.tiers[tier.index()]
     }
 
-    /// Allocate a new data object on `preferred`, falling back to the
-    /// other tier if `fallback` is set and the preferred tier is full
-    /// (the paper's default: everything that does not fit in DRAM starts
-    /// in NVM). Two-tier facade over [`Hms::alloc_object_on`].
+    /// Allocate a new data object on tier `preferred`. With `fallback`
+    /// the allocation cascades: first every *slower* tier in order
+    /// (spill down, the paper's overflow direction: everything that
+    /// does not fit in DRAM starts in NVM), then faster tiers (a full
+    /// slow tier overflows upward rather than failing).
     pub fn alloc_object(
         &mut self,
         name: &str,
         size: u64,
-        preferred: TierKind,
+        preferred: impl TierRef,
         fallback: bool,
     ) -> Result<ObjectId, HmsError> {
-        let preferred = self.to_id(preferred);
-        self.alloc_object_on(name, size, preferred, fallback)
+        let preferred = self.resolve(preferred);
+        self.alloc_resolved(name, size, preferred, fallback)
     }
 
-    /// Allocate a new data object on tier `preferred`. With `fallback`
-    /// the allocation cascades: first every *slower* tier in order
-    /// (spill down, the paper's overflow direction), then faster tiers
-    /// (a full slow tier overflows upward rather than failing).
-    pub fn alloc_object_on(
+    /// [`Hms::alloc_object`] past the shorthand: one non-generic body,
+    /// compiled here rather than once per caller crate and argument type.
+    fn alloc_resolved(
         &mut self,
         name: &str,
         size: u64,
@@ -458,7 +379,6 @@ impl Hms {
             return Err(HmsError::ZeroSizeAllocation);
         }
         let n = self.tiers.len();
-        assert!(preferred.index() < n, "tier {preferred} out of range");
         let mut placed = None;
         if let Some(addr) = self.allocator(preferred).alloc(size) {
             placed = Some((preferred, addr));
@@ -480,14 +400,14 @@ impl Hms {
             }
             if placed.is_none() {
                 return Err(HmsError::OutOfMemory {
-                    tier: last_tried.kind(),
+                    tier: last_tried,
                     requested: size,
                     largest_free: self.allocator_ref(last_tried).largest_free_block(),
                 });
             }
         } else {
             return Err(HmsError::OutOfMemory {
-                tier: preferred.kind(),
+                tier: preferred,
                 requested: size,
                 largest_free: self.allocator_ref(preferred).largest_free_block(),
             });
@@ -524,7 +444,7 @@ impl Hms {
         index: u32,
         name: &str,
         size: u64,
-        preferred: TierKind,
+        preferred: impl TierRef,
         fallback: bool,
     ) -> Result<ObjectId, HmsError> {
         let id = self.alloc_object(name, size, preferred, fallback)?;
@@ -553,14 +473,8 @@ impl Hms {
         Ok(())
     }
 
-    /// Current tier of an object through the two-tier facade (middle
-    /// tiers present as NVM); [`Hms::tier_index_of`] has the exact index.
-    pub fn tier_of(&self, id: ObjectId) -> Result<TierKind, HmsError> {
-        self.tier_index_of(id).map(TierId::kind)
-    }
-
-    /// Exact tier index of an object.
-    pub fn tier_index_of(&self, id: ObjectId) -> Result<TierId, HmsError> {
+    /// Current tier of an object.
+    pub fn tier_of(&self, id: ObjectId) -> Result<TierId, HmsError> {
         self.objects
             .get(&id)
             .map(|r| r.tier)
@@ -615,22 +529,15 @@ impl Hms {
             .ok_or(HmsError::NoSuchObject(id))
     }
 
-    /// Move an object to `to`, synchronously. Two-tier facade over
-    /// [`Hms::move_object_to`].
-    pub fn move_object(&mut self, id: ObjectId, to: TierKind) -> Result<u64, HmsError> {
-        let to = self.to_id(to);
-        self.move_object_to(id, to)
-    }
-
-    /// Move an object to the tier at `to`, synchronously. Returns the
-    /// number of bytes moved.
+    /// Move an object to tier `to`, synchronously. Returns the number
+    /// of bytes moved.
     ///
     /// The destination allocation is obtained before the source is freed,
     /// as a real runtime must (the copy needs both resident). Fails if the
     /// object is pinned, mid-move, missing, already there, or the
     /// destination can't hold it.
-    pub fn move_object_to(&mut self, id: ObjectId, to: TierId) -> Result<u64, HmsError> {
-        let ticket = self.begin_move_to(id, to)?;
+    pub fn move_object(&mut self, id: ObjectId, to: impl TierRef) -> Result<u64, HmsError> {
+        let ticket = self.begin_move_to(id, self.resolve(to))?;
         // Physical copy while both ranges are reserved: destination is
         // allocated, source not yet released.
         self.backend.copy(
@@ -660,7 +567,7 @@ impl Hms {
             (rec.meta.size, rec.tier, rec.addr, rec.pins, rec.moving)
         };
         if from == to {
-            return Err(HmsError::AlreadyResident(id, to.kind()));
+            return Err(HmsError::AlreadyResident(id, to));
         }
         if pins > 0 {
             return Err(HmsError::Pinned(id));
@@ -672,7 +579,7 @@ impl Hms {
             .allocator(to)
             .alloc(size)
             .ok_or_else(|| HmsError::OutOfMemory {
-                tier: to.kind(),
+                tier: to,
                 requested: size,
                 largest_free: self.allocator_ref(to).largest_free_block(),
             })?;
@@ -772,38 +679,23 @@ impl Hms {
     }
 
     /// Whether `bytes` more would fit on `tier` right now.
-    pub fn can_fit(&self, tier: TierKind, bytes: u64) -> bool {
-        self.can_fit_at(self.to_id(tier), bytes)
-    }
-
-    /// Whether `bytes` more would fit on the tier at `tier` right now.
-    pub fn can_fit_at(&self, tier: TierId, bytes: u64) -> bool {
-        self.allocator_ref(tier).can_fit(bytes)
+    pub fn can_fit(&self, tier: impl TierRef, bytes: u64) -> bool {
+        self.allocator_ref(self.resolve(tier)).can_fit(bytes)
     }
 
     /// Bytes used on `tier`.
-    pub fn used(&self, tier: TierKind) -> u64 {
-        self.used_at(self.to_id(tier))
-    }
-
-    /// Bytes used on the tier at `tier`.
-    pub fn used_at(&self, tier: TierId) -> u64 {
-        self.allocator_ref(tier).used()
+    pub fn used(&self, tier: impl TierRef) -> u64 {
+        self.allocator_ref(self.resolve(tier)).used()
     }
 
     /// Bytes free on `tier`.
-    pub fn free_bytes(&self, tier: TierKind) -> u64 {
-        self.free_bytes_at(self.to_id(tier))
-    }
-
-    /// Bytes free on the tier at `tier`.
-    pub fn free_bytes_at(&self, tier: TierId) -> u64 {
-        self.allocator_ref(tier).free_bytes()
+    pub fn free_bytes(&self, tier: impl TierRef) -> u64 {
+        self.allocator_ref(self.resolve(tier)).free_bytes()
     }
 
     /// External fragmentation of `tier`.
-    pub fn fragmentation(&self, tier: TierKind) -> f64 {
-        self.allocator_ref(self.to_id(tier)).fragmentation()
+    pub fn fragmentation(&self, tier: impl TierRef) -> f64 {
+        self.allocator_ref(self.resolve(tier)).fragmentation()
     }
 
     /// One past the highest object id ever allocated (ids are dense and
@@ -820,15 +712,9 @@ impl Hms {
         v
     }
 
-    /// Ids of objects resident on `tier`, ascending. Through the facade
-    /// `Dram` means tier 0 and `Nvm` the last tier — objects on middle
-    /// tiers appear in neither view (use [`Hms::objects_on_tier`]).
-    pub fn objects_on(&self, tier: TierKind) -> Vec<ObjectId> {
-        self.objects_on_tier(self.to_id(tier))
-    }
-
-    /// Ids of objects resident on the tier at `tier`, ascending.
-    pub fn objects_on_tier(&self, tier: TierId) -> Vec<ObjectId> {
+    /// Ids of objects resident on `tier`, ascending.
+    pub fn objects_on(&self, tier: impl TierRef) -> Vec<ObjectId> {
+        let tier = self.resolve(tier);
         let mut v: Vec<ObjectId> = self
             .objects
             .iter()
@@ -837,29 +723,6 @@ impl Hms {
             .collect();
         v.sort();
         v
-    }
-
-    /// Residency snapshot for reporting.
-    pub fn snapshot(&self) -> ResidencySnapshot {
-        let last = self.config.last_tier();
-        let mut mid: Vec<ObjectId> = self
-            .objects
-            .iter()
-            .filter(|(_, r)| r.tier != TierId::FASTEST && r.tier != last)
-            .map(|(id, _)| *id)
-            .collect();
-        mid.sort();
-        let mid_used = (1..self.tiers.len() - 1)
-            .map(|i| self.tiers[i].used())
-            .sum();
-        ResidencySnapshot {
-            dram: self.objects_on_tier(TierId::FASTEST),
-            nvm: self.objects_on_tier(last),
-            mid,
-            dram_used: self.used_at(TierId::FASTEST),
-            nvm_used: self.used_at(last),
-            mid_used,
-        }
     }
 
     /// Total footprint of live objects.
@@ -892,6 +755,11 @@ impl Hms {
 mod tests {
     use super::*;
     use crate::presets;
+    use crate::tier::TierKind;
+
+    /// The two tiers of [`small_hms`].
+    const DRAM: TierId = TierId(0);
+    const NVM: TierId = TierId(1);
 
     fn small_hms(dram_cap: u64, nvm_cap: u64) -> Hms {
         Hms::new(
@@ -917,18 +785,18 @@ mod tests {
     #[test]
     fn alloc_prefers_requested_tier() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 512, TierKind::Dram, true).unwrap();
-        assert_eq!(h.tier_of(a).unwrap(), TierKind::Dram);
-        assert_eq!(h.used(TierKind::Dram), 512);
+        let a = h.alloc_object("a", 512, DRAM, true).unwrap();
+        assert_eq!(h.tier_of(a).unwrap(), DRAM);
+        assert_eq!(h.used(DRAM), 512);
         h.check_invariants().unwrap();
     }
 
     #[test]
     fn dram_overflow_falls_back_to_nvm() {
         let mut h = small_hms(1024, 4096);
-        let _a = h.alloc_object("a", 1000, TierKind::Dram, true).unwrap();
-        let b = h.alloc_object("b", 512, TierKind::Dram, true).unwrap();
-        assert_eq!(h.tier_of(b).unwrap(), TierKind::Nvm);
+        let _a = h.alloc_object("a", 1000, DRAM, true).unwrap();
+        let b = h.alloc_object("b", 512, DRAM, true).unwrap();
+        assert_eq!(h.tier_of(b).unwrap(), NVM);
         assert_eq!(h.dram_fallbacks, 1);
         h.check_invariants().unwrap();
     }
@@ -936,121 +804,103 @@ mod tests {
     #[test]
     fn no_fallback_errors_out() {
         let mut h = small_hms(1024, 4096);
-        let _a = h.alloc_object("a", 1000, TierKind::Dram, false).unwrap();
-        let err = h.alloc_object("b", 512, TierKind::Dram, false).unwrap_err();
-        assert!(matches!(
-            err,
-            HmsError::OutOfMemory {
-                tier: TierKind::Dram,
-                ..
-            }
-        ));
+        let _a = h.alloc_object("a", 1000, DRAM, false).unwrap();
+        let err = h.alloc_object("b", 512, DRAM, false).unwrap_err();
+        assert!(matches!(err, HmsError::OutOfMemory { tier: DRAM, .. }));
     }
 
     #[test]
     fn both_tiers_full_is_oom() {
         let mut h = small_hms(64, 64);
-        let _ = h.alloc_object("a", 64, TierKind::Dram, true).unwrap();
-        let _ = h.alloc_object("b", 64, TierKind::Nvm, true).unwrap();
-        assert!(h.alloc_object("c", 1, TierKind::Dram, true).is_err());
+        let _ = h.alloc_object("a", 64, DRAM, true).unwrap();
+        let _ = h.alloc_object("b", 64, NVM, true).unwrap();
+        assert!(h.alloc_object("c", 1, DRAM, true).is_err());
     }
 
     #[test]
     fn move_object_updates_residency_and_accounting() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 256, TierKind::Nvm, false).unwrap();
-        let moved = h.move_object(a, TierKind::Dram).unwrap();
+        let a = h.alloc_object("a", 256, NVM, false).unwrap();
+        let moved = h.move_object(a, DRAM).unwrap();
         assert_eq!(moved, 256);
-        assert_eq!(h.tier_of(a).unwrap(), TierKind::Dram);
-        assert_eq!(h.used(TierKind::Nvm), 0);
-        assert_eq!(h.used(TierKind::Dram), 256);
+        assert_eq!(h.tier_of(a).unwrap(), DRAM);
+        assert_eq!(h.used(NVM), 0);
+        assert_eq!(h.used(DRAM), 256);
         h.check_invariants().unwrap();
     }
 
     #[test]
     fn move_to_same_tier_is_error() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 64, TierKind::Dram, false).unwrap();
+        let a = h.alloc_object("a", 64, DRAM, false).unwrap();
         assert_eq!(
-            h.move_object(a, TierKind::Dram),
-            Err(HmsError::AlreadyResident(a, TierKind::Dram))
+            h.move_object(a, DRAM),
+            Err(HmsError::AlreadyResident(a, DRAM))
         );
     }
 
     #[test]
     fn move_respects_destination_capacity() {
         let mut h = small_hms(100, 4096);
-        let big = h.alloc_object("big", 512, TierKind::Nvm, false).unwrap();
-        let err = h.move_object(big, TierKind::Dram).unwrap_err();
-        assert!(matches!(
-            err,
-            HmsError::OutOfMemory {
-                tier: TierKind::Dram,
-                ..
-            }
-        ));
+        let big = h.alloc_object("big", 512, NVM, false).unwrap();
+        let err = h.move_object(big, DRAM).unwrap_err();
+        assert!(matches!(err, HmsError::OutOfMemory { tier: DRAM, .. }));
         // Object must still be intact in NVM after the failed move.
-        assert_eq!(h.tier_of(big).unwrap(), TierKind::Nvm);
+        assert_eq!(h.tier_of(big).unwrap(), NVM);
         h.check_invariants().unwrap();
     }
 
     #[test]
     fn pinned_object_cannot_move_or_free() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 64, TierKind::Nvm, false).unwrap();
+        let a = h.alloc_object("a", 64, NVM, false).unwrap();
         h.pin(a).unwrap();
-        assert_eq!(h.move_object(a, TierKind::Dram), Err(HmsError::Pinned(a)));
+        assert_eq!(h.move_object(a, DRAM), Err(HmsError::Pinned(a)));
         assert_eq!(h.free_object(a), Err(HmsError::Pinned(a)));
         h.unpin(a).unwrap();
-        assert!(h.move_object(a, TierKind::Dram).is_ok());
+        assert!(h.move_object(a, DRAM).is_ok());
         h.check_invariants().unwrap();
     }
 
     #[test]
     fn pin_is_counted() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 64, TierKind::Nvm, false).unwrap();
+        let a = h.alloc_object("a", 64, NVM, false).unwrap();
         h.pin(a).unwrap();
         h.pin(a).unwrap();
         assert_eq!(h.pin_count(a).unwrap(), 2);
         h.unpin(a).unwrap();
         assert_eq!(h.pin_count(a).unwrap(), 1);
         // Still pinned by one task.
-        assert_eq!(h.move_object(a, TierKind::Dram), Err(HmsError::Pinned(a)));
+        assert_eq!(h.move_object(a, DRAM), Err(HmsError::Pinned(a)));
     }
 
     #[test]
     fn free_returns_bytes_to_tier() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 300, TierKind::Dram, false).unwrap();
+        let a = h.alloc_object("a", 300, DRAM, false).unwrap();
         h.free_object(a).unwrap();
-        assert_eq!(h.used(TierKind::Dram), 0);
+        assert_eq!(h.used(DRAM), 0);
         assert!(matches!(h.tier_of(a), Err(HmsError::NoSuchObject(_))));
         h.check_invariants().unwrap();
     }
 
     #[test]
-    fn snapshot_partitions_objects() {
+    fn objects_on_partitions_objects() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 100, TierKind::Dram, false).unwrap();
-        let b = h.alloc_object("b", 200, TierKind::Nvm, false).unwrap();
-        let snap = h.snapshot();
-        assert_eq!(snap.dram, vec![a]);
-        assert_eq!(snap.nvm, vec![b]);
-        assert!(snap.mid.is_empty());
-        assert_eq!(snap.dram_used, 100);
-        assert_eq!(snap.nvm_used, 200);
-        assert_eq!(snap.mid_used, 0);
+        let a = h.alloc_object("a", 100, DRAM, false).unwrap();
+        let b = h.alloc_object("b", 200, NVM, false).unwrap();
+        assert_eq!(h.objects_on(DRAM), vec![a]);
+        assert_eq!(h.objects_on(NVM), vec![b]);
+        assert_eq!((h.used(DRAM), h.used(NVM)), (100, 200));
         assert_eq!(h.footprint(), 300);
     }
 
     #[test]
     fn chunk_allocation_links_parent() {
         let mut h = small_hms(1024, 4096);
-        let parent = h.alloc_object("p", 512, TierKind::Nvm, false).unwrap();
-        let c = h
-            .alloc_chunk(parent, 3, "p[3]", 128, TierKind::Nvm, false)
-            .unwrap();
+        let parent = h.alloc_object("p", 512, NVM, false).unwrap();
+        let c = h.alloc_chunk(parent, 3, "p[3]", 128, NVM, false).unwrap();
         assert_eq!(h.meta(c).unwrap().chunk_of, Some((parent, 3)));
         assert!(h.meta(c).unwrap().is_chunk());
     }
@@ -1077,7 +927,7 @@ mod tests {
         let mut h = small_hms(1024, 4096);
         assert_eq!(h.backend_name(), "virtual");
         assert!(!h.backend_stats().is_real);
-        let a = h.alloc_object("a", 64, TierKind::Dram, false).unwrap();
+        let a = h.alloc_object("a", 64, DRAM, false).unwrap();
         assert!(h.object_bytes(a).unwrap().is_none());
     }
 
@@ -1085,7 +935,7 @@ mod tests {
     fn zero_size_rejected() {
         let mut h = small_hms(1024, 4096);
         assert_eq!(
-            h.alloc_object("z", 0, TierKind::Dram, true),
+            h.alloc_object("z", 0, DRAM, true),
             Err(HmsError::ZeroSizeAllocation)
         );
     }
@@ -1093,40 +943,40 @@ mod tests {
     #[test]
     fn two_phase_move_reserves_then_commits() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 256, TierKind::Nvm, false).unwrap();
+        let a = h.alloc_object("a", 256, NVM, false).unwrap();
         let t = h.begin_move_to(a, TierId::FASTEST).unwrap();
         assert_eq!(
-            (t.object(), t.from(), t.to(), t.size()),
-            (a, TierKind::Nvm, TierKind::Dram, 256)
+            (t.object(), t.from_tier(), t.to_tier(), t.size()),
+            (a, NVM, DRAM, 256)
         );
         assert!(h.is_moving(a).unwrap());
         // Mid-move the object rejects pins, frees, and further moves.
         assert_eq!(h.pin(a), Err(HmsError::Moving(a)));
         assert_eq!(h.free_object(a), Err(HmsError::Moving(a)));
-        assert_eq!(h.move_object(a, TierKind::Dram), Err(HmsError::Moving(a)));
+        assert_eq!(h.move_object(a, DRAM), Err(HmsError::Moving(a)));
         // Both ranges reserved while the ticket is outstanding.
-        assert_eq!(h.used(TierKind::Dram), 256);
-        assert_eq!(h.used(TierKind::Nvm), 256);
+        assert_eq!(h.used(DRAM), 256);
+        assert_eq!(h.used(NVM), 256);
         let moved = h.commit_move(t, &crate::CopyOutcome::default());
         assert_eq!(moved, 256);
         assert!(!h.is_moving(a).unwrap());
-        assert_eq!(h.tier_of(a).unwrap(), TierKind::Dram);
-        assert_eq!(h.used(TierKind::Nvm), 0);
+        assert_eq!(h.tier_of(a).unwrap(), DRAM);
+        assert_eq!(h.used(NVM), 0);
         h.check_invariants().unwrap();
     }
 
     #[test]
     fn aborted_two_phase_move_restores_state() {
         let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 256, TierKind::Nvm, false).unwrap();
+        let a = h.alloc_object("a", 256, NVM, false).unwrap();
         let t = h.begin_move_to(a, TierId::FASTEST).unwrap();
         h.abort_move(t);
         assert!(!h.is_moving(a).unwrap());
-        assert_eq!(h.tier_of(a).unwrap(), TierKind::Nvm);
-        assert_eq!(h.used(TierKind::Dram), 0);
+        assert_eq!(h.tier_of(a).unwrap(), NVM);
+        assert_eq!(h.used(DRAM), 0);
         h.check_invariants().unwrap();
         // The object is movable again after the abort.
-        assert!(h.move_object(a, TierKind::Dram).is_ok());
+        assert!(h.move_object(a, DRAM).is_ok());
     }
 
     #[test]
@@ -1134,8 +984,8 @@ mod tests {
         let mut h = small_hms(1024, 4096);
         let m = tahoe_obs::Metrics::enabled();
         h.set_metrics(m.clone());
-        let a = h.alloc_object("a", 300, TierKind::Nvm, false).unwrap();
-        h.move_object(a, TierKind::Dram).unwrap();
+        let a = h.alloc_object("a", 300, NVM, false).unwrap();
+        h.move_object(a, DRAM).unwrap();
         let snap = m.snapshot();
         assert_eq!(snap.counter("hms.allocs"), Some(1));
         assert_eq!(snap.counter("hms.moves"), Some(1));
@@ -1164,9 +1014,11 @@ mod tests {
         assert_eq!(cfg.tier_spec_at(TierId(0)).name, "DRAM");
         assert_eq!(cfg.tier_spec_at(TierId(1)).name, "CXL");
         assert_eq!(cfg.tier_spec_at(TierId(2)).name, "Optane PMM");
-        assert_eq!(cfg.tier_id(TierKind::Dram), TierId(0));
-        assert_eq!(cfg.tier_id(TierKind::Nvm), TierId(2));
         assert_eq!(cfg.last_tier(), TierId(2));
+        assert_eq!(
+            (&cfg.fastest().name[..], &cfg.spill().name[..]),
+            ("DRAM", "Optane PMM")
+        );
         // DRAM↔spill keeps the explicit scalar; other pairs are derived.
         assert_eq!(cfg.copy_bw_between(TierId(0), TierId(2)), 5.0);
         assert_eq!(cfg.copy_bw_between(TierId(2), TierId(0)), 5.0);
@@ -1187,51 +1039,75 @@ mod tests {
     fn alloc_cascades_down_then_up_across_three_tiers() {
         let mut h = three_tier_hms(100, 100, 64);
         // Fill DRAM; next preferred-DRAM alloc lands on the middle tier.
-        let _a = h.alloc_object_on("a", 100, TierId(0), true).unwrap();
-        let b = h.alloc_object_on("b", 60, TierId(0), true).unwrap();
-        assert_eq!(h.tier_index_of(b).unwrap(), TierId(1));
+        let _a = h.alloc_object("a", 100, TierId(0), true).unwrap();
+        let b = h.alloc_object("b", 60, TierId(0), true).unwrap();
+        assert_eq!(h.tier_of(b).unwrap(), TierId(1));
         assert_eq!(h.dram_fallbacks, 1);
         // Middle tier nearly full: the next one spills to NVM.
-        let c = h.alloc_object_on("c", 60, TierId(0), true).unwrap();
-        assert_eq!(h.tier_index_of(c).unwrap(), TierId(2));
+        let c = h.alloc_object("c", 60, TierId(0), true).unwrap();
+        assert_eq!(h.tier_of(c).unwrap(), TierId(2));
         // The spill tier is full now (60 of 64): preferring it overflows
         // *upward* to the middle tier rather than failing.
-        let d = h.alloc_object_on("d", 30, TierId(2), true).unwrap();
-        assert_eq!(h.tier_index_of(d).unwrap(), TierId(1));
+        let d = h.alloc_object("d", 30, TierId(2), true).unwrap();
+        assert_eq!(h.tier_of(d).unwrap(), TierId(1));
         h.check_invariants().unwrap();
     }
 
     #[test]
-    fn mid_tier_presents_as_nvm_through_the_facade() {
-        let mut h = three_tier_hms(1024, 1024, 1024);
-        let m = h.alloc_object_on("m", 64, TierId(1), false).unwrap();
-        assert_eq!(h.tier_index_of(m).unwrap(), TierId(1));
-        assert_eq!(h.tier_of(m).unwrap(), TierKind::Nvm);
-        // Facade views see tier 0 and the *last* tier only.
-        assert!(h.objects_on(TierKind::Dram).is_empty());
-        assert!(h.objects_on(TierKind::Nvm).is_empty());
-        assert_eq!(h.objects_on_tier(TierId(1)), vec![m]);
-        let snap = h.snapshot();
-        assert_eq!(snap.mid, vec![m]);
-        assert_eq!(snap.mid_used, 64);
+    fn a_middle_tier_is_a_tier_like_any_other() {
+        let mut h = three_tier_hms(1024, 64, 1024);
+        let m = h.alloc_object("m", 64, TierId(1), false).unwrap();
+        assert_eq!(h.tier_of(m).unwrap(), TierId(1));
+        assert!(h.objects_on(TierId(0)).is_empty());
+        assert_eq!(h.objects_on(TierId(1)), vec![m]);
+        assert!(h.objects_on(TierId(2)).is_empty());
+        assert_eq!(h.used(TierId(1)), 64);
+        // A full middle tier says so by its own index, not the spill's.
+        assert_eq!(
+            h.alloc_object("n", 1, TierId(1), false),
+            Err(HmsError::OutOfMemory {
+                tier: TierId(1),
+                requested: 1,
+                largest_free: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn shorthand_names_the_ends_of_two_three_and_four_tier_heaps() {
+        for n in 2..=4usize {
+            let mut tiers = vec![presets::dram(1024)];
+            tiers.extend((2..n).map(|_| presets::cxl(1024)));
+            tiers.push(presets::optane_pmm(1024));
+            let mut h = Hms::new(HmsConfig::with_tiers(tiers, 5.0).unwrap());
+            let last = TierId((n - 1) as u8);
+            let x = h.alloc_object("x", 64, TierKind::Nvm, false).unwrap();
+            assert_eq!(h.tier_of(x).unwrap(), last);
+            assert_eq!(h.used(TierKind::Nvm), h.used(last));
+            assert_eq!(h.tier_spec(TierKind::Nvm), h.config().spill());
+            h.move_object(x, TierKind::Dram).unwrap();
+            assert_eq!(h.tier_of(x).unwrap(), TierId(0));
+            assert_eq!(h.objects_on(TierKind::Dram), h.objects_on(TierId(0)));
+            assert_eq!(h.free_bytes(TierKind::Dram), h.free_bytes(TierId(0)));
+        }
     }
 
     #[test]
     fn tier_to_tier_moves_walk_the_ladder() {
         let mut h = three_tier_hms(1024, 1024, 1024);
-        let a = h.alloc_object_on("a", 256, TierId(2), false).unwrap();
-        assert_eq!(h.move_object_to(a, TierId(1)).unwrap(), 256);
-        assert_eq!(h.tier_index_of(a).unwrap(), TierId(1));
-        assert_eq!(h.used_at(TierId(2)), 0);
-        assert_eq!(h.used_at(TierId(1)), 256);
+        let a = h.alloc_object("a", 256, TierId(2), false).unwrap();
+        assert_eq!(h.move_object(a, TierId(1)).unwrap(), 256);
+        assert_eq!(h.tier_of(a).unwrap(), TierId(1));
+        assert_eq!(h.used(TierId(2)), 0);
+        assert_eq!(h.used(TierId(1)), 256);
         let t = h.begin_move_to(a, TierId(0)).unwrap();
         assert_eq!((t.from_tier(), t.to_tier()), (TierId(1), TierId(0)));
         let moved = h.commit_move(t, &crate::CopyOutcome::default());
         assert_eq!(moved, 256);
-        assert_eq!(h.tier_index_of(a).unwrap(), TierId(0));
+        assert_eq!(h.tier_of(a).unwrap(), TierId(0));
         assert_eq!(
-            h.move_object_to(a, TierId(0)),
-            Err(HmsError::AlreadyResident(a, TierKind::Dram))
+            h.move_object(a, TierId(0)),
+            Err(HmsError::AlreadyResident(a, TierId(0)))
         );
         h.check_invariants().unwrap();
     }

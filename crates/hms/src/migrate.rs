@@ -16,7 +16,7 @@
 use tahoe_obs::Metrics;
 
 use crate::object::ObjectId;
-use crate::tier::TierKind;
+use crate::tier::TierId;
 use crate::Ns;
 
 /// A single-bandwidth copy channel between the tiers, serviced FIFO.
@@ -89,9 +89,9 @@ pub struct MigrationRecord {
     /// Bytes moved.
     pub bytes: u64,
     /// Source tier.
-    pub from: TierKind,
+    pub from: TierId,
     /// Destination tier.
-    pub to: TierKind,
+    pub to: TierId,
     /// Virtual time the request was issued by the planner.
     pub issued_at: Ns,
     /// Virtual time the copy started on the channel.
@@ -134,9 +134,9 @@ pub struct MigrationStats {
     pub overlapped_ns: Ns,
     /// Total channel time tasks waited on.
     pub exposed_ns: Ns,
-    /// Migrations from DRAM to NVM (evictions).
+    /// Migrations to a slower tier (evictions).
     pub evictions: u64,
-    /// Migrations from NVM to DRAM (promotions).
+    /// Migrations to a faster tier (promotions).
     pub promotions: u64,
 }
 
@@ -147,9 +147,10 @@ impl MigrationStats {
         self.bytes += rec.bytes;
         self.overlapped_ns += rec.overlapped_ns();
         self.exposed_ns += rec.exposed_ns();
-        match rec.to {
-            TierKind::Dram => self.promotions += 1,
-            TierKind::Nvm => self.evictions += 1,
+        if rec.to < rec.from {
+            self.promotions += 1;
+        } else {
+            self.evictions += 1;
         }
     }
 
@@ -187,8 +188,8 @@ mod tests {
         MigrationRecord {
             object: ObjectId(0),
             bytes: 1000,
-            from: TierKind::Nvm,
-            to: TierKind::Dram,
+            from: TierId(1),
+            to: TierId(0),
             issued_at: start,
             start,
             finish,
@@ -255,6 +256,16 @@ mod tests {
         assert_eq!(st.bytes, 2000);
         assert_eq!(st.promotions, 2);
         assert!((st.pct_overlap() - 80.0).abs() < 1e-9);
+        // Direction, not destination, classifies: spill → middle is a
+        // promotion, fastest → middle an eviction.
+        let hop = |from, to| MigrationRecord {
+            from: TierId(from),
+            to: TierId(to),
+            ..rec(0.0, 10.0, None)
+        };
+        st.record(&hop(2, 1));
+        st.record(&hop(0, 1));
+        assert_eq!((st.promotions, st.evictions), (3, 1));
     }
 
     #[test]

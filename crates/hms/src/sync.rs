@@ -142,12 +142,12 @@ impl StartedMove {
         self.ticket.object()
     }
 
-    /// Exact source tier (selects the copy engine's per-pair throttle).
+    /// Source tier (selects the copy engine's per-pair throttle).
     pub fn from_tier(&self) -> TierId {
         self.ticket.from_tier()
     }
 
-    /// Exact destination tier.
+    /// Destination tier.
     pub fn to_tier(&self) -> TierId {
         self.ticket.to_tier()
     }
@@ -643,8 +643,8 @@ impl SharedHms {
     pub fn commit_move(&self, started: StartedMove, outcome: &CopyOutcome) -> MigrationRecord {
         let object = started.ticket.object();
         let (from, to, bytes) = (
-            started.ticket.from(),
-            started.ticket.to(),
+            started.ticket.from_tier(),
+            started.ticket.to_tier(),
             started.ticket.size(),
         );
         let slot = self.table.slot(object).expect("moved object has a slot");
@@ -920,7 +920,7 @@ mod tests {
             .unwrap();
         sh.abort_move(sm);
         sh.with(|h| {
-            assert_eq!(h.tier_of(id).unwrap(), TierKind::Nvm);
+            assert_eq!(h.tier_of(id).unwrap(), TierId(1));
             assert!(!h.is_moving(id).unwrap());
             assert_eq!(h.used(TierKind::Dram), 0, "reservation released");
         });

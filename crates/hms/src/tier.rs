@@ -4,53 +4,13 @@ use std::fmt;
 
 use crate::error::HmsError;
 
-/// Which of the two tiers of the heterogeneous memory system a byte lives
-/// in.
+/// Index of one tier in the ordered tier list, fastest first.
 ///
-/// The paper's HMS pairs a small, fast DRAM with a large, slow NVM in a
-/// single physical address space; allocation between them is managed at
-/// user level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TierKind {
-    /// The fast, small tier (DRAM).
-    Dram,
-    /// The slow, large tier (non-volatile memory).
-    Nvm,
-}
-
-impl TierKind {
-    /// The other tier.
-    #[inline]
-    pub fn other(self) -> TierKind {
-        match self {
-            TierKind::Dram => TierKind::Nvm,
-            TierKind::Nvm => TierKind::Dram,
-        }
-    }
-
-    /// All tiers, DRAM first.
-    pub const ALL: [TierKind; 2] = [TierKind::Dram, TierKind::Nvm];
-}
-
-impl fmt::Display for TierKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TierKind::Dram => write!(f, "DRAM"),
-            TierKind::Nvm => write!(f, "NVM"),
-        }
-    }
-}
-
-/// Index of one tier in an ordered tier list, fastest first.
-///
-/// The N-tier generalization of [`TierKind`]: tier 0 is always the
-/// fastest, smallest tier (DRAM) and the highest index is the slowest,
-/// largest tier (the spill tier, NVM in the paper's setup). Middle
-/// indices are intermediate tiers such as CXL-attached memory.
-///
-/// [`TierKind`] remains the two-tier facade: `Dram` maps to tier 0 and
-/// `Nvm` maps to the *last* tier of the configured list, so every
-/// two-tier caller keeps working unchanged against an N-tier `Hms`.
+/// Tier 0 is always the fastest, smallest tier (DRAM) and the highest
+/// index is the slowest, largest tier (the spill tier, NVM in the
+/// paper's setup). Middle indices are intermediate tiers such as
+/// CXL-attached memory. This is the only tier vocabulary the workspace
+/// stores, returns, records or emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TierId(pub u8);
 
@@ -64,25 +24,17 @@ impl TierId {
         self.0 as usize
     }
 
-    /// The [`TierKind`] facade for this index given an `n`-tier list:
-    /// index 0 is `Dram`, everything else presents as `Nvm` (middle
-    /// tiers are "not DRAM" to two-tier observers).
-    #[inline]
-    pub fn kind(self) -> TierKind {
+    /// The observability label of this tier in an `n_tiers` list — the
+    /// one place a tier index becomes a [`tahoe_obs::Tier`]. The ends of
+    /// the list keep the names every two-tier stream has always used;
+    /// middle tiers are named by index.
+    pub fn label(self, n_tiers: usize) -> tahoe_obs::Tier {
         if self.0 == 0 {
-            TierKind::Dram
+            tahoe_obs::Tier::Dram
+        } else if self.index() + 1 == n_tiers {
+            tahoe_obs::Tier::Nvm
         } else {
-            TierKind::Nvm
-        }
-    }
-
-    /// Map a [`TierKind`] onto an `n`-tier list: `Dram` → tier 0,
-    /// `Nvm` → the last tier.
-    #[inline]
-    pub fn from_kind(kind: TierKind, n_tiers: usize) -> TierId {
-        match kind {
-            TierKind::Dram => TierId(0),
-            TierKind::Nvm => TierId(n_tiers.saturating_sub(1) as u8),
+            tahoe_obs::Tier::Mid(self.0)
         }
     }
 }
@@ -90,6 +42,43 @@ impl TierId {
 impl fmt::Display for TierId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "tier{}", self.0)
+    }
+}
+
+/// Two-name shorthand for the ends of the tier list, accepted wherever a
+/// tier is an *argument*: `Dram` is tier 0, `Nvm` the spill (last) tier
+/// of whatever list the callee is configured with. It is never stored,
+/// returned or emitted — [`TierRef::resolve`] turns it into the
+/// [`TierId`] everything else speaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TierKind {
+    /// The fastest tier.
+    Dram,
+    /// The spill tier.
+    Nvm,
+}
+
+/// Something that names a tier of an `n_tiers`-long list: a [`TierId`]
+/// (itself) or the [`TierKind`] shorthand.
+pub trait TierRef: Copy {
+    /// The index this names in a list of `n_tiers` tiers.
+    fn resolve(self, n_tiers: usize) -> TierId;
+}
+
+impl TierRef for TierId {
+    #[inline]
+    fn resolve(self, _n_tiers: usize) -> TierId {
+        self
+    }
+}
+
+impl TierRef for TierKind {
+    #[inline]
+    fn resolve(self, n_tiers: usize) -> TierId {
+        match self {
+            TierKind::Dram => TierId::FASTEST,
+            TierKind::Nvm => TierId((n_tiers - 1) as u8),
+        }
     }
 }
 
@@ -222,28 +211,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn other_flips() {
-        assert_eq!(TierKind::Dram.other(), TierKind::Nvm);
-        assert_eq!(TierKind::Nvm.other(), TierKind::Dram);
-        assert_eq!(TierKind::Dram.other().other(), TierKind::Dram);
-    }
-
-    #[test]
     fn display_names() {
-        assert_eq!(TierKind::Dram.to_string(), "DRAM");
-        assert_eq!(TierKind::Nvm.to_string(), "NVM");
+        assert_eq!(TierId(3).to_string(), "tier3");
+        // Labels keep the two-tier names at the ends of any list and
+        // index the middle.
+        assert_eq!(TierId(0).label(2).to_string(), "dram");
+        assert_eq!(TierId(1).label(2).to_string(), "nvm");
+        assert_eq!(TierId(1).label(3).to_string(), "tier1");
+        assert_eq!(TierId(2).label(4).to_string(), "tier2");
     }
 
     #[test]
     fn tier_id_kind_round_trip() {
-        assert_eq!(TierId(0).kind(), TierKind::Dram);
-        assert_eq!(TierId(1).kind(), TierKind::Nvm);
-        assert_eq!(TierId(2).kind(), TierKind::Nvm);
+        use tahoe_obs::Tier;
         for n in 2..5 {
-            assert_eq!(TierId::from_kind(TierKind::Dram, n), TierId(0));
-            assert_eq!(TierId::from_kind(TierKind::Nvm, n), TierId((n - 1) as u8));
+            let (fast, spill) = (TierKind::Dram.resolve(n), TierKind::Nvm.resolve(n));
+            assert_eq!((fast, spill), (TierId(0), TierId((n - 1) as u8)));
+            assert_eq!((fast.label(n), spill.label(n)), (Tier::Dram, Tier::Nvm));
+            assert_eq!(TierId(1).resolve(n), TierId(1));
         }
-        assert_eq!(TierId(3).to_string(), "tier3");
+        assert_eq!(TierId(1).label(3), Tier::Mid(1));
         assert_eq!(TierId(1).index(), 1);
         assert_eq!(TierId::FASTEST, TierId(0));
     }

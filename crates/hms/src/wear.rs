@@ -4,12 +4,14 @@
 //! cell), so a data-management runtime affects device *lifetime*, not
 //! just performance: keeping write-hot objects in DRAM shelters the NVM
 //! from their stores, while migrations add copy writes of their own.
-//! This module tallies bytes written per tier from both sources so runs
-//! can report NVM write traffic and the write-shielding ratio.
+//! This module tallies bytes written from both sources, split into the
+//! fastest tier (DRAM, which does not wear) versus every slower tier, so
+//! runs can report NVM write traffic and the write-shielding ratio.
 
-use crate::tier::TierKind;
+use crate::tier::TierId;
 
-/// Bytes written per tier, split by cause.
+/// Bytes written to DRAM (tier 0) versus the slower tiers, split by
+/// cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WearStats {
     /// Application store traffic that landed in DRAM.
@@ -24,18 +26,20 @@ pub struct WearStats {
 
 impl WearStats {
     /// Record application stores of `bytes` to `tier`.
-    pub fn record_stores(&mut self, tier: TierKind, bytes: u64) {
-        match tier {
-            TierKind::Dram => self.dram_store_bytes += bytes,
-            TierKind::Nvm => self.nvm_store_bytes += bytes,
+    pub fn record_stores(&mut self, tier: TierId, bytes: u64) {
+        if tier == TierId::FASTEST {
+            self.dram_store_bytes += bytes;
+        } else {
+            self.nvm_store_bytes += bytes;
         }
     }
 
     /// Record a migration writing `bytes` into `dest`.
-    pub fn record_copy(&mut self, dest: TierKind, bytes: u64) {
-        match dest {
-            TierKind::Dram => self.dram_copy_bytes += bytes,
-            TierKind::Nvm => self.nvm_copy_bytes += bytes,
+    pub fn record_copy(&mut self, dest: TierId, bytes: u64) {
+        if dest == TierId::FASTEST {
+            self.dram_copy_bytes += bytes;
+        } else {
+            self.nvm_copy_bytes += bytes;
         }
     }
 
@@ -84,11 +88,14 @@ impl WearStats {
 mod tests {
     use super::*;
 
+    const DRAM: TierId = TierId(0);
+    const NVM: TierId = TierId(1);
+
     #[test]
     fn stores_split_by_tier() {
         let mut w = WearStats::default();
-        w.record_stores(TierKind::Dram, 100);
-        w.record_stores(TierKind::Nvm, 300);
+        w.record_stores(DRAM, 100);
+        w.record_stores(NVM, 300);
         assert_eq!(w.total_store_bytes(), 400);
         assert_eq!(w.nvm_written_bytes(), 300);
         assert!((w.write_shielding() - 0.25).abs() < 1e-12);
@@ -98,8 +105,8 @@ mod tests {
     #[test]
     fn copies_count_against_destination() {
         let mut w = WearStats::default();
-        w.record_copy(TierKind::Dram, 1000); // promotion
-        w.record_copy(TierKind::Nvm, 500); // eviction
+        w.record_copy(DRAM, 1000); // promotion
+        w.record_copy(NVM, 500); // eviction
         assert_eq!(w.dram_copy_bytes, 1000);
         assert_eq!(w.nvm_copy_bytes, 500);
         assert_eq!(w.nvm_written_bytes(), 500);
@@ -108,8 +115,8 @@ mod tests {
     #[test]
     fn eviction_heavy_run_amplifies() {
         let mut w = WearStats::default();
-        w.record_stores(TierKind::Dram, 100);
-        w.record_copy(TierKind::Nvm, 400);
+        w.record_stores(DRAM, 100);
+        w.record_copy(NVM, 400);
         assert!(w.nvm_write_amplification() > 1.0);
     }
 
@@ -123,10 +130,10 @@ mod tests {
     #[test]
     fn merge_adds_fields() {
         let mut a = WearStats::default();
-        a.record_stores(TierKind::Nvm, 10);
+        a.record_stores(NVM, 10);
         let mut b = WearStats::default();
-        b.record_stores(TierKind::Nvm, 30);
-        b.record_copy(TierKind::Dram, 5);
+        b.record_stores(NVM, 30);
+        b.record_copy(DRAM, 5);
         a.merge(&b);
         assert_eq!(a.nvm_store_bytes, 40);
         assert_eq!(a.dram_copy_bytes, 5);

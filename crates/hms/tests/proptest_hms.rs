@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use tahoe_hms::alloc::TierAllocator;
-use tahoe_hms::{presets, AccessProfile, Hms, HmsConfig, TierKind};
+use tahoe_hms::{presets, AccessProfile, Hms, HmsConfig, TierId, TierKind};
 
 /// One step of allocator abuse.
 #[derive(Debug, Clone)]
@@ -108,6 +108,45 @@ proptest! {
             hms.used(TierKind::Dram) + hms.used(TierKind::Nvm),
             total
         );
+    }
+
+    #[test]
+    fn tier_of_and_objects_on_agree_on_every_tier_of_an_n_tier_heap(
+        n in 3usize..5,
+        sizes in proptest::collection::vec(1u64..10_000, 1..24),
+        moves in proptest::collection::vec((0usize..24, 0u8..4), 0..60),
+    ) {
+        let total: u64 = sizes.iter().sum();
+        let mut tiers = vec![presets::dram(total / 2 + 1024)];
+        tiers.extend((2..n).map(|_| presets::cxl(total / 2 + 1024)));
+        tiers.push(presets::optane_pmm(total * 2 + 1024));
+        let mut hms = Hms::new(HmsConfig::with_tiers(tiers, 5.0).expect("valid config"));
+        let ids: Vec<_> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                // Spread the start over the list; a full tier spills down.
+                hms.alloc_object(&format!("o{i}"), s, TierId((i % n) as u8), true)
+                    .expect("fits somewhere")
+            })
+            .collect();
+        for (k, to) in moves {
+            // AlreadyResident / OutOfMemory leave the object where it was.
+            let _ = hms.move_object(ids[k % ids.len()], TierId(to % n as u8));
+            hms.check_invariants().map_err(|e| {
+                TestCaseError::fail(format!("invariant violated: {e}"))
+            })?;
+        }
+        let mut seen = 0;
+        for t in (0..n as u8).map(TierId) {
+            let on = hms.objects_on(t);
+            seen += on.len();
+            for &id in &ids {
+                prop_assert_eq!(hms.tier_of(id) == Ok(t), on.contains(&id), "{:?} on {}", id, t);
+            }
+            prop_assert_eq!(hms.used(t), on.iter().map(|&id| hms.size_of(id).unwrap()).sum::<u64>());
+        }
+        prop_assert_eq!(seen, ids.len(), "the per-tier views partition the live set");
     }
 
     #[test]

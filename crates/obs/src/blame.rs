@@ -124,34 +124,26 @@ impl BlameTable {
 
         // Pass 2: fold completions into per-(object, tier) entries and
         // collect the copy intervals for gate-wait attribution.
-        let mut table: BTreeMap<(u32, u8), BlameEntry> = BTreeMap::new();
-        let mut intervals: Vec<(Ns, Ns, u32, u8)> = Vec::new(); // (start, finish, object, tier)
-        fn tier_u8(t: Tier) -> u8 {
-            match t {
-                Tier::Dram => 0,
-                Tier::Nvm => 1,
-            }
-        }
+        let mut table: BTreeMap<(u32, Tier), BlameEntry> = BTreeMap::new();
+        let mut intervals: Vec<(Ns, Ns, u32, Tier)> = Vec::new(); // (start, finish, object, tier)
         fn entry_for<'a>(
-            table: &'a mut BTreeMap<(u32, u8), BlameEntry>,
+            table: &'a mut BTreeMap<(u32, Tier), BlameEntry>,
             decisions: &BTreeMap<u32, (bool, Ns)>,
             object: u32,
             to: Tier,
         ) -> &'a mut BlameEntry {
             let (chosen, predicted) = decisions.get(&object).copied().unwrap_or((false, 0.0));
-            table
-                .entry((object, tier_u8(to)))
-                .or_insert_with(|| BlameEntry {
-                    object,
-                    tier: to,
-                    migrations: 0,
-                    bytes: 0,
-                    overlapped_ns: 0.0,
-                    exposed_ns: 0.0,
-                    gate_wait_ns: 0.0,
-                    chosen,
-                    predicted_benefit_ns: predicted,
-                })
+            table.entry((object, to)).or_insert_with(|| BlameEntry {
+                object,
+                tier: to,
+                migrations: 0,
+                bytes: 0,
+                overlapped_ns: 0.0,
+                exposed_ns: 0.0,
+                gate_wait_ns: 0.0,
+                chosen,
+                predicted_benefit_ns: predicted,
+            })
         }
         let mut overlapped_total = 0.0;
         let mut exposed_total = 0.0;
@@ -166,7 +158,7 @@ impl BlameTable {
                 let dur = (issue.finish - issue.start).max(0.0);
                 let overlapped = overlap_ns.clamp(0.0, dur);
                 let exposed = dur - overlapped;
-                intervals.push((issue.start, issue.finish, object, tier_u8(issue.to)));
+                intervals.push((issue.start, issue.finish, object, issue.to));
                 let entry = entry_for(&mut table, &decisions, object, issue.to);
                 entry.migrations += 1;
                 entry.bytes += issue.bytes;
@@ -209,8 +201,7 @@ impl BlameTable {
                 }
                 let piece = m_finish.min(w_end) - cursor;
                 if piece > 0.0 {
-                    let to = if tier == 0 { Tier::Dram } else { Tier::Nvm };
-                    entry_for(&mut table, &decisions, object, to).gate_wait_ns += piece;
+                    entry_for(&mut table, &decisions, object, tier).gate_wait_ns += piece;
                     attributed += piece;
                     cursor += piece;
                 }
@@ -297,6 +288,25 @@ mod tests {
         assert!((e.overlapped_ns - 60.0).abs() < 1e-9);
         assert!((e.exposed_ns - 40.0).abs() < 1e-9);
         assert!((t.pct_overlap() - 60.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_middle_tier_destination_is_its_own_cell() {
+        // Object 4 climbs spill → middle → fastest: two copies, two
+        // destinations, two cells.
+        let mut up = issued(4, 64, 0.0, 10.0);
+        if let Event::MigrationIssued { to, .. } = &mut up {
+            *to = Tier::Mid(1);
+        }
+        let events = vec![
+            up,
+            completed(4, 64, 10.0, 10.0),
+            issued(4, 64, 20.0, 30.0),
+            completed(4, 64, 30.0, 4.0),
+        ];
+        let t = BlameTable::from_events(&events);
+        let cells: Vec<(Tier, u64)> = t.entries.iter().map(|e| (e.tier, e.migrations)).collect();
+        assert_eq!(cells, vec![(Tier::Dram, 1), (Tier::Mid(1), 1)]);
     }
 
     #[test]

@@ -8,24 +8,31 @@
 /// Virtual nanoseconds (mirrors `tahoe_hms::Ns` without the dependency).
 pub type Ns = f64;
 
-/// Which memory tier an event refers to.
+/// Which memory tier an event refers to, named by its place in the
+/// ordered tier list: the fastest tier, the slowest (spill) tier, or a
+/// middle tier by index.
 ///
-/// A local mirror of `tahoe_hms::TierKind`: this crate sits below every
-/// other workspace crate, so it cannot name their types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// This crate sits below every other workspace crate, so it cannot name
+/// `tahoe_hms::TierId`; `TierId::label` is the one place an index
+/// becomes a `Tier`. The derived order is fastest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tier {
-    /// Fast, small tier.
+    /// The fastest, smallest tier (index 0).
     Dram,
-    /// Slow, large tier.
+    /// A middle tier (e.g. CXL), by its index in the tier list (≥ 1).
+    Mid(u8),
+    /// The slowest, largest tier (the last index).
     Nvm,
 }
 
-impl Tier {
-    /// Stable lowercase tag used by the exporters.
-    pub fn tag(self) -> &'static str {
+/// The stable lowercase tag the exporters write: `dram`, `tier<i>`,
+/// `nvm` — a two-tier stream never contains a `tier<i>`.
+impl std::fmt::Display for Tier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Tier::Dram => "dram",
-            Tier::Nvm => "nvm",
+            Tier::Dram => f.write_str("dram"),
+            Tier::Mid(i) => write!(f, "tier{i}"),
+            Tier::Nvm => f.write_str("nvm"),
         }
     }
 }
@@ -491,8 +498,10 @@ mod tests {
 
     #[test]
     fn tags_are_stable() {
-        assert_eq!(Tier::Dram.tag(), "dram");
-        assert_eq!(Tier::Nvm.tag(), "nvm");
+        assert_eq!(Tier::Dram.to_string(), "dram");
+        assert_eq!(Tier::Mid(1).to_string(), "tier1");
+        assert_eq!(Tier::Nvm.to_string(), "nvm");
+        assert!(Tier::Dram < Tier::Mid(1) && Tier::Mid(2) < Tier::Nvm);
         assert_eq!(ReplanReason::Drift.tag(), "drift");
         assert_eq!(ReplanReason::UnseenClass.tag(), "unseen_class");
         assert_eq!(OverheadKind::Planning.tag(), "planning");

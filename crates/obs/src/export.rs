@@ -23,33 +23,13 @@ use std::fmt::Write as _;
 
 use crate::emit::Sink;
 use crate::event::Event;
+use crate::json::write_string;
 
 /// Format a float the way both exporters do: Rust `Display`, which is the
 /// shortest string that round-trips — deterministic and JSON-compatible
 /// for the finite values virtual time produces.
 fn fnum(x: f64) -> String {
     format!("{x}")
-}
-
-/// Escape a free-form string for embedding in a JSON string literal.
-/// Violation details are ASCII prose, but quotes/backslashes/control
-/// characters must not break the line format.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serialize one event as a single JSON object with fixed field order.
@@ -104,8 +84,8 @@ pub fn event_to_json(e: &Event) -> String {
             let _ = write!(
                 s,
                 ",\"object\":{object},\"bytes\":{bytes},\"from\":\"{}\",\"to\":\"{}\",\"start\":{},\"finish\":{},\"queue_depth\":{queue_depth}",
-                from.tag(),
-                to.tag(),
+                from,
+                to,
                 fnum(start),
                 fnum(finish)
             );
@@ -167,7 +147,7 @@ pub fn event_to_json(e: &Event) -> String {
             let _ = write!(
                 s,
                 ",\"tier\":\"{}\",\"bytes\":{bytes},\"numa_node\":{numa_node}",
-                tier.tag()
+                tier
             );
         }
         Event::RealCopyDone {
@@ -183,8 +163,8 @@ pub fn event_to_json(e: &Event) -> String {
             let _ = write!(
                 s,
                 ",\"object\":{object},\"bytes\":{bytes},\"from\":\"{}\",\"to\":\"{}\",\"wall_ns\":{},\"throttle_ns\":{},\"chunks\":{chunks}",
-                from.tag(),
-                to.tag(),
+                from,
+                to,
                 fnum(wall_ns),
                 fnum(throttle_ns)
             );
@@ -225,12 +205,12 @@ pub fn event_to_json(e: &Event) -> String {
             ref detail,
             ..
         } => {
-            let _ = write!(
-                s,
-                ",\"kind\":\"{}\",\"task\":{task},\"object\":{object},\"detail\":\"{}\"",
-                jstr(kind),
-                jstr(detail)
-            );
+            // Violation details are free-form prose: quotes, backslashes
+            // and control characters must not break the line format.
+            s.push_str(",\"kind\":");
+            write_string(&mut s, kind);
+            let _ = write!(s, ",\"task\":{task},\"object\":{object},\"detail\":");
+            write_string(&mut s, detail);
         }
         Event::TierFitted {
             tier,
@@ -242,7 +222,7 @@ pub fn event_to_json(e: &Event) -> String {
             let _ = write!(
                 s,
                 ",\"tier\":\"{}\",\"read_bw_gbps\":{},\"write_bw_gbps\":{},\"read_lat_ns\":{}",
-                tier.tag(),
+                tier,
                 fnum(read_bw_gbps),
                 fnum(write_bw_gbps),
                 fnum(read_lat_ns)
@@ -558,8 +538,8 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
                 let _ = write!(
                     out,
                     "{{\"name\":\"migrate obj {object} ({}->{})\",\"cat\":\"migration\",\"ph\":\"X\",\"pid\":1,\"tid\":{migration_tid},\"ts\":{},\"dur\":{},\"args\":{{\"object\":{object},\"bytes\":{bytes}}}}}",
-                    from.tag(),
-                    to.tag(),
+                    from,
+                    to,
                     fnum(start / NS_PER_US),
                     fnum((finish - start) / NS_PER_US)
                 );

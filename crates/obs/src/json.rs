@@ -175,7 +175,9 @@ impl Value {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string literal, escaping quotes,
+/// backslashes and control characters.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -7,7 +7,7 @@
 //! pointer. Allocation policy stays in `tahoe_hms::alloc::TierAllocator`;
 //! the arena only owns the bytes and the residency hints.
 
-use tahoe_hms::{TierId, TierKind};
+use tahoe_hms::TierId;
 
 use crate::sys::{self, Advice, Mapping};
 
@@ -24,17 +24,11 @@ pub struct MmapArena {
 }
 
 impl MmapArena {
-    /// Map an arena of at least `capacity` bytes for a classic two-tier
-    /// `tier` (DRAM = tier 0, NVM = tier 1). The mapped length is
-    /// `capacity` rounded up to a whole page.
-    pub fn new(tier: TierKind, capacity: u64) -> Result<Self, String> {
-        Self::new_at(TierId::from_kind(tier, 2), &tier.to_string(), capacity)
-    }
-
     /// Map an arena of at least `capacity` bytes for the tier at index
-    /// `tier` with a human-readable `label` (the tier spec's device
-    /// name), for N-tier backends.
-    pub fn new_at(tier: TierId, label: &str, capacity: u64) -> Result<Self, String> {
+    /// `tier`, with a human-readable `label` (the tier spec's device
+    /// name). The mapped length is `capacity` rounded up to a whole
+    /// page.
+    pub fn new(tier: TierId, label: &str, capacity: u64) -> Result<Self, String> {
         if capacity == 0 {
             return Err(format!("{label} arena capacity must be nonzero"));
         }
@@ -122,7 +116,7 @@ mod tests {
 
     #[test]
     fn arena_maps_page_rounded_capacity() {
-        let a = MmapArena::new(TierKind::Dram, 10_000).unwrap();
+        let a = MmapArena::new(TierId(0), "DRAM", 10_000).unwrap();
         assert_eq!(a.capacity(), 10_000);
         assert!(a.mapped_len() >= 10_000);
         assert_eq!(a.mapped_len() % sys::page_size(), 0);
@@ -131,7 +125,7 @@ mod tests {
 
     #[test]
     fn data_ptr_bounds_checks() {
-        let a = MmapArena::new(TierKind::Nvm, 4096).unwrap();
+        let a = MmapArena::new(TierId(1), "NVM", 4096).unwrap();
         assert!(a.data_ptr(0, 4096).is_some());
         assert!(a.data_ptr(4096, 1).is_none());
         assert!(a.data_ptr(1, 4096).is_none());
@@ -140,7 +134,7 @@ mod tests {
 
     #[test]
     fn bytes_are_writable_and_stable_across_hints() {
-        let mut a = MmapArena::new(TierKind::Dram, 1 << 16).unwrap();
+        let mut a = MmapArena::new(TierId(0), "DRAM", 1 << 16).unwrap();
         a.on_alloc(0, 1 << 12);
         let p = a.data_ptr(100, 8).unwrap();
         // SAFETY: `data_ptr` bounds-checked 8 writable bytes at `p`.
@@ -160,20 +154,13 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_rejected() {
-        assert!(MmapArena::new(TierKind::Dram, 0).is_err());
-        assert!(MmapArena::new_at(TierId(1), "CXL", 0).is_err());
+        assert!(MmapArena::new(TierId(1), "CXL", 0).is_err());
     }
 
     #[test]
     fn indexed_arena_carries_tier_and_label() {
-        let a = MmapArena::new_at(TierId(1), "CXL", 4096).unwrap();
+        let a = MmapArena::new(TierId(1), "CXL", 4096).unwrap();
         assert_eq!(a.tier(), TierId(1));
         assert_eq!(a.label(), "CXL");
-        let d = MmapArena::new(TierKind::Dram, 4096).unwrap();
-        assert_eq!(d.tier(), TierId(0));
-        assert_eq!(d.label(), "DRAM");
-        let n = MmapArena::new(TierKind::Nvm, 4096).unwrap();
-        assert_eq!(n.tier(), TierId(1));
-        assert_eq!(n.label(), "NVM");
     }
 }

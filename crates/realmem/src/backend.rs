@@ -11,22 +11,11 @@
 use std::time::Instant;
 
 use tahoe_hms::{BackendStats, CopyOutcome, HmsConfig, TierBackend, TierId};
-use tahoe_obs::{Emitter, Event, Metrics, Tier};
+use tahoe_obs::{Emitter, Event, Metrics};
 
 use crate::arena::MmapArena;
 use crate::copy::{throttled_copy, CopyConfig, DEFAULT_CHUNK};
 use crate::numa;
-
-/// The observability event stream stays two-tier: tier 0 is DRAM and
-/// everything slower presents as NVM (middle tiers are "not DRAM" to
-/// two-tier observers).
-fn obs_tier(t: TierId) -> Tier {
-    if t == TierId::FASTEST {
-        Tier::Dram
-    } else {
-        Tier::Nvm
-    }
-}
 
 /// Gauge names for the first arenas (metrics keys are `&'static str`).
 const MAPPED_GAUGES: [&str; 4] = [
@@ -71,11 +60,7 @@ impl RealBackend {
         let n = specs.len();
         let mut arenas = Vec::with_capacity(n);
         for (i, spec) in specs.iter().enumerate() {
-            arenas.push(MmapArena::new_at(
-                TierId(i as u8),
-                &spec.name,
-                spec.capacity,
-            )?);
+            arenas.push(MmapArena::new(TierId(i as u8), &spec.name, spec.capacity)?);
         }
 
         // Best-effort hardware asymmetry: DRAM on node 0, the spill tier
@@ -114,7 +99,7 @@ impl RealBackend {
             let t = epoch.elapsed().as_nanos() as f64;
             emitter.emit(|| Event::ArenaMapped {
                 t,
-                tier: obs_tier(arena.tier()),
+                tier: arena.tier().label(n),
                 bytes: arena.mapped_len(),
                 numa_node: arena.numa_node(),
             });
@@ -199,12 +184,13 @@ impl RealBackend {
         let t = self.epoch.elapsed().as_nanos() as f64;
         let (bytes, wall_ns, throttle_ns, chunks) =
             (out.bytes, out.wall_ns, out.throttle_ns, out.chunks);
+        let n = self.n();
         self.emitter.emit(|| Event::RealCopyDone {
             t,
             object,
             bytes,
-            from: obs_tier(from),
-            to: obs_tier(to),
+            from: from.label(n),
+            to: to.label(n),
             wall_ns,
             throttle_ns,
             chunks,
@@ -272,7 +258,7 @@ impl TierBackend for RealBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tahoe_hms::{presets, Hms, TierKind};
+    use tahoe_hms::{presets, Hms};
 
     fn config() -> HmsConfig {
         HmsConfig::new(presets::dram(1 << 20), presets::optane_pmm(1 << 22), 5.0)
@@ -326,14 +312,14 @@ mod tests {
         let mut hms = Hms::new(config());
         hms.set_backend(Box::new(RealBackend::new(&config()).unwrap()));
         assert_eq!(hms.backend_name(), "mmap");
-        let id = hms.alloc_object("buf", 8192, TierKind::Nvm, false).unwrap();
+        let id = hms.alloc_object("buf", 8192, TierId(1), false).unwrap();
         {
             let bytes = hms.object_bytes(id).unwrap().expect("real backend");
             assert_eq!(bytes.len(), 8192);
             bytes.fill(0xAB);
         }
         // Migration must physically carry the bytes to the other tier.
-        hms.move_object(id, TierKind::Dram).unwrap();
+        hms.move_object(id, TierId(0)).unwrap();
         let bytes = hms.object_bytes(id).unwrap().expect("real backend");
         assert!(bytes.iter().all(|&x| x == 0xAB));
         assert_eq!(hms.backend_stats().copies, 1);

@@ -20,8 +20,8 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tahoe_hms::{MigrationRecord, MigrationStats, ObjectId, SharedHms, TierId, TierKind};
-use tahoe_obs::{Emitter, Event, FlightHandle, Tier};
+use tahoe_hms::{MigrationRecord, MigrationStats, ObjectId, SharedHms, TierId};
+use tahoe_obs::{Emitter, Event, FlightHandle};
 
 use crate::copy::{throttled_copy_observed, CopyConfig};
 
@@ -101,7 +101,7 @@ impl BackgroundMigrator {
         let (p, c) = (Arc::clone(&pending), Arc::clone(&cancel));
         let handle = std::thread::Builder::new()
             .name("tahoe-migrator".into())
-            .spawn(move || run_engine(shared, rx, copy_cfg, emitter, flight, observer, p, c))
+            .spawn(move || run_engine(shared, rx, n, copy_cfg, emitter, flight, observer, p, c))
             .expect("spawn migration thread");
         BackgroundMigrator {
             tx,
@@ -151,17 +151,11 @@ impl BackgroundMigrator {
     }
 }
 
-fn obs_tier(t: TierKind) -> Tier {
-    match t {
-        TierKind::Dram => Tier::Dram,
-        TierKind::Nvm => Tier::Nvm,
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_engine(
     shared: Arc<SharedHms>,
     rx: mpsc::Receiver<MigrationRequest>,
+    n_tiers: usize,
     copy_cfg: impl Fn(TierId, TierId) -> CopyConfig,
     emitter: Emitter,
     flight: Option<FlightHandle>,
@@ -206,8 +200,8 @@ fn run_engine(
                         t: rec.issued_at,
                         object: rec.object.0,
                         bytes: rec.bytes,
-                        from: obs_tier(rec.from),
-                        to: obs_tier(rec.to),
+                        from: rec.from.label(n_tiers),
+                        to: rec.to.label(n_tiers),
                         start: rec.start,
                         finish: rec.finish,
                         queue_depth: pending.load(Ordering::SeqCst) as u32 - 1,
@@ -270,8 +264,8 @@ mod tests {
     #[test]
     fn queued_moves_commit_and_carry_bytes() {
         let sh = shared(1 << 20, 1 << 22);
-        let a = sh.with(|h| h.alloc_object("a", 64 << 10, TierKind::Nvm, false).unwrap());
-        let b = sh.with(|h| h.alloc_object("b", 32 << 10, TierKind::Nvm, false).unwrap());
+        let a = sh.with(|h| h.alloc_object("a", 64 << 10, TierId(1), false).unwrap());
+        let b = sh.with(|h| h.alloc_object("b", 32 << 10, TierId(1), false).unwrap());
         let pins = sh.pin_for_task(&[a]).unwrap();
         // SAFETY: the pin guarantees 64 KiB of exclusive writable bytes.
         unsafe { pins.objects[0].as_ptr().write_bytes(0x5A, 64 << 10) };
@@ -297,8 +291,8 @@ mod tests {
 
         let sh = Arc::try_unwrap(sh).expect("engine joined");
         let mut hms = sh.into_inner();
-        assert_eq!(hms.tier_of(a).unwrap(), TierKind::Dram);
-        assert_eq!(hms.tier_of(b).unwrap(), TierKind::Dram);
+        assert_eq!(hms.tier_of(a).unwrap(), TierId::FASTEST);
+        assert_eq!(hms.tier_of(b).unwrap(), TierId::FASTEST);
         let bytes = hms.object_bytes(a).unwrap().expect("real backend");
         assert!(bytes.iter().all(|&x| x == 0x5A), "bytes moved intact");
         // External copies must land in backend stats like in-band ones.
@@ -308,7 +302,7 @@ mod tests {
     #[test]
     fn moot_requests_are_skipped_not_fatal() {
         let sh = shared(1 << 16, 1 << 20);
-        let d = sh.with(|h| h.alloc_object("d", 4096, TierKind::Dram, false).unwrap());
+        let d = sh.with(|h| h.alloc_object("d", 4096, TierId(0), false).unwrap());
         let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
             vec![CopyConfig::unthrottled(); 4],
@@ -325,10 +319,7 @@ mod tests {
     #[test]
     fn cancel_abandons_the_queue() {
         let sh = shared(1 << 20, 1 << 22);
-        let a = sh.with(|h| {
-            h.alloc_object("a", 256 << 10, TierKind::Nvm, false)
-                .unwrap()
-        });
+        let a = sh.with(|h| h.alloc_object("a", 256 << 10, TierId(1), false).unwrap());
         let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
             // Slow enough (0.05 GB/s ⇒ ~5 ms for 256 KiB) that cancel
@@ -352,11 +343,7 @@ mod tests {
         assert_eq!(report.cancelled, 1);
         assert_eq!(report.stats.count, 0);
         sh.with(|h| {
-            assert_eq!(
-                h.tier_of(a).unwrap(),
-                TierKind::Nvm,
-                "aborted move stays put"
-            );
+            assert_eq!(h.tier_of(a).unwrap(), TierId(1), "aborted move stays put");
             assert!(!h.is_moving(a).unwrap());
         });
     }
@@ -370,7 +357,7 @@ mod tests {
             &["mig_chunk_ns"],
         ));
         let sh = shared(1 << 20, 1 << 22);
-        let a = sh.with(|h| h.alloc_object("a", 16 << 10, TierKind::Nvm, false).unwrap());
+        let a = sh.with(|h| h.alloc_object("a", 16 << 10, TierId(1), false).unwrap());
         let (emitter, buffer) = Emitter::buffered();
         let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
@@ -406,8 +393,8 @@ mod tests {
     #[test]
     fn observer_sees_each_committed_record_but_not_skips() {
         let sh = shared(1 << 20, 1 << 22);
-        let a = sh.with(|h| h.alloc_object("a", 16 << 10, TierKind::Nvm, false).unwrap());
-        let d = sh.with(|h| h.alloc_object("d", 4096, TierKind::Dram, false).unwrap());
+        let a = sh.with(|h| h.alloc_object("a", 16 << 10, TierId(1), false).unwrap());
+        let d = sh.with(|h| h.alloc_object("d", 4096, TierId(0), false).unwrap());
         let seen: Arc<std::sync::Mutex<Vec<(u32, u64)>>> = Arc::default();
         let sink = Arc::clone(&seen);
         let eng = BackgroundMigrator::spawn(
@@ -432,7 +419,7 @@ mod tests {
     fn committed_moves_emit_migration_events() {
         let (emitter, buffer) = Emitter::buffered();
         let sh = shared(1 << 20, 1 << 22);
-        let a = sh.with(|h| h.alloc_object("a", 8 << 10, TierKind::Nvm, false).unwrap());
+        let a = sh.with(|h| h.alloc_object("a", 8 << 10, TierId(1), false).unwrap());
         let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
             vec![CopyConfig::unthrottled(); 4],
@@ -446,5 +433,66 @@ mod tests {
         let kinds: Vec<&str> = buffer.drain().iter().map(|e| e.kind()).collect();
         assert!(kinds.contains(&"migration_issued"));
         assert!(kinds.contains(&"migration_completed"));
+    }
+
+    #[test]
+    fn a_three_tier_climb_is_recorded_with_exact_tiers() {
+        let config = HmsConfig::with_tiers(
+            vec![
+                presets::dram(1 << 20),
+                presets::cxl(1 << 20),
+                presets::optane_pmm(1 << 22),
+            ],
+            5.0,
+        )
+        .unwrap();
+        let backend = RealBackend::new(&config).unwrap();
+        let mut hms = Hms::new(config);
+        hms.set_backend(Box::new(backend));
+        let a = hms.alloc_object("a", 8 << 10, TierId(2), false).unwrap();
+        let sh = Arc::new(SharedHms::new(hms));
+        let (emitter, buffer) = Emitter::buffered();
+        let eng = BackgroundMigrator::spawn(
+            Arc::clone(&sh),
+            vec![CopyConfig::unthrottled(); 9],
+            emitter,
+            None,
+            None,
+        );
+        eng.enqueue(a, TierId(1)); // spill → middle
+        eng.enqueue(a, TierId::FASTEST); // middle → fastest
+        let report = eng.finish();
+        let hops: Vec<_> = report.records.iter().map(|r| (r.from, r.to)).collect();
+        assert_eq!(
+            hops,
+            vec![(TierId(2), TierId(1)), (TierId(1), TierId(0))],
+            "records carry the exact tiers"
+        );
+        assert_eq!((report.stats.promotions, report.stats.evictions), (2, 0));
+        let events = buffer.drain();
+        let issued: Vec<String> = events
+            .iter()
+            .filter(|e| e.kind() == "migration_issued")
+            .map(tahoe_obs::export::event_to_json)
+            .collect();
+        assert!(
+            issued[0].contains("\"from\":\"nvm\",\"to\":\"tier1\""),
+            "{}",
+            issued[0]
+        );
+        assert!(
+            issued[1].contains("\"from\":\"tier1\",\"to\":\"dram\""),
+            "{}",
+            issued[1]
+        );
+        // The middle-tier destination is its own blame cell, apart from
+        // the same object's later move to tier 0.
+        let blame = tahoe_obs::BlameTable::from_events(&events);
+        let mut cells: Vec<_> = blame.entries.iter().map(|e| (e.object, e.tier)).collect();
+        cells.sort();
+        assert_eq!(
+            cells,
+            vec![(a.0, tahoe_obs::Tier::Dram), (a.0, tahoe_obs::Tier::Mid(1))]
+        );
     }
 }

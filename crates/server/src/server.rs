@@ -40,7 +40,7 @@ use tahoe_core::app::App;
 use tahoe_core::engine::{residence_values, GraphLayout, GraphRun, NoSanitize};
 use tahoe_hms::{
     ContentionStats, Hms, HmsConfig, MigrationRecord, MigrationStats, Ns, ObjectId, SharedHms,
-    TierId, TierKind,
+    TierId,
 };
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::{Emitter, Event, HistData, Histogram, Metrics};
@@ -443,7 +443,7 @@ impl TahoeServer {
                 match hms.alloc_object(
                     &format!("t{tid}.{}", spec.name),
                     spec.size,
-                    TierKind::Nvm,
+                    self.sh.hms_cfg.last_tier(),
                     false,
                 ) {
                     Ok(id) => ids.push(id),
@@ -471,11 +471,11 @@ impl TahoeServer {
 
         // Predicted value of DRAM residence per object — the same
         // ground-truth model the single-tenant planner uses.
-        let specs = [self.sh.hms_cfg.dram.clone(), self.sh.hms_cfg.nvm.clone()];
-        let values: Vec<f64> = residence_values(&app, &specs, Some(&self.sh.cal))
-            .into_iter()
-            .map(|v| v[0])
-            .collect();
+        let values: Vec<f64> =
+            residence_values(&app, self.sh.hms_cfg.tier_specs(), Some(&self.sh.cal))
+                .into_iter()
+                .map(|v| v[0])
+                .collect();
         let demand = app
             .objects
             .iter()
@@ -758,6 +758,7 @@ impl ServerShared {
         // Rolling blame top-K: worst exposed stall time first, labelled
         // by global HMS object id and destination tier.
         let top = self.blame.top_k(blame_top_k);
+        let n_tiers = self.hms_cfg.n_tiers();
         for (name, kind) in [
             ("tahoe_blame_migrations_total", "counter"),
             ("tahoe_blame_bytes_total", "counter"),
@@ -766,7 +767,7 @@ impl ServerShared {
         ] {
             let _ = writeln!(out, "# TYPE {name} {kind}");
             for e in &top {
-                let labels = format!("object=\"{}\",tier=\"{}\"", e.object, e.tier_tag);
+                let labels = format!("object=\"{}\",tier=\"{}\"", e.object, e.tier.label(n_tiers));
                 let v: String = match name {
                     "tahoe_blame_migrations_total" => e.migrations.to_string(),
                     "tahoe_blame_bytes_total" => e.bytes.to_string(),
@@ -814,6 +815,7 @@ impl ServerShared {
         }
         drop(inner);
         out.push_str("],\"blame\":[");
+        let n_tiers = self.hms_cfg.n_tiers();
         for (i, e) in self.blame.top_k(blame_top_k).iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -821,7 +823,12 @@ impl ServerShared {
             let _ = write!(
                 out,
                 "{{\"object\":{},\"tier\":\"{}\",\"migrations\":{},\"bytes\":{},\"overlapped_ns\":{},\"exposed_ns\":{}}}",
-                e.object, e.tier_tag, e.migrations, e.bytes, e.overlapped_ns, e.exposed_ns
+                e.object,
+                e.tier.label(n_tiers),
+                e.migrations,
+                e.bytes,
+                e.overlapped_ns,
+                e.exposed_ns
             );
         }
         out.push_str("]}");

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tahoe_hms::{MigrationRecord, TierKind};
+use tahoe_hms::{MigrationRecord, TierId};
 
 use crate::server::{ServerShared, TahoeServer};
 
@@ -42,8 +42,9 @@ use crate::server::{ServerShared, TahoeServer};
 pub struct BlameLine {
     /// Global HMS object id.
     pub object: u32,
-    /// Destination tier tag, `"dram"` or `"nvm"`.
-    pub tier_tag: &'static str,
+    /// Destination tier (the exposition labels it `dram` / `tier<i>` /
+    /// `nvm` against the server's tier list).
+    pub tier: TierId,
     /// Committed migrations of this object into this tier.
     pub migrations: u64,
     /// Bytes those migrations moved.
@@ -61,7 +62,7 @@ pub struct BlameLine {
 /// [`top_k`](BlameBoard::top_k).
 #[derive(Debug, Default)]
 pub struct BlameBoard {
-    cells: Mutex<std::collections::BTreeMap<(u32, u8), BlameLine>>,
+    cells: Mutex<std::collections::BTreeMap<(u32, TierId), BlameLine>>,
 }
 
 impl BlameBoard {
@@ -72,16 +73,12 @@ impl BlameBoard {
 
     /// Fold one committed migration record into the board.
     pub fn record(&self, rec: &MigrationRecord) {
-        let (tier, tag): (u8, &'static str) = match rec.to {
-            TierKind::Dram => (0, "dram"),
-            TierKind::Nvm => (1, "nvm"),
-        };
         let mut cells = self.cells.lock().expect("blame board");
         let line = cells
-            .entry((rec.object.0, tier))
+            .entry((rec.object.0, rec.to))
             .or_insert_with(|| BlameLine {
                 object: rec.object.0,
-                tier_tag: tag,
+                tier: rec.to,
                 migrations: 0,
                 bytes: 0,
                 overlapped_ns: 0.0,
@@ -102,7 +99,7 @@ impl BlameBoard {
             b.exposed_ns
                 .total_cmp(&a.exposed_ns)
                 .then(a.object.cmp(&b.object))
-                .then(a.tier_tag.cmp(b.tier_tag))
+                .then(a.tier.cmp(&b.tier))
         });
         lines.truncate(k);
         lines
@@ -279,24 +276,14 @@ mod tests {
     use super::*;
     use tahoe_hms::ObjectId;
 
-    fn rec(
-        object: u32,
-        bytes: u64,
-        to: TierKind,
-        start: f64,
-        finish: f64,
-        needed: f64,
-    ) -> MigrationRecord {
+    fn rec(object: u32, bytes: u64, hop: (u8, u8), finish: f64, needed: f64) -> MigrationRecord {
         MigrationRecord {
             object: ObjectId(object),
             bytes,
-            from: match to {
-                TierKind::Dram => TierKind::Nvm,
-                TierKind::Nvm => TierKind::Dram,
-            },
-            to,
-            issued_at: start,
-            start,
+            from: TierId(hop.0),
+            to: TierId(hop.1),
+            issued_at: 0.0,
+            start: 0.0,
             finish,
             needed_at: Some(needed),
         }
@@ -306,19 +293,29 @@ mod tests {
     fn board_accumulates_and_ranks_by_exposed() {
         let b = BlameBoard::new();
         // Object 1: needed at 50 of [0,100] -> 50 overlapped, 50 exposed.
-        b.record(&rec(1, 10, TierKind::Dram, 0.0, 100.0, 50.0));
+        b.record(&rec(1, 10, (1, 0), 100.0, 50.0));
         // Object 2: needed at 10 of [0,100] -> 10 overlapped, 90 exposed.
-        b.record(&rec(2, 20, TierKind::Dram, 0.0, 100.0, 10.0));
+        b.record(&rec(2, 20, (1, 0), 100.0, 10.0));
         // Object 1 again, demotion direction: separate line.
-        b.record(&rec(1, 10, TierKind::Nvm, 0.0, 30.0, 100.0));
+        b.record(&rec(1, 10, (0, 1), 30.0, 100.0));
         let top = b.top_k(10);
         assert_eq!(top.len(), 3);
-        assert_eq!((top[0].object, top[0].tier_tag), (2, "dram"));
+        assert_eq!((top[0].object, top[0].tier), (2, TierId(0)));
         assert!((top[0].exposed_ns - 90.0).abs() < 1e-9);
         assert_eq!(b.migrations(), 3);
         assert_eq!(b.top_k(1).len(), 1);
         // needed_at after finish: fully overlapped demotion.
-        let demo = top.iter().find(|l| l.tier_tag == "nvm").unwrap();
+        let demo = top.iter().find(|l| l.tier == TierId(1)).unwrap();
         assert_eq!(demo.exposed_ns, 0.0);
+    }
+
+    #[test]
+    fn a_middle_tier_destination_is_its_own_line() {
+        // Spill → middle, then middle → fastest: one object, two cells.
+        let b = BlameBoard::new();
+        b.record(&rec(7, 64, (2, 1), 10.0, 5.0));
+        b.record(&rec(7, 64, (1, 0), 10.0, 5.0));
+        let tiers: Vec<TierId> = b.top_k(10).iter().map(|l| l.tier).collect();
+        assert_eq!(tiers, vec![TierId(0), TierId(1)]);
     }
 }
