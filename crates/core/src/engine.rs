@@ -2,13 +2,13 @@
 //! "run a data-annotated task on real memory".
 //!
 //! Every measured execution — `run_policy` (one worker),
-//! `run_policy_parallel` (a [`tahoe_taskrt::WsExecutor`]) and the
-//! multi-tenant server (a shared [`tahoe_taskrt::TaskPool`]) — runs its
-//! tasks through [`GraphRun::run_task`]: pin the task's objects, run each
+//! `run_policy_parallel` (one [`tahoe_taskrt::run_scoped`] job) and the
+//! multi-tenant server (jobs on a shared [`tahoe_taskrt::TaskPool`]) —
+//! runs its tasks through [`GraphRun::run_task`]: pin the task's objects, run each
 //! declared access as real traffic at native speed, inject the
 //! Quartz-style delay of the tier the object sits on, record the access
-//! checksum in its slot, unpin. The executors differ only in who calls
-//! it and when; what a task *does* lives here.
+//! checksum in its slot, unpin. The callers differ only in who owns the
+//! workers; what a task *does* lives here.
 //!
 //! * [`GraphLayout`] — what is fixed about one app on one memory system:
 //!   the HMS id of every object, the checksum-slot map, and the per-tier

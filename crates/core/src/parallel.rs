@@ -1,11 +1,12 @@
-//! The wall-clock engine's window loop: work-stealing execution with
+//! The wall-clock engine's batch run: work-stealing execution with
 //! overlapped background migration.
 //!
 //! [`crate::measured`] prepares a run (allocation, placement, audited
 //! plan) and [`crate::engine`] knows what a task does on real memory;
 //! this module is the *runtime shape* of the paper around them: the
-//! graph runs window by window on a pool of work-stealing workers
-//! ([`tahoe_taskrt::wsexec`]) entirely from NVM until every task class
+//! graph is one job on the work-stealing loop ([`tahoe_taskrt::pool`],
+//! scoped workers, a barrier per window), running entirely from NVM
+//! until every task class
 //! has its quota of completed instances ([`ClassQuota`]); the worker
 //! whose completion meets it hands the audited plan's steps to a
 //! dedicated migration thread ([`tahoe_realmem::BackgroundMigrator`]),
@@ -13,7 +14,7 @@
 //! execute — the paper's profile-then-migrate-proactively with its
 //! computation/data-movement
 //! overlap, measured in wall-clock time. Every measured run goes
-//! through here; `run_policy` is this loop at one worker and seed 0.
+//! through here; `run_policy` is this run at one worker and seed 0.
 //!
 //! **Determinism of results, not schedules.** Worker interleavings vary
 //! run to run, but the final answer cannot: the task graph's derived
@@ -80,7 +81,7 @@
 //! assert_eq!(report.workers, 2);
 //! ```
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use tahoe_hms::{MigrationStats, Ns, SharedHms, TierId};
@@ -90,7 +91,7 @@ use tahoe_realmem::BackgroundMigrator;
 use tahoe_sanitize::{
     AccessSanitizer, ExtraAccess, NoSanitize, SanitizeHook, SanitizeReport, ViolationKind,
 };
-use tahoe_taskrt::WsExecutor;
+use tahoe_taskrt::{run_scoped, JobSpec, TaskSpec};
 
 use crate::app::App;
 pub use crate::engine::AccessTierTiming;
@@ -279,8 +280,12 @@ impl MeasuredRuntime {
         let start = Instant::now();
         let shared = Arc::new(SharedHms::new(prepared.hms));
         let layout = Arc::new(GraphLayout::new(&app.graph, prepared.ids, &config, cal));
-        // Init traffic runs here, before the pool spins up.
-        let run = GraphRun::start(Arc::clone(&shared), Arc::clone(&layout), run_seed)?;
+        // Init traffic runs here, before the workers spin up.
+        let run = Arc::new(GraphRun::start(
+            Arc::clone(&shared),
+            Arc::clone(&layout),
+            run_seed,
+        )?);
 
         // Register before the migrator spawns so no move-start can slip
         // past the sanitizer's pinned-copy check.
@@ -303,10 +308,6 @@ impl MeasuredRuntime {
             recorder.as_ref().map(|r| r.handle(nw)),
             None,
         );
-        let executor = WsExecutor::new(workers).with_metrics(self.metrics.clone());
-        let first_error: Mutex<Option<String>> = Mutex::new(None);
-        let mut gate_wait_ns = 0.0;
-        let mut steals = 0u64;
         // Driver-lane and worker-lane events go to the recorder when one
         // is attached, else straight to the emitter.
         let emit = |lane: usize, ev: Event| match &recorder {
@@ -358,63 +359,80 @@ impl MeasuredRuntime {
             ClassQuota::new(&app.graph)
         };
         let released_at: OnceLock<Ns> = OnceLock::new();
+        // After a task error the rest of the graph retires unexecuted.
+        let first_error: OnceLock<String> = OnceLock::new();
 
-        for w in 0..app.windows() {
-            if quota.is_met() {
-                issue(w..=w);
-            }
-            let stats = executor.run_window_traced(
-                &app.graph,
-                Some(w),
-                &run,
-                recorder.as_ref(),
-                |worker, task| match run.run_task(task, hook) {
-                    Ok(out) => {
-                        if let Some(rec) = &recorder {
-                            rec.record(worker, "task_ns", out.wall_ns);
-                            if out.gate_wait_ns > 0.0 {
-                                rec.record(worker, "gate_wait_ns", out.gate_wait_ns);
-                            }
-                        }
-                        emit(
-                            worker,
-                            Event::WorkerTask {
-                                t: out.t,
-                                // Single-tenant runtime: tenant 0.
-                                tenant: 0,
-                                worker: worker as u32,
-                                task: task.id.0,
-                                window: task.window,
-                                wall_ns: out.wall_ns,
-                                gate_wait_ns: out.gate_wait_ns,
-                            },
-                        );
-                        if quota.task_done(task.class) {
-                            let t = shared.now_ns();
-                            issue(0..=task.window);
-                            released_at.set(t).expect("the quota is met once");
-                            emit(
-                                worker,
-                                Event::ProfilingClosed {
-                                    t,
-                                    window: task.window,
-                                },
-                            );
-                        }
-                    }
+        // The whole graph is one job on the work-stealing loop.
+        let job = JobSpec {
+            // Single-tenant runtime: tenant 0.
+            tag: 0,
+            graph: &app.graph,
+            gate: run.clone(),
+            work: Arc::new(|worker: usize, tenant: u32, task: &TaskSpec| {
+                if first_error.get().is_some() {
+                    return;
+                }
+                let out = match run.run_task(task, hook) {
+                    Ok(out) => out,
                     Err(e) => {
-                        first_error.lock().expect("error slot").get_or_insert(e);
+                        let _ = first_error.set(e);
+                        return;
                     }
-                },
-            );
-            gate_wait_ns += stats.gate_wait_ns;
-            steals += stats.steals;
-            if let Some(e) = first_error.lock().expect("error slot").take() {
+                };
+                if let Some(rec) = &recorder {
+                    rec.record(worker, "task_ns", out.wall_ns);
+                    if out.gate_wait_ns > 0.0 {
+                        rec.record(worker, "gate_wait_ns", out.gate_wait_ns);
+                    }
+                }
+                emit(
+                    worker,
+                    Event::WorkerTask {
+                        t: out.t,
+                        tenant,
+                        worker: worker as u32,
+                        task: task.id.0,
+                        window: task.window,
+                        wall_ns: out.wall_ns,
+                        gate_wait_ns: out.gate_wait_ns,
+                    },
+                );
+                if quota.task_done(task.class) {
+                    let t = shared.now_ns();
+                    issue(0..=task.window);
+                    released_at.set(t).expect("the quota is met once");
+                    emit(
+                        worker,
+                        Event::ProfilingClosed {
+                            t,
+                            window: task.window,
+                        },
+                    );
+                }
+            }),
+            on_window: Some(Box::new(|w| {
+                if quota.is_met() {
+                    issue(w..=w);
+                }
+                // A barrier is where this worker gives up its core once:
+                // with no core to spare (workers + the migration thread
+                // > CPUs) that is when the copies queued so far get to
+                // run, instead of waiting behind a worker that never
+                // blocks.
+                std::thread::yield_now();
+            })),
+            on_done: None,
+        };
+        let ran = run_scoped(workers, recorder.as_ref(), &self.metrics, job)
+            .map_err(|panic| panic.to_string());
+        let ws = match first_error.into_inner().map_or(ran, Err) {
+            Ok(stats) => stats,
+            Err(e) => {
                 migrator.cancel();
                 migrator.finish();
                 return Err(e);
             }
-        }
+        };
         // Execution-phase stamp on the event clock (the epoch the
         // recorder's timestamps share), before the post-run drain.
         let exec_wall_ns = shared.now_ns();
@@ -524,8 +542,8 @@ impl MeasuredRuntime {
             plan_steps_skipped,
             released_at_ns: released_at.get().copied(),
             placed_at_ns,
-            gate_wait_ns,
-            steals,
+            gate_wait_ns: ws.gate_wait_ns,
+            steals: ws.steals,
             final_tier_objects,
             access_timing,
             obs_ring_dropped,
@@ -747,6 +765,35 @@ mod tests {
             .run_policy_parallel(&app, &PolicyKind::tahoe(), &cal, 2, 7)
             .expect("unobserved run");
         assert!(plain.crit.is_none());
+    }
+
+    /// A task that panics mid-run (here: inside the sanitizer hook, with
+    /// its objects pinned) fails the run with an error naming the task,
+    /// the migration thread joined — inside a minute, not never.
+    #[test]
+    fn panicking_task_returns_an_error_instead_of_hanging() {
+        struct PanicOn(u32);
+        impl SanitizeHook for PanicOn {
+            const ENABLED: bool = true;
+            fn on_access(&self, task: u32, _access: usize, _object: u32, _mid_move: bool) {
+                assert_ne!(task, self.0, "injected fault");
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let app = stream_app(4, 16 << 10, 3);
+            let footprint = app.footprint();
+            let cal = test_cal(footprint / 3, 4 * footprint);
+            let rt = runtime();
+            let policy = PolicyKind::tahoe();
+            let _ = tx.send(rt.run_policy_parallel_impl(&app, &policy, &cal, 2, 0, &PanicOn(5)));
+        });
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a panicking task must not hang the run")
+            .expect_err("the run fails");
+        assert!(err.starts_with("task 5 panicked"), "{err}");
+        assert!(err.contains("injected fault"), "{err}");
     }
 
     #[test]

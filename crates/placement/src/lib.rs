@@ -21,8 +21,6 @@
 //!   more migrations) and *cross-window global search* (one placement for
 //!   the whole run, at most one migration per object), and the predicted-
 //!   gain comparison that picks between them.
-//! * [`chunk`] — large-object decomposition, so part of an object bigger
-//!   than DRAM can still be placed.
 //! * [`mck`] — the N-tier generalization: a multiple-choice knapsack
 //!   where each object picks exactly one tier of an ordered tier list
 //!   (DRAM / CXL / … / NVM) under per-tier capacities. At two tiers it
@@ -32,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bnb;
-pub mod chunk;
 pub mod knapsack;
 pub mod mck;
 pub mod plan;

@@ -31,6 +31,11 @@
 //! — so a tenant's result under full cross-tenant contention, arbitrary
 //! preemption and any worker interleaving is bit-identical to the same
 //! app running alone.
+//!
+//! **Failure.** A graph whose task panics does not hang its ticket or
+//! its tenant: the pool fails the job, the ticket is fulfilled with
+//! [`GraphOutcome::failed`] set (and no checksum), `server.graphs_failed`
+//! counts it, and the tenant's next queued graph is dispatched.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -43,10 +48,10 @@ use tahoe_hms::{
     TierId,
 };
 use tahoe_memprof::wallclock::WallClockCalibration;
-use tahoe_obs::{Emitter, Event, HistData, Histogram, Metrics};
+use tahoe_obs::{Emitter, Event, FlightRecorder, HistData, Histogram, Metrics};
 use tahoe_placement::Item;
 use tahoe_realmem::{BackgroundMigrator, RealBackend};
-use tahoe_taskrt::{JobSpec, TaskGraph, TaskPool, TaskSpec};
+use tahoe_taskrt::{JobSpec, TaskGraph, TaskPanic, TaskPool, TaskSpec};
 
 use crate::arbiter::{self, QuotaPolicy, TenantDemand};
 use crate::namespace::{self, AdmitError, Namespace};
@@ -126,8 +131,11 @@ pub struct GraphOutcome {
     pub run_seed: u64,
     /// Canonical re-fold of every access checksum; must equal
     /// [`reference_checksum_seeded`](tahoe_core::measured::reference_checksum_seeded)
-    /// for the tenant's app and seed.
+    /// for the tenant's app and seed. 0 when the graph [`failed`](Self::failed).
     pub checksum: u64,
+    /// Why the graph did not run to completion (a task panicked); its
+    /// partial results are discarded.
+    pub failed: Option<String>,
     /// Submission wall time (server epoch, ns).
     pub submitted_ns: Ns,
     /// Admission wall time, ns.
@@ -269,6 +277,9 @@ pub(crate) struct ServerShared {
     emitter: Emitter,
     metrics: Metrics,
     pool: Mutex<Option<TaskPool>>,
+    /// The pool's steal-search histogram (one lane per worker), kept
+    /// only when metrics are on; folded into them at shutdown.
+    steal_tap: Option<Arc<FlightRecorder>>,
     migrator: Mutex<Option<BackgroundMigrator>>,
     /// Rolling per-(object, tier) blame, fed by the migration engine's
     /// commit observer — readable while the server runs.
@@ -406,7 +417,10 @@ impl TahoeServer {
             None,
             Some(Arc::new(move |rec: &MigrationRecord| board.record(rec))),
         );
-        let pool = TaskPool::new(cfg.workers);
+        let steal_tap = metrics
+            .is_enabled()
+            .then(|| Arc::new(FlightRecorder::new(cfg.workers, 1, &["steal_ns"])));
+        let pool = TaskPool::with_recorder(cfg.workers, steal_tap.clone());
         Ok(TahoeServer {
             sh: Arc::new(ServerShared {
                 cfg,
@@ -416,6 +430,7 @@ impl TahoeServer {
                 emitter,
                 metrics,
                 pool: Mutex::new(Some(pool)),
+                steal_tap,
                 migrator: Mutex::new(Some(migrator)),
                 blame,
                 inner: Mutex::new(Inner {
@@ -542,6 +557,14 @@ impl TahoeServer {
             .take()
             .expect("pool live until shutdown");
         let pool_stats = pool.shutdown();
+        if pool_stats.threads_clamped {
+            self.sh.metrics.inc("wsexec.threads_clamped");
+        }
+        if let Some(tap) = &self.sh.steal_tap {
+            for (key, data) in &tap.drain().hists {
+                self.sh.metrics.hist_fold(key, data);
+            }
+        }
         let mig = self
             .sh
             .migrator
@@ -1040,11 +1063,13 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
         })
     };
 
-    let on_done: Box<dyn FnOnce() + Send> = {
+    let on_done = {
         let sh = Arc::clone(sh);
         let run = Arc::clone(&run);
-        Box::new(move || {
-            let checksum = run.checksum();
+        Box::new(move |failure: Option<&TaskPanic>| {
+            // A failed graph's partial checksum is never a result.
+            let failed = failure.map(ToString::to_string);
+            let checksum = if failed.is_some() { 0 } else { run.checksum() };
             let finished_ns = sh.hms.now_ns();
             let latency_ns = (finished_ns - submitted_ns).max(0.0);
             let wall_ns = (finished_ns - admitted_ns).max(0.0);
@@ -1055,14 +1080,20 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
                 latency_ns,
                 wall_ns,
             });
-            sh.metrics.add("server.graphs_completed", 1);
+            let counter = match failed {
+                Some(_) => "server.graphs_failed",
+                None => "server.graphs_completed",
+            };
+            sh.metrics.add(counter, 1);
             let next = {
                 let mut inner = sh.inner.lock().expect("server state");
                 {
                     let st = &mut inner.tenants[tenant as usize];
-                    st.completed += 1;
-                    st.latencies.push(latency_ns);
-                    st.hist.record(latency_ns);
+                    if failed.is_none() {
+                        st.completed += 1;
+                        st.latencies.push(latency_ns);
+                        st.hist.record(latency_ns);
+                    }
                     st.busy = false;
                 }
                 let pend = inner.tenants[tenant as usize].queue.pop_front();
@@ -1075,6 +1106,7 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
                 graph: seq,
                 run_seed,
                 checksum,
+                failed,
                 submitted_ns,
                 admitted_ns,
                 finished_ns,

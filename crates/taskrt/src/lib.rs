@@ -17,12 +17,15 @@
 //!   over virtual time. Task durations are supplied by a
 //!   [`simsched::SchedulerHooks`] implementation (the Tahoe policy layer),
 //!   so placement decisions feed straight back into the schedule.
-//! * [`wsexec`] — a real work-stealing executor (crossbeam deques, real
-//!   threads) used by the examples and tests to demonstrate that the same
-//!   task graphs execute correctly under genuine parallelism.
-//! * [`pool`] — a long-lived multi-graph work-stealing pool: one set of
-//!   worker threads executing many tagged task graphs concurrently with
-//!   per-job window barriers (the multi-tenant server's executor).
+//! * [`pool`] — the real work-stealing loop (crossbeam deques, real
+//!   threads): workers executing many tagged task graphs concurrently
+//!   with per-job window barriers, as a long-lived [`TaskPool`] (the
+//!   multi-tenant server) or as one scoped job ([`run_scoped`], a batch
+//!   run).
+//! * [`wsexec`] — the [`DataGate`] readiness hook, [`WsStats`], and
+//!   [`WsExecutor`], the gate-less scoped job the examples and tests
+//!   use to show the same task graphs execute correctly under genuine
+//!   parallelism.
 //! * [`lookahead`] — deterministic extraction of the "soon-to-run" task
 //!   window the proactive migration planner consumes.
 //! * [`obs`] — a [`simsched::SchedulerHooks`] decorator that emits the
@@ -46,7 +49,7 @@ pub mod wsexec;
 
 pub use graph::TaskGraph;
 pub use obs::ObsHooks;
-pub use pool::{JobHandle, JobSpec, PoolStats, TaskPool};
+pub use pool::{run_scoped, JobHandle, JobSpec, PoolStats, TaskPanic, TaskPool};
 pub use simsched::{NullHooks, SchedulerHooks, SimScheduler};
 pub use stats::SchedStats;
 pub use task::{AccessMode, TaskAccess, TaskClassId, TaskId, TaskSpec};

@@ -1,105 +1,157 @@
-//! Long-lived work-stealing pool executing many task graphs at once.
+//! The work-stealing loop: workers executing many task graphs at once.
 //!
-//! [`crate::wsexec`] spawns scoped threads per run and executes one graph
-//! (or one window) to completion — the right shape for a single
-//! measured-mode run. A multi-tenant server needs the opposite shape: one
-//! set of worker threads that outlives every submission, onto which task
-//! graphs from different tenants are dispatched *concurrently*, so one
-//! tenant's window barrier never stalls another tenant's ready tasks.
+//! This module holds the only scheduler in the repository. Workers run
+//! one Chase–Lev loop — local deque, then the shared injector, then
+//! peers — over *jobs*: each [`JobSpec`] carries its own graph,
+//! [`DataGate`], work closure and a caller-chosen `tag` (the tenant id
+//! in the server), and ready tasks of all active jobs interleave on the
+//! shared deques. Window barriers are *per job*: the worker that
+//! retires a job's last task of window `w` opens the job's next window
+//! (running its `on_window` hook — the plan hand-off point) and seeds
+//! that window's roots, while tasks of other jobs keep flowing around
+//! it.
 //!
-//! [`TaskPool`] is that executor. Each submitted [`JobSpec`] carries its
-//! own graph, [`DataGate`], work closure and a caller-chosen `tag`
-//! (the tenant id in the server); the pool interleaves ready tasks from
-//! all active jobs over the shared Chase–Lev deques. Window barriers are
-//! *per job*: the worker that retires a job's last task of window `w`
-//! advances that job to `w + 1` (running its `on_window` hook — the
-//! server's plan hand-off point) and seeds the next window's roots,
-//! while tasks of other jobs keep flowing around it.
+//! The loop is generic over how its threads and job state are owned:
 //!
-//! Dependence counting uses the same release/acquire discipline as
-//! `wsexec`: the decrement a finishing task performs on each same-window
-//! successor's pending count releases its writes, and the worker that
-//! drops the count to zero acquires them.
+//! * [`TaskPool`] spawns long-lived threads over `'static` jobs held by
+//!   `Arc` — the multi-tenant server's shape, where one tenant's
+//!   barrier never stalls another tenant's ready tasks.
+//! * [`run_scoped`] runs one job on scoped threads that borrow its
+//!   state, so its closures keep borrowing the caller's — a batch run
+//!   (and [`crate::wsexec::WsExecutor::run`]) is exactly one such job.
+//!
+//! Dependence counting uses release/acquire atomics: the decrement a
+//! finishing task performs on each same-window successor's pending
+//! count releases its writes, and the worker that drops the count to
+//! zero (and will run the successor) acquires them.
+//!
+//! A task whose gate or work closure panics fails its job instead of
+//! hanging it: the loop contains the unwind, retires the job's
+//! remaining tasks without running them, and reports the
+//! [`TaskPanic`] through `on_done`, [`JobHandle::failure`] and
+//! [`run_scoped`]'s result.
 
+use std::any::Any;
+use std::ops::Deref;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use crossbeam::utils::Backoff;
+use tahoe_obs::{FlightRecorder, Metrics};
 
 use crate::graph::TaskGraph;
 use crate::task::{TaskId, TaskSpec};
-use crate::wsexec::DataGate;
+use crate::wsexec::{DataGate, WsStats};
 
-/// One schedulable unit: a task of a specific job.
-type Unit = (Arc<JobState>, TaskId);
+/// One schedulable unit: a task of a specific job. `J` points at the
+/// job's state: an `Arc` on the long-lived pool, a borrow in a scoped
+/// run.
+type Unit<J> = (J, TaskId);
+
+/// How a [`TaskPool`] holds a job.
+type PoolJob = Arc<JobState<'static, Arc<TaskGraph>>>;
 
 /// Work closure: `(worker index, job tag, task)`. The tag is the
 /// caller's routing key — the multi-tenant server passes the tenant id,
 /// so every executed task knows which tenant it ran for.
-pub type PoolWork = dyn Fn(usize, u32, &TaskSpec) + Send + Sync;
+pub type PoolWork<'a> = dyn Fn(usize, u32, &TaskSpec) + Send + Sync + 'a;
 
 /// Per-window hook, called by the advancing worker when the job crosses
-/// the barrier *into* the given window (never for window 0 — the caller
-/// observes submission itself).
-pub type WindowHook = dyn Fn(u32) + Send + Sync;
+/// a barrier *into* the given window (never for the job's first window
+/// — the caller observes submission itself), unless the job has failed.
+pub type WindowHook<'a> = dyn Fn(u32) + Send + Sync + 'a;
 
-/// A task graph submission for the pool.
-pub struct JobSpec {
+/// Completion hook; receives the job's failure, if any.
+pub type DoneHook<'a> = dyn FnOnce(Option<&TaskPanic>) + Send + 'a;
+
+/// Why a job failed: the first of its tasks whose gate or work closure
+/// panicked. The job's later tasks were retired without running.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskPanic {
+    /// The task that panicked.
+    pub task: TaskId,
+    /// The panic message (empty for a non-string payload).
+    pub message: String,
+}
+
+impl std::fmt::Display for TaskPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "task {} panicked: {}", self.task.0, self.message)
+    }
+}
+
+/// A task graph submission. `G` is how the job holds its graph: an
+/// `Arc` on the long-lived pool, a borrow under [`run_scoped`].
+pub struct JobSpec<'a, G = Arc<TaskGraph>> {
     /// Caller's routing key, handed to every `work` call (tenant id).
     pub tag: u32,
     /// The graph to execute, window barriers respected per job.
-    pub graph: Arc<TaskGraph>,
+    pub graph: G,
     /// Data-readiness gate consulted before every task.
-    pub gate: Arc<dyn DataGate + Send + Sync>,
+    pub gate: Arc<dyn DataGate + Send + Sync + 'a>,
     /// Per-task work closure.
-    pub work: Arc<PoolWork>,
+    pub work: Arc<PoolWork<'a>>,
     /// Barrier hook: runs on the advancing worker when the job enters
-    /// window `w` (1-based in practice), before that window's roots are
-    /// published. The server enqueues its migration plan here.
-    pub on_window: Option<Box<WindowHook>>,
+    /// window `w`, before that window's roots are published. Migration
+    /// plans are handed over here. Must not panic.
+    pub on_window: Option<Box<WindowHook<'a>>>,
     /// Completion hook: runs exactly once, on the worker that retires
-    /// the job's last task, before `JobHandle::wait` unblocks.
-    pub on_done: Option<Box<dyn FnOnce() + Send>>,
+    /// the job's last task, before `JobHandle::wait` unblocks. Must not
+    /// panic.
+    pub on_done: Option<Box<DoneHook<'a>>>,
 }
 
 /// Internal per-job execution state.
-struct JobState {
+struct JobState<'a, G> {
     tag: u32,
-    graph: Arc<TaskGraph>,
-    gate: Arc<dyn DataGate + Send + Sync>,
-    work: Arc<PoolWork>,
-    on_window: Option<Box<WindowHook>>,
-    on_done: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    graph: G,
+    gate: Arc<dyn DataGate + Send + Sync + 'a>,
+    work: Arc<PoolWork<'a>>,
+    on_window: Option<Box<WindowHook<'a>>>,
+    on_done: Mutex<Option<Box<DoneHook<'a>>>>,
     /// Pending same-window predecessor counts, indexed by task.
     pending: Vec<AtomicU32>,
-    /// Tasks left in the current window.
+    /// End of the open window: tasks are stored in window order, so
+    /// every task below this index is in the open window or a closed
+    /// one.
+    opened: AtomicUsize,
+    /// Tasks left in the open window.
     remaining: AtomicUsize,
-    /// Current window.
-    window: AtomicU32,
     /// Summed gate wait, whole ns.
     gate_wait: AtomicU64,
+    /// Set by the first task that panics.
+    failed: OnceLock<TaskPanic>,
     /// Completion flag + wakeup for `JobHandle::wait`.
     done: Mutex<bool>,
     done_cv: Condvar,
 }
 
-impl JobState {
-    /// Count `t`'s predecessors inside window `w` (cross-window edges
-    /// are satisfied by the per-job barrier).
-    fn in_window_preds(&self, t: TaskId, w: u32) -> u32 {
-        self.graph
-            .preds(t)
-            .iter()
-            .filter(|p| self.graph.task(**p).window == w)
-            .count() as u32
+impl<'a, G: Deref<Target = TaskGraph>> JobState<'a, G> {
+    fn new(spec: JobSpec<'a, G>) -> Self {
+        JobState {
+            pending: (0..spec.graph.len()).map(|_| AtomicU32::new(0)).collect(),
+            tag: spec.tag,
+            graph: spec.graph,
+            gate: spec.gate,
+            work: spec.work,
+            on_window: spec.on_window,
+            on_done: Mutex::new(spec.on_done),
+            opened: AtomicUsize::new(0),
+            remaining: AtomicUsize::new(0),
+            gate_wait: AtomicU64::new(0),
+            failed: OnceLock::new(),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        }
     }
 }
 
-/// Handle to one submitted job.
+/// Handle to one job submitted to a [`TaskPool`].
 pub struct JobHandle {
-    state: Arc<JobState>,
+    state: PoolJob,
 }
 
 impl JobHandle {
@@ -115,6 +167,11 @@ impl JobHandle {
     /// Whether the job has completed (non-blocking).
     pub fn is_done(&self) -> bool {
         *self.state.done.lock().expect("job done flag")
+    }
+
+    /// The panic that failed the job, if one did.
+    pub fn failure(&self) -> Option<&TaskPanic> {
+        self.state.failed.get()
     }
 
     /// Total wall-clock ns this job's tasks spent blocked in the gate.
@@ -135,14 +192,18 @@ pub struct PoolStats {
     pub tasks_executed: u64,
     /// Successful steals (injector or peer acquisitions).
     pub steals: u64,
-    /// Jobs run to completion.
+    /// Jobs retired (failed ones included).
     pub jobs_completed: u64,
+    /// Whether 0 workers were requested and the pool ran with 1.
+    pub threads_clamped: bool,
 }
 
-/// Shared worker-side state.
-struct PoolShared {
-    injector: Injector<Unit>,
-    stealers: Vec<Stealer<Unit>>,
+/// The state every worker of one loop shares.
+struct Shared<J> {
+    injector: Injector<Unit<J>>,
+    stealers: Vec<Stealer<Unit<J>>>,
+    clamped: bool,
+    /// Workers leave once this is set and no job is active.
     shutdown: AtomicBool,
     active_jobs: AtomicUsize,
     tasks_executed: AtomicU64,
@@ -150,46 +211,229 @@ struct PoolShared {
     jobs_completed: AtomicU64,
 }
 
-/// A long-lived multi-graph work-stealing pool.
-///
-/// Workers are real OS threads spawned at construction and joined at
-/// [`shutdown`](TaskPool::shutdown); submissions interleave freely.
-pub struct TaskPool {
-    shared: Arc<PoolShared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl TaskPool {
-    /// A pool with `threads` workers (`0` clamps to 1, like
-    /// [`crate::wsexec::WsExecutor::new`]).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let locals: Vec<Worker<Unit>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<Unit>> = locals.iter().map(|w| w.stealer()).collect();
-        let shared = Arc::new(PoolShared {
+impl<'a, G, J> Shared<J>
+where
+    G: Deref<Target = TaskGraph> + 'a,
+    J: Deref<Target = JobState<'a, G>> + Clone,
+{
+    /// The shared state and one local deque per worker. `threads == 0`
+    /// (e.g. a miscomputed `cores - N`) is clamped to one worker with a
+    /// warning on stderr rather than panicking — a degraded run beats an
+    /// aborted one — and the clamp is reported in the stats.
+    fn new(threads: usize) -> (Self, Vec<Worker<Unit<J>>>) {
+        if threads == 0 {
+            eprintln!("taskrt: 0 worker threads requested; clamping to 1");
+        }
+        let locals: Vec<_> = (0..threads.max(1)).map(|_| Worker::new_lifo()).collect();
+        let shared = Shared {
             injector: Injector::new(),
-            stealers,
+            stealers: locals.iter().map(Worker::stealer).collect(),
+            clamped: threads == 0,
             shutdown: AtomicBool::new(false),
             active_jobs: AtomicUsize::new(0),
             tasks_executed: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
-        });
-        let handles = locals
+        };
+        (shared, locals)
+    }
+
+    /// Make a job runnable: its first window's roots become stealable.
+    /// An empty graph retires here, on the caller (hooks still run).
+    fn submit(&self, job: &J) {
+        self.active_jobs.fetch_add(1, Ordering::AcqRel);
+        self.advance(job);
+    }
+
+    /// One worker: local deque first, then the injector, then peers.
+    ///
+    /// Every successful steal (injector or peer acquisition; local pops
+    /// are excluded) is counted, and with a recorder attached the
+    /// wall-clock ns the search took goes to the `steal_ns` histogram
+    /// on this worker's lane. The search timestamp is only taken then,
+    /// so the untraced hot path pays nothing for the tap.
+    fn worker_loop(&self, me: usize, local: Worker<Unit<J>>, recorder: Option<&FlightRecorder>) {
+        let backoff = Backoff::new();
+        loop {
+            let unit = local.pop().or_else(|| {
+                let search_t0 = recorder.map(|_| Instant::now());
+                std::iter::repeat_with(|| {
+                    self.injector.steal_batch_and_pop(&local).or_else(|| {
+                        self.stealers
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| *i != me)
+                            .map(|(_, s)| s.steal())
+                            .collect()
+                    })
+                })
+                .find(|s| !s.is_retry())
+                .and_then(|s| s.success())
+                .inspect(|_| {
+                    self.steals.fetch_add(1, Ordering::Relaxed);
+                    if let (Some(rec), Some(t0)) = (recorder, search_t0) {
+                        rec.record(me, "steal_ns", t0.elapsed().as_nanos() as f64);
+                    }
+                })
+            });
+            match unit {
+                Some((job, tid)) => {
+                    backoff.reset();
+                    self.run_task(me, job, tid, &local);
+                }
+                None => {
+                    if self.shutdown.load(Ordering::Acquire)
+                        && self.active_jobs.load(Ordering::Acquire) == 0
+                    {
+                        break;
+                    }
+                    // The one idle rule: bounded spin, then yield, then a
+                    // real sleep — a server's idle worker must not burn a
+                    // core, nor a batch worker compete with the migrator.
+                    if backoff.is_completed() {
+                        std::thread::sleep(Duration::from_micros(200));
+                    } else {
+                        backoff.snooze();
+                    }
+                }
+            }
+        }
+    }
+
+    fn run_task(&self, me: usize, job: J, tid: TaskId, local: &Worker<Unit<J>>) {
+        let spec = job.graph.task(tid);
+        // A failed job's remaining tasks retire without running. The
+        // unwind is contained here so the countdown below always runs;
+        // nothing the panicking task half-did is presented as a result.
+        if job.failed.get().is_none() {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let waited = job.gate.wait_ready(spec);
+                if waited > 0.0 {
+                    job.gate_wait.fetch_add(waited as u64, Ordering::Relaxed);
+                }
+                (job.work)(me, job.tag, spec);
+            }));
+            match ran {
+                Ok(()) => {
+                    self.tasks_executed.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(payload) => {
+                    let _ = job.failed.set(TaskPanic {
+                        task: tid,
+                        message: panic_message(payload.as_ref()),
+                    });
+                }
+            }
+        }
+        let window_end = job.opened.load(Ordering::Relaxed);
+        for &s in job.graph.succs(tid) {
+            // A later window's successor is seeded when its window
+            // opens. Otherwise release our writes; the zero-observer
+            // acquires them before running `s`.
+            if s.index() < window_end && job.pending[s.index()].fetch_sub(1, Ordering::AcqRel) == 1
+            {
+                local.push((job.clone(), s));
+            }
+        }
+        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.advance(&job);
+        }
+    }
+
+    /// Cross the job's window barrier: open its next window (the
+    /// `on_window` hook, then that window's roots) or retire the job.
+    /// Only the submitter and then the worker that retired a window's
+    /// last task get here, so this is single-threaded per job.
+    fn advance(&self, job: &J) {
+        let tasks = job.graph.tasks();
+        let start = job.opened.load(Ordering::Relaxed);
+        let Some(first) = tasks.get(start) else {
+            return self.retire(job);
+        };
+        let len = tasks[start..]
+            .iter()
+            .take_while(|t| t.window == first.window)
+            .count();
+        job.opened.store(start + len, Ordering::Relaxed);
+        if start > 0 && job.failed.get().is_none() {
+            if let Some(cb) = &job.on_window {
+                cb(first.window);
+            }
+        }
+        // Edges point forward, so a predecessor is in this window iff
+        // its index is at least `start`; earlier windows are satisfied
+        // by the barrier.
+        let mut roots = Vec::new();
+        for t in &tasks[start..start + len] {
+            let preds = job.graph.preds(t.id);
+            let p = preds.iter().filter(|p| p.index() >= start).count();
+            job.pending[t.id.index()].store(p as u32, Ordering::Relaxed);
+            if p == 0 {
+                roots.push(t.id);
+            }
+        }
+        job.remaining.store(len, Ordering::Release);
+        for t in roots {
+            self.injector.push((job.clone(), t));
+        }
+    }
+
+    /// No windows left: run `on_done`, then wake the waiters.
+    fn retire(&self, job: &JobState<'a, G>) {
+        if let Some(cb) = job.on_done.lock().expect("on_done slot").take() {
+            cb(job.failed.get());
+        }
+        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.active_jobs.fetch_sub(1, Ordering::AcqRel);
+        *job.done.lock().expect("job done flag") = true;
+        job.done_cv.notify_all();
+    }
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
+}
+
+/// A long-lived multi-graph work-stealing pool.
+///
+/// Workers are real OS threads spawned at construction and joined at
+/// [`shutdown`](TaskPool::shutdown); submissions interleave freely.
+pub struct TaskPool {
+    shared: Arc<Shared<PoolJob>>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl TaskPool {
+    /// A pool with `threads` workers (`0` clamps to 1 and is reported
+    /// in [`PoolStats::threads_clamped`]).
+    pub fn new(threads: usize) -> Self {
+        Self::with_recorder(threads, None)
+    }
+
+    /// [`new`](Self::new) with a flight recorder of at least `threads`
+    /// lanes: worker `i` records every steal's search time into lane
+    /// `i`'s `steal_ns` histogram. Drain it after
+    /// [`shutdown`](Self::shutdown).
+    pub fn with_recorder(threads: usize, recorder: Option<Arc<FlightRecorder>>) -> Self {
+        let (shared, locals) = Shared::new(threads);
+        let shared = Arc::new(shared);
+        let threads = locals
             .into_iter()
             .enumerate()
             .map(|(me, local)| {
                 let shared = Arc::clone(&shared);
+                let recorder = recorder.clone();
                 std::thread::Builder::new()
                     .name(format!("tahoe-pool-{me}"))
-                    .spawn(move || worker_loop(me, local, shared))
+                    .spawn(move || shared.worker_loop(me, local, recorder.as_deref()))
                     .expect("spawn pool worker")
             })
             .collect();
-        TaskPool {
-            shared,
-            threads: handles,
-        }
+        TaskPool { shared, threads }
     }
 
     /// Number of worker threads.
@@ -202,75 +446,21 @@ impl TaskPool {
         self.shared.active_jobs.load(Ordering::Acquire)
     }
 
-    /// Submit a job; its window-0 roots become stealable immediately.
+    /// Submit a job; its first window's roots become stealable
+    /// immediately.
     ///
     /// An empty graph completes synchronously (hooks still run).
-    pub fn submit(&self, spec: JobSpec) -> JobHandle {
-        let n = spec.graph.len();
-        let state = Arc::new(JobState {
-            tag: spec.tag,
-            graph: spec.graph,
-            gate: spec.gate,
-            work: spec.work,
-            on_window: spec.on_window,
-            on_done: Mutex::new(spec.on_done),
-            pending: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            remaining: AtomicUsize::new(0),
-            window: AtomicU32::new(0),
-            gate_wait: AtomicU64::new(0),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        });
-        if n == 0 {
-            if let Some(cb) = state.on_done.lock().expect("on_done slot").take() {
-                cb();
-            }
-            *state.done.lock().expect("job done flag") = true;
-            return JobHandle { state };
-        }
-        self.shared.active_jobs.fetch_add(1, Ordering::AcqRel);
-        // Seed window 0 (skipping leading empty windows, which only a
-        // degenerate graph has).
-        let mut w = 0u32;
-        loop {
-            let tasks = state.graph.window_tasks(w);
-            if !tasks.is_empty() {
-                state.window.store(w, Ordering::Relaxed);
-                let mut roots = Vec::new();
-                for &t in &tasks {
-                    let p = state.in_window_preds(t, w);
-                    state.pending[t.index()].store(p, Ordering::Relaxed);
-                    if p == 0 {
-                        roots.push(t);
-                    }
-                }
-                state.remaining.store(tasks.len(), Ordering::Release);
-                for t in roots {
-                    self.shared.injector.push((Arc::clone(&state), t));
-                }
-                break;
-            }
-            w += 1;
-            debug_assert!(w < state.graph.window_count(), "graph has tasks");
-        }
-        JobHandle {
-            state: Arc::clone(&state),
-        }
+    pub fn submit(&self, spec: JobSpec<'static>) -> JobHandle {
+        let state = Arc::new(JobState::new(spec));
+        self.shared.submit(&state);
+        JobHandle { state }
     }
 
     /// Stop the workers and return lifetime statistics.
     ///
-    /// Waits for all active jobs to drain first, so no submitted work is
+    /// The workers drain all active jobs first, so no submitted work is
     /// abandoned.
     pub fn shutdown(self) -> PoolStats {
-        let backoff = Backoff::new();
-        while self.shared.active_jobs.load(Ordering::Acquire) > 0 {
-            if backoff.is_completed() {
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                backoff.snooze();
-            }
-        }
         self.shared.shutdown.store(true, Ordering::Release);
         for h in self.threads {
             let _ = h.join();
@@ -279,118 +469,55 @@ impl TaskPool {
             tasks_executed: self.shared.tasks_executed.load(Ordering::Relaxed),
             steals: self.shared.steals.load(Ordering::Relaxed),
             jobs_completed: self.shared.jobs_completed.load(Ordering::Relaxed),
+            threads_clamped: self.shared.clamped,
         }
     }
 }
 
-fn worker_loop(me: usize, local: Worker<Unit>, shared: Arc<PoolShared>) {
-    let backoff = Backoff::new();
-    loop {
-        let unit = local.pop().or_else(|| {
-            std::iter::repeat_with(|| {
-                shared.injector.steal_batch_and_pop(&local).or_else(|| {
-                    shared
-                        .stealers
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != me)
-                        .map(|(_, s)| s.steal())
-                        .collect()
-                })
-            })
-            .find(|s| !s.is_retry())
-            .and_then(|s| {
-                let got = s.success();
-                if got.is_some() {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                got
-            })
-        });
-        match unit {
-            Some((job, tid)) => {
-                backoff.reset();
-                run_task(me, job, tid, &local, &shared);
-            }
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                // Long-lived pool: back off to a real sleep when idle
-                // instead of spinning forever.
-                if backoff.is_completed() {
-                    std::thread::sleep(Duration::from_micros(200));
-                } else {
-                    backoff.snooze();
-                }
-            }
+/// Run one job to completion on `threads` scoped workers — the batch
+/// shape of the loop: the job's closures may borrow from the caller,
+/// and the threads are gone when this returns.
+///
+/// `recorder` (lanes `0..threads`) receives the `steal_ns` samples;
+/// `metrics` the per-run `wsexec.*` aggregates, folded in once after the
+/// workers join. Returns the panic of the first task that failed the
+/// job, if one did.
+pub fn run_scoped<'a, G: Deref<Target = TaskGraph> + Send + Sync>(
+    threads: usize,
+    recorder: Option<&FlightRecorder>,
+    metrics: &Metrics,
+    spec: JobSpec<'a, G>,
+) -> Result<WsStats, TaskPanic> {
+    let started = Instant::now();
+    let job = JobState::new(spec);
+    let (shared, locals) = Shared::new(threads);
+    shared.submit(&&job);
+    // One job, already submitted: the workers leave when it retires.
+    shared.shutdown.store(true, Ordering::Release);
+    std::thread::scope(|scope| {
+        for (me, local) in locals.into_iter().enumerate() {
+            let shared = &shared;
+            scope.spawn(move || shared.worker_loop(me, local, recorder));
         }
+    });
+    let stats = WsStats {
+        tasks_executed: shared.tasks_executed.load(Ordering::Relaxed),
+        steals: shared.steals.load(Ordering::Relaxed),
+        elapsed: started.elapsed(),
+        gate_wait_ns: job.gate_wait.load(Ordering::Relaxed) as f64,
+    };
+    if shared.clamped {
+        metrics.inc("wsexec.threads_clamped");
     }
-}
-
-fn run_task(me: usize, job: Arc<JobState>, tid: TaskId, local: &Worker<Unit>, shared: &PoolShared) {
-    let spec = job.graph.task(tid);
-    let waited = job.gate.wait_ready(spec);
-    if waited > 0.0 {
-        job.gate_wait.fetch_add(waited as u64, Ordering::Relaxed);
+    metrics.add("wsexec.tasks", stats.tasks_executed);
+    metrics.add("wsexec.steals", stats.steals);
+    metrics.inc("wsexec.runs");
+    metrics.gauge_add("wsexec.elapsed_ns", stats.elapsed.as_nanos() as f64);
+    metrics.gauge_add("wsexec.gate_wait_ns", stats.gate_wait_ns);
+    match job.failed.get() {
+        Some(panic) => Err(panic.clone()),
+        None => Ok(stats),
     }
-    (job.work)(me, job.tag, spec);
-    shared.tasks_executed.fetch_add(1, Ordering::Relaxed);
-    let w = job.window.load(Ordering::Relaxed);
-    for &s in job.graph.succs(tid) {
-        if job.graph.task(s).window != w {
-            // Later-window successor: seeded when its window opens.
-            continue;
-        }
-        // Release our writes; the zero-observer acquires them.
-        if job.pending[s.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-            local.push((Arc::clone(&job), s));
-        }
-    }
-    if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        advance(job, shared);
-    }
-}
-
-/// Cross the job's window barrier: run the `on_window` hook, seed the
-/// next non-empty window, or retire the job. Only the worker that
-/// retired the window's last task gets here, so the seeding is
-/// single-threaded per job.
-fn advance(job: Arc<JobState>, shared: &PoolShared) {
-    let mut next = job.window.load(Ordering::Relaxed) + 1;
-    while next < job.graph.window_count() {
-        let tasks = job.graph.window_tasks(next);
-        if tasks.is_empty() {
-            next += 1;
-            continue;
-        }
-        job.window.store(next, Ordering::Relaxed);
-        if let Some(cb) = &job.on_window {
-            cb(next);
-        }
-        let mut roots = Vec::new();
-        for &t in &tasks {
-            let p = job.in_window_preds(t, next);
-            job.pending[t.index()].store(p, Ordering::Relaxed);
-            if p == 0 {
-                roots.push(t);
-            }
-        }
-        job.remaining.store(tasks.len(), Ordering::Release);
-        for t in roots {
-            shared.injector.push((Arc::clone(&job), t));
-        }
-        return;
-    }
-    // No windows left: the job is complete.
-    if let Some(cb) = job.on_done.lock().expect("on_done slot").take() {
-        cb();
-    }
-    shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-    shared.active_jobs.fetch_sub(1, Ordering::AcqRel);
-    let mut done = job.done.lock().expect("job done flag");
-    *done = true;
-    job.done_cv.notify_all();
 }
 
 #[cfg(test)]
@@ -409,7 +536,7 @@ mod tests {
         TaskAccess::new(ObjectId(o), AccessMode::Read, AccessProfile::EMPTY)
     }
 
-    fn job(graph: TaskGraph, tag: u32, work: Arc<PoolWork>) -> JobSpec {
+    fn job(graph: TaskGraph, tag: u32, work: Arc<PoolWork<'static>>) -> JobSpec<'static> {
         JobSpec {
             tag,
             graph: Arc::new(graph),
@@ -574,7 +701,7 @@ mod tests {
             gate: Arc::new(NoGate),
             work: Arc::new(|_, _, _| {}),
             on_window: None,
-            on_done: Some(Box::new(move || {
+            on_done: Some(Box::new(move |_| {
                 f2.store(1, Ordering::Release);
             })),
         });
@@ -655,5 +782,67 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 8 * 4 * 25);
         let stats = Arc::try_unwrap(pool).ok().expect("sole owner").shutdown();
         assert_eq!(stats.jobs_completed, 32);
+    }
+
+    /// A job whose task 5 panics still retires: `on_done` sees the
+    /// failure, `wait` returns (a run that does not come back within a
+    /// minute fails the test instead of hanging it), the dependent
+    /// tasks never ran, and the pool keeps serving.
+    #[test]
+    fn panicking_task_fails_its_job_and_the_pool_keeps_serving() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = TaskPool::new(2);
+            // Tasks 0..32 are independent; 32..64 each read object 5.
+            let mut g = TaskGraph::new();
+            let c = g.class("x");
+            for i in 0..32 {
+                g.add_task(c, vec![wr(i)], 0.0);
+            }
+            for i in 32..64 {
+                g.add_task(c, vec![rd(5), wr(i)], 0.0);
+            }
+            let dependents_ran = Arc::new(AtomicU64::new(0));
+            let seen = Arc::new(Mutex::new(None));
+            let (ran, slot) = (Arc::clone(&dependents_ran), Arc::clone(&seen));
+            let h = pool.submit(JobSpec {
+                tag: 0,
+                graph: Arc::new(g),
+                gate: Arc::new(NoGate),
+                work: Arc::new(move |_, _, t| {
+                    if t.id.0 == 5 {
+                        panic!("boom at {}", t.id.0);
+                    }
+                    if t.id.0 >= 32 {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    }
+                }),
+                on_window: None,
+                on_done: Some(Box::new(move |failure| {
+                    *slot.lock().unwrap() = failure.cloned();
+                })),
+            });
+            h.wait();
+            let failure = h.failure().cloned();
+            let from_hook = seen.lock().unwrap().clone();
+            // The next job on the same pool is unaffected.
+            let next = pool.submit(job(TaskGraph::new(), 1, Arc::new(|_, _, _| {})));
+            next.wait();
+            let ok = next.failure().is_none();
+            let stats = pool.shutdown();
+            let dependents = dependents_ran.load(Ordering::Relaxed);
+            let _ = tx.send((failure, from_hook, ok, stats, dependents));
+        });
+        let (failure, from_hook, next_ok, stats, dependents) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a panicking task must not hang the job");
+        let failure = failure.expect("the job is marked failed");
+        assert_eq!(failure.task, TaskId(5));
+        assert_eq!(failure.to_string(), "task 5 panicked: boom at 5");
+        assert_eq!(from_hook, Some(failure), "on_done sees the failure");
+        assert_eq!(dependents, 0, "tasks after the panic are not run");
+        assert!(stats.tasks_executed < 64);
+        assert_eq!(stats.jobs_completed, 2);
+        assert!(next_ok);
     }
 }

@@ -1,32 +1,21 @@
-//! Real work-stealing executor for data-annotated task graphs.
+//! The batch-facing vocabulary of the work-stealing executor: the
+//! [`DataGate`] readiness hook, one run's [`WsStats`], and
+//! [`WsExecutor`], the gate-less entry point examples and tests use.
 //!
-//! The virtual-time scheduler ([`crate::simsched`]) produces the timed
-//! results; this executor exists to demonstrate that the same task graphs
-//! — dependence derivation, window structure, per-object pinning
-//! discipline — execute correctly under *genuine* parallelism. It is a
-//! classic Chase–Lev setup: one local deque per worker
-//! (`crossbeam_deque::Worker`), a shared injector for roots and overflow,
-//! and random-order stealing with exponential backoff when idle.
-//!
-//! Dependence counting uses release/acquire atomics: the decrement a
-//! finishing task performs on each successor's pending-predecessor count
-//! releases its writes, and the worker that drops the count to zero (and
-//! will run the successor) acquires them — the successor observes every
-//! predecessor's side effects.
+//! The scheduler itself lives in [`crate::pool`]; a batch run is one
+//! scoped job on it ([`crate::pool::run_scoped`]).
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-use crossbeam::deque::{Injector, Stealer, Worker};
-use crossbeam::utils::Backoff;
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::graph::TaskGraph;
-use crate::task::{TaskId, TaskSpec};
+use crate::pool::{run_scoped, JobSpec};
+use crate::task::TaskSpec;
 
 /// Statistics of one real-parallel execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WsStats {
-    /// Tasks executed (must equal the graph size).
+    /// Tasks executed (equals the graph size unless the run failed).
     pub tasks_executed: u64,
     /// Successful steals between workers.
     pub steals: u64,
@@ -64,43 +53,18 @@ impl DataGate for NoGate {
 #[derive(Debug)]
 pub struct WsExecutor {
     threads: usize,
-    clamped: bool,
-    metrics: tahoe_obs::Metrics,
 }
 
 impl WsExecutor {
-    /// An executor with `threads` worker threads.
-    ///
-    /// `threads == 0` (e.g. a miscomputed `cores - N`) is clamped to one
-    /// worker with a warning on stderr rather than panicking — a
-    /// degraded run beats an aborted one, and the `wsexec.threads_clamped`
-    /// counter records that it happened.
+    /// An executor with `threads` worker threads (`0` runs with 1).
     pub fn new(threads: usize) -> Self {
-        if threads == 0 {
-            eprintln!("wsexec: 0 worker threads requested; clamping to 1");
-        }
-        WsExecutor {
-            threads: threads.max(1),
-            clamped: threads == 0,
-            metrics: tahoe_obs::Metrics::disabled(),
-        }
-    }
-
-    /// Record run statistics (`wsexec.*` counters/gauges) into `metrics`.
-    /// Counters are folded in once per run, after the workers join — the
-    /// steal path itself stays metric-free.
-    pub fn with_metrics(mut self, metrics: tahoe_obs::Metrics) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
+        WsExecutor { threads }
     }
 
     /// Execute every task of `graph`, calling `work(task)` exactly once
-    /// per task, respecting all derived dependences.
+    /// per task, respecting all derived dependences and window
+    /// barriers. A panic in `work` is re-raised here once the run has
+    /// wound down.
     ///
     /// `work` receives the [`TaskSpec`] and dispatches on class/accesses;
     /// shared state belongs to the caller (use atomics or locks — the
@@ -109,207 +73,27 @@ impl WsExecutor {
     where
         F: Fn(&TaskSpec) + Sync,
     {
-        self.run_window(graph, None, &NoGate, |_, t| work(t))
-    }
-
-    /// Execute `graph` — or just one of its windows — under a
-    /// [`DataGate`], calling `work(worker, task)` exactly once per task.
-    ///
-    /// With `window: Some(w)` only that window's tasks run; dependences
-    /// on earlier windows are treated as satisfied (the measured runtime
-    /// executes windows as barriers, migrating between them). Each task
-    /// first passes `gate.wait_ready` — the hook where the parallel
-    /// measured path blocks on objects that are mid-migration — and the
-    /// summed wait is reported as [`WsStats::gate_wait_ns`].
-    pub fn run_window<G, F>(
-        &self,
-        graph: &TaskGraph,
-        window: Option<u32>,
-        gate: &G,
-        work: F,
-    ) -> WsStats
-    where
-        G: DataGate + ?Sized,
-        F: Fn(usize, &TaskSpec) + Sync,
-    {
-        self.run_window_traced(graph, window, gate, None, work)
-    }
-
-    /// [`run_window`](Self::run_window) with an optional flight recorder:
-    /// every successful steal (injector or peer acquisition) records the
-    /// wall-clock ns the worker spent searching into the recorder's
-    /// `steal_ns` histogram on that worker's lane. The search timestamp
-    /// is only taken when a recorder is present, so the untraced hot path
-    /// is unchanged.
-    pub fn run_window_traced<G, F>(
-        &self,
-        graph: &TaskGraph,
-        window: Option<u32>,
-        gate: &G,
-        recorder: Option<&tahoe_obs::FlightRecorder>,
-        work: F,
-    ) -> WsStats
-    where
-        G: DataGate + ?Sized,
-        F: Fn(usize, &TaskSpec) + Sync,
-    {
-        let n = graph.len();
-        let started = Instant::now();
-        if self.clamped {
-            self.metrics.inc("wsexec.threads_clamped");
-        }
-        let in_set: Vec<bool> = match window {
-            None => vec![true; n],
-            Some(w) => {
-                let mut mask = vec![false; n];
-                for t in graph.window_tasks(w) {
-                    mask[t.index()] = true;
-                }
-                mask
-            }
+        let spec = JobSpec {
+            tag: 0,
+            graph,
+            gate: Arc::new(NoGate),
+            work: Arc::new(|_, _, t: &TaskSpec| work(t)),
+            on_window: None,
+            on_done: None,
         };
-        let set_size = in_set.iter().filter(|&&b| b).count();
-        if set_size == 0 {
-            return WsStats {
-                tasks_executed: 0,
-                steals: 0,
-                elapsed: started.elapsed(),
-                gate_wait_ns: 0.0,
-            };
-        }
-
-        // Pending counts consider only in-set predecessors: an earlier
-        // window has fully executed by the time its successor window is
-        // dispatched (windows are barriers).
-        let pending: Vec<AtomicU32> = (0..n)
-            .map(|i| {
-                let p = if in_set[i] {
-                    graph
-                        .preds(TaskId(i as u32))
-                        .iter()
-                        .filter(|p| in_set[p.index()])
-                        .count()
-                } else {
-                    0
-                };
-                AtomicU32::new(p as u32)
-            })
-            .collect();
-        let remaining = AtomicUsize::new(set_size);
-        let executed = AtomicU64::new(0);
-        let steals = AtomicU64::new(0);
-        // Gate waits are f64 ns; whole-ns resolution is plenty for a sum.
-        let gate_wait = AtomicU64::new(0);
-
-        let injector: Injector<TaskId> = Injector::new();
-        for i in 0..n {
-            if in_set[i] && pending[i].load(Ordering::Relaxed) == 0 {
-                injector.push(TaskId(i as u32));
-            }
-        }
-
-        let locals: Vec<Worker<TaskId>> = (0..self.threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<TaskId>> = locals.iter().map(|w| w.stealer()).collect();
-
-        std::thread::scope(|scope| {
-            for (me, local) in locals.into_iter().enumerate() {
-                let injector = &injector;
-                let stealers = &stealers;
-                let pending = &pending;
-                let in_set = &in_set;
-                let remaining = &remaining;
-                let executed = &executed;
-                let steals = &steals;
-                let gate_wait = &gate_wait;
-                let work = &work;
-                scope.spawn(move || {
-                    let backoff = Backoff::new();
-                    loop {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        // Local first, then injector, then peers.
-                        let task = local.pop().or_else(|| {
-                            let search_t0 = recorder.map(|_| Instant::now());
-                            std::iter::repeat_with(|| {
-                                injector.steal_batch_and_pop(&local).or_else(|| {
-                                    stealers
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(i, _)| *i != me)
-                                        .map(|(_, s)| s.steal())
-                                        .collect()
-                                })
-                            })
-                            .find(|s| !s.is_retry())
-                            .and_then(|s| {
-                                let got = s.success();
-                                if got.is_some() {
-                                    // Acquisitions from the injector or a
-                                    // peer count as steals (local pops are
-                                    // handled above and excluded).
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    if let (Some(rec), Some(t0)) = (recorder, search_t0) {
-                                        rec.record(me, "steal_ns", t0.elapsed().as_nanos() as f64);
-                                    }
-                                }
-                                got
-                            })
-                        });
-                        match task {
-                            Some(tid) => {
-                                backoff.reset();
-                                let spec = graph.task(tid);
-                                let waited = gate.wait_ready(spec);
-                                if waited > 0.0 {
-                                    gate_wait.fetch_add(waited as u64, Ordering::Relaxed);
-                                }
-                                work(me, spec);
-                                executed.fetch_add(1, Ordering::Relaxed);
-                                for &s in graph.succs(tid) {
-                                    if !in_set[s.index()] {
-                                        continue;
-                                    }
-                                    // Release our writes; the zero-observer
-                                    // acquires them before running `s`.
-                                    if pending[s.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                        local.push(s);
-                                    }
-                                }
-                                remaining.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            None => {
-                                backoff.snooze();
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        let stats = WsStats {
-            tasks_executed: executed.load(Ordering::Relaxed),
-            steals: steals.load(Ordering::Relaxed),
-            elapsed: started.elapsed(),
-            gate_wait_ns: gate_wait.load(Ordering::Relaxed) as f64,
-        };
-        self.metrics.add("wsexec.tasks", stats.tasks_executed);
-        self.metrics.add("wsexec.steals", stats.steals);
-        self.metrics.inc("wsexec.runs");
-        self.metrics
-            .gauge_add("wsexec.elapsed_ns", stats.elapsed.as_nanos() as f64);
-        self.metrics
-            .gauge_add("wsexec.gate_wait_ns", stats.gate_wait_ns);
-        stats
+        run_scoped(self.threads, None, &tahoe_obs::Metrics::disabled(), spec)
+            .unwrap_or_else(|panic| panic!("{panic}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::TaskPool;
     use crate::task::{AccessMode, TaskAccess};
-    use std::sync::atomic::AtomicI64;
+    use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
     use tahoe_hms::{AccessProfile, ObjectId};
+    use tahoe_obs::{FlightRecorder, Metrics};
 
     fn inout(o: u32) -> TaskAccess {
         TaskAccess::new(ObjectId(o), AccessMode::ReadWrite, AccessProfile::EMPTY)
@@ -321,6 +105,37 @@ mod tests {
 
     fn rd(o: u32) -> TaskAccess {
         TaskAccess::new(ObjectId(o), AccessMode::Read, AccessProfile::EMPTY)
+    }
+
+    /// `n` independent tasks.
+    fn wide(n: u32) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let c = g.class("x");
+        for i in 0..n {
+            g.add_task(c, vec![wr(i)], 0.0);
+        }
+        g
+    }
+
+    /// One scoped job over `graph`: what `WsExecutor::run` submits, with
+    /// the gate, recorder and metrics a batch run attaches.
+    fn scoped<'a>(
+        threads: usize,
+        graph: &'a TaskGraph,
+        gate: Arc<dyn DataGate + Send + Sync + 'a>,
+        recorder: Option<&FlightRecorder>,
+        metrics: &Metrics,
+        work: impl Fn(usize, &TaskSpec) + Send + Sync + 'a,
+    ) -> WsStats {
+        let spec = JobSpec {
+            tag: 0,
+            graph,
+            gate,
+            work: Arc::new(move |w, _, t: &TaskSpec| work(w, t)),
+            on_window: None,
+            on_done: None,
+        };
+        run_scoped(threads, recorder, metrics, spec).expect("no task panics")
     }
 
     #[test]
@@ -409,13 +224,9 @@ mod tests {
 
     #[test]
     fn metrics_record_per_run_aggregates() {
-        let mut g = TaskGraph::new();
-        let c = g.class("x");
-        for i in 0..50 {
-            g.add_task(c, vec![wr(i)], 0.0);
-        }
-        let m = tahoe_obs::Metrics::enabled();
-        let stats = WsExecutor::new(4).with_metrics(m.clone()).run(&g, |_| {});
+        let g = wide(50);
+        let m = Metrics::enabled();
+        let stats = scoped(4, &g, Arc::new(NoGate), None, &m, |_, _| {});
         let snap = m.snapshot();
         assert_eq!(snap.counter("wsexec.tasks"), Some(50));
         assert_eq!(snap.counter("wsexec.runs"), Some(1));
@@ -425,45 +236,25 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one_and_counts() {
-        let mut g = TaskGraph::new();
-        let c = g.class("x");
-        for i in 0..10 {
-            g.add_task(c, vec![wr(i)], 0.0);
-        }
-        let m = tahoe_obs::Metrics::enabled();
-        let ex = WsExecutor::new(0).with_metrics(m.clone());
-        assert_eq!(ex.threads(), 1);
-        let stats = ex.run(&g, |_| {});
-        assert_eq!(stats.tasks_executed, 10);
-        assert_eq!(m.snapshot().counter("wsexec.threads_clamped"), Some(1));
-        // A sane request must not trip the counter.
-        let m2 = tahoe_obs::Metrics::enabled();
-        WsExecutor::new(2).with_metrics(m2.clone()).run(&g, |_| {});
-        assert_eq!(m2.snapshot().counter("wsexec.threads_clamped"), None);
-    }
-
-    #[test]
-    fn run_window_executes_only_that_window() {
-        let mut g = TaskGraph::new();
-        let c = g.class("x");
-        let mut w1 = Vec::new();
-        for i in 0..8 {
-            g.add_task(c, vec![wr(i)], 0.0);
-        }
-        g.mark_window();
-        for i in 0..8 {
-            // Window 1 reads window 0's objects: cross-window edges that
-            // run_window must treat as satisfied.
-            w1.push(g.add_task(c, vec![rd(i), wr(8 + i)], 0.0));
-        }
-        let ran = parking_lot::Mutex::new(Vec::new());
-        let stats = WsExecutor::new(4).run_window(&g, Some(1), &NoGate, |_, t| {
-            ran.lock().push(t.id);
+        let g = wide(10);
+        let m = Metrics::enabled();
+        let worker_seen = AtomicU64::new(0);
+        let stats = scoped(0, &g, Arc::new(NoGate), None, &m, |w, _| {
+            worker_seen.fetch_max(w as u64, Ordering::Relaxed);
         });
-        assert_eq!(stats.tasks_executed, 8);
-        let mut ran = ran.into_inner();
-        ran.sort();
-        assert_eq!(ran, w1, "exactly window 1's tasks ran");
+        assert_eq!(stats.tasks_executed, 10);
+        assert_eq!(worker_seen.load(Ordering::Relaxed), 0, "one worker ran");
+        assert_eq!(m.snapshot().counter("wsexec.threads_clamped"), Some(1));
+        assert_eq!(WsExecutor::new(0).run(&g, |_| {}).tasks_executed, 10);
+        // The long-lived pool clamps by the same rule and reports it.
+        let pool = TaskPool::new(0);
+        assert_eq!(pool.threads(), 1);
+        assert!(pool.shutdown().threads_clamped);
+        // A sane request must not trip the counter.
+        let m2 = Metrics::enabled();
+        scoped(2, &g, Arc::new(NoGate), None, &m2, |_, _| {});
+        assert_eq!(m2.snapshot().counter("wsexec.threads_clamped"), None);
+        assert!(!TaskPool::new(2).shutdown().threads_clamped);
     }
 
     #[test]
@@ -477,56 +268,94 @@ mod tests {
                 5.0
             }
         }
-        let mut g = TaskGraph::new();
-        let c = g.class("x");
-        for i in 0..20 {
-            g.add_task(c, vec![wr(i)], 0.0);
-        }
-        let gate = CountingGate {
+        let g = wide(20);
+        let gate = Arc::new(CountingGate {
             calls: AtomicU64::new(0),
-        };
-        let stats = WsExecutor::new(4).run_window(&g, None, &gate, |_, _| {});
+        });
+        let metrics = Metrics::disabled();
+        let stats = scoped(4, &g, gate.clone(), None, &metrics, |_, _| {});
         assert_eq!(gate.calls.load(Ordering::Relaxed), 20);
         assert_eq!(stats.gate_wait_ns, 100.0);
     }
 
     #[test]
     fn worker_index_is_in_range() {
-        let mut g = TaskGraph::new();
-        let c = g.class("x");
-        for i in 0..100 {
-            g.add_task(c, vec![wr(i)], 0.0);
-        }
+        let g = wide(100);
         let bad = AtomicU64::new(0);
-        WsExecutor::new(3).run_window(&g, None, &NoGate, |w, _| {
-            if w >= 3 {
-                bad.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        scoped(
+            3,
+            &g,
+            Arc::new(NoGate),
+            None,
+            &Metrics::disabled(),
+            |w, _| {
+                if w >= 3 {
+                    bad.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+        );
         assert_eq!(bad.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn traced_run_records_one_steal_sample_per_steal() {
-        let mut g = TaskGraph::new();
-        let c = g.class("x");
-        for i in 0..200 {
-            g.add_task(c, vec![wr(i)], 0.0);
-        }
-        let rec = tahoe_obs::FlightRecorder::new(4, 1 << 12, &["steal_ns"]);
-        let stats = WsExecutor::new(4).run_window_traced(&g, None, &NoGate, Some(&rec), |_, _| {});
-        let cap = rec.drain();
-        assert_eq!(cap.total_dropped, 0);
         // Roots come off the injector, so any nonempty graph steals at
-        // least once, and every steal records exactly one sample.
-        assert!(stats.steals > 0);
-        let (_, data) = cap
-            .hists
-            .iter()
-            .find(|(k, _)| *k == "steal_ns")
-            .expect("steal_ns histogram present");
-        assert_eq!(data.count(), stats.steals);
-        assert!(data.summary().max >= 1.0, "searches take nonzero time");
+        // least once, and every steal records exactly one sample — on a
+        // scoped run and on the long-lived pool alike.
+        let check = |rec: &FlightRecorder, steals: u64| {
+            let cap = rec.drain();
+            assert_eq!(cap.total_dropped, 0);
+            assert!(steals > 0);
+            let (_, data) = cap
+                .hists
+                .iter()
+                .find(|(k, _)| *k == "steal_ns")
+                .expect("steal_ns histogram present");
+            assert_eq!(data.count(), steals);
+            assert!(data.summary().max >= 1.0, "searches take nonzero time");
+        };
+        let g = wide(200);
+        let rec = FlightRecorder::new(4, 1 << 12, &["steal_ns"]);
+        let metrics = Metrics::disabled();
+        let stats = scoped(4, &g, Arc::new(NoGate), Some(&rec), &metrics, |_, _| {});
+        check(&rec, stats.steals);
+
+        let rec = Arc::new(FlightRecorder::new(4, 1, &["steal_ns"]));
+        let pool = TaskPool::with_recorder(4, Some(Arc::clone(&rec)));
+        pool.submit(JobSpec {
+            tag: 0,
+            graph: Arc::new(g),
+            gate: Arc::new(NoGate),
+            work: Arc::new(|_, _, _| {}),
+            on_window: None,
+            on_done: None,
+        })
+        .wait();
+        check(&rec, pool.shutdown().steals);
+    }
+
+    /// A run that does not come back within a minute fails the test
+    /// instead of hanging it.
+    #[test]
+    fn panicking_task_is_reraised_not_hung() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let ran = AtomicU64::new(0);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                WsExecutor::new(2).run(&wide(64), |t| {
+                    if t.id.0 == 5 {
+                        panic!("boom");
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            let _ = tx.send((outcome.is_err(), ran.load(Ordering::Relaxed)));
+        });
+        let (raised, ran) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a panicking task must not hang the run");
+        assert!(raised, "the panic reaches the caller");
+        assert!(ran < 64, "the panicking task did not count as run");
     }
 
     #[test]

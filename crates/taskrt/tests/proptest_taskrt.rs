@@ -8,9 +8,13 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
 use tahoe_hms::{AccessProfile, ObjectId};
+
 use tahoe_taskrt::wsexec::WsExecutor;
-use tahoe_taskrt::{AccessMode, NullHooks, SimScheduler, TaskAccess, TaskGraph};
+use tahoe_taskrt::{
+    AccessMode, JobSpec, NoGate, NullHooks, SimScheduler, TaskAccess, TaskGraph, TaskPool, TaskSpec,
+};
 
 /// A compact description of a random task: which objects it touches and
 /// how.
@@ -28,23 +32,25 @@ fn task_strategy() -> impl Strategy<Value = RandTask> {
         .prop_map(|(accesses, compute)| RandTask { accesses, compute })
 }
 
+fn accesses_of(t: &RandTask) -> Vec<TaskAccess> {
+    t.accesses
+        .iter()
+        .map(|&(o, m)| {
+            let mode = match m {
+                0 => AccessMode::Read,
+                1 => AccessMode::Write,
+                _ => AccessMode::ReadWrite,
+            };
+            TaskAccess::new(ObjectId(o as u32), mode, AccessProfile::streaming(16, 8))
+        })
+        .collect()
+}
+
 fn build_graph(tasks: &[RandTask]) -> TaskGraph {
     let mut g = TaskGraph::new();
     let c = g.class("rand");
     for t in tasks {
-        let accesses: Vec<TaskAccess> = t
-            .accesses
-            .iter()
-            .map(|&(o, m)| {
-                let mode = match m {
-                    0 => AccessMode::Read,
-                    1 => AccessMode::Write,
-                    _ => AccessMode::ReadWrite,
-                };
-                TaskAccess::new(ObjectId(o as u32), mode, AccessProfile::streaming(16, 8))
-            })
-            .collect();
-        g.add_task(c, accesses, t.compute as f64);
+        g.add_task(c, accesses_of(t), t.compute as f64);
     }
     g
 }
@@ -98,25 +104,90 @@ proptest! {
         prop_assert!(m4 <= m1 + 1e-6, "4 workers {m4} vs 1 worker {m1}");
     }
 
+    // The one work-stealing loop, under both ownerships: a scoped batch
+    // run (`WsExecutor::run`) and one job on the long-lived pool. The
+    // graph is cut into windows at random barriers.
     #[test]
     fn ws_executor_runs_every_task_once_respecting_deps(
-        tasks in proptest::collection::vec(task_strategy(), 1..40),
+        tasks in proptest::collection::vec((task_strategy(), 0u8..5), 1..40),
     ) {
         use std::sync::atomic::{AtomicU32, Ordering};
-        let g = build_graph(&tasks);
-        let ran: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-        let violations = AtomicU32::new(0);
-        WsExecutor::new(4).run(&g, |task| {
+        let mut g = TaskGraph::new();
+        let c = g.class("rand");
+        for (i, (t, barrier)) in tasks.iter().enumerate() {
+            if *barrier == 0 && i > 0 {
+                g.mark_window();
+            }
+            g.add_task(c, accesses_of(t), t.compute as f64);
+        }
+        let g = Arc::new(g);
+        let windows = g.window_count() as usize;
+
+        // Per run: how often each task ran, how many tasks of each
+        // window finished, when each window's hook fired.
+        struct Seen {
+            ran: Vec<AtomicU32>,
+            done_in: Vec<AtomicU32>,
+            entered: Vec<AtomicU32>,
+            violations: AtomicU32,
+        }
+        let seen = || Arc::new(Seen {
+            ran: (0..g.len()).map(|_| AtomicU32::new(0)).collect(),
+            done_in: (0..windows).map(|_| AtomicU32::new(0)).collect(),
+            entered: (0..windows).map(|_| AtomicU32::new(0)).collect(),
+            violations: AtomicU32::new(0),
+        });
+        let work = |g: &TaskGraph, s: &Seen, task: &TaskSpec| {
             // All predecessors must have completed.
             for p in g.preds(task.id) {
-                if ran[p.index()].load(Ordering::Acquire) == 0 {
-                    violations.fetch_add(1, Ordering::Relaxed);
+                if s.ran[p.index()].load(Ordering::Acquire) == 0 {
+                    s.violations.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            ran[task.id.index()].fetch_add(1, Ordering::Release);
-        });
-        prop_assert_eq!(violations.load(Ordering::Relaxed), 0, "dependence violated");
-        prop_assert!(ran.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+            s.ran[task.id.index()].fetch_add(1, Ordering::Release);
+            s.done_in[task.window as usize].fetch_add(1, Ordering::Release);
+        };
+
+        let batch = seen();
+        WsExecutor::new(4).run(&g, |task| work(&g, &batch, task));
+
+        let pooled = seen();
+        let sizes: Vec<u32> = (0..g.window_count()).map(|w| g.window_tasks(w).len() as u32).collect();
+        let (in_work, in_hook, graph) = (Arc::clone(&pooled), Arc::clone(&pooled), Arc::clone(&g));
+        let pool = TaskPool::new(4);
+        pool.submit(JobSpec {
+            tag: 0,
+            graph: Arc::clone(&g),
+            gate: Arc::new(NoGate),
+            work: Arc::new(move |_, _, task| {
+                // The task's window was entered first (window 0 has no hook).
+                let w = task.window as usize;
+                if w > 0 && in_work.entered[w].load(Ordering::Acquire) != 1 {
+                    in_work.violations.fetch_add(1, Ordering::Relaxed);
+                }
+                work(&graph, &in_work, task);
+            }),
+            // Entering `w`: every task of `w - 1` is done, none of `w` is.
+            on_window: Some(Box::new(move |w| {
+                let w = w as usize;
+                if in_hook.done_in[w - 1].load(Ordering::Acquire) != sizes[w - 1]
+                    || in_hook.done_in[w].load(Ordering::Acquire) != 0
+                {
+                    in_hook.violations.fetch_add(1, Ordering::Relaxed);
+                }
+                in_hook.entered[w].fetch_add(1, Ordering::Release);
+            })),
+            on_done: None,
+        })
+        .wait();
+        pool.shutdown();
+
+        for s in [&batch, &pooled] {
+            prop_assert_eq!(s.violations.load(Ordering::Relaxed), 0, "dependence or barrier violated");
+            prop_assert!(s.ran.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        }
+        prop_assert_eq!(pooled.entered[0].load(Ordering::Relaxed), 0, "no hook for the first window");
+        prop_assert!(pooled.entered[1..].iter().all(|e| e.load(Ordering::Relaxed) == 1));
     }
 
     // Cross-check against the sanitizer's independently built

@@ -16,7 +16,7 @@
 //! | [`taskrt`] (tahoe-taskrt) | task graphs with derived dependences, virtual-time scheduler, real work-stealing executor |
 //! | [`memprof`] (tahoe-memprof) | sampling-profiler emulation and platform calibration |
 //! | [`perfmodel`] (tahoe-perfmodel) | sensitivity classification, benefit/cost equations, time prediction |
-//! | [`placement`] (tahoe-placement) | knapsack solvers, local/global search, chunking |
+//! | [`placement`] (tahoe-placement) | knapsack solvers, local/global search |
 //! | [`core`] (tahoe-core) | the Tahoe runtime and every baseline policy |
 //! | [`workloads`] (tahoe-workloads) | ten task-parallel evaluation workloads |
 //!
