@@ -1846,7 +1846,6 @@ fn tenant_mode(
     base_seed: u64,
 ) -> Result<Value, String> {
     use tahoe_hms::TierSpec;
-    use tahoe_memprof::wallclock::MeasuredTier;
     use tahoe_server::{driver, jain, ServerConfig, TahoeServer, TenantSpec};
 
     // Synthetic calibration — machine-independent and strongly
@@ -1855,18 +1854,8 @@ fn tenant_mode(
     // the placement decision, not scheduler noise, sets the latency
     // spread between the modes: the structural p99 gap must dwarf the
     // multi-ms OS scheduling jitter of a loaded CI box.
-    let cal = WallClockCalibration {
-        dram: TierSpec::symmetric("dram", 100.0, 10.0, 1 << 20),
-        nvm: TierSpec::symmetric("nvm", 500.0, 0.25, 1 << 26),
-        cf_bw: 1.0,
-        cf_lat: 1.0,
-        measured: MeasuredTier {
-            stream_bw_gbps: 10.0,
-            chase_lat_ns: 100.0,
-            stream_wall_ns: 1000.0,
-            chase_wall_ns: 1000.0,
-        },
-    };
+    let mut cal = WallClockCalibration::synthetic(1 << 20, 1 << 26);
+    cal.nvm = TierSpec::symmetric("nvm", 500.0, 0.25, 1 << 26);
     let srv = TahoeServer::new(
         ServerConfig {
             workers: 2,

@@ -261,23 +261,7 @@ mod tests {
     use super::*;
     use crate::app::AppBuilder;
     use crate::config::Platform;
-    use tahoe_hms::TierSpec;
-    use tahoe_memprof::wallclock::{MeasuredTier, WallClockConfig};
-
-    fn test_cal(dram_cap: u64, nvm_cap: u64) -> WallClockCalibration {
-        WallClockCalibration {
-            dram: TierSpec::symmetric("dram", 100.0, 10.0, dram_cap),
-            nvm: TierSpec::symmetric("nvm", 300.0, 3.0, nvm_cap),
-            cf_bw: 1.0,
-            cf_lat: 1.0,
-            measured: MeasuredTier {
-                stream_bw_gbps: 10.0,
-                chase_lat_ns: 100.0,
-                stream_wall_ns: 1000.0,
-                chase_wall_ns: 1000.0,
-            },
-        }
-    }
+    use tahoe_memprof::wallclock::WallClockConfig;
 
     fn stream_app(blocks: u32, block_bytes: u64, windows: u32) -> crate::app::App {
         let mut b = AppBuilder::new("audit-test");
@@ -310,7 +294,7 @@ mod tests {
     fn audit_pairs_predictions_with_measurements() {
         let app = stream_app(4, 32 << 10, 5);
         let footprint = app.footprint();
-        let cal = test_cal(footprint / 3, 4 * footprint);
+        let cal = WallClockCalibration::synthetic(footprint / 3, 4 * footprint);
         // A promoted object is auditable once it was accessed on both
         // tiers, i.e. the migration thread got a core before the last
         // window. On a harness running sibling tests on every core one
@@ -348,7 +332,7 @@ mod tests {
     fn audit_is_deterministic_in_its_pairing() {
         let app = stream_app(3, 16 << 10, 4);
         let footprint = app.footprint();
-        let cal = test_cal(footprint / 3, 4 * footprint);
+        let cal = WallClockCalibration::synthetic(footprint / 3, 4 * footprint);
         let rt = runtime();
         let a = rt.run_model_audit(&app, &cal, 2, 5).expect("audit a");
         let b = rt.run_model_audit(&app, &cal, 2, 5).expect("audit b");
@@ -371,7 +355,7 @@ mod tests {
     fn overhead_probe_reports_sane_numbers() {
         let app = stream_app(3, 16 << 10, 3);
         let footprint = app.footprint();
-        let cal = test_cal(footprint / 3, 4 * footprint);
+        let cal = WallClockCalibration::synthetic(footprint / 3, 4 * footprint);
         let probe = runtime()
             .probe_obs_overhead(&app, &cal, 2, 0, 2)
             .expect("probe");

@@ -76,7 +76,7 @@ impl Platform {
     ) -> Result<Self, HmsError> {
         let dram = presets::dram(dram_capacity);
         let nvm = presets::emulated_bw(bw_frac, nvm_capacity)?;
-        let copy = nvm.write_bw_gbps.min(dram.read_bw_gbps) * 0.8;
+        let copy = presets::copy_channel_gbps(&dram, &nvm);
         Ok(Platform::new(dram, nvm, copy))
     }
 
@@ -89,7 +89,7 @@ impl Platform {
     ) -> Result<Self, HmsError> {
         let dram = presets::dram(dram_capacity);
         let nvm = presets::emulated_lat(lat_mult, nvm_capacity)?;
-        let copy = nvm.write_bw_gbps.min(dram.read_bw_gbps) * 0.8;
+        let copy = presets::copy_channel_gbps(&dram, &nvm);
         Ok(Platform::new(dram, nvm, copy))
     }
 
@@ -97,7 +97,7 @@ impl Platform {
     pub fn optane(dram_capacity: u64, nvm_capacity: u64) -> Self {
         let dram = presets::dram(dram_capacity);
         let nvm = presets::optane_pmm(nvm_capacity);
-        let copy = nvm.write_bw_gbps.min(dram.read_bw_gbps) * 0.8;
+        let copy = presets::copy_channel_gbps(&dram, &nvm);
         Platform::new(dram, nvm, copy)
     }
 

@@ -4,18 +4,20 @@
 //! Every measured execution — `run_policy` (one worker),
 //! `run_policy_parallel` (one [`tahoe_taskrt::run_scoped`] job) and the
 //! multi-tenant server (jobs on a shared [`tahoe_taskrt::TaskPool`]) —
-//! runs its tasks through [`GraphRun::run_task`]: pin the task's objects, run each
-//! declared access as real traffic at native speed, inject the
-//! Quartz-style delay of the tier the object sits on, record the access
-//! checksum in its slot, unpin. The callers differ only in who owns the
-//! workers; what a task *does* lives here.
+//! runs its tasks through [`GraphRun::run_task`]: pin the task's objects
+//! (the one data-readiness wait: the pin is granted once none of them is
+//! mid-migration), run each declared access as real traffic at native
+//! speed, inject the Quartz-style delay of the tier the object sits on,
+//! record the access checksum in its slot, unpin. The callers differ
+//! only in who owns the workers; what a task *does* lives here.
 //!
 //! * [`GraphLayout`] — what is fixed about one app on one memory system:
-//!   the HMS id of every object, the checksum-slot map, and the per-tier
-//!   delay model. Built once (per run, or per registered tenant).
+//!   the HMS id of every object, each task's pin set and checksum slots,
+//!   and the per-tier delay model. Built once (per run, or per
+//!   registered tenant).
 //! * [`GraphRun`] — one execution of that graph: seeded object
-//!   initialisation, the checksum slots, the executor's [`DataGate`],
-//!   the task kernel and the canonical [`GraphRun::checksum`].
+//!   initialisation, the checksum slots, the task kernel, the summed
+//!   pin wait and the canonical [`GraphRun::checksum`].
 //! * [`ClassQuota`] — when profiling ends: the completion that gives
 //!   the last task class its quota of instances releases the audited
 //!   plan to the migration thread, mid-window.
@@ -29,11 +31,12 @@ use std::time::Instant;
 
 use tahoe_hms::{AccessProfile, HmsConfig, Ns, ObjectId, SharedHms, TierId, TierSpec};
 use tahoe_memprof::wallclock::WallClockCalibration;
+use tahoe_obs::Event;
 use tahoe_realmem::traffic;
 // Part of `run_task`'s signature, so callers need not depend on the
 // sanitizer crate to name the no-op hook.
 pub use tahoe_sanitize::{NoSanitize, SanitizeHook};
-use tahoe_taskrt::{DataGate, TaskClassId, TaskGraph, TaskSpec};
+use tahoe_taskrt::{TaskClassId, TaskGraph, TaskSpec};
 
 use crate::app::App;
 use crate::config::MIN_CLASS_INSTANCES;
@@ -193,7 +196,15 @@ pub struct GraphLayout {
     /// (windows → window tasks → accesses), so folding them by index
     /// *is* the canonical re-fold.
     slot_base: Vec<usize>,
-    n_slots: usize,
+    /// Every task's pin set — the HMS ids of its objects, declaration
+    /// order, deduplicated — back to back; task `t` owns
+    /// `pin_ids[pin_base[t]..pin_base[t + 1]]`.
+    pin_ids: Vec<ObjectId>,
+    pin_base: Vec<usize>,
+    /// Per checksum slot (= per access, so its length is the slot
+    /// count): the index of the access's object within its task's pin
+    /// set.
+    access_pin: Vec<u32>,
     /// Tier specs, fastest first, and the calibration correcting them:
     /// the delay model of [`GraphRun::run_task`].
     specs: Vec<TierSpec>,
@@ -209,18 +220,31 @@ impl GraphLayout {
         config: &HmsConfig,
         cal: &WallClockCalibration,
     ) -> Self {
-        let mut slot_base = vec![0usize; graph.len()];
-        let mut n_slots = 0usize;
-        for w in 0..graph.window_count() {
-            for tid in graph.window_tasks(w) {
-                slot_base[tid.index()] = n_slots;
-                n_slots += graph.task(tid).accesses.len();
-            }
+        // Tasks are stored in window order (windows only grow at
+        // submission), so one pass in task order numbers the slots in
+        // the canonical order.
+        let mut slot_base = Vec::with_capacity(graph.len());
+        let mut pin_base = Vec::with_capacity(graph.len() + 1);
+        let mut pin_ids = Vec::new();
+        let mut access_pin = Vec::new();
+        for task in graph.tasks() {
+            slot_base.push(access_pin.len());
+            pin_base.push(pin_ids.len());
+            let objects = task.objects();
+            pin_ids.extend(objects.iter().map(|o| ids[o.index()]));
+            // Distinct `ObjectId`s (a `u32`) bound a pin set's size.
+            access_pin.extend(task.accesses.iter().map(|a| {
+                let at = objects.iter().position(|o| *o == a.object);
+                at.expect("objects() covers every access") as u32
+            }));
         }
+        pin_base.push(pin_ids.len());
         GraphLayout {
             ids,
             slot_base,
-            n_slots,
+            pin_ids,
+            pin_base,
+            access_pin,
             specs: config.tier_specs().to_vec(),
             cal: cal.clone(),
         }
@@ -229,11 +253,6 @@ impl GraphLayout {
     /// HMS ids of the app's objects, in app order.
     pub fn ids(&self) -> &[ObjectId] {
         &self.ids
-    }
-
-    /// The task's objects as HMS ids (declaration order, deduplicated).
-    fn task_ids(&self, task: &TaskSpec) -> Vec<ObjectId> {
-        task.objects().iter().map(|o| self.ids[o.index()]).collect()
     }
 }
 
@@ -244,9 +263,24 @@ pub struct TaskOutcome {
     pub t: Ns,
     /// Wall-clock ns from pin to unpin.
     pub wall_ns: f64,
-    /// Of that, ns spent waiting for in-flight migrations before the
-    /// pins were granted.
+    /// Of that, ns spent blocked on in-flight migrations before the
+    /// pins were granted; exactly `0.0` when nothing blocked.
     pub gate_wait_ns: f64,
+}
+
+impl TaskOutcome {
+    /// The task's span on the event stream, for `worker`'s lane.
+    pub fn worker_task(&self, tenant: u32, worker: usize, task: &TaskSpec) -> Event {
+        Event::WorkerTask {
+            t: self.t,
+            tenant,
+            worker: worker as u32,
+            task: task.id.0,
+            window: task.window,
+            wall_ns: self.wall_ns,
+            gate_wait_ns: self.gate_wait_ns,
+        }
+    }
 }
 
 /// One execution of a laid-out graph on a [`SharedHms`].
@@ -263,6 +297,8 @@ pub struct GraphRun {
     init_sums: Vec<u64>,
     slots: Vec<AtomicU64>,
     bytes_touched: AtomicU64,
+    /// Summed [`TaskOutcome::gate_wait_ns`], whole ns.
+    gate_wait: AtomicU64,
     /// Access wall ns and sample counts per object: entry `2i` is DRAM,
     /// `2i + 1` any slower tier. Two relaxed adds per access.
     acc_ns: Vec<AtomicU64>,
@@ -301,10 +337,11 @@ impl GraphRun {
         }
         let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         Ok(GraphRun {
-            slots: atomics(layout.n_slots),
+            slots: atomics(layout.access_pin.len()),
             acc_ns: atomics(2 * layout.ids.len()),
             acc_n: atomics(2 * layout.ids.len()),
             bytes_touched: AtomicU64::new(bytes),
+            gate_wait: AtomicU64::new(0),
             shared,
             layout,
             run_seed,
@@ -327,17 +364,16 @@ impl GraphRun {
     ) -> Result<TaskOutcome, String> {
         let t0 = Instant::now();
         let l = &*self.layout;
+        let ti = task.id.index();
+        let slot_base = l.slot_base[ti];
+        let pin_set = &l.pin_ids[l.pin_base[ti]..l.pin_base[ti + 1]];
         let pins = self
             .shared
-            .pin_for_task(&l.task_ids(task))
+            .pin_for_task(pin_set)
             .map_err(|e| format!("pin task {}: {e}", task.id.0))?;
         for (ai, access) in task.accesses.iter().enumerate() {
             let object = access.object.index();
-            let pin = pins
-                .objects
-                .iter()
-                .find(|p| p.id == l.ids[object])
-                .expect("every access object is pinned");
+            let pin = &pins.objects[l.access_pin[slot_base + ai] as usize];
             let slow = pin.tier != TierId::FASTEST;
             let inject_ns = if slow {
                 let cal = Some(&l.cal);
@@ -371,7 +407,7 @@ impl GraphRun {
                     site_seed(self.run_seed, task.id.0, ai),
                 )
             };
-            self.slots[l.slot_base[task.id.index()] + ai].store(c, Ordering::Release);
+            self.slots[slot_base + ai].store(c, Ordering::Release);
             self.bytes_touched
                 .fetch_add(pin.len() as u64, Ordering::Relaxed);
             if inject_ns > 0.0 {
@@ -387,6 +423,11 @@ impl GraphRun {
         // RAII unpin: releases every pin even if a kernel above panicked
         // and we unwound past this point.
         drop(pins);
+        if gate_wait_ns > 0.0 {
+            // A statistic, publishing nothing; waits are whole ns.
+            self.gate_wait
+                .fetch_add(gate_wait_ns as u64, Ordering::Relaxed);
+        }
         Ok(TaskOutcome {
             t: self.shared.now_ns(),
             wall_ns: t0.elapsed().as_nanos() as f64,
@@ -407,6 +448,12 @@ impl GraphRun {
         self.bytes_touched.load(Ordering::Relaxed)
     }
 
+    /// Wall-clock ns tasks have spent blocked on in-flight migrations
+    /// so far: the sum of every [`TaskOutcome::gate_wait_ns`] returned.
+    pub fn gate_wait_ns(&self) -> f64 {
+        self.gate_wait.load(Ordering::Relaxed) as f64
+    }
+
     /// Per-object access timing, indexed like the app's objects.
     pub fn access_timing(&self) -> Vec<AccessTierTiming> {
         let ns = |i: usize| self.acc_ns[i].load(Ordering::Relaxed) as f64;
@@ -419,14 +466,6 @@ impl GraphRun {
                 nvm_samples: n(2 * i + 1),
             })
             .collect()
-    }
-}
-
-/// The executor's data gate: a task is data-ready when none of its
-/// objects is mid-migration.
-impl DataGate for GraphRun {
-    fn wait_ready(&self, task: &TaskSpec) -> f64 {
-        self.shared.wait_ready(&self.layout.task_ids(task))
     }
 }
 
@@ -454,6 +493,29 @@ mod tests {
             }
         }
         (g, classes)
+    }
+
+    #[test]
+    fn layout_states_each_task_pin_set_once() {
+        let mut g = TaskGraph::new();
+        let c = g.class("c");
+        let access = |o| TaskAccess::new(ObjectId(o), AccessMode::Read, AccessProfile::EMPTY);
+        g.add_task(c, vec![access(2), access(0), access(2)], 0.0);
+        g.mark_window();
+        g.add_task(c, vec![access(1)], 0.0);
+        // App object `i` lives at HMS id `10 + i`.
+        let ids = (10..13).map(ObjectId).collect();
+        let config = crate::config::Platform::optane(1 << 20, 1 << 22)
+            .hms_config()
+            .unwrap();
+        let cal = WallClockCalibration::synthetic(1 << 20, 1 << 22);
+        let l = GraphLayout::new(&g, ids, &config, &cal);
+        // Declaration order, deduplicated, back to back.
+        assert_eq!(l.pin_ids, [ObjectId(12), ObjectId(10), ObjectId(11)]);
+        assert_eq!(l.pin_base, [0, 2, 3]);
+        // Each access finds its object within its task's pin set.
+        assert_eq!(l.access_pin, [0, 1, 0, 0]);
+        assert_eq!(l.slot_base, [0, 3]);
     }
 
     #[test]

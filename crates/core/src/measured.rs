@@ -27,7 +27,7 @@
 //! NVM-only, first-touch, Tahoe); the cache/oracle baselines are
 //! simulator-only by construction.
 
-use tahoe_hms::{Hms, HmsConfig, ObjectId, TierId, TierSpec};
+use tahoe_hms::{presets, Hms, HmsConfig, ObjectId, TierId, TierSpec};
 use tahoe_memprof::wallclock::{
     derive_scaled_spec, fit_calibration, measure_tier, WallClockCalibration, WallClockConfig,
 };
@@ -238,7 +238,7 @@ impl MeasuredRuntime {
             dram_spec.capacity = dram_spec.capacity.max(footprint);
         }
         nvm_spec.capacity = nvm_spec.capacity.max(2 * footprint);
-        let copy_bw = nvm_spec.write_bw_gbps.min(dram_spec.read_bw_gbps) * 0.8;
+        let copy_bw = presets::copy_channel_gbps(&dram_spec, &nvm_spec);
         // Middle tiers get the same treatment as NVM: the fitted DRAM
         // spec scaled by the reference preset's ratios, at the platform's
         // middle-tier capacity.

@@ -30,11 +30,12 @@
 //!
 //! **Overlap accounting.** Every committed migration carries wall-clock
 //! `issued_at`/`start`/`finish` stamps plus `needed_at` — the first
-//! moment a worker actually blocked on the moving object (stamped by the
-//! executor's data gate). Copy time before `needed_at` was hidden behind
-//! execution; time after it was exposed. The aggregated
-//! [`MigrationStats::pct_overlap`] is the number the paper's Tahoe
-//! design lives or dies by.
+//! moment a worker actually blocked on the moving object (stamped by
+//! the blocked pin, the engine's one data-readiness wait). Copy time
+//! before `needed_at` was hidden behind execution; time after it was
+//! exposed. The aggregated [`MigrationStats::pct_overlap`] is the number
+//! the paper's Tahoe design lives or dies by; the worker-side view of
+//! the same stalls is [`ParallelPolicyReport::gate_wait_ns`].
 //!
 //! # Example: a parallel measured run
 //!
@@ -47,8 +48,7 @@
 //! use tahoe_core::config::Platform;
 //! use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
 //! use tahoe_core::policy::PolicyKind;
-//! use tahoe_hms::TierSpec;
-//! use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration, WallClockConfig};
+//! use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
 //!
 //! // Two tasks ping-ponging two 8 KiB objects (a real dependence chain).
 //! let mut b = AppBuilder::new("doc");
@@ -59,18 +59,7 @@
 //! b.task(c).read_streaming(y, 64).write_streaming(x, 64).submit();
 //! let app = b.build();
 //!
-//! let cal = WallClockCalibration {
-//!     dram: TierSpec::symmetric("dram", 100.0, 10.0, 1 << 22),
-//!     nvm: TierSpec::symmetric("nvm", 300.0, 3.0, 1 << 24),
-//!     cf_bw: 1.0,
-//!     cf_lat: 1.0,
-//!     measured: MeasuredTier {
-//!         stream_bw_gbps: 10.0,
-//!         chase_lat_ns: 100.0,
-//!         stream_wall_ns: 1000.0,
-//!         chase_wall_ns: 1000.0,
-//!     },
-//! };
+//! let cal = WallClockCalibration::synthetic(1 << 22, 1 << 24);
 //! let rt = MeasuredRuntime::new(Platform::optane(1 << 22, 1 << 24), WallClockConfig::smoke());
 //! let report = rt
 //!     .run_policy_parallel(&app, &PolicyKind::DramOnly, &cal, 2, 0)
@@ -91,7 +80,7 @@ use tahoe_realmem::BackgroundMigrator;
 use tahoe_sanitize::{
     AccessSanitizer, ExtraAccess, NoSanitize, SanitizeHook, SanitizeReport, ViolationKind,
 };
-use tahoe_taskrt::{run_scoped, JobSpec, TaskSpec};
+use tahoe_taskrt::{run_scoped, JobSpec, NoGate, TaskSpec};
 
 use crate::app::App;
 pub use crate::engine::AccessTierTiming;
@@ -153,7 +142,9 @@ pub struct ParallelPolicyReport {
     /// migrations.
     pub placed_at_ns: Option<Ns>,
     /// Wall-clock ns workers spent blocked waiting for in-flight
-    /// migrations (the executor-observed exposed latency).
+    /// migrations before their pins were granted — the worker-side view
+    /// of the exposed latency, and by construction the sum of every
+    /// `WorkerTask` event's `gate_wait_ns`.
     pub gate_wait_ns: f64,
     /// Successful work steals between workers.
     pub steals: u64,
@@ -196,7 +187,7 @@ impl MeasuredRuntime {
         // empty inlined function behind `if S::ENABLED`, so this path
         // compiles to exactly the pre-sanitizer runtime — no shadow
         // state, no per-access branches on live data.
-        self.run_policy_parallel_impl(app, policy, cal, workers, run_seed, &NoSanitize)
+        self.run_policy_hooked(app, policy, cal, workers, run_seed, &NoSanitize)
     }
 
     /// Like [`run_policy_parallel`](Self::run_policy_parallel), but with
@@ -231,7 +222,7 @@ impl MeasuredRuntime {
             san.note_extra_access(e);
         }
         let hook = Arc::new(san);
-        let report = self.run_policy_parallel_impl(app, policy, cal, workers, run_seed, &hook)?;
+        let report = self.run_policy_hooked(app, policy, cal, workers, run_seed, &hook)?;
         // The move observer's Arc clone died with the SharedHms inside
         // the impl; ours is the last reference.
         let san = Arc::try_unwrap(hook).map_err(|_| "sanitizer still referenced after run")?;
@@ -256,7 +247,11 @@ impl MeasuredRuntime {
         Ok((report, sanitize))
     }
 
-    fn run_policy_parallel_impl<S: SanitizeHook>(
+    /// [`run_policy_parallel`](Self::run_policy_parallel) with `hook`
+    /// called before every access (and its move observer, if any,
+    /// installed on the migration engine): the seam the sanitizer uses,
+    /// and the one a test injects a fault or a stall through.
+    pub fn run_policy_hooked<S: SanitizeHook>(
         &self,
         app: &App,
         policy: &PolicyKind,
@@ -367,7 +362,7 @@ impl MeasuredRuntime {
             // Single-tenant runtime: tenant 0.
             tag: 0,
             graph: &app.graph,
-            gate: run.clone(),
+            gate: Arc::new(NoGate),
             work: Arc::new(|worker: usize, tenant: u32, task: &TaskSpec| {
                 if first_error.get().is_some() {
                     return;
@@ -385,18 +380,7 @@ impl MeasuredRuntime {
                         rec.record(worker, "gate_wait_ns", out.gate_wait_ns);
                     }
                 }
-                emit(
-                    worker,
-                    Event::WorkerTask {
-                        t: out.t,
-                        tenant,
-                        worker: worker as u32,
-                        task: task.id.0,
-                        window: task.window,
-                        wall_ns: out.wall_ns,
-                        gate_wait_ns: out.gate_wait_ns,
-                    },
-                );
+                emit(worker, out.worker_task(tenant, worker, task));
                 if quota.task_done(task.class) {
                     let t = shared.now_ns();
                     issue(0..=task.window);
@@ -444,16 +428,11 @@ impl MeasuredRuntime {
         let checksum = run.checksum();
         let bytes_touched = run.bytes_touched();
         let access_timing = run.access_timing();
+        let gate_wait_ns = run.gate_wait_ns();
         drop(run);
         let shared = Arc::try_unwrap(shared).map_err(|_| "migration thread still holds hms")?;
-        // How contended were the lock-free paths? Folded into the obs
-        // metrics so a scaling regression is diagnosable from artifacts.
         let contention = shared.contention();
-        self.metrics
-            .add("hms.pin_cas_retries", contention.pin_cas_retries);
-        self.metrics.add("hms.parks", contention.parks);
-        self.metrics.add("hms.unparks", contention.unparks);
-        self.metrics.add("hms.move_waits", contention.move_waits);
+        contention.fold_into(&self.metrics);
         let hms = shared.into_inner();
 
         // ---- flight-recorder drain -----------------------------------
@@ -542,7 +521,7 @@ impl MeasuredRuntime {
             plan_steps_skipped,
             released_at_ns: released_at.get().copied(),
             placed_at_ns,
-            gate_wait_ns: ws.gate_wait_ns,
+            gate_wait_ns,
             steals: ws.steals,
             final_tier_objects,
             access_timing,
@@ -558,28 +537,6 @@ mod tests {
     use super::*;
     use crate::app::AppBuilder;
     use crate::measured::reference_checksum_seeded;
-    use tahoe_hms::TierSpec;
-    use tahoe_memprof::wallclock::MeasuredTier;
-
-    /// A synthetic calibration (no kernel runs): DRAM at 10 GB/s /
-    /// 100 ns, NVM 3× slower, correction factors 1.0. Capacities are
-    /// tiny so Tahoe has real pressure; `prepare` inflates NVM to fit.
-    fn test_cal(dram_cap: u64, nvm_cap: u64) -> WallClockCalibration {
-        let dram = TierSpec::symmetric("dram", 100.0, 10.0, dram_cap);
-        let nvm = TierSpec::symmetric("nvm", 300.0, 3.0, nvm_cap);
-        WallClockCalibration {
-            dram,
-            nvm,
-            cf_bw: 1.0,
-            cf_lat: 1.0,
-            measured: MeasuredTier {
-                stream_bw_gbps: 10.0,
-                chase_lat_ns: 100.0,
-                stream_wall_ns: 1000.0,
-                chase_wall_ns: 1000.0,
-            },
-        }
-    }
 
     fn stream_app(blocks: u32, block_bytes: u64, windows: u32) -> App {
         let mut b = AppBuilder::new("par-test");
@@ -615,7 +572,7 @@ mod tests {
     fn parallel_checksum_matches_reference_for_every_policy() {
         let app = stream_app(4, 16 << 10, 3);
         let footprint = app.footprint();
-        let cal = test_cal(footprint / 4, 4 * footprint);
+        let cal = WallClockCalibration::synthetic(footprint / 4, 4 * footprint);
         let rt = runtime();
         let expect = reference_checksum_seeded(&app, 0);
         for policy in [
@@ -639,7 +596,7 @@ mod tests {
     fn tahoe_parallel_migrates_in_background() {
         let app = stream_app(4, 32 << 10, 4);
         let footprint = app.footprint();
-        let cal = test_cal(footprint / 3, 4 * footprint);
+        let cal = WallClockCalibration::synthetic(footprint / 3, 4 * footprint);
         let rt = runtime();
         let r = rt
             .run_policy_parallel(&app, &PolicyKind::tahoe(), &cal, 2, 7)
@@ -685,7 +642,7 @@ mod tests {
         // The spill tier keeps Optane's shape against the scaled CXL
         // (850 ns / 2.5 GB/s): far higher latency, a little more
         // bandwidth.
-        let mut cal = test_cal(64 << 10, 4 * app.footprint());
+        let mut cal = WallClockCalibration::synthetic(64 << 10, 4 * app.footprint());
         cal.nvm.read_lat_ns = 3000.0;
         let rt = MeasuredRuntime::new(
             crate::config::Platform::optane_cxl(64 << 10, 64 << 10, 1 << 24),
@@ -717,7 +674,7 @@ mod tests {
     fn observed_run_carries_a_reconciling_crit_digest() {
         let app = stream_app(4, 32 << 10, 4);
         let footprint = app.footprint();
-        let cal = test_cal(footprint / 3, 4 * footprint);
+        let cal = WallClockCalibration::synthetic(footprint / 3, 4 * footprint);
         let (emitter, _buf) = Emitter::buffered();
         let rt = runtime().with_observability(emitter, tahoe_obs::Metrics::enabled());
         let r = rt
@@ -751,6 +708,16 @@ mod tests {
         );
         let blamed_migrations: u64 = crit.blame.iter().map(|e| e.migrations).sum();
         assert_eq!(blamed_migrations, r.migration.count);
+        // Every waited nanosecond the engine reports lands in the blame
+        // table: on the copies in flight during it, or unattributed.
+        let attributed_wait_ns: f64 = crit.blame.iter().map(|e| e.gate_wait_ns).sum();
+        assert!(
+            (attributed_wait_ns + crit.unattributed_wait_ns - r.gate_wait_ns).abs()
+                <= 1e-6 * r.gate_wait_ns.max(1.0),
+            "blame {attributed_wait_ns} + {} vs engine {}",
+            crit.unattributed_wait_ns,
+            r.gate_wait_ns
+        );
 
         // What-if estimates are bounded and sign-consistent with the
         // knapsack: DRAM residence can only help in the model.
@@ -783,10 +750,10 @@ mod tests {
         std::thread::spawn(move || {
             let app = stream_app(4, 16 << 10, 3);
             let footprint = app.footprint();
-            let cal = test_cal(footprint / 3, 4 * footprint);
+            let cal = WallClockCalibration::synthetic(footprint / 3, 4 * footprint);
             let rt = runtime();
             let policy = PolicyKind::tahoe();
-            let _ = tx.send(rt.run_policy_parallel_impl(&app, &policy, &cal, 2, 0, &PanicOn(5)));
+            let _ = tx.send(rt.run_policy_hooked(&app, &policy, &cal, 2, 0, &PanicOn(5)));
         });
         let err = rx
             .recv_timeout(std::time::Duration::from_secs(60))
@@ -800,7 +767,7 @@ mod tests {
     fn worker_counts_do_not_change_the_answer() {
         let app = stream_app(4, 8 << 10, 3);
         let footprint = app.footprint();
-        let cal = test_cal(footprint / 4, 4 * footprint);
+        let cal = WallClockCalibration::synthetic(footprint / 4, 4 * footprint);
         let rt = runtime();
         let expect = reference_checksum_seeded(&app, 3);
         for workers in [1, 2, 4] {

@@ -124,11 +124,6 @@ impl Runtime {
         };
         (report, trace)
     }
-
-    /// Run the same app under several policies (comparison tables).
-    pub fn run_all(&self, app: &App, policies: &[PolicyKind]) -> Vec<RunReport> {
-        policies.iter().map(|p| self.run(app, p)).collect()
-    }
 }
 
 #[cfg(test)]

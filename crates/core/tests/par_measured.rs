@@ -7,26 +7,7 @@ use tahoe_core::app::{App, AppBuilder};
 use tahoe_core::config::Platform;
 use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
 use tahoe_core::policy::PolicyKind;
-use tahoe_hms::TierSpec;
-use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration, WallClockConfig};
-
-/// Synthetic calibration (no kernel measurement): DRAM 10 GB/s / 100 ns,
-/// NVM 3× slower, correction factors 1.0. Keeps the suite fast and
-/// hardware-independent; only the *capacities* shape the policies.
-fn synthetic_cal(dram_cap: u64, nvm_cap: u64) -> WallClockCalibration {
-    WallClockCalibration {
-        dram: TierSpec::symmetric("dram", 100.0, 10.0, dram_cap),
-        nvm: TierSpec::symmetric("nvm", 300.0, 3.0, nvm_cap),
-        cf_bw: 1.0,
-        cf_lat: 1.0,
-        measured: MeasuredTier {
-            stream_bw_gbps: 10.0,
-            chase_lat_ns: 100.0,
-            stream_wall_ns: 1000.0,
-            chase_wall_ns: 1000.0,
-        },
-    }
-}
+use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
 
 /// A blocked triad over three arrays: window w's task i reads b[i], c[i]
 /// and writes a[i] — the stream workload's shape, rebuilt here because
@@ -68,7 +49,7 @@ fn parallel_suite_is_deterministic_across_workers_and_seeds() {
     let footprint = app.footprint();
     // DRAM holds ~a quarter of the footprint: Tahoe has real pressure
     // and its plan promotes a strict subset.
-    let cal = synthetic_cal(footprint / 4, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint / 4, 4 * footprint);
     let rt = runtime();
 
     for &run_seed in &[0u64, 42, 0xDEAD_BEEF] {
@@ -99,7 +80,7 @@ fn parallel_suite_is_deterministic_across_workers_and_seeds() {
 fn tahoe_overlap_is_nonzero_with_multiple_workers() {
     let app = triad_app(4, 32 << 10, 4);
     let footprint = app.footprint();
-    let cal = synthetic_cal(footprint / 4, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint / 4, 4 * footprint);
     let rt = runtime();
 
     for &workers in &[2usize, 4] {
@@ -132,7 +113,7 @@ fn tahoe_overlap_is_nonzero_with_multiple_workers() {
 fn parallel_report_fields_are_consistent() {
     let app = triad_app(2, 8 << 10, 2);
     let footprint = app.footprint();
-    let cal = synthetic_cal(footprint, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint, 4 * footprint);
     let rt = runtime();
     let r = rt
         .run_policy_parallel(&app, &PolicyKind::DramOnly, &cal, 2, 0)
@@ -151,7 +132,7 @@ fn parallel_report_fields_are_consistent() {
 fn contention_counters_stay_silent_without_migrations() {
     let app = triad_app(4, 16 << 10, 4);
     let footprint = app.footprint();
-    let cal = synthetic_cal(footprint, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint, 4 * footprint);
     let rt = runtime();
     let r = rt
         .run_policy_parallel(&app, &PolicyKind::DramOnly, &cal, 4, 0)
@@ -168,7 +149,7 @@ fn contention_counters_stay_silent_without_migrations() {
 fn results_are_deterministic_while_contention_is_not() {
     let app = triad_app(4, 32 << 10, 4);
     let footprint = app.footprint();
-    let cal = synthetic_cal(footprint / 4, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint / 4, 4 * footprint);
     let rt = runtime();
     // Contention counters (CAS retries, parks, waits) are a property of
     // the schedule, not the results: two runs of the same (policy,

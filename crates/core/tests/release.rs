@@ -12,27 +12,14 @@ use tahoe_core::config::{Platform, MIN_CLASS_INSTANCES};
 use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
 use tahoe_core::policy::PolicyKind;
 use tahoe_core::ParallelPolicyReport;
-use tahoe_hms::TierSpec;
-use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration, WallClockConfig};
+use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
 use tahoe_obs::{Emitter, Event, Metrics};
 use tahoe_taskrt::TaskId;
 
 /// Synthetic calibration (no kernel measurement): NVM 3× slower than
 /// DRAM, DRAM capped at `dram_cap`.
 fn cal_with(app: &App, dram_cap: u64) -> WallClockCalibration {
-    let footprint = app.footprint();
-    WallClockCalibration {
-        dram: TierSpec::symmetric("dram", 100.0, 10.0, dram_cap),
-        nvm: TierSpec::symmetric("nvm", 300.0, 3.0, 4 * footprint),
-        cf_bw: 1.0,
-        cf_lat: 1.0,
-        measured: MeasuredTier {
-            stream_bw_gbps: 10.0,
-            chase_lat_ns: 100.0,
-            stream_wall_ns: 1000.0,
-            chase_wall_ns: 1000.0,
-        },
-    }
+    WallClockCalibration::synthetic(dram_cap, 4 * app.footprint())
 }
 
 /// DRAM holds a third of the footprint: the plan promotes a strict

@@ -12,27 +12,10 @@ use tahoe_core::config::Platform;
 use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
 use tahoe_core::policy::PolicyKind;
 use tahoe_core::{ExtraAccess, ViolationKind};
-use tahoe_hms::{AccessProfile, TierSpec};
-use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration, WallClockConfig};
+use tahoe_hms::AccessProfile;
+use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
 use tahoe_obs::{Emitter, Metrics};
 use tahoe_taskrt::AccessMode;
-
-/// Synthetic calibration: DRAM at 10 GB/s / 100 ns, NVM 3x slower,
-/// correction factors 1.0 — no kernel measurement, hardware-independent.
-fn test_cal(dram_cap: u64, nvm_cap: u64) -> WallClockCalibration {
-    WallClockCalibration {
-        dram: TierSpec::symmetric("dram", 100.0, 10.0, dram_cap),
-        nvm: TierSpec::symmetric("nvm", 300.0, 3.0, nvm_cap),
-        cf_bw: 1.0,
-        cf_lat: 1.0,
-        measured: MeasuredTier {
-            stream_bw_gbps: 10.0,
-            chase_lat_ns: 100.0,
-            stream_wall_ns: 1000.0,
-            chase_wall_ns: 1000.0,
-        },
-    }
-}
 
 fn runtime() -> MeasuredRuntime {
     MeasuredRuntime::new(Platform::optane(1 << 22, 1 << 24), WallClockConfig::smoke())
@@ -65,7 +48,7 @@ fn stream_app(blocks: u32, block_bytes: u64, windows: u32) -> App {
 fn correct_workload_is_clean_at_every_worker_count_and_seed() {
     let app = stream_app(4, 8 << 10, 3);
     let footprint = app.footprint();
-    let cal = test_cal(footprint / 4, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint / 4, 4 * footprint);
     let rt = runtime();
     // 12 tasks x 2 accesses per run.
     let expect_checked = 24;
@@ -111,7 +94,7 @@ fn write_under_read_app() -> App {
 fn write_under_read_fixture_yields_exact_violations() {
     let app = write_under_read_app();
     let footprint = app.footprint();
-    let cal = test_cal(footprint, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint, 4 * footprint);
     let rt = runtime();
     // One worker: the hidden write must not become a *real* concurrent
     // race on live buffers; the sanitizer still reports it because the
@@ -138,7 +121,7 @@ fn undeclared_extra_access_fixture_is_exact_and_schedule_independent() {
     b.task(c).write_streaming(y, 64).submit();
     let app = b.build();
     let footprint = app.footprint();
-    let cal = test_cal(footprint, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint, 4 * footprint);
     let rt = runtime();
     let extra = [ExtraAccess {
         task: 0,
@@ -163,7 +146,7 @@ fn undeclared_extra_access_fixture_is_exact_and_schedule_independent() {
 fn violations_reach_events_and_metrics() {
     let app = write_under_read_app();
     let footprint = app.footprint();
-    let cal = test_cal(footprint, 4 * footprint);
+    let cal = WallClockCalibration::synthetic(footprint, 4 * footprint);
     let (emitter, buffer) = Emitter::buffered();
     let metrics = Metrics::enabled();
     let rt = runtime().with_observability(emitter, metrics.clone());

@@ -172,8 +172,9 @@ pub mod word {
     }
 }
 
-/// Contention counters for the lock-free paths, folded into the obs
-/// metrics of a parallel run (`hms.pin_cas_retries` etc.).
+/// Contention counters for the lock-free paths; every substrate folds
+/// them into its metrics under the same `hms.*` keys
+/// ([`ContentionStats::fold_into`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct ContentionStats {
     /// Failed CAS attempts on pin/unpin/move transitions.
@@ -185,6 +186,19 @@ pub struct ContentionStats {
     /// Times a worker found a needed object mid-move (the paper's
     /// exposed-migration edge).
     pub move_waits: u64,
+}
+
+impl ContentionStats {
+    /// Add the counters to `metrics` as `hms.pin_cas_retries`,
+    /// `hms.parks`, `hms.unparks` and `hms.move_waits`, so a scaling
+    /// regression is diagnosable from a batch run's artifacts and a
+    /// served tenant's alike.
+    pub fn fold_into(&self, metrics: &tahoe_obs::Metrics) {
+        metrics.add("hms.pin_cas_retries", self.pin_cas_retries);
+        metrics.add("hms.parks", self.parks);
+        metrics.add("hms.unparks", self.unparks);
+        metrics.add("hms.move_waits", self.move_waits);
+    }
 }
 
 /// Internal atomic counterparts of [`ContentionStats`].

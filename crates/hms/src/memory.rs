@@ -156,10 +156,8 @@ struct ObjectRecord {
     meta: ObjectMeta,
     tier: TierId,
     addr: u64,
-    /// Number of in-flight tasks touching the object (pins block moves).
-    pins: u32,
     /// A two-phase move is in flight: destination reserved, copy running
-    /// outside the lock. Blocks pin/free/move until resolved.
+    /// outside the lock. Blocks free/move until resolved.
     moving: bool,
 }
 
@@ -209,9 +207,10 @@ impl MoveTicket {
 ///
 /// This is the paper's user-level DRAM management service generalized to
 /// every tier. All placement changes go through [`Hms::move_object`]
-/// (or its two-phase form), which enforces pinning (never move an object
-/// while a task that declared it is in flight) and capacity (allocation
-/// in the destination must succeed before the source copy is released).
+/// (or its two-phase form), which enforces capacity (allocation in the
+/// destination must succeed before the source copy is released). Pinning
+/// — never move an object while a task that declared it is in flight —
+/// lives in the packed state words of [`crate::sync::SharedHms`].
 #[derive(Debug)]
 pub struct Hms {
     config: HmsConfig,
@@ -426,7 +425,6 @@ impl Hms {
                 },
                 tier,
                 addr,
-                pins: 0,
                 moving: false,
             },
         );
@@ -454,12 +452,9 @@ impl Hms {
         Ok(id)
     }
 
-    /// Free an object. Fails if pinned or mid-move.
+    /// Free an object. Fails mid-move.
     pub fn free_object(&mut self, id: ObjectId) -> Result<(), HmsError> {
         let rec = self.objects.get(&id).ok_or(HmsError::NoSuchObject(id))?;
-        if rec.pins > 0 {
-            return Err(HmsError::Pinned(id));
-        }
         if rec.moving {
             return Err(HmsError::Moving(id));
         }
@@ -494,48 +489,13 @@ impl Hms {
         self.meta(id).map(|m| m.size)
     }
 
-    /// Pin an object against migration (a task that declared it started).
-    /// Fails while a two-phase move of the object is in flight — the
-    /// bytes are mid-copy and must not be touched (callers that want to
-    /// wait instead of fail go through [`crate::sync::SharedHms`]).
-    pub fn pin(&mut self, id: ObjectId) -> Result<(), HmsError> {
-        let rec = self
-            .objects
-            .get_mut(&id)
-            .ok_or(HmsError::NoSuchObject(id))?;
-        if rec.moving {
-            return Err(HmsError::Moving(id));
-        }
-        rec.pins += 1;
-        Ok(())
-    }
-
-    /// Release one pin.
-    pub fn unpin(&mut self, id: ObjectId) -> Result<(), HmsError> {
-        let rec = self
-            .objects
-            .get_mut(&id)
-            .ok_or(HmsError::NoSuchObject(id))?;
-        debug_assert!(rec.pins > 0, "unbalanced unpin of {id:?}");
-        rec.pins = rec.pins.saturating_sub(1);
-        Ok(())
-    }
-
-    /// Number of pins currently held on `id`.
-    pub fn pin_count(&self, id: ObjectId) -> Result<u32, HmsError> {
-        self.objects
-            .get(&id)
-            .map(|r| r.pins)
-            .ok_or(HmsError::NoSuchObject(id))
-    }
-
     /// Move an object to tier `to`, synchronously. Returns the number
     /// of bytes moved.
     ///
     /// The destination allocation is obtained before the source is freed,
     /// as a real runtime must (the copy needs both resident). Fails if the
-    /// object is pinned, mid-move, missing, already there, or the
-    /// destination can't hold it.
+    /// object is mid-move, missing, already there, or the destination
+    /// can't hold it.
     pub fn move_object(&mut self, id: ObjectId, to: impl TierRef) -> Result<u64, HmsError> {
         let ticket = self.begin_move_to(id, self.resolve(to))?;
         // Physical copy while both ranges are reserved: destination is
@@ -558,19 +518,17 @@ impl Hms {
     /// HMS lock only for this reservation, performs the (long, throttled)
     /// copy through [`Hms::move_ptrs`] with the lock released, and
     /// retakes it for [`Hms::commit_move`]. While the ticket is
-    /// outstanding the object rejects pins, frees, and further moves, so
-    /// no task can observe half-copied bytes.
+    /// outstanding the object rejects frees and further moves (and
+    /// [`crate::sync::SharedHms`] rejects pins), so no task can observe
+    /// half-copied bytes.
     pub fn begin_move_to(&mut self, id: ObjectId, to: TierId) -> Result<MoveTicket, HmsError> {
         assert!(to.index() < self.tiers.len(), "tier {to} out of range");
-        let (size, from, from_addr, pins, moving) = {
+        let (size, from, from_addr, moving) = {
             let rec = self.objects.get(&id).ok_or(HmsError::NoSuchObject(id))?;
-            (rec.meta.size, rec.tier, rec.addr, rec.pins, rec.moving)
+            (rec.meta.size, rec.tier, rec.addr, rec.moving)
         };
         if from == to {
             return Err(HmsError::AlreadyResident(id, to));
-        }
-        if pins > 0 {
-            return Err(HmsError::Pinned(id));
         }
         if moving {
             return Err(HmsError::Moving(id));
@@ -851,31 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_object_cannot_move_or_free() {
-        let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 64, NVM, false).unwrap();
-        h.pin(a).unwrap();
-        assert_eq!(h.move_object(a, DRAM), Err(HmsError::Pinned(a)));
-        assert_eq!(h.free_object(a), Err(HmsError::Pinned(a)));
-        h.unpin(a).unwrap();
-        assert!(h.move_object(a, DRAM).is_ok());
-        h.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn pin_is_counted() {
-        let mut h = small_hms(1024, 4096);
-        let a = h.alloc_object("a", 64, NVM, false).unwrap();
-        h.pin(a).unwrap();
-        h.pin(a).unwrap();
-        assert_eq!(h.pin_count(a).unwrap(), 2);
-        h.unpin(a).unwrap();
-        assert_eq!(h.pin_count(a).unwrap(), 1);
-        // Still pinned by one task.
-        assert_eq!(h.move_object(a, DRAM), Err(HmsError::Pinned(a)));
-    }
-
-    #[test]
     fn free_returns_bytes_to_tier() {
         let mut h = small_hms(1024, 4096);
         let a = h.alloc_object("a", 300, DRAM, false).unwrap();
@@ -950,8 +883,7 @@ mod tests {
             (a, NVM, DRAM, 256)
         );
         assert!(h.is_moving(a).unwrap());
-        // Mid-move the object rejects pins, frees, and further moves.
-        assert_eq!(h.pin(a), Err(HmsError::Moving(a)));
+        // Mid-move the object rejects frees and further moves.
         assert_eq!(h.free_object(a), Err(HmsError::Moving(a)));
         assert_eq!(h.move_object(a, DRAM), Err(HmsError::Moving(a)));
         // Both ranges reserved while the ticket is outstanding.

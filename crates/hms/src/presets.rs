@@ -145,6 +145,14 @@ pub fn numa_remote(capacity: u64) -> TierSpec {
     }
 }
 
+/// The copy-channel rule: bandwidth, in GB/s, of the helper-thread copy
+/// between the fastest tier and the spill tier, in either direction —
+/// an ordinary memcpy bounded by the slower of NVM writes and DRAM
+/// reads, derated to 80 % for the copy loop's own overhead.
+pub fn copy_channel_gbps(dram: &TierSpec, nvm: &TierSpec) -> f64 {
+    nvm.write_bw_gbps.min(dram.read_bw_gbps) * 0.8
+}
+
 /// Every named device preset, for table-driven tests and sweeps.
 pub fn all_nvm_presets(capacity: u64) -> Vec<TierSpec> {
     vec![

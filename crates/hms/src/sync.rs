@@ -99,7 +99,9 @@ pub struct TaskPins<'h> {
     shared: &'h SharedHms,
     /// One entry per requested object, in request order.
     pub objects: Vec<PinnedObject>,
-    /// Wall-clock ns spent blocked on mid-move objects before pinning.
+    /// Wall-clock ns spent blocked on mid-move objects before pinning;
+    /// exactly `0.0` when nothing blocked (no clock is read until
+    /// something does).
     pub waited_ns: Ns,
 }
 
@@ -348,27 +350,29 @@ impl SharedHms {
     }
 
     /// Park until `id` is not mid-move, stamping the migration's
-    /// `needed_at` on first block. No-op for unknown objects (pinning
-    /// reports those).
-    fn wait_not_moving(&self, id: ObjectId) {
+    /// `needed_at` on first block. Returns the wall-clock ns spent
+    /// blocked — exactly `0.0`, with no clock read, when the object was
+    /// not moving. No-op for unknown objects (pinning reports those).
+    fn wait_not_moving(&self, id: ObjectId) -> Ns {
         let Some(slot) = self.table.slot(id) else {
-            return;
+            return 0.0;
         };
-        let mut blocked = false;
+        let mut blocked_at: Option<Ns> = None;
         loop {
             let w = slot.state.load(Ordering::SeqCst);
             if !word::is_moving(w) {
-                return;
+                return blocked_at.map_or(0.0, |t0| self.now_ns() - t0);
             }
-            if !blocked {
-                blocked = true;
+            let now = self.now_ns();
+            if blocked_at.is_none() {
+                blocked_at = Some(now);
                 self.counters.move_waits.fetch_add(1, Ordering::Relaxed);
             }
             // Stamp the first wall-clock instant anyone needed the
             // object: the paper's exposed-migration boundary.
             let _ = slot.needed_at.compare_exchange(
                 0,
-                self.now_ns().to_bits(),
+                now.to_bits(),
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             );
@@ -455,19 +459,10 @@ impl SharedHms {
         }
     }
 
-    /// The executor's data-ready gate: block until none of `ids` is
-    /// mid-move, stamping `needed_at` on every in-flight migration that
-    /// made us wait. Returns wall-clock ns waited.
-    pub fn wait_ready(&self, ids: &[ObjectId]) -> Ns {
-        let t0 = self.now_ns();
-        for id in ids {
-            self.wait_not_moving(*id);
-        }
-        self.now_ns() - t0
-    }
-
     /// Pin every object in `ids` for one task and resolve each to raw
-    /// bytes, waiting out any in-flight migration of them first.
+    /// bytes, waiting out any in-flight migration of them first. This is
+    /// the one data-readiness wait of the wall-clock engine: a task is
+    /// data-ready exactly when its pins are granted.
     ///
     /// All-or-nothing without a lock: the task first waits (holding no
     /// pins) until none of its objects is mid-move, then CAS-pins each;
@@ -476,10 +471,10 @@ impl SharedHms {
     /// while blocked and cannot deadlock against the migration thread
     /// waiting for pins to drain.
     pub fn pin_for_task(&self, ids: &[ObjectId]) -> Result<TaskPins<'_>, HmsError> {
-        let t0 = self.now_ns();
+        let mut waited_ns = 0.0;
         'acquire: loop {
             for id in ids {
-                self.wait_not_moving(*id);
+                waited_ns += self.wait_not_moving(*id);
             }
             for (i, id) in ids.iter().enumerate() {
                 match self.try_pin(*id) {
@@ -524,7 +519,7 @@ impl SharedHms {
         Ok(TaskPins {
             shared: self,
             objects,
-            waited_ns: self.now_ns() - t0,
+            waited_ns,
         })
     }
 
@@ -657,6 +652,9 @@ impl SharedHms {
         }
         drop(hms);
         let needed_bits = slot.needed_at.swap(0, Ordering::Relaxed);
+        // Stamp before waking the waiters: a woken worker may preempt
+        // this thread, and the copy did not take that long.
+        let finish = self.now_ns();
         self.release_move(object);
         MigrationRecord {
             object,
@@ -665,7 +663,7 @@ impl SharedHms {
             to,
             issued_at: started.issued_at,
             start: started.started_at,
-            finish: self.now_ns(),
+            finish,
             needed_at: (needed_bits != 0).then(|| f64::from_bits(needed_bits)),
         }
     }
@@ -808,6 +806,7 @@ mod tests {
         assert_eq!(pins.objects.len(), 1);
         assert_eq!(pins.objects[0].tier, TierId(1));
         assert_eq!(pins.objects[0].len(), 4096);
+        assert_eq!(pins.waited_ns, 0.0, "nothing blocked: exactly zero");
         assert_eq!(sh.pin_count(id), 1);
         // A pinned object rejects a (cancelled) migration outright.
         let cancel = AtomicBool::new(true);
@@ -872,6 +871,39 @@ mod tests {
         let c = sh.contention();
         assert!(c.move_waits >= 1, "blocked pin must count a move wait");
         assert!(c.parks >= 1, "blocked pin must park, not spin");
+    }
+
+    /// The record's `finish` is taken before the waiters are woken, so
+    /// no waiter can observe the move ended earlier than it "finished"
+    /// (a stamp taken after the wake slips by however long the woken
+    /// worker keeps the migrator off the core).
+    #[test]
+    fn commit_stamps_finish_before_waking_waiters() {
+        let sh = Arc::new(shared(1 << 16, 1 << 18));
+        let id = sh.with(|h| h.alloc_object("x", 4096, TierKind::Nvm, false).unwrap());
+        let cancel = AtomicBool::new(false);
+        let sm = sh
+            .begin_move_blocking(id, TierId::FASTEST, &cancel)
+            .unwrap()
+            .expect("move must start");
+        let sh2 = Arc::clone(&sh);
+        let waiter = std::thread::spawn(move || {
+            let pins = sh2.pin_for_task(&[id]).unwrap();
+            (sh2.now_ns(), pins.waited_ns)
+        });
+        // Commit only once the waiter is known to be blocked on the move.
+        while sh.contention().move_waits == 0 {
+            std::thread::yield_now();
+        }
+        let rec = sh.commit_move(sm, &CopyOutcome::default());
+        let (seen_ended_at, waited) = waiter.join().unwrap();
+        assert!(
+            rec.finish <= seen_ended_at,
+            "finish {} after the waiter saw the move end at {seen_ended_at}",
+            rec.finish
+        );
+        assert!(waited > 0.0, "the waiter blocked");
+        assert!(rec.needed_at.is_some_and(|n| n <= rec.finish));
     }
 
     #[test]
@@ -948,14 +980,6 @@ mod tests {
         // Both skips fully released the move state.
         assert!(!sh.is_mid_move(there) && !sh.is_mid_move(big));
         let _ = sh.pin_for_task(&[there, big]).unwrap();
-    }
-
-    #[test]
-    fn wait_ready_returns_immediately_when_nothing_inflight() {
-        let sh = shared(1 << 16, 1 << 18);
-        let id = sh.with(|h| h.alloc_object("x", 4096, TierKind::Nvm, false).unwrap());
-        let waited = sh.wait_ready(&[id]);
-        assert!(waited < 1e9, "no in-flight move, no real wait");
     }
 
     #[test]

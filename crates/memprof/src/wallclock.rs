@@ -205,6 +205,27 @@ pub struct WallClockCalibration {
     pub measured: MeasuredTier,
 }
 
+impl WallClockCalibration {
+    /// A synthetic calibration — no kernel measurement, the same on
+    /// every machine: DRAM at 10 GB/s / 100 ns, NVM 3× slower on both
+    /// axes, correction factors 1.0. Only the capacities shape a run.
+    /// For tests, doc examples and machine-independent artifacts.
+    pub fn synthetic(dram_capacity: u64, nvm_capacity: u64) -> Self {
+        WallClockCalibration {
+            dram: TierSpec::symmetric("dram", 100.0, 10.0, dram_capacity),
+            nvm: TierSpec::symmetric("nvm", 300.0, 3.0, nvm_capacity),
+            cf_bw: 1.0,
+            cf_lat: 1.0,
+            measured: MeasuredTier {
+                stream_bw_gbps: 10.0,
+                chase_lat_ns: 100.0,
+                stream_wall_ns: 1000.0,
+                chase_wall_ns: 1000.0,
+            },
+        }
+    }
+}
+
 /// Fit everything from one tier measurement: spec, derived NVM spec, and
 /// the correction factors closing the loop between the measurement and
 /// the analytic model evaluated on the fitted spec.

@@ -27,13 +27,6 @@ pub fn pace_until(start: Instant, deadline_ns: f64) -> f64 {
     }
 }
 
-/// Pace a just-completed piece of work to a floor duration: given the
-/// work's own start instant and the minimum time it should appear to
-/// take, spin out the remainder. Returns ns spent spinning.
-pub fn pace_to_floor(work_start: Instant, floor_ns: f64) -> f64 {
-    pace_until(work_start, floor_ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

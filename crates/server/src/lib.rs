@@ -41,8 +41,7 @@
 //! ```
 //! use tahoe_core::app::AppBuilder;
 //! use tahoe_core::measured::reference_checksum_seeded;
-//! use tahoe_hms::TierSpec;
-//! use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration};
+//! use tahoe_memprof::wallclock::WallClockCalibration;
 //! use tahoe_obs::{Emitter, Metrics};
 //! use tahoe_server::{
 //!     ArbiterMode, QuotaPolicy, ServerConfig, Submission, TahoeServer, TenantSpec,
@@ -59,18 +58,7 @@
 //! }
 //!
 //! // Synthetic calibration: DRAM 10 GB/s / 100 ns, NVM 3x slower.
-//! let cal = WallClockCalibration {
-//!     dram: TierSpec::symmetric("dram", 100.0, 10.0, 1 << 20),
-//!     nvm: TierSpec::symmetric("nvm", 300.0, 3.0, 1 << 24),
-//!     cf_bw: 1.0,
-//!     cf_lat: 1.0,
-//!     measured: MeasuredTier {
-//!         stream_bw_gbps: 10.0,
-//!         chase_lat_ns: 100.0,
-//!         stream_wall_ns: 1000.0,
-//!         chase_wall_ns: 1000.0,
-//!     },
-//! };
+//! let cal = WallClockCalibration::synthetic(1 << 20, 1 << 24);
 //! let server = TahoeServer::new(
 //!     ServerConfig {
 //!         workers: 2,

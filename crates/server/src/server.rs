@@ -44,14 +44,14 @@ use std::time::Duration;
 use tahoe_core::app::App;
 use tahoe_core::engine::{residence_values, GraphLayout, GraphRun, NoSanitize};
 use tahoe_hms::{
-    ContentionStats, Hms, HmsConfig, MigrationRecord, MigrationStats, Ns, ObjectId, SharedHms,
-    TierId,
+    presets, ContentionStats, Hms, HmsConfig, MigrationRecord, MigrationStats, Ns, ObjectId,
+    SharedHms, TierId,
 };
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::{Emitter, Event, FlightRecorder, HistData, Histogram, Metrics};
 use tahoe_placement::Item;
 use tahoe_realmem::{BackgroundMigrator, RealBackend};
-use tahoe_taskrt::{JobSpec, TaskGraph, TaskPanic, TaskPool, TaskSpec};
+use tahoe_taskrt::{JobSpec, NoGate, TaskGraph, TaskPanic, TaskPool, TaskSpec};
 
 use crate::arbiter::{self, QuotaPolicy, TenantDemand};
 use crate::namespace::{self, AdmitError, Namespace};
@@ -398,7 +398,7 @@ impl TahoeServer {
         dram.capacity = cfg.dram_budget;
         let mut nvm = cal.nvm.clone();
         nvm.capacity = cfg.nvm_capacity;
-        let copy_bw = nvm.write_bw_gbps.min(dram.read_bw_gbps) * 0.8;
+        let copy_bw = presets::copy_channel_gbps(&dram, &nvm);
         let hms_cfg = HmsConfig::new(dram, nvm, copy_bw).map_err(|e| e.to_string())?;
         let backend = RealBackend::with_observability(&hms_cfg, emitter.clone(), metrics.clone())?;
         let copy_cfgs = backend.copy_configs();
@@ -574,6 +574,7 @@ impl TahoeServer {
             .expect("migrator live until shutdown")
             .finish();
         let contention = self.sh.hms.contention();
+        contention.fold_into(&self.sh.metrics);
         let wall_ns = self.sh.hms.now_ns();
         let inner = self.sh.inner.lock().expect("server state");
         let tenants = inner
@@ -1051,15 +1052,7 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
             let out = run
                 .run_task(task, &NoSanitize)
                 .expect("tenant objects are never freed");
-            sh.emitter.emit(|| Event::WorkerTask {
-                t: out.t,
-                tenant: tag,
-                worker: worker as u32,
-                task: task.id.0,
-                window: task.window,
-                wall_ns: out.wall_ns,
-                gate_wait_ns: out.gate_wait_ns,
-            });
+            sh.emitter.emit(|| out.worker_task(tag, worker, task));
         })
     };
 
@@ -1122,7 +1115,7 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
     let job = JobSpec {
         tag: tenant,
         graph: Arc::clone(&info.graph),
-        gate: run,
+        gate: Arc::new(NoGate),
         work,
         on_window: None,
         on_done: Some(on_done),
@@ -1135,23 +1128,10 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
 mod tests {
     use super::*;
     use tahoe_core::app::AppBuilder;
-    use tahoe_hms::TierSpec;
-    use tahoe_memprof::wallclock::MeasuredTier;
 
     #[test]
     fn hostile_tenant_name_breaks_neither_exposition_nor_journal() {
-        let cal = WallClockCalibration {
-            dram: TierSpec::symmetric("dram", 100.0, 10.0, 1 << 20),
-            nvm: TierSpec::symmetric("nvm", 300.0, 3.0, 1 << 24),
-            cf_bw: 1.0,
-            cf_lat: 1.0,
-            measured: MeasuredTier {
-                stream_bw_gbps: 10.0,
-                chase_lat_ns: 100.0,
-                stream_wall_ns: 1000.0,
-                chase_wall_ns: 1000.0,
-            },
-        };
+        let cal = WallClockCalibration::synthetic(1 << 20, 1 << 24);
         let cfg = ServerConfig {
             workers: 1,
             dram_budget: 64 << 10,

@@ -6,8 +6,8 @@ use tahoe_core::app::{App, AppBuilder, ObjectSpec};
 use tahoe_core::config::Platform;
 use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
 use tahoe_core::policy::PolicyKind;
-use tahoe_hms::{AccessProfile, ObjectId, TierSpec};
-use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration, WallClockConfig};
+use tahoe_hms::{AccessProfile, ObjectId};
+use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
 use tahoe_obs::{Emitter, Metrics};
 use tahoe_server::{
     driver, AdmitError, ArbiterMode, QuotaPolicy, ServerConfig, TahoeServer, TelemetryConfig,
@@ -15,22 +15,8 @@ use tahoe_server::{
 };
 use tahoe_taskrt::{AccessMode, TaskAccess, TaskGraph};
 
-/// Synthetic calibration (no kernel measurement): DRAM 10 GB/s /
-/// 100 ns, NVM 3x slower, correction factors 1.0 — machine-independent
-/// and fast.
 fn cal() -> WallClockCalibration {
-    WallClockCalibration {
-        dram: TierSpec::symmetric("dram", 100.0, 10.0, 1 << 20),
-        nvm: TierSpec::symmetric("nvm", 300.0, 3.0, 1 << 24),
-        cf_bw: 1.0,
-        cf_lat: 1.0,
-        measured: MeasuredTier {
-            stream_bw_gbps: 10.0,
-            chase_lat_ns: 100.0,
-            stream_wall_ns: 1000.0,
-            chase_wall_ns: 1000.0,
-        },
-    }
+    WallClockCalibration::synthetic(1 << 20, 1 << 24)
 }
 
 fn config(mode: ArbiterMode, dram_budget: u64, max_queue: usize) -> ServerConfig {
@@ -239,6 +225,38 @@ fn idle_tenant_hot_set_is_preempted_by_active_tenant() {
         "b must win the DRAM once a is idle (promoted {})",
         tb.promoted_bytes
     );
+}
+
+/// A served tenant's metrics carry the same `hms.*` contention keys a
+/// batch run's do, and they are the report's own counters.
+#[test]
+fn shutdown_folds_the_contention_counters_into_metrics() {
+    let metrics = Metrics::enabled();
+    let srv = TahoeServer::new(
+        config(quota_mode(), 64 << 10, 1),
+        cal(),
+        Emitter::disabled(),
+        metrics.clone(),
+    )
+    .expect("server");
+    let t = srv
+        .register_tenant(
+            TenantSpec::new("t", 1.0),
+            tenant_app("t", 16 << 10, 1, 2, 2),
+        )
+        .expect("register");
+    driver::warmup(&t, 2, 3);
+    let report = srv.shutdown();
+    let snap = metrics.snapshot();
+    let c = report.contention;
+    for (key, value) in [
+        ("hms.pin_cas_retries", c.pin_cas_retries),
+        ("hms.parks", c.parks),
+        ("hms.unparks", c.unparks),
+        ("hms.move_waits", c.move_waits),
+    ] {
+        assert_eq!(snap.counter(key), Some(value), "{key}");
+    }
 }
 
 #[test]

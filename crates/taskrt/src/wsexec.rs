@@ -1,5 +1,5 @@
 //! The batch-facing vocabulary of the work-stealing executor: the
-//! [`DataGate`] readiness hook, one run's [`WsStats`], and
+//! (vestigial) [`DataGate`] readiness hook, one run's [`WsStats`], and
 //! [`WsExecutor`], the gate-less entry point examples and tests use.
 //!
 //! The scheduler itself lives in [`crate::pool`]; a batch run is one
@@ -22,18 +22,21 @@ pub struct WsStats {
     /// Wall-clock time of the run.
     pub elapsed: Duration,
     /// Total wall-clock ns workers spent blocked in the [`DataGate`]
-    /// (summed across workers; zero when no gate is used).
+    /// (summed across workers) — zero under [`NoGate`], which is what
+    /// every job passes.
     pub gate_wait_ns: f64,
 }
 
 /// A data-readiness gate consulted before each task runs.
 ///
-/// The parallel measured runtime uses this to hold a task whose objects
-/// are mid-migration: the executor has already resolved the task's
-/// *control* dependences (its predecessors ran), and the gate resolves
-/// its *data* dependences (its bytes are not being copied between tiers
-/// right now). The returned wall-clock wait is the paper's *exposed*
-/// migration latency as the executor observes it.
+/// No runtime in this repository installs one: the wall-clock engine's
+/// only data-readiness wait is the pin
+/// (`tahoe_hms::SharedHms::pin_for_task`, which must wait anyway to
+/// resolve the pin/claim race), and every job passes [`NoGate`]. The
+/// trait, [`NoGate`], [`JobSpec::gate`] and [`WsStats::gate_wait_ns`]
+/// survive only because the frozen `benchmark/src/probes.rs` writes
+/// `gate: Arc::new(NoGate)` in a `JobSpec` literal; the `benchmark` PR
+/// that rewrites that literal deletes all four (DESIGN.md decision 11).
 pub trait DataGate: Sync {
     /// Block until `task`'s data is safe to access; return ns waited.
     fn wait_ready(&self, task: &TaskSpec) -> f64;

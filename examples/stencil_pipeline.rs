@@ -41,7 +41,7 @@ fn main() {
     let mut timeline = None;
     for nvm in devices {
         let dram = presets::dram(dram_budget);
-        let copy = nvm.write_bw_gbps.min(dram.read_bw_gbps) * 0.8;
+        let copy = presets::copy_channel_gbps(&dram, &nvm);
         let platform = Platform::new(dram, nvm.clone(), copy);
         let rt = Runtime::new(platform, RuntimeConfig::default());
 
