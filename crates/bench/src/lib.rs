@@ -1026,6 +1026,7 @@ fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
             "migrations": r.migration.count,
             "migrated_bytes": r.migration.bytes,
             "copy_wall_ns": Value::fixed(r.copy_wall_ns, 1),
+            "copy_throttle_ns": Value::fixed(r.copy_throttle_ns, 1),
             "overlapped_ns": Value::fixed(r.migration.overlapped_ns, 1),
             "exposed_ns": Value::fixed(r.migration.exposed_ns, 1),
             "pct_overlap": Value::fixed(r.migration.pct_overlap(), 3),
@@ -1285,6 +1286,8 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
             "checksum": hex(r.checksum),
             "migrations": r.migration.count,
             "migrated_bytes": r.migration.bytes,
+            "copy_wall_ns": Value::fixed(r.copy_wall_ns, 1),
+            "copy_throttle_ns": Value::fixed(r.copy_throttle_ns, 1),
             "pct_overlap": Value::fixed(r.migration.pct_overlap(), 6),
             "gate_wait_ns": Value::fixed(r.gate_wait_ns, 1),
             "ring_dropped": r.obs_ring_dropped,

@@ -27,7 +27,7 @@
 //! NVM-only, first-touch, Tahoe); the cache/oracle baselines are
 //! simulator-only by construction.
 
-use tahoe_hms::{presets, Hms, HmsConfig, ObjectId, TierId, TierSpec};
+use tahoe_hms::{Hms, HmsConfig, ObjectId, TierId, TierSpec};
 use tahoe_memprof::wallclock::{
     derive_scaled_spec, fit_calibration, measure_tier, WallClockCalibration, WallClockConfig,
 };
@@ -238,7 +238,6 @@ impl MeasuredRuntime {
             dram_spec.capacity = dram_spec.capacity.max(footprint);
         }
         nvm_spec.capacity = nvm_spec.capacity.max(2 * footprint);
-        let copy_bw = presets::copy_channel_gbps(&dram_spec, &nvm_spec);
         // Middle tiers get the same treatment as NVM: the fitted DRAM
         // spec scaled by the reference preset's ratios, at the platform's
         // middle-tier capacity.
@@ -254,7 +253,9 @@ impl MeasuredRuntime {
             ));
         }
         specs.push(nvm_spec);
-        let config = HmsConfig::with_tiers(specs, copy_bw).map_err(|e| e.to_string())?;
+        // Every ordered pair copies at the one direction-aware rule: a
+        // promotion reads NVM and writes DRAM, a demotion the reverse.
+        let config = HmsConfig::derived(specs).map_err(|e| e.to_string())?;
 
         let backend =
             RealBackend::with_observability(&config, self.emitter.clone(), self.metrics.clone())?;

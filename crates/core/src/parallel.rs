@@ -123,6 +123,12 @@ pub struct ParallelPolicyReport {
     pub migrated_bytes: u64,
     /// Wall-clock ns spent inside the throttled copy engine.
     pub copy_wall_ns: f64,
+    /// The part of `copy_wall_ns` the engine spent pacing to the
+    /// modelled bandwidth; the rest is the host's own `memcpy` and
+    /// first-touch page faults. A copy whose throttle share is near
+    /// zero is host-bound: a faster modelled channel would not shorten
+    /// it.
+    pub copy_throttle_ns: f64,
     /// Wall-clock overlap accounting of the background migrations.
     pub migration: MigrationStats,
     /// Migration requests that were moot (already resident, no space).
@@ -516,6 +522,7 @@ impl MeasuredRuntime {
             migrations: stats.copies,
             migrated_bytes: stats.copied_bytes,
             copy_wall_ns: stats.copy_wall_ns,
+            copy_throttle_ns: stats.copy_throttle_ns,
             migration: mig.stats,
             migrations_skipped: mig.skipped,
             plan_steps_skipped,
@@ -604,6 +611,12 @@ mod tests {
         assert_eq!(r.checksum, reference_checksum_seeded(&app, 7));
         assert!(r.migration.count > 0, "plan must trigger migrations");
         assert_eq!(r.migrations, r.migration.count, "backend saw each copy");
+        assert!(
+            (0.0..=r.copy_wall_ns).contains(&r.copy_throttle_ns),
+            "throttle {} ns is a share of copy wall {} ns",
+            r.copy_throttle_ns,
+            r.copy_wall_ns
+        );
         assert!(r.final_tier_objects[0] > 0, "promoted objects end in DRAM");
         assert!(
             r.migration.overlapped_ns + r.migration.exposed_ns > 0.0,

@@ -224,6 +224,81 @@ fn suite_workloads_execute_every_audited_step() {
     }
 }
 
+/// The plan's promotions read Optane and write DRAM, so they land
+/// sooner than the symmetric channel — both directions at Optane's
+/// *write* rate — could have carried them: judged per copy, because
+/// release → last commit also holds the idle migration thread's wake-up
+/// and a wait for one task's pin, each of which can outlast all twelve
+/// copies on a busy two-core host and neither of which is the channel's.
+#[test]
+fn the_plan_is_placed_faster_than_the_symmetric_channel_allowed() {
+    use tahoe_hms::presets;
+    let app = tahoe_workloads::stream::app(tahoe_workloads::Scale::Bench);
+    let (dram, nvm) = (app.footprint() / 4, 4 * app.footprint());
+    let cal = WallClockCalibration {
+        dram: presets::dram(dram),
+        nvm: presets::optane_pmm(nvm),
+        ..WallClockCalibration::synthetic(dram, nvm)
+    };
+    let promotion_gbps = cal.nvm.copy_bw_to(&cal.dram);
+    let symmetric_gbps = presets::copy_channel_gbps(&cal.dram, &cal.nvm);
+    let (tx, rx) = mpsc::channel();
+    let (app, cal) = (&app, &cal);
+    std::thread::scope(|s| {
+        // `move`: a failed assertion in there drops `tx` and fails the
+        // test at once instead of after the watchdog's minute.
+        s.spawn(move || {
+            let (emitter, buffer) = Emitter::buffered();
+            let rt = MeasuredRuntime::new(Platform::optane(dram, nvm), WallClockConfig::smoke())
+                .with_observability(emitter, Metrics::enabled());
+            // Median copy time over what the symmetric channel needed for
+            // the same bytes; up to three tries absorb a run whose
+            // migration thread shared its core.
+            let mut ratios: Vec<f64> = Vec::new();
+            while ratios.len() < 3 && ratios.last().is_none_or(|r| *r >= 1.0) {
+                let r = rt
+                    .run_policy_parallel(app, &PolicyKind::tahoe(), cal, 1, 0)
+                    .expect("tahoe run");
+                assert_eq!(r.checksum, reference_checksum_seeded(app, 0));
+                assert_plan_executed(&r);
+                assert_eq!(r.migration.evictions, 0, "the plan only promotes");
+                let mut copies: Vec<f64> = buffer
+                    .drain()
+                    .iter()
+                    .filter_map(|e| match e {
+                        Event::MigrationIssued {
+                            bytes,
+                            start,
+                            finish,
+                            ..
+                        } => {
+                            let took = finish - start;
+                            let floor = *bytes as f64 / promotion_gbps;
+                            assert!(
+                                took >= floor,
+                                "a {took} ns copy beat its {floor} ns throttle"
+                            );
+                            Some(took / (*bytes as f64 / symmetric_gbps))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(copies.len() as u64, r.migrations);
+                copies.sort_by(f64::total_cmp);
+                ratios.push(copies[copies.len() / 2]);
+            }
+            let _ = tx.send(ratios);
+        });
+        let ratios = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("three stream runs must finish");
+        assert!(
+            ratios.last().is_some_and(|r| *r < 1.0),
+            "median promotion over what {symmetric_gbps} GB/s needs for its bytes: {ratios:?}"
+        );
+    });
+}
+
 #[test]
 fn the_smoke_stream_stays_auditable() {
     // `exp audit --smoke`: everything fits the 1 MiB DRAM floor, so all

@@ -35,13 +35,11 @@ impl HmsConfig {
     }
 
     /// Construct a system from an ordered tier list (fastest first, at
-    /// least two tiers), validating every spec and the copy bandwidth.
-    /// `copy_bw_gbps` sets the fastest↔spill pair; every other pair's
-    /// copy bandwidth defaults to `0.8 × min(src read BW, dst write BW)`
-    /// — the copy streams out of the source and into the destination,
-    /// so the slower side of that pipe bounds it (the same derivation
-    /// the two-tier presets use).
-    pub fn with_tiers(tiers: Vec<TierSpec>, copy_bw_gbps: f64) -> Result<Self, HmsError> {
+    /// least two tiers), validating every spec. Every ordered pair's
+    /// copy bandwidth is the one direction-aware rule,
+    /// [`TierSpec::copy_bw_to`]: `0.8 × min(src read BW, dst write BW)`.
+    /// This is what the wall-clock runtime runs on.
+    pub fn derived(tiers: Vec<TierSpec>) -> Result<Self, HmsError> {
         let n = tiers.len();
         if n < 2 {
             return Err(HmsError::InvalidConfig(format!(
@@ -57,22 +55,27 @@ impl HmsConfig {
         for t in &tiers {
             t.validate()?;
         }
-        if !(copy_bw_gbps > 0.0 && copy_bw_gbps.is_finite()) {
-            return Err(HmsError::InvalidConfig(format!(
-                "copy bandwidth must be positive and finite, got {copy_bw_gbps} GB/s"
-            )));
-        }
         let mut copy_matrix = vec![0.0; n * n];
         for (from, src) in tiers.iter().enumerate() {
             for (to, dst) in tiers.iter().enumerate() {
                 if from != to {
-                    copy_matrix[from * n + to] = 0.8 * src.read_bw_gbps.min(dst.write_bw_gbps);
+                    copy_matrix[from * n + to] = src.copy_bw_to(dst);
                 }
             }
         }
-        copy_matrix[n - 1] = copy_bw_gbps; // [0][last]
-        copy_matrix[(n - 1) * n] = copy_bw_gbps; // [last][0]
         Ok(HmsConfig { tiers, copy_matrix })
+    }
+
+    /// [`HmsConfig::derived`] with the fastest↔spill pair overridden, in
+    /// both directions, by the scalar `copy_bw_gbps` — the symmetric
+    /// copy channel the virtual-time simulator models (and tests that
+    /// want a round number).
+    pub fn with_tiers(tiers: Vec<TierSpec>, copy_bw_gbps: f64) -> Result<Self, HmsError> {
+        let mut cfg = Self::derived(tiers)?;
+        let (fastest, spill) = (TierId::FASTEST, cfg.last_tier());
+        cfg.set_copy_bw(fastest, spill, copy_bw_gbps)?;
+        cfg.set_copy_bw(spill, fastest, copy_bw_gbps)?;
+        Ok(cfg)
     }
 
     /// Number of tiers (≥ 2).
@@ -959,6 +962,69 @@ mod tests {
         // CXL write BW bounds the DRAM→CXL copy pipe.
         let cxl = presets::cxl(2048);
         assert!((d_to_c - 0.8 * cxl.write_bw_gbps.min(presets::dram(1).read_bw_gbps)).abs() < 1e-9);
+    }
+
+    /// 2-, 3- and 4-tier lists over read/write-asymmetric devices.
+    fn tier_lists() -> Vec<Vec<TierSpec>> {
+        vec![
+            vec![presets::dram(1024), presets::optane_pmm(4096)],
+            vec![
+                presets::dram(1024),
+                presets::cxl(2048),
+                presets::optane_pmm(4096),
+            ],
+            vec![
+                presets::dram(1024),
+                presets::cxl(2048),
+                presets::stt_ram(4096),
+                presets::pcram(8192),
+            ],
+        ]
+    }
+
+    #[test]
+    fn derived_matrix_is_the_copy_rule_for_every_ordered_pair() {
+        for tiers in tier_lists() {
+            let cfg = HmsConfig::derived(tiers.clone()).unwrap();
+            for (from, src) in tiers.iter().enumerate() {
+                for (to, dst) in tiers.iter().enumerate() {
+                    if from == to {
+                        continue;
+                    }
+                    let bw = cfg.copy_bw_between(TierId(from as u8), TierId(to as u8));
+                    assert_eq!(bw, 0.8 * src.read_bw_gbps.min(dst.write_bw_gbps));
+                    assert_eq!(bw, src.copy_bw_to(dst));
+                }
+            }
+        }
+        // The asymmetry the rule exists for: a promotion out of Optane
+        // reads it (3.9 GB/s), a demotion writes it (1.3 GB/s).
+        let cfg = HmsConfig::derived(tier_lists().remove(0)).unwrap();
+        let up = cfg.copy_bw_between(TierId(1), TierId(0));
+        let down = cfg.copy_bw_between(TierId(0), TierId(1));
+        assert!((up - 3.12).abs() < 1e-12 && (down - 1.04).abs() < 1e-12);
+    }
+
+    #[test]
+    fn with_tiers_is_derived_plus_a_symmetric_fastest_spill_override() {
+        for tiers in tier_lists() {
+            let n = tiers.len();
+            let derived = HmsConfig::derived(tiers.clone()).unwrap();
+            let cfg = HmsConfig::with_tiers(tiers, 5.0).unwrap();
+            for from in 0..n {
+                for to in 0..n {
+                    let (f, t) = (TierId(from as u8), TierId(to as u8));
+                    let ends = (from.min(to), from.max(to)) == (0, n - 1);
+                    let want = if ends {
+                        5.0
+                    } else {
+                        derived.copy_bw_between(f, t)
+                    };
+                    assert_eq!(cfg.copy_bw_between(f, t), want, "{n} tiers, {f}→{t}");
+                }
+            }
+        }
+        assert!(HmsConfig::with_tiers(tier_lists().remove(0), 0.0).is_err());
     }
 
     #[test]

@@ -145,12 +145,14 @@ pub fn numa_remote(capacity: u64) -> TierSpec {
     }
 }
 
-/// The copy-channel rule: bandwidth, in GB/s, of the helper-thread copy
-/// between the fastest tier and the spill tier, in either direction —
-/// an ordinary memcpy bounded by the slower of NVM writes and DRAM
-/// reads, derated to 80 % for the copy loop's own overhead.
+/// The simulator's scalar copy channel: the *demotion* direction
+/// (`dram` → `nvm`) of the derived copy matrix, [`TierSpec::copy_bw_to`],
+/// which the virtual-time `Platform` applies to both directions of the
+/// fastest↔spill pair. The wall-clock path does not call this: it runs
+/// on [`HmsConfig::derived`](crate::HmsConfig::derived), where the
+/// promotion direction has its own, faster cell.
 pub fn copy_channel_gbps(dram: &TierSpec, nvm: &TierSpec) -> f64 {
-    nvm.write_bw_gbps.min(dram.read_bw_gbps) * 0.8
+    dram.copy_bw_to(nvm)
 }
 
 /// Every named device preset, for table-driven tests and sweeps.
@@ -173,6 +175,22 @@ mod tests {
         for spec in all_nvm_presets(cap).iter().chain([&dram(cap)]) {
             spec.validate().unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(spec.capacity, cap);
+        }
+    }
+
+    #[test]
+    fn copy_channel_is_the_demotion_cell_of_the_derived_matrix() {
+        use crate::{HmsConfig, TierId};
+        let d = dram(1 << 20);
+        for nvm in all_nvm_presets(1 << 30) {
+            let cfg = HmsConfig::derived(vec![d.clone(), nvm.clone()]).unwrap();
+            let scalar = copy_channel_gbps(&d, &nvm);
+            assert_eq!(
+                scalar,
+                cfg.copy_bw_between(TierId::FASTEST, cfg.last_tier())
+            );
+            // The pre-rule spelling, bit for bit.
+            assert_eq!(scalar, nvm.write_bw_gbps.min(d.read_bw_gbps) * 0.8);
         }
     }
 

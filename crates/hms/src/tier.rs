@@ -169,6 +169,26 @@ impl TierSpec {
         (self.read_bw_gbps * self.write_bw_gbps).sqrt()
     }
 
+    /// The copy rule: modelled bandwidth, GB/s, of a helper-thread copy
+    /// *out of* this tier *into* `dst`. The copy streams reads from the
+    /// source and writes to the destination, so the slower side of that
+    /// pipe bounds it, derated to 80 % for the copy loop's own
+    /// overhead. Direction matters on a read/write-asymmetric device: a
+    /// promotion out of Optane runs at its 3.9 GB/s read side, a
+    /// demotion into it at its 1.3 GB/s write side.
+    pub fn copy_bw_to(&self, dst: &TierSpec) -> f64 {
+        0.8 * self.read_bw_gbps.min(dst.write_bw_gbps)
+    }
+
+    /// Start-up latency, ns, of a copy out of this tier into `dst`: the
+    /// slower of the source's read and the destination's write latency
+    /// (`max`, not the sum — the first read and the first write-back are
+    /// pipelined, so only the slower is exposed). A copy never writes
+    /// its source nor reads its destination.
+    pub fn copy_lat_to(&self, dst: &TierSpec) -> f64 {
+        self.read_lat_ns.max(dst.write_lat_ns)
+    }
+
     /// Ratio of write latency to read latency (1.0 for symmetric devices).
     pub fn write_read_lat_ratio(&self) -> f64 {
         self.write_lat_ns / self.read_lat_ns

@@ -3,8 +3,9 @@
 //! Every tier in the config's ordered list gets an arena sized to its
 //! spec's capacity. Tier-to-tier copies run through the throttled copy
 //! engine with a per-(src,dst)-pair configuration derived from the
-//! config's copy-bandwidth matrix (startup latency from the slower
-//! endpoint's write latency). If the machine has a second NUMA node the
+//! config's copy-bandwidth matrix (startup latency from
+//! `TierSpec::copy_lat_to`: source read vs destination write). If the
+//! machine has a second NUMA node the
 //! spill-tier arena is bound to it best-effort; otherwise the software
 //! throttle alone carries the tier asymmetry.
 
@@ -40,11 +41,14 @@ pub struct RealBackend {
 }
 
 impl RealBackend {
-    /// Map an arena per tier of `config` and derive each pair's
-    /// copy-engine throttle from the specs: bandwidth from the config's
-    /// copy matrix (the scalar copy-channel bandwidth in the two-tier
-    /// case), startup latency from the slower endpoint's write latency
-    /// (every migration touches its slowest device on one end).
+    /// Map an arena per tier of `config` and derive each ordered
+    /// pair's copy-engine throttle: bandwidth from the config's copy
+    /// matrix, startup latency from [`TierSpec::copy_lat_to`] — the
+    /// `max` of the source's read and the destination's write latency,
+    /// so a promotion out of NVM pays NVM's read latency, never its
+    /// write latency.
+    ///
+    /// [`TierSpec::copy_lat_to`]: tahoe_hms::TierSpec::copy_lat_to
     pub fn new(config: &HmsConfig) -> Result<Self, String> {
         Self::with_observability(config, Emitter::disabled(), Metrics::disabled())
     }
@@ -89,7 +93,7 @@ impl RealBackend {
                     } else {
                         config.copy_bw_between(TierId(from as u8), TierId(to as u8))
                     },
-                    latency_ns: specs[from].write_lat_ns.max(specs[to].write_lat_ns),
+                    latency_ns: specs[from].copy_lat_to(&specs[to]),
                     chunk_bytes: DEFAULT_CHUNK,
                 });
             }
@@ -372,16 +376,25 @@ mod tests {
     fn per_pair_copy_configs_derive_from_the_matrix() {
         let cfg = three_tier_config();
         let b = RealBackend::new(&cfg).unwrap();
+        let (dram, cxl, nvm) = (presets::dram(1), presets::cxl(1), presets::optane_pmm(1));
         // DRAM↔spill keeps the scalar copy bandwidth.
         let dn = b.copy_config_between(TierId(0), TierId(2));
         assert_eq!(dn.bandwidth_gbps, 5.0);
-        // Startup latency comes from the slower endpoint's write side.
-        assert_eq!(dn.latency_ns, presets::optane_pmm(1).write_lat_ns);
+        // Startup latency is direction-aware: a demotion pays the NVM
+        // write latency, a promotion its read latency.
+        assert_eq!(dn.latency_ns, nvm.write_lat_ns);
+        let nd = b.copy_config_between(TierId(2), TierId(0));
+        assert_eq!(nd.latency_ns, nvm.read_lat_ns);
+        // Both directions of a derived pair read their own matrix cell.
         let dc = b.copy_config_between(TierId(0), TierId(1));
         assert_eq!(dc.bandwidth_gbps, cfg.copy_bw_between(TierId(0), TierId(1)));
-        assert_eq!(dc.latency_ns, presets::cxl(1).write_lat_ns);
+        assert_eq!(dc.latency_ns, dram.read_lat_ns.max(cxl.write_lat_ns));
+        let cd = b.copy_config_between(TierId(1), TierId(0));
+        assert_eq!(cd.bandwidth_gbps, cfg.copy_bw_between(TierId(1), TierId(0)));
+        assert_eq!(cd.latency_ns, cxl.read_lat_ns.max(dram.write_lat_ns));
         // The migrator's matrix holds the same entries.
         assert_eq!(b.copy_configs()[2], dn);
+        assert_eq!(b.copy_configs()[6], nd);
     }
 
     #[test]

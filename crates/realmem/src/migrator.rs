@@ -299,6 +299,90 @@ mod tests {
         assert_eq!(hms.backend_stats().copies, 2);
     }
 
+    /// [`RealBackend`] minus the free hook: a freed range keeps its
+    /// physical pages, so a copy into a range that was used before pays
+    /// no first-touch faults and its wall time is the throttle's.
+    #[derive(Debug)]
+    struct KeepPages(RealBackend);
+
+    impl tahoe_hms::TierBackend for KeepPages {
+        fn name(&self) -> &'static str {
+            "mmap-keep-pages"
+        }
+
+        fn data_ptr(&mut self, tier: TierId, addr: u64, len: u64) -> Option<*mut u8> {
+            self.0.data_ptr(tier, addr, len)
+        }
+
+        fn copy(
+            &mut self,
+            object: u32,
+            from: TierId,
+            from_addr: u64,
+            to: TierId,
+            to_addr: u64,
+            len: u64,
+        ) -> tahoe_hms::CopyOutcome {
+            self.0.copy(object, from, from_addr, to, to_addr, len)
+        }
+    }
+
+    /// The engine copies each direction at its own cell of the derived
+    /// matrix: out of Optane at its read side, into it at its write side.
+    #[test]
+    fn promotions_run_at_the_read_rate_demotions_at_the_write_rate() {
+        const BYTES: u64 = 4 << 20;
+        const ROUNDS: usize = 4;
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let config =
+                HmsConfig::derived(vec![presets::dram(8 << 20), presets::optane_pmm(16 << 20)])
+                    .unwrap();
+            let (up_bw, down_bw) = (
+                config.copy_bw_between(TierId(1), TierId(0)),
+                config.copy_bw_between(TierId(0), TierId(1)),
+            );
+            let backend = RealBackend::new(&config).unwrap();
+            let copy_cfgs = backend.copy_configs();
+            let mut hms = Hms::new(config);
+            hms.set_backend(Box::new(KeepPages(backend)));
+            let a = hms.alloc_object("a", BYTES, TierId(1), false).unwrap();
+            let sh = Arc::new(SharedHms::new(hms));
+            let eng = BackgroundMigrator::spawn(sh, copy_cfgs, Emitter::disabled(), None, None);
+            // Round 0 touches both destinations' pages for the first time
+            // and is not judged; the allocator hands the same ranges back
+            // every round after.
+            for _ in 0..ROUNDS {
+                eng.enqueue(a, TierId::FASTEST);
+                eng.enqueue(a, TierId(1));
+            }
+            let _ = tx.send((eng.finish(), up_bw, down_bw));
+        });
+        let (report, up_bw, down_bw) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("eight 4 MiB copies must not hang");
+        assert!((up_bw - 3.12).abs() < 1e-9 && (down_bw - 1.04).abs() < 1e-9);
+        assert_eq!(report.records.len(), 2 * ROUNDS);
+        let (up_floor, down_floor) = (BYTES as f64 / up_bw, BYTES as f64 / down_bw);
+        let (mut up, mut down) = (f64::INFINITY, f64::INFINITY);
+        for r in &report.records[2..] {
+            let took = r.finish - r.start;
+            if r.to == TierId::FASTEST {
+                assert!(took >= up_floor, "promotion {took} ns < {up_floor} ns");
+                up = up.min(took);
+            } else {
+                assert!(took >= down_floor, "demotion {took} ns < {down_floor} ns");
+                down = down.min(took);
+            }
+        }
+        // The best of three: a descheduled engine thread may stretch one.
+        assert!(
+            up <= 1.5 * up_floor,
+            "promotion took {up} ns, modelled {up_floor} ns"
+        );
+        assert!(down / up >= 2.5, "demotion {down} ns vs promotion {up} ns");
+    }
+
     #[test]
     fn moot_requests_are_skipped_not_fatal() {
         let sh = shared(1 << 16, 1 << 20);

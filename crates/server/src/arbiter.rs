@@ -17,7 +17,12 @@
 //!
 //! Inactive tenants get a quota of zero: their DRAM-resident objects
 //! are fair game for preemption (demotion to NVM) the moment an active
-//! tenant needs the space.
+//! tenant needs the space. *When* a tenant counts as inactive is
+//! [`Activity::is_active`]'s to say: idleness starts one own-graph
+//! latency after the tenant's last graph finished, not at the instant
+//! it finished — a closed loop's submit→wait gap is not departure.
+
+use tahoe_hms::Ns;
 
 /// How the arbiter splits the DRAM budget across active tenants.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +42,38 @@ pub enum QuotaPolicy {
     },
 }
 
+/// What the server knows about a tenant's presence when it arbitrates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Activity {
+    /// A graph of the tenant is dispatched.
+    pub busy: bool,
+    /// A graph of the tenant waits behind the dispatched one.
+    pub queued: bool,
+    /// `(finished_ns, latency_ns)` of the tenant's last finished graph:
+    /// when it finished on the server clock and its submit→finish
+    /// latency. `None` until one has finished.
+    pub last_graph: Option<(Ns, Ns)>,
+}
+
+impl Activity {
+    /// Whether the tenant holds a quota at `now`: while busy or queued,
+    /// and for one grace period after its last graph finished. The
+    /// grace is that graph's own submit→finish latency — an observed
+    /// quantity that scales with the tenant's graphs and the server's
+    /// load, where any constant would be wrong for some tenant: a
+    /// closed-loop client resubmits within microseconds, far inside
+    /// it, so its quota (and the hot set placed under it) survives the
+    /// gap; a tenant that leaves is reclaimed by the first admission
+    /// after one graph's worth of silence.
+    pub fn is_active(&self, now: Ns) -> bool {
+        self.busy
+            || self.queued
+            || self
+                .last_graph
+                .is_some_and(|(finished, latency)| now - finished < latency)
+    }
+}
+
 /// One tenant's standing at arbitration time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantDemand {
@@ -44,7 +81,8 @@ pub struct TenantDemand {
     pub weight: f64,
     /// Bytes of objects whose DRAM residence the planner values.
     pub demand: u64,
-    /// Whether the tenant currently has a graph running or queued.
+    /// Whether the tenant holds a claim on the budget
+    /// ([`Activity::is_active`]: running, queued, or only just idle).
     pub active: bool,
 }
 
@@ -230,6 +268,38 @@ mod tests {
         );
         assert_eq!(q[0], BUDGET / 2);
         assert_eq!(q[1], BUDGET / 2);
+    }
+
+    #[test]
+    fn activity_lasts_one_own_latency_past_the_last_graph() {
+        let idle = Activity {
+            busy: false,
+            queued: false,
+            last_graph: None,
+        };
+        // Never completed anything and nothing in flight: no claim.
+        assert!(!idle.is_active(0.0) && !idle.is_active(1e9));
+        // Busy or queued: active whatever the clock says.
+        let busy = Activity { busy: true, ..idle };
+        let queued = Activity {
+            queued: true,
+            ..idle
+        };
+        assert!(busy.is_active(1e12) && queued.is_active(1e12));
+        // Finished at t = 1000 after a 400 ns graph: the claim lasts
+        // until t = 1400, exclusive.
+        let done = Activity {
+            last_graph: Some((1000.0, 400.0)),
+            ..idle
+        };
+        assert!(done.is_active(1000.0) && done.is_active(1399.0));
+        assert!(!done.is_active(1400.0) && !done.is_active(5000.0));
+        // The grace is the tenant's own: a slower graph holds longer.
+        let slow = Activity {
+            last_graph: Some((1000.0, 4000.0)),
+            ..idle
+        };
+        assert!(slow.is_active(4999.0) && !slow.is_active(5000.0));
     }
 
     #[test]

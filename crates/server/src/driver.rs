@@ -52,9 +52,11 @@ pub fn closed_loop(handles: &[&TenantHandle], graphs: usize, base_seed: u64) -> 
 
 /// Pipelined closed loop: like [`closed_loop`] but each tenant keeps
 /// `depth` submissions in flight (one running, `depth - 1` queued), so
-/// tenants are continuously busy-or-queued and the arbiter sees a
-/// stable active set instead of flickering idle gaps between
-/// submit→wait cycles. Requires `depth - 1 <=` the server's
+/// the next graph is admitted from the completion callback with no
+/// client round trip between graphs. Depth buys throughput, not
+/// placement: the arbiter's active set is just as stable under a plain
+/// [`closed_loop`], whose tenants keep their quota across the
+/// submit→wait gap. Requires `depth - 1 <=` the server's
 /// `max_queue` — within that bound a pipelined submission is never
 /// shed, and the driver panics if one is.
 pub fn pipelined(

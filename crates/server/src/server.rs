@@ -10,7 +10,9 @@
 //!
 //! **Admission control.** Each submission passes through the arbiter
 //! under one lock: per-tenant DRAM quotas are recomputed over the
-//! currently *active* tenants ([`arbiter::quotas`]), the tenant's own
+//! currently *active* tenants ([`arbiter::quotas`]; a tenant is active
+//! while a graph of its runs or queues and for one own-graph latency
+//! after its last one finished — [`arbiter::Activity`]), the tenant's own
 //! objects are re-planned with the knapsack solver against its quota,
 //! and the resulting tier moves are handed to the FIFO migration
 //! engine — space-freeing demotions strictly before the promotions
@@ -20,9 +22,14 @@
 //! **Preemption.** Quota modes may demote *other* tenants' DRAM
 //! residents, but only objects held above their owner's current quota
 //! — an idle tenant's quota is zero, so its cached hot set is
-//! reclaimed the moment an active tenant needs the bytes, while an
-//! active tenant can never be pushed below its guaranteed floor
-//! (starvation-freeness, tested in [`crate::arbiter`]).
+//! reclaimed when an active tenant needs the bytes, while an active
+//! tenant can never be pushed below its guaranteed floor
+//! (starvation-freeness, tested in [`crate::arbiter`]). Idleness starts
+//! one submit→finish latency of the tenant's own last graph after that
+//! graph finished, not at the instant it finished: a closed-loop client
+//! is between graphs for microseconds on every cycle, and a quota
+//! zeroed there lets every admission in the gap preempt a hot set that
+//! is bought back one graph later.
 //!
 //! **Determinism.** Every graph execution re-initializes the tenant's
 //! objects from the seeded fill and folds per-access checksums in the
@@ -44,8 +51,8 @@ use std::time::Duration;
 use tahoe_core::app::App;
 use tahoe_core::engine::{residence_values, GraphLayout, GraphRun, NoSanitize};
 use tahoe_hms::{
-    presets, ContentionStats, Hms, HmsConfig, MigrationRecord, MigrationStats, Ns, ObjectId,
-    SharedHms, TierId,
+    ContentionStats, Hms, HmsConfig, MigrationRecord, MigrationStats, Ns, ObjectId, SharedHms,
+    TierId,
 };
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::{Emitter, Event, FlightRecorder, HistData, Histogram, Metrics};
@@ -53,7 +60,7 @@ use tahoe_placement::Item;
 use tahoe_realmem::{BackgroundMigrator, RealBackend};
 use tahoe_taskrt::{JobSpec, NoGate, TaskGraph, TaskPanic, TaskPool, TaskSpec};
 
-use crate::arbiter::{self, QuotaPolicy, TenantDemand};
+use crate::arbiter::{self, Activity, QuotaPolicy, TenantDemand};
 use crate::namespace::{self, AdmitError, Namespace};
 use crate::telemetry::BlameBoard;
 
@@ -247,6 +254,10 @@ struct TenantState {
     /// engine with demotions ahead of the promotions they make room
     /// for — so the engine can always honour the intent.
     planned: BTreeSet<usize>,
+    /// `(finished_ns, latency_ns)` of the last finished graph: the
+    /// tenant keeps its quota for that long after going idle
+    /// ([`Activity::is_active`]).
+    last_graph: Option<(Ns, Ns)>,
     submitted: u64,
     completed: u64,
     shed: u64,
@@ -398,8 +409,7 @@ impl TahoeServer {
         dram.capacity = cfg.dram_budget;
         let mut nvm = cal.nvm.clone();
         nvm.capacity = cfg.nvm_capacity;
-        let copy_bw = presets::copy_channel_gbps(&dram, &nvm);
-        let hms_cfg = HmsConfig::new(dram, nvm, copy_bw).map_err(|e| e.to_string())?;
+        let hms_cfg = HmsConfig::derived(vec![dram, nvm]).map_err(|e| e.to_string())?;
         let backend = RealBackend::with_observability(&hms_cfg, emitter.clone(), metrics.clone())?;
         let copy_cfgs = backend.copy_configs();
         let mut hms = Hms::new(hms_cfg.clone());
@@ -515,6 +525,7 @@ impl TahoeServer {
             busy: false,
             queue: VecDeque::new(),
             planned: BTreeSet::new(),
+            last_graph: None,
             submitted: 0,
             completed: 0,
             shed: 0,
@@ -881,7 +892,12 @@ impl ServerShared {
                     .map(|t| TenantDemand {
                         weight: t.info.weight,
                         demand: t.info.demand,
-                        active: t.busy || !t.queue.is_empty(),
+                        active: Activity {
+                            busy: t.busy,
+                            queued: !t.queue.is_empty(),
+                            last_graph: t.last_graph,
+                        }
+                        .is_active(now),
                     })
                     .collect();
                 let q = arbiter::quotas(policy, budget, &demands);
@@ -1088,6 +1104,7 @@ fn dispatch(sh: &Arc<ServerShared>, plan: DispatchPlan) {
                         st.hist.record(latency_ns);
                     }
                     st.busy = false;
+                    st.last_graph = Some((finished_ns, latency_ns));
                 }
                 let pend = inner.tenants[tenant as usize].queue.pop_front();
                 pend.map(|p| sh.admit_locked(&mut inner, tenant as usize, p))
