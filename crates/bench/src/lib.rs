@@ -987,8 +987,17 @@ fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
     let reference = reference_checksum(&m.app);
 
     println!(
-        "  {:<12} {:>7} {:>10} {:>8} {:>10} {:>6} {:>9} {:>9}",
-        "policy", "threads", "wall ms", "speedup", "GB/s", "migr", "%overlap", "gate ms"
+        "  {:<12} {:>7} {:>10} {:>8} {:>10} {:>6} {:>6} {:>7} {:>9} {:>9}",
+        "policy",
+        "threads",
+        "wall ms",
+        "speedup",
+        "GB/s",
+        "migr",
+        "evict",
+        "plan x",
+        "%overlap",
+        "gate ms"
     );
     let mut runs = Vec::new();
     for policy in &headline_policies() {
@@ -998,14 +1007,21 @@ fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
             let r =
                 m.rt.run_policy_parallel(&m.app, policy, &m.cal, workers, 0)?;
             let speedup = *base_wall.get_or_insert(r.wall_ns) / r.wall_ns;
+            // Modelled value of the plan that ran over the global
+            // plan's: above 1 where the plan rotates.
+            let plan_x = r.plan_value.map_or("-".to_string(), |v| {
+                format!("{:.3}", v.chosen_ns / v.global_ns.max(1.0))
+            });
             println!(
-                "  {:<12} {:>7} {:>10.3} {:>7.2}x {:>10.2} {:>6} {:>8.1}% {:>9.3}",
+                "  {:<12} {:>7} {:>10.3} {:>7.2}x {:>10.2} {:>6} {:>6} {:>7} {:>8.1}% {:>9.3}",
                 r.policy,
                 r.workers,
                 r.wall_ns / 1e6,
                 speedup,
                 r.throughput_gbps,
                 r.migration.count,
+                r.migration.evictions,
+                plan_x,
                 r.migration.pct_overlap(),
                 r.gate_wait_ns / 1e6
             );
@@ -1027,6 +1043,14 @@ fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
             "migrated_bytes": r.migration.bytes,
             "copy_wall_ns": Value::fixed(r.copy_wall_ns, 1),
             "copy_throttle_ns": Value::fixed(r.copy_throttle_ns, 1),
+            "migrator_busy_share": Value::fixed(r.migrator_busy_share, 6),
+            "promotions": r.migration.promotions,
+            "evictions": r.migration.evictions,
+            // Modelled value of the global plan, the plan that ran and
+            // the free-migration bound (null where no plan is priced).
+            "plan_value_global_ns": r.plan_value.map(|v| Value::fixed(v.global_ns, 1)),
+            "plan_value_chosen_ns": r.plan_value.map(|v| Value::fixed(v.chosen_ns, 1)),
+            "plan_value_oracle_ns": r.plan_value.map(|v| Value::fixed(v.oracle_ns, 1)),
             "overlapped_ns": Value::fixed(r.migration.overlapped_ns, 1),
             "exposed_ns": Value::fixed(r.migration.exposed_ns, 1),
             "pct_overlap": Value::fixed(r.migration.pct_overlap(), 3),

@@ -114,8 +114,12 @@ impl MeasuredRuntime {
         let policy = PolicyKind::tahoe();
         // The plan (chosen set + per-object predicted values) from the
         // same preparation path the run will take.
-        let prepared = self.prepare(app, &policy, cal)?;
-        let chosen: Vec<bool> = prepared.target_tiers().iter().map(|&t| t == 0).collect();
+        let spare_core = crate::measured::migrator_has_a_core(workers);
+        let prepared = self.prepare(app, &policy, cal, workers, spare_core)?;
+        // Planned into DRAM at some point: a rotated object — resident
+        // on both tiers in steady state, the audit's best rows — ends
+        // the run on NVM.
+        let chosen = prepared.plan.planned_onto(0);
         let values = prepared
             .plan_values
             .clone()

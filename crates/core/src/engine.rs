@@ -23,7 +23,8 @@
 //!   plan to the migration thread, mid-window.
 //! * [`residence_values`] — the one value model: what residence on each
 //!   tier is worth to each object, priced by the same
-//!   [`tahoe_hms::AccessProfile::mem_time_ns`] the delay injection uses.
+//!   [`tahoe_hms::AccessProfile::mem_time_ns`] the delay injection uses;
+//!   [`residence_values_by_window`] is the same prices window by window.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -147,6 +148,49 @@ pub fn residence_values(
         }
     }
     values
+}
+
+/// [`residence_values`] window by window, for the fastest tier: what the
+/// per-window planner ([`tahoe_placement::rotation`]) decides from. The
+/// whole-run form's first column is this table's column sum — the same
+/// price per access, so there is one value model.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowedValues {
+    /// `touches[i]`: one `(window, ns saved by residence on the fastest
+    /// tier instead of the slowest)` per window in which a task
+    /// declares object `i`, windows ascending.
+    pub touches: Vec<Vec<(u32, f64)>>,
+    /// Modelled memory time of each window with every object on the
+    /// slowest tier, ns.
+    pub spill_window_ns: Vec<f64>,
+}
+
+/// See [`WindowedValues`]; `specs` and `cal` as for [`residence_values`].
+pub fn residence_values_by_window(
+    app: &App,
+    specs: &[TierSpec],
+    cal: Option<&WallClockCalibration>,
+) -> WindowedValues {
+    let (fastest, slowest) = (&specs[0], &specs[specs.len() - 1]);
+    let mut touches: Vec<Vec<(u32, f64)>> = vec![Vec::new(); app.objects.len()];
+    let mut spill_window_ns = vec![0.0f64; app.windows() as usize];
+    // Tasks are stored in window order, so each row's windows ascend.
+    for t in app.graph.tasks() {
+        for a in &t.accesses {
+            let on_last = model_ns(&a.profile, slowest, cal);
+            spill_window_ns[t.window as usize] += on_last;
+            let saved = (on_last - model_ns(&a.profile, fastest, cal)).max(0.0);
+            let row = &mut touches[a.object.index()];
+            match row.last_mut() {
+                Some((w, v)) if *w == t.window => *v += saved,
+                _ => row.push((t.window, saved)),
+            }
+        }
+    }
+    WindowedValues {
+        touches,
+        spill_window_ns,
+    }
 }
 
 /// Per-(object, tier) wall-clock access timing, accumulated by the
@@ -516,6 +560,48 @@ mod tests {
         // Each access finds its object within its task's pin set.
         assert_eq!(l.access_pin, [0, 1, 0, 0]);
         assert_eq!(l.slot_base, [0, 3]);
+    }
+
+    /// One value model: the whole-run values are the per-window table's
+    /// column sums, and the spill times add up to the all-NVM run.
+    #[test]
+    fn windowed_values_sum_to_the_whole_run_values() {
+        let mut b = crate::app::AppBuilder::new("t");
+        let x = b.object("x", 64 << 10);
+        let y = b.object("y", 32 << 10);
+        b.object("idle", 4096);
+        let c = b.class("step");
+        b.task(c)
+            .read_streaming(x, 512)
+            .update_streaming(y, 256)
+            .submit();
+        b.task(c).read_chasing(x, 64).submit();
+        b.next_window();
+        b.next_window();
+        b.task(c).update_streaming(x, 1024).submit();
+        let app = b.build();
+        let cal = WallClockCalibration::synthetic(1 << 20, 1 << 22);
+        let specs = [cal.dram.clone(), cal.nvm.clone()];
+        let whole = residence_values(&app, &specs, Some(&cal));
+        let by_window = residence_values_by_window(&app, &specs, Some(&cal));
+        // Touched windows only, ascending; two tasks of one window fold.
+        let windows = |i: usize| by_window.touches[i].iter().map(|t| t.0).collect::<Vec<_>>();
+        assert_eq!(
+            (windows(0), windows(1), windows(2)),
+            (vec![0, 2], vec![0], vec![])
+        );
+        for (i, row) in by_window.touches.iter().enumerate() {
+            let sum: f64 = row.iter().map(|t| t.1).sum();
+            assert!(
+                (sum - whole[i][0]).abs() <= 1e-9 * sum.max(1.0),
+                "object {i}"
+            );
+        }
+        assert_eq!(by_window.spill_window_ns.len(), 3);
+        assert_eq!(by_window.spill_window_ns[1], 0.0);
+        let all_nvm: f64 = by_window.spill_window_ns.iter().sum();
+        let expect = crate::measured::modelled_total_ns(&app, &specs, &[1, 1, 1]);
+        assert!((all_nvm - expect).abs() <= 1e-9 * expect);
     }
 
     #[test]

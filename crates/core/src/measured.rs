@@ -11,10 +11,15 @@
 //! 2. **Prepare** — allocate every app object in [`RealBackend`]-backed
 //!    arenas on its policy-chosen tier, solve Tahoe's placement, and
 //!    refuse to run unless the static auditor certifies the resulting
-//!    [`MigrationPlan`]. The wall-clock engine ([`crate::parallel`] over
-//!    the [`crate::engine`] task kernel) then executes exactly that
-//!    plan, released once every task class has run its quota of
-//!    instances: each declared access walks the object's live bytes at
+//!    [`MigrationPlan`]: the global plan (one knapsack over whole-run
+//!    values, every step at `window: 0`) or, where the model says it
+//!    pays and the machine can hide the copies, a per-window rotation
+//!    ([`tahoe_placement::rotation`], lowered by [`rotation_plan`]).
+//!    The wall-clock engine ([`crate::parallel`] over the
+//!    [`crate::engine`] task kernel) then executes exactly that plan —
+//!    its `window: 0` steps released once every task class has run its
+//!    quota of instances, each later window's steps at that window's
+//!    barrier: each declared access walks the object's live bytes at
 //!    native speed, and residence on a slow tier injects the
 //!    cf-corrected model *difference* to the fast device (Quartz-style
 //!    delay injection).
@@ -32,13 +37,15 @@ use tahoe_memprof::wallclock::{
     derive_scaled_spec, fit_calibration, measure_tier, WallClockCalibration, WallClockConfig,
 };
 use tahoe_obs::{Emitter, Event, Metrics};
-use tahoe_placement::{solve_mck, MckAssignment, MckItem};
+use tahoe_placement::{
+    plan_rotation, solve_mck, CopyRate, MckAssignment, MckItem, PlanValues, RotationInput, Schedule,
+};
 use tahoe_realmem::{traffic, CopyConfig, MmapArena, RealBackend};
 use tahoe_sanitize::{audit_plan, MigrationPlan, PlanContext, PlanStep, SanitizeReport};
 
 use crate::app::App;
 use crate::config::Platform;
-use crate::engine::residence_values;
+use crate::engine::{residence_values, residence_values_by_window};
 use crate::parallel::ParallelPolicyReport;
 use crate::policy::PolicyKind;
 
@@ -84,17 +91,23 @@ pub(crate) struct PreparedRun {
     /// ns saved over the whole run); `None` for non-Tahoe policies.
     /// This is the prediction the model-accuracy audit scores.
     pub(crate) plan_values: Option<Vec<f64>>,
+    /// Modelled value of the global plan, the plan chosen and the
+    /// free-migration bound; `None` unless Tahoe plans over two tiers.
+    pub(crate) plan_worth: Option<PlanValues>,
 }
 
 impl PreparedRun {
     /// Tier every object ends on once the plan has fully executed.
     pub(crate) fn target_tiers(&self) -> Vec<u8> {
-        let mut tiers = self.plan.initial_tiers.clone();
-        for step in &self.plan.steps {
-            tiers[step.object as usize] = step.to_tier;
-        }
-        tiers
+        self.plan.final_tiers(self.config.n_tiers())
     }
+}
+
+/// Whether the migration thread of a run at `workers` workers has a
+/// core of its own, so that its copies overlap the tasks instead of
+/// taking their place.
+pub(crate) fn migrator_has_a_core(workers: usize) -> bool {
+    workers.max(1) < std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Seed for object `i`'s initialization fill. `run_seed == 0` reproduces
@@ -180,13 +193,19 @@ impl MeasuredRuntime {
     /// — then refuse to hand the run over unless the static plan auditor
     /// certifies the plan sound. Every wall-clock run passes through
     /// here, so no unsound plan can reach the executor.
+    ///
+    /// `workers` and `spare_core` (see [`migrator_has_a_core`]) describe
+    /// the run the plan is for: how many threads share a window's work,
+    /// and whether copies issued after window 0 can hide behind it.
     pub(crate) fn prepare(
         &self,
         app: &App,
         policy: &PolicyKind,
         cal: &WallClockCalibration,
+        workers: usize,
+        spare_core: bool,
     ) -> Result<PreparedRun, String> {
-        let prepared = self.prepare_unaudited(app, policy, cal)?;
+        let prepared = self.prepare_unaudited(app, policy, cal, workers, spare_core)?;
         let report = Self::audit_prepared(app, &prepared);
         if !report.is_clean() {
             let kinds: Vec<String> = report
@@ -212,6 +231,8 @@ impl MeasuredRuntime {
         app: &App,
         policy: &PolicyKind,
         cal: &WallClockCalibration,
+        workers: usize,
+        spare_core: bool,
     ) -> Result<PreparedRun, String> {
         let preferred = match policy {
             // First-touch fills DRAM in allocation order and spills.
@@ -280,27 +301,53 @@ impl MeasuredRuntime {
             .collect::<Result<_, _>>()
             .map_err(|e| e.to_string())?;
 
-        // Tahoe's plan: the value of residence on each tier per object
-        // over the whole run, from the ground-truth profiles on the
-        // fitted specs; the multiple-choice knapsack assigns every
+        // Tahoe's global plan: the value of residence on each tier per
+        // object over the whole run, from the ground-truth profiles on
+        // the fitted specs; the multiple-choice knapsack assigns every
         // object one tier (at two tiers it *is* the 0/1 knapsack, bit
         // for bit), and every object not already there moves once the
-        // engine's class quota releases the plan.
-        let (plan, plan_values) = if matches!(policy, PolicyKind::Tahoe(_)) {
+        // engine's class quota releases the plan. At two tiers the
+        // per-window local search is held against it and the better
+        // plan, by the model, runs; at more the global plan stands.
+        let (plan, plan_values, plan_worth) = if matches!(policy, PolicyKind::Tahoe(_)) {
             let specs = config.tier_specs();
             let values = residence_values(app, specs, Some(cal));
             let plan_values = values.iter().map(|v| v[0]).collect();
             let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
             let items = mck_items(app, values);
             let assignment = solve_mck(&items, &caps)?;
-            let plan = promotion_plan(&items, initial_tiers, &assignment.tiers);
-            (plan, Some(plan_values))
+            let rotation = (specs.len() == 2).then(|| {
+                let by_window = residence_values_by_window(app, specs, Some(cal));
+                let (fast, slow) = (TierId::FASTEST, config.last_tier());
+                let rate = |from: TierId, to: TierId| CopyRate {
+                    gbps: config.copy_bw_between(from, to),
+                    latency_ns: specs[from.index()].copy_lat_to(&specs[to.index()]),
+                };
+                let sizes: Vec<u64> = app.objects.iter().map(|o| o.size).collect();
+                let global: Vec<bool> = assignment.tiers.iter().map(|&t| t == 0).collect();
+                plan_rotation(&RotationInput {
+                    sizes: &sizes,
+                    touches: &by_window.touches,
+                    spill_window_ns: &by_window.spill_window_ns,
+                    capacity: caps[0],
+                    global: &global,
+                    promote: rate(slow, fast),
+                    evict: rate(fast, slow),
+                    workers,
+                    overlap: spare_core,
+                })
+            });
+            let plan = match rotation.as_ref().and_then(|r| r.schedule.as_ref()) {
+                Some(schedule) => rotation_plan(&items, initial_tiers, schedule),
+                None => promotion_plan(&items, initial_tiers, &assignment.tiers),
+            };
+            (plan, Some(plan_values), rotation.map(|r| r.values))
         } else {
             let stay = MigrationPlan {
                 initial_tiers,
                 steps: Vec::new(),
             };
-            (stay, None)
+            (stay, None, None)
         };
 
         Ok(PreparedRun {
@@ -310,6 +357,7 @@ impl MeasuredRuntime {
             plan,
             copy_cfgs,
             plan_values,
+            plan_worth,
         })
     }
 
@@ -329,13 +377,20 @@ impl MeasuredRuntime {
     /// decisions, same solver) and return the static auditor's report.
     /// Every run enforces the same audit internally, erroring on an
     /// unsound plan; this entry point exposes the full diagnostic set.
+    ///
+    /// The plan depends on the worker count (a window shared by more
+    /// workers hides less copy time) and on whether this machine has a
+    /// core left for the migration thread; what is preflighted here is
+    /// the *one-worker* plan. A run at another worker count may carry a
+    /// different plan — and audits that plan itself before its first
+    /// task, whatever was preflighted.
     pub fn verify_plan(
         &self,
         app: &App,
         policy: &PolicyKind,
         cal: &WallClockCalibration,
     ) -> Result<SanitizeReport, String> {
-        let prepared = self.prepare_unaudited(app, policy, cal)?;
+        let prepared = self.prepare_unaudited(app, policy, cal, 1, migrator_has_a_core(1))?;
         Ok(Self::audit_prepared(app, &prepared))
     }
 
@@ -458,6 +513,39 @@ pub fn promotion_plan(
     }
 }
 
+/// Lower a rotating [`Schedule`] over two tiers to the migration plan
+/// the engine executes: its initial set as [`promotion_plan`] steps at
+/// `window: 0` (released by the class quota, like the global plan's),
+/// then for each later window `u` its evictions followed by its
+/// promotions at `window: u` — handed to the migration thread at `u`'s
+/// barrier, so they are in place when window `u + 1` opens.
+pub fn rotation_plan(
+    items: &[MckItem],
+    initial_tiers: Vec<u8>,
+    schedule: &Schedule,
+) -> MigrationPlan {
+    let (fast, slow) = (TierId::FASTEST.0, 1);
+    let mut assignment = vec![slow; items.len()];
+    for &i in &schedule.initial {
+        assignment[i as usize] = fast;
+    }
+    let mut plan = promotion_plan(items, initial_tiers, &assignment);
+    for (window, moves) in schedule.windows.iter().enumerate() {
+        let evictions = moves.evict.iter().map(|&object| (object, slow));
+        let promotions = moves.promote.iter().map(|&object| (object, fast));
+        plan.steps.extend(
+            evictions
+                .chain(promotions)
+                .map(|(object, to_tier)| PlanStep {
+                    object,
+                    to_tier,
+                    window: window as u32,
+                }),
+        );
+    }
+    plan
+}
+
 /// Execute the app's traffic on plain heap buffers, no tiers, no pacing:
 /// the ground truth every measured policy run must match bit for bit.
 pub fn reference_checksum(app: &App) -> u64 {
@@ -509,6 +597,134 @@ mod tests {
     fn seeds_are_distinct_across_sites() {
         assert_ne!(site_seed(0, 0, 0), site_seed(0, 0, 1));
         assert_ne!(site_seed(0, 0, 0), site_seed(0, 1, 0));
+    }
+
+    /// `benchmark/src/gen.rs`'s `stream_bw`, shape only (hot class 0):
+    /// 32 triads over 96 blocks of 1 MiB, ten windows, every fourth
+    /// triad hot, the rest every fourth window.
+    fn stream_bw_shaped() -> App {
+        const BLOCK: u64 = 1 << 20;
+        let mut b = crate::app::AppBuilder::new("stream-shaped");
+        let blocks: Vec<_> = (0..32)
+            .map(|t| ["a", "b", "c"].map(|n| b.object(&format!("{n}{t}"), BLOCK)))
+            .collect();
+        let class = b.class("triad");
+        for w in 0..10u32 {
+            if w > 0 {
+                b.next_window();
+            }
+            for (t, [a, bb, c]) in blocks.iter().enumerate() {
+                if t % 4 == 0 || (t / 4) as u32 % 4 == w % 4 {
+                    b.task(class)
+                        .read_streaming(*bb, BLOCK / 64)
+                        .read_streaming(*c, BLOCK / 64)
+                        .update_streaming(*a, BLOCK / 64)
+                        .submit();
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// The benchmark's pinned calibration: the presets, both correction
+    /// factors 1, DRAM a quarter of the footprint.
+    fn pinned(app: &App) -> (MeasuredRuntime, WallClockCalibration) {
+        use tahoe_hms::presets;
+        let (dram, nvm) = (app.footprint() / 4, 2 * app.footprint());
+        let mut cal = WallClockCalibration::synthetic(dram, nvm);
+        cal.dram = presets::dram(dram);
+        cal.nvm = presets::optane_pmm(nvm);
+        let rt = MeasuredRuntime::new(
+            Platform::optane(dram, nvm),
+            tahoe_memprof::wallclock::WallClockConfig::smoke(),
+        );
+        (rt, cal)
+    }
+
+    /// ROADMAP item 2(a)'s table for `stream_bw`, re-derived: the static
+    /// plan captures 0.640 of the modelled saving (0.604 with window 0
+    /// at half), a free-migration per-window oracle 0.822, and the
+    /// rotation that real copy rates and one window of look-ahead allow
+    /// 0.724 — 24 promotions at the release, then 6 evictions and 6
+    /// promotions at each of eight barriers: 120 MiB moved for 24.
+    #[test]
+    fn stream_bw_shape_rotates_six_blocks_a_window() {
+        let app = stream_bw_shaped();
+        let (rt, cal) = pinned(&app);
+        let policy = PolicyKind::tahoe();
+        let prepared = rt
+            .prepare(&app, &policy, &cal, 1, true)
+            .expect("audits clean");
+        let per_window = |w: u32, to: u8| {
+            let at = prepared.plan.steps.iter().filter(|s| s.window == w);
+            at.filter(|s| s.to_tier == to).count()
+        };
+        assert_eq!((per_window(0, 0), per_window(0, 1)), (24, 0));
+        for w in 1..9 {
+            assert_eq!((per_window(w, 0), per_window(w, 1)), (6, 6), "window {w}");
+            // A window's evictions are issued before its promotions.
+            let at: Vec<_> = prepared
+                .plan
+                .steps
+                .iter()
+                .filter(|s| s.window == w)
+                .collect();
+            assert!(at[..6].iter().all(|s| s.to_tier == 1));
+        }
+        assert_eq!(prepared.plan.steps.len(), 24 + 8 * 12);
+        assert_eq!(
+            prepared.target_tiers().iter().filter(|&&t| t == 0).count(),
+            24
+        );
+
+        let all: f64 = prepared.plan_values.as_ref().unwrap().iter().sum();
+        let share = |ns: f64| (ns / all * 1e3).round() / 1e3;
+        let worth = prepared.plan_worth.expect("two tiers");
+        assert_eq!(share(worth.global_ns), 0.604);
+        assert_eq!(share(worth.chosen_ns), 0.724);
+        assert_eq!(share(worth.oracle_ns), 0.822);
+
+        // Without a core for the migration thread nothing hides a copy:
+        // the global plan, step for step.
+        let global = rt.prepare(&app, &policy, &cal, 1, false).expect("clean");
+        let specs = global.config.tier_specs();
+        let items = mck_items(&app, residence_values(&app, specs, Some(&cal)));
+        let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
+        let assignment = solve_mck(&items, &caps).unwrap();
+        assert_eq!(share(assignment.total_value), 0.640);
+        let expect = promotion_plan(&items, vec![1; items.len()], &assignment.tiers);
+        assert_eq!(global.plan, expect);
+        assert_eq!(global.plan_worth.unwrap().chosen_ns, worth.global_ns);
+    }
+
+    #[test]
+    fn rotation_plan_issues_each_windows_evictions_first() {
+        use tahoe_placement::WindowMoves;
+        let items: Vec<MckItem> = (0..4)
+            .map(|i| MckItem {
+                id: ObjectId(i),
+                size: 64,
+                values: vec![(4 - i) as f64, 0.0],
+            })
+            .collect();
+        let moves = |evict: &[u32], promote: &[u32]| WindowMoves {
+            evict: evict.to_vec(),
+            promote: promote.to_vec(),
+        };
+        let schedule = Schedule {
+            initial: vec![1, 3],
+            windows: vec![moves(&[], &[]), moves(&[3], &[2]), moves(&[], &[])],
+        };
+        let plan = rotation_plan(&items, vec![1; 4], &schedule);
+        let steps: Vec<_> = plan
+            .steps
+            .iter()
+            .map(|s| (s.object, s.to_tier, s.window))
+            .collect();
+        // Window 0 in `promotion_plan`'s order (value per byte), then
+        // window 1: out before in.
+        assert_eq!(steps, [(1, 0, 0), (3, 0, 0), (3, 1, 1), (2, 0, 1)]);
+        assert_eq!(plan.final_tiers(2), [1, 0, 0, 1]);
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! scoped workers, a barrier per window), running entirely from NVM
 //! until every task class
 //! has its quota of completed instances ([`ClassQuota`]); the worker
-//! whose completion meets it hands the audited plan's steps to a
+//! whose completion meets it hands the audited plan's `window: 0`
+//! steps to a
 //! dedicated migration thread ([`tahoe_realmem::BackgroundMigrator`]),
 //! which copies while the rest of that window and every later one
-//! execute — the paper's profile-then-migrate-proactively with its
+//! execute, and each later window's steps — a rotating plan's
+//! evictions and look-ahead promotions, all of objects that window
+//! does not touch — follow at that window's barrier: the paper's
+//! profile-then-migrate-proactively with its
 //! computation/data-movement
 //! overlap, measured in wall-clock time. Every measured run goes
 //! through here; `run_policy` is this run at one worker and seed 0.
@@ -85,7 +89,7 @@ use tahoe_taskrt::{run_scoped, JobSpec, NoGate, TaskSpec};
 use crate::app::App;
 pub use crate::engine::AccessTierTiming;
 use crate::engine::{ClassQuota, GraphLayout, GraphRun};
-use crate::measured::MeasuredRuntime;
+use crate::measured::{migrator_has_a_core, MeasuredRuntime};
 use crate::policy::PolicyKind;
 
 /// Flight-recorder ring capacity per lane. At one event plus up to a
@@ -129,6 +133,15 @@ pub struct ParallelPolicyReport {
     /// zero is host-bound: a faster modelled channel would not shorten
     /// it.
     pub copy_throttle_ns: f64,
+    /// Share of `wall_ns` the migration thread kept a core busy:
+    /// `(copy_wall_ns − copy_throttle_ns) / wall_ns`. Pacing sleeps, so
+    /// the throttled part of a copy gives the core back.
+    pub migrator_busy_share: f64,
+    /// Modelled value of the global plan, of the plan that ran and of
+    /// the free-migration per-window bound
+    /// ([`tahoe_placement::PlanValues`]); the plan rotated iff `chosen`
+    /// exceeds `global`. `None` unless Tahoe planned over two tiers.
+    pub plan_value: Option<tahoe_placement::PlanValues>,
     /// Wall-clock overlap accounting of the background migrations.
     pub migration: MigrationStats,
     /// Migration requests that were moot (already resident, no space).
@@ -193,7 +206,8 @@ impl MeasuredRuntime {
         // empty inlined function behind `if S::ENABLED`, so this path
         // compiles to exactly the pre-sanitizer runtime — no shadow
         // state, no per-access branches on live data.
-        self.run_policy_hooked(app, policy, cal, workers, run_seed, &NoSanitize)
+        let spare_core = migrator_has_a_core(workers);
+        self.run_policy_hooked(app, policy, cal, workers, run_seed, spare_core, &NoSanitize)
     }
 
     /// Like [`run_policy_parallel`](Self::run_policy_parallel), but with
@@ -228,7 +242,9 @@ impl MeasuredRuntime {
             san.note_extra_access(e);
         }
         let hook = Arc::new(san);
-        let report = self.run_policy_hooked(app, policy, cal, workers, run_seed, &hook)?;
+        let spare_core = migrator_has_a_core(workers);
+        let report =
+            self.run_policy_hooked(app, policy, cal, workers, run_seed, spare_core, &hook)?;
         // The move observer's Arc clone died with the SharedHms inside
         // the impl; ours is the last reference.
         let san = Arc::try_unwrap(hook).map_err(|_| "sanitizer still referenced after run")?;
@@ -257,6 +273,14 @@ impl MeasuredRuntime {
     /// called before every access (and its move observer, if any,
     /// installed on the migration engine): the seam the sanitizer uses,
     /// and the one a test injects a fault or a stall through.
+    ///
+    /// `spare_core` says whether the migration thread has a core of its
+    /// own. The other entry points observe it (`workers` against
+    /// `available_parallelism`); a test states it, so that what it
+    /// checks does not depend on the machine it runs on. Without one,
+    /// copies issued after window 0 cannot hide behind execution and
+    /// Tahoe runs its global plan.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_policy_hooked<S: SanitizeHook>(
         &self,
         app: &App,
@@ -264,11 +288,13 @@ impl MeasuredRuntime {
         cal: &WallClockCalibration,
         workers: usize,
         run_seed: u64,
+        spare_core: bool,
         hook: &S,
     ) -> Result<ParallelPolicyReport, String> {
-        let prepared = self.prepare(app, policy, cal)?;
+        let prepared = self.prepare(app, policy, cal, workers, spare_core)?;
         let targets = prepared.target_tiers();
         let (config, plan, plan_values) = (prepared.config, prepared.plan, prepared.plan_values);
+        let plan_value = prepared.plan_worth;
         let nw = workers.max(1);
 
         // The flight recorder exists only when someone is listening:
@@ -324,8 +350,11 @@ impl MeasuredRuntime {
         // task runs, so the stamps do too.
         if let Some(values) = &plan_values {
             let t = shared.now_ns();
+            // Chosen = planned into DRAM, not resident at exit: a
+            // rotated object ends the run wherever its last move left it.
+            let planned = plan.planned_onto(TierId::FASTEST.0);
             for (i, spec) in app.objects.iter().enumerate() {
-                let (predicted, chosen) = (values[i], targets[i] == 0);
+                let (predicted, chosen) = (values[i], planned[i]);
                 if chosen || predicted > 0.0 {
                     emit(
                         nw + 1,
@@ -523,6 +552,8 @@ impl MeasuredRuntime {
             migrated_bytes: stats.copied_bytes,
             copy_wall_ns: stats.copy_wall_ns,
             copy_throttle_ns: stats.copy_throttle_ns,
+            migrator_busy_share: (stats.copy_wall_ns - stats.copy_throttle_ns).max(0.0) / wall_ns,
+            plan_value,
             migration: mig.stats,
             migrations_skipped: mig.skipped,
             plan_steps_skipped,
@@ -663,7 +694,9 @@ mod tests {
         );
         let policy = PolicyKind::tahoe();
 
-        let prepared = rt.prepare(&app, &policy, &cal).expect("plan audits clean");
+        let prepared = rt
+            .prepare(&app, &policy, &cal, 2, true)
+            .expect("plan audits clean");
         let mut planned = vec![0usize; 3];
         for t in prepared.target_tiers() {
             planned[t as usize] += 1;
@@ -766,7 +799,7 @@ mod tests {
             let cal = WallClockCalibration::synthetic(footprint / 3, 4 * footprint);
             let rt = runtime();
             let policy = PolicyKind::tahoe();
-            let _ = tx.send(rt.run_policy_hooked(&app, &policy, &cal, 2, 0, &PanicOn(5)));
+            let _ = tx.send(rt.run_policy_hooked(&app, &policy, &cal, 2, 0, true, &PanicOn(5)));
         });
         let err = rx
             .recv_timeout(std::time::Duration::from_secs(60))

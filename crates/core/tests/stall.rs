@@ -102,7 +102,8 @@ fn a_forced_stall_is_the_same_number_everywhere() {
     let (tx, rx) = mpsc::channel();
     let report = std::thread::scope(|s| {
         s.spawn(|| {
-            let _ = tx.send(rt.run_policy_hooked(&app, &PolicyKind::tahoe(), &cal, 1, 11, &hook));
+            let _ =
+                tx.send(rt.run_policy_hooked(&app, &PolicyKind::tahoe(), &cal, 1, 11, true, &hook));
         });
         rx.recv_timeout(Duration::from_secs(60))
             .expect("a stalled task must not hang the run")

@@ -21,6 +21,10 @@
 //!   more migrations) and *cross-window global search* (one placement for
 //!   the whole run, at most one migration per object), and the predicted-
 //!   gain comparison that picks between them.
+//! * [`rotation`] — the per-window local search of the wall-clock
+//!   runtime: residency *intervals* chosen against the global plan and
+//!   scheduled one window ahead, from objects the running window does
+//!   not touch, within the copy time each window can hide.
 //! * [`mck`] — the N-tier generalization: a multiple-choice knapsack
 //!   where each object picks exactly one tier of an ordered tier list
 //!   (DRAM / CXL / … / NVM) under per-tier capacities. At two tiers it
@@ -33,6 +37,7 @@ pub mod bnb;
 pub mod knapsack;
 pub mod mck;
 pub mod plan;
+pub mod rotation;
 pub mod search;
 pub mod weight;
 
@@ -40,5 +45,8 @@ pub use bnb::solve_bnb;
 pub use knapsack::{solve, Item, Solution};
 pub use mck::{solve_mck, solve_mck_bnb, solve_mck_dp, solve_mck_greedy, MckAssignment, MckItem};
 pub use plan::{Plan, PlanKind, WindowPlan};
+pub use rotation::{
+    plan_rotation, CopyRate, PlanValues, Rotation, RotationInput, Schedule, WindowMoves,
+};
 pub use search::{choose_plan, global_plan, local_plan};
 pub use weight::{ObjectCandidate, WeighCtx};

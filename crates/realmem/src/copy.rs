@@ -3,9 +3,13 @@
 //! A migration on real NVM hardware is an ordinary `memcpy` that runs at
 //! the *slower* device's bandwidth plus a device-access latency. The
 //! engine reproduces that on plain DRAM: the copy proceeds in bounded
-//! chunks, and after each chunk the engine spins until wall time catches
+//! chunks, and after each chunk the engine waits until wall time catches
 //! up with where the modelled copy would be — injected startup latency
-//! plus bytes-so-far over the modelled copy bandwidth. Chunking keeps
+//! plus bytes-so-far over the modelled copy bandwidth. It waits by
+//! sleeping, so the helper thread holds a core only while it copies:
+//! the deadline is cumulative, the next chunk absorbs an oversleep, and
+//! only the tail of the last chunk is spun so the copy ends on its
+//! modelled time. Chunking keeps
 //! the pacing error bounded regardless of object size and mirrors how
 //! the paper's helper thread copies (it must yield periodically to honor
 //! cancellation and pinning).
@@ -15,7 +19,7 @@ use std::time::Instant;
 
 use tahoe_hms::CopyOutcome;
 
-use crate::throttle::pace_until;
+use crate::throttle::{pace_until, sleep_toward, SPIN_TAIL_NS};
 
 /// Copy-engine configuration, derived from the platform's tier specs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,7 +142,11 @@ pub unsafe fn throttled_copy_observed(
                 } else {
                     0.0
                 };
-            throttle_ns += pace_until(start, modelled);
+            throttle_ns += if copied < len {
+                sleep_toward(start, modelled)
+            } else {
+                sleep_toward(start, modelled - SPIN_TAIL_NS) + pace_until(start, modelled)
+            };
         }
         on_chunk(chunk_t0.elapsed().as_nanos() as f64);
     }

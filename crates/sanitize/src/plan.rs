@@ -31,11 +31,13 @@
 //!   object moves twice within one window (the second copy would race
 //!   the first).
 //! * **Cost non-regression** ([`ViolationKind::PlanCostRegression`]):
-//!   the contention-free modelled memory time under the plan's final
-//!   placement must not exceed the no-plan baseline (the initial
-//!   placement). This is the same pure `mem_time_ns` pricing the MCK
-//!   items are built from, so a solver-produced plan always passes and
-//!   a hand-edited plan that demotes hot objects is rejected.
+//!   the contention-free modelled memory time of the run, each window
+//!   priced under the placement in force in that window, must not
+//!   exceed the no-plan baseline (the initial placement throughout).
+//!   This is the same pure `mem_time_ns` pricing the MCK items are
+//!   built from, so a solver-produced plan always passes; a hand-edited
+//!   plan that demotes hot objects, or a rotation that evicts an object
+//!   at the barrier before its use, is rejected.
 
 use std::collections::HashMap;
 
@@ -78,6 +80,96 @@ impl MigrationPlan {
             initial_tiers: vec![tier; n_objects],
             steps: Vec::new(),
         }
+    }
+
+    /// Replay the plan over `n_objects` objects and `n_tiers` tiers in
+    /// the order it executes. This is the one reading of a plan: the
+    /// auditor's capacity and cost passes, the engine's executed ==
+    /// audited check and the model audit all go through it.
+    pub fn replay(&self, n_objects: usize, n_tiers: usize) -> PlanReplay<'_> {
+        let spill = n_tiers.saturating_sub(1) as u8;
+        // An object the plan does not place, or places on a tier that
+        // does not exist (reported separately), sits on the spill tier.
+        let tiers = (0..n_objects)
+            .map(|o| match self.initial_tiers.get(o) {
+                Some(&t) if (t as usize) < n_tiers => t,
+                _ => spill,
+            })
+            .collect();
+        let mut steps: Vec<&PlanStep> = self
+            .steps
+            .iter()
+            .filter(|s| (s.object as usize) < n_objects && (s.to_tier as usize) < n_tiers)
+            .collect();
+        // Stable: within one window, vector order is issue order.
+        steps.sort_by_key(|s| s.window);
+        PlanReplay {
+            steps,
+            next: 0,
+            tiers,
+        }
+    }
+
+    /// Where every object sits once the whole plan has executed.
+    pub fn final_tiers(&self, n_tiers: usize) -> Vec<u8> {
+        let mut replay = self.replay(self.initial_tiers.len(), n_tiers);
+        while replay.step().is_some() {}
+        replay.tiers
+    }
+
+    /// `out[i]`: the plan has object `i` on `tier` at some point — it
+    /// starts there or a step moves it there. (A rotated object is
+    /// planned into DRAM and may well end the run on NVM.)
+    pub fn planned_onto(&self, tier: u8) -> Vec<bool> {
+        let mut on: Vec<bool> = self.initial_tiers.iter().map(|&t| t == tier).collect();
+        for s in self.steps.iter().filter(|s| s.to_tier == tier) {
+            if let Some(o) = on.get_mut(s.object as usize) {
+                *o = true;
+            }
+        }
+        on
+    }
+}
+
+/// A [`MigrationPlan`] being replayed in execution order: steps sorted
+/// by window, vector order within one; steps naming an object or a tier
+/// that does not exist are left out (the auditor reports them).
+#[derive(Debug)]
+pub struct PlanReplay<'a> {
+    steps: Vec<&'a PlanStep>,
+    next: usize,
+    tiers: Vec<u8>,
+}
+
+impl<'a> PlanReplay<'a> {
+    /// The placement after the steps applied so far.
+    pub fn tiers(&self) -> &[u8] {
+        &self.tiers
+    }
+
+    /// Apply the next step; returns it with the tier its object left.
+    pub fn step(&mut self) -> Option<(&'a PlanStep, u8)> {
+        let s = *self.steps.get(self.next)?;
+        self.next += 1;
+        let from = std::mem::replace(&mut self.tiers[s.object as usize], s.to_tier);
+        Some((s, from))
+    }
+
+    /// Apply every step due by `window` and return the placement in
+    /// force in that window. A step is in force from the window it is
+    /// issued at: for the objects a sound rotation moves — idle in that
+    /// window — this equals "in place when the next window opens", and
+    /// an eviction issued at the barrier before a use is priced as the
+    /// eviction it is.
+    pub fn advance_to(&mut self, window: u32) -> &[u8] {
+        while self
+            .steps
+            .get(self.next)
+            .is_some_and(|s| s.window <= window)
+        {
+            self.step();
+        }
+        &self.tiers
     }
 }
 
@@ -214,19 +306,9 @@ pub fn audit_plan(
     // capacity-constrained.
     if n_tiers > 0 {
         let spill = (n_tiers - 1) as u8;
-        let tier_of = |obj: usize, tiers: &[u8]| -> u8 {
-            let t = tiers.get(obj).copied().unwrap_or(spill);
-            if (t as usize) < n_tiers {
-                t
-            } else {
-                spill
-            }
-        };
-        let mut cur: Vec<u8> = (0..n_objects)
-            .map(|o| tier_of(o, &plan.initial_tiers))
-            .collect();
+        let mut replay = plan.replay(n_objects, n_tiers);
         let mut usage = vec![0u64; n_tiers];
-        for (o, &t) in cur.iter().enumerate() {
+        for (o, &t) in replay.tiers().iter().enumerate() {
             usage[t as usize] += ctx.object_sizes[o];
         }
         let flag_over = |tier: usize, used: u64, when: String, violations: &mut Vec<Violation>| {
@@ -250,14 +332,7 @@ pub fn audit_plan(
                 );
             }
         }
-        let mut order: Vec<usize> = (0..plan.steps.len()).collect();
-        order.sort_by_key(|&i| plan.steps[i].window);
-        for i in order {
-            let s = &plan.steps[i];
-            if (s.object as usize) >= n_objects || (s.to_tier as usize) >= n_tiers {
-                continue; // already reported as dead/unknown
-            }
-            let from = cur[s.object as usize];
+        while let Some((s, from)) = replay.step() {
             if from == s.to_tier {
                 continue; // no-op move: nothing is copied
             }
@@ -276,7 +351,6 @@ pub fn audit_plan(
                 );
             }
             usage[from as usize] -= size;
-            cur[s.object as usize] = s.to_tier;
         }
     }
 
@@ -313,47 +387,27 @@ pub fn audit_plan(
     }
 
     // ---- modelled-cost non-regression --------------------------------
-    // Price the final placement against the initial one with the same
-    // pure per-access memory-time model the MCK items use. A plan that
-    // makes the modelled run *slower* is feasible but counterproductive
-    // — almost always a mutated or stale plan.
+    // Price what executes: each window's accesses under the placement
+    // in force in that window, against the same accesses under the
+    // initial placement, with the pure per-access memory-time model the
+    // MCK items use. A plan that makes the modelled run *slower* is
+    // feasible but counterproductive — a mutated or stale plan, or a
+    // rotation that evicts an object ahead of its use.
     if n_tiers > 0 {
-        let spill = (n_tiers - 1) as u8;
-        let clamp = |t: u8| -> usize {
-            if (t as usize) < n_tiers {
-                t as usize
-            } else {
-                spill as usize
-            }
-        };
-        let mut final_tiers: Vec<u8> = (0..n_objects)
-            .map(|o| plan.initial_tiers.get(o).copied().unwrap_or(spill))
-            .collect();
-        let mut order: Vec<usize> = (0..plan.steps.len()).collect();
-        order.sort_by_key(|&i| plan.steps[i].window);
-        for i in order {
-            let s = &plan.steps[i];
-            if (s.object as usize) < n_objects && (s.to_tier as usize) < n_tiers {
-                final_tiers[s.object as usize] = s.to_tier;
+        let mut replay = plan.replay(n_objects, n_tiers);
+        let initial = replay.tiers().to_vec();
+        let spill = n_tiers - 1;
+        let on = |tiers: &[u8], obj: usize| tiers.get(obj).map_or(spill, |&t| t as usize);
+        let (mut before, mut after) = (0.0, 0.0);
+        // Tasks are stored in window order.
+        for t in g.tasks() {
+            let in_force = replay.advance_to(t.window);
+            for a in &t.accesses {
+                let obj = a.object.index();
+                before += a.profile.mem_time_ns(&specs[on(&initial, obj)]);
+                after += a.profile.mem_time_ns(&specs[on(in_force, obj)]);
             }
         }
-        let price = |tiers: &[u8]| -> f64 {
-            let mut total = 0.0;
-            for t in g.tasks() {
-                for a in &t.accesses {
-                    let obj = a.object.index();
-                    let tier = clamp(tiers.get(obj).copied().unwrap_or(spill));
-                    total += a.profile.mem_time_ns(&specs[tier]);
-                }
-            }
-            total
-        };
-        let before = price(
-            &(0..n_objects)
-                .map(|o| plan.initial_tiers.get(o).copied().unwrap_or(spill))
-                .collect::<Vec<_>>(),
-        );
-        let after = price(&final_tiers);
         if after > before * (1.0 + 1e-9) {
             violations.push(Violation {
                 kind: ViolationKind::PlanCostRegression,
@@ -633,6 +687,64 @@ mod tests {
         let r = audit_plan(&g, &plan, &specs2(1 << 20), &ctx);
         assert_eq!(r.count(ViolationKind::PlanCostRegression), 1);
         assert!(r.violations[0].detail.contains("regresses"));
+    }
+
+    /// The final placement equals the initial one, so pricing the final
+    /// placement over the whole run certified this plan; pricing each
+    /// window under the placement in force does not.
+    #[test]
+    fn flags_an_eviction_at_the_barrier_before_the_only_use() {
+        let mut g = TaskGraph::new();
+        let c = g.class("x");
+        g.add_task(c, vec![acc(1)], 1.0);
+        g.mark_window();
+        g.add_task(c, vec![acc(0)], 1.0); // object 0's only use
+        g.mark_window();
+        g.add_task(c, vec![acc(1)], 1.0);
+        let ctx = PlanContext::new(vec![4096, 4096]);
+        let step = |to_tier, window| PlanStep {
+            object: 0,
+            to_tier,
+            window,
+        };
+        let plan = MigrationPlan {
+            initial_tiers: vec![0, 1],
+            steps: vec![step(1, 1), step(0, 2)],
+        };
+        assert_eq!(plan.final_tiers(2), plan.initial_tiers);
+        let r = audit_plan(&g, &plan, &specs2(1 << 20), &ctx);
+        assert_eq!(r.count(ViolationKind::PlanCostRegression), 1);
+        // Evicted while idle and back before the use: nothing regresses.
+        let idle = MigrationPlan {
+            initial_tiers: vec![0, 1],
+            steps: vec![step(1, 0), step(0, 1)],
+        };
+        assert!(audit_plan(&g, &idle, &specs2(1 << 20), &ctx).is_clean());
+    }
+
+    #[test]
+    fn replay_orders_by_window_whatever_the_vector_order() {
+        let step = |object, to_tier, window| PlanStep {
+            object,
+            to_tier,
+            window,
+        };
+        // Written out of window order, with one step on an object that
+        // does not exist.
+        let plan = MigrationPlan {
+            initial_tiers: vec![1, 1],
+            steps: vec![step(0, 1, 2), step(9, 0, 0), step(0, 0, 0), step(1, 0, 1)],
+        };
+        let mut replay = plan.replay(2, 2);
+        assert_eq!(replay.tiers(), [1, 1]);
+        assert_eq!(replay.advance_to(0), [0, 1]);
+        assert_eq!(replay.advance_to(1), [0, 0]);
+        assert_eq!(replay.step(), Some((&plan.steps[0], 0)));
+        assert_eq!(replay.step(), None);
+        assert_eq!(plan.final_tiers(2), [1, 0]);
+        assert_eq!(plan.planned_onto(0), [true, true]);
+        assert_eq!(plan.planned_onto(1), [true, true]);
+        assert_eq!(MigrationPlan::resident(2, 1).planned_onto(0), [false; 2]);
     }
 
     #[test]
