@@ -1046,6 +1046,10 @@ fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
             "migrator_busy_share": Value::fixed(r.migrator_busy_share, 6),
             "promotions": r.migration.promotions,
             "evictions": r.migration.evictions,
+            // Fetches issued in their window of use, and the tasks
+            // started after their window's others to let them land.
+            "late_fetches": r.late_fetches,
+            "deferred_tasks": r.deferred_tasks,
             // Modelled value of the global plan, the plan that ran and
             // the free-migration bound (null where no plan is priced).
             "plan_value_global_ns": r.plan_value.map(|v| Value::fixed(v.global_ns, 1)),

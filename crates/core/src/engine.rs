@@ -33,6 +33,7 @@ use std::time::Instant;
 use tahoe_hms::{AccessProfile, HmsConfig, Ns, ObjectId, SharedHms, TierId, TierSpec};
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::Event;
+use tahoe_placement::Touch;
 use tahoe_realmem::traffic;
 // Part of `run_task`'s signature, so callers need not depend on the
 // sanitizer crate to name the no-op hook.
@@ -156,10 +157,11 @@ pub fn residence_values(
 /// price per access, so there is one value model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowedValues {
-    /// `touches[i]`: one `(window, ns saved by residence on the fastest
-    /// tier instead of the slowest)` per window in which a task
-    /// declares object `i`, windows ascending.
-    pub touches: Vec<Vec<(u32, f64)>>,
+    /// `touches[i]`: one [`Touch`] per window in which a task declares
+    /// object `i`, windows ascending — ns saved by residence on the
+    /// fastest tier instead of the slowest, and the same saving over
+    /// every access of the tasks declaring it.
+    pub touches: Vec<Vec<Touch>>,
     /// Modelled memory time of each window with every object on the
     /// slowest tier, ns.
     pub spill_window_ns: Vec<f64>,
@@ -172,18 +174,38 @@ pub fn residence_values_by_window(
     cal: Option<&WallClockCalibration>,
 ) -> WindowedValues {
     let (fastest, slowest) = (&specs[0], &specs[specs.len() - 1]);
-    let mut touches: Vec<Vec<(u32, f64)>> = vec![Vec::new(); app.objects.len()];
+    let mut touches: Vec<Vec<Touch>> = vec![Vec::new(); app.objects.len()];
     let mut spill_window_ns = vec![0.0f64; app.windows() as usize];
+    // `credited[i]`: the last task (+ 1) whose delay object `i`'s row
+    // holds, so a task declaring an object twice counts once.
+    let mut credited = vec![0usize; app.objects.len()];
+    // An access's time on the slowest tier, and the delay that is over
+    // its time on the fastest: what residence there saves.
+    let price = |a: &tahoe_taskrt::TaskAccess| {
+        let on_last = model_ns(&a.profile, slowest, cal);
+        (
+            on_last,
+            (on_last - model_ns(&a.profile, fastest, cal)).max(0.0),
+        )
+    };
     // Tasks are stored in window order, so each row's windows ascend.
     for t in app.graph.tasks() {
+        let task_delay: f64 = t.accesses.iter().map(|a| price(a).1).sum();
         for a in &t.accesses {
-            let on_last = model_ns(&a.profile, slowest, cal);
+            let (on_last, saved) = price(a);
             spill_window_ns[t.window as usize] += on_last;
-            let saved = (on_last - model_ns(&a.profile, fastest, cal)).max(0.0);
             let row = &mut touches[a.object.index()];
             match row.last_mut() {
-                Some((w, v)) if *w == t.window => *v += saved,
-                _ => row.push((t.window, saved)),
+                Some(touch) if touch.window == t.window => touch.saved_ns += saved,
+                _ => row.push(Touch {
+                    window: t.window,
+                    saved_ns: saved,
+                    held_ns: 0.0,
+                }),
+            }
+            if credited[a.object.index()] != t.id.index() + 1 {
+                credited[a.object.index()] = t.id.index() + 1;
+                row.last_mut().expect("pushed above").held_ns += task_delay;
             }
         }
     }
@@ -585,13 +607,34 @@ mod tests {
         let whole = residence_values(&app, &specs, Some(&cal));
         let by_window = residence_values_by_window(&app, &specs, Some(&cal));
         // Touched windows only, ascending; two tasks of one window fold.
-        let windows = |i: usize| by_window.touches[i].iter().map(|t| t.0).collect::<Vec<_>>();
+        let windows = |i: usize| {
+            let row = by_window.touches[i].iter();
+            row.map(|t| t.window).collect::<Vec<_>>()
+        };
         assert_eq!(
             (windows(0), windows(1), windows(2)),
             (vec![0, 2], vec![0], vec![])
         );
+        // A row's held delay is that of every task declaring the object,
+        // over all their accesses: window 0's two tasks for `x`, the
+        // first for `y`.
+        let saved = |a: &tahoe_taskrt::TaskAccess| {
+            a.profile.mem_time_ns(&specs[1]) - a.profile.mem_time_ns(&specs[0])
+        };
+        let delay = |t: u32| {
+            app.graph
+                .task(tahoe_taskrt::TaskId(t))
+                .accesses
+                .iter()
+                .map(saved)
+        };
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.max(1.0);
+        let x0: f64 = delay(0).chain(delay(1)).sum();
+        assert!(close(by_window.touches[0][0].held_ns, x0));
+        assert!(close(by_window.touches[1][0].held_ns, delay(0).sum()));
+        assert!(close(by_window.touches[0][1].held_ns, delay(2).sum()));
         for (i, row) in by_window.touches.iter().enumerate() {
-            let sum: f64 = row.iter().map(|t| t.1).sum();
+            let sum: f64 = row.iter().map(|t| t.saved_ns).sum();
             assert!(
                 (sum - whole[i][0]).abs() <= 1e-9 * sum.max(1.0),
                 "object {i}"

@@ -338,7 +338,7 @@ impl MeasuredRuntime {
                 })
             });
             let plan = match rotation.as_ref().and_then(|r| r.schedule.as_ref()) {
-                Some(schedule) => rotation_plan(&items, initial_tiers, schedule),
+                Some(schedule) => rotation_plan(initial_tiers, schedule),
                 None => promotion_plan(&items, initial_tiers, &assignment.tiers),
             };
             (plan, Some(plan_values), rotation.map(|r| r.values))
@@ -514,36 +514,35 @@ pub fn promotion_plan(
 }
 
 /// Lower a rotating [`Schedule`] over two tiers to the migration plan
-/// the engine executes: its initial set as [`promotion_plan`] steps at
-/// `window: 0` (released by the class quota, like the global plan's),
-/// then for each later window `u` its evictions followed by its
-/// promotions at `window: u` — handed to the migration thread at `u`'s
-/// barrier, so they are in place when window `u + 1` opens.
-pub fn rotation_plan(
-    items: &[MckItem],
-    initial_tiers: Vec<u8>,
-    schedule: &Schedule,
-) -> MigrationPlan {
+/// the engine executes, in the order the planner replayed the fast
+/// tier's allocator: its initial set at `window: 0` (released by the
+/// class quota, like the global plan's, and in that plan's order), then
+/// for each later window `u` its evictions followed by its promotions
+/// at `window: u` — handed to the migration thread at `u`'s barrier.
+/// An early schedule's promotions are in place when window `u + 1`
+/// opens; a late one's land while `u`'s other tasks run.
+pub fn rotation_plan(initial_tiers: Vec<u8>, schedule: &Schedule) -> MigrationPlan {
     let (fast, slow) = (TierId::FASTEST.0, 1);
-    let mut assignment = vec![slow; items.len()];
-    for &i in &schedule.initial {
-        assignment[i as usize] = fast;
+    let initial = schedule.initial.iter().map(|&object| (object, fast, 0));
+    let later = schedule.windows.iter().zip(0u32..).flat_map(|(moves, w)| {
+        let evictions = moves.evict.iter().map(move |&object| (object, slow, w));
+        evictions.chain(moves.promote.iter().map(move |&object| (object, fast, w)))
+    });
+    let steps = initial
+        .chain(later)
+        .filter(|&(object, to_tier, window)| {
+            window > 0 || initial_tiers[object as usize] != to_tier
+        })
+        .map(|(object, to_tier, window)| PlanStep {
+            object,
+            to_tier,
+            window,
+        })
+        .collect();
+    MigrationPlan {
+        initial_tiers,
+        steps,
     }
-    let mut plan = promotion_plan(items, initial_tiers, &assignment);
-    for (window, moves) in schedule.windows.iter().enumerate() {
-        let evictions = moves.evict.iter().map(|&object| (object, slow));
-        let promotions = moves.promote.iter().map(|&object| (object, fast));
-        plan.steps.extend(
-            evictions
-                .chain(promotions)
-                .map(|(object, to_tier)| PlanStep {
-                    object,
-                    to_tier,
-                    window: window as u32,
-                }),
-        );
-    }
-    plan
 }
 
 /// Execute the app's traffic on plain heap buffers, no tiers, no pacing:
@@ -697,33 +696,144 @@ mod tests {
         assert_eq!(global.plan_worth.unwrap().chosen_ns, worth.global_ns);
     }
 
-    #[test]
-    fn rotation_plan_issues_each_windows_evictions_first() {
-        use tahoe_placement::WindowMoves;
-        let items: Vec<MckItem> = (0..4)
-            .map(|i| MckItem {
-                id: ObjectId(i),
-                size: 64,
-                values: vec![(4 - i) as f64, 0.0],
+    /// `benchmark/src/gen.rs`'s `mixed_skew`, shape only (no seeded
+    /// deal): 160 objects on a 40 KiB–2.5 MiB ladder in groups of eight,
+    /// slot `j` of group `g` read-streamed, updated or pointer-chased and
+    /// touched in 8, 4, 2 or 1 of 8 windows, staggered by group.
+    fn mixed_skew_shaped() -> App {
+        const OBJECTS: usize = 160;
+        const MODES: [u8; 8] = [0, 1, 2, 0, 1, 0, 1, 2];
+        const TOUCHES: [u32; 8] = [8, 1, 4, 2, 1, 8, 2, 4];
+        let ladder = |i: usize| {
+            let bytes = (40u64 << 10) as f64 * 64f64.powf(i as f64 / (OBJECTS - 1) as f64);
+            ((bytes / 4096.0).round() as u64) * 4096
+        };
+        let mut slots: Vec<(usize, usize)> = (0..OBJECTS / 8)
+            .flat_map(|g| (0..8).map(move |j| (g, j)))
+            .collect();
+        slots.sort_by_key(|&(g, j)| (j, g));
+        let mut b = crate::app::AppBuilder::new("mixed-shaped");
+        let objects: Vec<_> = slots
+            .into_iter()
+            .map(|(g, j)| {
+                let bytes = ladder(8 * g + (j + g) % 8);
+                (g, j, bytes, b.object(&format!("g{g}s{j}"), bytes))
             })
             .collect();
+        let class = b.class("touch");
+        for w in 0..8u32 {
+            if w > 0 {
+                b.next_window();
+            }
+            for &(g, j, bytes, id) in &objects {
+                if !(w + g as u32).is_multiple_of(8 / TOUCHES[(j + 5 * g) % 8]) {
+                    continue;
+                }
+                let (t, lines) = (b.task(class), bytes / 64);
+                match MODES[(j + 3 * g) % 8] {
+                    0 => t.read_streaming(id, lines),
+                    1 => t.update_streaming(id, lines),
+                    _ => t.read_chasing(id, lines / 8),
+                }
+                .submit();
+            }
+        }
+        b.build()
+    }
+
+    /// DESIGN.md decision 14's table, re-derived by the code. One-touch
+    /// and few-touch objects of many sizes: fetched one window ahead,
+    /// each holds DRAM for a window it does not use, and the early lead
+    /// loses to the global plan (0.574 vs 0.585, window 0 at half);
+    /// fetched in its window of use, within the slow-tier delay of that
+    /// window's other tasks and on holes the real allocator finds, it
+    /// beats it by more than the 3 % rule (0.633).
+    #[test]
+    fn mixed_skew_shape_fetches_in_the_window_of_use() {
+        use tahoe_placement::{follow, Lead};
+        let app = mixed_skew_shaped();
+        let (rt, cal) = pinned(&app);
+        let policy = PolicyKind::tahoe();
+        let prepared = rt
+            .prepare(&app, &policy, &cal, 1, true)
+            .expect("audits clean");
+        let all: f64 = prepared.plan_values.as_ref().unwrap().iter().sum();
+        let share = |ns: f64| (ns / all * 1e3).round() / 1e3;
+        let worth = prepared.plan_worth.expect("two tiers");
+        assert_eq!(share(worth.global_ns), 0.585);
+        assert_eq!(share(worth.chosen_ns), 0.633);
+        assert_eq!(share(worth.oracle_ns), 0.774);
+
+        // Both leads, on the planner's own input: the late one runs.
+        let specs = prepared.config.tier_specs();
+        let by_window = residence_values_by_window(&app, specs, Some(&cal));
+        let sizes: Vec<u64> = app.objects.iter().map(|o| o.size).collect();
+        let items = mck_items(&app, residence_values(&app, specs, Some(&cal)));
+        let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
+        let assignment = solve_mck(&items, &caps).unwrap();
+        let global: Vec<bool> = assignment.tiers.iter().map(|&t| t == 0).collect();
+        let rate = |from: TierId, to: TierId| CopyRate {
+            gbps: prepared.config.copy_bw_between(from, to),
+            latency_ns: specs[from.index()].copy_lat_to(&specs[to.index()]),
+        };
+        let input = RotationInput {
+            sizes: &sizes,
+            touches: &by_window.touches,
+            spill_window_ns: &by_window.spill_window_ns,
+            capacity: caps[0],
+            global: &global,
+            promote: rate(TierId(1), TierId(0)),
+            evict: rate(TierId(0), TierId(1)),
+            workers: 1,
+            overlap: true,
+        };
+        let (early, late) = (follow(&input, Lead::Early), follow(&input, Lead::Late));
+        assert_eq!(share(early.0), 0.574, "one window ahead loses");
+        assert_eq!(late.0, worth.chosen_ns);
+        // Every promotion after window 0 is of an object its window
+        // uses: 87 of them, and 210 copies, 92 MiB, in all.
+        let touched_in = |o: u32, w: u32| {
+            let row = &by_window.touches[o as usize];
+            row.iter().any(|t| t.window == w)
+        };
+        let steps = &prepared.plan.steps;
+        let fetches: Vec<_> = steps
+            .iter()
+            .filter(|s| s.window > 0 && s.to_tier == 0)
+            .collect();
+        assert!(fetches.iter().all(|s| touched_in(s.object, s.window)));
+        assert_eq!((fetches.len(), steps.len()), (87, 210));
+        let moved: u64 = steps.iter().map(|s| sizes[s.object as usize]).sum();
+        assert_eq!(moved >> 20, 92);
+
+        // Without a core for the migration thread: the global plan, step
+        // for step.
+        let static_plan = rt.prepare(&app, &policy, &cal, 1, false).expect("clean");
+        let expect = promotion_plan(&items, vec![1; items.len()], &assignment.tiers);
+        assert_eq!(static_plan.plan, expect);
+    }
+
+    #[test]
+    fn rotation_plan_issues_each_windows_evictions_first() {
+        use tahoe_placement::{Lead, WindowMoves};
         let moves = |evict: &[u32], promote: &[u32]| WindowMoves {
             evict: evict.to_vec(),
             promote: promote.to_vec(),
         };
         let schedule = Schedule {
-            initial: vec![1, 3],
+            lead: Lead::Early,
+            initial: vec![3, 1],
             windows: vec![moves(&[], &[]), moves(&[3], &[2]), moves(&[], &[])],
         };
-        let plan = rotation_plan(&items, vec![1; 4], &schedule);
+        let plan = rotation_plan(vec![1; 4], &schedule);
         let steps: Vec<_> = plan
             .steps
             .iter()
             .map(|s| (s.object, s.to_tier, s.window))
             .collect();
-        // Window 0 in `promotion_plan`'s order (value per byte), then
-        // window 1: out before in.
-        assert_eq!(steps, [(1, 0, 0), (3, 0, 0), (3, 1, 1), (2, 0, 1)]);
+        // Window 0 in the schedule's order — the order the planner
+        // replayed the allocator in — then window 1: out before in.
+        assert_eq!(steps, [(3, 0, 0), (1, 0, 0), (3, 1, 1), (2, 0, 1)]);
         assert_eq!(plan.final_tiers(2), [1, 0, 0, 1]);
     }
 

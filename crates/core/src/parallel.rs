@@ -13,12 +13,23 @@
 //! dedicated migration thread ([`tahoe_realmem::BackgroundMigrator`]),
 //! which copies while the rest of that window and every later one
 //! execute, and each later window's steps — a rotating plan's
-//! evictions and look-ahead promotions, all of objects that window
-//! does not touch — follow at that window's barrier: the paper's
+//! evictions and its promotions, one window ahead of use or in the
+//! window of use — follow at that window's barrier: the paper's
 //! profile-then-migrate-proactively with its
 //! computation/data-movement
 //! overlap, measured in wall-clock time. Every measured run goes
 //! through here; `run_policy` is this run at one worker and seed 0.
+//!
+//! **Data in place first.** The barrier hook also tells the pool which
+//! roots to *defer*: those declaring an object a step moves as the
+//! window opens (for the first window, the release's steps). They are
+//! published once every other root of the window has been taken, so
+//! the copies land while tasks whose data is already in place run. A
+//! deferred task that still meets its copy waits on the pin, or its
+//! copy waits for it; nothing else changes. The first window defers
+//! nothing if some task class would be left without an instance that
+//! can finish ahead of the deferred ones — the release waits for one of
+//! each.
 //!
 //! **Determinism of results, not schedules.** Worker interleavings vary
 //! run to run, but the final answer cannot: the task graph's derived
@@ -77,14 +88,15 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use tahoe_hms::{MigrationStats, Ns, SharedHms, TierId};
+use tahoe_hms::{MigrationStats, Ns, ObjectId, SharedHms, TierId};
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::{BlameTable, CritPath, CritPathDigest, Emitter, Event, FlightRecorder, WhatIf};
 use tahoe_realmem::BackgroundMigrator;
 use tahoe_sanitize::{
-    AccessSanitizer, ExtraAccess, NoSanitize, SanitizeHook, SanitizeReport, ViolationKind,
+    AccessSanitizer, ExtraAccess, MigrationPlan, NoSanitize, SanitizeHook, SanitizeReport,
+    ViolationKind,
 };
-use tahoe_taskrt::{run_scoped, JobSpec, NoGate, TaskSpec};
+use tahoe_taskrt::{run_scoped, JobSpec, NoGate, TaskGraph, TaskSpec};
 
 use crate::app::App;
 pub use crate::engine::AccessTierTiming;
@@ -167,6 +179,14 @@ pub struct ParallelPolicyReport {
     pub gate_wait_ns: f64,
     /// Successful work steals between workers.
     pub steals: u64,
+    /// Roots started after their window's other roots had been taken,
+    /// because a step issued as the window opened (the release's, in
+    /// the first window) moves one of their objects.
+    pub deferred_tasks: u64,
+    /// Plan steps at a window `u ≥ 1` on an object a task of `u`
+    /// declares: fetches issued in their window of use (a late-lead
+    /// rotation's), not one window ahead of it.
+    pub late_fetches: u64,
     /// Objects resident on each tier (fastest first) when the run
     /// finished. Length = tier count; `[0]` is the DRAM-resident count.
     pub final_tier_objects: Vec<usize>,
@@ -382,7 +402,10 @@ impl MeasuredRuntime {
         };
         // Profiling ends by class quota, mid-window: the worker whose
         // completion meets it hands over every step due so far; steps of
-        // windows that open later go out at their barrier.
+        // windows that open later go out at their barrier. Either way
+        // the tasks on the objects a window's steps move start after the
+        // window's other roots, which hide the copies.
+        let (defer, late_fetches) = deferrals(&app.graph, &plan);
         let quota = if plan.steps.is_empty() {
             ClassQuota::met()
         } else {
@@ -439,6 +462,7 @@ impl MeasuredRuntime {
                 // run, instead of waiting behind a worker that never
                 // blocks.
                 std::thread::yield_now();
+                defer.get(w as usize).cloned().unwrap_or_default()
             })),
             on_done: None,
         };
@@ -561,6 +585,8 @@ impl MeasuredRuntime {
             placed_at_ns,
             gate_wait_ns,
             steals: ws.steals,
+            deferred_tasks: ws.deferred,
+            late_fetches,
             final_tier_objects,
             access_timing,
             obs_ring_dropped,
@@ -568,6 +594,64 @@ impl MeasuredRuntime {
             crit,
         })
     }
+}
+
+/// Per window, the objects whose roots the pool starts last there —
+/// those the plan's steps move as the window opens; for the first
+/// window, the release's — and how many steps are late fetches (at a
+/// window `u ≥ 1`, on an object `u` declares).
+///
+/// The first window defers nothing if that would leave a task class
+/// with no instance able to finish before the deferred roots start: the
+/// release waits for an instance of every class, and must not wait for
+/// them.
+fn deferrals(graph: &TaskGraph, plan: &MigrationPlan) -> (Vec<Vec<ObjectId>>, u64) {
+    let tasks = graph.tasks();
+    let first = tasks.first().map_or(0, |t| t.window);
+    let last = plan.steps.iter().map(|s| s.window + 1);
+    let n_windows = last.fold(graph.window_count(), u32::max) as usize;
+    let mut moved = vec![Vec::new(); n_windows];
+    for s in &plan.steps {
+        moved[s.window.max(first) as usize].push(ObjectId(s.object));
+    }
+    for m in &mut moved {
+        m.sort_unstable();
+        m.dedup();
+    }
+    // The objects of `t` among the sorted `objects`.
+    let among = |t: &'_ TaskSpec, objects: &'_ [ObjectId]| {
+        let declared = t.accesses.iter().map(|a| a.object);
+        declared
+            .filter(|o| objects.binary_search(o).is_ok())
+            .collect::<Vec<_>>()
+    };
+
+    let mut late = Vec::new();
+    for t in tasks.iter().filter(|t| t.window > first) {
+        let hits = among(t, &moved[t.window as usize]);
+        late.extend(hits.into_iter().map(|o| (t.window, o)));
+    }
+    late.sort_unstable();
+    late.dedup();
+
+    // `held[t]`: a first-window task that cannot run before the deferred
+    // roots do — one of them, or downstream of one (edges point forward,
+    // so its predecessors are settled by then).
+    let mut held = vec![false; tasks.len()];
+    let mut free_instance = vec![None; graph.class_count()];
+    for t in tasks.iter().take_while(|t| t.window == first) {
+        let preds = graph.preds(t.id);
+        held[t.id.index()] = match preds {
+            [] => !among(t, &moved[first as usize]).is_empty(),
+            _ => preds.iter().any(|p| held[p.index()]),
+        };
+        let free = free_instance[t.class.index()].get_or_insert(false);
+        *free |= !held[t.id.index()];
+    }
+    if free_instance.contains(&Some(false)) {
+        moved[first as usize].clear();
+    }
+    (moved, late.len() as u64)
 }
 
 #[cfg(test)]

@@ -22,9 +22,10 @@
 //!   the whole run, at most one migration per object), and the predicted-
 //!   gain comparison that picks between them.
 //! * [`rotation`] — the per-window local search of the wall-clock
-//!   runtime: residency *intervals* chosen against the global plan and
-//!   scheduled one window ahead, from objects the running window does
-//!   not touch, within the copy time each window can hide.
+//!   runtime: residency *intervals* chosen against the global plan,
+//!   each fetched one window ahead or in its first window, on a replay
+//!   of the fast tier's real allocator, within the copy time each
+//!   window can hide.
 //! * [`mck`] — the N-tier generalization: a multiple-choice knapsack
 //!   where each object picks exactly one tier of an ordered tier list
 //!   (DRAM / CXL / … / NVM) under per-tier capacities. At two tiers it
@@ -46,7 +47,8 @@ pub use knapsack::{solve, Item, Solution};
 pub use mck::{solve_mck, solve_mck_bnb, solve_mck_dp, solve_mck_greedy, MckAssignment, MckItem};
 pub use plan::{Plan, PlanKind, WindowPlan};
 pub use rotation::{
-    plan_rotation, CopyRate, PlanValues, Rotation, RotationInput, Schedule, WindowMoves,
+    follow, plan_rotation, CopyRate, Lead, PlanValues, Rotation, RotationInput, Schedule, Touch,
+    WindowMoves,
 };
 pub use search::{choose_plan, global_plan, local_plan};
 pub use weight::{ObjectCandidate, WeighCtx};

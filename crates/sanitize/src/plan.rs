@@ -12,8 +12,11 @@
 //!   every paid tier stays within capacity at every prefix of the plan
 //!   schedule, *including the transient double-residency of the
 //!   two-phase copy* (an object occupies both source and destination
-//!   until the move commits). The last tier is the unbounded spill
-//!   tier, matching the knapsack convention.
+//!   until the move commits), and every copy finds a *contiguous hole*
+//!   in its destination's best-fit allocator, replayed as the runtime
+//!   drives it — bytes that fit but are fragmented are reported too.
+//!   The last tier is the unbounded spill tier, matching the knapsack
+//!   convention.
 //! * **Schedule-universal migration safety**
 //!   ([`ViolationKind::PlanMoveRace`]): a move issued at window `w` is
 //!   safe against an access iff the access is barrier-ordered before it
@@ -41,6 +44,7 @@
 
 use std::collections::HashMap;
 
+use tahoe_hms::alloc::TierAllocator;
 use tahoe_hms::TierSpec;
 use tahoe_taskrt::TaskGraph;
 
@@ -170,6 +174,51 @@ impl<'a> PlanReplay<'a> {
             self.step();
         }
         &self.tiers
+    }
+}
+
+/// The paid tiers' allocators as the runtime drives them (best fit,
+/// [`TierAllocator`]), and where each object sits in them.
+struct Holes {
+    tiers: Vec<TierAllocator>,
+    addr: Vec<Option<u64>>,
+}
+
+impl Holes {
+    fn new(paid: &[TierSpec], n_objects: usize) -> Self {
+        Holes {
+            tiers: paid
+                .iter()
+                .map(|s| TierAllocator::new(s.capacity))
+                .collect(),
+            addr: vec![None; n_objects],
+        }
+    }
+
+    /// Place object `o` on tier `t`; `false` if it finds no hole there.
+    /// The spill tier and empty objects take no hole.
+    fn alloc(&mut self, o: usize, t: u8, size: u64) -> bool {
+        match self.tiers.get_mut(t as usize) {
+            Some(tier) if size > 0 => {
+                self.addr[o] = tier.alloc(size);
+                self.addr[o].is_some()
+            }
+            _ => true,
+        }
+    }
+
+    /// Move object `o` from `from` to `to` as a two-phase copy does:
+    /// reserve the destination, then free the source. `false` if the
+    /// destination has no hole for it.
+    fn copy(&mut self, o: usize, from: u8, to: u8, size: u64) -> bool {
+        let source = self.addr[o].take();
+        if !self.alloc(o, to, size) {
+            return false;
+        }
+        if let (Some(at), Some(tier)) = (source, self.tiers.get_mut(from as usize)) {
+            tier.free(at);
+        }
+        true
     }
 }
 
@@ -304,12 +353,26 @@ pub fn audit_plan(
     // the two-phase copy is in flight, so the destination is charged
     // before the source is released. The spill tier (last) is never
     // capacity-constrained.
+    //
+    // Bytes that fit a tier need not make a hole there: alongside the
+    // byte count, every paid tier's allocator is replayed as the runtime
+    // drives it — the initial placement in object order (the order
+    // objects are allocated in), then each copy reserving its
+    // destination before its source is freed — and a copy whose bytes
+    // fit but which finds no contiguous hole is over capacity too.
+    // After the first such copy the runtime's placement and the plan's
+    // part ways, so the hole replay stops there.
     if n_tiers > 0 {
         let spill = (n_tiers - 1) as u8;
         let mut replay = plan.replay(n_objects, n_tiers);
         let mut usage = vec![0u64; n_tiers];
+        let mut holes = Some(Holes::new(&specs[..n_tiers - 1], n_objects));
         for (o, &t) in replay.tiers().iter().enumerate() {
-            usage[t as usize] += ctx.object_sizes[o];
+            let size = ctx.object_sizes[o];
+            usage[t as usize] += size;
+            if holes.as_mut().is_some_and(|h| !h.alloc(o, t, size)) {
+                holes = None; // over by bytes: reported below
+            }
         }
         let flag_over = |tier: usize, used: u64, when: String, violations: &mut Vec<Violation>| {
             violations.push(Violation {
@@ -338,17 +401,37 @@ pub fn audit_plan(
             }
             let size = ctx.object_sizes[s.object as usize];
             usage[s.to_tier as usize] += size;
-            if s.to_tier != spill && usage[s.to_tier as usize] > specs[s.to_tier as usize].capacity
-            {
-                flag_over(
-                    s.to_tier as usize,
-                    usage[s.to_tier as usize],
-                    format!(
-                        "while copying object {} from tier {from} (window {})",
-                        s.object, s.window
-                    ),
-                    &mut violations,
-                );
+            let while_copying = || {
+                format!(
+                    "while copying object {} from tier {from} (window {})",
+                    s.object, s.window
+                )
+            };
+            let to = s.to_tier as usize;
+            let over = s.to_tier != spill && usage[to] > specs[to].capacity;
+            if over {
+                flag_over(to, usage[to], while_copying(), &mut violations);
+            }
+            if let Some(h) = &mut holes {
+                if !h.copy(s.object as usize, from, s.to_tier, size) {
+                    if !over {
+                        let alloc = &h.tiers[to];
+                        violations.push(Violation {
+                            kind: ViolationKind::PlanOverCapacity,
+                            task: None,
+                            object: Some(s.object),
+                            detail: format!(
+                                "tier {to} ({}) has {} B free but no {size} B hole \
+                                 (largest {} B): fragmented {}",
+                                specs[to].name,
+                                alloc.free_bytes(),
+                                alloc.largest_free_block(),
+                                while_copying()
+                            ),
+                        });
+                    }
+                    holes = None;
+                }
             }
             usage[from as usize] -= size;
         }
@@ -554,6 +637,42 @@ mod tests {
         let mut rev = plan.clone();
         rev.steps.reverse();
         assert!(audit_plan(&g, &rev, &specs, &ctx).is_clean());
+    }
+
+    /// Three objects, and bytes that always fit: two 100 B objects fill
+    /// a 300 B tier from the bottom, the first leaves, and a 200 B one
+    /// arrives — 200 B free, in two 100 B holes. The runtime's
+    /// allocator would refuse the copy; so does the audit, naming
+    /// fragmentation. Evicting the second one too makes a hole: clean.
+    #[test]
+    fn flags_a_copy_whose_bytes_fit_but_whose_hole_does_not() {
+        let mut g = TaskGraph::new();
+        let c = g.class("x");
+        g.add_task(c, vec![acc(0), acc(1)], 1.0);
+        g.mark_window();
+        g.add_task(c, vec![acc(2)], 1.0);
+        let ctx = PlanContext::new(vec![100, 100, 200]);
+        let step = |object, to_tier| PlanStep {
+            object,
+            to_tier,
+            window: 1,
+        };
+        let plan = MigrationPlan {
+            initial_tiers: vec![0, 0, 1],
+            steps: vec![step(0, 1), step(2, 0)],
+        };
+        let r = audit_plan(&g, &plan, &specs2(300), &ctx);
+        assert_eq!(r.count(ViolationKind::PlanOverCapacity), 1, "{r:?}");
+        assert_eq!(r.violations.len(), 1);
+        let detail = &r.violations[0].detail;
+        assert!(detail.contains("no 200 B hole"), "{detail}");
+        assert!(detail.contains("fragmented"), "{detail}");
+        assert_eq!(r.violations[0].object, Some(2));
+        // Both leave first: one 300 B hole.
+        let mut roomy = plan.clone();
+        roomy.steps.insert(1, step(1, 1));
+        let r = audit_plan(&g, &roomy, &specs2(300), &ctx);
+        assert!(r.is_clean(), "{:?}", r.violations);
     }
 
     #[test]

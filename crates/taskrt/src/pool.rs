@@ -9,7 +9,10 @@
 //! retires a job's last task of window `w` opens the job's next window
 //! (running its `on_window` hook — the plan hand-off point) and seeds
 //! that window's roots, while tasks of other jobs keep flowing around
-//! it.
+//! it. The hook (which also runs for the first window, on submission)
+//! may name objects whose roots start last: those roots are *deferred*,
+//! published by the worker that takes the window's last other root —
+//! so tasks whose data is already in place run while copies land.
 //!
 //! The loop is generic over how its threads and job state are owned:
 //!
@@ -40,16 +43,19 @@ use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use crossbeam::utils::Backoff;
+use tahoe_hms::ObjectId;
 use tahoe_obs::{FlightRecorder, Metrics};
 
 use crate::graph::TaskGraph;
 use crate::task::{TaskId, TaskSpec};
 use crate::wsexec::{DataGate, WsStats};
 
-/// One schedulable unit: a task of a specific job. `J` points at the
-/// job's state: an `Arc` on the long-lived pool, a borrow in a scoped
-/// run.
-type Unit<J> = (J, TaskId);
+/// One schedulable unit: a task of a specific job, and whether taking
+/// it counts toward publishing the job's deferred roots (it is an
+/// undeferred root of a window that holds some back). `J` points at
+/// the job's state: an `Arc` on the long-lived pool, a borrow in a
+/// scoped run.
+type Unit<J> = (J, TaskId, bool);
 
 /// How a [`TaskPool`] holds a job.
 type PoolJob = Arc<JobState<'static, Arc<TaskGraph>>>;
@@ -59,10 +65,14 @@ type PoolJob = Arc<JobState<'static, Arc<TaskGraph>>>;
 /// so every executed task knows which tenant it ran for.
 pub type PoolWork<'a> = dyn Fn(usize, u32, &TaskSpec) + Send + Sync + 'a;
 
-/// Per-window hook, called by the advancing worker when the job crosses
-/// a barrier *into* the given window (never for the job's first window
-/// — the caller observes submission itself), unless the job has failed.
-pub type WindowHook<'a> = dyn Fn(u32) + Send + Sync + 'a;
+/// Per-window hook, called when the job enters the given window — the
+/// first on the submitting thread, every later one on the worker that
+/// crosses the barrier into it — unless the job has failed. It returns
+/// the objects (any order) whose tasks should start last: the window's
+/// roots that declare any of them are *deferred*, published only once
+/// every other root of the window has been taken (at once if there is
+/// no other).
+pub type WindowHook<'a> = dyn Fn(u32) -> Vec<ObjectId> + Send + Sync + 'a;
 
 /// Completion hook; receives the job's failure, if any.
 pub type DoneHook<'a> = dyn FnOnce(Option<&TaskPanic>) + Send + 'a;
@@ -94,8 +104,9 @@ pub struct JobSpec<'a, G = Arc<TaskGraph>> {
     pub gate: Arc<dyn DataGate + Send + Sync + 'a>,
     /// Per-task work closure.
     pub work: Arc<PoolWork<'a>>,
-    /// Barrier hook: runs on the advancing worker when the job enters
-    /// window `w`, before that window's roots are published. Migration
+    /// Barrier hook: runs when the job enters window `w` (the first
+    /// window included), before that window's roots are published, and
+    /// names the objects whose roots wait for the others. Migration
     /// plans are handed over here. Must not panic.
     pub on_window: Option<Box<WindowHook<'a>>>,
     /// Completion hook: runs exactly once, on the worker that retires
@@ -120,6 +131,13 @@ struct JobState<'a, G> {
     opened: AtomicUsize,
     /// Tasks left in the open window.
     remaining: AtomicUsize,
+    /// The open window's deferred roots, until `holding` reaches zero.
+    deferred: Mutex<Vec<TaskId>>,
+    /// Undeferred roots of the open window not yet taken while
+    /// `deferred` waits on them.
+    holding: AtomicUsize,
+    /// Roots deferred over the job's life.
+    deferred_total: AtomicU64,
     /// Summed gate wait, whole ns.
     gate_wait: AtomicU64,
     /// Set by the first task that panics.
@@ -141,6 +159,9 @@ impl<'a, G: Deref<Target = TaskGraph>> JobState<'a, G> {
             on_done: Mutex::new(spec.on_done),
             opened: AtomicUsize::new(0),
             remaining: AtomicUsize::new(0),
+            deferred: Mutex::new(Vec::new()),
+            holding: AtomicUsize::new(0),
+            deferred_total: AtomicU64::new(0),
             gate_wait: AtomicU64::new(0),
             failed: OnceLock::new(),
             done: Mutex::new(false),
@@ -277,8 +298,11 @@ where
                 })
             });
             match unit {
-                Some((job, tid)) => {
+                Some((job, tid, holds)) => {
                     backoff.reset();
+                    if holds {
+                        self.took_holding_root(&job);
+                    }
                     self.run_task(me, job, tid, &local);
                 }
                 None => {
@@ -332,7 +356,7 @@ where
             // acquires them before running `s`.
             if s.index() < window_end && job.pending[s.index()].fetch_sub(1, Ordering::AcqRel) == 1
             {
-                local.push((job.clone(), s));
+                local.push((job.clone(), s, false));
             }
         }
         if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -340,10 +364,22 @@ where
         }
     }
 
+    /// An undeferred root of a window holding deferred roots back was
+    /// taken; the worker that takes the last one publishes them.
+    fn took_holding_root(&self, job: &J) {
+        if job.holding.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let held = std::mem::take(&mut *job.deferred.lock().expect("deferred roots"));
+            for t in held {
+                self.injector.push((job.clone(), t, false));
+            }
+        }
+    }
+
     /// Cross the job's window barrier: open its next window (the
-    /// `on_window` hook, then that window's roots) or retire the job.
-    /// Only the submitter and then the worker that retired a window's
-    /// last task get here, so this is single-threaded per job.
+    /// `on_window` hook, then that window's roots — the deferred ones
+    /// held back) or retire the job. Only the submitter and then the
+    /// worker that retired a window's last task get here, so this is
+    /// single-threaded per job.
     fn advance(&self, job: &J) {
         let tasks = job.graph.tasks();
         let start = job.opened.load(Ordering::Relaxed);
@@ -355,26 +391,43 @@ where
             .take_while(|t| t.window == first.window)
             .count();
         job.opened.store(start + len, Ordering::Relaxed);
-        if start > 0 && job.failed.get().is_none() {
-            if let Some(cb) = &job.on_window {
-                cb(first.window);
-            }
-        }
+        let mut defer = match &job.on_window {
+            Some(cb) if job.failed.get().is_none() => cb(first.window),
+            _ => Vec::new(),
+        };
+        defer.sort_unstable();
+        let deferred = |t: &TaskSpec| {
+            let mut objects = t.accesses.iter().map(|a| &a.object);
+            !defer.is_empty() && objects.any(|o| defer.binary_search(o).is_ok())
+        };
         // Edges point forward, so a predecessor is in this window iff
         // its index is at least `start`; earlier windows are satisfied
         // by the barrier.
-        let mut roots = Vec::new();
+        let (mut roots, mut held) = (Vec::new(), Vec::new());
         for t in &tasks[start..start + len] {
             let preds = job.graph.preds(t.id);
             let p = preds.iter().filter(|p| p.index() >= start).count();
             job.pending[t.id.index()].store(p as u32, Ordering::Relaxed);
-            if p == 0 {
-                roots.push(t.id);
+            match p {
+                0 if deferred(t) => held.push(t.id),
+                0 => roots.push(t.id),
+                _ => {}
             }
         }
         job.remaining.store(len, Ordering::Release);
+        // With no other root to wait for, the deferred ones go now.
+        if roots.is_empty() {
+            std::mem::swap(&mut roots, &mut held);
+        }
+        let holds = !held.is_empty();
+        if holds {
+            job.deferred_total
+                .fetch_add(held.len() as u64, Ordering::Relaxed);
+            *job.deferred.lock().expect("deferred roots") = held;
+            job.holding.store(roots.len(), Ordering::Release);
+        }
         for t in roots {
-            self.injector.push((job.clone(), t));
+            self.injector.push((job.clone(), t, holds));
         }
     }
 
@@ -505,6 +558,7 @@ pub fn run_scoped<'a, G: Deref<Target = TaskGraph> + Send + Sync>(
         steals: shared.steals.load(Ordering::Relaxed),
         elapsed: started.elapsed(),
         gate_wait_ns: job.gate_wait.load(Ordering::Relaxed) as f64,
+        deferred: job.deferred_total.load(Ordering::Relaxed),
     };
     if shared.clamped {
         metrics.inc("wsexec.threads_clamped");
@@ -658,6 +712,7 @@ mod tests {
         let order_ok = Arc::new(AtomicU64::new(1));
         let max_done_window = Arc::new(AtomicI64::new(-1));
         let ws = Arc::clone(&windows_seen);
+        let windows_seen2 = Arc::clone(&windows_seen);
         let ok = Arc::clone(&order_ok);
         let mx = Arc::clone(&max_done_window);
         let h = pool.submit(JobSpec {
@@ -665,23 +720,28 @@ mod tests {
             graph: Arc::new(g),
             gate: Arc::new(NoGate),
             work: Arc::new(move |_, _, t| {
-                // A task of window w must never run before every task of
-                // window w-1 finished; track the highest fully-started
-                // window crudely via the barrier hook order instead.
+                // A task runs in the last window the hook entered: never
+                // before its window opened, never after the next one did.
                 let entered = ws.lock().len() as i64;
-                if (t.window as i64) > entered {
+                if t.window as i64 != entered - 1 {
                     ok.store(0, Ordering::Relaxed);
                 }
                 mx.fetch_max(t.window as i64, Ordering::Relaxed);
             }),
             on_window: Some(Box::new(move |w| {
                 windows_seen.lock().push(w);
+                Vec::new()
             })),
             on_done: None,
         });
         h.wait();
         assert_eq!(order_ok.load(Ordering::Relaxed), 1, "barrier violated");
         assert_eq!(max_done_window.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            *windows_seen2.lock(),
+            [0, 1, 2],
+            "every window, the first too"
+        );
         pool.shutdown();
     }
 

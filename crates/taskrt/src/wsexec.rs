@@ -25,6 +25,8 @@ pub struct WsStats {
     /// (summed across workers) — zero under [`NoGate`], which is what
     /// every job passes.
     pub gate_wait_ns: f64,
+    /// Roots the `on_window` hook deferred behind their windows' others.
+    pub deferred: u64,
 }
 
 /// A data-readiness gate consulted before each task runs.

@@ -13,7 +13,8 @@ use tahoe_hms::{AccessProfile, ObjectId};
 
 use tahoe_taskrt::wsexec::WsExecutor;
 use tahoe_taskrt::{
-    AccessMode, JobSpec, NoGate, NullHooks, SimScheduler, TaskAccess, TaskGraph, TaskPool, TaskSpec,
+    AccessMode, JobSpec, NoGate, NullHooks, SimScheduler, TaskAccess, TaskGraph, TaskId, TaskPool,
+    TaskSpec,
 };
 
 /// A compact description of a random task: which objects it touches and
@@ -53,6 +54,119 @@ fn build_graph(tasks: &[RandTask]) -> TaskGraph {
         g.add_task(c, accesses_of(t), t.compute as f64);
     }
     g
+}
+
+/// A graph cut into windows at the tasks whose draw is 0.
+fn windowed_graph(tasks: &[(RandTask, u8)]) -> TaskGraph {
+    let mut g = TaskGraph::new();
+    let c = g.class("rand");
+    for (i, (t, barrier)) in tasks.iter().enumerate() {
+        if *barrier == 0 && i > 0 {
+            g.mark_window();
+        }
+        g.add_task(c, accesses_of(t), t.compute as f64);
+    }
+    g
+}
+
+/// The objects (of 0..6) a window's deferral mask names.
+fn masked(mask: u8) -> Vec<ObjectId> {
+    (0..6)
+        .filter(|k| mask & (1 << k) != 0)
+        .map(ObjectId)
+        .collect()
+}
+
+/// Per window: its undeferred roots, and the roots held back behind
+/// them (none when no root is left to wait for).
+fn deferred_roots(g: &TaskGraph, masks: &[u8]) -> Vec<(Vec<TaskId>, Vec<TaskId>)> {
+    (0..g.window_count())
+        .map(|w| {
+            let defer = masked(masks[w as usize]);
+            let tasks = g.window_tasks(w);
+            let first = tasks.first().map_or(0, |t| t.index());
+            let roots = tasks
+                .into_iter()
+                .filter(|&t| g.preds(t).iter().all(|p| p.index() < first));
+            let (held, others): (Vec<TaskId>, Vec<TaskId>) = roots.partition(|&t| {
+                let task = g.task(t);
+                task.accesses.iter().any(|a| defer.contains(&a.object))
+            });
+            if others.is_empty() {
+                (held, Vec::new())
+            } else {
+                (others, held)
+            }
+        })
+        .collect()
+}
+
+/// What one run under a deferring hook did.
+struct DeferredRun {
+    /// Dependences or barriers seen broken.
+    violations: u32,
+    /// Every task ran exactly once.
+    ran_once: bool,
+    /// Roots the pool held back.
+    deferred: u64,
+    /// Tasks in the order they started.
+    order: Vec<TaskId>,
+}
+
+/// Run `g` as one scoped job on `workers`, deferring by window per
+/// `masks` (no hook at all for `None`).
+fn run_deferring(g: &TaskGraph, workers: usize, masks: Option<Vec<u8>>) -> DeferredRun {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    let ran: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
+    let done_in: Vec<AtomicU32> = (0..g.window_count()).map(|_| AtomicU32::new(0)).collect();
+    let violations = AtomicU32::new(0);
+    let order = parking_lot::Mutex::new(Vec::new());
+    let sizes: Vec<u32> = (0..g.window_count())
+        .map(|w| g.window_tasks(w).len() as u32)
+        .collect();
+    let on_window = masks.map(|masks| {
+        let (done_in, violations) = (&done_in, &violations);
+        let sizes = &sizes;
+        Box::new(move |w: u32| {
+            let w = w as usize;
+            // Entering `w`: every earlier window is done, `w` untouched.
+            let earlier = (0..w).all(|v| done_in[v].load(Ordering::Acquire) == sizes[v]);
+            if !earlier || done_in[w].load(Ordering::Acquire) != 0 {
+                violations.fetch_add(1, Ordering::Relaxed);
+            }
+            masked(masks[w])
+        }) as Box<tahoe_taskrt::pool::WindowHook<'_>>
+    });
+    let stats = tahoe_taskrt::run_scoped(
+        workers,
+        None,
+        &tahoe_obs::Metrics::disabled(),
+        JobSpec {
+            tag: 0,
+            graph: g,
+            gate: Arc::new(NoGate),
+            work: Arc::new(|_, _, task: &TaskSpec| {
+                order.lock().push(task.id);
+                if g.preds(task.id)
+                    .iter()
+                    .any(|p| ran[p.index()].load(Ordering::Acquire) == 0)
+                {
+                    violations.fetch_add(1, Ordering::Relaxed);
+                }
+                ran[task.id.index()].fetch_add(1, Ordering::Release);
+                done_in[task.window as usize].fetch_add(1, Ordering::Release);
+            }),
+            on_window,
+            on_done: None,
+        },
+    )
+    .expect("no task panics");
+    DeferredRun {
+        violations: violations.load(Ordering::Relaxed),
+        ran_once: ran.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+        deferred: stats.deferred,
+        order: order.into_inner(),
+    }
 }
 
 proptest! {
@@ -112,15 +226,7 @@ proptest! {
         tasks in proptest::collection::vec((task_strategy(), 0u8..5), 1..40),
     ) {
         use std::sync::atomic::{AtomicU32, Ordering};
-        let mut g = TaskGraph::new();
-        let c = g.class("rand");
-        for (i, (t, barrier)) in tasks.iter().enumerate() {
-            if *barrier == 0 && i > 0 {
-                g.mark_window();
-            }
-            g.add_task(c, accesses_of(t), t.compute as f64);
-        }
-        let g = Arc::new(g);
+        let g = Arc::new(windowed_graph(&tasks));
         let windows = g.window_count() as usize;
 
         // Per run: how often each task ran, how many tasks of each
@@ -160,9 +266,9 @@ proptest! {
             graph: Arc::clone(&g),
             gate: Arc::new(NoGate),
             work: Arc::new(move |_, _, task| {
-                // The task's window was entered first (window 0 has no hook).
+                // The task's window was entered first.
                 let w = task.window as usize;
-                if w > 0 && in_work.entered[w].load(Ordering::Acquire) != 1 {
+                if in_work.entered[w].load(Ordering::Acquire) != 1 {
                     in_work.violations.fetch_add(1, Ordering::Relaxed);
                 }
                 work(&graph, &in_work, task);
@@ -170,12 +276,13 @@ proptest! {
             // Entering `w`: every task of `w - 1` is done, none of `w` is.
             on_window: Some(Box::new(move |w| {
                 let w = w as usize;
-                if in_hook.done_in[w - 1].load(Ordering::Acquire) != sizes[w - 1]
+                if (w > 0 && in_hook.done_in[w - 1].load(Ordering::Acquire) != sizes[w - 1])
                     || in_hook.done_in[w].load(Ordering::Acquire) != 0
                 {
                     in_hook.violations.fetch_add(1, Ordering::Relaxed);
                 }
                 in_hook.entered[w].fetch_add(1, Ordering::Release);
+                Vec::new()
             })),
             on_done: None,
         })
@@ -186,8 +293,65 @@ proptest! {
             prop_assert_eq!(s.violations.load(Ordering::Relaxed), 0, "dependence or barrier violated");
             prop_assert!(s.ran.iter().all(|r| r.load(Ordering::Relaxed) == 1));
         }
-        prop_assert_eq!(pooled.entered[0].load(Ordering::Relaxed), 0, "no hook for the first window");
-        prop_assert!(pooled.entered[1..].iter().all(|e| e.load(Ordering::Relaxed) == 1));
+        prop_assert!(pooled.entered.iter().all(|e| e.load(Ordering::Relaxed) == 1), "every window's hook, the first's too");
+    }
+
+    // Deferred roots, at 1, 2 and 4 workers: every task runs once, every
+    // dependence and barrier holds, and the pool counts what it held
+    // back. At one worker, a window's deferred roots start after all of
+    // its other roots.
+    #[test]
+    fn deferred_roots_run_once_after_their_windows_other_roots(
+        tasks in proptest::collection::vec((task_strategy(), 0u8..5), 1..40),
+        masks in proptest::collection::vec(0u8..64, 40..41),
+    ) {
+        let g = windowed_graph(&tasks);
+        let expect = deferred_roots(&g, &masks);
+        for workers in [1usize, 2, 4] {
+            let run = run_deferring(&g, workers, Some(masks.clone()));
+            prop_assert_eq!(run.violations, 0, "dependence or barrier violated at {} workers", workers);
+            prop_assert!(run.ran_once, "a task ran twice or never at {} workers", workers);
+            let held: usize = expect.iter().map(|(_, held)| held.len()).sum();
+            prop_assert_eq!(run.deferred, held as u64);
+            if workers == 1 {
+                let at = |t: TaskId| run.order.iter().position(|&o| o == t).expect("ran");
+                for (others, held) in &expect {
+                    for &d in held {
+                        prop_assert!(
+                            others.iter().all(|&o| at(o) < at(d)),
+                            "deferred root {:?} started before one of {:?}", d, others
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    // A hook that defers nothing changes nothing: at one worker the
+    // execution order is the hook-less one, task for task.
+    #[test]
+    fn deferring_nothing_keeps_the_execution_order(
+        tasks in proptest::collection::vec((task_strategy(), 0u8..5), 1..40),
+    ) {
+        let g = windowed_graph(&tasks);
+        let plain = run_deferring(&g, 1, None);
+        let hooked = run_deferring(&g, 1, Some(vec![0; 40]));
+        prop_assert_eq!(&plain.order, &hooked.order);
+        prop_assert_eq!(hooked.deferred, 0);
+    }
+
+    // Every root of every window deferred: there is nothing to wait for,
+    // so they all go at once, and the run completes.
+    #[test]
+    fn a_window_of_deferred_roots_runs(
+        tasks in proptest::collection::vec((task_strategy(), 0u8..5), 1..40),
+        workers in 1usize..5,
+    ) {
+        let g = windowed_graph(&tasks);
+        let run = run_deferring(&g, workers, Some(vec![63; 40]));
+        prop_assert_eq!(run.violations, 0);
+        prop_assert!(run.ran_once);
+        prop_assert_eq!(run.deferred, 0, "nothing was held back");
     }
 
     // Cross-check against the sanitizer's independently built
