@@ -841,7 +841,23 @@ fn real_doc(m: &Measured) -> Result<Value, String> {
             "final_tier_objects": Value::array(r.final_tier_objects.iter().copied()),
         }
     });
+    // Every run maps one arena per tier; the fewest that got huge pages.
+    let thp_mode = tahoe_realmem::sys::thp_mode().label();
+    let huge_page_arenas = reports
+        .iter()
+        .map(|r| r.huge_page_arenas)
+        .min()
+        .unwrap_or(0);
+    println!(
+        "  THP mode {thp_mode}: {huge_page_arenas} of {} arenas per run on huge pages",
+        m.tiers.len()
+    );
     Ok(obj!(m.head(false, false);
+        "inputs": obj! {
+            "thp_mode": thp_mode,
+            "huge_page_arenas": huge_page_arenas,
+            "arenas_per_run": m.tiers.len(),
+        },
         "tiers": Value::array(tiers),
         "policies": Value::array(policies),
         "consistency": obj! {
@@ -1035,6 +1051,9 @@ fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
             "policy": r.policy.as_str(),
             "workers": r.workers,
             "wall_ns": Value::fixed(r.wall_ns, 1),
+            // The seeded fill, then each window's summed task time.
+            "init_ns": Value::fixed(r.init_ns, 1),
+            "window_task_ns": Value::array(r.window_task_ns.iter().map(|&ns| Value::fixed(ns, 1))),
             "speedup": Value::fixed(*speedup, 6),
             "bytes_touched": r.bytes_touched,
             "throughput_gbps": Value::fixed(r.throughput_gbps, 6),

@@ -85,6 +85,7 @@
 //! assert_eq!(report.workers, 2);
 //! ```
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -127,6 +128,14 @@ pub struct ParallelPolicyReport {
     /// Wall-clock time of the execution phase, ns (init + windows;
     /// excludes setup, calibration, and post-run migration drain).
     pub wall_ns: f64,
+    /// Of `wall_ns`, the seeded fill that writes every object before
+    /// the first task: the run's first touch of its arenas.
+    pub init_ns: f64,
+    /// Summed task wall time (pin to unpin) of each window, ns, indexed
+    /// by window. At one worker, `init_ns` plus these sums falls short
+    /// of `wall_ns` only by the run's start-up (layout, thread spawns)
+    /// and the scheduler.
+    pub window_task_ns: Vec<f64>,
     /// Bytes of object data walked by the traffic kernels.
     pub bytes_touched: u64,
     /// `bytes_touched / wall_ns` (== GB/s).
@@ -149,6 +158,9 @@ pub struct ParallelPolicyReport {
     /// `(copy_wall_ns − copy_throttle_ns) / wall_ns`. Pacing sleeps, so
     /// the throttled part of a copy gives the core back.
     pub migrator_busy_share: f64,
+    /// Tier arenas of the run that took the huge-page advice (0 where
+    /// the host refuses it: 4 KiB pages throughout).
+    pub huge_page_arenas: u64,
     /// Modelled value of the global plan, of the plan that ran and of
     /// the free-migration per-window bound
     /// ([`tahoe_placement::PlanValues`]); the plan rotated iff `chosen`
@@ -328,11 +340,16 @@ impl MeasuredRuntime {
         let shared = Arc::new(SharedHms::new(prepared.hms));
         let layout = Arc::new(GraphLayout::new(&app.graph, prepared.ids, &config, cal));
         // Init traffic runs here, before the workers spin up.
+        let init_t0 = Instant::now();
         let run = Arc::new(GraphRun::start(
             Arc::clone(&shared),
             Arc::clone(&layout),
             run_seed,
         )?);
+        let init_ns = init_t0.elapsed().as_nanos() as f64;
+        let window_task_ns: Vec<AtomicU64> = (0..app.graph.window_count())
+            .map(|_| AtomicU64::new(0))
+            .collect();
 
         // Register before the migrator spawns so no move-start can slip
         // past the sanitizer's pinned-copy check.
@@ -432,6 +449,8 @@ impl MeasuredRuntime {
                         return;
                     }
                 };
+                window_task_ns[task.window as usize]
+                    .fetch_add(out.wall_ns as u64, Ordering::Relaxed);
                 if let Some(rec) = &recorder {
                     rec.record(worker, "task_ns", out.wall_ns);
                     if out.gate_wait_ns > 0.0 {
@@ -569,6 +588,11 @@ impl MeasuredRuntime {
             workers: nw,
             run_seed,
             wall_ns,
+            init_ns,
+            window_task_ns: window_task_ns
+                .iter()
+                .map(|ns| ns.load(Ordering::Relaxed) as f64)
+                .collect(),
             bytes_touched,
             throughput_gbps: bytes_touched as f64 / wall_ns,
             checksum,
@@ -577,6 +601,7 @@ impl MeasuredRuntime {
             copy_wall_ns: stats.copy_wall_ns,
             copy_throttle_ns: stats.copy_throttle_ns,
             migrator_busy_share: (stats.copy_wall_ns - stats.copy_throttle_ns).max(0.0) / wall_ns,
+            huge_page_arenas: stats.huge_page_arenas,
             plan_value,
             migration: mig.stats,
             migrations_skipped: mig.skipped,
@@ -711,6 +736,25 @@ mod tests {
                 "policy {} diverged from the reference",
                 r.policy
             );
+        }
+    }
+
+    /// The fill and each window's task time are layers of the run's
+    /// wall clock: at one worker they fit inside it, none is empty.
+    #[test]
+    fn init_and_window_task_times_sit_inside_the_wall_clock() {
+        let app = stream_app(4, 16 << 10, 3);
+        let footprint = app.footprint();
+        let cal = WallClockCalibration::synthetic(footprint / 4, 4 * footprint);
+        for policy in [PolicyKind::DramOnly, PolicyKind::tahoe()] {
+            let r = runtime()
+                .run_policy_parallel(&app, &policy, &cal, 1, 0)
+                .expect("parallel run");
+            assert_eq!(r.window_task_ns.len(), 3, "{}", r.policy);
+            assert!(r.init_ns > 0.0, "{}", r.policy);
+            assert!(r.window_task_ns.iter().all(|&ns| ns > 0.0), "{}", r.policy);
+            let tiled = r.init_ns + r.window_task_ns.iter().sum::<f64>();
+            assert!(tiled <= r.wall_ns, "{}: {tiled} > {}", r.policy, r.wall_ns);
         }
     }
 

@@ -4,6 +4,7 @@
 //! (checked via the run checksum, which covers every byte read and
 //! written).
 
+use tahoe_core::engine::residence_values;
 use tahoe_core::measured::{reference_checksum, MeasuredRuntime};
 use tahoe_core::prelude::*;
 use tahoe_memprof::wallclock::WallClockConfig;
@@ -94,27 +95,50 @@ fn all_policies_match_the_reference_bit_for_bit() {
     }
 }
 
+/// NVM-only runs the same accesses as DRAM-only plus, on each, the
+/// injected difference between the fitted devices. Judged on that
+/// delay, not on two noisy wall clocks: the fitted NVM must price this
+/// app's accesses above DRAM, every NVM-only access must have paced at
+/// least its share (the pacing spins to its deadline), and DRAM-only
+/// must have injected nothing. Only a broken emulation fails this.
 #[test]
 fn nvm_emulation_is_slower_than_dram() {
     let app = test_app();
     let rt = MeasuredRuntime::new(platform(&app), WallClockConfig::smoke());
     let cal = rt.calibrate().expect("calibration runs unprivileged");
-    // Wall-clock comparisons are noisy (sibling tests share the cores):
-    // compare best-of-5, alternating the policies so a busy spell hits
-    // both sides alike.
-    let (mut dram, mut nvm) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        for (policy, best) in [
-            (PolicyKind::DramOnly, &mut dram),
-            (PolicyKind::NvmOnly, &mut nvm),
-        ] {
-            let wall = rt.run_policy(&app, &policy, &cal).expect("runs").wall_ns;
-            *best = best.min(wall);
-        }
-    }
+    let specs = [cal.dram.clone(), cal.nvm.clone()];
+    let delay_ns: f64 = residence_values(&app, &specs, Some(&cal))
+        .iter()
+        .map(|v| v[0])
+        .sum();
+    assert!(delay_ns > 0.0, "the fitted NVM prices no access above DRAM");
+
+    let accesses: u64 = app
+        .graph
+        .tasks()
+        .iter()
+        .map(|t| t.accesses.len() as u64)
+        .sum();
+    let nvm = rt
+        .run_policy(&app, &PolicyKind::NvmOnly, &cal)
+        .expect("runs");
+    let on_nvm_ns: f64 = nvm.access_timing.iter().map(|t| t.nvm_ns).sum();
+    let nvm_samples: u64 = nvm.access_timing.iter().map(|t| t.nvm_samples).sum();
+    assert_eq!(nvm_samples, accesses, "every NVM-only access hit NVM");
+    // The sums add the same terms in another order: allow round-off.
     assert!(
-        nvm > dram,
-        "NVM-emulated ({nvm} ns) must be slower than DRAM-only ({dram} ns)"
+        on_nvm_ns >= delay_ns * (1.0 - 1e-9),
+        "NVM accesses took {on_nvm_ns} ns, less than the {delay_ns} ns injected delay"
+    );
+    assert!(nvm.wall_ns >= on_nvm_ns);
+
+    let dram = rt
+        .run_policy(&app, &PolicyKind::DramOnly, &cal)
+        .expect("runs");
+    let dram_samples: u64 = dram.access_timing.iter().map(|t| t.dram_samples).sum();
+    assert_eq!(
+        dram_samples, accesses,
+        "every DRAM-only access hit DRAM: no delay"
     );
 }
 

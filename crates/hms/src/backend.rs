@@ -47,6 +47,9 @@ pub struct BackendStats {
     pub copy_wall_ns: f64,
     /// Of that, ns spent throttling (rate limit + injected latency).
     pub copy_throttle_ns: f64,
+    /// Tier arenas the kernel let use transparent huge pages (0 on the
+    /// virtual substrate, or where the host refuses the advice).
+    pub huge_page_arenas: u64,
 }
 
 /// A physical (or null) substrate for the ordered tier list.

@@ -7,7 +7,9 @@
 //! `TierSpec::copy_lat_to`: source read vs destination write). If the
 //! machine has a second NUMA node the
 //! spill-tier arena is bound to it best-effort; otherwise the software
-//! throttle alone carries the tier asymmetry.
+//! throttle alone carries the tier asymmetry. Every arena asks for huge
+//! pages alike ([`crate::arena`]); [`BackendStats::huge_page_arenas`]
+//! counts those that got the advice through.
 
 use std::time::Instant;
 
@@ -16,7 +18,7 @@ use tahoe_obs::{Emitter, Event, Metrics};
 
 use crate::arena::MmapArena;
 use crate::copy::{throttled_copy, CopyConfig, DEFAULT_CHUNK};
-use crate::numa;
+use crate::{numa, sys};
 
 /// Gauge names for the first arenas (metrics keys are `&'static str`).
 const MAPPED_GAUGES: [&str; 4] = [
@@ -59,13 +61,27 @@ impl RealBackend {
         emitter: Emitter,
         metrics: Metrics,
     ) -> Result<Self, String> {
+        let ask_huge = sys::thp_mode().honours_advice();
+        Self::build(config, emitter, metrics, ask_huge)
+    }
+
+    /// [`RealBackend::with_observability`], advising huge pages on its
+    /// arenas only if `ask_huge`.
+    pub(crate) fn build(
+        config: &HmsConfig,
+        emitter: Emitter,
+        metrics: Metrics,
+        ask_huge: bool,
+    ) -> Result<Self, String> {
         let epoch = Instant::now();
         let specs = config.tier_specs();
         let n = specs.len();
         let mut arenas = Vec::with_capacity(n);
         for (i, spec) in specs.iter().enumerate() {
-            arenas.push(MmapArena::new(TierId(i as u8), &spec.name, spec.capacity)?);
+            let tier = TierId(i as u8);
+            arenas.push(MmapArena::map(tier, &spec.name, spec.capacity, ask_huge)?);
         }
+        let huge_page_arenas = arenas.iter().filter(|a| a.huge_pages()).count() as u64;
 
         // Best-effort hardware asymmetry: DRAM on node 0, the spill tier
         // on the highest node — only when a remote node actually exists.
@@ -125,6 +141,7 @@ impl RealBackend {
             metrics,
             stats: BackendStats {
                 is_real: true,
+                huge_page_arenas,
                 ..BackendStats::default()
             },
         })
@@ -290,6 +307,38 @@ mod tests {
         assert_ne!(d, n, "tiers must be distinct mappings");
         assert!(b.data_ptr(TierId(0), 1 << 20, 1).is_none());
         assert!(b.stats().is_real);
+    }
+
+    #[test]
+    fn every_arena_takes_the_huge_page_advice_the_host_honours() {
+        let b = RealBackend::new(&three_tier_config()).unwrap();
+        let want = if sys::thp_mode().honours_advice() {
+            3
+        } else {
+            0
+        };
+        assert_eq!(
+            b.stats().huge_page_arenas,
+            want,
+            "THP {}",
+            sys::thp_mode().label()
+        );
+    }
+
+    #[test]
+    fn a_refused_advice_leaves_working_small_page_arenas_and_says_so() {
+        let (emitter, metrics) = (Emitter::disabled(), Metrics::disabled());
+        let mut b = RealBackend::build(&config(), emitter, metrics, false).unwrap();
+        assert_eq!(b.stats().huge_page_arenas, 0);
+        b.set_copy_config(CopyConfig::unthrottled());
+        let src = b.data_ptr(TierId(1), 0, 1 << 16).unwrap();
+        // SAFETY: `data_ptr` bounds-checked 64 KiB writable bytes at `src`.
+        unsafe { src.write_bytes(0x6B, 1 << 16) };
+        b.copy(3, TierId(1), 0, TierId(0), 4096, 1 << 16);
+        let dst = b.data_ptr(TierId(0), 4096, 1 << 16).unwrap();
+        // SAFETY: `data_ptr` bounds-checked 64 KiB readable bytes at `dst`.
+        let got = unsafe { std::slice::from_raw_parts(dst, 1 << 16) };
+        assert!(got.iter().all(|&x| x == 0x6B));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! time; this crate supplies the *physical* substrate the paper actually
 //! ran on, scaled to what an unprivileged single-node machine can do:
 //!
-//! * [`MmapArena`] — per-tier, page-aligned, capacity-tracked arenas on
-//!   raw `mmap`/`munmap` with `madvise` residency hints ([`arena`],
-//!   [`sys`]).
+//! * [`MmapArena`] — per-tier, 2 MiB-aligned, capacity-tracked arenas on
+//!   raw `mmap`/`munmap`, advised to use transparent huge pages, with
+//!   `madvise` residency hints ([`arena`], [`sys`]).
 //! * Software NVM emulation — a throttled inter-tier copy engine
 //!   (rate-limited `memcpy` in bounded chunks with injected per-migration
 //!   device latency, [`copy`]) and wall-clock access pacing

@@ -24,6 +24,7 @@ mod ffi {
 
     pub const MADV_WILLNEED: i32 = 3;
     pub const MADV_DONTNEED: i32 = 4;
+    pub const MADV_HUGEPAGE: i32 = 14;
 
     pub const _SC_PAGESIZE: i32 = 30;
 
@@ -50,6 +51,63 @@ pub enum Advice {
     WillNeed,
     /// Pages can be dropped (free physical memory, keep the mapping).
     DontNeed,
+    /// Back the range with transparent huge pages where the kernel can.
+    HugePage,
+}
+
+/// The transparent-huge-page size on x86-64 and 4 KiB-granule aarch64:
+/// the alignment an arena's base needs for its first page to be huge.
+pub const HUGE_PAGE: usize = 2 << 20;
+
+/// The kernel's transparent-huge-page mode, the bracketed word of
+/// `/sys/kernel/mm/transparent_hugepage/enabled`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ThpMode {
+    /// Every anonymous mapping may get huge pages.
+    Always,
+    /// Only mappings advised [`Advice::HugePage`] get huge pages.
+    Madvise,
+    /// No mapping gets huge pages; the advice is accepted and ignored.
+    Never,
+    /// No THP support visible (non-Linux, or a kernel built without it).
+    Unavailable,
+}
+
+impl ThpMode {
+    /// The mode's sysfs word (`"unavailable"` when there is none).
+    pub fn label(self) -> &'static str {
+        match self {
+            ThpMode::Always => "always",
+            ThpMode::Madvise => "madvise",
+            ThpMode::Never => "never",
+            ThpMode::Unavailable => "unavailable",
+        }
+    }
+
+    /// Whether advising [`Advice::HugePage`] can give a mapping huge
+    /// pages under this mode.
+    pub fn honours_advice(self) -> bool {
+        matches!(self, ThpMode::Always | ThpMode::Madvise)
+    }
+}
+
+/// The host's THP mode, read once per process.
+pub fn thp_mode() -> ThpMode {
+    static MODE: std::sync::OnceLock<ThpMode> = std::sync::OnceLock::new();
+    *MODE.get_or_init(|| {
+        let text = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        let chosen = text.ok().and_then(|t| {
+            let open = t.find('[')?;
+            let close = open + t[open..].find(']')?;
+            Some(t[open + 1..close].to_string())
+        });
+        match chosen.as_deref() {
+            Some("always") => ThpMode::Always,
+            Some("madvise") => ThpMode::Madvise,
+            Some("never") => ThpMode::Never,
+            _ => ThpMode::Unavailable,
+        }
+    })
 }
 
 /// The system page size in bytes (4096 when it cannot be queried).
@@ -114,17 +172,36 @@ impl Drop for Mapping {
 
 /// Map `len` bytes of zeroed, page-aligned anonymous memory.
 pub fn map_anonymous(len: usize) -> Result<Mapping, String> {
+    map_aligned(len, page_size() as usize)
+}
+
+/// Map `len` bytes (rounded up to whole pages) of zeroed anonymous
+/// memory whose base is a multiple of `align`, a power of two.
+///
+/// Kernels before 6.7 place anonymous mappings at any page boundary, so
+/// an alignment above the page size over-maps by `align` and unmaps the
+/// slack on both sides.
+pub fn map_aligned(len: usize, align: usize) -> Result<Mapping, String> {
     if len == 0 {
         return Err("cannot map zero bytes".to_string());
     }
+    if !align.is_power_of_two() {
+        return Err(format!("alignment {align} is not a power of two"));
+    }
+    let ps = page_size() as usize;
+    let len = len.div_ceil(ps) * ps;
     #[cfg(unix)]
     {
+        let slack = if align > ps { align } else { 0 };
+        let padded = len
+            .checked_add(slack)
+            .ok_or_else(|| format!("mapping of {len} B overflows"))?;
         // SAFETY: anonymous private mapping with a null hint — no file
         // descriptor, no existing memory touched; failure is checked.
         let ptr = unsafe {
             ffi::mmap(
                 core::ptr::null_mut(),
-                len,
+                padded,
                 ffi::PROT_READ | ffi::PROT_WRITE,
                 ffi::MAP_PRIVATE | ffi::MAP_ANONYMOUS,
                 -1,
@@ -133,19 +210,34 @@ pub fn map_anonymous(len: usize) -> Result<Mapping, String> {
         };
         if ptr == ffi::MAP_FAILED {
             return Err(format!(
-                "mmap of {len} B failed: {}",
+                "mmap of {padded} B failed: {}",
                 std::io::Error::last_os_error()
             ));
         }
+        let raw = ptr as usize;
+        let base = raw.next_multiple_of(align.max(ps));
+        let (head, tail) = (base - raw, padded - (base - raw) - len);
+        // SAFETY: `[raw, base)` and `[base + len, raw + padded)` are
+        // whole pages of the mapping just made (every bound is a page
+        // multiple), outside the range handed out, and nothing has
+        // touched them.
+        unsafe {
+            if head > 0 {
+                ffi::munmap(ptr, head);
+            }
+            if tail > 0 {
+                ffi::munmap((base + len) as *mut core::ffi::c_void, tail);
+            }
+        }
         Ok(Mapping {
-            ptr: ptr.cast(),
+            ptr: base as *mut u8,
             len,
         })
     }
     #[cfg(not(unix))]
     {
-        let layout = std::alloc::Layout::from_size_align(len, page_size() as usize)
-            .map_err(|e| e.to_string())?;
+        let layout =
+            std::alloc::Layout::from_size_align(len, align.max(ps)).map_err(|e| e.to_string())?;
         // SAFETY: `layout` has nonzero size (len == 0 rejected above).
         let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
         if ptr.is_null() {
@@ -156,16 +248,18 @@ pub fn map_anonymous(len: usize) -> Result<Mapping, String> {
 }
 
 /// Best-effort `madvise` over `[offset, offset+len)` of a mapping.
-/// Errors are swallowed — advice is advice.
-pub fn advise(mapping: &Mapping, offset: usize, len: usize, advice: Advice) {
+/// Returns whether the kernel accepted the advice; callers that only
+/// hint may ignore it — advice is advice.
+pub fn advise(mapping: &Mapping, offset: usize, len: usize, advice: Advice) -> bool {
     if offset.saturating_add(len) > mapping.len {
-        return;
+        return false;
     }
     #[cfg(unix)]
     {
         let adv = match advice {
             Advice::WillNeed => ffi::MADV_WILLNEED,
             Advice::DontNeed => ffi::MADV_DONTNEED,
+            Advice::HugePage => ffi::MADV_HUGEPAGE,
         };
         // Page-align the start downward; advice applies to whole pages.
         let ps = page_size() as usize;
@@ -173,13 +267,12 @@ pub fn advise(mapping: &Mapping, offset: usize, len: usize, advice: Advice) {
         let end = offset + len;
         // SAFETY: `[start, end)` was bounds-checked against the mapping
         // and rounded to whole pages inside it; madvise never writes.
-        unsafe {
-            ffi::madvise(mapping.ptr.add(start).cast(), end - start, adv);
-        }
+        unsafe { ffi::madvise(mapping.ptr.add(start).cast(), end - start, adv) == 0 }
     }
     #[cfg(not(unix))]
     {
         let _ = (mapping, advice);
+        false
     }
 }
 
@@ -268,5 +361,32 @@ mod tests {
     #[test]
     fn zero_length_map_is_rejected() {
         assert!(map_anonymous(0).is_err());
+        assert!(map_aligned(0, HUGE_PAGE).is_err());
+        assert!(map_aligned(4096, 3 << 20).is_err());
+    }
+
+    #[test]
+    fn aligned_map_starts_on_the_boundary_and_keeps_its_length() {
+        let ps = page_size() as usize;
+        for len in [1, ps, 5 * ps + 1, HUGE_PAGE + ps] {
+            let m = map_aligned(len, HUGE_PAGE).unwrap();
+            assert_eq!(m.as_ptr() as usize % HUGE_PAGE, 0, "{len} B");
+            assert_eq!(m.len(), len.div_ceil(ps) * ps, "page-rounded, not padded");
+            // SAFETY: `m` maps `len` writable bytes and outlives the view.
+            let bytes = unsafe { std::slice::from_raw_parts_mut(m.as_ptr(), m.len()) };
+            bytes[0] = 1;
+            bytes[m.len() - 1] = 2;
+            assert!(bytes[1..m.len() - 1].iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn thp_mode_is_one_of_the_kernels_words() {
+        let mode = thp_mode();
+        assert!(["always", "madvise", "never", "unavailable"].contains(&mode.label()));
+        assert_eq!(
+            mode.honours_advice(),
+            matches!(mode, ThpMode::Always | ThpMode::Madvise)
+        );
     }
 }

@@ -219,6 +219,68 @@ pub struct PoolStats {
     pub threads_clamped: bool,
 }
 
+/// Longest an idle worker sleeps before looking for work again: the
+/// backstop behind [`Idle`]'s wake-ups.
+const IDLE_BACKSTOP: Duration = Duration::from_micros(200);
+
+/// An event count idle workers sleep on. Whoever makes work stealable
+/// bumps the epoch and wakes the sleepers; a worker reads the epoch
+/// before its last look for work and sleeps only while it is unchanged,
+/// so a push between that look and the sleep cannot be missed.
+struct Idle {
+    epoch: AtomicU64,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Idle {
+    fn new() -> Self {
+        Idle {
+            epoch: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// The epoch to hand [`Idle::sleep`]; read before the last look
+    /// for work.
+    fn key(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Sleep until the epoch moves past `key`, at most the backstop.
+    fn sleep(&self, key: u64) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
+        if self.epoch.load(Ordering::SeqCst) == key {
+            let _ = self.wake.wait_timeout(guard, IDLE_BACKSTOP);
+        } else {
+            drop(guard);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Work became stealable (or the loop is ending): move the epoch
+    /// and wake every sleeper.
+    fn notify(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
+            self.wake.notify_all();
+        }
+    }
+
+    /// [`Idle::notify`] only if a worker is asleep: for local pushes,
+    /// which the pushing worker runs itself if nobody steals them.
+    fn notify_sleepers(&self) {
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.notify();
+        }
+    }
+}
+
 /// The state every worker of one loop shares.
 struct Shared<J> {
     injector: Injector<Unit<J>>,
@@ -227,6 +289,7 @@ struct Shared<J> {
     /// Workers leave once this is set and no job is active.
     shutdown: AtomicBool,
     active_jobs: AtomicUsize,
+    idle: Idle,
     tasks_executed: AtomicU64,
     steals: AtomicU64,
     jobs_completed: AtomicU64,
@@ -252,6 +315,7 @@ where
             clamped: threads == 0,
             shutdown: AtomicBool::new(false),
             active_jobs: AtomicUsize::new(0),
+            idle: Idle::new(),
             tasks_executed: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
@@ -276,27 +340,17 @@ where
     fn worker_loop(&self, me: usize, local: Worker<Unit<J>>, recorder: Option<&FlightRecorder>) {
         let backoff = Backoff::new();
         loop {
-            let unit = local.pop().or_else(|| {
-                let search_t0 = recorder.map(|_| Instant::now());
-                std::iter::repeat_with(|| {
-                    self.injector.steal_batch_and_pop(&local).or_else(|| {
-                        self.stealers
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| *i != me)
-                            .map(|(_, s)| s.steal())
-                            .collect()
-                    })
-                })
-                .find(|s| !s.is_retry())
-                .and_then(|s| s.success())
-                .inspect(|_| {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    if let (Some(rec), Some(t0)) = (recorder, search_t0) {
-                        rec.record(me, "steal_ns", t0.elapsed().as_nanos() as f64);
-                    }
-                })
-            });
+            let mut unit = self.find(me, &local, recorder);
+            // The one idle rule: bounded spin, then yield, then sleep
+            // until work is pushed (at most the backstop) — a server's
+            // idle worker must not burn a core, nor a batch worker
+            // compete with the migrator. The epoch is read before the
+            // last look, so a push after that look ends the sleep.
+            let mut sleep_key = None;
+            if unit.is_none() && backoff.is_completed() {
+                sleep_key = Some(self.idle.key());
+                unit = self.find(me, &local, recorder);
+            }
             match unit {
                 Some((job, tid, holds)) => {
                     backoff.reset();
@@ -311,17 +365,44 @@ where
                     {
                         break;
                     }
-                    // The one idle rule: bounded spin, then yield, then a
-                    // real sleep — a server's idle worker must not burn a
-                    // core, nor a batch worker compete with the migrator.
-                    if backoff.is_completed() {
-                        std::thread::sleep(Duration::from_micros(200));
-                    } else {
-                        backoff.snooze();
+                    match sleep_key {
+                        Some(key) => self.idle.sleep(key),
+                        None => backoff.snooze(),
                     }
                 }
             }
         }
+    }
+
+    /// The next unit for worker `me`: its own deque, then the injector,
+    /// then its peers.
+    fn find(
+        &self,
+        me: usize,
+        local: &Worker<Unit<J>>,
+        recorder: Option<&FlightRecorder>,
+    ) -> Option<Unit<J>> {
+        local.pop().or_else(|| {
+            let search_t0 = recorder.map(|_| Instant::now());
+            std::iter::repeat_with(|| {
+                self.injector.steal_batch_and_pop(local).or_else(|| {
+                    self.stealers
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| *i != me)
+                        .map(|(_, s)| s.steal())
+                        .collect()
+                })
+            })
+            .find(|s| !s.is_retry())
+            .and_then(|s| s.success())
+            .inspect(|_| {
+                self.steals.fetch_add(1, Ordering::Relaxed);
+                if let (Some(rec), Some(t0)) = (recorder, search_t0) {
+                    rec.record(me, "steal_ns", t0.elapsed().as_nanos() as f64);
+                }
+            })
+        })
     }
 
     fn run_task(&self, me: usize, job: J, tid: TaskId, local: &Worker<Unit<J>>) {
@@ -357,6 +438,7 @@ where
             if s.index() < window_end && job.pending[s.index()].fetch_sub(1, Ordering::AcqRel) == 1
             {
                 local.push((job.clone(), s, false));
+                self.idle.notify_sleepers();
             }
         }
         if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -372,6 +454,7 @@ where
             for t in held {
                 self.injector.push((job.clone(), t, false));
             }
+            self.idle.notify();
         }
     }
 
@@ -429,15 +512,20 @@ where
         for t in roots {
             self.injector.push((job.clone(), t, holds));
         }
+        self.idle.notify();
     }
 
-    /// No windows left: run `on_done`, then wake the waiters.
+    /// No windows left: run `on_done`, then wake the waiters (and, once
+    /// the loop is shutting down, the idle workers, so they leave now).
     fn retire(&self, job: &JobState<'a, G>) {
         if let Some(cb) = job.on_done.lock().expect("on_done slot").take() {
             cb(job.failed.get());
         }
         self.jobs_completed.fetch_add(1, Ordering::Relaxed);
         self.active_jobs.fetch_sub(1, Ordering::AcqRel);
+        if self.shutdown.load(Ordering::Acquire) {
+            self.idle.notify();
+        }
         *job.done.lock().expect("job done flag") = true;
         job.done_cv.notify_all();
     }
@@ -515,6 +603,7 @@ impl TaskPool {
     /// abandoned.
     pub fn shutdown(self) -> PoolStats {
         self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.idle.notify();
         for h in self.threads {
             let _ = h.join();
         }
@@ -842,6 +931,65 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 8 * 4 * 25);
         let stats = Arc::try_unwrap(pool).ok().expect("sole owner").shutdown();
         assert_eq!(stats.jobs_completed, 32);
+    }
+
+    /// Lost-wakeup stress: four threads each submit a job and wait for
+    /// it, 10 000 jobs per pool of 1–4 workers, so workers fall idle
+    /// between jobs and are woken by submissions and by barriers
+    /// crossed on a peer. Every task runs once, every job retires and
+    /// shutdown returns — inside a minute.
+    #[test]
+    fn idle_workers_wake_for_every_submission() {
+        const JOBS: u64 = 10_000;
+        const SUBMITTERS: u64 = 4;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            for workers in 1..=4 {
+                let pool = TaskPool::new(workers);
+                let ran = Arc::new(AtomicU64::new(0));
+                std::thread::scope(|scope| {
+                    for _ in 0..SUBMITTERS {
+                        let (pool, ran) = (&pool, &ran);
+                        scope.spawn(move || {
+                            for _ in 0..JOBS / SUBMITTERS {
+                                // Two windows of three independent tasks.
+                                let mut g = TaskGraph::new();
+                                let c = g.class("x");
+                                for w in 0..2 {
+                                    if w > 0 {
+                                        g.mark_window();
+                                    }
+                                    for i in 0..3 {
+                                        g.add_task(c, vec![wr(i)], 0.0);
+                                    }
+                                }
+                                let ran = Arc::clone(ran);
+                                pool.submit(job(
+                                    g,
+                                    0,
+                                    Arc::new(move |_, _, _| {
+                                        ran.fetch_add(1, Ordering::Relaxed);
+                                    }),
+                                ))
+                                .wait();
+                            }
+                        });
+                    }
+                });
+                let stats = pool.shutdown();
+                seen.push((workers, ran.load(Ordering::Relaxed), stats));
+            }
+            let _ = tx.send(seen);
+        });
+        let seen = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("an idle worker missed its wake-up and the pool hung");
+        for (workers, ran, stats) in seen {
+            assert_eq!(ran, 6 * JOBS, "{workers} workers");
+            assert_eq!(stats.tasks_executed, 6 * JOBS, "{workers} workers");
+            assert_eq!(stats.jobs_completed, JOBS, "{workers} workers");
+        }
     }
 
     /// A job whose task 5 panics still retires: `on_done` sees the
