@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! cargo run -p tahoe-bench --release --bin benchgate -- \
-//!     baselines/BENCH_par.smoke.json target/par-artifact/BENCH_par.json
+//!     baselines/BENCH_real.smoke.json target/real-artifact/BENCH_real.json
 //! ```
 //!
 //! Exit status: 0 when no row fails (vacuous rows are reported, not

@@ -20,11 +20,11 @@ use tahoe_core::measured::{
     reference_checksum_seeded, MeasuredRuntime,
 };
 use tahoe_core::prelude::*;
-use tahoe_core::TahoeOptions;
+use tahoe_core::{ModelAudit, TahoeOptions};
 use tahoe_hms::ObjectId;
 use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
 use tahoe_obs::json::{self, Value};
-use tahoe_obs::{Emitter, Metrics};
+use tahoe_obs::{Emitter, Event, Metrics};
 use tahoe_workloads::{all_workloads, cg, stream, Scale};
 
 pub mod gate;
@@ -519,31 +519,34 @@ fn hex(x: u64) -> Value {
     format!("{x:016x}").into()
 }
 
-/// The `machine` block. The CPU count travels with the artifacts whose
-/// bands depend on having cores to scale onto.
-fn machine_json(smoke: bool, with_cpus: bool) -> Value {
-    let machine = obj! {
+/// The `machine` block.
+fn machine_json(smoke: bool) -> Value {
+    obj! {
         "arch": std::env::consts::ARCH,
         "os": std::env::consts::OS,
         "numa_nodes": tahoe_realmem::numa::probe().nodes,
         "smoke": smoke,
-    };
-    if with_cpus {
-        obj!(machine; "cpus": std::thread::available_parallelism().map_or(1, |n| n.get()))
-    } else {
-        machine
     }
 }
 
-fn workload_json(app: &App, tasks: Option<u64>) -> Value {
-    let workload = obj! {
+fn workload_json(app: &App) -> Value {
+    obj! {
         "name": app.name.as_str(),
         "footprint_bytes": app.footprint(),
         "windows": app.windows(),
-    };
-    match tasks {
-        Some(tasks) => obj!(workload; "tasks": tasks),
-        None => workload,
+        "tasks": app.graph.len(),
+    }
+}
+
+/// `{"total": n, "by_kind": {kind: count, ...}}` of an event stream.
+fn events_json(events: &[Event]) -> Value {
+    let mut by_kind = std::collections::BTreeMap::<&str, u64>::new();
+    for e in events {
+        *by_kind.entry(e.kind()).or_insert(0) += 1;
+    }
+    obj! {
+        "total": events.len(),
+        "by_kind": Value::object(by_kind.into_iter().map(|(k, n)| (k, n.into()))),
     }
 }
 
@@ -599,11 +602,11 @@ impl Measured {
     }
 
     /// The `machine` / `workload` / `calibration` preamble.
-    fn head(&self, with_cpus: bool, with_tasks: bool) -> Value {
+    fn head(&self) -> Value {
         let cal = &self.cal;
         obj! {
-            "machine": machine_json(self.smoke, with_cpus),
-            "workload": workload_json(&self.app, with_tasks.then(|| self.app.graph.len() as u64)),
+            "machine": machine_json(self.smoke),
+            "workload": workload_json(&self.app),
             "calibration": obj! {
                 "dram_bw_gbps": Value::fixed(cal.dram.read_bw_gbps, 6),
                 "dram_lat_ns": Value::fixed(cal.dram.read_lat_ns, 6),
@@ -658,10 +661,6 @@ fn obs_artifact(_smoke: bool, dir: &Path) -> Result<Value, String> {
         std::fs::write(dir.join(name), text).map_err(|e| format!("write {name}: {e}"))?;
     }
 
-    let mut by_kind = std::collections::BTreeMap::<&str, u64>::new();
-    for e in &capture.events {
-        *by_kind.entry(e.kind()).or_insert(0) += 1;
-    }
     println!(
         "{} events, {} counters, {} tasks, makespan {:.3}ms",
         capture.events.len(),
@@ -670,11 +669,8 @@ fn obs_artifact(_smoke: bool, dir: &Path) -> Result<Value, String> {
         report.makespan_ns / 1e6
     );
     Ok(obj! {
-        "workload": workload_json(&app, Some(report.tasks)),
-        "events": obj! {
-            "total": capture.events.len(),
-            "by_kind": Value::object(by_kind.into_iter().map(|(k, n)| (k, n.into()))),
-        },
+        "workload": workload_json(&app),
+        "events": events_json(&capture.events),
         "makespan_ns": Value::fixed(report.makespan_ns, 1),
         "migrations": report.migrations.count,
         // The simulated path records through an unbounded buffer, so
@@ -684,137 +680,48 @@ fn obs_artifact(_smoke: bool, dir: &Path) -> Result<Value, String> {
     })
 }
 
-/// `exp audit`: the model-accuracy audit. Runs the parallel measured
-/// Tahoe policy with the flight recorder on, pairs every placement
-/// decision's predicted per-access saving with the measured NVM-vs-DRAM
-/// wall-clock delta, and probes the recorder's self-overhead.
-fn audit(smoke: bool, _dir: &Path) -> Result<Value, String> {
-    let m = Measured::start(
-        "AUDIT model accuracy: predicted vs measured placement benefit",
-        smoke,
-        stream::app,
-        |app| platform_bw(app, 0.25),
-        None,
-    )?;
-    let (workers, reps, run_seed) = (if smoke { 2 } else { 4 }, 3, 0);
-    let audit = m.rt.run_model_audit(&m.app, &m.cal, workers, run_seed)?;
-    let probe =
-        m.rt.probe_obs_overhead(&m.app, &m.cal, workers, run_seed, reps)?;
-
-    println!(
-        "  {:<8} {:>10} {:>7} {:>9} {:>13} {:>13} {:>9} {:>5}",
-        "object", "bytes", "chosen", "accesses", "pred ns/acc", "meas ns/acc", "ape%", "sign"
-    );
-    for r in &audit.rows {
-        println!(
-            "  {:<8} {:>10} {:>7} {:>9} {:>13.1} {:>13} {:>9} {:>5}",
-            r.name,
-            r.bytes,
-            r.chosen,
-            r.accesses,
-            r.predicted_saving_ns,
-            r.measured_saving_ns
-                .map_or("-".to_string(), |v| format!("{v:.1}")),
-            r.ape_pct.map_or("-".to_string(), |v| format!("{v:.1}")),
-            r.sign_agrees.map_or("-", |s| if s { "+" } else { "-" })
-        );
-    }
-    println!(
-        "  audited {} objects: MAPE {:.1}%, sign agreement {:.1}%, {} migrations, wall {:.3} ms",
-        audit.audited,
-        audit.mape_pct,
-        audit.sign_agreement_pct,
-        audit.migrations,
-        audit.wall_ns / 1e6
-    );
-    for (key, h) in &audit.hists {
-        println!(
-            "  hist {:<14} n={:<7} p50={:<10.0} p90={:<10.0} p99={:<10.0} max={:.0} ns",
-            key, h.count, h.p50, h.p90, h.p99, h.max
-        );
-    }
-    println!(
-        "  obs overhead: off {:.3} ms, on {:.3} ms -> {:.2}% (best of {})",
-        probe.off_wall_ns / 1e6,
-        probe.on_wall_ns / 1e6,
-        probe.overhead_pct,
-        probe.reps
-    );
-
-    let objects = audit.rows.iter().map(|r| {
-        obj! {
-            "object": r.object,
-            "name": r.name.as_str(),
-            "bytes": r.bytes,
-            "chosen": r.chosen,
-            "accesses": r.accesses,
-            "predicted_saving_ns": Value::fixed(r.predicted_saving_ns, 6),
-            "measured_saving_ns": r.measured_saving_ns.map(|v| Value::fixed(v, 6)),
-            "ape_pct": r.ape_pct.map(|v| Value::fixed(v, 6)),
-            "sign_agrees": r.sign_agrees,
-        }
-    });
-    let histograms = audit.hists.iter().map(|(key, h)| {
-        let digest = obj! {
-            "count": h.count,
-            "p50": Value::fixed(h.p50, 6),
-            "p90": Value::fixed(h.p90, 6),
-            "p99": Value::fixed(h.p99, 6),
-            "max": Value::fixed(h.max, 6),
-        };
-        (key.as_str(), digest)
-    });
-    Ok(obj!(m.head(false, true);
-        "audit": obj! {
-            "policy": audit.policy.as_str(),
-            "workers": audit.workers,
-            "run_seed": audit.run_seed,
-            "audited": audit.audited,
-            "mape_pct": Value::fixed(audit.mape_pct, 6),
-            "sign_agreement_pct": Value::fixed(audit.sign_agreement_pct, 6),
-            "migrations": audit.migrations,
-            "wall_ns": Value::fixed(audit.wall_ns, 1),
-        },
-        "objects": Value::array(objects),
-        "histograms": Value::object(histograms),
-        "overhead": obj! {
-            "off_wall_ns": Value::fixed(probe.off_wall_ns, 1),
-            "on_wall_ns": Value::fixed(probe.on_wall_ns, 1),
-            "overhead_pct": Value::fixed(probe.overhead_pct, 6),
-            "reps": probe.reps,
-        },
-    ))
-}
-
-/// `exp real [--tiers N]`: the measured-mode experiment. Runs the
-/// headline policies (best of `reps`, wall clocks being noisy) on
-/// `mmap`-arena-backed objects with software-emulated slow tiers and
-/// returns the `tahoe-bench-real/v2` document: the preamble, the tier
-/// list by *preset* name, one row per policy, and the two consistency
-/// flags every real-mode run owes — traffic matches the heap reference
-/// bit for bit, DRAM-only throughput is at least slow-tier-only.
+/// `exp real [--tiers N]`: the measured-mode experiment. Runs each
+/// headline policy once at each worker count (smoke 1/2/4, full
+/// 1/2/4/8) on the work-stealing pool with the background migration
+/// thread, over `mmap`-arena-backed objects with software-emulated slow
+/// tiers, and returns the `tahoe-bench-real/v3` document: the preamble,
+/// the tier list by *preset* name, one row per run, and the flags every
+/// real-mode run owes — every run's traffic matches the heap reference
+/// bit for bit, DRAM-only throughput is at least slow-tier-only at one
+/// worker, and every multi-worker Tahoe run that migrated hid some copy
+/// time.
 fn real_doc(m: &Measured) -> Result<Value, String> {
-    let reps = if m.smoke { 2 } else { 3 };
+    let worker_counts: &[usize] = if m.smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let reference = reference_checksum(&m.app);
-    let mut reports = Vec::new();
+    println!(
+        "  {:<12} {:>7} {:>10} {:>10} {:>6} {:>6} {:>7} {:>9} {:>9}  objects per tier",
+        "policy", "threads", "wall ms", "GB/s", "migr", "evict", "plan x", "%overlap", "gate ms"
+    );
+    let mut runs = Vec::new();
     for policy in &headline_policies() {
-        let mut best = m.rt.run_policy(&m.app, policy, &m.cal)?;
-        for _ in 1..reps {
-            let r = m.rt.run_policy(&m.app, policy, &m.cal)?;
-            if r.wall_ns < best.wall_ns {
-                best = r;
-            }
+        for &workers in worker_counts {
+            let r =
+                m.rt.run_policy_parallel(&m.app, policy, &m.cal, workers, 0)?;
+            // Modelled value of the plan that ran over the global
+            // plan's: above 1 where the plan rotates.
+            let plan_x = r.plan_value.map_or("-".to_string(), |v| {
+                format!("{:.3}", v.chosen_ns / v.global_ns.max(1.0))
+            });
+            println!(
+                "  {:<12} {:>7} {:>10.3} {:>10.2} {:>6} {:>6} {:>7} {:>8.1}% {:>9.3}  {:?}",
+                r.policy,
+                r.workers,
+                r.wall_ns / 1e6,
+                r.throughput_gbps,
+                r.migration.count,
+                r.migration.evictions,
+                plan_x,
+                r.migration.pct_overlap(),
+                r.gate_wait_ns / 1e6,
+                r.final_tier_objects
+            );
+            runs.push(r);
         }
-        println!(
-            "  {:<12} {:>9.3} ms  {:>7.2} GB/s  {} migrations ({} KiB)  objects per tier {:?}",
-            best.policy,
-            best.wall_ns / 1e6,
-            best.throughput_gbps,
-            best.migrations,
-            best.migrated_bytes >> 10,
-            best.final_tier_objects
-        );
-        reports.push(best);
     }
     let tiers = m.tiers.iter().enumerate().map(|(i, s)| {
         obj! {
@@ -827,43 +734,76 @@ fn real_doc(m: &Measured) -> Result<Value, String> {
             "capacity_bytes": s.capacity,
         }
     });
-    let policies = reports.iter().map(|r| {
+    let rows = runs.iter().map(|r| {
         obj! {
             "policy": r.policy.as_str(),
+            "workers": r.workers,
             "wall_ns": Value::fixed(r.wall_ns, 1),
+            // The seeded fill, then each window's summed task time.
+            "init_ns": Value::fixed(r.init_ns, 1),
+            "window_task_ns": Value::array(r.window_task_ns.iter().map(|&ns| Value::fixed(ns, 1))),
             "bytes_touched": r.bytes_touched,
             "throughput_gbps": Value::fixed(r.throughput_gbps, 6),
             "checksum": hex(r.checksum),
-            "migrations": r.migrations,
-            "migrated_bytes": r.migrated_bytes,
+            "migrations": r.migration.count,
+            "migrated_bytes": r.migration.bytes,
             "copy_wall_ns": Value::fixed(r.copy_wall_ns, 1),
+            "copy_throttle_ns": Value::fixed(r.copy_throttle_ns, 1),
+            "migrator_busy_share": Value::fixed(r.migrator_busy_share, 6),
+            "promotions": r.migration.promotions,
+            "evictions": r.migration.evictions,
+            // Fetches issued in their window of use, and the tasks
+            // started after their window's others to let them land.
+            "late_fetches": r.late_fetches,
+            "deferred_tasks": r.deferred_tasks,
+            // Modelled value of the global plan, the plan that ran and
+            // the free-migration bound (null where no plan is priced).
+            "plan_value_global_ns": r.plan_value.map(|v| Value::fixed(v.global_ns, 1)),
+            "plan_value_chosen_ns": r.plan_value.map(|v| Value::fixed(v.chosen_ns, 1)),
+            "plan_value_oracle_ns": r.plan_value.map(|v| Value::fixed(v.oracle_ns, 1)),
+            "overlapped_ns": Value::fixed(r.migration.overlapped_ns, 1),
+            "exposed_ns": Value::fixed(r.migration.exposed_ns, 1),
+            "pct_overlap": Value::fixed(r.migration.pct_overlap(), 3),
+            "gate_wait_ns": Value::fixed(r.gate_wait_ns, 1),
+            "steals": r.steals,
+            "cas_retries": r.contention.pin_cas_retries,
+            "parks": r.contention.parks,
+            "unparks": r.contention.unparks,
             "final_dram_objects": r.final_tier_objects[0],
             "final_tier_objects": Value::array(r.final_tier_objects.iter().copied()),
+            // Time to placement (null for the policies with no plan).
+            "released_at_ns": r.released_at_ns.map(|t| Value::fixed(t, 1)),
+            "placed_at_ns": r.placed_at_ns.map(|t| Value::fixed(t, 1)),
+            "plan_steps_skipped": r.plan_steps_skipped,
         }
     });
     // Every run maps one arena per tier; the fewest that got huge pages.
     let thp_mode = tahoe_realmem::sys::thp_mode().label();
-    let huge_page_arenas = reports
-        .iter()
-        .map(|r| r.huge_page_arenas)
-        .min()
-        .unwrap_or(0);
+    let huge_page_arenas = runs.iter().map(|r| r.huge_page_arenas).min().unwrap_or(0);
     println!(
         "  THP mode {thp_mode}: {huge_page_arenas} of {} arenas per run on huge pages",
         m.tiers.len()
     );
-    Ok(obj!(m.head(false, false);
+    // Each policy's first run is its one-worker run.
+    let (dram, nvm) = (&runs[0], &runs[worker_counts.len()]);
+    let tahoe_name = PolicyKind::tahoe().name();
+    Ok(obj!(m.head();
         "inputs": obj! {
             "thp_mode": thp_mode,
             "huge_page_arenas": huge_page_arenas,
             "arenas_per_run": m.tiers.len(),
         },
         "tiers": Value::array(tiers),
-        "policies": Value::array(policies),
+        "runs": Value::array(rows),
         "consistency": obj! {
             "reference_checksum": hex(reference),
-            "all_policies_match_reference": reports.iter().all(|r| r.checksum == reference),
-            "dram_throughput_ge_nvm": reports[0].throughput_gbps >= reports[1].throughput_gbps,
+            "all_runs_match_reference": runs.iter().all(|r| r.checksum == reference),
+            "dram_throughput_ge_nvm": dram.throughput_gbps >= nvm.throughput_gbps,
+            // Every multi-worker Tahoe run that migrated hid some copy time.
+            "tahoe_multiworker_overlapped": runs
+                .iter()
+                .filter(|r| r.policy == tahoe_name && r.workers >= 2 && r.migration.count > 0)
+                .all(|r| r.migration.overlapped_ns > 0.0),
         },
     ))
 }
@@ -967,11 +907,11 @@ fn real_three(smoke: bool, _dir: &Path) -> Result<Value, String> {
         }
     });
     let eps = 1.0 + 1e-9;
-    let tahoe_mid = gate::nums(&doc, "policies[policy=tahoe].final_tier_objects[1]")?[0];
+    let tahoe_mid = gate::nums(&doc, "runs[policy=tahoe].final_tier_objects[1]")?;
     let consistency = obj!(doc.get("consistency").cloned().unwrap_or(Value::Null);
         "mid_tier_wins_latency_bound": mid_lat_bound >= 1,
         "three_tier_beats_both_two_tier": t3_ns <= t2_nvm_ns * eps && t3_ns <= t2_cxl_ns * eps,
-        "tahoe_uses_mid_tier": tahoe_mid >= 1.0,
+        "tahoe_uses_mid_tier": tahoe_mid.iter().all(|&n| n >= 1.0),
         "sweep_monotone": sweep.windows(2).all(|p| p[1].1 <= p[0].1 * eps),
     );
     Ok(obj!(doc;
@@ -985,121 +925,6 @@ fn real_three(smoke: bool, _dir: &Path) -> Result<Value, String> {
         },
         "sweep": Value::array(sweep_rows),
         "consistency": consistency,
-    ))
-}
-
-/// `exp par`: the parallel measured-mode experiment. Calibrates once,
-/// then runs the headline policies at several worker counts with the
-/// work-stealing executor and the background migration thread.
-fn par(smoke: bool, _dir: &Path) -> Result<Value, String> {
-    let m = Measured::start(
-        "PAR parallel measured mode: work-stealing + background migration",
-        smoke,
-        stream::app,
-        |app| platform_bw(app, 0.25),
-        None,
-    )?;
-    let worker_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let reference = reference_checksum(&m.app);
-
-    println!(
-        "  {:<12} {:>7} {:>10} {:>8} {:>10} {:>6} {:>6} {:>7} {:>9} {:>9}",
-        "policy",
-        "threads",
-        "wall ms",
-        "speedup",
-        "GB/s",
-        "migr",
-        "evict",
-        "plan x",
-        "%overlap",
-        "gate ms"
-    );
-    let mut runs = Vec::new();
-    for policy in &headline_policies() {
-        // Speedup is over this policy's own 1-worker run, wall(1w)/wall(Nw).
-        let mut base_wall = None;
-        for &workers in worker_counts {
-            let r =
-                m.rt.run_policy_parallel(&m.app, policy, &m.cal, workers, 0)?;
-            let speedup = *base_wall.get_or_insert(r.wall_ns) / r.wall_ns;
-            // Modelled value of the plan that ran over the global
-            // plan's: above 1 where the plan rotates.
-            let plan_x = r.plan_value.map_or("-".to_string(), |v| {
-                format!("{:.3}", v.chosen_ns / v.global_ns.max(1.0))
-            });
-            println!(
-                "  {:<12} {:>7} {:>10.3} {:>7.2}x {:>10.2} {:>6} {:>6} {:>7} {:>8.1}% {:>9.3}",
-                r.policy,
-                r.workers,
-                r.wall_ns / 1e6,
-                speedup,
-                r.throughput_gbps,
-                r.migration.count,
-                r.migration.evictions,
-                plan_x,
-                r.migration.pct_overlap(),
-                r.gate_wait_ns / 1e6
-            );
-            runs.push((r, speedup));
-        }
-    }
-
-    let tahoe_name = PolicyKind::tahoe().name();
-    let rows = runs.iter().map(|(r, speedup)| {
-        obj! {
-            "policy": r.policy.as_str(),
-            "workers": r.workers,
-            "wall_ns": Value::fixed(r.wall_ns, 1),
-            // The seeded fill, then each window's summed task time.
-            "init_ns": Value::fixed(r.init_ns, 1),
-            "window_task_ns": Value::array(r.window_task_ns.iter().map(|&ns| Value::fixed(ns, 1))),
-            "speedup": Value::fixed(*speedup, 6),
-            "bytes_touched": r.bytes_touched,
-            "throughput_gbps": Value::fixed(r.throughput_gbps, 6),
-            "checksum": hex(r.checksum),
-            "migrations": r.migration.count,
-            "migrated_bytes": r.migration.bytes,
-            "copy_wall_ns": Value::fixed(r.copy_wall_ns, 1),
-            "copy_throttle_ns": Value::fixed(r.copy_throttle_ns, 1),
-            "migrator_busy_share": Value::fixed(r.migrator_busy_share, 6),
-            "promotions": r.migration.promotions,
-            "evictions": r.migration.evictions,
-            // Fetches issued in their window of use, and the tasks
-            // started after their window's others to let them land.
-            "late_fetches": r.late_fetches,
-            "deferred_tasks": r.deferred_tasks,
-            // Modelled value of the global plan, the plan that ran and
-            // the free-migration bound (null where no plan is priced).
-            "plan_value_global_ns": r.plan_value.map(|v| Value::fixed(v.global_ns, 1)),
-            "plan_value_chosen_ns": r.plan_value.map(|v| Value::fixed(v.chosen_ns, 1)),
-            "plan_value_oracle_ns": r.plan_value.map(|v| Value::fixed(v.oracle_ns, 1)),
-            "overlapped_ns": Value::fixed(r.migration.overlapped_ns, 1),
-            "exposed_ns": Value::fixed(r.migration.exposed_ns, 1),
-            "pct_overlap": Value::fixed(r.migration.pct_overlap(), 3),
-            "gate_wait_ns": Value::fixed(r.gate_wait_ns, 1),
-            "steals": r.steals,
-            "cas_retries": r.contention.pin_cas_retries,
-            "parks": r.contention.parks,
-            "unparks": r.contention.unparks,
-            "final_dram_objects": r.final_tier_objects[0],
-            // Time to placement (null for the policies with no plan).
-            "released_at_ns": r.released_at_ns.map(|t| Value::fixed(t, 1)),
-            "placed_at_ns": r.placed_at_ns.map(|t| Value::fixed(t, 1)),
-            "plan_steps_skipped": r.plan_steps_skipped,
-        }
-    });
-    Ok(obj!(m.head(true, true);
-        "runs": Value::array(rows),
-        "consistency": obj! {
-            "reference_checksum": hex(reference),
-            "all_runs_match_reference": runs.iter().all(|(r, _)| r.checksum == reference),
-            // Every multi-worker Tahoe run that migrated hid some copy time.
-            "tahoe_multiworker_overlapped": runs
-                .iter()
-                .filter(|(r, _)| r.policy == tahoe_name && r.workers >= 2 && r.migration.count > 0)
-                .all(|(r, _)| r.migration.overlapped_ns > 0.0),
-        },
     ))
 }
 
@@ -1127,10 +952,12 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-/// `exp blame`: the causal-profiler artifact. Runs the parallel measured
-/// Tahoe policy with the flight recorder on, reconstructs the critical
-/// path and the exposed-stall blame table from the merged event stream,
-/// prices COZ-style what-if estimates in the CF-free model, then boots a
+/// `exp blame`: the causal-profiler and model-audit artifact. Runs the
+/// parallel measured Tahoe policy once with the flight recorder on,
+/// reconstructs the critical path and the exposed-stall blame table from
+/// the merged event stream, prices COZ-style what-if estimates in the
+/// CF-free model, audits the planner's predictions against the same
+/// run's access timing, counts its events by kind, then boots a
 /// small two-tenant server and scrapes its live telemetry plane (skipped
 /// gracefully where loopback sockets are unavailable), journalling it to
 /// `dir/telemetry.jsonl`.
@@ -1139,17 +966,21 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
         ArbiterMode, QuotaPolicy, ServerConfig, TahoeServer, TelemetryConfig, TenantSpec,
     };
 
-    let (emitter, _buf) = Emitter::buffered();
+    let (emitter, buffer) = Emitter::buffered();
+    let metrics = Metrics::enabled();
     let m = Measured::start(
-        "BLAME causal profiler: critical path + stall blame + live telemetry",
+        "BLAME causal profiler + model audit: critical path, stall blame, live telemetry",
         smoke,
         stream::app,
         |app| platform_bw(app, 0.25),
-        Some((emitter, Metrics::enabled())),
+        Some((emitter, metrics.clone())),
     )?;
+    // The calibration's events are not the run's.
+    buffer.drain();
     let (workers, seed) = (if smoke { 2 } else { 4 }, 7);
     let r =
         m.rt.run_policy_parallel(&m.app, &PolicyKind::tahoe(), &m.cal, workers, seed)?;
+    let events = buffer.drain();
     let reference = reference_checksum_seeded(&m.app, seed);
     let crit = r
         .crit
@@ -1185,19 +1016,50 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
     }
     let overlap_delta = (crit.blame_pct_overlap - r.migration.pct_overlap()).abs();
     let blamed_migrations: u64 = crit.blame.iter().map(|e| e.migrations).sum();
-    // Only objects the planner priced can agree or disagree in sign.
-    let priced = || crit.whatif.iter().filter(|w| w.predicted_benefit_ns != 0.0);
-    let (whatif_checked, whatif_agreeing) =
-        (priced().count(), priced().filter(|w| w.sign_agrees).count());
     println!(
-        "  reconciliation: blame overlap {:.2}% vs engine {:.2}% (delta {:.3}%), {} what-if estimates, {}/{} signs agree",
+        "  reconciliation: blame overlap {:.2}% vs engine {:.2}% (delta {:.3}%), {} what-if estimates",
         crit.blame_pct_overlap,
         r.migration.pct_overlap(),
         overlap_delta,
-        crit.whatif.len(),
-        whatif_agreeing,
-        whatif_checked
+        crit.whatif.len()
     );
+
+    // ---- model audit ------------------------------------------------
+    // The same run's placement decisions against its access timing.
+    let audit = ModelAudit::new(&m.app, &r.access_timing, &events);
+    println!(
+        "  {:<8} {:>10} {:>7} {:>9} {:>13} {:>13} {:>9} {:>5}",
+        "object", "bytes", "chosen", "accesses", "pred ns/acc", "meas ns/acc", "ape%", "sign"
+    );
+    let or_dash = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.1}"));
+    for o in &audit.rows {
+        println!(
+            "  {:<8} {:>10} {:>7} {:>9} {:>13.1} {:>13} {:>9} {:>5}",
+            o.name,
+            o.bytes,
+            o.chosen,
+            o.accesses,
+            o.predicted_saving_ns,
+            or_dash(o.measured_saving_ns),
+            or_dash(o.ape_pct),
+            o.sign_agrees.map_or("-", |s| if s { "+" } else { "-" })
+        );
+    }
+    println!(
+        "  audited {} objects: median APE {:.1}%, sign agreement {:.1}%",
+        audit.audited, audit.median_ape_pct, audit.sign_agreement_pct
+    );
+    let recorded = events_json(&events);
+    let by_kind = recorded.get("by_kind").map_or(String::new(), Value::write);
+    print!("  recorded {} events by kind: {by_kind}", events.len());
+    let mut hists = metrics.snapshot().histograms;
+    hists.retain(|(_, h)| h.count > 0);
+    for (key, h) in &hists {
+        println!(
+            "  hist {:<14} n={:<7} p50={:<10.0} p90={:<10.0} p99={:<10.0} max={:.0} ns",
+            key, h.count, h.p50, h.p90, h.p99, h.max
+        );
+    }
 
     // ---- live telemetry plane ---------------------------------------
     // A small two-tenant server: the same counters the shutdown report
@@ -1324,7 +1186,30 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
             "sign_agrees": w.sign_agrees,
         }
     });
-    Ok(obj!(m.head(true, true);
+    let objects = audit.rows.iter().map(|o| {
+        obj! {
+            "object": o.object,
+            "name": o.name.as_str(),
+            "bytes": o.bytes,
+            "chosen": o.chosen,
+            "accesses": o.accesses,
+            "predicted_saving_ns": Value::fixed(o.predicted_saving_ns, 6),
+            "measured_saving_ns": o.measured_saving_ns.map(|v| Value::fixed(v, 6)),
+            "ape_pct": o.ape_pct.map(|v| Value::fixed(v, 6)),
+            "sign_agrees": o.sign_agrees,
+        }
+    });
+    let histograms = hists.iter().map(|(key, h)| {
+        let digest = obj! {
+            "count": h.count,
+            "p50": Value::fixed(h.p50, 6),
+            "p90": Value::fixed(h.p90, 6),
+            "p99": Value::fixed(h.p99, 6),
+            "max": Value::fixed(h.max, 6),
+        };
+        (key.as_str(), digest)
+    });
+    Ok(obj!(m.head();
         "run": obj! {
             "policy": r.policy.as_str(),
             "workers": r.workers,
@@ -1363,6 +1248,14 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
             "unattributed_wait_ns": Value::fixed(crit.unattributed_wait_ns, 1),
         },
         "whatif": Value::array(whatif_rows),
+        "audit": obj! {
+            "audited": audit.audited,
+            "median_ape_pct": Value::fixed(audit.median_ape_pct, 6),
+            "sign_agreement_pct": Value::fixed(audit.sign_agreement_pct, 6),
+        },
+        "objects": Value::array(objects),
+        "events": recorded,
+        "histograms": Value::object(histograms),
         "telemetry": obj! {
             "served": scraped_body.is_some(),
             "scrape_matches_report": scrape_matches,
@@ -1372,12 +1265,7 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
         },
         "consistency": obj! {
             "checksum_matches_reference": r.checksum == reference,
-            "crit_band_pct": 5.0,
-            "overlap_band_pct": 1.0,
             "blame_covers_all_migrations": blamed_migrations == r.migration.count,
-            "whatif_checked": whatif_checked,
-            "whatif_agreeing": whatif_agreeing,
-            "ring_dropped": r.obs_ring_dropped,
         },
     ))
 }
@@ -1565,7 +1453,7 @@ fn sanitize(smoke: bool, _dir: &Path) -> Result<Value, String> {
         rows.len()
     );
     Ok(obj! {
-        "machine": machine_json(smoke, false),
+        "machine": machine_json(smoke),
         "static": obj! {
             "workloads_verified": static_verified,
             "plans_audited": static_verified,
@@ -1767,7 +1655,7 @@ fn verify(smoke: bool, _dir: &Path) -> Result<Value, String> {
         }
     });
     Ok(obj! {
-        "machine": machine_json(smoke, false),
+        "machine": machine_json(smoke),
         "plans": obj! {
             "workloads": apps.len(),
             "tier_depths": Value::array([2u32, 3]),
@@ -2093,7 +1981,7 @@ fn tenant(smoke: bool, _dir: &Path) -> Result<Value, String> {
         num(&q, "jain")
     );
     Ok(obj! {
-        "machine": machine_json(smoke, true),
+        "machine": machine_json(smoke),
         "workload": obj! {
             "active_tenants": 4u32,
             "cold_tenants": 1u32,
@@ -2128,14 +2016,12 @@ type RunFn = fn(bool, &Path) -> Result<Value, String>;
 #[rustfmt::skip]
 pub static ARTIFACTS: &[(&str, &str, RunFn, &str)] = &[
     ("obs", "tahoe-bench-obs/v1", obs_artifact, "BENCH_obs.json"),
-    ("real", "tahoe-bench-real/v2", real_two, "BENCH_real.json"),
-    ("real3", "tahoe-bench-real/v2", real_three, "BENCH_real.json"),
-    ("par", "tahoe-bench-par/v1", par, "BENCH_par.json"),
-    ("audit", "tahoe-bench-audit/v1", audit, "BENCH_audit.json"),
+    ("real", "tahoe-bench-real/v3", real_two, "BENCH_real.json"),
+    ("real3", "tahoe-bench-real/v3", real_three, "BENCH_real.json"),
     ("sanitize", "tahoe-bench-sanitize/v1", sanitize, "BENCH_sanitize.json"),
     ("verify", "tahoe-bench-verify/v1", verify, "BENCH_verify.json"),
     ("tenant", "tahoe-bench-tenant/v1", tenant, "BENCH_tenant.json"),
-    ("blame", "tahoe-bench-blame/v1", blame, "BENCH_blame.json"),
+    ("blame", "tahoe-bench-blame/v2", blame, "BENCH_blame.json"),
 ];
 
 /// Run artifact `kind`, write it under `out` (default
@@ -2230,13 +2116,41 @@ mod tests {
         }
     }
 
+    /// Every artifact kind has a committed baseline, and every baseline
+    /// names a kind that still exists: a deleted artifact's baseline
+    /// does not linger.
+    #[test]
+    fn artifacts_and_baselines_agree() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+        let mut baselines: Vec<String> = std::fs::read_dir(&dir)
+            .expect("baselines/ is readable")
+            .map(|e| {
+                e.expect("directory entry")
+                    .file_name()
+                    .into_string()
+                    .unwrap()
+            })
+            .filter_map(|name| {
+                let kind = name.strip_prefix("BENCH_")?.strip_suffix(".smoke.json")?;
+                Some(kind.to_string())
+            })
+            .collect();
+        baselines.sort();
+        let mut kinds: Vec<String> = ARTIFACTS.iter().map(|a| a.0.to_string()).collect();
+        kinds.sort();
+        assert_eq!(
+            baselines, kinds,
+            "baselines/BENCH_<kind>.smoke.json vs ARTIFACTS"
+        );
+    }
+
     #[test]
     fn a_quote_in_a_workload_name_still_parses() {
         let mut b = AppBuilder::new("str\"eam\\");
         let x = b.object("x", 64);
         let c = b.class("c");
         b.task(c).read_streaming(x, 1).submit();
-        let text = workload_json(&b.build(), Some(1)).write();
+        let text = workload_json(&b.build()).write();
         let parsed = json::parse(&text).expect("artifact text parses");
         assert_eq!(
             parsed.get("name").and_then(Value::as_str),

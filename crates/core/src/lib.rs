@@ -85,7 +85,7 @@ pub mod report;
 pub mod runtime;
 
 pub use app::{App, AppBuilder, ObjectSpec, TaskBuilder};
-pub use audit::{ModelAudit, ObjectAudit, ObsOverhead};
+pub use audit::{ModelAudit, ObjectAudit};
 pub use config::{Platform, RuntimeConfig};
 pub use measured::MeasuredRuntime;
 pub use parallel::{AccessTierTiming, ParallelPolicyReport};

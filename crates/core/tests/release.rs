@@ -11,7 +11,7 @@ use tahoe_core::app::{App, AppBuilder};
 use tahoe_core::config::{Platform, MIN_CLASS_INSTANCES};
 use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
 use tahoe_core::policy::PolicyKind;
-use tahoe_core::ParallelPolicyReport;
+use tahoe_core::{ModelAudit, ParallelPolicyReport};
 use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
 use tahoe_obs::{Emitter, Event, Metrics};
 use tahoe_taskrt::TaskId;
@@ -301,13 +301,18 @@ fn the_plan_is_placed_faster_than_the_symmetric_channel_allowed() {
 
 #[test]
 fn the_smoke_stream_stays_auditable() {
-    // `exp audit --smoke`: everything fits the 1 MiB DRAM floor, so all
-    // 12 blocks are promoted — and each must still be seen on NVM first.
+    // The model audit of `exp blame --smoke`: everything fits the 1 MiB
+    // DRAM floor, so all 12 blocks are promoted — and each must still be
+    // seen on NVM first.
     let app = tahoe_workloads::stream::app(tahoe_workloads::Scale::Test);
-    let cal = cal_with(&app, 1 << 20);
-    let audit = runtime()
-        .run_model_audit(&app, &cal, 2, 0)
-        .expect("audit run");
-    assert!(audit.migrations > 0);
+    let (emitter, buffer) = Emitter::buffered();
+    let rt = runtime().with_observability(emitter, Metrics::enabled());
+    let r = rt
+        .run_policy_parallel(&app, &PolicyKind::tahoe(), &cal_with(&app, 1 << 20), 2, 0)
+        .expect("observed run");
+    assert_eq!(r.checksum, reference_checksum_seeded(&app, 0));
+    assert!(r.migrations > 0);
+    let audit = ModelAudit::new(&app, &r.access_timing, &buffer.drain());
+    assert_eq!(audit.rows.len(), app.objects.len(), "every block is priced");
     assert!(audit.audited >= 1, "no object ran on both tiers");
 }

@@ -290,7 +290,7 @@ pub enum Event {
     },
     /// The Tahoe planner's verdict on one object, stamped with the
     /// model-predicted benefit of DRAM residence — the prediction side
-    /// of the model-accuracy audit (`exp audit` pairs it with measured
+    /// of the model-accuracy audit (`exp blame` pairs it with measured
     /// per-access wall-clock deltas).
     PlacementDecision {
         /// Wall-clock ns since the run's epoch (plan hand-off time).

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 /// A parsed JSON value.
 ///
-/// # Example: reading a `BENCH_par.json` artifact
+/// # Example: reading a `BENCH_real.json` artifact
 ///
 /// The bench harness's artifacts are plain JSON; this parser is enough
 /// to pull numbers back out of them in tests and tooling:
@@ -22,13 +22,13 @@ use std::collections::BTreeMap;
 /// use tahoe_obs::json;
 ///
 /// let artifact = r#"{
-///   "schema": "tahoe-bench-par/v1",
+///   "schema": "tahoe-bench-real/v3",
 ///   "runs": [
 ///     {"policy": "tahoe", "workers": 4, "migrations": 12, "pct_overlap": 91.2}
 ///   ]
 /// }"#;
 /// let v = json::parse(artifact).unwrap();
-/// assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("tahoe-bench-par/v1"));
+/// assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("tahoe-bench-real/v3"));
 /// let runs = v.get("runs").and_then(|r| r.as_array()).unwrap();
 /// let tahoe = runs
 ///     .iter()
