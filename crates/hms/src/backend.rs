@@ -50,6 +50,13 @@ pub struct BackendStats {
     /// Tier arenas the kernel let use transparent huge pages (0 on the
     /// virtual substrate, or where the host refuses the advice).
     pub huge_page_arenas: u64,
+    /// System calls that handed freed pages back to the kernel: one per
+    /// batch where the kernel takes a vectored release, else one per
+    /// range.
+    pub release_calls: u64,
+    /// Page ranges those calls released (`released_ranges /
+    /// release_calls` is the batch factor).
+    pub released_ranges: u64,
 }
 
 /// A physical (or null) substrate for the ordered tier list.
@@ -71,8 +78,7 @@ pub trait TierBackend: std::fmt::Debug + Send {
     /// range is out of bounds.
     fn data_ptr(&mut self, tier: TierId, addr: u64, len: u64) -> Option<*mut u8>;
 
-    /// An object was allocated at `[addr, addr+len)` on `tier` (hook for
-    /// `madvise`-style residency hints).
+    /// An object was allocated at `[addr, addr+len)` on `tier`.
     fn on_alloc(&mut self, _tier: TierId, _addr: u64, _len: u64) {}
 
     /// An object at `[addr, addr+len)` on `tier` was freed.

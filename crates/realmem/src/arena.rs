@@ -5,7 +5,8 @@
 //! by design — the HMS allocator hands out tier-local byte offsets in
 //! `[0, capacity)`, and the arena resolves them against its base
 //! pointer. Allocation policy stays in `tahoe_hms::alloc::TierAllocator`;
-//! the arena only owns the bytes and the residency hints.
+//! the arena only owns the bytes, the huge-page advice and the release
+//! of freed pages.
 //!
 //! **Huge pages, one rule for every arena.** Each mapping starts on a
 //! 2 MiB boundary and is advised `MADV_HUGEPAGE`, so first touch faults
@@ -16,10 +17,37 @@
 //! the runs use. A refused advice (THP `never`, `EINVAL`) leaves
 //! today's 4 KiB arena. The length stays page-rounded: padding a small
 //! arena to 2 MiB would fault a whole huge page for a partial tail.
+//!
+//! **Freed pages go back in batches.** A free hands the kernel only the
+//! whole pages inside the freed range — bytes sharing a page with a
+//! neighbour are zeroed in place, so the neighbour keeps its bytes —
+//! and not at once: they join a pending batch that one
+//! `process_madvise(MADV_DONTNEED)` releases ([`sys::release`]), so one
+//! system call and one TLB shootdown cover many objects. A batch goes
+//! when it holds [`sys::HUGE_PAGE`] bytes (the most resident memory can
+//! exceed live memory by; the ranges then fit one call's
+//! [`sys::MAX_IOV`]), and before an
+//! allocation reuses any of its bytes, so a reallocated range reads
+//! back as fresh zeroed memory and no later release can zap it. The
+//! mapping's `munmap` covers whatever is pending when the arena drops.
 
 use tahoe_hms::TierId;
 
-use crate::sys::{self, Advice, Mapping};
+use crate::sys::{self, Mapping, ReleasePath};
+
+// Every pending range holds at least a 4 KiB page, so a batch below
+// `HUGE_PAGE` bytes is within the ranges one vectored call takes.
+const _: () = assert!(sys::HUGE_PAGE / 4096 <= sys::MAX_IOV);
+
+/// What one free or allocation handed back to the kernel: the system
+/// calls made and the ranges they released (both 0 while a batch fills).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Released {
+    /// Release system calls made.
+    pub calls: u64,
+    /// Page ranges those calls released.
+    pub ranges: u64,
+}
 
 /// A page-aligned, capacity-tracked mapping backing one memory tier.
 #[derive(Debug)]
@@ -33,6 +61,14 @@ pub struct MmapArena {
     numa_node: i64,
     /// Whether the kernel took the huge-page advice.
     huge_pages: bool,
+    /// Whole pages of freed ranges not yet released, `(offset, len)`.
+    pending: Vec<(usize, usize)>,
+    /// Bytes in `pending`.
+    pending_bytes: usize,
+    /// How a batch goes back to the kernel; the property test drives
+    /// both paths.
+    #[cfg(test)]
+    release_path: ReleasePath,
 }
 
 impl MmapArena {
@@ -59,7 +95,7 @@ impl MmapArena {
         let len = usize::try_from(capacity).map_err(|e| format!("{label} arena: {e}"))?;
         let mapping =
             sys::map_aligned(len, sys::HUGE_PAGE).map_err(|e| format!("{label} arena: {e}"))?;
-        let huge_pages = ask_huge && sys::advise(&mapping, 0, mapping.len(), Advice::HugePage);
+        let huge_pages = ask_huge && sys::advise_huge_pages(&mapping);
         Ok(MmapArena {
             tier,
             label: label.to_string(),
@@ -68,6 +104,10 @@ impl MmapArena {
             live_bytes: 0,
             numa_node: -1,
             huge_pages,
+            pending: Vec::new(),
+            pending_bytes: 0,
+            #[cfg(test)]
+            release_path: ReleasePath::Batched,
         })
     }
 
@@ -102,6 +142,12 @@ impl MmapArena {
         self.live_bytes
     }
 
+    /// Bytes of freed whole pages waiting for the next release (at most
+    /// [`sys::HUGE_PAGE`]).
+    pub fn pending_bytes(&self) -> u64 {
+        self.pending_bytes as u64
+    }
+
     /// NUMA node the arena is bound to, `-1` when unbound (emulation).
     pub fn numa_node(&self) -> i64 {
         self.numa_node
@@ -127,19 +173,72 @@ impl MmapArena {
         Some(unsafe { self.mapping.as_ptr().add(addr as usize) })
     }
 
-    /// A live allocation appeared at `[addr, addr+len)`: pre-fault hint.
-    pub fn on_alloc(&mut self, addr: u64, len: u64) {
+    /// A live allocation appeared at `[addr, addr+len)`. If any of its
+    /// bytes wait in the pending batch, the batch is released first.
+    pub fn on_alloc(&mut self, addr: u64, len: u64) -> Released {
         self.live_bytes = self.live_bytes.saturating_add(len);
-        sys::advise(&self.mapping, addr as usize, len as usize, Advice::WillNeed);
+        let (lo, hi) = (addr as usize, addr.saturating_add(len) as usize);
+        if self.pending.iter().any(|&(at, n)| at < hi && lo < at + n) {
+            self.release()
+        } else {
+            Released::default()
+        }
     }
 
-    /// The allocation at `[addr, addr+len)` was freed: let the kernel
-    /// reclaim the physical pages (the mapping itself stays). On every
-    /// tier: a range inside a huge page splits it and returns its 4 KiB
-    /// pages, so resident memory stays what is live.
-    pub fn on_free(&mut self, addr: u64, len: u64) {
+    /// The allocation at `[addr, addr+len)` was freed: its whole pages
+    /// join the pending batch and its bytes on pages shared with a
+    /// neighbour are zeroed. Releases the batch once it is full. The
+    /// range must be one the allocator has just freed: nothing may
+    /// access its bytes any more.
+    pub fn on_free(&mut self, addr: u64, len: u64) -> Released {
         self.live_bytes = self.live_bytes.saturating_sub(len);
-        sys::advise(&self.mapping, addr as usize, len as usize, Advice::DontNeed);
+        let Some(base) = self.data_ptr(addr, len) else {
+            debug_assert!(false, "free of [{addr}, +{len}) beyond the arena");
+            return Released::default();
+        };
+        let ps = sys::page_size() as usize;
+        let (lo, hi) = (addr as usize, (addr + len) as usize);
+        let start = lo.next_multiple_of(ps).min(hi);
+        let end = (hi / ps * ps).max(start);
+        // SAFETY: `[lo, start)` and `[end, hi)` lie inside the freed
+        // range, which `data_ptr` bounds-checked and no live object holds.
+        unsafe {
+            base.write_bytes(0, start - lo);
+            base.add(end - lo).write_bytes(0, hi - end);
+        }
+        if end > start {
+            self.pending.push((start, end - start));
+            self.pending_bytes += end - start;
+        }
+        if self.pending_bytes >= sys::HUGE_PAGE {
+            self.release()
+        } else {
+            Released::default()
+        }
+    }
+
+    /// Hand the pending batch back to the kernel.
+    fn release(&mut self) -> Released {
+        #[cfg(test)]
+        let path = self.release_path;
+        #[cfg(not(test))]
+        let path = ReleasePath::Batched;
+        // SAFETY: every pending range is whole pages inside a freed
+        // range that no allocation has reused since (`on_alloc` releases
+        // the batch before handing out any of its bytes), so no object
+        // lives there and nothing may access it.
+        let calls = unsafe { sys::release(&self.mapping, &self.pending, path) };
+        let ranges = self.pending.len() as u64;
+        self.pending.clear();
+        self.pending_bytes = 0;
+        Released { calls, ranges }
+    }
+
+    /// Release every batch range by range, as a kernel that refuses the
+    /// batched call does.
+    #[cfg(test)]
+    pub(crate) fn release_per_range(&mut self) {
+        self.release_path = ReleasePath::PerRange;
     }
 }
 
@@ -296,12 +395,126 @@ mod tests {
         all.fill(0x77);
         a.on_free(0, 64 << 10);
         assert!(all[64 << 10..].iter().all(|&b| b == 0x77));
+        assert_eq!(a.pending_bytes(), 64 << 10, "a free waits for its batch");
+        // Reusing part of the pending range releases the whole batch
+        // first: the freed bytes read zero once released and on reuse.
+        let released = a.on_alloc(0, 4 << 10);
+        assert_eq!((released.ranges, a.pending_bytes()), (1, 0));
         assert!(all[..64 << 10].iter().all(|&b| b == 0));
         if let Some(kib) = anon_huge_kib(a.base_ptr() as usize) {
             // Under THP `always` the kernel may still use huge pages.
             if sys::thp_mode() != sys::ThpMode::Always {
                 assert_eq!(kib, 0, "an unadvised arena got huge pages");
             }
+        }
+    }
+
+    /// 256 frees of 8 KiB fill one 2 MiB batch: the first 255 release
+    /// nothing, the 256th releases all of them in one call (one per
+    /// range where the kernel refuses the batched call), and only the
+    /// freed ranges read zero.
+    #[test]
+    fn a_full_batch_is_released_at_once() {
+        let mut a = MmapArena::new(TierId(1), "NVM", 8 << 20).unwrap();
+        a.on_alloc(0, 8 << 20);
+        let all = bytes(&a);
+        all.fill(0x42);
+        let (len, stride) = (8usize << 10, 16usize << 10);
+        for i in 0..255 {
+            assert_eq!(
+                a.on_free((i * stride) as u64, len as u64),
+                Released::default()
+            );
+        }
+        assert_eq!(a.pending_bytes(), 255 * len as u64);
+        assert!(all.iter().all(|&b| b == 0x42), "nothing released yet");
+        let released = a.on_free((255 * stride) as u64, len as u64);
+        assert_eq!(released.ranges, 256);
+        assert!(sys::batched_calls_ok(released.calls, 256), "{released:?}");
+        assert_eq!(a.pending_bytes(), 0);
+        for i in 0..256 {
+            let at = i * stride;
+            assert!(all[at..at + len].iter().all(|&b| b == 0), "range {i}");
+            assert!(all[at + len..at + stride].iter().all(|&b| b == 0x42));
+        }
+    }
+
+    /// A free whose pages it shares with live neighbours zeroes its own
+    /// bytes and releases no page: the neighbours keep theirs.
+    #[test]
+    fn a_free_sharing_pages_zeroes_only_its_own_bytes() {
+        let mut a = MmapArena::new(TierId(1), "NVM", 1 << 20).unwrap();
+        let all = bytes(&a);
+        for (i, at) in [0usize, 5000, 10_000].into_iter().enumerate() {
+            a.on_alloc(at as u64, 5000);
+            all[at..at + 5000].fill(i as u8 + 1);
+        }
+        a.on_free(5000, 5000);
+        assert!(all[..5000].iter().all(|&b| b == 1), "object 0");
+        assert!(all[5000..10_000].iter().all(|&b| b == 0), "the freed one");
+        assert!(all[10_000..15_000].iter().all(|&b| b == 3), "object 2");
+        assert_eq!(a.pending_bytes(), 0, "it covers no whole page");
+    }
+
+    /// One random alloc/free sequence on a `TierAllocator`-driven arena.
+    /// Every allocation is filled with its own byte; after every step
+    /// each live allocation reads its byte, a fresh one reads zero, and
+    /// at most one huge page of freed memory waits. Returns the arena's
+    /// final bytes and the ranges released.
+    fn run_sequence(
+        ops: &[(bool, u64, bool)],
+        per_range: bool,
+    ) -> Result<(Vec<u8>, u64), proptest::TestCaseError> {
+        use proptest::prop_assert;
+        const CAPACITY: u64 = 8 << 20;
+        let mut arena = MmapArena::new(TierId(1), "NVM", CAPACITY).unwrap();
+        if per_range {
+            arena.release_per_range();
+        }
+        let mut alloc = tahoe_hms::alloc::TierAllocator::new(CAPACITY);
+        let all = bytes(&arena);
+        let mut live: Vec<(usize, usize, u8)> = Vec::new();
+        let mut ranges = 0;
+        for (step, &(free, size, page_multiple)) in ops.iter().enumerate() {
+            let size = if page_multiple {
+                size.next_multiple_of(sys::page_size())
+            } else {
+                size
+            };
+            if free && !live.is_empty() {
+                let (at, len, _) = live.swap_remove(size as usize % live.len());
+                alloc.free(at as u64).unwrap();
+                ranges += arena.on_free(at as u64, len as u64).ranges;
+            } else if let Some(at) = alloc.alloc(size) {
+                let (at, len) = (at as usize, size as usize);
+                ranges += arena.on_alloc(at as u64, size).ranges;
+                prop_assert!(all[at..at + len] == vec![0; len][..], "step {step}: reuse");
+                let fill = step as u8 | 1;
+                all[at..at + len].fill(fill);
+                live.push((at, len, fill));
+            }
+            for &(at, len, fill) in &live {
+                prop_assert!(all[at..at + len] == vec![fill; len][..], "step {step}");
+            }
+            prop_assert!(arena.pending_bytes() < sys::HUGE_PAGE as u64);
+        }
+        Ok((all.to_vec(), ranges))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn random_alloc_free_sequences_keep_every_live_byte(
+            ops in proptest::collection::vec(
+                (proptest::bool::ANY, 1u64..300_000, proptest::bool::ANY),
+                1..120,
+            ),
+        ) {
+            let (batched, batched_ranges) = run_sequence(&ops, false)?;
+            let (per_range, per_range_ranges) = run_sequence(&ops, true)?;
+            proptest::prop_assert_eq!(batched_ranges, per_range_ranges);
+            proptest::prop_assert!(batched == per_range, "the two release paths differ");
         }
     }
 }

@@ -16,7 +16,7 @@ use std::time::Instant;
 use tahoe_hms::{BackendStats, CopyOutcome, HmsConfig, TierBackend, TierId};
 use tahoe_obs::{Emitter, Event, Metrics};
 
-use crate::arena::MmapArena;
+use crate::arena::{MmapArena, Released};
 use crate::copy::{throttled_copy, CopyConfig, DEFAULT_CHUNK};
 use crate::{numa, sys};
 
@@ -193,6 +193,18 @@ impl RealBackend {
         )
     }
 
+    /// Fold what a free or an allocation released into stats and
+    /// metrics.
+    fn account_release(&mut self, released: Released) {
+        if released.calls == 0 {
+            return;
+        }
+        self.stats.release_calls += released.calls;
+        self.stats.released_ranges += released.ranges;
+        self.metrics.add("realmem.release_calls", released.calls);
+        self.metrics.add("realmem.released_ranges", released.ranges);
+    }
+
     /// Fold one completed copy (in-backend or external) into stats,
     /// metrics, and the event stream.
     fn account_copy(&mut self, object: u32, from: TierId, to: TierId, out: &CopyOutcome) {
@@ -229,11 +241,13 @@ impl TierBackend for RealBackend {
     }
 
     fn on_alloc(&mut self, tier: TierId, addr: u64, len: u64) {
-        self.arena_mut(tier).on_alloc(addr, len);
+        let released = self.arena_mut(tier).on_alloc(addr, len);
+        self.account_release(released);
     }
 
     fn on_free(&mut self, tier: TierId, addr: u64, len: u64) {
-        self.arena_mut(tier).on_free(addr, len);
+        let released = self.arena_mut(tier).on_free(addr, len);
+        self.account_release(released);
     }
 
     fn copy(
@@ -377,6 +391,33 @@ mod tests {
         assert!(bytes.iter().all(|&x| x == 0xAB));
         assert_eq!(hms.backend_stats().copies, 1);
         assert_eq!(hms.backend_stats().copied_bytes, 8192);
+    }
+
+    /// 256 frees of 8 KiB are one 2 MiB batch: one release call where
+    /// the kernel takes the batched call (one per range where it does
+    /// not), counted in stats and metrics.
+    #[test]
+    fn frees_are_counted_as_release_calls_and_ranges() {
+        let metrics = Metrics::enabled();
+        let mut b =
+            RealBackend::with_observability(&config(), Emitter::disabled(), metrics.clone())
+                .unwrap();
+        let len = 8 << 10;
+        for i in 0..256 {
+            b.on_alloc(TierId(1), i * len, len);
+        }
+        for i in 0..256 {
+            b.on_free(TierId(1), i * len, len);
+        }
+        let st = b.stats();
+        assert_eq!(st.released_ranges, 256);
+        assert!(sys::batched_calls_ok(st.release_calls, 256), "{st:?}");
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.counter("realmem.release_calls"),
+            Some(st.release_calls)
+        );
+        assert_eq!(snap.counter("realmem.released_ranges"), Some(256));
     }
 
     #[test]

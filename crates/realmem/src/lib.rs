@@ -5,8 +5,8 @@
 //! ran on, scaled to what an unprivileged single-node machine can do:
 //!
 //! * [`MmapArena`] — per-tier, 2 MiB-aligned, capacity-tracked arenas on
-//!   raw `mmap`/`munmap`, advised to use transparent huge pages, with
-//!   `madvise` residency hints ([`arena`], [`sys`]).
+//!   raw `mmap`/`munmap`, advised to use transparent huge pages, whose
+//!   freed pages go back to the kernel in batches ([`arena`], [`sys`]).
 //! * Software NVM emulation — a throttled inter-tier copy engine
 //!   (rate-limited `memcpy` in bounded chunks with injected per-migration
 //!   device latency, [`copy`]) and wall-clock access pacing

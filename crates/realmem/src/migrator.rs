@@ -406,11 +406,13 @@ mod tests {
         let a = sh.with(|h| h.alloc_object("a", 256 << 10, TierId(1), false).unwrap());
         let eng = BackgroundMigrator::spawn(
             Arc::clone(&sh),
-            // Slow enough (0.05 GB/s ⇒ ~5 ms for 256 KiB) that cancel
-            // lands mid-copy; 4 KiB chunks bound the abort latency.
+            // Slow enough (0.005 GB/s ⇒ ~52 ms for 256 KiB) that cancel
+            // lands mid-copy even when a loaded host oversleeps the 1 ms
+            // below several times over; 4 KiB chunks (≈ 0.8 ms each)
+            // bound the abort latency.
             vec![
                 CopyConfig {
-                    bandwidth_gbps: 0.05,
+                    bandwidth_gbps: 0.005,
                     latency_ns: 0.0,
                     chunk_bytes: 4096,
                 };

@@ -22,11 +22,17 @@ mod ffi {
     pub const MAP_ANONYMOUS: i32 = 0x20;
     pub const MAP_FAILED: *mut core::ffi::c_void = usize::MAX as *mut core::ffi::c_void;
 
-    pub const MADV_WILLNEED: i32 = 3;
     pub const MADV_DONTNEED: i32 = 4;
     pub const MADV_HUGEPAGE: i32 = 14;
 
     pub const _SC_PAGESIZE: i32 = 30;
+
+    /// `struct iovec`: one range of a vectored call.
+    #[repr(C)]
+    pub struct IoVec {
+        pub base: *mut core::ffi::c_void,
+        pub len: usize,
+    }
 
     extern "C" {
         pub fn mmap(
@@ -44,17 +50,6 @@ mod ffi {
     }
 }
 
-/// `madvise` advice understood by [`advise`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Advice {
-    /// Pages will be needed soon (pre-fault hint).
-    WillNeed,
-    /// Pages can be dropped (free physical memory, keep the mapping).
-    DontNeed,
-    /// Back the range with transparent huge pages where the kernel can.
-    HugePage,
-}
-
 /// The transparent-huge-page size on x86-64 and 4 KiB-granule aarch64:
 /// the alignment an arena's base needs for its first page to be huge.
 pub const HUGE_PAGE: usize = 2 << 20;
@@ -65,7 +60,7 @@ pub const HUGE_PAGE: usize = 2 << 20;
 pub enum ThpMode {
     /// Every anonymous mapping may get huge pages.
     Always,
-    /// Only mappings advised [`Advice::HugePage`] get huge pages.
+    /// Only mappings advised by [`advise_huge_pages`] get huge pages.
     Madvise,
     /// No mapping gets huge pages; the advice is accepted and ignored.
     Never,
@@ -84,8 +79,8 @@ impl ThpMode {
         }
     }
 
-    /// Whether advising [`Advice::HugePage`] can give a mapping huge
-    /// pages under this mode.
+    /// Whether [`advise_huge_pages`] can give a mapping huge pages
+    /// under this mode.
     pub fn honours_advice(self) -> bool {
         matches!(self, ThpMode::Always | ThpMode::Madvise)
     }
@@ -247,33 +242,143 @@ pub fn map_aligned(len: usize, align: usize) -> Result<Mapping, String> {
     }
 }
 
-/// Best-effort `madvise` over `[offset, offset+len)` of a mapping.
-/// Returns whether the kernel accepted the advice; callers that only
-/// hint may ignore it — advice is advice.
-pub fn advise(mapping: &Mapping, offset: usize, len: usize, advice: Advice) -> bool {
-    if offset.saturating_add(len) > mapping.len {
-        return false;
-    }
+/// Advise the whole of `mapping` `MADV_HUGEPAGE`: back it with
+/// transparent huge pages where the kernel can. Returns whether the
+/// kernel accepted the advice.
+pub fn advise_huge_pages(mapping: &Mapping) -> bool {
     #[cfg(unix)]
     {
-        let adv = match advice {
-            Advice::WillNeed => ffi::MADV_WILLNEED,
-            Advice::DontNeed => ffi::MADV_DONTNEED,
-            Advice::HugePage => ffi::MADV_HUGEPAGE,
-        };
-        // Page-align the start downward; advice applies to whole pages.
-        let ps = page_size() as usize;
-        let start = offset / ps * ps;
-        let end = offset + len;
-        // SAFETY: `[start, end)` was bounds-checked against the mapping
-        // and rounded to whole pages inside it; madvise never writes.
-        unsafe { ffi::madvise(mapping.ptr.add(start).cast(), end - start, adv) == 0 }
+        // SAFETY: the range is exactly the mapping; madvise never writes.
+        unsafe { ffi::madvise(mapping.ptr.cast(), mapping.len, ffi::MADV_HUGEPAGE) == 0 }
     }
     #[cfg(not(unix))]
     {
-        let _ = (mapping, advice);
+        let _ = mapping;
         false
     }
+}
+
+/// `UIO_MAXIOV`: the most ranges one vectored call takes.
+pub const MAX_IOV: usize = 1024;
+
+/// How [`release`] hands a batch of ranges to the kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReleasePath {
+    /// One `process_madvise` for the whole batch until the kernel
+    /// refuses one, then one `madvise` per range.
+    Batched,
+    /// One `madvise` per range.
+    PerRange,
+}
+
+/// Set once the kernel refuses a batched release (`ENOSYS`, `EINVAL`,
+/// `EPERM`, or a short count): every later batch goes range by range.
+#[cfg(target_os = "linux")]
+static BATCH_REFUSED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// A pidfd of this process for the batched call, opened once and kept
+/// for the process's lifetime; `None` once the kernel has refused a
+/// batch (kernels before about 6.13 refuse `MADV_DONTNEED` there).
+#[cfg(target_os = "linux")]
+fn batch_pidfd() -> Option<c_long> {
+    static PIDFD: std::sync::OnceLock<Option<c_long>> = std::sync::OnceLock::new();
+    if BATCH_REFUSED.load(std::sync::atomic::Ordering::Relaxed) {
+        return None;
+    }
+    *PIDFD.get_or_init(|| {
+        let pid = c_long::from(std::process::id());
+        let fd = syscall6(nr::pidfd_open()?, pid, 0, 0, 0, 0, 0);
+        (fd >= 0).then_some(fd)
+    })
+}
+
+/// `process_madvise(pidfd, ranges, MADV_DONTNEED)`; whether the kernel
+/// released every byte asked for.
+#[cfg(target_os = "linux")]
+fn process_madvise_dontneed(pidfd: c_long, mapping: &Mapping, ranges: &[(usize, usize)]) -> bool {
+    let Some(num) = nr::process_madvise() else {
+        return false;
+    };
+    let iov: Vec<ffi::IoVec> = ranges
+        .iter()
+        .map(|&(offset, len)| ffi::IoVec {
+            // SAFETY: the caller bounds-checked every range.
+            base: unsafe { mapping.ptr.add(offset) }.cast(),
+            len,
+        })
+        .collect();
+    let want: usize = ranges.iter().map(|&(_, len)| len).sum();
+    let got = syscall6(
+        num,
+        pidfd,
+        iov.as_ptr() as c_long,
+        iov.len() as c_long,
+        c_long::from(ffi::MADV_DONTNEED),
+        0,
+        0,
+    );
+    usize::try_from(got) == Ok(want)
+}
+
+/// Hand the pages of every `(offset, len)` range of `mapping` back to
+/// the kernel (`MADV_DONTNEED`): the mapping stays, and the next touch
+/// of a released page faults in a zeroed one. Every range must be
+/// page-aligned and inside the mapping, and at most [`MAX_IOV`] of them.
+/// Returns the system calls it took: one for a batch the kernel takes
+/// whole, else one per range (plus the refused batched call, the first
+/// time only).
+///
+/// # Safety
+///
+/// Releasing a page writes zeros over it: no reference into the ranges
+/// may be live, and no other thread may access them during the call.
+pub unsafe fn release(mapping: &Mapping, ranges: &[(usize, usize)], path: ReleasePath) -> u64 {
+    let ps = page_size() as usize;
+    assert!(
+        ranges.len() <= MAX_IOV,
+        "{} ranges in one batch",
+        ranges.len()
+    );
+    for &(offset, len) in ranges {
+        assert!(
+            offset % ps == 0 && len % ps == 0 && offset.saturating_add(len) <= mapping.len,
+            "release of [{offset}, +{len}) is not whole pages of a {} B mapping",
+            mapping.len
+        );
+    }
+    if ranges.is_empty() {
+        return 0;
+    }
+    let mut calls = 0;
+    #[cfg(target_os = "linux")]
+    if path == ReleasePath::Batched {
+        if let Some(pidfd) = batch_pidfd() {
+            if process_madvise_dontneed(pidfd, mapping, ranges) {
+                return 1;
+            }
+            BATCH_REFUSED.store(true, std::sync::atomic::Ordering::Relaxed);
+            calls = 1;
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = path;
+    for &(offset, len) in ranges {
+        // SAFETY: `[offset, offset + len)` was checked above to be whole
+        // pages inside the mapping, and the caller guarantees nothing
+        // accesses them.
+        #[cfg(unix)]
+        unsafe {
+            ffi::madvise(mapping.ptr.add(offset).cast(), len, ffi::MADV_DONTNEED);
+        }
+        // SAFETY: as above; off Unix the heap block cannot return pages,
+        // so the range is zeroed as a released one would read.
+        #[cfg(not(unix))]
+        unsafe {
+            mapping.ptr.add(offset).write_bytes(0, len);
+        }
+        calls += 1;
+    }
+    calls
 }
 
 /// Invoke a raw Linux syscall with three pointer-sized arguments.
@@ -330,6 +435,25 @@ pub mod nr {
             None
         }
     }
+
+    /// `pidfd_open(2)`: the same number on both tabulated architectures
+    /// (syscalls added after 4.20 share one table).
+    pub fn pidfd_open() -> Option<super::c_long> {
+        cfg!(any(target_arch = "x86_64", target_arch = "aarch64")).then_some(434)
+    }
+
+    /// `process_madvise(2)`, likewise.
+    pub fn process_madvise() -> Option<super::c_long> {
+        cfg!(any(target_arch = "x86_64", target_arch = "aarch64")).then_some(440)
+    }
+}
+
+/// Whether `calls` is a count [`release`] on the batched path can
+/// return for `ranges` ranges: one call, else one per range once the
+/// kernel refused the batched call (plus that call, the first time).
+#[cfg(test)]
+pub(crate) fn batched_calls_ok(calls: u64, ranges: u64) -> bool {
+    calls == 1 || calls == ranges || calls == ranges + 1
 }
 
 #[cfg(test)]
@@ -353,8 +477,6 @@ mod tests {
         bytes[0] = 0xAB;
         bytes[m.len() - 1] = 0xCD;
         assert_eq!(bytes[0], 0xAB);
-        // Advice must not invalidate the mapping itself.
-        advise(&m, 0, m.len(), Advice::WillNeed);
         assert_eq!(bytes[m.len() - 1], 0xCD);
     }
 
@@ -378,6 +500,78 @@ mod tests {
             bytes[m.len() - 1] = 2;
             assert!(bytes[1..m.len() - 1].iter().all(|&b| b == 0));
         }
+    }
+
+    #[test]
+    fn release_zeroes_exactly_the_given_pages_on_both_paths() {
+        let ps = page_size() as usize;
+        for path in [ReleasePath::Batched, ReleasePath::PerRange] {
+            let m = map_anonymous(8 * ps).unwrap();
+            // SAFETY: `m` maps `len` writable bytes and outlives the view.
+            let bytes = unsafe { std::slice::from_raw_parts_mut(m.as_ptr(), m.len()) };
+            bytes.fill(0x5C);
+            // SAFETY: `bytes` is not read until the call returns.
+            let calls = unsafe { release(&m, &[(ps, ps), (4 * ps, 2 * ps)], path) };
+            match path {
+                ReleasePath::Batched => assert!(batched_calls_ok(calls, 2), "{calls} calls"),
+                ReleasePath::PerRange => assert_eq!(calls, 2),
+            }
+            for (i, page) in bytes.chunks(ps).enumerate() {
+                let want = if matches!(i, 1 | 4 | 5) { 0 } else { 0x5C };
+                assert!(page.iter().all(|&b| b == want), "{path:?}: page {i}");
+            }
+            // SAFETY: an empty batch touches nothing.
+            assert_eq!(unsafe { release(&m, &[], path) }, 0);
+        }
+    }
+
+    /// From Linux 6.13 a process may `process_madvise` itself with any
+    /// advice, so a batch of scattered ranges is one call there. Older
+    /// kernels (and a seccomp filter that refuses the call) take the
+    /// per-range path, which the test above covers.
+    #[test]
+    fn a_kernel_from_6_13_takes_a_batch_in_one_call() {
+        let Some(release_word) = std::fs::read_to_string("/proc/sys/kernel/osrelease").ok() else {
+            println!("skipped: no /proc/sys/kernel/osrelease");
+            return;
+        };
+        let mut numbers = release_word
+            .trim()
+            .split(['.', '-'])
+            .map(|p| p.parse::<u32>().ok());
+        let version = (numbers.next().flatten(), numbers.next().flatten());
+        let (Some(major), Some(minor)) = version else {
+            println!("skipped: kernel release `{}`", release_word.trim());
+            return;
+        };
+        if (major, minor) < (6, 13) {
+            println!("skipped: Linux {major}.{minor} refuses the batched call");
+            return;
+        }
+        let ps = page_size() as usize;
+        let m = map_anonymous(64 * ps).unwrap();
+        // SAFETY: `m` maps `len` writable bytes and outlives the view.
+        let bytes = unsafe { std::slice::from_raw_parts_mut(m.as_ptr(), m.len()) };
+        bytes.fill(0x5C);
+        let ranges: Vec<_> = (0..32).map(|i| (2 * i * ps, ps)).collect();
+        // SAFETY: `bytes` is not read until the call returns.
+        let calls = unsafe { release(&m, &ranges, ReleasePath::Batched) };
+        assert_eq!(
+            calls, 1,
+            "Linux {major}.{minor} refused process_madvise (a seccomp filter?)"
+        );
+        for (i, page) in bytes.chunks(ps).enumerate() {
+            let want = if i % 2 == 0 { 0 } else { 0x5C };
+            assert!(page.iter().all(|&b| b == want), "page {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole pages")]
+    fn release_refuses_a_partial_page() {
+        let m = map_anonymous(2 * page_size() as usize).unwrap();
+        // SAFETY: nothing references `m`; the call panics before any release.
+        unsafe { release(&m, &[(1, page_size() as usize)], ReleasePath::PerRange) };
     }
 
     #[test]
