@@ -375,6 +375,8 @@ impl GraphRun {
     /// Begin an execution: (re-)initialise every object with the seeded
     /// deterministic fill — real traffic, the first touch the policies
     /// differ on — so each run starts from the bytes a solo run would.
+    /// One [`traffic::init_fill_all`] fills every object, several
+    /// objects' chains at once, on the calling thread.
     ///
     /// No task of an earlier run over the same objects may still be
     /// executing (runs of one layout are serialised by their driver).
@@ -383,24 +385,27 @@ impl GraphRun {
         layout: Arc<GraphLayout>,
         run_seed: u64,
     ) -> Result<Self, String> {
-        let mut init_sums = Vec::with_capacity(layout.ids.len());
-        let mut bytes = 0u64;
-        {
+        let (init_sums, bytes) = {
             let pins = shared
                 .pin_for_task(&layout.ids)
                 .map_err(|e| format!("pin objects for init: {e}"))?;
-            for (i, pin) in pins.objects.iter().enumerate() {
-                // SAFETY: the pin blocks moves and frees, the arenas
-                // never remap, and no task of this graph runs before
-                // `start` returns while runs over the same objects are
-                // serialised — this is the only live reference to the
-                // object's bytes.
-                #[allow(unsafe_code)]
-                let buf = unsafe { std::slice::from_raw_parts_mut(pin.as_ptr(), pin.len()) };
-                init_sums.push(traffic::init_fill(buf, init_seed(run_seed, i)));
-                bytes += pin.len() as u64;
-            }
-        }
+            // SAFETY: the pin blocks moves and frees, the arenas never
+            // remap, distinct objects never share a byte, and no task of
+            // this graph runs before `start` returns while runs over the
+            // same objects are serialised — these are the only live
+            // references to the objects' bytes.
+            #[allow(unsafe_code)]
+            let mut bufs: Vec<&mut [u8]> = pins
+                .objects
+                .iter()
+                .map(|pin| unsafe { std::slice::from_raw_parts_mut(pin.as_ptr(), pin.len()) })
+                .collect();
+            let bytes = bufs.iter().map(|b| b.len() as u64).sum::<u64>();
+            (
+                traffic::init_fill_all(&mut bufs, |i| init_seed(run_seed, i)),
+                bytes,
+            )
+        };
         let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         Ok(GraphRun {
             slots: atomics(layout.access_pin.len()),

@@ -566,10 +566,10 @@ pub fn reference_checksum_seeded(app: &App, run_seed: u64) -> u64 {
         .iter()
         .map(|o| vec![0u8; o.size as usize])
         .collect();
-    let mut checksum = 0u64;
-    for (i, buf) in buffers.iter_mut().enumerate() {
-        checksum = fold(checksum, traffic::init_fill(buf, init_seed(run_seed, i)));
-    }
+    let mut views: Vec<&mut [u8]> = buffers.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut checksum = traffic::init_fill_all(&mut views, |i| init_seed(run_seed, i))
+        .into_iter()
+        .fold(0, fold);
     for w in 0..app.windows() {
         for tid in app.graph.window_tasks(w) {
             let task = app.graph.task(tid);

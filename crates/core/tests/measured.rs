@@ -5,9 +5,10 @@
 //! written).
 
 use tahoe_core::engine::residence_values;
-use tahoe_core::measured::{reference_checksum, MeasuredRuntime};
+use tahoe_core::measured::{reference_checksum, reference_checksum_seeded, MeasuredRuntime};
 use tahoe_core::prelude::*;
 use tahoe_memprof::wallclock::WallClockConfig;
+use tahoe_realmem::traffic;
 
 /// A small but non-trivial app: four objects, mixed access kinds, four
 /// windows, with a DRAM budget that forces real placement decisions.
@@ -204,4 +205,94 @@ fn unsupported_policies_are_rejected() {
         .run_policy(&app, &PolicyKind::HwCache, &cal)
         .expect_err("hardware-cache is simulator-only");
     assert!(err.contains("not supported"), "got: {err}");
+}
+
+/// The reference checksum, folded here one object and one access at a
+/// time with this file's own copies of the seed and fold formulas, so
+/// the canonical order is pinned apart from the interleaved fill.
+fn folded_by_hand(app: &App, run_seed: u64) -> u64 {
+    let golden = 0x9e37_79b9_7f4a_7c15u64;
+    let fold = |acc: u64, x: u64| acc.rotate_left(7) ^ x;
+    let site_seed = |task: u32, access: usize| {
+        let mut z = ((task as u64) << 20)
+            ^ access as u64
+            ^ 0xA5A5_0000_0000
+            ^ run_seed.wrapping_mul(golden);
+        z = z.wrapping_add(golden);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut buffers: Vec<Vec<u8>> = app
+        .objects
+        .iter()
+        .map(|o| vec![0; o.size as usize])
+        .collect();
+    let mut checksum = 0;
+    for (i, buf) in buffers.iter_mut().enumerate() {
+        let seed = i as u64 ^ run_seed.wrapping_mul(golden);
+        checksum = fold(checksum, traffic::init_fill(buf, seed));
+    }
+    for w in 0..app.windows() {
+        for tid in app.graph.window_tasks(w) {
+            for (ai, a) in app.graph.task(tid).accesses.iter().enumerate() {
+                let buf = &mut buffers[a.object.index()];
+                let c = traffic::run_access(
+                    buf,
+                    a.profile.loads,
+                    a.profile.stores,
+                    site_seed(tid.0, ai),
+                );
+                checksum = fold(checksum, c);
+            }
+        }
+    }
+    checksum
+}
+
+#[test]
+fn reference_checksum_folds_objects_then_accesses_in_canonical_order() {
+    // Nine objects of uneven, mostly non-word lengths: the interleaved
+    // fill's lanes end at different words and each takes a second object.
+    let mut b = AppBuilder::new("odd-sizes");
+    let objs: Vec<_> = [1003u64, 5, 4099, 8, 24 << 10, 17, 640, 3, 9001]
+        .iter()
+        .enumerate()
+        .map(|(i, &size)| b.object(&format!("o{i}"), size))
+        .collect();
+    let c = b.class("step");
+    for w in 0..3 {
+        for (i, &o) in objs.iter().enumerate() {
+            let next = objs[(i + w + 1) % objs.len()];
+            match (i + w) % 3 {
+                0 => b
+                    .task(c)
+                    .update_streaming(o, 16)
+                    .read_streaming(next, 8)
+                    .submit(),
+                1 => b
+                    .task(c)
+                    .write_streaming(o, 16)
+                    .read_chasing(next, 4)
+                    .submit(),
+                _ => b
+                    .task(c)
+                    .read_streaming(o, 16)
+                    .write_streaming(next, 8)
+                    .submit(),
+            };
+        }
+        b.next_window();
+    }
+    let odd = b.build();
+    for app in [&odd, &test_app()] {
+        for run_seed in [0, 7, 1 << 40] {
+            assert_eq!(
+                reference_checksum_seeded(app, run_seed),
+                folded_by_hand(app, run_seed),
+                "{} at run seed {run_seed}",
+                app.name
+            );
+        }
+    }
 }

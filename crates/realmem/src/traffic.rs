@@ -9,6 +9,16 @@
 //! checksums, which is exactly the equality the measured-mode acceptance
 //! test checks. Everything is `black_box`-protected so the traffic
 //! cannot be elided under optimization.
+//!
+//! [`run_access`] picks the kernel from the access's shape alone: loads
+//! and stores → [`stream_update`], stores only → [`stream_write`],
+//! anything else → [`stream_read`]. A pointer-chasing access
+//! (`read_chasing`) is therefore a streaming read here; its latency
+//! shows up in the injected per-tier delay, not in a dependent walk.
+//!
+//! Object initialization ([`init_fill_all`]) is the one place several
+//! buffers are filled back to back, so it interleaves their fill
+//! chains; every byte and checksum is that of one [`init_fill`] each.
 
 use std::hint::black_box;
 
@@ -23,8 +33,8 @@ fn words(buf: &[u8]) -> impl Iterator<Item = u64> + '_ {
         .map(|c| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
 }
 
-/// A cheap splittable PRNG step (splitmix64): deterministic fills and
-/// chase permutations without an RNG dependency.
+/// A cheap splittable PRNG step (splitmix64): deterministic fills
+/// without an RNG dependency.
 #[inline]
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -35,21 +45,124 @@ fn mix(mut z: u64) -> u64 {
 
 /// Fill `buf` deterministically from `seed` (object initialization).
 /// Returns a checksum of the written contents.
+///
+/// Each word is the next step of one chain of `mix` calls, so a fill
+/// is latency-bound; [`init_fill_all`] overlaps many objects' chains.
 pub fn init_fill(buf: &mut [u8], seed: u64) -> u64 {
-    let mut sum = 0u64;
-    let mut state = seed;
-    for chunk in buf.chunks_exact_mut(WORD) {
-        state = mix(state);
-        chunk.copy_from_slice(&state.to_le_bytes());
-        sum = sum.wrapping_add(state);
+    let mut sum = [0];
+    fill_chains(&mut [buf], |_| seed, &mut sum);
+    black_box(sum[0])
+}
+
+/// [`init_fill`] every buffer, object `i` from `seed(i)`, keeping four
+/// objects' chains in flight at once. Returns each buffer's
+/// checksum, in buffer order. Bytes and checksums are exactly those of
+/// one [`init_fill`] per buffer.
+pub fn init_fill_all(bufs: &mut [&mut [u8]], seed: impl Fn(usize) -> u64) -> Vec<u64> {
+    let mut sums = vec![0; bufs.len()];
+    fill_chains(bufs, seed, &mut sums);
+    black_box(sums)
+}
+
+/// Independent fill chains [`init_fill_all`] interleaves. One chain
+/// waits on its multiplies; four overlap them. Eight ran faster on warm
+/// buffers (`benches/fill.rs` in `tahoe-bench`) but no faster in a
+/// measured run's fill into freshly faulted arena pages.
+const LANES: usize = 4;
+
+/// One object's fill in progress.
+#[derive(Default)]
+struct Chain<'a> {
+    object: usize,
+    /// Whole words not yet written.
+    words: &'a mut [[u8; WORD]],
+    /// The bytes past the last whole word.
+    tail: &'a mut [u8],
+    state: u64,
+    sum: u64,
+}
+
+impl Chain<'_> {
+    /// Write the byte tail, one [`mix`] per byte, once the words are done.
+    fn finish(&mut self) -> u64 {
+        for (i, b) in self.tail.iter_mut().enumerate() {
+            self.state = mix(self.state);
+            *b = (self.state >> (8 * (i % 8))) as u8;
+            self.sum = self.sum.wrapping_add(*b as u64);
+        }
+        self.sum
     }
-    let tail_start = buf.len() - buf.len() % WORD;
-    for (i, b) in buf[tail_start..].iter_mut().enumerate() {
-        state = mix(state);
-        *b = (state >> (8 * (i % 8))) as u8;
-        sum = sum.wrapping_add(*b as u64);
+}
+
+/// The one fill loop: each lane takes the next object when its current
+/// one ends, and the live lanes step together, one word each, until
+/// the shortest runs out of words.
+fn fill_chains(bufs: &mut [&mut [u8]], seed: impl Fn(usize) -> u64, sums: &mut [u64]) {
+    let mut next = bufs.iter_mut().enumerate();
+    let mut lanes: [Chain<'_>; LANES] = Default::default();
+    let mut live = 0;
+    loop {
+        while live < LANES {
+            let Some((object, buf)) = next.next() else {
+                break;
+            };
+            let (words, tail) = buf.as_chunks_mut::<WORD>();
+            lanes[live] = Chain {
+                object,
+                words,
+                tail,
+                state: seed(object),
+                sum: 0,
+            };
+            live += 1;
+        }
+        let Some(n) = lanes[..live].iter().map(|c| c.words.len()).min() else {
+            return;
+        };
+        // One arm per live count up to `LANES`, so each chain's state
+        // stays in a register.
+        match live {
+            1 => step::<1>(&mut lanes[..1], n),
+            2 => step::<2>(&mut lanes[..2], n),
+            3 => step::<3>(&mut lanes[..3], n),
+            4 => step::<4>(&mut lanes[..4], n),
+            _ => unreachable!("at most LANES live chains"),
+        }
+        let mut l = 0;
+        while l < live {
+            if lanes[l].words.is_empty() {
+                sums[lanes[l].object] = lanes[l].finish();
+                live -= 1;
+                lanes.swap(l, live);
+            } else {
+                l += 1;
+            }
+        }
     }
-    black_box(sum)
+}
+
+/// Advance `K` chains by `n` words each.
+#[inline(always)]
+fn step<const K: usize>(lanes: &mut [Chain<'_>], n: usize) {
+    let lanes: &mut [Chain<'_>; K] = lanes.try_into().expect("K live chains");
+    let mut state = lanes.each_ref().map(|c| c.state);
+    let mut sum = lanes.each_ref().map(|c| c.sum);
+    let mut words = lanes.each_mut().map(|c| {
+        let (head, rest) = std::mem::take(&mut c.words).split_at_mut(n);
+        c.words = rest;
+        head
+    });
+    for i in 0..n {
+        for ((state, sum), words) in state.iter_mut().zip(&mut sum).zip(&mut words) {
+            *state = mix(*state);
+            words[i] = state.to_le_bytes();
+            *sum = sum.wrapping_add(*state);
+        }
+    }
+    for (c, (state, sum)) in lanes.iter_mut().zip(state.into_iter().zip(sum)) {
+        c.state = state;
+        c.sum = sum;
+    }
 }
 
 /// Sequentially read the whole buffer (streaming loads). Returns the
@@ -88,26 +201,6 @@ pub fn stream_update(buf: &mut [u8], seed: u64) -> u64 {
         let new = mix(*b as u64 ^ seed) as u8;
         *b = new;
         sum = sum.wrapping_add(new as u64);
-    }
-    black_box(sum)
-}
-
-/// Dependent pointer chase over the buffer's words: each loaded value
-/// selects the next index, serializing the loads (latency-bound
-/// traffic). Performs `steps` dependent loads; read-only.
-pub fn chase(buf: &[u8], steps: u64, seed: u64) -> u64 {
-    let n = buf.len() / WORD;
-    if n == 0 {
-        return black_box(seed);
-    }
-    let view: Vec<u64> = words(buf).collect();
-    let mut idx = (mix(seed) as usize) % n;
-    let mut sum = 0u64;
-    for _ in 0..steps {
-        let w = view[idx];
-        sum = sum.wrapping_add(w);
-        idx = (w as usize ^ idx) % n;
-        idx = black_box(idx);
     }
     black_box(sum)
 }
@@ -193,18 +286,6 @@ mod tests {
         let cb = stream_update(&mut b, 99);
         assert_eq!(a, b);
         assert_eq!(ca, cb);
-    }
-
-    #[test]
-    fn chase_is_deterministic_and_readonly() {
-        let mut a = vec![0u8; 2048];
-        init_fill(&mut a, 5);
-        let before = a.clone();
-        let c1 = chase(&a, 10_000, 3);
-        let c2 = chase(&a, 10_000, 3);
-        assert_eq!(c1, c2);
-        assert_eq!(a, before);
-        assert_ne!(chase(&a, 10_000, 4), c1);
     }
 
     #[test]

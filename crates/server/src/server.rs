@@ -629,6 +629,12 @@ impl TenantHandle {
     /// is the server's parallelism axis): if the tenant's previous
     /// graph is still running the submission queues, and once the
     /// queue holds [`ServerConfig::max_queue`] entries it is shed.
+    ///
+    /// An admitted graph's seeded init fill
+    /// ([`GraphRun::start`](tahoe_core::engine::GraphRun::start), one
+    /// pass over every object of the tenant) runs on the caller's
+    /// thread before this returns; a queued graph's runs on the pool
+    /// worker that finishes the tenant's previous graph.
     pub fn submit(&self, run_seed: u64) -> Submission {
         let submitted_ns = self.sh.hms.now_ns();
         let tid = self.tenant as usize;
