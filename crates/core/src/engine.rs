@@ -13,24 +13,20 @@
 //!
 //! * [`GraphLayout`] — what is fixed about one app on one memory system:
 //!   the HMS id of every object, each task's pin set and checksum slots,
-//!   and the per-tier delay model. Built once (per run, or per
-//!   registered tenant).
+//!   and the [`AccessPrices`] its delays and every plan's values are
+//!   read from. Built once (per run, or per registered tenant).
 //! * [`GraphRun`] — one execution of that graph: seeded object
 //!   initialisation, the checksum slots, the task kernel, the summed
 //!   pin wait and the canonical [`GraphRun::checksum`].
 //! * [`ClassQuota`] — when profiling ends: the completion that gives
 //!   the last task class its quota of instances releases the audited
 //!   plan to the migration thread, mid-window.
-//! * [`residence_values`] — the one value model: what residence on each
-//!   tier is worth to each object, priced by the same
-//!   [`tahoe_hms::AccessProfile::mem_time_ns`] the delay injection uses;
-//!   [`residence_values_by_window`] is the same prices window by window.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tahoe_hms::{AccessProfile, HmsConfig, Ns, ObjectId, SharedHms, TierId, TierSpec};
+use tahoe_hms::{Ns, ObjectId, SharedHms, TierId, TierSpec};
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::Event;
 use tahoe_placement::Touch;
@@ -38,7 +34,7 @@ use tahoe_realmem::traffic;
 // Part of `run_task`'s signature, so callers need not depend on the
 // sanitizer crate to name the no-op hook.
 pub use tahoe_sanitize::{NoSanitize, SanitizeHook};
-use tahoe_taskrt::{TaskClassId, TaskGraph, TaskSpec};
+use tahoe_taskrt::{TaskAccess, TaskClassId, TaskGraph, TaskSpec};
 
 use crate::app::App;
 use crate::config::MIN_CLASS_INSTANCES;
@@ -114,105 +110,119 @@ impl ClassQuota {
     }
 }
 
-/// Modelled memory time of `profile` on `spec`; with a calibration, the
-/// wall-clock time the delay injection reproduces (the bandwidth or the
-/// latency correction factor, by which roofline binds the profile).
-fn model_ns(profile: &AccessProfile, spec: &TierSpec, cal: Option<&WallClockCalibration>) -> f64 {
-    let cf = match cal {
-        None => 1.0,
-        Some(c) if profile.bandwidth_limited_on(spec) => c.cf_bw,
-        Some(c) => c.cf_lat,
-    };
-    profile.mem_time_ns(spec) * cf
+/// What each access of a graph costs on each tier: the only place the
+/// wall-clock side evaluates the model. Rows are the checksum slots of
+/// [`GraphLayout`], the graph's accesses in task order.
+#[derive(Debug, Clone)]
+pub struct AccessPrices {
+    /// Tiers priced, fastest first.
+    tiers: usize,
+    /// `ns[slot * tiers + t]`: the access in `slot` on tier `t`, ns.
+    ns: Vec<f64>,
 }
 
-/// What residence on each tier is worth to each object:
-/// `values[i][t]` = ns saved over the whole run by object `i` living on
-/// tier `t` of `specs` (fastest first) instead of the slowest tier, so
-/// the last column is 0. `cal: None` is the pure model (deterministic
-/// across machines); `Some` applies the wall-clock correction factors —
-/// the prediction the measured planner and the server's arbiter act on.
-pub fn residence_values(
-    app: &App,
-    specs: &[TierSpec],
-    cal: Option<&WallClockCalibration>,
-) -> Vec<Vec<f64>> {
-    let n = specs.len();
-    let mut values = vec![vec![0.0f64; n]; app.objects.len()];
-    for t in app.graph.tasks() {
-        for a in &t.accesses {
-            let on_last = model_ns(&a.profile, &specs[n - 1], cal);
-            for (ti, spec) in specs.iter().enumerate().take(n - 1) {
-                values[a.object.index()][ti] +=
-                    (on_last - model_ns(&a.profile, spec, cal)).max(0.0);
+impl AccessPrices {
+    /// Price every access of `graph` on every tier of `specs` (fastest
+    /// first): memory time, times `cal`'s correction factor for the side
+    /// of the roofline the access is on (`None`: the pure model).
+    pub fn new(graph: &TaskGraph, specs: &[TierSpec], cal: Option<&WallClockCalibration>) -> Self {
+        let slots: usize = graph.tasks().iter().map(|t| t.accesses.len()).sum();
+        let mut ns = Vec::with_capacity(slots * specs.len());
+        for a in graph.tasks().iter().flat_map(|t| &t.accesses) {
+            for spec in specs {
+                let cf = match cal {
+                    None => 1.0,
+                    Some(c) if a.profile.bandwidth_limited_on(spec) => c.cf_bw,
+                    Some(c) => c.cf_lat,
+                };
+                ns.push(a.profile.mem_time_ns(spec) * cf);
             }
         }
+        AccessPrices {
+            tiers: specs.len(),
+            ns,
+        }
     }
-    values
+
+    /// The delay [`GraphRun::run_task`] injects for the access in `slot`
+    /// on `tier`: its price there less its price on the fastest tier, ≥ 0.
+    pub fn delay_ns(&self, slot: usize, tier: TierId) -> f64 {
+        let p = &self.ns[slot * self.tiers..][..self.tiers];
+        (p[tier.index()] - p[0]).max(0.0)
+    }
+
+    /// The accesses of `graph`, the graph the table prices, in slot
+    /// order, each with its prices.
+    pub fn rows<'a>(
+        &'a self,
+        graph: &'a TaskGraph,
+    ) -> impl Iterator<Item = (&'a TaskAccess, &'a [f64])> {
+        let accesses = graph.tasks().iter().flat_map(|t| &t.accesses);
+        accesses.zip(self.ns.chunks_exact(self.tiers))
+    }
+
+    /// What residence is worth to each object of `app`, whose graph the
+    /// table prices, in one pass.
+    pub fn values(&self, app: &App) -> ResidenceValues {
+        let (graph, objects, last) = (&app.graph, app.objects.len(), self.tiers - 1);
+        let mut per_tier = vec![vec![0.0f64; self.tiers]; objects];
+        let mut touches: Vec<Vec<Touch>> = vec![Vec::new(); objects];
+        let mut spill_window_ns = vec![0.0f64; graph.window_count() as usize];
+        // `credited[i]`: the last task (+ 1) whose delay object `i`'s row
+        // holds, so a task declaring an object twice counts once.
+        let mut credited = vec![0usize; objects];
+        // What residence on tier `t` saves an access over the slowest.
+        let saved = |p: &[f64], t: usize| (p[last] - p[t]).max(0.0);
+        let mut rows = self.ns.chunks_exact(self.tiers);
+        // Tasks are stored in window order, so each row's windows ascend.
+        for t in graph.tasks() {
+            let task_prices = rows.clone().take(t.accesses.len());
+            let task_delay: f64 = task_prices.map(|p| saved(p, 0)).sum();
+            for (a, p) in t.accesses.iter().zip(rows.by_ref()) {
+                let i = a.object.index();
+                for (ti, v) in per_tier[i][..last].iter_mut().enumerate() {
+                    *v += saved(p, ti);
+                }
+                spill_window_ns[t.window as usize] += p[last];
+                let row = &mut touches[i];
+                match row.last_mut() {
+                    Some(touch) if touch.window == t.window => touch.saved_ns += saved(p, 0),
+                    _ => row.push(Touch {
+                        window: t.window,
+                        saved_ns: saved(p, 0),
+                        held_ns: 0.0,
+                    }),
+                }
+                if credited[i] != t.id.index() + 1 {
+                    credited[i] = t.id.index() + 1;
+                    row.last_mut().expect("pushed above").held_ns += task_delay;
+                }
+            }
+        }
+        ResidenceValues {
+            per_tier,
+            touches,
+            spill_window_ns,
+        }
+    }
 }
 
-/// [`residence_values`] window by window, for the fastest tier: what the
-/// per-window planner ([`tahoe_placement::rotation`]) decides from. The
-/// whole-run form's first column is this table's column sum — the same
-/// price per access, so there is one value model.
+/// What residence is worth to each object, by one [`AccessPrices`]: the
+/// knapsack and the arbiter decide from the whole-run values, the
+/// per-window planner ([`tahoe_placement::rotation`]) from the touches.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WindowedValues {
+pub struct ResidenceValues {
+    /// `per_tier[i][t]`: ns saved over the whole run by object `i` on
+    /// tier `t` instead of the slowest tier, so the last column is 0.
+    pub per_tier: Vec<Vec<f64>>,
     /// `touches[i]`: one [`Touch`] per window in which a task declares
     /// object `i`, windows ascending — ns saved by residence on the
-    /// fastest tier instead of the slowest, and the same saving over
-    /// every access of the tasks declaring it.
+    /// fastest tier instead of the slowest (summing to `per_tier[i][0]`),
+    /// and the same saving over every access of the tasks declaring it.
     pub touches: Vec<Vec<Touch>>,
     /// Modelled memory time of each window with every object on the
     /// slowest tier, ns.
     pub spill_window_ns: Vec<f64>,
-}
-
-/// See [`WindowedValues`]; `specs` and `cal` as for [`residence_values`].
-pub fn residence_values_by_window(
-    app: &App,
-    specs: &[TierSpec],
-    cal: Option<&WallClockCalibration>,
-) -> WindowedValues {
-    let (fastest, slowest) = (&specs[0], &specs[specs.len() - 1]);
-    let mut touches: Vec<Vec<Touch>> = vec![Vec::new(); app.objects.len()];
-    let mut spill_window_ns = vec![0.0f64; app.windows() as usize];
-    // `credited[i]`: the last task (+ 1) whose delay object `i`'s row
-    // holds, so a task declaring an object twice counts once.
-    let mut credited = vec![0usize; app.objects.len()];
-    // An access's time on the slowest tier, and the delay that is over
-    // its time on the fastest: what residence there saves.
-    let price = |a: &tahoe_taskrt::TaskAccess| {
-        let on_last = model_ns(&a.profile, slowest, cal);
-        (
-            on_last,
-            (on_last - model_ns(&a.profile, fastest, cal)).max(0.0),
-        )
-    };
-    // Tasks are stored in window order, so each row's windows ascend.
-    for t in app.graph.tasks() {
-        let task_delay: f64 = t.accesses.iter().map(|a| price(a).1).sum();
-        for a in &t.accesses {
-            let (on_last, saved) = price(a);
-            spill_window_ns[t.window as usize] += on_last;
-            let row = &mut touches[a.object.index()];
-            match row.last_mut() {
-                Some(touch) if touch.window == t.window => touch.saved_ns += saved,
-                _ => row.push(Touch {
-                    window: t.window,
-                    saved_ns: saved,
-                    held_ns: 0.0,
-                }),
-            }
-            if credited[a.object.index()] != t.id.index() + 1 {
-                credited[a.object.index()] = t.id.index() + 1;
-                row.last_mut().expect("pushed above").held_ns += task_delay;
-            }
-        }
-    }
-    WindowedValues {
-        touches,
-        spill_window_ns,
-    }
 }
 
 /// Per-(object, tier) wall-clock access timing, accumulated by the
@@ -271,21 +281,15 @@ pub struct GraphLayout {
     /// count): the index of the access's object within its task's pin
     /// set.
     access_pin: Vec<u32>,
-    /// Tier specs, fastest first, and the calibration correcting them:
-    /// the delay model of [`GraphRun::run_task`].
-    specs: Vec<TierSpec>,
-    cal: WallClockCalibration,
+    /// Every slot's price on every tier: the delay model of
+    /// [`GraphRun::run_task`].
+    prices: AccessPrices,
 }
 
 impl GraphLayout {
     /// Lay out `graph` over the objects `ids` (indexed like the app's
-    /// objects) of a memory system configured as `config`.
-    pub fn new(
-        graph: &TaskGraph,
-        ids: Vec<ObjectId>,
-        config: &HmsConfig,
-        cal: &WallClockCalibration,
-    ) -> Self {
+    /// objects), its accesses priced by `prices` (built from `graph`).
+    pub fn new(graph: &TaskGraph, ids: Vec<ObjectId>, prices: AccessPrices) -> Self {
         // Tasks are stored in window order (windows only grow at
         // submission), so one pass in task order numbers the slots in
         // the canonical order.
@@ -305,14 +309,14 @@ impl GraphLayout {
             }));
         }
         pin_base.push(pin_ids.len());
+        assert_eq!(prices.ns.len(), access_pin.len() * prices.tiers);
         GraphLayout {
             ids,
             slot_base,
             pin_ids,
             pin_base,
             access_pin,
-            specs: config.tier_specs().to_vec(),
-            cal: cal.clone(),
+            prices,
         }
     }
 
@@ -424,8 +428,8 @@ impl GraphRun {
     /// migration of them), run every declared access, unpin.
     ///
     /// Each access runs at native speed; residence on any tier slower
-    /// than DRAM then injects the cf-corrected model *difference*
-    /// between that device and the fast one (Quartz-style). Injecting
+    /// than DRAM then injects the price *difference* between that device
+    /// and the fast one ([`AccessPrices::delay_ns`], Quartz-style). Injecting
     /// the delta rather than flooring to an absolute model time keeps
     /// the asymmetry honest whatever the native kernels cost.
     pub fn run_task<S: SanitizeHook>(
@@ -445,15 +449,7 @@ impl GraphRun {
         for (ai, access) in task.accesses.iter().enumerate() {
             let object = access.object.index();
             let pin = &pins.objects[l.access_pin[slot_base + ai] as usize];
-            let slow = pin.tier != TierId::FASTEST;
-            let inject_ns = if slow {
-                let cal = Some(&l.cal);
-                (model_ns(&access.profile, &l.specs[pin.tier.index()], cal)
-                    - model_ns(&access.profile, &l.specs[0], cal))
-                .max(0.0)
-            } else {
-                0.0
-            };
+            let inject_ns = l.prices.delay_ns(slot_base + ai, pin.tier);
             if S::ENABLED {
                 hook.on_access(
                     task.id.0,
@@ -486,7 +482,7 @@ impl GraphRun {
             }
             // Charge the access (kernel + injected delay) to the side
             // it actually hit.
-            let side = 2 * object + usize::from(slow);
+            let side = 2 * object + usize::from(pin.tier != TierId::FASTEST);
             self.acc_ns[side].fetch_add(a_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             self.acc_n[side].fetch_add(1, Ordering::Relaxed);
         }
@@ -544,7 +540,8 @@ impl GraphRun {
 mod tests {
     use super::*;
     use std::sync::Barrier;
-    use tahoe_taskrt::{AccessMode, TaskAccess};
+    use tahoe_hms::AccessProfile;
+    use tahoe_taskrt::AccessMode;
 
     /// `per_window[w][c]` tasks of class `c` in window `w`.
     fn graph(per_window: &[&[usize]]) -> (TaskGraph, Vec<TaskClassId>) {
@@ -580,7 +577,8 @@ mod tests {
             .hms_config()
             .unwrap();
         let cal = WallClockCalibration::synthetic(1 << 20, 1 << 22);
-        let l = GraphLayout::new(&g, ids, &config, &cal);
+        let prices = AccessPrices::new(&g, config.tier_specs(), Some(&cal));
+        let l = GraphLayout::new(&g, ids, prices);
         // Declaration order, deduplicated, back to back.
         assert_eq!(l.pin_ids, [ObjectId(12), ObjectId(10), ObjectId(11)]);
         assert_eq!(l.pin_base, [0, 2, 3]);
@@ -589,8 +587,9 @@ mod tests {
         assert_eq!(l.slot_base, [0, 3]);
     }
 
-    /// One value model: the whole-run values are the per-window table's
-    /// column sums, and the spill times add up to the all-NVM run.
+    /// One price per access: the whole-run values are the per-window
+    /// savings' column sums, and the spill times add up to the all-NVM
+    /// run.
     #[test]
     fn windowed_values_sum_to_the_whole_run_values() {
         let mut b = crate::app::AppBuilder::new("t");
@@ -609,11 +608,11 @@ mod tests {
         let app = b.build();
         let cal = WallClockCalibration::synthetic(1 << 20, 1 << 22);
         let specs = [cal.dram.clone(), cal.nvm.clone()];
-        let whole = residence_values(&app, &specs, Some(&cal));
-        let by_window = residence_values_by_window(&app, &specs, Some(&cal));
+        let prices = AccessPrices::new(&app.graph, &specs, Some(&cal));
+        let values = prices.values(&app);
         // Touched windows only, ascending; two tasks of one window fold.
         let windows = |i: usize| {
-            let row = by_window.touches[i].iter();
+            let row = values.touches[i].iter();
             row.map(|t| t.window).collect::<Vec<_>>()
         };
         assert_eq!(
@@ -622,34 +621,25 @@ mod tests {
         );
         // A row's held delay is that of every task declaring the object,
         // over all their accesses: window 0's two tasks for `x`, the
-        // first for `y`.
-        let saved = |a: &tahoe_taskrt::TaskAccess| {
-            a.profile.mem_time_ns(&specs[1]) - a.profile.mem_time_ns(&specs[0])
-        };
-        let delay = |t: u32| {
-            app.graph
-                .task(tahoe_taskrt::TaskId(t))
-                .accesses
-                .iter()
-                .map(saved)
+        // first for `y`. Slots 0 and 1 are task 0's, 2 task 1's, 3 task
+        // 2's.
+        let delay = |slots: std::ops::Range<usize>| -> f64 {
+            slots.map(|s| prices.delay_ns(s, TierId(1))).sum()
         };
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.max(1.0);
-        let x0: f64 = delay(0).chain(delay(1)).sum();
-        assert!(close(by_window.touches[0][0].held_ns, x0));
-        assert!(close(by_window.touches[1][0].held_ns, delay(0).sum()));
-        assert!(close(by_window.touches[0][1].held_ns, delay(2).sum()));
-        for (i, row) in by_window.touches.iter().enumerate() {
+        assert!(close(values.touches[0][0].held_ns, delay(0..3)));
+        assert!(close(values.touches[1][0].held_ns, delay(0..2)));
+        assert!(close(values.touches[0][1].held_ns, delay(3..4)));
+        for (i, row) in values.touches.iter().enumerate() {
             let sum: f64 = row.iter().map(|t| t.saved_ns).sum();
-            assert!(
-                (sum - whole[i][0]).abs() <= 1e-9 * sum.max(1.0),
-                "object {i}"
-            );
+            assert!(close(sum, values.per_tier[i][0]), "object {i}");
+            assert_eq!(values.per_tier[i][1], 0.0);
         }
-        assert_eq!(by_window.spill_window_ns.len(), 3);
-        assert_eq!(by_window.spill_window_ns[1], 0.0);
-        let all_nvm: f64 = by_window.spill_window_ns.iter().sum();
-        let expect = crate::measured::modelled_total_ns(&app, &specs, &[1, 1, 1]);
-        assert!((all_nvm - expect).abs() <= 1e-9 * expect);
+        assert_eq!(values.spill_window_ns.len(), 3);
+        assert_eq!(values.spill_window_ns[1], 0.0);
+        let all_nvm: f64 = values.spill_window_ns.iter().sum();
+        let expect: f64 = prices.rows(&app.graph).map(|(_, p)| p[1]).sum();
+        assert!(close(all_nvm, expect));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!    barrier: each declared access walks the object's live bytes at
 //!    native speed, and residence on a slow tier injects the
 //!    cf-corrected model *difference* to the fast device (Quartz-style
-//!    delay injection).
+//!    delay injection), read from the [`AccessPrices`] that priced the plan.
 //! 3. **Compare** — every access folds into a run checksum that is a
 //!    pure function of the deterministic traffic, so a reference
 //!    execution on plain heap buffers ([`reference_checksum`]) must
@@ -45,7 +45,7 @@ use tahoe_sanitize::{audit_plan, MigrationPlan, PlanContext, PlanStep, SanitizeR
 
 use crate::app::App;
 use crate::config::Platform;
-use crate::engine::{residence_values, residence_values_by_window};
+use crate::engine::AccessPrices;
 use crate::parallel::ParallelPolicyReport;
 use crate::policy::PolicyKind;
 
@@ -80,6 +80,8 @@ pub(crate) struct PreparedRun {
     pub(crate) config: HmsConfig,
     pub(crate) hms: Hms,
     pub(crate) ids: Vec<ObjectId>,
+    /// The plan's prices, cf-corrected: also the delay the engine injects.
+    pub(crate) prices: AccessPrices,
     /// Where the allocator placed every object plus the moves to issue
     /// once the plan is released (no steps for the static policies).
     /// This is the value [`MeasuredRuntime::audit_prepared`] certifies
@@ -301,6 +303,9 @@ impl MeasuredRuntime {
             .collect::<Result<_, _>>()
             .map_err(|e| e.to_string())?;
 
+        // The delay the engine injects, and the price of every plan.
+        let prices = AccessPrices::new(&app.graph, config.tier_specs(), Some(cal));
+
         // Tahoe's global plan: the value of residence on each tier per
         // object over the whole run, from the ground-truth profiles on
         // the fitted specs; the multiple-choice knapsack assigns every
@@ -311,13 +316,12 @@ impl MeasuredRuntime {
         // plan, by the model, runs; at more the global plan stands.
         let (plan, plan_values, plan_worth) = if matches!(policy, PolicyKind::Tahoe(_)) {
             let specs = config.tier_specs();
-            let values = residence_values(app, specs, Some(cal));
-            let plan_values = values.iter().map(|v| v[0]).collect();
+            let mut values = prices.values(app);
+            let plan_values = values.per_tier.iter().map(|v| v[0]).collect();
             let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
-            let items = mck_items(app, values);
+            let items = mck_items(app, std::mem::take(&mut values.per_tier));
             let assignment = solve_mck(&items, &caps)?;
             let rotation = (specs.len() == 2).then(|| {
-                let by_window = residence_values_by_window(app, specs, Some(cal));
                 let (fast, slow) = (TierId::FASTEST, config.last_tier());
                 let rate = |from: TierId, to: TierId| CopyRate {
                     gbps: config.copy_bw_between(from, to),
@@ -327,8 +331,8 @@ impl MeasuredRuntime {
                 let global: Vec<bool> = assignment.tiers.iter().map(|&t| t == 0).collect();
                 plan_rotation(&RotationInput {
                     sizes: &sizes,
-                    touches: &by_window.touches,
-                    spill_window_ns: &by_window.spill_window_ns,
+                    touches: &values.touches,
+                    spill_window_ns: &values.spill_window_ns,
                     capacity: caps[0],
                     global: &global,
                     promote: rate(slow, fast),
@@ -354,6 +358,7 @@ impl MeasuredRuntime {
             config,
             hms,
             ids,
+            prices,
             plan,
             copy_cfgs,
             plan_values,
@@ -429,22 +434,8 @@ fn mck_items(app: &App, values: Vec<Vec<f64>>) -> Vec<MckItem> {
 /// the numbers are deterministic across machines and usable in
 /// self-validated artifacts.
 pub fn mck_items_for(app: &App, specs: &[TierSpec]) -> Vec<MckItem> {
-    mck_items(app, residence_values(app, specs, None))
-}
-
-/// Modelled memory time of the whole run with object `i` pinned to tier
-/// `tiers[i]` of `specs` throughout (no migrations, no correction
-/// factors). The deterministic cost the bench's tier-sweep rows compare.
-pub fn modelled_total_ns(app: &App, specs: &[TierSpec], tiers: &[u8]) -> f64 {
-    let mut total = 0.0;
-    for t in app.graph.tasks() {
-        for a in &t.accesses {
-            total += a
-                .profile
-                .mem_time_ns(&specs[tiers[a.object.index()] as usize]);
-        }
-    }
-    total
+    let prices = AccessPrices::new(&app.graph, specs, None);
+    mck_items(app, prices.values(app).per_tier)
 }
 
 /// Per-object latency-boundedness on `spec`: `true` when most of the
@@ -453,18 +444,18 @@ pub fn modelled_total_ns(app: &App, specs: &[TierSpec], tiers: &[u8]) -> f64 {
 /// This is the classification under which a middle tier like CXL — low
 /// latency, modest bandwidth — wins over NVM.
 pub fn object_latency_bound(app: &App, spec: &TierSpec) -> Vec<bool> {
-    let mut lat = vec![0.0f64; app.objects.len()];
-    let mut bw = vec![0.0f64; app.objects.len()];
-    for t in app.graph.tasks() {
-        for a in &t.accesses {
-            let ns = a.profile.mem_time_ns(spec);
-            if a.profile.bandwidth_limited_on(spec) {
-                bw[a.object.index()] += ns;
-            } else {
-                lat[a.object.index()] += ns;
-            }
+    // Each access's time, counted only on the side it is limited by.
+    let side = |cf_bw, cf_lat| {
+        let mut cal = WallClockCalibration::synthetic(0, 0);
+        (cal.cf_bw, cal.cf_lat) = (cf_bw, cf_lat);
+        let prices = AccessPrices::new(&app.graph, std::slice::from_ref(spec), Some(&cal));
+        let mut sums = vec![0.0f64; app.objects.len()];
+        for (a, p) in prices.rows(&app.graph) {
+            sums[a.object.index()] += p[0];
         }
-    }
+        sums
+    };
+    let (lat, bw) = (side(0.0, 1.0), side(1.0, 0.0));
     lat.iter().zip(&bw).map(|(l, b)| l > b).collect()
 }
 
@@ -474,10 +465,13 @@ pub fn object_latency_bound(app: &App, spec: &TierSpec) -> Vec<bool> {
 /// solver delegates), so `modelled_plan` prices 3-tier and 2-tier
 /// configurations on an equal footing.
 pub fn modelled_plan(app: &App, specs: &[TierSpec]) -> Result<(MckAssignment, f64), String> {
-    let items = mck_items_for(app, specs);
+    let prices = AccessPrices::new(&app.graph, specs, None);
+    let items = mck_items(app, prices.values(app).per_tier);
     let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
     let plan = solve_mck(&items, &caps)?;
-    let total = modelled_total_ns(app, specs, &plan.tiers);
+    let total = prices.rows(&app.graph).fold(0.0, |t, (a, p)| {
+        t + p[plan.tiers[a.object.index()] as usize]
+    });
     Ok((plan, total))
 }
 
@@ -687,7 +681,7 @@ mod tests {
         // the global plan, step for step.
         let global = rt.prepare(&app, &policy, &cal, 1, false).expect("clean");
         let specs = global.config.tier_specs();
-        let items = mck_items(&app, residence_values(&app, specs, Some(&cal)));
+        let items = mck_items(&app, global.prices.values(&app).per_tier);
         let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
         let assignment = solve_mck(&items, &caps).unwrap();
         assert_eq!(share(assignment.total_value), 0.640);
@@ -766,9 +760,9 @@ mod tests {
 
         // Both leads, on the planner's own input: the late one runs.
         let specs = prepared.config.tier_specs();
-        let by_window = residence_values_by_window(&app, specs, Some(&cal));
+        let values = prepared.prices.values(&app);
         let sizes: Vec<u64> = app.objects.iter().map(|o| o.size).collect();
-        let items = mck_items(&app, residence_values(&app, specs, Some(&cal)));
+        let items = mck_items(&app, values.per_tier.clone());
         let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
         let assignment = solve_mck(&items, &caps).unwrap();
         let global: Vec<bool> = assignment.tiers.iter().map(|&t| t == 0).collect();
@@ -778,8 +772,8 @@ mod tests {
         };
         let input = RotationInput {
             sizes: &sizes,
-            touches: &by_window.touches,
-            spill_window_ns: &by_window.spill_window_ns,
+            touches: &values.touches,
+            spill_window_ns: &values.spill_window_ns,
             capacity: caps[0],
             global: &global,
             promote: rate(TierId(1), TierId(0)),
@@ -793,7 +787,7 @@ mod tests {
         // Every promotion after window 0 is of an object its window
         // uses: 87 of them, and 210 copies, 92 MiB, in all.
         let touched_in = |o: u32, w: u32| {
-            let row = &by_window.touches[o as usize];
+            let row = &values.touches[o as usize];
             row.iter().any(|t| t.window == w)
         };
         let steps = &prepared.plan.steps;

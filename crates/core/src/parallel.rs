@@ -101,14 +101,9 @@ use tahoe_taskrt::{run_scoped, JobSpec, NoGate, TaskGraph, TaskSpec};
 
 use crate::app::App;
 pub use crate::engine::AccessTierTiming;
-use crate::engine::{ClassQuota, GraphLayout, GraphRun};
+use crate::engine::{AccessPrices, ClassQuota, GraphLayout, GraphRun};
 use crate::measured::{migrator_has_a_core, MeasuredRuntime};
 use crate::policy::PolicyKind;
-
-/// Flight-recorder ring capacity per lane. At one event plus up to a
-/// few histogram samples per task, 16 Ki slots absorb any smoke-sized
-/// window without drops; overflow is counted, not blocking.
-const RING_CAPACITY: usize = 1 << 14;
 
 /// Histogram keys the parallel runtime records (per worker lane, merged
 /// at drain): task wall time, migration-gate waits, steal-search time,
@@ -332,13 +327,18 @@ impl MeasuredRuntime {
         // The flight recorder exists only when someone is listening:
         // lanes 0..nw are the workers, lane nw the migration thread,
         // lane nw+1 the driver (placement decisions). Hot-path emission
-        // is then an SPSC ring push — no global lock.
-        let recorder = (self.emitter.enabled() || self.metrics.is_enabled())
-            .then(|| FlightRecorder::new(nw + 2, RING_CAPACITY, HIST_KEYS));
+        // is then an SPSC ring push — no global lock. No lane can drop:
+        // a worker may emit every task and the release, the migration
+        // thread two events a step, the driver one an object.
+        let recorder = (self.emitter.enabled() || self.metrics.is_enabled()).then(|| {
+            let mut lanes = vec![app.graph.len() + 1; nw];
+            lanes.extend([2 * plan.steps.len(), app.objects.len()]);
+            FlightRecorder::with_capacities(&lanes, HIST_KEYS)
+        });
 
         let start = Instant::now();
         let shared = Arc::new(SharedHms::new(prepared.hms));
-        let layout = Arc::new(GraphLayout::new(&app.graph, prepared.ids, &config, cal));
+        let layout = Arc::new(GraphLayout::new(&app.graph, prepared.ids, prepared.prices));
         // Init traffic runs here, before the workers spin up.
         let init_t0 = Instant::now();
         let run = Arc::new(GraphRun::start(
@@ -536,18 +536,16 @@ impl MeasuredRuntime {
             // CF-free model, pair it with the knapsack's prediction, and
             // bound the wall-clock win of an earlier migration by the
             // stall the object exposed.
-            let specs = config.tier_specs();
-            let base_tiers = vec![config.last_tier().0; app.objects.len()];
-            let modelled_base = crate::measured::modelled_total_ns(app, specs, &base_tiers);
+            let model = AccessPrices::new(&app.graph, config.tier_specs(), None);
+            let mut saving = vec![0.0f64; app.objects.len()];
+            for (a, p) in model.rows(&app.graph) {
+                saving[a.object.index()] += p[p.len() - 1] - p[0];
+            }
             for e in blame.entries.iter().filter(|e| e.exposed_ns > 0.0) {
                 let i = e.object as usize;
-                if i >= app.objects.len() {
+                let Some(&modelled_saving_ns) = saving.get(i) else {
                     continue;
-                }
-                let mut tiers = base_tiers.clone();
-                tiers[i] = 0;
-                let modelled_saving_ns =
-                    modelled_base - crate::measured::modelled_total_ns(app, specs, &tiers);
+                };
                 let predicted_benefit_ns = plan_values.as_ref().map_or(0.0, |v| v[i]);
                 digest.whatif.push(WhatIf {
                     object: e.object,
@@ -914,6 +912,51 @@ mod tests {
             .run_policy_parallel(&app, &PolicyKind::tahoe(), &cal, 2, 7)
             .expect("unobserved run");
         assert!(plain.crit.is_none());
+    }
+
+    /// The recorder's lanes are sized from the run: a one-worker run of
+    /// more tasks than a 16 Ki-slot ring holds records every one of
+    /// them, and the critical path over the whole stream still tiles.
+    #[test]
+    fn an_observed_run_of_many_tasks_drops_no_event() {
+        const TASKS: usize = (1 << 14) + 1000;
+        let mut b = AppBuilder::new("many-tasks");
+        let objects: Vec<_> = (0..64).map(|i| b.object(&format!("o{i}"), 4096)).collect();
+        let c = b.class("touch");
+        for t in 0..TASKS {
+            if t > 0 && t % (TASKS / 4) == 0 {
+                b.next_window();
+            }
+            b.task(c).read_streaming(objects[t % 64], 1).submit();
+        }
+        let app = b.build();
+        let footprint = app.footprint();
+        let cal = WallClockCalibration::synthetic(footprint / 4, 4 * footprint);
+        let (emitter, buf) = Emitter::buffered();
+        let metrics = tahoe_obs::Metrics::enabled();
+        let rt = runtime().with_observability(emitter, metrics.clone());
+        let r = rt
+            .run_policy_parallel(&app, &PolicyKind::tahoe(), &cal, 1, 3)
+            .expect("observed run");
+        assert_eq!(r.checksum, reference_checksum_seeded(&app, 3));
+        assert_eq!(r.obs_ring_dropped, 0);
+        let events = buf.drain();
+        let worker_tasks = events
+            .iter()
+            .filter(|e| matches!(e, Event::WorkerTask { .. }))
+            .count();
+        assert_eq!(worker_tasks, TASKS);
+        assert!(r.migrations > 0, "the migration lane is used too");
+
+        let crit = r.crit.as_ref().expect("observed runs carry a digest");
+        assert!(
+            (crit.crit_total_ns - (crit.compute_ns + crit.stall_ns + crit.idle_ns)).abs()
+                < 1e-6 * crit.crit_total_ns.max(1.0)
+        );
+        let histograms = metrics.snapshot().histograms;
+        let longest_task = histograms.iter().find(|(k, _)| k == "task_ns");
+        let longest_task = longest_task.expect("task_ns digest").1.max;
+        assert!(crit.span_ns - crit.crit_total_ns <= longest_task + 1.0);
     }
 
     /// A task that panics mid-run (here: inside the sanitizer hook, with

@@ -4,7 +4,7 @@
 //! (checked via the run checksum, which covers every byte read and
 //! written).
 
-use tahoe_core::engine::residence_values;
+use tahoe_core::engine::AccessPrices;
 use tahoe_core::measured::{reference_checksum, reference_checksum_seeded, MeasuredRuntime};
 use tahoe_core::prelude::*;
 use tahoe_memprof::wallclock::WallClockConfig;
@@ -108,18 +108,18 @@ fn nvm_emulation_is_slower_than_dram() {
     let rt = MeasuredRuntime::new(platform(&app), WallClockConfig::smoke());
     let cal = rt.calibrate().expect("calibration runs unprivileged");
     let specs = [cal.dram.clone(), cal.nvm.clone()];
-    let delay_ns: f64 = residence_values(&app, &specs, Some(&cal))
-        .iter()
-        .map(|v| v[0])
-        .sum();
-    assert!(delay_ns > 0.0, "the fitted NVM prices no access above DRAM");
-
+    let prices = AccessPrices::new(&app.graph, &specs, Some(&cal));
     let accesses: u64 = app
         .graph
         .tasks()
         .iter()
         .map(|t| t.accesses.len() as u64)
         .sum();
+    let delay_ns: f64 = (0..accesses as usize)
+        .map(|slot| prices.delay_ns(slot, TierId(1)))
+        .sum();
+    assert!(delay_ns > 0.0, "the fitted NVM prices no access above DRAM");
+
     let nvm = rt
         .run_policy(&app, &PolicyKind::NvmOnly, &cal)
         .expect("runs");

@@ -267,8 +267,8 @@ pub struct WhatIf {
     /// `exec_wall_ns - exposed_ns`.
     pub whatif_wall_ns: Ns,
     /// CF-free modelled ns saved by whole-run DRAM residence of this
-    /// object (`modelled_total_ns` with the object pinned to DRAM vs
-    /// the all-NVM baseline).
+    /// object against the all-NVM baseline: its accesses' model time on
+    /// the spill tier less their time on DRAM.
     pub modelled_saving_ns: Ns,
     /// The knapsack's predicted benefit for the object (the placement
     /// decision's value).

@@ -127,9 +127,17 @@ impl FlightRecorder {
     /// ring of `capacity` slots and one histogram per key in
     /// `hist_keys`.
     pub fn new(lanes: usize, capacity: usize, hist_keys: &'static [&'static str]) -> Self {
+        Self::with_capacities(&vec![capacity; lanes.max(1)], hist_keys)
+    }
+
+    /// A recorder with one lane per entry of `capacities`, lane `i`'s
+    /// event ring holding `capacities[i]` slots, and one histogram per
+    /// key in `hist_keys` on each.
+    pub fn with_capacities(capacities: &[usize], hist_keys: &'static [&'static str]) -> Self {
         FlightRecorder {
-            lanes: (0..lanes.max(1))
-                .map(|_| Arc::new(Lane::new(capacity, hist_keys.len())))
+            lanes: capacities
+                .iter()
+                .map(|&capacity| Arc::new(Lane::new(capacity, hist_keys.len())))
                 .collect(),
             keys: hist_keys,
         }
@@ -297,6 +305,18 @@ mod tests {
         assert_eq!(cap.events[0], ws(0.0, 0));
         assert_eq!(cap.lane_dropped, vec![6]);
         assert_eq!(cap.total_dropped, 6);
+    }
+
+    #[test]
+    fn each_lane_holds_its_own_capacity() {
+        let rec = FlightRecorder::with_capacities(&[2, 5], &[]);
+        for i in 0..5 {
+            rec.emit(0, ws(i as f64, i));
+            rec.emit(1, ws(i as f64, i));
+        }
+        let cap = rec.drain();
+        assert_eq!(cap.lane_dropped, vec![3, 0]);
+        assert_eq!(cap.events.len(), 7);
     }
 
     #[test]

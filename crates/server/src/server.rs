@@ -49,7 +49,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use tahoe_core::app::App;
-use tahoe_core::engine::{residence_values, GraphLayout, GraphRun, NoSanitize};
+use tahoe_core::engine::{AccessPrices, GraphLayout, GraphRun, NoSanitize};
 use tahoe_hms::{
     ContentionStats, Hms, HmsConfig, MigrationRecord, MigrationStats, Ns, ObjectId, SharedHms,
     TierId,
@@ -494,13 +494,12 @@ impl TahoeServer {
         }
         inner.namespace.register(tid, &ids);
 
-        // Predicted value of DRAM residence per object — the same
-        // ground-truth model the single-tenant planner uses.
-        let values: Vec<f64> =
-            residence_values(&app, self.sh.hms_cfg.tier_specs(), Some(&self.sh.cal))
-                .into_iter()
-                .map(|v| v[0])
-                .collect();
+        // Predicted value of DRAM residence per object, as the single-
+        // tenant planner prices it: by the delays the tasks will suffer.
+        let prices =
+            AccessPrices::new(&app.graph, self.sh.hms_cfg.tier_specs(), Some(&self.sh.cal));
+        let values = prices.values(&app).per_tier;
+        let values: Vec<f64> = values.iter().map(|v| v[0]).collect();
         let demand = app
             .objects
             .iter()
@@ -508,7 +507,7 @@ impl TahoeServer {
             .filter(|(i, _)| values[*i] > 0.0)
             .map(|(_, o)| o.size)
             .sum();
-        let layout = GraphLayout::new(&app.graph, ids, &self.sh.hms_cfg, &self.sh.cal);
+        let layout = GraphLayout::new(&app.graph, ids, prices);
         let App { objects, graph, .. } = app;
         let info = Arc::new(TenantInfo {
             id: tid,
