@@ -276,7 +276,6 @@ pub fn e6() {
                 initial_placement: false,
                 proactive: true,
                 distinguish_rw: true,
-                adaptive: true,
                 lookahead: 16,
             };
             let mut v = vec![base.clone()];

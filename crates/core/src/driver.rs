@@ -846,8 +846,8 @@ impl<'a> Driver<'a> {
     }
 
     /// Adaptivity: detect per-window drift and re-arm profiling.
-    fn check_variation(&mut self, w: u32, now: Ns, opts: &TahoeOptions) {
-        if !opts.adaptive || self.plan.is_none() || self.window_started_at.len() < 3 {
+    fn check_variation(&mut self, w: u32, now: Ns) {
+        if self.plan.is_none() || self.window_started_at.len() < 3 {
             return;
         }
         let n = self.window_started_at.len();
@@ -1054,7 +1054,7 @@ impl SchedulerHooks for Driver<'_> {
                 });
             }
         }
-        self.check_variation(w, now, &opts);
+        self.check_variation(w, now);
         if self.plan.is_none() && w >= self.profiling_until {
             self.emitter
                 .emit(|| Event::ProfilingClosed { t: now, window: w });

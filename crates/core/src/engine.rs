@@ -281,6 +281,8 @@ pub struct GraphLayout {
     /// count): the index of the access's object within its task's pin
     /// set.
     access_pin: Vec<u32>,
+    /// Accesses to app object `i` over the whole graph.
+    accesses: Vec<u64>,
     /// Every slot's price on every tier: the delay model of
     /// [`GraphRun::run_task`].
     prices: AccessPrices,
@@ -297,6 +299,7 @@ impl GraphLayout {
         let mut pin_base = Vec::with_capacity(graph.len() + 1);
         let mut pin_ids = Vec::new();
         let mut access_pin = Vec::new();
+        let mut accesses = vec![0; ids.len()];
         for task in graph.tasks() {
             slot_base.push(access_pin.len());
             pin_base.push(pin_ids.len());
@@ -304,6 +307,7 @@ impl GraphLayout {
             pin_ids.extend(objects.iter().map(|o| ids[o.index()]));
             // Distinct `ObjectId`s (a `u32`) bound a pin set's size.
             access_pin.extend(task.accesses.iter().map(|a| {
+                accesses[a.object.index()] += 1;
                 let at = objects.iter().position(|o| *o == a.object);
                 at.expect("objects() covers every access") as u32
             }));
@@ -316,6 +320,7 @@ impl GraphLayout {
             pin_ids,
             pin_base,
             access_pin,
+            accesses,
             prices,
         }
     }
@@ -366,7 +371,9 @@ pub struct GraphRun {
     run_seed: u64,
     init_sums: Vec<u64>,
     slots: Vec<AtomicU64>,
-    bytes_touched: AtomicU64,
+    /// Each object's size times one more than its access count: the
+    /// init fill plus every access walks the whole object.
+    bytes_touched: u64,
     /// Summed [`TaskOutcome::gate_wait_ns`], whole ns.
     gate_wait: AtomicU64,
     /// Access wall ns and sample counts per object: entry `2i` is DRAM,
@@ -404,7 +411,11 @@ impl GraphRun {
                 .iter()
                 .map(|pin| unsafe { std::slice::from_raw_parts_mut(pin.as_ptr(), pin.len()) })
                 .collect();
-            let bytes = bufs.iter().map(|b| b.len() as u64).sum::<u64>();
+            let bytes = bufs
+                .iter()
+                .zip(&layout.accesses)
+                .map(|(b, n)| b.len() as u64 * (1 + n))
+                .sum::<u64>();
             (
                 traffic::init_fill_all(&mut bufs, |i| init_seed(run_seed, i)),
                 bytes,
@@ -415,7 +426,7 @@ impl GraphRun {
             slots: atomics(layout.access_pin.len()),
             acc_ns: atomics(2 * layout.ids.len()),
             acc_n: atomics(2 * layout.ids.len()),
-            bytes_touched: AtomicU64::new(bytes),
+            bytes_touched: bytes,
             gate_wait: AtomicU64::new(0),
             shared,
             layout,
@@ -475,8 +486,6 @@ impl GraphRun {
                 )
             };
             self.slots[slot_base + ai].store(c, Ordering::Release);
-            self.bytes_touched
-                .fetch_add(pin.len() as u64, Ordering::Relaxed);
             if inject_ns > 0.0 {
                 tahoe_realmem::throttle::pace_until(Instant::now(), inject_ns);
             }
@@ -510,9 +519,10 @@ impl GraphRun {
         inits.chain(accesses).fold(0, fold)
     }
 
-    /// Bytes of object data walked so far (init fill + accesses).
+    /// Bytes of object data the run walks (init fill + every access),
+    /// fixed by the graph and the object sizes.
     pub fn bytes_touched(&self) -> u64 {
-        self.bytes_touched.load(Ordering::Relaxed)
+        self.bytes_touched
     }
 
     /// Wall-clock ns tasks have spent blocked on in-flight migrations

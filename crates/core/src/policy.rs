@@ -18,8 +18,6 @@ pub struct TahoeOptions {
     pub proactive: bool,
     /// Distinguish loads from stores in the models (Eqs. 4–5 vs 2–3).
     pub distinguish_rw: bool,
-    /// Re-profile and replan when per-window performance drifts.
-    pub adaptive: bool,
     /// Look-ahead depth (tasks) for ordering proactive migrations.
     pub lookahead: usize,
 }
@@ -33,7 +31,6 @@ impl Default for TahoeOptions {
             initial_placement: true,
             proactive: true,
             distinguish_rw: true,
-            adaptive: true,
             lookahead: 16,
         }
     }
@@ -99,9 +96,6 @@ impl PolicyKind {
                     }
                     if !o.distinguish_rw {
                         tags.push("-rw");
-                    }
-                    if !o.adaptive {
-                        tags.push("-adapt");
                     }
                     format!("tahoe{}", tags.join(""))
                 }

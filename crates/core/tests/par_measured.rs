@@ -110,6 +110,37 @@ fn tahoe_overlap_is_nonzero_with_multiple_workers() {
 }
 
 #[test]
+fn bytes_touched_is_fixed_by_the_graph() {
+    let app = triad_app(2, 8 << 10, 3);
+    // The init fill walks every object once, and each access walks its
+    // whole object once more.
+    let tasks = app.graph.tasks();
+    let expect: u64 = app
+        .objects
+        .iter()
+        .enumerate()
+        .map(|(i, o)| {
+            let accesses = tasks
+                .iter()
+                .flat_map(|t| &t.accesses)
+                .filter(|a| a.object.index() == i)
+                .count() as u64;
+            o.size * (1 + accesses)
+        })
+        .sum();
+    let cal = WallClockCalibration::synthetic(app.footprint() / 4, 4 * app.footprint());
+    let rt = runtime();
+    for workers in [1, 2] {
+        for policy in [PolicyKind::NvmOnly, PolicyKind::tahoe()] {
+            let r = rt
+                .run_policy_parallel(&app, &policy, &cal, workers, 0)
+                .expect("parallel run");
+            assert_eq!(r.bytes_touched, expect, "{} at {workers} workers", r.policy);
+        }
+    }
+}
+
+#[test]
 fn parallel_report_fields_are_consistent() {
     let app = triad_app(2, 8 << 10, 2);
     let footprint = app.footprint();

@@ -1,10 +1,12 @@
 //! Exporters: deterministic JSONL and Chrome `trace_event` JSON.
 //!
-//! **JSONL** is the machine-diffable artifact: one event per line,
-//! hand-serialized with a fixed field order (`ev` first, `t` second, then
-//! the variant's fields in declaration order). Floats go through Rust's
-//! shortest-roundtrip `Display`, so two identical seeded runs produce
-//! byte-identical streams — CI diffs them directly.
+//! **JSONL** is the machine-diffable artifact: one event per line with a
+//! fixed field order (`ev` first, `t` second, then the variant's fields
+//! in the order the `events!` table in [`crate::event`] declares them),
+//! written by [`crate::json::object`]. Floats go through Rust's
+//! shortest-roundtrip `Display` (non-finite ones as `null`), so two
+//! identical seeded runs produce byte-identical streams — CI diffs them
+//! directly.
 //!
 //! **Chrome trace** targets `chrome://tracing` / [Perfetto]. Task spans
 //! become `"X"` complete events laid out on greedily-assigned lanes
@@ -19,278 +21,17 @@
 //!
 //! [Perfetto]: https://ui.perfetto.dev
 
-use std::fmt::Write as _;
-
 use crate::emit::Sink;
 use crate::event::Event;
-use crate::json::write_string;
+use crate::json::{self, Writer};
 
-/// Format a float the way both exporters do: Rust `Display`, which is the
-/// shortest string that round-trips — deterministic and JSON-compatible
-/// for the finite values virtual time produces.
-fn fnum(x: f64) -> String {
-    format!("{x}")
-}
-
-/// Serialize one event as a single JSON object with fixed field order.
+/// Serialize one event as a single JSON object: `ev`, `t`, then the
+/// variant's fields in declaration order.
 pub fn event_to_json(e: &Event) -> String {
-    let mut s = String::with_capacity(96);
-    let _ = write!(s, "{{\"ev\":\"{}\",\"t\":{}", e.kind(), fnum(e.timestamp()));
-    match *e {
-        Event::TaskStart {
-            task,
-            class,
-            window,
-            ..
-        }
-        | Event::TaskFinish {
-            task,
-            class,
-            window,
-            ..
-        } => {
-            let _ = write!(s, ",\"task\":{task},\"class\":{class},\"window\":{window}");
-        }
-        Event::DispatchStall { task, stall_ns, .. } => {
-            let _ = write!(s, ",\"task\":{task},\"stall_ns\":{}", fnum(stall_ns));
-        }
-        Event::WindowStart { window, .. } => {
-            let _ = write!(s, ",\"window\":{window}");
-        }
-        Event::TierSample {
-            window,
-            dram_used,
-            dram_capacity,
-            nvm_used,
-            nvm_capacity,
-            inflight,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"window\":{window},\"dram_used\":{dram_used},\"dram_capacity\":{dram_capacity},\"nvm_used\":{nvm_used},\"nvm_capacity\":{nvm_capacity},\"inflight\":{inflight}"
-            );
-        }
-        Event::MigrationIssued {
-            object,
-            bytes,
-            from,
-            to,
-            start,
-            finish,
-            queue_depth,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"object\":{object},\"bytes\":{bytes},\"from\":\"{}\",\"to\":\"{}\",\"start\":{},\"finish\":{},\"queue_depth\":{queue_depth}",
-                from,
-                to,
-                fnum(start),
-                fnum(finish)
-            );
-        }
-        Event::MigrationCompleted {
-            object,
-            bytes,
-            overlap_ns,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"object\":{object},\"bytes\":{bytes},\"overlap_ns\":{}",
-                fnum(overlap_ns)
-            );
-        }
-        Event::MigrationDeferred { object, .. } => {
-            let _ = write!(s, ",\"object\":{object}");
-        }
-        Event::ProfilingArmed {
-            window,
-            until_window,
-            ..
-        } => {
-            let _ = write!(s, ",\"window\":{window},\"until_window\":{until_window}");
-        }
-        Event::ProfilingClosed { window, .. } => {
-            let _ = write!(s, ",\"window\":{window}");
-        }
-        Event::PlanComputed {
-            window,
-            kind,
-            candidates,
-            migrations,
-            predicted_gain_ns,
-            baseline_ns,
-            accepted,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"window\":{window},\"kind\":\"{kind}\",\"candidates\":{candidates},\"migrations\":{migrations},\"predicted_gain_ns\":{},\"baseline_ns\":{},\"accepted\":{accepted}",
-                fnum(predicted_gain_ns),
-                fnum(baseline_ns)
-            );
-        }
-        Event::ReplanTriggered { window, reason, .. } => {
-            let _ = write!(s, ",\"window\":{window},\"reason\":\"{}\"", reason.tag());
-        }
-        Event::OverheadCharged { kind, ns, .. } => {
-            let _ = write!(s, ",\"kind\":\"{}\",\"ns\":{}", kind.tag(), fnum(ns));
-        }
-        Event::ArenaMapped {
-            tier,
-            bytes,
-            numa_node,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"tier\":\"{}\",\"bytes\":{bytes},\"numa_node\":{numa_node}",
-                tier
-            );
-        }
-        Event::RealCopyDone {
-            object,
-            bytes,
-            from,
-            to,
-            wall_ns,
-            throttle_ns,
-            chunks,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"object\":{object},\"bytes\":{bytes},\"from\":\"{}\",\"to\":\"{}\",\"wall_ns\":{},\"throttle_ns\":{},\"chunks\":{chunks}",
-                from,
-                to,
-                fnum(wall_ns),
-                fnum(throttle_ns)
-            );
-        }
-        Event::WorkerTask {
-            tenant,
-            worker,
-            task,
-            window,
-            wall_ns,
-            gate_wait_ns,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"tenant\":{tenant},\"worker\":{worker},\"task\":{task},\"window\":{window},\"wall_ns\":{},\"gate_wait_ns\":{}",
-                fnum(wall_ns),
-                fnum(gate_wait_ns)
-            );
-        }
-        Event::PlacementDecision {
-            object,
-            bytes,
-            predicted_benefit_ns,
-            chosen,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"object\":{object},\"bytes\":{bytes},\"predicted_benefit_ns\":{},\"chosen\":{chosen}",
-                fnum(predicted_benefit_ns)
-            );
-        }
-        Event::SanitizeViolation {
-            ref kind,
-            task,
-            object,
-            ref detail,
-            ..
-        } => {
-            // Violation details are free-form prose: quotes, backslashes
-            // and control characters must not break the line format.
-            s.push_str(",\"kind\":");
-            write_string(&mut s, kind);
-            let _ = write!(s, ",\"task\":{task},\"object\":{object},\"detail\":");
-            write_string(&mut s, detail);
-        }
-        Event::TierFitted {
-            tier,
-            read_bw_gbps,
-            write_bw_gbps,
-            read_lat_ns,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"tier\":\"{}\",\"read_bw_gbps\":{},\"write_bw_gbps\":{},\"read_lat_ns\":{}",
-                tier,
-                fnum(read_bw_gbps),
-                fnum(write_bw_gbps),
-                fnum(read_lat_ns)
-            );
-        }
-        Event::GraphAdmitted {
-            tenant,
-            graph,
-            queue_wait_ns,
-            quota_bytes,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"tenant\":{tenant},\"graph\":{graph},\"queue_wait_ns\":{},\"quota_bytes\":{quota_bytes}",
-                fnum(queue_wait_ns)
-            );
-        }
-        Event::GraphDone {
-            tenant,
-            graph,
-            latency_ns,
-            wall_ns,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"tenant\":{tenant},\"graph\":{graph},\"latency_ns\":{},\"wall_ns\":{}",
-                fnum(latency_ns),
-                fnum(wall_ns)
-            );
-        }
-        Event::GraphShed {
-            tenant,
-            graph,
-            queued,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"tenant\":{tenant},\"graph\":{graph},\"queued\":{queued}"
-            );
-        }
-        Event::TenantQuota {
-            tenant,
-            quota_bytes,
-            demand_bytes,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"tenant\":{tenant},\"quota_bytes\":{quota_bytes},\"demand_bytes\":{demand_bytes}"
-            );
-        }
-        Event::TenantPreempt {
-            tenant,
-            object,
-            bytes,
-            ..
-        } => {
-            let _ = write!(
-                s,
-                ",\"tenant\":{tenant},\"object\":{object},\"bytes\":{bytes}"
-            );
-        }
-    }
-    s.push('}');
-    s
+    json::object(|w| {
+        w.field("ev", e.kind()).field("t", e.timestamp());
+        e.write_fields(w);
+    })
 }
 
 /// Render an event stream as JSONL: one event per line, trailing newline
@@ -363,11 +104,21 @@ fn assign_lanes(spans: &[(f64, f64)]) -> Vec<usize> {
     lanes
 }
 
-fn push_meta(out: &mut String, tid: usize, name: &str) {
-    let _ = write!(
-        out,
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}}}"
-    );
+/// Open one trace record in the `traceEvents` array with its `name`,
+/// `cat` and `ph`; the caller writes the rest.
+fn record<'w>(evs: &'w mut Writer<'_>, name: &str, cat: &str, ph: &str) -> Writer<'w> {
+    let mut rec = evs.object(None);
+    rec.field("name", name).field("cat", cat).field("ph", ph);
+    rec
+}
+
+fn push_meta(evs: &mut Writer<'_>, tid: usize, name: &str) {
+    let mut rec = evs.object(None);
+    rec.field("name", "thread_name")
+        .field("ph", "M")
+        .field("pid", 1)
+        .field("tid", tid);
+    rec.object("args").field("name", name);
 }
 
 /// Render an event stream as Chrome `trace_event` JSON
@@ -438,175 +189,154 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
     }
     let mut flow_id = 0usize;
 
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if first {
-            first = false;
-        } else {
-            out.push(',');
+    json::object(|w| {
+        let mut evs = w.array("traceEvents");
+        for lane in 0..n_lanes {
+            push_meta(&mut evs, lane, &format!("worker {lane}"));
         }
-    };
+        push_meta(&mut evs, migration_tid, "copy channel");
+        push_meta(&mut evs, marker_tid, "runtime markers");
 
-    for lane in 0..n_lanes {
-        sep(&mut out);
-        push_meta(&mut out, lane, &format!("worker {lane}"));
-    }
-    sep(&mut out);
-    push_meta(&mut out, migration_tid, "copy channel");
-    sep(&mut out);
-    push_meta(&mut out, marker_tid, "runtime markers");
+        for (span, &lane) in spans.iter().zip(&lanes) {
+            let name = format!("task {} (class {})", span.task, span.class);
+            let mut rec = record(&mut evs, &name, "task", "X");
+            rec.field("pid", 1)
+                .field("tid", lane)
+                .field("ts", span.start / NS_PER_US)
+                .field("dur", (span.end - span.start) / NS_PER_US);
+            rec.object("args")
+                .field("task", span.task)
+                .field("class", span.class)
+                .field("window", span.window);
+        }
 
-    for (span, &lane) in spans.iter().zip(&lanes) {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"task {task} (class {class})\",\"cat\":\"task\",\"ph\":\"X\",\"pid\":1,\"tid\":{lane},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"task\":{task},\"class\":{class},\"window\":{window}}}}}",
-            task = span.task,
-            class = span.class,
-            window = span.window,
-            ts = fnum(span.start / NS_PER_US),
-            dur = fnum((span.end - span.start) / NS_PER_US)
-        );
-    }
-
-    for e in events {
-        match *e {
-            Event::WorkerTask {
-                t,
-                tenant,
-                worker,
-                task,
-                window,
-                wall_ns,
-                gate_wait_ns,
-            } => {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"T{tenant} task {task} w{window}\",\"cat\":\"task\",\"ph\":\"X\",\"pid\":1,\"tid\":{worker},\"ts\":{},\"dur\":{},\"args\":{{\"tenant\":{tenant},\"task\":{task},\"window\":{window},\"gate_wait_ns\":{}}}}}",
-                    fnum((t - wall_ns) / NS_PER_US),
-                    fnum(wall_ns / NS_PER_US),
-                    fnum(gate_wait_ns)
-                );
-                // Flow arrow: copy-channel finish -> gate-wait end on
-                // the stalled worker lane. Latest finish inside the
-                // stall wins; smallest object id breaks ties.
-                let gate = gate_wait_ns.clamp(0.0, wall_ns.max(0.0));
-                let stall_start = t - wall_ns.max(0.0);
-                let stall_end = stall_start + gate;
-                if gate > 0.0 {
-                    let mut unblocker: Option<(f64, u32)> = None;
-                    for &(object, m_finish) in &migs {
-                        if m_finish > stall_start && m_finish <= stall_end {
-                            let better = match unblocker {
-                                None => true,
-                                Some((f, o)) => m_finish > f || (m_finish == f && object < o),
-                            };
-                            if better {
-                                unblocker = Some((m_finish, object));
+        for e in events {
+            // Instant markers: (name, category, track, time).
+            let (name, cat, tid, t) = match *e {
+                Event::WorkerTask {
+                    t,
+                    tenant,
+                    worker,
+                    task,
+                    window,
+                    wall_ns,
+                    gate_wait_ns,
+                } => {
+                    let name = format!("T{tenant} task {task} w{window}");
+                    let mut rec = record(&mut evs, &name, "task", "X");
+                    rec.field("pid", 1)
+                        .field("tid", worker)
+                        .field("ts", (t - wall_ns) / NS_PER_US)
+                        .field("dur", wall_ns / NS_PER_US);
+                    rec.object("args")
+                        .field("tenant", tenant)
+                        .field("task", task)
+                        .field("window", window)
+                        .field("gate_wait_ns", gate_wait_ns);
+                    drop(rec);
+                    // Flow arrow: copy-channel finish -> gate-wait end on
+                    // the stalled worker lane. Latest finish inside the
+                    // stall wins; smallest object id breaks ties.
+                    let gate = gate_wait_ns.clamp(0.0, wall_ns.max(0.0));
+                    let stall_start = t - wall_ns.max(0.0);
+                    let stall_end = stall_start + gate;
+                    if gate > 0.0 {
+                        let mut unblocker: Option<(f64, u32)> = None;
+                        for &(object, m_finish) in &migs {
+                            if m_finish > stall_start && m_finish <= stall_end {
+                                let better = match unblocker {
+                                    None => true,
+                                    Some((f, o)) => m_finish > f || (m_finish == f && object < o),
+                                };
+                                if better {
+                                    unblocker = Some((m_finish, object));
+                                }
                             }
                         }
+                        if let Some((m_finish, object)) = unblocker {
+                            flow_id += 1;
+                            let name = format!("unblock obj {object}");
+                            record(&mut evs, &name, "flow", "s")
+                                .field("id", flow_id)
+                                .field("pid", 1)
+                                .field("tid", migration_tid)
+                                .field("ts", m_finish / NS_PER_US);
+                            record(&mut evs, &name, "flow", "f")
+                                .field("bp", "e")
+                                .field("id", flow_id)
+                                .field("pid", 1)
+                                .field("tid", worker)
+                                .field("ts", stall_end / NS_PER_US);
+                        }
                     }
-                    if let Some((m_finish, object)) = unblocker {
-                        flow_id += 1;
-                        sep(&mut out);
-                        let _ = write!(
-                            out,
-                            "{{\"name\":\"unblock obj {object}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{flow_id},\"pid\":1,\"tid\":{migration_tid},\"ts\":{}}}",
-                            fnum(m_finish / NS_PER_US)
-                        );
-                        sep(&mut out);
-                        let _ = write!(
-                            out,
-                            "{{\"name\":\"unblock obj {object}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{flow_id},\"pid\":1,\"tid\":{worker},\"ts\":{}}}",
-                            fnum(stall_end / NS_PER_US)
-                        );
-                    }
+                    continue;
                 }
-            }
-            Event::MigrationIssued {
-                object,
-                bytes,
-                from,
-                to,
-                start,
-                finish,
-                ..
-            } => {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"migrate obj {object} ({}->{})\",\"cat\":\"migration\",\"ph\":\"X\",\"pid\":1,\"tid\":{migration_tid},\"ts\":{},\"dur\":{},\"args\":{{\"object\":{object},\"bytes\":{bytes}}}}}",
+                Event::MigrationIssued {
+                    object,
+                    bytes,
                     from,
                     to,
-                    fnum(start / NS_PER_US),
-                    fnum((finish - start) / NS_PER_US)
-                );
-            }
-            Event::WindowStart { t, window } => {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"window {window}\",\"cat\":\"window\",\"ph\":\"i\",\"pid\":1,\"tid\":{marker_tid},\"ts\":{},\"s\":\"t\"}}",
-                    fnum(t / NS_PER_US)
-                );
-            }
-            Event::PlanComputed {
-                t,
-                window,
-                kind,
-                migrations,
-                accepted,
-                ..
-            } => {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"plan {kind} w{window} ({migrations} moves, {})\",\"cat\":\"plan\",\"ph\":\"i\",\"pid\":1,\"tid\":{marker_tid},\"ts\":{},\"s\":\"t\"}}",
-                    if accepted { "accepted" } else { "frozen" },
-                    fnum(t / NS_PER_US)
-                );
-            }
-            Event::ProfilingArmed { t, window, .. } => {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"profiling armed w{window}\",\"cat\":\"profiling\",\"ph\":\"i\",\"pid\":1,\"tid\":{marker_tid},\"ts\":{},\"s\":\"t\"}}",
-                    fnum(t / NS_PER_US)
-                );
-            }
-            Event::ProfilingClosed { t, window } => {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"profiling closed w{window}\",\"cat\":\"profiling\",\"ph\":\"i\",\"pid\":1,\"tid\":{marker_tid},\"ts\":{},\"s\":\"t\"}}",
-                    fnum(t / NS_PER_US)
-                );
-            }
-            Event::ReplanTriggered { t, window, reason } => {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"replan w{window} ({})\",\"cat\":\"plan\",\"ph\":\"i\",\"pid\":1,\"tid\":{marker_tid},\"ts\":{},\"s\":\"t\"}}",
-                    reason.tag(),
-                    fnum(t / NS_PER_US)
-                );
-            }
-            Event::MigrationDeferred { t, object } => {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"deferred obj {object}\",\"cat\":\"migration\",\"ph\":\"i\",\"pid\":1,\"tid\":{migration_tid},\"ts\":{},\"s\":\"t\"}}",
-                    fnum(t / NS_PER_US)
-                );
-            }
-            _ => {}
+                    start,
+                    finish,
+                    ..
+                } => {
+                    let name = format!("migrate obj {object} ({from}->{to})");
+                    let mut rec = record(&mut evs, &name, "migration", "X");
+                    rec.field("pid", 1)
+                        .field("tid", migration_tid)
+                        .field("ts", start / NS_PER_US)
+                        .field("dur", (finish - start) / NS_PER_US);
+                    rec.object("args")
+                        .field("object", object)
+                        .field("bytes", bytes);
+                    continue;
+                }
+                Event::WindowStart { t, window } => {
+                    (format!("window {window}"), "window", marker_tid, t)
+                }
+                Event::PlanComputed {
+                    t,
+                    window,
+                    kind,
+                    migrations,
+                    accepted,
+                    ..
+                } => {
+                    let verdict = if accepted { "accepted" } else { "frozen" };
+                    let name = format!("plan {kind} w{window} ({migrations} moves, {verdict})");
+                    (name, "plan", marker_tid, t)
+                }
+                Event::ProfilingArmed { t, window, .. } => (
+                    format!("profiling armed w{window}"),
+                    "profiling",
+                    marker_tid,
+                    t,
+                ),
+                Event::ProfilingClosed { t, window } => (
+                    format!("profiling closed w{window}"),
+                    "profiling",
+                    marker_tid,
+                    t,
+                ),
+                Event::ReplanTriggered { t, window, reason } => {
+                    let name = format!("replan w{window} ({})", reason.tag());
+                    (name, "plan", marker_tid, t)
+                }
+                Event::MigrationDeferred { t, object } => (
+                    format!("deferred obj {object}"),
+                    "migration",
+                    migration_tid,
+                    t,
+                ),
+                _ => continue,
+            };
+            record(&mut evs, &name, cat, "i")
+                .field("pid", 1)
+                .field("tid", tid)
+                .field("ts", t / NS_PER_US)
+                .field("s", "t");
         }
-    }
-
-    out.push_str("]}");
-    out
+    })
 }
 
 #[cfg(test)]
@@ -817,6 +547,19 @@ mod tests {
             "{\"ev\":\"sanitize_violation\",\"t\":7,\"kind\":\"write_under_read\",\"task\":3,\"object\":1,\"detail\":\"t3 stores to \\\"obj\\\"\"}"
         );
         crate::json::parse(&line).expect("valid JSON");
+    }
+
+    #[test]
+    fn non_finite_numbers_serialize_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let line = event_to_json(&Event::DispatchStall {
+                t: 1.0,
+                task: 2,
+                stall_ns: x,
+            });
+            let v = crate::json::parse(&line).expect("the line stays valid JSON");
+            assert_eq!(v.get("stall_ns"), Some(&crate::json::Value::Null), "{line}");
+        }
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! A minimal JSON parser and writer — just enough to build the bench
-//! artifacts as values and to validate the exporters' output in tests
-//! and tooling without pulling an external dependency into the zero-dep
-//! crate.
+//! A minimal JSON parser and two writers — just enough to build the
+//! bench artifacts as values, stream the exporters' compact lines, and
+//! validate both in tests and tooling without pulling an external
+//! dependency into the zero-dep crate.
 //!
 //! Supports the full JSON grammar (objects, arrays, strings with escapes,
 //! numbers, booleans, null) but keeps numbers as `f64` and makes no
 //! attempt at performance; it is not a serde. [`Value::write`] and
 //! [`parse`] are symmetric: `parse(&v.write()) == Ok(v)` for every value
 //! without non-finite numbers.
+//!
+//! [`object`] streams one compact object through a [`Writer`]: fields in
+//! call order (a [`Value`] object sorts its keys), numbers by `Display`,
+//! non-finite numbers as `null`. The event JSONL, the Chrome trace, the
+//! metrics snapshot and the server's telemetry line are written by it.
 
 use std::collections::BTreeMap;
 
@@ -137,9 +142,8 @@ impl Value {
     fn write_into(&self, out: &mut String, indent: usize) {
         let items: Vec<(Option<&String>, &Value)> = match self {
             Value::Null => return out.push_str("null"),
-            Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) if n.is_finite() => return out.push_str(&n.to_string()),
-            Value::Number(_) => return out.push_str("null"),
+            Value::Bool(b) => return b.write_json(out),
+            Value::Number(n) => return n.write_json(out),
             Value::String(s) => return write_string(out, s),
             Value::Array(items) => items.iter().map(|v| (None, v)).collect(),
             Value::Object(map) => map.iter().map(|(k, v)| (Some(k), v)).collect(),
@@ -191,6 +195,138 @@ pub(crate) fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// A value the streaming [`Writer`] can emit.
+pub trait Scalar {
+    /// Append the value's compact JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl<T: Scalar + ?Sized> Scalar for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl Scalar for str {
+    fn write_json(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
+impl Scalar for String {
+    fn write_json(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
+impl Scalar for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+/// Shortest round-tripping `Display`; JSON has no literal for NaN or
+/// the infinities, so they are `null`.
+impl Scalar for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            out.push_str(&self.to_string());
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+macro_rules! scalar_integer {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write_json(&self, out: &mut String) {
+                out.push_str(&self.to_string());
+            }
+        }
+    )*};
+}
+scalar_integer!(i32, i64, u32, u64, usize);
+
+/// Build one compact JSON object in a fresh string.
+///
+/// ```
+/// use tahoe_obs::json;
+///
+/// let line = json::object(|w| {
+///     w.field("ev", "demo").field("t", 1.5);
+///     w.array("xs").item(1u32).item(f64::NAN);
+///     w.object("args").field("zeta", true).field("alpha", "a\"b");
+/// });
+/// assert_eq!(line, r#"{"ev":"demo","t":1.5,"xs":[1,null],"args":{"zeta":true,"alpha":"a\"b"}}"#);
+/// ```
+pub fn object(fill: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut out = String::new();
+    fill(&mut Writer::open(&mut out, '{', '}'));
+    out
+}
+
+/// One open JSON object or array, streamed into a string with no
+/// whitespace. A nested container borrows its parent and closes when
+/// dropped, so containers nest exactly as the borrows do.
+pub struct Writer<'a> {
+    out: &'a mut String,
+    close: char,
+    empty: bool,
+}
+
+impl<'a> Writer<'a> {
+    fn open(out: &'a mut String, open: char, close: char) -> Self {
+        out.push(open);
+        Writer {
+            out,
+            close,
+            empty: true,
+        }
+    }
+
+    /// Separate from the previous member and write `key:` if given.
+    fn next(&mut self, key: Option<&str>) -> &mut String {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        if let Some(key) = key {
+            write_string(self.out, key);
+            self.out.push(':');
+        }
+        self.out
+    }
+
+    /// Write the object member `key: value`.
+    pub fn field(&mut self, key: &str, value: impl Scalar) -> &mut Self {
+        value.write_json(self.next(Some(key)));
+        self
+    }
+
+    /// Write the array element `value`.
+    pub fn item(&mut self, value: impl Scalar) -> &mut Self {
+        value.write_json(self.next(None));
+        self
+    }
+
+    /// Open a nested object: the member `key` of an object, or (with
+    /// `None`) the next element of an array.
+    pub fn object<'k>(&mut self, key: impl Into<Option<&'k str>>) -> Writer<'_> {
+        Writer::open(self.next(key.into()), '{', '}')
+    }
+
+    /// Open a nested array, as [`Writer::object`] opens an object.
+    pub fn array<'k>(&mut self, key: impl Into<Option<&'k str>>) -> Writer<'_> {
+        Writer::open(self.next(key.into()), '[', ']')
+    }
+}
+
+impl Drop for Writer<'_> {
+    fn drop(&mut self) {
+        self.out.push(self.close);
+    }
 }
 
 impl From<bool> for Value {

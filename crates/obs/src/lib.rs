@@ -31,8 +31,9 @@
 //! * [`critpath`] / [`blame`] — the causal profiler: critical-path
 //!   reconstruction, exposed-stall blame attribution and COZ-style
 //!   what-if digests, all computed from the same merged stream.
-//! * [`json`] — a minimal JSON parser used by tests and tools to validate
-//!   exporter output without external dependencies.
+//! * [`json`] — the one compact JSON writer behind the JSONL, trace,
+//!   metrics and server telemetry lines, plus a minimal parser used by
+//!   tests and tools to validate them without external dependencies.
 //!
 //! The crate has zero dependencies so every layer of the workspace
 //! (memory substrate, task runtime, profiler, policy driver) can depend

@@ -230,48 +230,36 @@ impl MetricsSnapshot {
     /// Deterministic JSON rendering (keys already sorted, fields in fixed
     /// order) — this is the machine-diffable artifact CI archives.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        crate::json::object(|w| {
+            let mut counters = w.object("counters");
+            for (k, v) in &self.counters {
+                counters.field(k, v);
             }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            drop(counters);
+            let mut gauges = w.object("gauges");
+            for (k, v) in &self.gauges {
+                gauges.field(k, v);
             }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("},\"series\":{");
-        for (i, (k, points)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":[");
-            for (j, (w, v)) in points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            drop(gauges);
+            let mut series = w.object("series");
+            for (k, points) in &self.series {
+                let mut points_w = series.array(k.as_str());
+                for (window, v) in points {
+                    points_w.array(None).item(window).item(v);
                 }
-                let _ = write!(out, "[{w},{v}]");
             }
-            out.push(']');
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, s)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            drop(series);
+            let mut hists = w.object("histograms");
+            for (k, s) in &self.histograms {
+                hists
+                    .object(k.as_str())
+                    .field("count", s.count)
+                    .field("p50", s.p50)
+                    .field("p90", s.p90)
+                    .field("p99", s.p99)
+                    .field("max", s.max);
             }
-            let _ = write!(
-                out,
-                "\"{k}\":{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                s.count, s.p50, s.p90, s.p99, s.max
-            );
-        }
-        out.push_str("}}");
-        out
+        })
     }
 }
 
@@ -346,6 +334,26 @@ mod tests {
             "{\"counters\":{\"alpha\":1,\"zeta\":1},\"gauges\":{\"g\":2.5},\"series\":{\"s\":[[0,1]]},\"histograms\":{}}"
         );
         assert_eq!(snap.to_json(), m.snapshot().to_json());
+    }
+
+    #[test]
+    fn snapshot_json_is_pinned() {
+        let m = Metrics::enabled();
+        m.add("realmem.migrations", 34);
+        m.inc("obs.ring_dropped");
+        m.gauge_set("core.overlap_pct", 91.25);
+        m.gauge_set("hms.balance", -1.5);
+        m.series_push("tier.dram_occupancy", 0, 0.5);
+        m.series_push("tier.dram_occupancy", 3, 0.75);
+        m.hist_record("task_ns", 100.0);
+        m.hist_record("task_ns", 10_000.0);
+        assert_eq!(
+            m.snapshot().to_json(),
+            "{\"counters\":{\"obs.ring_dropped\":1,\"realmem.migrations\":34},\
+             \"gauges\":{\"core.overlap_pct\":91.25,\"hms.balance\":-1.5},\
+             \"series\":{\"tier.dram_occupancy\":[[0,0.5],[3,0.75]]},\
+             \"histograms\":{\"task_ns\":{\"count\":2,\"p50\":96,\"p90\":10000,\"p99\":10000,\"max\":10000}}}"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ use tahoe_hms::{
     TierId,
 };
 use tahoe_memprof::wallclock::WallClockCalibration;
-use tahoe_obs::{Emitter, Event, FlightRecorder, HistData, Histogram, Metrics};
+use tahoe_obs::{json, Emitter, Event, FlightRecorder, HistData, Histogram, Metrics};
 use tahoe_placement::Item;
 use tahoe_realmem::{BackgroundMigrator, RealBackend};
 use tahoe_taskrt::{JobSpec, NoGate, TaskGraph, TaskPanic, TaskPool, TaskSpec};
@@ -676,11 +676,11 @@ impl TenantHandle {
     }
 }
 
-/// Escape a tenant name for embedding in a Prometheus label value or a
-/// JSON string: backslash escapes for `"`, `\` and newline (shared by
-/// both formats), `\uXXXX` for every other control character — so a
-/// hostile name can break neither the one-sample-per-line exposition
-/// nor the one-object-per-line journal.
+/// Escape a tenant name for embedding in a Prometheus label value:
+/// backslash escapes for `"`, `\` and newline, `\uXXXX` for every other
+/// control character — so a hostile name cannot break the
+/// one-sample-per-line exposition. (The journal's JSON goes through
+/// `tahoe_obs::json`.)
 fn label_escape(s: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len());
@@ -824,55 +824,40 @@ impl ServerShared {
     /// per-tenant counters and blame top-K as the text exposition, as a
     /// single self-contained JSON object.
     pub(crate) fn telemetry_json(&self, blame_top_k: usize) -> String {
-        use std::fmt::Write as _;
         let now = self.hms.now_ns();
-        let inner = self.inner.lock().expect("server state");
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"schema\":\"tahoe-telemetry/v1\",\"t_ns\":{now},\"tenants\":["
-        );
-        for (i, t) in inner.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = t.hist.data().summary();
-            let _ = write!(
-                out,
-                "{{\"tenant\":{},\"name\":\"{}\",\"submitted\":{},\"completed\":{},\"shed\":{},\"preempted\":{},\"promoted_bytes\":{},\"demoted_bytes\":{},\"quota_bytes\":{},\"latency_p50_ns\":{},\"latency_p99_ns\":{}}}",
-                t.info.id,
-                label_escape(&t.info.name),
-                t.submitted,
-                t.completed,
-                t.shed,
-                t.preempted,
-                t.promoted_bytes,
-                t.demoted_bytes,
-                t.last_quota,
-                s.p50,
-                s.p99
-            );
-        }
-        drop(inner);
-        out.push_str("],\"blame\":[");
         let n_tiers = self.hms_cfg.n_tiers();
-        for (i, e) in self.blame.top_k(blame_top_k).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(|w| {
+            w.field("schema", "tahoe-telemetry/v1").field("t_ns", now);
+            let mut tenants = w.array("tenants");
+            for t in &self.inner.lock().expect("server state").tenants {
+                let s = t.hist.data().summary();
+                tenants
+                    .object(None)
+                    .field("tenant", t.info.id)
+                    .field("name", &t.info.name)
+                    .field("submitted", t.submitted)
+                    .field("completed", t.completed)
+                    .field("shed", t.shed)
+                    .field("preempted", t.preempted)
+                    .field("promoted_bytes", t.promoted_bytes)
+                    .field("demoted_bytes", t.demoted_bytes)
+                    .field("quota_bytes", t.last_quota)
+                    .field("latency_p50_ns", s.p50)
+                    .field("latency_p99_ns", s.p99);
             }
-            let _ = write!(
-                out,
-                "{{\"object\":{},\"tier\":\"{}\",\"migrations\":{},\"bytes\":{},\"overlapped_ns\":{},\"exposed_ns\":{}}}",
-                e.object,
-                e.tier.label(n_tiers),
-                e.migrations,
-                e.bytes,
-                e.overlapped_ns,
-                e.exposed_ns
-            );
-        }
-        out.push_str("]}");
-        out
+            drop(tenants);
+            let mut blame = w.array("blame");
+            for e in self.blame.top_k(blame_top_k) {
+                blame
+                    .object(None)
+                    .field("object", e.object)
+                    .field("tier", e.tier.label(n_tiers))
+                    .field("migrations", e.migrations)
+                    .field("bytes", e.bytes)
+                    .field("overlapped_ns", e.overlapped_ns)
+                    .field("exposed_ns", e.exposed_ns);
+            }
+        })
     }
 
     /// Arbitrate and plan one admission. Caller holds the server lock
