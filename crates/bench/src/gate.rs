@@ -110,18 +110,28 @@ pub struct Bands {
 /// Every invariant held over the artifacts, each stated once.
 #[rustfmt::skip]
 pub static BANDS: &[Bands] = &[
-    Bands { schema: "tahoe-bench-obs/v1", gate: &[
-        // The simulated capture is deterministic.
+    Bands { schema: "tahoe-bench-obs/v2", gate: &[
+        // The calibration, the worker count and the plan are pinned, so
+        // every count is too; timestamps are measurements, not recorded.
         band(Paths(&["workload.name", "workload.footprint_bytes", "workload.windows",
-             "workload.tasks", "events.total", "events.by_kind", "makespan_ns", "migrations",
-             "ring_dropped"]), Eq(Base),
+             "workload.tasks", "events.total", "events.by_kind"]), Eq(Base),
              "obs digest field `{p}` changed: baseline {b} vs fresh {v}"),
+        band(Paths(&["rerun_events"]), Eq(Fresh("events", 1.0)),
+             "the second observed run recorded {v}, the first {b}"),
+        band(Paths(&["events.by_kind.worker_task"]), Eq(Fresh("workload.tasks", 1.0)),
+             "{v} worker_task events for {b} tasks"),
+        band(Paths(&["events.by_kind.migration_issued", "events.by_kind.migration_completed",
+             "events.by_kind.real_copy_done"]), Eq(Fresh("migrations", 1.0)),
+             "`{p}` is {v}, the run committed {b} migrations"),
+        band(Paths(&["migrations"]), Ge(Num(1.0)), "expected at least one migration"),
         // A saturated recorder silently truncates the stream every
         // downstream consumer (exporters, crit-path, blame) trusts.
         band(Paths(&["ring_dropped"]), Eq(Num(0.0)),
              "flight recorder dropped {v} events during the obs artifact run"),
+        band(Paths(&["plan_steps_skipped"]), Eq(Num(0.0)),
+             "`{p}`: {v} objects ended off the tier the audited plan put them on"),
+        band(Paths(&["checksum"]), Eq(Fresh("reference_checksum", 1.0)), REFERENCE),
     ], exp_only: &[
-        band(Paths(&["migrations"]), Ge(Num(1.0)), "expected at least one migration event"),
     ]},
     Bands { schema: "tahoe-bench-real/v3", gate: &[
         band(Paths(&["consistency.all_runs_match_reference", "consistency.dram_throughput_ge_nvm",
@@ -735,16 +745,21 @@ fn malformed_tenant_rows(v: &Value) -> Result<Vec<f64>, String> {
 mod tests {
     use super::*;
 
-    fn obs_doc(total: u64, makespan: f64) -> String {
-        obs_doc_drops(total, makespan, 0)
+    fn obs_doc(total: u64) -> String {
+        obs_doc_drops(total, 0)
     }
 
-    fn obs_doc_drops(total: u64, makespan: f64, dropped: u64) -> String {
+    fn obs_doc_drops(total: u64, dropped: u64) -> String {
+        let events = format!(
+            r#"{{"total": {total}, "by_kind": {{"migration_completed": 3, "migration_issued": 3,
+                "real_copy_done": 3, "worker_task": 16}}}}"#
+        );
         format!(
-            r#"{{"schema": "tahoe-bench-obs/v1",
-                "workload": {{"name": "stream", "footprint_bytes": 786432, "windows": 6, "tasks": 24}},
-                "events": {{"total": {total}, "by_kind": {{"migration_issued": 4, "worker_task": 24}}}},
-                "makespan_ns": {makespan}, "migrations": 4, "ring_dropped": {dropped}}}"#
+            r#"{{"schema": "tahoe-bench-obs/v2",
+                "workload": {{"name": "stream", "footprint_bytes": 786432, "windows": 4, "tasks": 16}},
+                "events": {events}, "rerun_events": {events},
+                "migrations": 3, "ring_dropped": {dropped}, "plan_steps_skipped": 0,
+                "checksum": "b7bb3763b09dd546", "reference_checksum": "b7bb3763b09dd546"}}"#
         )
     }
 
@@ -1038,7 +1053,7 @@ mod tests {
     #[test]
     fn identical_artifacts_pass_every_schema() {
         for doc in [
-            obs_doc(40, 123456.0),
+            obs_doc(40),
             two_tier(8.0, 2.0),
             healthy_real3_doc(),
             sanitize_doc(216, 1, true),
@@ -1056,7 +1071,7 @@ mod tests {
     #[test]
     fn healthy_fixtures_pass_their_exp_rows() {
         for doc in [
-            obs_doc(40, 123456.0),
+            obs_doc(40),
             two_tier(8.0, 2.0),
             healthy_real3_doc(),
             sanitize_doc(216, 1, true),
@@ -1215,22 +1230,19 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_a_structural_error() {
-        let err = compare_text(&obs_doc(40, 1.0), &two_tier(8.0, 2.0)).unwrap_err();
+        let err = compare_text(&obs_doc(40), &two_tier(8.0, 2.0)).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
     }
 
     #[test]
     fn obs_gate_demands_exact_equality() {
-        let v = compare_text(&obs_doc(40, 123456.0), &obs_doc(41, 123456.0)).unwrap();
+        let v = compare_text(&obs_doc(40), &obs_doc(41)).unwrap();
         assert!(v.iter().any(|m| m.contains("events.total")), "{v:?}");
-        let v = compare_text(&obs_doc(40, 123456.0), &obs_doc(40, 123457.0)).unwrap();
-        assert!(v.iter().any(|m| m.contains("makespan_ns")), "{v:?}");
+        let more = edit(&obs_doc(40), "events.by_kind.migration_issued", 4u64);
+        let v = compare_text(&obs_doc(40), &more).unwrap();
+        assert!(v.iter().any(|m| m.contains("events.by_kind")), "{v:?}");
         // A nonzero drop counter fails even if both sides agree on it.
-        let v = compare_text(
-            &obs_doc_drops(40, 123456.0, 3),
-            &obs_doc_drops(40, 123456.0, 3),
-        )
-        .unwrap();
+        let v = compare_text(&obs_doc_drops(40, 3), &obs_doc_drops(40, 3)).unwrap();
         assert!(v.iter().any(|m| m.contains("dropped 3 events")), "{v:?}");
     }
 
@@ -1374,7 +1386,7 @@ mod tests {
     fn every_other_row_fails_when_its_property_is_false() {
         let (real, real3, blame) = (two_tier(8.0, 2.0), healthy_real3_doc(), healthy_blame_doc());
         let (sanitize, tenant) = (sanitize_doc(216, 1, true), healthy_tenant_doc());
-        let obs = obs_doc(40, 123456.0);
+        let obs = obs_doc(40);
         let real3_sweep = edit_with(&real3, "sweep", |rows| {
             if let Value::Array(rows) = rows {
                 rows.pop();
@@ -1393,7 +1405,14 @@ mod tests {
         // (gate row?, baseline, broken fresh document, expected message)
         #[rustfmt::skip]
         let cases: Vec<(bool, &str, String, &str)> = vec![
-            (false, &obs, edit(&obs, "migrations", 0u64), "expected at least one migration"),
+            (true, &obs, edit(&obs, "migrations", 0u64), "expected at least one migration"),
+            (true, &obs, edit(&obs, "rerun_events.total", 41u64), "the second observed run"),
+            (true, &obs, edit(&obs, "events.by_kind.worker_task", 15u64),
+             "15 worker_task events for 16 tasks"),
+            (true, &obs, edit(&obs, "events.by_kind.real_copy_done", 2u64),
+             "`events.by_kind.real_copy_done` is 2, the run committed 3"),
+            (true, &obs, edit(&obs, "plan_steps_skipped", 1u64), "ended off the tier"),
+            (true, &obs, edit(&obs, "checksum", "00"), "the sequential heap reference"),
             (true, &real, edit(&real, "consistency.dram_throughput_ge_nvm", false),
              "`consistency.dram_throughput_ge_nvm` is false"),
             // 8 / 6 GB/s is below max(1, 4 / 2.5).

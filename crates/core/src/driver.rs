@@ -26,11 +26,8 @@ use tahoe_hms::{
     Hms, Ns, ObjectId, TierId,
 };
 use tahoe_memprof::{calibrate::calibrate, Calibration, ProfileDb, Sampler};
-use tahoe_obs::{Emitter, Event, Metrics, OverheadKind, ReplanReason};
 use tahoe_perfmodel::Demand;
-use tahoe_placement::{
-    choose_plan, global_plan, local_plan, search::WindowDemand, Plan, PlanKind, WeighCtx,
-};
+use tahoe_placement::{global_plan, local_plan, search::WindowDemand, Plan, PlanKind, WeighCtx};
 use tahoe_taskrt::{SchedulerHooks, TaskSpec};
 
 use crate::app::App;
@@ -97,8 +94,6 @@ pub struct Driver<'a> {
     /// Write-endurance tally (stores per tier + migration copies).
     pub wear: tahoe_hms::WearStats,
     footprint: u64,
-    emitter: Emitter,
-    metrics: Metrics,
 }
 
 impl<'a> Driver<'a> {
@@ -197,21 +192,7 @@ impl<'a> Driver<'a> {
             failed_promotions: 0,
             wear: tahoe_hms::WearStats::default(),
             footprint,
-            emitter: Emitter::disabled(),
-            metrics: Metrics::disabled(),
         }
-    }
-
-    /// Attach observability: policy decisions (plans, migrations,
-    /// profiling, replans, overhead charges) are emitted as events, and
-    /// the metrics handle is propagated into the memory system, the copy
-    /// channel and the sampler so every layer records into one registry.
-    pub fn set_obs(&mut self, emitter: Emitter, metrics: Metrics) {
-        self.emitter = emitter;
-        self.hms.set_metrics(metrics.clone());
-        self.channel.set_metrics(metrics.clone());
-        self.sampler.set_metrics(metrics.clone());
-        self.metrics = metrics;
     }
 
     /// The spill tier: where everything outside the DRAM budget lives.
@@ -404,30 +385,13 @@ impl<'a> Driver<'a> {
             due
         };
         for (finish, unit) in due {
-            match self.hms.move_object(unit, DRAM) {
-                Ok(bytes) => {
-                    if let Some(inf) = self.inflight.remove(&unit) {
-                        let overlap = self.records[inf.record].overlapped_ns();
-                        self.metrics.inc("driver.migrations.completed");
-                        self.emitter.emit(|| Event::MigrationCompleted {
-                            t: now,
-                            object: unit.0,
-                            bytes,
-                            overlap_ns: overlap,
-                        });
-                    }
-                }
-                Err(_) => {
-                    // Destination full or fragmented: retry after the
-                    // next transition frees space.
-                    self.failed_promotions += 1;
-                    self.metrics.inc("driver.migrations.deferred");
-                    self.emitter.emit(|| Event::MigrationDeferred {
-                        t: now,
-                        object: unit.0,
-                    });
-                    self.matured.push((finish, unit));
-                }
+            if self.hms.move_object(unit, DRAM).is_ok() {
+                self.inflight.remove(&unit);
+            } else {
+                // Destination full or fragmented: retry after the next
+                // transition frees space.
+                self.failed_promotions += 1;
+                self.matured.push((finish, unit));
             }
         }
         self.matured
@@ -540,7 +504,7 @@ impl<'a> Driver<'a> {
 
     /// Compute the placement plan at window `w` (profiling just ended or a
     /// replan triggered).
-    fn compute_plan(&mut self, w: u32, now: Ns, opts: &TahoeOptions) {
+    fn compute_plan(&mut self, w: u32, opts: &TahoeOptions) {
         let demands = self.to_unit_demands(self.estimated_window_demands(w));
         if demands.is_empty() {
             return;
@@ -618,72 +582,28 @@ impl<'a> Driver<'a> {
         if opts.local_search {
             consider(local_plan(&demands, &initial, cap, &ctx), self);
         }
-        let _ = choose_plan; // the driver reimplements the choice with the channel penalty
         self.pending_plan_cost += candidate_count as f64 * PLAN_COST_PER_CANDIDATE_NS;
         // Hysteresis: a plan must beat staying put by a meaningful margin
         // (2% of the baseline's value plus a 10 µs floor), otherwise the
         // churn costs more than sampling noise-sized "gains" are worth.
         let margin = 0.02 * baseline + 10_000.0;
-        let plan_tag = |k: PlanKind| -> &'static str {
-            match k {
-                PlanKind::Global => "global",
-                PlanKind::Local => "local",
-            }
-        };
-        self.metrics.inc("driver.plans");
-        match best {
+        self.plan = Some(match best {
             Some((score, mut plan)) if score > margin => {
-                let kind = plan_tag(plan.kind);
-                let migrations = plan.migration_count() as u32;
-                let gain = plan.predicted_gain_ns;
                 // Window indices in the plan are relative to `w`.
                 for pw in &mut plan.windows {
                     pw.window += w;
                 }
-                self.plan = Some(plan);
-                self.metrics.inc("driver.plans.accepted");
-                self.emitter.emit(|| Event::PlanComputed {
-                    t: now,
-                    window: w,
-                    kind,
-                    candidates: candidate_count as u32,
-                    migrations,
-                    predicted_gain_ns: gain,
-                    baseline_ns: baseline,
-                    accepted: true,
-                });
+                plan
             }
-            best => {
-                // No plan beats staying put: freeze the current placement
-                // (an empty plan, so enforcement is a no-op but planning
-                // does not re-run every window).
-                let (kind, migrations, gain) = best
-                    .map(|(_, p)| {
-                        (
-                            plan_tag(p.kind),
-                            p.migration_count() as u32,
-                            p.predicted_gain_ns,
-                        )
-                    })
-                    .unwrap_or(("none", 0, 0.0));
-                self.plan = Some(Plan {
-                    kind: PlanKind::Global,
-                    windows: Vec::new(),
-                    predicted_gain_ns: 0.0,
-                });
-                self.metrics.inc("driver.plans.frozen");
-                self.emitter.emit(|| Event::PlanComputed {
-                    t: now,
-                    window: w,
-                    kind,
-                    candidates: candidate_count as u32,
-                    migrations,
-                    predicted_gain_ns: gain,
-                    baseline_ns: baseline,
-                    accepted: false,
-                });
-            }
-        }
+            // No plan beats staying put: freeze the current placement (an
+            // empty plan, so enforcement is a no-op but planning does not
+            // re-run every window).
+            _ => Plan {
+                kind: PlanKind::Global,
+                windows: Vec::new(),
+                predicted_gain_ns: 0.0,
+            },
+        });
     }
 
     /// Enforce the plan's transitions at the boundary of window `w`, and
@@ -730,7 +650,7 @@ impl<'a> Driver<'a> {
         };
         let evict = pw.evict.clone();
         let promote = pw.promote.clone();
-        let (spill, n_tiers) = (self.spill(), self.hms.n_tiers());
+        let spill = self.spill();
         if !evict.is_empty() || !promote.is_empty() {
             self.quiet_since = w + 1;
         }
@@ -757,19 +677,6 @@ impl<'a> Driver<'a> {
                 start,
                 finish,
                 needed_at: None,
-            });
-            self.metrics.inc("driver.migrations.issued");
-            self.metrics.add("driver.migration_bytes", bytes);
-            let queue_depth = self.inflight.len() as u32;
-            self.emitter.emit(|| Event::MigrationIssued {
-                t: now,
-                object: unit.0,
-                bytes,
-                from: DRAM.label(n_tiers),
-                to: spill.label(n_tiers),
-                start,
-                finish,
-                queue_depth,
             });
             if !opts.proactive {
                 self.block_until = self.block_until.max(finish);
@@ -805,7 +712,7 @@ impl<'a> Driver<'a> {
 
     /// Schedule one NVM→DRAM promotion on the copy channel.
     fn issue_promotion(&mut self, unit: ObjectId, now: Ns, opts: &TahoeOptions) {
-        let (spill, n_tiers) = (self.spill(), self.hms.n_tiers());
+        let spill = self.spill();
         if self.hms.tier_of(unit) != Ok(spill) || self.inflight.contains_key(&unit) {
             return;
         }
@@ -822,19 +729,6 @@ impl<'a> Driver<'a> {
             finish,
             needed_at: None,
         });
-        self.metrics.inc("driver.migrations.issued");
-        self.metrics.add("driver.migration_bytes", bytes);
-        let queue_depth = self.inflight.len() as u32;
-        self.emitter.emit(|| Event::MigrationIssued {
-            t: now,
-            object: unit.0,
-            bytes,
-            from: spill.label(n_tiers),
-            to: DRAM.label(n_tiers),
-            start,
-            finish,
-            queue_depth,
-        });
         let record = self.records.len() - 1;
         self.inflight.insert(unit, Inflight { record, finish });
         self.matured.push((finish, unit));
@@ -846,7 +740,7 @@ impl<'a> Driver<'a> {
     }
 
     /// Adaptivity: detect per-window drift and re-arm profiling.
-    fn check_variation(&mut self, w: u32, now: Ns) {
+    fn check_variation(&mut self, w: u32) {
         if self.plan.is_none() || self.window_started_at.len() < 3 {
             return;
         }
@@ -868,18 +762,6 @@ impl<'a> Driver<'a> {
             // it to pass before measuring variation again.
             self.quiet_since = self.profiling_until + 1;
             self.replans += 1;
-            self.metrics.inc("driver.replans.drift");
-            let until_window = self.profiling_until;
-            self.emitter.emit(|| Event::ReplanTriggered {
-                t: now,
-                window: w,
-                reason: ReplanReason::Drift,
-            });
-            self.emitter.emit(|| Event::ProfilingArmed {
-                t: now,
-                window: w,
-                until_window,
-            });
         }
     }
 
@@ -925,8 +807,6 @@ impl SchedulerHooks for Driver<'_> {
         let mut dur = self.base_duration_ns(task);
         if let PolicyKind::Tahoe(_) = self.policy {
             self.overhead.sync_ns += SYNC_COST_PER_TASK_NS;
-            self.metrics
-                .gauge_add("overhead.sync_ns", SYNC_COST_PER_TASK_NS);
             dur += SYNC_COST_PER_TASK_NS;
             // Profile during the profiling windows — and any instance of
             // a class that has not yet met its quota (task classes can
@@ -938,7 +818,6 @@ impl SchedulerHooks for Driver<'_> {
                 self.profile_task(task);
                 let extra = dur * PROFILING_TASK_INFLATION;
                 self.overhead.profiling_ns += extra;
-                self.metrics.gauge_add("overhead.profiling_ns", extra);
                 dur += extra;
             }
         }
@@ -952,13 +831,6 @@ impl SchedulerHooks for Driver<'_> {
         if self.pending_plan_cost > 0.0 {
             earliest += self.pending_plan_cost;
             self.overhead.planning_ns += self.pending_plan_cost;
-            let charged = self.pending_plan_cost;
-            self.metrics.gauge_add("overhead.planning_ns", charged);
-            self.emitter.emit(|| Event::OverheadCharged {
-                t: now,
-                kind: OverheadKind::Planning,
-                ns: charged,
-            });
             self.pending_plan_cost = 0.0;
         }
         // Wait for in-flight promotions of objects this task *writes*:
@@ -988,42 +860,9 @@ impl SchedulerHooks for Driver<'_> {
 
     fn on_window_start(&mut self, w: u32, now: Ns) {
         self.window_started_at.push((w, now));
-        // Per-tier occupancy sample at every window boundary, whatever the
-        // policy — the observability layer's view of residency over time.
-        if self.emitter.enabled() || self.metrics.is_enabled() {
-            let spill = self.spill();
-            let dram_used = self.hms.used(DRAM);
-            let nvm_used = self.hms.used(spill);
-            let dram_capacity = self.hms.tier_spec(DRAM).capacity;
-            let nvm_capacity = self.hms.tier_spec(spill).capacity;
-            let inflight = self.inflight.len() as u32;
-            self.emitter.emit(|| Event::TierSample {
-                t: now,
-                window: w,
-                dram_used,
-                dram_capacity,
-                nvm_used,
-                nvm_capacity,
-                inflight,
-            });
-            self.metrics
-                .series_push("tier.dram_used_bytes", w, dram_used as f64);
-            self.metrics
-                .series_push("tier.nvm_used_bytes", w, nvm_used as f64);
-            self.metrics
-                .series_push("tier.inflight", w, inflight as f64);
-        }
         let PolicyKind::Tahoe(opts) = self.policy.clone() else {
             return;
         };
-        if w == 0 && self.profiling_until > 0 {
-            let until_window = self.profiling_until;
-            self.emitter.emit(|| Event::ProfilingArmed {
-                t: now,
-                window: 0,
-                until_window,
-            });
-        }
         // A window introducing a task class the current plan has never
         // seen invalidates the plan: its objects were invisible to the
         // demand estimate. Profile this window (the class-quota rule in
@@ -1040,25 +879,11 @@ impl SchedulerHooks for Driver<'_> {
                 self.profiling_until = self.profiling_until.max(w + 1);
                 self.quiet_since = self.profiling_until + 1;
                 self.replans += 1;
-                self.metrics.inc("driver.replans.unseen_class");
-                let until_window = self.profiling_until;
-                self.emitter.emit(|| Event::ReplanTriggered {
-                    t: now,
-                    window: w,
-                    reason: ReplanReason::UnseenClass,
-                });
-                self.emitter.emit(|| Event::ProfilingArmed {
-                    t: now,
-                    window: w,
-                    until_window,
-                });
             }
         }
-        self.check_variation(w, now);
+        self.check_variation(w);
         if self.plan.is_none() && w >= self.profiling_until {
-            self.emitter
-                .emit(|| Event::ProfilingClosed { t: now, window: w });
-            self.compute_plan(w, now, &opts);
+            self.compute_plan(w, &opts);
         }
         if self.plan.is_some() {
             self.enforce_window(w, now, &opts);

@@ -32,11 +32,11 @@
 //!   [`policy::TahoeOptions`]).
 //! * [`runtime::Runtime`] — run an [`app::App`] under a policy on a
 //!   configured platform and get a [`report::RunReport`].
-//! * [`runtime::Runtime::run_observed`] — the same run with the
-//!   structured observability layer on: returns a
-//!   [`runtime::ObsCapture`] with the typed event stream (exportable as
-//!   deterministic JSONL or a Chrome/Perfetto trace) and a metrics
-//!   snapshot covering every layer of the pipeline.
+//! * [`MeasuredRuntime::with_observability`](measured::MeasuredRuntime::with_observability)
+//!   — a wall-clock run with the structured observability layer on: the
+//!   typed event stream (exportable as JSONL or a Chrome/Perfetto trace)
+//!   and a metrics snapshot of the measured layers. The virtual-time
+//!   [`runtime::Runtime`] records nothing beyond its report.
 //! * [`MeasuredRuntime::run_policy_sanitized`](measured::MeasuredRuntime::run_policy_sanitized)
 //!   — a parallel measured run with the [`tahoe_sanitize`] access
 //!   sanitizer shadowing every access (happens-before race scan,
@@ -91,7 +91,7 @@ pub use measured::MeasuredRuntime;
 pub use parallel::{AccessTierTiming, ParallelPolicyReport};
 pub use policy::{PolicyKind, TahoeOptions};
 pub use report::RunReport;
-pub use runtime::{ObsCapture, Runtime};
+pub use runtime::Runtime;
 pub use tahoe_sanitize::{
     audit_plan, ExtraAccess, MigrationPlan, PlanContext, PlanStep, SanitizeReport, Violation,
     ViolationKind,
@@ -104,6 +104,6 @@ pub mod prelude {
     pub use crate::measured::MeasuredRuntime;
     pub use crate::policy::{PolicyKind, TahoeOptions};
     pub use crate::report::RunReport;
-    pub use crate::runtime::{ObsCapture, Runtime};
+    pub use crate::runtime::Runtime;
     pub use tahoe_hms::{presets, TierId};
 }

@@ -47,7 +47,7 @@ use crate::app::App;
 use crate::config::Platform;
 use crate::engine::AccessPrices;
 use crate::parallel::ParallelPolicyReport;
-use crate::policy::PolicyKind;
+use crate::policy::{PolicyKind, TahoeOptions};
 
 /// Deterministic per-site seed (splitmix64 of a site key), parameterized
 /// by a run seed so the stress suite can vary the traffic contents.
@@ -240,8 +240,11 @@ impl MeasuredRuntime {
             // First-touch fills DRAM in allocation order and spills.
             PolicyKind::DramOnly | PolicyKind::FirstTouch => TierId::FASTEST,
             // Tahoe starts NVM-resident and migrates once every task class
-            // has been profiled.
-            PolicyKind::NvmOnly | PolicyKind::Tahoe(_) => self.platform.last_tier(),
+            // has been profiled. Its ablation switches belong to the
+            // virtual-time driver; the wall-clock engine runs the full
+            // policy only.
+            PolicyKind::NvmOnly => self.platform.last_tier(),
+            PolicyKind::Tahoe(o) if *o == TahoeOptions::default() => self.platform.last_tier(),
             other => {
                 return Err(format!(
                     "policy {} is not supported in measured mode",

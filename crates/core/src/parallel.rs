@@ -329,10 +329,10 @@ impl MeasuredRuntime {
         // lane nw+1 the driver (placement decisions). Hot-path emission
         // is then an SPSC ring push — no global lock. No lane can drop:
         // a worker may emit every task and the release, the migration
-        // thread two events a step, the driver one an object.
+        // thread three events a step, the driver one an object.
         let recorder = (self.emitter.enabled() || self.metrics.is_enabled()).then(|| {
             let mut lanes = vec![app.graph.len() + 1; nw];
-            lanes.extend([2 * plan.steps.len(), app.objects.len()]);
+            lanes.extend([3 * plan.steps.len(), app.objects.len()]);
             FlightRecorder::with_capacities(&lanes, HIST_KEYS)
         });
 
@@ -358,27 +358,20 @@ impl MeasuredRuntime {
                 shared.set_move_observer(obs);
             }
         }
-        // With a recorder, the migration thread writes its own lock-free
-        // lane (merged into the emitter at drain); the emitter handed to
-        // it is disabled so events are never double-reported.
+        // The migration thread writes its own recorder lane, merged into
+        // the emitter at drain. Without a recorder the emitter is
+        // disabled: nothing listens.
         let migrator = BackgroundMigrator::spawn(
             Arc::clone(&shared),
             prepared.copy_cfgs,
-            if recorder.is_some() {
-                Emitter::disabled()
-            } else {
-                self.emitter.clone()
-            },
+            Emitter::disabled(),
             recorder.as_ref().map(|r| r.handle(nw)),
             None,
         );
-        // Driver-lane and worker-lane events go to the recorder when one
-        // is attached, else straight to the emitter.
-        let emit = |lane: usize, ev: Event| match &recorder {
-            Some(rec) => {
+        let emit = |lane: usize, ev: Event| {
+            if let Some(rec) = &recorder {
                 let _ = rec.emit(lane, ev);
             }
-            None => self.emitter.emit(|| ev),
         };
 
         // Stamp every decision the planner took — promoted to DRAM or

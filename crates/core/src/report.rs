@@ -1,7 +1,6 @@
 //! Run reports: what one policy run measured.
 
 use tahoe_hms::{MigrationStats, Ns, WearStats};
-use tahoe_obs::MetricsSnapshot;
 use tahoe_placement::PlanKind;
 
 use crate::overhead::OverheadLedger;
@@ -38,10 +37,6 @@ pub struct RunReport {
     pub final_dram_objects: usize,
     /// Write-endurance tally (NVM lifetime proxy).
     pub wear: WearStats,
-    /// Metrics snapshot: counters/gauges/series recorded by every layer
-    /// during the run. Empty unless the run was observed
-    /// ([`crate::Runtime::run_observed`]).
-    pub metrics: MetricsSnapshot,
 }
 
 impl RunReport {
@@ -100,7 +95,6 @@ mod tests {
             windows: 1,
             final_dram_objects: 0,
             wear: WearStats::default(),
-            metrics: MetricsSnapshot::default(),
         }
     }
 

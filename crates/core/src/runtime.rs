@@ -1,38 +1,12 @@
 //! The runtime facade: run an application under a policy and report.
 
-use tahoe_obs::{Emitter, Event, Metrics, MetricsSnapshot};
-use tahoe_taskrt::{ObsHooks, SimScheduler, Trace, TraceHooks};
+use tahoe_taskrt::SimScheduler;
 
 use crate::app::App;
 use crate::config::{Platform, RuntimeConfig};
 use crate::driver::Driver;
 use crate::policy::PolicyKind;
 use crate::report::RunReport;
-
-/// Everything an observed run captured beyond the report: the structured
-/// event stream, the metrics snapshot, and the schedule trace.
-#[derive(Debug)]
-pub struct ObsCapture {
-    /// The event stream in emission order (virtual-time stamped).
-    pub events: Vec<Event>,
-    /// Snapshot of every counter/gauge/series recorded during the run
-    /// (the same snapshot embedded in the report).
-    pub metrics: MetricsSnapshot,
-    /// The schedule trace (per-task spans and window boundaries).
-    pub trace: Trace,
-}
-
-impl ObsCapture {
-    /// The event stream as deterministic JSONL (one event per line).
-    pub fn to_jsonl(&self) -> String {
-        tahoe_obs::to_jsonl(&self.events)
-    }
-
-    /// The event stream as Chrome `trace_event` JSON (Perfetto-loadable).
-    pub fn to_chrome_trace(&self) -> String {
-        tahoe_obs::to_chrome_trace(&self.events)
-    }
-}
 
 /// Runs applications on a platform under selectable policies.
 #[derive(Debug, Clone)]
@@ -59,53 +33,10 @@ impl Runtime {
 
     /// Execute `app` under `policy` and collect the report.
     pub fn run(&self, app: &App, policy: &PolicyKind) -> RunReport {
-        self.run_traced(app, policy).0
-    }
-
-    /// Execute `app` under `policy`, also capturing the schedule trace
-    /// (per-task spans and window boundaries; see
-    /// [`tahoe_taskrt::Trace::render`] for the ASCII timeline).
-    pub fn run_traced(&self, app: &App, policy: &PolicyKind) -> (RunReport, Trace) {
-        self.run_with(app, policy, Emitter::disabled(), Metrics::disabled())
-    }
-
-    /// Execute `app` under `policy` with full observability: every layer
-    /// emits structured events and records metrics. Returns the report
-    /// (with its metrics snapshot populated) plus the captured event
-    /// stream, metrics and trace.
-    ///
-    /// Observed runs of the deterministic simulator are themselves
-    /// deterministic: identical inputs produce byte-identical JSONL.
-    pub fn run_observed(&self, app: &App, policy: &PolicyKind) -> (RunReport, ObsCapture) {
-        let (emitter, buffer) = Emitter::buffered();
-        let metrics = Metrics::enabled();
-        let (report, trace) = self.run_with(app, policy, emitter, metrics.clone());
-        let capture = ObsCapture {
-            events: buffer.drain(),
-            metrics: metrics.snapshot(),
-            trace,
-        };
-        (report, capture)
-    }
-
-    fn run_with(
-        &self,
-        app: &App,
-        policy: &PolicyKind,
-        emitter: Emitter,
-        metrics: Metrics,
-    ) -> (RunReport, Trace) {
         app.validate().expect("invalid application");
         let mut driver = Driver::new(app, &self.platform, &self.config, policy.clone());
-        driver.set_obs(emitter.clone(), metrics.clone());
-        let mut hooks = ObsHooks::new(TraceHooks::new(driver), emitter);
-        let sched = SimScheduler::new(self.config.workers);
-        let stats = sched.run(&app.graph, &mut hooks);
-        let (driver, trace) = hooks.into_inner().into_parts();
-        metrics.gauge_set("run.makespan_ns", stats.makespan_ns);
-        metrics.gauge_set("run.stall_ns", stats.stall_ns);
-        metrics.gauge_set("run.utilization", stats.utilization());
-        let report = RunReport {
+        let stats = SimScheduler::new(self.config.workers).run(&app.graph, &mut driver);
+        RunReport {
             app: app.name.clone(),
             policy: policy.name(),
             makespan_ns: stats.makespan_ns,
@@ -120,9 +51,7 @@ impl Runtime {
             windows: app.windows(),
             final_dram_objects: driver.dram_units(),
             wear: driver.wear,
-            metrics: metrics.snapshot(),
-        };
-        (report, trace)
+        }
     }
 }
 
@@ -281,19 +210,6 @@ mod tests {
         let b = rt.run(&app, &PolicyKind::tahoe());
         assert_eq!(a.makespan_ns, b.makespan_ns);
         assert_eq!(a.migrations, b.migrations);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_and_captures_all_tasks() {
-        let app = streaming_app(5);
-        let rt = rt();
-        let plain = rt.run(&app, &PolicyKind::tahoe());
-        let (rep, trace) = rt.run_traced(&app, &PolicyKind::tahoe());
-        assert_eq!(rep.makespan_ns, plain.makespan_ns);
-        assert_eq!(trace.spans().len(), app.graph.len());
-        assert!((trace.makespan() - rep.makespan_ns).abs() < 1e-9);
-        let text = trace.render(60);
-        assert!(text.contains("class0"));
     }
 
     #[test]

@@ -207,6 +207,58 @@ fn unsupported_policies_are_rejected() {
     assert!(err.contains("not supported"), "got: {err}");
 }
 
+/// The wall-clock engine has no ablation switches: a Tahoe with any
+/// option off is refused like the cache and oracle baselines, not run
+/// as the full policy under the ablated policy's name.
+#[test]
+fn ablated_tahoe_is_rejected() {
+    let app = test_app();
+    let rt = MeasuredRuntime::new(platform(&app), WallClockConfig::smoke());
+    let cal = tahoe_memprof::wallclock::WallClockCalibration::synthetic(1 << 20, 8 << 20);
+    let full = TahoeOptions::default();
+    let ablations = [
+        TahoeOptions {
+            local_search: false,
+            ..full.clone()
+        },
+        TahoeOptions {
+            global_search: false,
+            ..full.clone()
+        },
+        TahoeOptions {
+            chunking: false,
+            ..full.clone()
+        },
+        TahoeOptions {
+            initial_placement: false,
+            ..full.clone()
+        },
+        TahoeOptions {
+            proactive: false,
+            ..full.clone()
+        },
+        TahoeOptions {
+            distinguish_rw: false,
+            ..full.clone()
+        },
+        TahoeOptions {
+            lookahead: 1,
+            ..full.clone()
+        },
+    ];
+    for opts in ablations {
+        let policy = PolicyKind::Tahoe(opts);
+        let err = rt
+            .run_policy_parallel(&app, &policy, &cal, 1, 0)
+            .expect_err("an ablated tahoe is simulator-only");
+        assert!(err.contains("not supported"), "{}: {err}", policy.name());
+        let err = rt
+            .verify_plan(&app, &policy, &cal)
+            .expect_err("preflight too");
+        assert!(err.contains("not supported"), "{}: {err}", policy.name());
+    }
+}
+
 /// The reference checksum, folded here one object and one access at a
 /// time with this file's own copies of the seed and fold formulas, so
 /// the canonical order is pinned apart from the interleaved fill.

@@ -1,79 +1,82 @@
-//! End-to-end observability: determinism of the JSONL export, shape of
-//! the Chrome trace, and agreement between the event stream, the metrics
-//! snapshot and the `RunReport` aggregates.
+//! End-to-end observability of a wall-clock run: every JSONL line
+//! parses, the Chrome trace draws one span per task on its worker's
+//! track and one per migration on the copy track, and the event stream,
+//! the metrics snapshot and the run report agree.
 
+use tahoe_core::engine::NoSanitize;
+use tahoe_core::measured::MeasuredRuntime;
 use tahoe_core::prelude::*;
-use tahoe_core::TahoeOptions;
-use tahoe_obs::{json, Event};
+use tahoe_core::ParallelPolicyReport;
+use tahoe_hms::presets;
+use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
+use tahoe_obs::{json, Emitter, Event, Metrics, MetricsSnapshot};
 use tahoe_workloads::{stream, Scale};
 
-/// STREAM at test scale on a platform where promotion clearly pays, with
-/// all data starting in NVM so migrations must be issued.
-fn observed_stream() -> (RunReport, ObsCapture) {
+/// One observed Tahoe run of STREAM at test scale with the plan pinned:
+/// preset calibration, one worker, no spare core for the migration
+/// thread. Returns the task count with the report, the event stream and
+/// the metrics snapshot.
+fn observed_stream() -> (u64, ParallelPolicyReport, Vec<Event>, MetricsSnapshot) {
     let app = stream::app(Scale::Test);
-    let platform = Platform::emulated_bw(
-        0.125,
-        (app.footprint() / 4).max(1 << 20),
-        4 * app.footprint(),
+    let (dram, nvm) = (app.footprint() / 4, 2 * app.footprint());
+    let mut cal = WallClockCalibration::synthetic(dram, nvm);
+    cal.dram = presets::dram(dram);
+    cal.nvm = presets::optane_pmm(nvm);
+    let (emitter, buffer) = Emitter::buffered();
+    let metrics = Metrics::enabled();
+    let report = MeasuredRuntime::new(Platform::optane(dram, nvm), WallClockConfig::smoke())
+        .with_observability(emitter, metrics.clone())
+        .run_policy_hooked(&app, &PolicyKind::tahoe(), &cal, 1, 0, false, &NoSanitize)
+        .expect("observed run");
+    assert!(
+        report.migration.count >= 1,
+        "the pinned plan must migrate something"
+    );
+    (
+        app.graph.len() as u64,
+        report,
+        buffer.drain(),
+        metrics.snapshot(),
     )
-    .unwrap();
-    let rt = Runtime::new(platform, RuntimeConfig::default());
-    let policy = PolicyKind::Tahoe(TahoeOptions {
-        initial_placement: false,
-        ..TahoeOptions::default()
-    });
-    rt.run_observed(&app, &policy)
 }
 
-#[test]
-fn jsonl_export_is_byte_identical_across_runs() {
-    let (rep_a, cap_a) = observed_stream();
-    let (rep_b, cap_b) = observed_stream();
-    assert_eq!(rep_a.makespan_ns, rep_b.makespan_ns);
-    let a = cap_a.to_jsonl();
-    assert!(!a.is_empty());
-    assert_eq!(a, cap_b.to_jsonl(), "observed runs must be deterministic");
-    assert_eq!(rep_a.metrics.to_json(), rep_b.metrics.to_json());
+fn count(events: &[Event], kind: &str) -> u64 {
+    events.iter().filter(|e| e.kind() == kind).count() as u64
 }
 
 #[test]
 fn jsonl_lines_parse_and_are_time_ordered_per_kind() {
-    let (_, cap) = observed_stream();
-    let jsonl = cap.to_jsonl();
-    assert_eq!(jsonl.lines().count(), cap.events.len());
+    let (_, _, events, _) = observed_stream();
+    let jsonl = tahoe_obs::to_jsonl(&events);
+    assert_eq!(jsonl.lines().count(), events.len());
     for line in jsonl.lines() {
         let v = json::parse(line).expect("every line is one JSON object");
         let ev = v.get("ev").and_then(|t| t.as_str()).expect("ev tag");
         assert!(!ev.is_empty());
         assert!(v.get("t").and_then(|t| t.as_f64()).is_some(), "t stamp");
     }
-    // The stream is globally ordered by emission; timestamps of window
-    // starts must be monotonically non-decreasing.
-    let windows: Vec<f64> = cap
-        .events
-        .iter()
-        .filter(|e| matches!(e, Event::WindowStart { .. }))
-        .map(|e| e.timestamp())
-        .collect();
-    assert!(windows.windows(2).all(|w| w[0] <= w[1]));
+    // The recorder drain merges its lanes by timestamp, and the events
+    // emitted directly (arena mapping) go out in the order they happen.
+    for kind in tahoe_obs::Event::KINDS {
+        let ts: Vec<f64> = events
+            .iter()
+            .filter(|e| e.kind() == *kind)
+            .map(Event::timestamp)
+            .collect();
+        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "{kind}: {ts:?}");
+    }
 }
 
 #[test]
 fn chrome_trace_has_task_spans_and_a_migration_event() {
-    let (_, cap) = observed_stream();
-    assert!(
-        cap.events
-            .iter()
-            .any(|e| matches!(e, Event::MigrationIssued { .. })),
-        "test platform must force at least one migration"
-    );
-    let trace = json::parse(&cap.to_chrome_trace()).expect("valid JSON");
-    let events = trace
+    let (tasks, report, events, _) = observed_stream();
+    let trace = json::parse(&tahoe_obs::to_chrome_trace(&events)).expect("valid JSON");
+    let records = trace
         .get("traceEvents")
         .and_then(|v| v.as_array())
         .expect("traceEvents array");
     // Every entry carries the trace_event envelope fields.
-    for e in events {
+    for e in records {
         assert!(e.get("ph").and_then(|v| v.as_str()).is_some(), "ph");
         assert!(e.get("name").and_then(|v| v.as_str()).is_some(), "name");
         let ph = e.get("ph").and_then(|v| v.as_str()).unwrap();
@@ -81,42 +84,67 @@ fn chrome_trace_has_task_spans_and_a_migration_event() {
             assert!(e.get("ts").and_then(|v| v.as_f64()).is_some(), "ts");
         }
     }
-    let task_spans = events
-        .iter()
-        .filter(|e| {
-            e.get("ph").and_then(|v| v.as_str()) == Some("X")
-                && e.get("cat").and_then(|v| v.as_str()) == Some("task")
-        })
-        .count();
-    assert_eq!(task_spans, 16, "one complete span per executed task");
-    assert!(
-        events
+    let spans = |cat: &str| -> Vec<f64> {
+        records
             .iter()
-            .any(|e| { e.get("cat").and_then(|v| v.as_str()) == Some("migration") }),
-        "migration spans present"
-    );
+            .filter(|e| {
+                e.get("ph").and_then(|v| v.as_str()) == Some("X")
+                    && e.get("cat").and_then(|v| v.as_str()) == Some(cat)
+            })
+            .map(|e| e.get("tid").and_then(|v| v.as_f64()).expect("tid"))
+            .collect()
+    };
+    // One worker: its spans are on tid 0, the copy track is tid 1.
+    let task_tids = spans("task");
+    assert_eq!(task_tids.len() as u64, tasks, "one span per executed task");
+    assert!(task_tids.iter().all(|&tid| tid == 0.0), "{task_tids:?}");
+    let copy_tids = spans("migration");
+    assert_eq!(copy_tids.len() as u64, report.migration.count);
+    assert!(copy_tids.iter().all(|&tid| tid == 1.0), "{copy_tids:?}");
 }
 
 #[test]
 fn events_metrics_and_report_agree() {
-    let (rep, cap) = observed_stream();
-    let count = |pred: fn(&Event) -> bool| cap.events.iter().filter(|e| pred(e)).count() as u64;
-    let starts = count(|e| matches!(e, Event::TaskStart { .. }));
-    let finishes = count(|e| matches!(e, Event::TaskFinish { .. }));
-    assert_eq!(starts, rep.tasks);
-    assert_eq!(finishes, rep.tasks);
-    let issued = count(|e| matches!(e, Event::MigrationIssued { .. }));
-    assert_eq!(
-        Some(issued),
-        rep.metrics.counter("driver.migrations.issued")
-    );
-    assert_eq!(issued, rep.migrations.count);
-    // The snapshot embedded in the report matches the captured one.
-    assert_eq!(rep.metrics.to_json(), cap.metrics.to_json());
-    assert_eq!(rep.metrics.gauge("run.makespan_ns"), Some(rep.makespan_ns));
-    // Plain runs keep the snapshot empty (observability fully off).
-    let app = stream::app(Scale::Test);
-    let platform = Platform::emulated_bw(0.25, 1 << 20, 4 * app.footprint()).unwrap();
-    let plain = Runtime::new(platform, RuntimeConfig::default()).run(&app, &PolicyKind::tahoe());
-    assert!(plain.metrics.is_empty());
+    let (tasks, report, events, metrics) = observed_stream();
+    assert_eq!(count(&events, "worker_task"), tasks);
+    for kind in ["migration_issued", "migration_completed", "real_copy_done"] {
+        assert_eq!(count(&events, kind), report.migration.count, "{kind}");
+    }
+    let gate_wait: f64 = events
+        .iter()
+        .map(|e| match e {
+            Event::WorkerTask { gate_wait_ns, .. } => *gate_wait_ns,
+            _ => 0.0,
+        })
+        .sum();
+    assert_eq!(gate_wait, report.gate_wait_ns);
+    // The recorder's histograms and counters land in the snapshot.
+    let task_ns = metrics.histogram("task_ns").expect("task latency digest");
+    assert_eq!(task_ns.count, tasks);
+    assert_eq!(metrics.counter("obs.ring_dropped"), Some(0));
+    assert_eq!(report.obs_ring_dropped, 0);
+}
+
+/// A copy's `real_copy_done` is emitted by the migration thread beside
+/// its `migration_completed`, on the same clock and the same recorder
+/// lane: the two carry one timestamp.
+#[test]
+fn every_real_copy_done_shares_its_migration_completed_clock() {
+    let (_, _, events, _) = observed_stream();
+    let done: Vec<(f64, u32)> = events
+        .iter()
+        .filter_map(|e| match *e {
+            Event::MigrationCompleted { t, object, .. } => Some((t, object)),
+            _ => None,
+        })
+        .collect();
+    let copied: Vec<(f64, u32)> = events
+        .iter()
+        .filter_map(|e| match *e {
+            Event::RealCopyDone { t, object, .. } => Some((t, object)),
+            _ => None,
+        })
+        .collect();
+    assert!(!done.is_empty());
+    assert_eq!(done, copied);
 }

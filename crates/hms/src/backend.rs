@@ -106,16 +106,9 @@ pub trait TierBackend: std::fmt::Debug + Send {
     /// A copy that was executed *outside* the backend — the background
     /// migration engine copies through raw arena pointers while the HMS
     /// lock is released, then reports the outcome here on commit so
-    /// stats and events stay complete. The default ignores it (the
-    /// virtual substrate has no bytes to copy in the first place).
-    fn record_external_copy(
-        &mut self,
-        _object: u32,
-        _from: TierId,
-        _to: TierId,
-        _outcome: &CopyOutcome,
-    ) {
-    }
+    /// stats stay complete. The default ignores it (the virtual
+    /// substrate has no bytes to copy in the first place).
+    fn record_external_copy(&mut self, _outcome: &CopyOutcome) {}
 
     /// Cumulative statistics.
     fn stats(&self) -> BackendStats {

@@ -137,22 +137,6 @@ impl HmsConfig {
     }
 }
 
-/// Gauge names for up to four middle tiers (the metrics registry keys on
-/// `&'static str`; platforms with more middle tiers than this publish
-/// gauges for the first four only).
-const MID_CAPACITY_GAUGES: [&str; 4] = [
-    "hms.tier1.capacity_bytes",
-    "hms.tier2.capacity_bytes",
-    "hms.tier3.capacity_bytes",
-    "hms.tier4.capacity_bytes",
-];
-const MID_USED_GAUGES: [&str; 4] = [
-    "hms.tier1.used_bytes",
-    "hms.tier2.used_bytes",
-    "hms.tier3.used_bytes",
-    "hms.tier4.used_bytes",
-];
-
 /// Where each live object currently resides, with allocator state.
 #[derive(Debug)]
 struct ObjectRecord {
@@ -223,7 +207,6 @@ pub struct Hms {
     next_id: u32,
     /// Count of failed tier-0 allocations that fell back to a slower tier.
     pub dram_fallbacks: u64,
-    metrics: tahoe_obs::Metrics,
     backend: Box<dyn TierBackend>,
 }
 
@@ -241,7 +224,6 @@ impl Hms {
             objects: HashMap::new(),
             next_id: 0,
             dram_fallbacks: 0,
-            metrics: tahoe_obs::Metrics::disabled(),
             backend: Box::new(VirtualBackend),
         }
     }
@@ -283,42 +265,6 @@ impl Hms {
                 std::slice::from_raw_parts_mut(p, size as usize)
             })),
             None => Ok(None),
-        }
-    }
-
-    /// Attach a metrics registry. Capacities are published immediately as
-    /// gauges; occupancy gauges (`hms.<tier>.used_bytes`) and transition
-    /// counters (`hms.moves`, `hms.allocs`, `hms.dram_fallbacks`) update
-    /// as the object table changes. Middle tiers publish under
-    /// `hms.tier<i>.*`.
-    pub fn set_metrics(&mut self, metrics: tahoe_obs::Metrics) {
-        self.metrics = metrics;
-        let last = self.tiers.len() - 1;
-        self.metrics.gauge_set(
-            "hms.dram.capacity_bytes",
-            self.config.fastest().capacity as f64,
-        );
-        self.metrics.gauge_set(
-            "hms.nvm.capacity_bytes",
-            self.config.spill().capacity as f64,
-        );
-        for (name, spec) in MID_CAPACITY_GAUGES
-            .iter()
-            .zip(&self.config.tier_specs()[1..last])
-        {
-            self.metrics.gauge_set(name, spec.capacity as f64);
-        }
-        self.publish_occupancy();
-    }
-
-    fn publish_occupancy(&self) {
-        let last = self.tiers.len() - 1;
-        self.metrics
-            .gauge_set("hms.dram.used_bytes", self.tiers[0].used() as f64);
-        self.metrics
-            .gauge_set("hms.nvm.used_bytes", self.tiers[last].used() as f64);
-        for (name, tier) in MID_USED_GAUGES.iter().zip(&self.tiers[1..last]) {
-            self.metrics.gauge_set(name, tier.used() as f64);
         }
     }
 
@@ -387,7 +333,6 @@ impl Hms {
         } else if fallback {
             if preferred == TierId::FASTEST {
                 self.dram_fallbacks += 1;
-                self.metrics.inc("hms.dram_fallbacks");
             }
             // Slower tiers first, then faster ones.
             let order = (preferred.index() + 1..n).chain((0..preferred.index()).rev());
@@ -432,8 +377,6 @@ impl Hms {
             },
         );
         self.backend.on_alloc(tier, addr, size);
-        self.metrics.inc("hms.allocs");
-        self.publish_occupancy();
         Ok(id)
     }
 
@@ -466,8 +409,6 @@ impl Hms {
             .free(rec.addr)
             .expect("object address must be live in its tier allocator");
         self.backend.on_free(rec.tier, rec.addr, rec.meta.size);
-        self.metrics.inc("hms.frees");
-        self.publish_occupancy();
         Ok(())
     }
 
@@ -577,8 +518,7 @@ impl Hms {
     /// copy's measured cost into the backend's statistics. Returns the
     /// bytes moved.
     pub fn commit_move(&mut self, ticket: MoveTicket, outcome: &CopyOutcome) -> u64 {
-        self.backend
-            .record_external_copy(ticket.object.0, ticket.from, ticket.to, outcome);
+        self.backend.record_external_copy(outcome);
         self.finish_move(ticket)
     }
 
@@ -594,7 +534,6 @@ impl Hms {
             .get_mut(&ticket.object)
             .expect("ticket object must be live")
             .moving = false;
-        self.publish_occupancy();
     }
 
     /// Whether a two-phase move of `id` is currently in flight.
@@ -606,7 +545,7 @@ impl Hms {
     }
 
     /// Shared tail of a completed move: free the source, update the
-    /// record, publish metrics.
+    /// record.
     fn finish_move(&mut self, ticket: MoveTicket) -> u64 {
         self.allocator(ticket.from)
             .free(ticket.from_addr)
@@ -620,9 +559,6 @@ impl Hms {
         rec.tier = ticket.to;
         rec.addr = ticket.to_addr;
         rec.moving = false;
-        self.metrics.inc("hms.moves");
-        self.metrics.add("hms.moved_bytes", ticket.size);
-        self.publish_occupancy();
         ticket.size
     }
 
@@ -912,24 +848,6 @@ mod tests {
         h.check_invariants().unwrap();
         // The object is movable again after the abort.
         assert!(h.move_object(a, DRAM).is_ok());
-    }
-
-    #[test]
-    fn metrics_track_occupancy_and_transitions() {
-        let mut h = small_hms(1024, 4096);
-        let m = tahoe_obs::Metrics::enabled();
-        h.set_metrics(m.clone());
-        let a = h.alloc_object("a", 300, NVM, false).unwrap();
-        h.move_object(a, DRAM).unwrap();
-        let snap = m.snapshot();
-        assert_eq!(snap.counter("hms.allocs"), Some(1));
-        assert_eq!(snap.counter("hms.moves"), Some(1));
-        assert_eq!(snap.counter("hms.moved_bytes"), Some(300));
-        assert_eq!(snap.gauge("hms.dram.used_bytes"), Some(300.0));
-        assert_eq!(snap.gauge("hms.nvm.used_bytes"), Some(0.0));
-        assert_eq!(snap.gauge("hms.dram.capacity_bytes"), Some(1024.0));
-        h.free_object(a).unwrap();
-        assert_eq!(m.snapshot().gauge("hms.dram.used_bytes"), Some(0.0));
     }
 
     // --- N-tier behaviour ------------------------------------------------

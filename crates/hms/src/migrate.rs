@@ -13,8 +13,6 @@
 //! execution (the consumer task had not become ready yet) versus *exposed*
 //! (a task sat waiting for the copy to finish).
 
-use tahoe_obs::Metrics;
-
 use crate::object::ObjectId;
 use crate::tier::TierId;
 use crate::Ns;
@@ -24,7 +22,6 @@ use crate::Ns;
 pub struct CopyChannel {
     copy_bw_gbps: f64,
     free_at: Ns,
-    metrics: Metrics,
 }
 
 impl CopyChannel {
@@ -34,14 +31,7 @@ impl CopyChannel {
         CopyChannel {
             copy_bw_gbps,
             free_at: 0.0,
-            metrics: Metrics::disabled(),
         }
-    }
-
-    /// Attach a metrics registry; every scheduled copy is counted under
-    /// `hms.channel.*` from then on.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
     }
 
     /// Copy bandwidth in GB/s.
@@ -66,12 +56,6 @@ impl CopyChannel {
         let start = issue.max(self.free_at);
         let finish = start + self.copy_duration_ns(bytes);
         self.free_at = finish;
-        self.metrics.inc("hms.channel.copies");
-        self.metrics.add("hms.channel.bytes", bytes);
-        self.metrics
-            .gauge_add("hms.channel.busy_ns", finish - start);
-        self.metrics
-            .gauge_add("hms.channel.queue_ns", (start - issue).max(0.0));
         (start, finish)
     }
 
@@ -282,19 +266,5 @@ mod tests {
     #[test]
     fn empty_stats_report_full_overlap() {
         assert_eq!(MigrationStats::default().pct_overlap(), 100.0);
-    }
-
-    #[test]
-    fn channel_metrics_count_copies_and_queueing() {
-        let mut ch = CopyChannel::new(1.0);
-        let m = Metrics::enabled();
-        ch.set_metrics(m.clone());
-        ch.schedule(1000, 0.0);
-        ch.schedule(500, 100.0); // queued 900 ns behind the first copy
-        let snap = m.snapshot();
-        assert_eq!(snap.counter("hms.channel.copies"), Some(2));
-        assert_eq!(snap.counter("hms.channel.bytes"), Some(1500));
-        assert_eq!(snap.gauge("hms.channel.busy_ns"), Some(1500.0));
-        assert_eq!(snap.gauge("hms.channel.queue_ns"), Some(900.0));
     }
 }

@@ -774,13 +774,7 @@ mod tests {
             Some(unsafe { buf.as_mut_ptr().add(addr as usize) })
         }
 
-        fn record_external_copy(
-            &mut self,
-            _object: u32,
-            _from: TierId,
-            _to: TierId,
-            outcome: &CopyOutcome,
-        ) {
+        fn record_external_copy(&mut self, outcome: &CopyOutcome) {
             self.stats.copies += 1;
             self.stats.copied_bytes += outcome.bytes;
             self.stats.copy_wall_ns += outcome.wall_ns;

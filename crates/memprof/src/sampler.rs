@@ -87,25 +87,13 @@ impl SampledObservation {
 pub struct Sampler {
     cfg: SamplerConfig,
     rng: StdRng,
-    metrics: tahoe_obs::Metrics,
 }
 
 impl Sampler {
     /// A sampler with the given configuration.
     pub fn new(cfg: SamplerConfig) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
-        Sampler {
-            cfg,
-            rng,
-            metrics: tahoe_obs::Metrics::disabled(),
-        }
-    }
-
-    /// Record profiling volume (`memprof.*` counters) into `metrics`.
-    /// Sampling itself is unchanged — the counters track how many
-    /// observations were taken and how many raw samples they attributed.
-    pub fn set_metrics(&mut self, metrics: tahoe_obs::Metrics) {
-        self.metrics = metrics;
+        Sampler { cfg, rng }
     }
 
     /// The configuration in force.
@@ -156,16 +144,13 @@ impl Sampler {
         } else {
             1.0
         };
-        let obs = SampledObservation {
+        SampledObservation {
             est_loads,
             est_stores,
             est_active_ns,
             est_concurrency,
             samples: load_samples + store_samples,
-        };
-        self.metrics.inc("memprof.observations");
-        self.metrics.add("memprof.samples", obs.samples);
-        obs
+        }
     }
 }
 
@@ -243,19 +228,6 @@ mod tests {
         let a = Sampler::new(cfg.clone()).observe(&truth, 5.0e5, &dram());
         let b = Sampler::new(cfg).observe(&truth, 5.0e5, &dram());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn metrics_count_attributed_samples() {
-        let mut s = sampler(1, 1.0);
-        let m = tahoe_obs::Metrics::enabled();
-        s.set_metrics(m.clone());
-        let truth = AccessProfile::streaming(100, 50);
-        let obs = s.observe(&truth, 1000.0, &dram());
-        let snap = m.snapshot();
-        assert_eq!(snap.counter("memprof.observations"), Some(1));
-        assert_eq!(snap.counter("memprof.samples"), Some(obs.samples));
-        assert_eq!(obs.samples, 150);
     }
 
     #[test]

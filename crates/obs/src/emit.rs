@@ -7,14 +7,17 @@
 //!    built with [`Emitter::disabled`] is a `None` — every `emit` call is
 //!    one branch, and the closure that would build the event is never
 //!    invoked. The scheduler hot path stays unchanged.
-//! 2. **Enabled must be cheap and thread-safe.** The work-stealing
-//!    executor emits from multiple OS threads; the buffer is a single
-//!    mutex-protected `Vec` (push under lock, no allocation churn beyond
-//!    the vector's own growth). The virtual-time scheduler is
-//!    single-threaded, so the lock is uncontended where volume is high.
-//! 3. **Deterministic order.** Events are appended in emission order;
-//!    for the single-threaded simulator that order is a pure function of
-//!    the inputs, which the JSONL determinism guarantee builds on.
+//! 2. **Enabled must be cheap and thread-safe.** Its producers are the
+//!    wall-clock runtime's setup (arena mapping, calibration), the
+//!    server's admission path and migration thread, and a batch run's
+//!    post-run drain; the buffer is a single mutex-protected `Vec` (push
+//!    under lock, no allocation churn beyond the vector's own growth).
+//!    A batch run's high-volume producers — its workers and migration
+//!    thread — write lock-free [`crate::FlightRecorder`] lanes instead,
+//!    merged into the emitter in one [`Emitter::emit_many`] at the end.
+//! 3. **Emission order.** Events are appended in the order they are
+//!    emitted; a flight-recorder drain appends its stream already
+//!    merged by timestamp.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -177,7 +180,7 @@ mod tests {
     use super::*;
 
     fn ws(t: f64, window: u32) -> Event {
-        Event::WindowStart { t, window }
+        Event::ProfilingClosed { t, window }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The typed runtime event stream.
 //!
-//! Every event carries a virtual-time timestamp `t` in nanoseconds (the
-//! simulator's clock, not wall time), so identical seeded runs produce
-//! identical streams — the determinism tests and the CI artifact diff
-//! depend on that.
+//! Every event carries a timestamp `t`: wall-clock nanoseconds since the
+//! epoch of the run (or server) that emitted it. Which events a run
+//! emits, and how many of each, follows from its plan; the timestamps
+//! and durations are measurements.
 
 use crate::json::{Scalar, Writer};
 
-/// Virtual nanoseconds (mirrors `tahoe_hms::Ns` without the dependency).
+/// Nanoseconds (mirrors `tahoe_hms::Ns` without the dependency).
 pub type Ns = f64;
 
 /// Which memory tier an event refers to, named by its place in the
@@ -39,63 +39,10 @@ impl std::fmt::Display for Tier {
     }
 }
 
-/// Why the driver re-armed profiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplanReason {
-    /// Window durations drifted beyond the variation threshold.
-    Drift,
-    /// A window introduced a task class the plan had never seen.
-    UnseenClass,
-}
-
-impl ReplanReason {
-    /// Stable lowercase tag used by the exporters.
-    pub fn tag(self) -> &'static str {
-        match self {
-            ReplanReason::Drift => "drift",
-            ReplanReason::UnseenClass => "unseen_class",
-        }
-    }
-}
-
-/// Which overhead bucket a charge went to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverheadKind {
-    /// Sampling-counter collection inflation.
-    Profiling,
-    /// Helper-thread queue synchronization.
-    Sync,
-    /// Model evaluation + knapsack planning.
-    Planning,
-}
-
-impl OverheadKind {
-    /// Stable lowercase tag used by the exporters.
-    pub fn tag(self) -> &'static str {
-        match self {
-            OverheadKind::Profiling => "profiling",
-            OverheadKind::Sync => "sync",
-            OverheadKind::Planning => "planning",
-        }
-    }
-}
-
-/// Tiers, replan reasons and overhead kinds go on the wire as their tags.
+/// Tiers go on the wire as their tags.
 impl Scalar for Tier {
     fn write_json(&self, out: &mut String) {
         self.to_string().write_json(out);
-    }
-}
-
-impl Scalar for ReplanReason {
-    fn write_json(&self, out: &mut String) {
-        self.tag().write_json(out);
-    }
-}
-
-impl Scalar for OverheadKind {
-    fn write_json(&self, out: &mut String) {
-        self.tag().write_json(out);
     }
 }
 
@@ -134,7 +81,7 @@ macro_rules! events {
             /// Every kind tag, in declaration order.
             pub const KINDS: &'static [&'static str] = &[$($tag),*];
 
-            /// The event's virtual timestamp.
+            /// The event's timestamp, ns since its run's epoch.
             pub fn timestamp(&self) -> Ns {
                 match *self {
                     $(Event::$variant { t, .. })|* => t,
@@ -167,65 +114,10 @@ events! {
     /// or memory-unit id); the exporters carry them through unchanged.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Event {
-        /// A task began executing.
-        TaskStart = "task_start" {
-            /// Virtual time.
-            t: Ns,
-            /// Task id.
-            task: u32,
-            /// Task class id.
-            class: u32,
-            /// Execution window.
-            window: u32,
-        },
-        /// A task finished executing.
-        TaskFinish = "task_finish" {
-            /// Virtual time.
-            t: Ns,
-            /// Task id.
-            task: u32,
-            /// Task class id.
-            class: u32,
-            /// Execution window.
-            window: u32,
-        },
-        /// A ready task waited on the policy layer before starting (exposed
-        /// migration cost, planning charge, or synchronous-migration block).
-        DispatchStall = "dispatch_stall" {
-            /// Virtual time the task could otherwise have started.
-            t: Ns,
-            /// Task id.
-            task: u32,
-            /// How long it waited, ns.
-            stall_ns: Ns,
-        },
-        /// First task of an execution window started.
-        WindowStart = "window_start" {
-            /// Virtual time.
-            t: Ns,
-            /// Window index.
-            window: u32,
-        },
-        /// Per-tier occupancy sampled at a window boundary.
-        TierSample = "tier_sample" {
-            /// Virtual time.
-            t: Ns,
-            /// Window index.
-            window: u32,
-            /// Bytes used in DRAM.
-            dram_used: u64,
-            /// DRAM capacity in bytes.
-            dram_capacity: u64,
-            /// Bytes used in NVM.
-            nvm_used: u64,
-            /// NVM capacity in bytes.
-            nvm_capacity: u64,
-            /// Promotions currently in flight on the copy channel.
-            inflight: u32,
-        },
-        /// The driver put a migration on the copy channel.
+        /// The migration thread carried out one queued move: a complete
+        /// span from the copy's `start` to its `finish`.
         MigrationIssued = "migration_issued" {
-            /// Virtual time of the request.
+            /// When the move was requested.
             t: Ns,
             /// Memory unit that moves.
             object: u32,
@@ -235,89 +127,33 @@ events! {
             from: Tier,
             /// Destination tier.
             to: Tier,
-            /// When the copy starts on the (FIFO) channel.
+            /// When the copy started.
             start: Ns,
-            /// When the copy finishes.
+            /// When the copy finished.
             finish: Ns,
-            /// Promotions already in flight when this one was issued.
+            /// Requests still queued behind this one when it committed.
             queue_depth: u32,
         },
-        /// A promotion's copy finished and its residency flip was applied.
+        /// A move committed: the object now resides on its destination.
         MigrationCompleted = "migration_completed" {
-            /// Virtual time the flip applied.
+            /// When the move committed.
             t: Ns,
             /// Memory unit that moved.
             object: u32,
             /// Bytes copied.
             bytes: u64,
-            /// Channel time hidden behind execution, ns.
+            /// Copy time hidden behind execution, ns.
             overlap_ns: Ns,
         },
-        /// A matured promotion could not be applied (destination still full);
-        /// it stays queued and retries.
-        MigrationDeferred = "migration_deferred" {
-            /// Virtual time of the failed apply.
-            t: Ns,
-            /// Memory unit whose flip was deferred.
-            object: u32,
-        },
-        /// Profiling was armed: windows `< until_window` will be profiled.
-        ProfilingArmed = "profiling_armed" {
-            /// Virtual time.
-            t: Ns,
-            /// Window at which profiling was armed.
-            window: u32,
-            /// First window that will not be profiled.
-            until_window: u32,
-        },
-        /// Profiling closed and planning ran on the learned profile.
+        /// Every task class met its profiling quota and the plan went to
+        /// the migration thread.
         ProfilingClosed = "profiling_closed" {
-            /// Virtual time.
+            /// When the quota was met.
             t: Ns,
-            /// Window at which the profile was consumed.
+            /// Window of the task whose completion met it.
             window: u32,
         },
-        /// The planner computed (or declined) a placement plan.
-        PlanComputed = "plan_computed" {
-            /// Virtual time.
-            t: Ns,
-            /// Window the plan starts at.
-            window: u32,
-            /// `"global"` or `"local"` — which search produced the winner.
-            kind: &'static str,
-            /// Candidate (object × window) pairs weighed.
-            candidates: u32,
-            /// Transitions the accepted plan schedules.
-            migrations: u32,
-            /// The winner's predicted knapsack gain, ns.
-            predicted_gain_ns: Ns,
-            /// Do-nothing baseline value the plan had to beat, ns.
-            baseline_ns: Ns,
-            /// Whether the plan beat the hysteresis margin (false = placement
-            /// frozen instead).
-            accepted: bool,
-        },
-        /// Workload variation (or an unseen class) re-armed profiling.
-        ReplanTriggered = "replan_triggered" {
-            /// Virtual time.
-            t: Ns,
-            /// Window at which the trigger fired.
-            window: u32,
-            /// What tripped it.
-            reason: ReplanReason,
-        },
-        /// A one-shot overhead charge was applied to the timeline.
-        OverheadCharged = "overhead_charged" {
-            /// Virtual time of the charge.
-            t: Ns,
-            /// Which bucket.
-            kind: OverheadKind,
-            /// Nanoseconds charged.
-            ns: Ns,
-        },
-        /// A real (`mmap`) tier arena was mapped. `t` is wall-clock ns since
-        /// the measured run's epoch; real-substrate events use wall time on
-        /// the same axis the virtual events use virtual time.
+        /// A real (`mmap`) tier arena was mapped.
         ArenaMapped = "arena_mapped" {
             /// Wall-clock ns since the run's epoch.
             t: Ns,
@@ -494,12 +330,17 @@ mod tests {
 
     #[test]
     fn timestamps_and_kinds_are_consistent() {
-        let e = Event::WindowStart { t: 42.0, window: 3 };
+        let e = Event::ProfilingClosed { t: 42.0, window: 3 };
         assert_eq!(e.timestamp(), 42.0);
-        assert_eq!(e.kind(), "window_start");
-        let e = Event::MigrationDeferred { t: 7.0, object: 1 };
+        assert_eq!(e.kind(), "profiling_closed");
+        let e = Event::MigrationCompleted {
+            t: 7.0,
+            object: 1,
+            bytes: 64,
+            overlap_ns: 3.0,
+        };
         assert_eq!(e.timestamp(), 7.0);
-        assert_eq!(e.kind(), "migration_deferred");
+        assert_eq!(e.kind(), "migration_completed");
         let e = Event::ArenaMapped {
             t: 1.0,
             tier: Tier::Dram,
@@ -524,8 +365,5 @@ mod tests {
         assert_eq!(Tier::Mid(1).to_string(), "tier1");
         assert_eq!(Tier::Nvm.to_string(), "nvm");
         assert!(Tier::Dram < Tier::Mid(1) && Tier::Mid(2) < Tier::Nvm);
-        assert_eq!(ReplanReason::Drift.tag(), "drift");
-        assert_eq!(ReplanReason::UnseenClass.tag(), "unseen_class");
-        assert_eq!(OverheadKind::Planning.tag(), "planning");
     }
 }

@@ -1,23 +1,21 @@
 //! Exporters: deterministic JSONL and Chrome `trace_event` JSON.
 //!
-//! **JSONL** is the machine-diffable artifact: one event per line with a
+//! **JSONL** is the machine-readable artifact: one event per line with a
 //! fixed field order (`ev` first, `t` second, then the variant's fields
 //! in the order the `events!` table in [`crate::event`] declares them),
 //! written by [`crate::json::object`]. Floats go through Rust's
-//! shortest-roundtrip `Display` (non-finite ones as `null`), so two
-//! identical seeded runs produce byte-identical streams — CI diffs them
-//! directly.
+//! shortest-roundtrip `Display` (non-finite ones as `null`), so one event
+//! stream always serializes to the same bytes.
 //!
-//! **Chrome trace** targets `chrome://tracing` / [Perfetto]. Task spans
-//! become `"X"` complete events laid out on greedily-assigned lanes
-//! (reconstructing virtual workers from span overlap), migrations become
-//! `"X"` spans on a dedicated copy-channel track, and window / planning /
-//! profiling / replan markers become `"i"` instants. When a worker-task
-//! span opens with a gate wait that a migration's finish unblocked, the
-//! exporter adds an `"s"`/`"f"` flow pair from the copy channel to the
-//! stalled worker lane so exposed stalls are visually traceable to the
-//! copy that caused them. Timestamps convert from virtual ns to the
-//! format's µs.
+//! **Chrome trace** targets `chrome://tracing` / [Perfetto]. Worker-task
+//! spans become `"X"` complete events on the track of the worker that ran
+//! them, migrations become `"X"` spans on a dedicated copy-channel track,
+//! and the profiling-closed marker becomes an `"i"` instant. When a
+//! worker-task span opens with a gate wait that a migration's finish
+//! unblocked, the exporter adds an `"s"`/`"f"` flow pair from the copy
+//! channel to the stalled worker lane so exposed stalls are visually
+//! traceable to the copy that caused them. Timestamps convert from ns to
+//! the format's µs.
 //!
 //! [Perfetto]: https://ui.perfetto.dev
 
@@ -74,36 +72,6 @@ impl<W: std::io::Write> Sink for JsonlSink<W> {
 
 const NS_PER_US: f64 = 1_000.0;
 
-/// Greedy lane assignment: give each span the lowest-numbered lane that is
-/// free at its start time. Reconstructs "virtual worker" rows from the
-/// flat span list, since the list scheduler does not name its processors
-/// in the event stream.
-fn assign_lanes(spans: &[(f64, f64)]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..spans.len()).collect();
-    order.sort_by(|&a, &b| {
-        spans[a]
-            .0
-            .partial_cmp(&spans[b].0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut lane_free_at: Vec<f64> = Vec::new();
-    let mut lanes = vec![0usize; spans.len()];
-    for &i in &order {
-        let (start, end) = spans[i];
-        let lane = lane_free_at
-            .iter()
-            .position(|&free| free <= start)
-            .unwrap_or_else(|| {
-                lane_free_at.push(0.0);
-                lane_free_at.len() - 1
-            });
-        lane_free_at[lane] = end;
-        lanes[i] = lane;
-    }
-    lanes
-}
-
 /// Open one trace record in the `traceEvents` array with its `name`,
 /// `cat` and `ph`; the caller writes the rest.
 fn record<'w>(evs: &'w mut Writer<'_>, name: &str, cat: &str, ph: &str) -> Writer<'w> {
@@ -124,52 +92,11 @@ fn push_meta(evs: &mut Writer<'_>, tid: usize, name: &str) {
 /// Render an event stream as Chrome `trace_event` JSON
 /// (`{"traceEvents":[...]}`), loadable in `chrome://tracing` or Perfetto.
 ///
-/// Track layout: tid 0..N-1 are reconstructed worker lanes carrying task
-/// spans; the copy channel's migration spans and the instant markers
-/// (windows, plans, profiling, replans, deferrals) go on two tids after
-/// the last lane.
+/// Track layout: tid 0..N-1 are the worker lanes carrying task spans;
+/// the copy channel's migration spans and the instant markers go on two
+/// tids after the last lane.
 pub fn to_chrome_trace(events: &[Event]) -> String {
-    // Pair TaskStart/TaskFinish by task id into spans.
-    struct TaskSpan {
-        task: u32,
-        class: u32,
-        window: u32,
-        start: f64,
-        end: f64,
-    }
-    let mut open: Vec<(u32, usize)> = Vec::new(); // (task, index into spans)
-    let mut spans: Vec<TaskSpan> = Vec::new();
-    for e in events {
-        match *e {
-            Event::TaskStart {
-                t,
-                task,
-                class,
-                window,
-            } => {
-                open.push((task, spans.len()));
-                spans.push(TaskSpan {
-                    task,
-                    class,
-                    window,
-                    start: t,
-                    end: t,
-                });
-            }
-            Event::TaskFinish { t, task, .. } => {
-                if let Some(pos) = open.iter().rposition(|&(id, _)| id == task) {
-                    let (_, idx) = open.swap_remove(pos);
-                    spans[idx].end = t;
-                }
-            }
-            _ => {}
-        }
-    }
-    let lanes = assign_lanes(&spans.iter().map(|s| (s.start, s.end)).collect::<Vec<_>>());
-    let mut n_lanes = lanes.iter().map(|&l| l + 1).max().unwrap_or(0);
-    // Parallel measured runs name their workers directly (WorkerTask
-    // spans carry a worker index); those tids share the lane namespace
-    // with the reconstructed virtual lanes.
+    let mut n_lanes = 0;
     for e in events {
         if let Event::WorkerTask { worker, .. } = *e {
             n_lanes = n_lanes.max(worker as usize + 1);
@@ -197,22 +124,8 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
         push_meta(&mut evs, migration_tid, "copy channel");
         push_meta(&mut evs, marker_tid, "runtime markers");
 
-        for (span, &lane) in spans.iter().zip(&lanes) {
-            let name = format!("task {} (class {})", span.task, span.class);
-            let mut rec = record(&mut evs, &name, "task", "X");
-            rec.field("pid", 1)
-                .field("tid", lane)
-                .field("ts", span.start / NS_PER_US)
-                .field("dur", (span.end - span.start) / NS_PER_US);
-            rec.object("args")
-                .field("task", span.task)
-                .field("class", span.class)
-                .field("window", span.window);
-        }
-
         for e in events {
-            // Instant markers: (name, category, track, time).
-            let (name, cat, tid, t) = match *e {
+            match *e {
                 Event::WorkerTask {
                     t,
                     tenant,
@@ -269,7 +182,6 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
                                 .field("ts", stall_end / NS_PER_US);
                         }
                     }
-                    continue;
                 }
                 Event::MigrationIssued {
                     object,
@@ -289,52 +201,17 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
                     rec.object("args")
                         .field("object", object)
                         .field("bytes", bytes);
-                    continue;
                 }
-                Event::WindowStart { t, window } => {
-                    (format!("window {window}"), "window", marker_tid, t)
+                Event::ProfilingClosed { t, window } => {
+                    let name = format!("profiling closed w{window}");
+                    record(&mut evs, &name, "profiling", "i")
+                        .field("pid", 1)
+                        .field("tid", marker_tid)
+                        .field("ts", t / NS_PER_US)
+                        .field("s", "t");
                 }
-                Event::PlanComputed {
-                    t,
-                    window,
-                    kind,
-                    migrations,
-                    accepted,
-                    ..
-                } => {
-                    let verdict = if accepted { "accepted" } else { "frozen" };
-                    let name = format!("plan {kind} w{window} ({migrations} moves, {verdict})");
-                    (name, "plan", marker_tid, t)
-                }
-                Event::ProfilingArmed { t, window, .. } => (
-                    format!("profiling armed w{window}"),
-                    "profiling",
-                    marker_tid,
-                    t,
-                ),
-                Event::ProfilingClosed { t, window } => (
-                    format!("profiling closed w{window}"),
-                    "profiling",
-                    marker_tid,
-                    t,
-                ),
-                Event::ReplanTriggered { t, window, reason } => {
-                    let name = format!("replan w{window} ({})", reason.tag());
-                    (name, "plan", marker_tid, t)
-                }
-                Event::MigrationDeferred { t, object } => (
-                    format!("deferred obj {object}"),
-                    "migration",
-                    migration_tid,
-                    t,
-                ),
-                _ => continue,
-            };
-            record(&mut evs, &name, cat, "i")
-                .field("pid", 1)
-                .field("tid", tid)
-                .field("ts", t / NS_PER_US)
-                .field("s", "t");
+                _ => {}
+            }
         }
     })
 }
@@ -345,20 +222,17 @@ mod tests {
     use crate::event::Tier;
 
     fn sample_events() -> Vec<Event> {
+        let task = |t: f64, worker: u32, task: u32| Event::WorkerTask {
+            t,
+            tenant: 0,
+            worker,
+            task,
+            window: 0,
+            wall_ns: t,
+            gate_wait_ns: 0.0,
+        };
         vec![
-            Event::WindowStart { t: 0.0, window: 0 },
-            Event::TaskStart {
-                t: 0.0,
-                task: 1,
-                class: 0,
-                window: 0,
-            },
-            Event::TaskStart {
-                t: 0.0,
-                task: 2,
-                class: 1,
-                window: 0,
-            },
+            Event::ProfilingClosed { t: 0.0, window: 0 },
             Event::MigrationIssued {
                 t: 50.0,
                 object: 7,
@@ -369,18 +243,8 @@ mod tests {
                 finish: 150.0,
                 queue_depth: 0,
             },
-            Event::TaskFinish {
-                t: 100.0,
-                task: 1,
-                class: 0,
-                window: 0,
-            },
-            Event::TaskFinish {
-                t: 120.0,
-                task: 2,
-                class: 1,
-                window: 0,
-            },
+            task(100.0, 0, 1),
+            task(120.0, 1, 2),
             Event::MigrationCompleted {
                 t: 150.0,
                 object: 7,
@@ -394,15 +258,18 @@ mod tests {
     fn jsonl_is_one_line_per_event_with_fixed_fields() {
         let jsonl = to_jsonl(&sample_events());
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 7);
-        assert_eq!(lines[0], "{\"ev\":\"window_start\",\"t\":0,\"window\":0}");
+        assert_eq!(lines.len(), 5);
         assert_eq!(
-            lines[1],
-            "{\"ev\":\"task_start\",\"t\":0,\"task\":1,\"class\":0,\"window\":0}"
+            lines[0],
+            "{\"ev\":\"profiling_closed\",\"t\":0,\"window\":0}"
         );
         assert_eq!(
-            lines[3],
+            lines[1],
             "{\"ev\":\"migration_issued\",\"t\":50,\"object\":7,\"bytes\":4096,\"from\":\"nvm\",\"to\":\"dram\",\"start\":50,\"finish\":150,\"queue_depth\":0}"
+        );
+        assert_eq!(
+            lines[2],
+            "{\"ev\":\"worker_task\",\"t\":100,\"tenant\":0,\"worker\":0,\"task\":1,\"window\":0,\"wall_ns\":100,\"gate_wait_ns\":0}"
         );
     }
 
@@ -552,13 +419,18 @@ mod tests {
     #[test]
     fn non_finite_numbers_serialize_as_null() {
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let line = event_to_json(&Event::DispatchStall {
+            let line = event_to_json(&Event::MigrationCompleted {
                 t: 1.0,
-                task: 2,
-                stall_ns: x,
+                object: 2,
+                bytes: 64,
+                overlap_ns: x,
             });
             let v = crate::json::parse(&line).expect("the line stays valid JSON");
-            assert_eq!(v.get("stall_ns"), Some(&crate::json::Value::Null), "{line}");
+            assert_eq!(
+                v.get("overlap_ns"),
+                Some(&crate::json::Value::Null),
+                "{line}"
+            );
         }
     }
 
@@ -581,11 +453,35 @@ mod tests {
 
     #[test]
     fn lane_assignment_packs_concurrent_spans() {
-        // Two overlapping spans need two lanes; a later span reuses lane 0.
-        let lanes = assign_lanes(&[(0.0, 10.0), (0.0, 5.0), (12.0, 20.0)]);
-        assert_eq!(lanes[0], 0);
-        assert_eq!(lanes[1], 1);
-        assert_eq!(lanes[2], 0);
+        // Two overlapping spans run on workers 0 and 2: two lanes, named
+        // by the worker; a later span of worker 0 reuses lane 0. Worker 2
+        // implies lanes 0..=2, then the copy and marker tracks.
+        let task = |t: f64, worker: u32| Event::WorkerTask {
+            t,
+            tenant: 0,
+            worker,
+            task: worker,
+            window: 0,
+            wall_ns: 10.0,
+            gate_wait_ns: 0.0,
+        };
+        let trace = to_chrome_trace(&[task(10.0, 0), task(5.0, 2), task(20.0, 0)]);
+        let parsed = crate::json::parse(&trace).expect("valid JSON");
+        let records = parsed
+            .get("traceEvents")
+            .and_then(|v| v.as_array())
+            .unwrap();
+        let lanes: Vec<Option<f64>> = records
+            .iter()
+            .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X"))
+            .map(|e| e.get("tid").and_then(|v| v.as_f64()))
+            .collect();
+        assert_eq!(lanes, [Some(0.0), Some(2.0), Some(0.0)]);
+        let tracks = records
+            .iter()
+            .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some("M"))
+            .count();
+        assert_eq!(tracks, 5);
     }
 
     #[test]

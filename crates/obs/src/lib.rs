@@ -5,26 +5,26 @@
 //! every one of those decisions visible as data rather than end-of-run
 //! aggregates:
 //!
-//! * [`event::Event`] — a typed, virtual-time-stamped event stream
-//!   covering task execution, window boundaries, migrations, planning,
-//!   profiling and overhead charges.
+//! * [`event::Event`] — a typed, wall-clock-stamped event stream
+//!   covering task execution, migrations, placement decisions, arena
+//!   mapping, calibration, sanitizer findings and server admission.
 //! * [`emit::Emitter`] — the cheap, clonable handle instrumented code
 //!   emits through. A disabled emitter costs one branch per call site and
 //!   never constructs the event; an enabled one appends to a lock-cheap
 //!   shared buffer (usable from the work-stealing executor's threads).
 //! * [`emit::Sink`] — consumer interface for drained events; exporters
 //!   implement it.
-//! * [`metrics::Metrics`] — a registry of monotonic counters, gauges,
-//!   per-window series and latency histograms keyed by static names,
-//!   snapshot into [`metrics::MetricsSnapshot`] (embedded in run reports).
+//! * [`metrics::Metrics`] — a registry of monotonic counters, gauges and
+//!   latency histograms keyed by static names, snapshot into
+//!   [`metrics::MetricsSnapshot`].
 //! * [`hist::Histogram`] — fixed-size log2-bucketed latency histograms
 //!   with commutative merge and p50/p90/p99/max digests.
 //! * [`recorder::FlightRecorder`] — per-worker lock-free SPSC event rings
 //!   plus per-lane histograms for the parallel measured runtime's hot
 //!   path; drained into a deterministic timestamp-merged stream that
 //!   feeds the same exporters.
-//! * [`export`] — two exporters: deterministic JSONL (one event per line,
-//!   fixed field order — byte-identical across identical seeded runs) and
+//! * [`export`] — two exporters: JSONL (one event per line, fixed field
+//!   order — byte-identical for identical event streams) and
 //!   Chrome `trace_event` JSON loadable in `chrome://tracing` / Perfetto,
 //!   with flow arrows linking each migration span to the stall it
 //!   unblocks.
@@ -56,7 +56,7 @@ pub mod recorder;
 pub use blame::{BlameEntry, BlameTable};
 pub use critpath::{CritPath, CritPathDigest, Segment, SegmentKind, WhatIf};
 pub use emit::{Emitter, EventBuffer, Sink, VecSink};
-pub use event::{Event, OverheadKind, ReplanReason, Tier};
+pub use event::{Event, Tier};
 pub use export::{to_chrome_trace, to_jsonl, JsonlSink};
 pub use hist::{HistData, HistSummary, Histogram};
 pub use metrics::{Metrics, MetricsSnapshot};

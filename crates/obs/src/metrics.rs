@@ -1,4 +1,4 @@
-//! Metrics registry: monotonic counters, gauges, and per-window series,
+//! Metrics registry: monotonic counters, gauges and latency histograms,
 //! keyed by `&'static str` names.
 //!
 //! Same enable/disable shape as [`crate::emit::Emitter`]: a disabled
@@ -19,7 +19,6 @@ use crate::hist::{HistData, HistSummary};
 struct MetricsShared {
     counters: Mutex<BTreeMap<&'static str, u64>>,
     gauges: Mutex<BTreeMap<&'static str, f64>>,
-    series: Mutex<BTreeMap<&'static str, Vec<(u32, f64)>>>,
     hists: Mutex<BTreeMap<&'static str, HistData>>,
 }
 
@@ -92,20 +91,6 @@ impl Metrics {
         }
     }
 
-    /// Append one `(window, value)` point to a named series.
-    #[inline]
-    pub fn series_push(&self, key: &'static str, window: u32, value: f64) {
-        if let Some(shared) = &self.shared {
-            shared
-                .series
-                .lock()
-                .expect("metrics series poisoned")
-                .entry(key)
-                .or_default()
-                .push((window, value));
-        }
-    }
-
     /// Record one nanosecond value into a named latency histogram.
     #[inline]
     pub fn hist_record(&self, key: &'static str, ns: f64) {
@@ -154,13 +139,6 @@ impl Metrics {
                     .iter()
                     .map(|(k, v)| (k.to_string(), *v))
                     .collect(),
-                series: shared
-                    .series
-                    .lock()
-                    .expect("metrics series poisoned")
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
                 histograms: shared
                     .hists
                     .lock()
@@ -183,8 +161,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauges, sorted by name.
     pub gauges: Vec<(String, f64)>,
-    /// Per-window series, sorted by name; points in push order.
-    pub series: Vec<(String, Vec<(u32, f64)>)>,
     /// Latency-histogram digests (p50/p90/p99/max), sorted by name.
     pub histograms: Vec<(String, HistSummary)>,
 }
@@ -192,10 +168,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.series.is_empty()
-            && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Look up a counter by name.
@@ -209,14 +182,6 @@ impl MetricsSnapshot {
     /// Look up a gauge by name.
     pub fn gauge(&self, key: &str) -> Option<f64> {
         self.gauges.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-
-    /// Look up a series by name.
-    pub fn series(&self, key: &str) -> Option<&[(u32, f64)]> {
-        self.series
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_slice())
     }
 
     /// Look up a histogram digest by name.
@@ -241,14 +206,6 @@ impl MetricsSnapshot {
                 gauges.field(k, v);
             }
             drop(gauges);
-            let mut series = w.object("series");
-            for (k, points) in &self.series {
-                let mut points_w = series.array(k.as_str());
-                for (window, v) in points {
-                    points_w.array(None).item(window).item(v);
-                }
-            }
-            drop(series);
             let mut hists = w.object("histograms");
             for (k, s) in &self.histograms {
                 hists
@@ -272,7 +229,6 @@ mod tests {
         let m = Metrics::disabled();
         m.inc("a");
         m.gauge_set("b", 1.0);
-        m.series_push("c", 0, 1.0);
         assert!(!m.is_enabled());
         assert!(m.snapshot().is_empty());
     }
@@ -302,15 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn series_preserve_push_order() {
-        let m = Metrics::enabled();
-        m.series_push("occ", 0, 0.1);
-        m.series_push("occ", 1, 0.2);
-        let snap = m.snapshot();
-        assert_eq!(snap.series("occ"), Some(&[(0, 0.1), (1, 0.2)][..]));
-    }
-
-    #[test]
     fn clones_share_storage() {
         let m = Metrics::enabled();
         let m2 = m.clone();
@@ -325,13 +272,12 @@ mod tests {
         m.inc("zeta");
         m.inc("alpha");
         m.gauge_set("g", 2.5);
-        m.series_push("s", 0, 1.0);
         let snap = m.snapshot();
         assert_eq!(snap.counters[0].0, "alpha");
         assert_eq!(snap.counters[1].0, "zeta");
         assert_eq!(
             snap.to_json(),
-            "{\"counters\":{\"alpha\":1,\"zeta\":1},\"gauges\":{\"g\":2.5},\"series\":{\"s\":[[0,1]]},\"histograms\":{}}"
+            "{\"counters\":{\"alpha\":1,\"zeta\":1},\"gauges\":{\"g\":2.5},\"histograms\":{}}"
         );
         assert_eq!(snap.to_json(), m.snapshot().to_json());
     }
@@ -343,15 +289,12 @@ mod tests {
         m.inc("obs.ring_dropped");
         m.gauge_set("core.overlap_pct", 91.25);
         m.gauge_set("hms.balance", -1.5);
-        m.series_push("tier.dram_occupancy", 0, 0.5);
-        m.series_push("tier.dram_occupancy", 3, 0.75);
         m.hist_record("task_ns", 100.0);
         m.hist_record("task_ns", 10_000.0);
         assert_eq!(
             m.snapshot().to_json(),
             "{\"counters\":{\"obs.ring_dropped\":1,\"realmem.migrations\":34},\
              \"gauges\":{\"core.overlap_pct\":91.25,\"hms.balance\":-1.5},\
-             \"series\":{\"tier.dram_occupancy\":[[0,0.5],[3,0.75]]},\
              \"histograms\":{\"task_ns\":{\"count\":2,\"p50\":96,\"p90\":10000,\"p99\":10000,\"max\":10000}}}"
         );
     }
@@ -360,7 +303,7 @@ mod tests {
     fn empty_snapshot_json() {
         assert_eq!(
             MetricsSnapshot::default().to_json(),
-            "{\"counters\":{},\"gauges\":{},\"series\":{},\"histograms\":{}}"
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
         );
     }
 
@@ -380,7 +323,7 @@ mod tests {
         assert!(!snap.is_empty());
         assert_eq!(
             snap.to_json(),
-            "{\"counters\":{},\"gauges\":{},\"series\":{},\"histograms\":{\
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{\
              \"task_ns\":{\"count\":3,\"p50\":96,\"p90\":10000,\"p99\":10000,\"max\":10000}}}"
         );
         // Disabled registries ignore histogram calls too.

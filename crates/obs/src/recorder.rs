@@ -2,9 +2,9 @@
 //! histograms, drained into one deterministic merged stream.
 //!
 //! The buffered [`Emitter`](crate::emit::Emitter) is a single
-//! mutex-protected vector — fine for the single-threaded simulator,
-//! contended by every worker and the background migrator in the parallel
-//! measured runtime. The [`FlightRecorder`] removes that lock from the
+//! mutex-protected vector — fine for setup-time and low-volume
+//! producers, contended by every worker and the background migrator of
+//! a batch run. The [`FlightRecorder`] removes that lock from the
 //! hot path: each producer thread owns a *lane* holding a fixed-capacity
 //! SPSC ring buffer (allocation-free push, explicit drop counter when
 //! full) and a set of pre-registered log2 [`Histogram`]s. After the
@@ -274,7 +274,7 @@ mod tests {
     use super::*;
 
     fn ws(t: f64, window: u32) -> Event {
-        Event::WindowStart { t, window }
+        Event::ProfilingClosed { t, window }
     }
 
     #[test]
@@ -344,7 +344,7 @@ mod tests {
             .events
             .iter()
             .map(|e| match e {
-                Event::WindowStart { window, .. } => *window,
+                Event::ProfilingClosed { window, .. } => *window,
                 _ => unreachable!(),
             })
             .collect();

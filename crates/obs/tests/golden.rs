@@ -7,62 +7,15 @@
 //! so format changes must be deliberate. To re-bless after an intended
 //! change, update the golden file to the `got` output the failure prints.
 
-use tahoe_obs::{to_chrome_trace, to_jsonl, Event, OverheadKind, ReplanReason, Tier};
+use tahoe_obs::{to_chrome_trace, to_jsonl, Event, Tier};
 
 /// One event of every kind, with values exercising the number formatter
 /// (integral floats, fractional floats, zero).
 fn golden_events() -> Vec<Event> {
     vec![
-        Event::WindowStart { t: 0.0, window: 0 },
-        Event::TierSample {
-            t: 0.0,
-            window: 0,
-            dram_used: 0,
-            dram_capacity: 1048576,
-            nvm_used: 786432,
-            nvm_capacity: 3145728,
-            inflight: 0,
-        },
-        Event::ProfilingArmed {
-            t: 0.0,
-            window: 0,
-            until_window: 2,
-        },
-        Event::TaskStart {
-            t: 0.0,
-            task: 0,
-            class: 0,
-            window: 0,
-        },
-        Event::OverheadCharged {
-            t: 125.5,
-            kind: OverheadKind::Planning,
-            ns: 125.5,
-        },
-        Event::DispatchStall {
-            t: 125.5,
-            task: 1,
-            stall_ns: 74.5,
-        },
-        Event::TaskFinish {
-            t: 1800.25,
-            task: 0,
-            class: 0,
-            window: 0,
-        },
         Event::ProfilingClosed {
             t: 3600.0,
             window: 2,
-        },
-        Event::PlanComputed {
-            t: 3600.0,
-            window: 2,
-            kind: "global",
-            candidates: 24,
-            migrations: 8,
-            predicted_gain_ns: 41250.75,
-            baseline_ns: 98304.0,
-            accepted: true,
         },
         Event::MigrationIssued {
             t: 3600.0,
@@ -74,25 +27,11 @@ fn golden_events() -> Vec<Event> {
             finish: 68136.0,
             queue_depth: 0,
         },
-        Event::MigrationDeferred {
-            t: 68136.0,
-            object: 7,
-        },
         Event::MigrationCompleted {
             t: 70000.0,
             object: 7,
             bytes: 65536,
             overlap_ns: 64536.0,
-        },
-        Event::ReplanTriggered {
-            t: 90000.0,
-            window: 5,
-            reason: ReplanReason::Drift,
-        },
-        Event::ReplanTriggered {
-            t: 95000.0,
-            window: 6,
-            reason: ReplanReason::UnseenClass,
         },
         Event::ArenaMapped {
             t: 0.0,
@@ -194,11 +133,11 @@ fn jsonl_matches_golden_file() {
 
 /// A tiny fixed scenario for the Chrome-trace golden: two workers, one
 /// migration whose finish unblocks worker 1's gate wait — so the golden
-/// pins the `"X"` span layout, the instants, the metadata records *and*
+/// pins the `"X"` span layout, the instant, the metadata records *and*
 /// the `"s"`/`"f"` flow pair linking the copy channel to the stall.
 fn trace_events() -> Vec<Event> {
     vec![
-        Event::WindowStart { t: 0.0, window: 0 },
+        Event::ProfilingClosed { t: 0.0, window: 0 },
         Event::MigrationIssued {
             t: 100.0,
             object: 3,

@@ -213,7 +213,7 @@ fn histogram_merge_handles_empty_and_saturated_lanes() {
     for (i, &s) in samples.iter().enumerate() {
         let h = if i % 2 == 0 { &h1 } else { &h2 };
         h.record("task_ns", s);
-        h.emit(Event::WindowStart {
+        h.emit(Event::ProfilingClosed {
             t: i as f64,
             window: i as u32,
         });

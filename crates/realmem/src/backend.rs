@@ -205,15 +205,21 @@ impl RealBackend {
         self.metrics.add("realmem.released_ranges", released.ranges);
     }
 
-    /// Fold one completed copy (in-backend or external) into stats,
-    /// metrics, and the event stream.
-    fn account_copy(&mut self, object: u32, from: TierId, to: TierId, out: &CopyOutcome) {
+    /// Fold one completed copy (in-backend or external) into stats and
+    /// metrics.
+    fn account_copy(&mut self, out: &CopyOutcome) {
         self.stats.copies += 1;
         self.stats.copied_bytes += out.bytes;
         self.stats.copy_wall_ns += out.wall_ns;
         self.stats.copy_throttle_ns += out.throttle_ns;
         self.metrics.inc("realmem.copies");
         self.metrics.add("realmem.copied_bytes", out.bytes);
+    }
+
+    /// Report a copy this backend made itself on its own clock. A copy
+    /// the migration thread makes is reported by that thread, beside its
+    /// `migration_completed`.
+    fn emit_copy(&self, object: u32, from: TierId, to: TierId, out: &CopyOutcome) {
         let t = self.epoch.elapsed().as_nanos() as f64;
         let (bytes, wall_ns, throttle_ns, chunks) =
             (out.bytes, out.wall_ns, out.throttle_ns, out.chunks);
@@ -271,18 +277,13 @@ impl TierBackend for RealBackend {
         // and distinct tiers are distinct mappings, so they cannot
         // overlap.
         let out = unsafe { throttled_copy(src, dst, len, &cfg) };
-        self.account_copy(object, from, to, &out);
+        self.account_copy(&out);
+        self.emit_copy(object, from, to, &out);
         out
     }
 
-    fn record_external_copy(
-        &mut self,
-        object: u32,
-        from: TierId,
-        to: TierId,
-        outcome: &CopyOutcome,
-    ) {
-        self.account_copy(object, from, to, outcome);
+    fn record_external_copy(&mut self, outcome: &CopyOutcome) {
+        self.account_copy(outcome);
     }
 
     fn stats(&self) -> BackendStats {

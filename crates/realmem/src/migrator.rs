@@ -76,9 +76,9 @@ impl BackgroundMigrator {
     /// over `shared`'s tiers, as [`crate::RealBackend::copy_configs`]
     /// returns it).
     ///
-    /// Each committed migration is reported as a `migration_issued` span
-    /// plus a `migration_completed` instant (the same events the
-    /// virtual-time engine emits, here on wall-clock time): to the
+    /// Each committed migration is reported as a `migration_issued` span,
+    /// a `migration_completed` instant and the copy's `real_copy_done`,
+    /// all on the shared store's clock ([`SharedHms::now_ns`]): to the
     /// lock-free `flight` lane when one is given (merged into the shared
     /// stream at drain time; each copy chunk's wall time also lands in
     /// the lane's `mig_chunk_ns` histogram), else to `emitter`. A
@@ -196,30 +196,41 @@ fn run_engine(
                 };
                 if completed {
                     let rec = shared.commit_move(started, &outcome);
-                    let issued = Event::MigrationIssued {
-                        t: rec.issued_at,
-                        object: rec.object.0,
-                        bytes: rec.bytes,
-                        from: rec.from.label(n_tiers),
-                        to: rec.to.label(n_tiers),
-                        start: rec.start,
-                        finish: rec.finish,
-                        queue_depth: pending.load(Ordering::SeqCst) as u32 - 1,
-                    };
-                    let done = Event::MigrationCompleted {
-                        t: rec.finish,
-                        object: rec.object.0,
-                        bytes: rec.bytes,
-                        overlap_ns: rec.overlapped_ns(),
-                    };
-                    match &flight {
-                        Some(f) => {
-                            f.emit(issued);
-                            f.emit(done);
-                        }
-                        None => {
-                            emitter.emit(|| issued);
-                            emitter.emit(|| done);
+                    let (from, to) = (rec.from.label(n_tiers), rec.to.label(n_tiers));
+                    let events = [
+                        Event::MigrationIssued {
+                            t: rec.issued_at,
+                            object: rec.object.0,
+                            bytes: rec.bytes,
+                            from,
+                            to,
+                            start: rec.start,
+                            finish: rec.finish,
+                            queue_depth: pending.load(Ordering::SeqCst) as u32 - 1,
+                        },
+                        Event::MigrationCompleted {
+                            t: rec.finish,
+                            object: rec.object.0,
+                            bytes: rec.bytes,
+                            overlap_ns: rec.overlapped_ns(),
+                        },
+                        Event::RealCopyDone {
+                            t: rec.finish,
+                            object: rec.object.0,
+                            bytes: outcome.bytes,
+                            from,
+                            to,
+                            wall_ns: outcome.wall_ns,
+                            throttle_ns: outcome.throttle_ns,
+                            chunks: outcome.chunks,
+                        },
+                    ];
+                    for ev in events {
+                        match &flight {
+                            Some(f) => {
+                                f.emit(ev);
+                            }
+                            None => emitter.emit(|| ev),
                         }
                     }
                     if let Some(obs) = &observer {
@@ -516,9 +527,14 @@ mod tests {
         eng.enqueue(a, TierId::FASTEST);
         let report = eng.finish();
         assert_eq!(report.stats.count, 1);
-        let kinds: Vec<&str> = buffer.drain().iter().map(|e| e.kind()).collect();
-        assert!(kinds.contains(&"migration_issued"));
-        assert!(kinds.contains(&"migration_completed"));
+        let events = buffer.drain();
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
+        assert_eq!(
+            kinds,
+            ["migration_issued", "migration_completed", "real_copy_done"]
+        );
+        // The copy is reported on the commit's clock.
+        assert_eq!(events[2].timestamp(), events[1].timestamp());
     }
 
     #[test]

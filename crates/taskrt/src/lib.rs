@@ -28,9 +28,6 @@
 //!   parallelism.
 //! * [`lookahead`] — deterministic extraction of the "soon-to-run" task
 //!   window the proactive migration planner consumes.
-//! * [`obs`] — a [`simsched::SchedulerHooks`] decorator that emits the
-//!   structured event stream (task start/finish, window boundaries,
-//!   dispatch stalls) through `tahoe-obs`.
 
 // Pure graph/scheduling logic: nothing here touches raw memory, so the
 // whole crate stays safe by construction.
@@ -39,19 +36,15 @@
 pub mod deps;
 pub mod graph;
 pub mod lookahead;
-pub mod obs;
 pub mod pool;
 pub mod simsched;
 pub mod stats;
 pub mod task;
-pub mod trace;
 pub mod wsexec;
 
 pub use graph::TaskGraph;
-pub use obs::ObsHooks;
 pub use pool::{run_scoped, JobHandle, JobSpec, PoolStats, TaskPanic, TaskPool};
 pub use simsched::{NullHooks, SchedulerHooks, SimScheduler};
 pub use stats::SchedStats;
 pub use task::{AccessMode, TaskAccess, TaskClassId, TaskId, TaskSpec};
-pub use trace::{Trace, TraceHooks};
 pub use wsexec::{DataGate, NoGate, WsExecutor, WsStats};

@@ -38,7 +38,6 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>12} {:>10}",
         "NVM device", "NVM-only", "tahoe", "recovered%", "migrations"
     );
-    let mut timeline = None;
     for nvm in devices {
         let dram = presets::dram(dram_budget);
         let copy = presets::copy_channel_gbps(&dram, &nvm);
@@ -47,10 +46,7 @@ fn main() {
 
         let d = rt.run(&app, &PolicyKind::DramOnly);
         let n = rt.run(&app, &PolicyKind::NvmOnly);
-        let (t, trace) = rt.run_traced(&app, &PolicyKind::tahoe());
-        if timeline.is_none() {
-            timeline = Some(trace);
-        }
+        let t = rt.run(&app, &PolicyKind::tahoe());
         println!(
             "{:<18} {:>9.2}x {:>9.2}x {:>11.0}% {:>10}",
             nvm.name,
@@ -58,12 +54,6 @@ fn main() {
             t.slowdown_vs(d.makespan_ns),
             100.0 * t.gap_recovery(d.makespan_ns, n.makespan_ns),
             t.migrations.count,
-        );
-    }
-    if let Some(trace) = timeline {
-        println!(
-            "\nschedule timeline (first device, tahoe):\n{}",
-            trace.render(64)
         );
     }
 }
