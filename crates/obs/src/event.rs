@@ -304,8 +304,8 @@ events! {
             tenant: u32,
             /// Granted DRAM quota, bytes.
             quota_bytes: u64,
-            /// The tenant's declared DRAM demand (bytes of positive-value
-            /// objects) the demand-proportional split saw.
+            /// The tenant's declared DRAM demand: bytes of the
+            /// positive-value objects the arbiter ranks by value per byte.
             demand_bytes: u64,
         },
         /// The arbiter preempted one DRAM-resident object of a tenant,

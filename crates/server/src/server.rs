@@ -123,8 +123,12 @@ struct TenantInfo {
     sizes: Vec<u64>,
     /// Predicted whole-run value of DRAM residence per object.
     values: Vec<f64>,
-    /// Bytes of objects with positive value (declared DRAM demand).
-    demand: u64,
+    /// The objects with positive value as `(bytes, value)`, densest
+    /// first: what the arbiter hands the leftover budget out by. Boxed:
+    /// a `Vec`'s extra word moves this struct's `Arc` into a larger
+    /// malloc class, which cost `serve_mix` 4 MiB of peak RSS in heap
+    /// layout alone (DESIGN.md decision 21).
+    demand: Box<[(u64, f64)]>,
 }
 
 /// Completed-execution record delivered through a [`GraphTicket`].
@@ -321,6 +325,9 @@ pub struct TenantReport {
     pub demoted_bytes: u64,
     /// DRAM quota at the last arbitration this tenant saw.
     pub last_quota: u64,
+    /// The tenant's objects (its own indices, ascending) resident in
+    /// DRAM once the migration engine had drained at shutdown.
+    pub dram_objects: Vec<u32>,
     /// Exact end-to-end latency of every completed graph, ns.
     pub latencies_ns: Vec<f64>,
     /// Log-bucketed digest of the same latencies (mergeable across
@@ -500,22 +507,16 @@ impl TahoeServer {
             AccessPrices::new(&app.graph, self.sh.hms_cfg.tier_specs(), Some(&self.sh.cal));
         let values = prices.values(&app).per_tier;
         let values: Vec<f64> = values.iter().map(|v| v[0]).collect();
-        let demand = app
-            .objects
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| values[*i] > 0.0)
-            .map(|(_, o)| o.size)
-            .sum();
+        let sizes: Vec<u64> = app.objects.iter().map(|o| o.size).collect();
+        let demand = arbiter::by_density(&sizes, &values).into_boxed_slice();
         let layout = GraphLayout::new(&app.graph, ids, prices);
-        let App { objects, graph, .. } = app;
         let info = Arc::new(TenantInfo {
             id: tid,
             name: spec.name,
             weight: spec.weight,
-            graph: Arc::new(graph),
+            graph: Arc::new(app.graph),
             layout: Arc::new(layout),
-            sizes: objects.iter().map(|o| o.size).collect(),
+            sizes,
             values,
             demand,
         });
@@ -601,6 +602,13 @@ impl TahoeServer {
                 promoted_bytes: t.promoted_bytes,
                 demoted_bytes: t.demoted_bytes,
                 last_quota: t.last_quota,
+                dram_objects: self.sh.hms.with(|hms| {
+                    (0..t.info.sizes.len() as u32)
+                        .filter(|&i| {
+                            hms.tier_of(t.info.layout.ids()[i as usize]) == Ok(TierId::FASTEST)
+                        })
+                        .collect()
+                }),
                 latencies_ns: t.latencies.clone(),
                 hist: t.hist.data(),
             })
@@ -881,7 +889,7 @@ impl ServerShared {
                     .iter()
                     .map(|t| TenantDemand {
                         weight: t.info.weight,
-                        demand: t.info.demand,
+                        objects: &t.info.demand,
                         active: Activity {
                             busy: t.busy,
                             queued: !t.queue.is_empty(),
@@ -894,12 +902,12 @@ impl ServerShared {
                 for (i, t) in inner.tenants.iter_mut().enumerate() {
                     if q[i] != t.last_quota {
                         t.last_quota = q[i];
-                        let (tenant, demand) = (t.info.id, t.info.demand);
+                        let (tenant, demand) = (t.info.id, &t.info.demand);
                         self.emitter.emit(|| Event::TenantQuota {
                             t: now,
                             tenant,
                             quota_bytes: q[i],
-                            demand_bytes: demand,
+                            demand_bytes: demand.iter().map(|o| o.0).sum(),
                         });
                     }
                 }

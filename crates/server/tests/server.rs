@@ -573,3 +573,85 @@ fn queued_submission_runs_after_the_busy_graph() {
     let report = srv.shutdown();
     assert_eq!(report.tenants[0].completed, 2);
 }
+
+/// `serve_mix`'s tenant shape: 16 × 256 KiB objects in four quartets;
+/// each quartet's one hot object is updated in every window of four,
+/// its three cold ones are read once each.
+fn quartet_app(name: &str, tenant: usize) -> (App, Vec<u32>) {
+    const SIZE: u64 = 256 << 10;
+    let mut b = AppBuilder::new(name);
+    let ids: Vec<ObjectId> = (0..16).map(|i| b.object(&format!("s{i}"), SIZE)).collect();
+    let hot: Vec<u32> = (0..4).map(|q| 4 * q + (q + tenant as u32) % 4).collect();
+    let c = b.class("serve");
+    for w in 0..4u32 {
+        if w > 0 {
+            b.next_window();
+        }
+        for q in 0..4u32 {
+            let h = hot[q as usize];
+            b.task(c)
+                .update_streaming(ids[h as usize], SIZE / 64)
+                .submit();
+            let cold = (4 * q..4 * q + 4)
+                .filter(|&k| k != h)
+                .nth(((w + q) % 4) as usize);
+            if let Some(k) = cold {
+                b.task(c)
+                    .read_streaming(ids[k as usize], SIZE / 64)
+                    .submit();
+            }
+        }
+    }
+    (b.build(), hot)
+}
+
+/// Weights 2/1/1 and a 3 MiB budget over three 4 MiB tenants with a
+/// 1 MiB hot set each. Splitting what the floors leave by declared
+/// bytes gave tenants 1 and 2 0.875 MiB each, one hot object short;
+/// handed out by value per byte, it covers every hot set.
+#[test]
+fn every_tenant_keeps_its_hot_set_in_dram() {
+    const ROUNDS: u64 = 3;
+    let weights = [2.0, 1.0, 1.0];
+    let report = within_a_minute(move || {
+        // One worker, so the test judges placement, not the host.
+        let srv = server(ServerConfig {
+            workers: 1,
+            ..config(quota_mode(), 3 << 20, 1)
+        });
+        let handles: Vec<_> = weights
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let name = format!("m{i}");
+                srv.register_tenant(TenantSpec::new(&name, w), quartet_app(&name, i).0)
+                    .expect("register")
+            })
+            .collect();
+        // Every tenant submits, then all wait: from the second round on
+        // each admission sees all three active.
+        for round in 0..ROUNDS {
+            let subs: Vec<_> = handles.iter().map(|h| h.submit(round)).collect();
+            for (i, s) in subs.iter().enumerate() {
+                let o = s.ticket().expect("admitted or queued").wait();
+                let app = quartet_app(&format!("m{i}"), i).0;
+                assert_eq!(o.checksum, reference_checksum_seeded(&app, round));
+            }
+        }
+        drop(handles);
+        srv.shutdown()
+    });
+    for (i, t) in report.tenants.iter().enumerate() {
+        let hot = quartet_app(&t.name, i).1;
+        assert!(
+            t.last_quota >= 1 << 20,
+            "tenant {i}'s quota {} is below its 1 MiB hot set",
+            t.last_quota
+        );
+        assert!(
+            hot.iter().all(|h| t.dram_objects.contains(h)),
+            "tenant {i}'s hot objects {hot:?} are not all in DRAM: {:?}",
+            t.dram_objects
+        );
+    }
+}
