@@ -135,11 +135,6 @@ impl AppBuilder {
         self.graph.mark_window();
     }
 
-    /// Add an explicit dependence (barrier-style).
-    pub fn dep(&mut self, from: TaskId, to: TaskId) {
-        self.graph.add_dep(from, to);
-    }
-
     /// Finish building; validates the application.
     pub fn build(self) -> App {
         let app = App {

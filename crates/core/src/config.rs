@@ -1,8 +1,6 @@
 //! Platform and runtime configuration.
 
 use tahoe_hms::{presets, HmsConfig, HmsError, TierId, TierSpec};
-use tahoe_memprof::SamplerConfig;
-use tahoe_perfmodel::ModelParams;
 
 /// The simulated hardware platform: the ordered tier list (fastest
 /// first, at least two — the first tier's capacity is the scarce fast
@@ -133,27 +131,20 @@ pub const MIN_CLASS_INSTANCES: u32 = 1;
 /// plan (the paper profiles the first two iterations).
 pub const PROFILE_WINDOWS: u32 = 2;
 
+/// Chunk size of the virtual driver's large-object decomposition
+/// (`TahoeOptions::chunking`), bytes.
+pub const CHUNK_BYTES: u64 = 512 << 10;
+
 /// Runtime configuration shared by all policies.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Number of simulated workers.
     pub workers: usize,
-    /// Model thresholds/knobs.
-    pub model: ModelParams,
-    /// Sampling profiler configuration.
-    pub sampler: SamplerConfig,
-    /// Chunk size for large-object decomposition, bytes.
-    pub chunk_size: u64,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig {
-            workers: 4,
-            model: ModelParams::default(),
-            sampler: SamplerConfig::default(),
-            chunk_size: 512 << 10,
-        }
+        RuntimeConfig { workers: 4 }
     }
 }
 
@@ -208,8 +199,9 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper_choices() {
-        let c = RuntimeConfig::default();
+        assert_eq!(RuntimeConfig::default().workers, 4);
         assert_eq!(PROFILE_WINDOWS, 2);
-        assert_eq!(c.sampler.interval, 1000);
+        assert_eq!(CHUNK_BYTES, 512 << 10);
+        assert_eq!(tahoe_memprof::SamplerConfig::default().interval, 1000);
     }
 }

@@ -25,13 +25,13 @@ use tahoe_hms::{
     migrate::{CopyChannel, MigrationRecord, MigrationStats},
     Hms, Ns, ObjectId, TierId,
 };
-use tahoe_memprof::{calibrate::calibrate, Calibration, ProfileDb, Sampler};
-use tahoe_perfmodel::Demand;
+use tahoe_memprof::{calibrate::calibrate, Calibration, ProfileDb, Sampler, SamplerConfig};
+use tahoe_perfmodel::{Demand, VARIATION_THRESHOLD};
 use tahoe_placement::{global_plan, local_plan, search::WindowDemand, Plan, PlanKind, WeighCtx};
 use tahoe_taskrt::{SchedulerHooks, TaskSpec};
 
 use crate::app::App;
-use crate::config::{Platform, RuntimeConfig, MIN_CLASS_INSTANCES, PROFILE_WINDOWS};
+use crate::config::{Platform, CHUNK_BYTES, MIN_CLASS_INSTANCES, PROFILE_WINDOWS};
 use crate::hwcache::cached_mem_time_ns;
 use crate::overhead::{
     OverheadLedger, PLAN_COST_PER_CANDIDATE_NS, PROFILING_TASK_INFLATION, SYNC_COST_PER_TASK_NS,
@@ -53,7 +53,6 @@ const DRAM: TierId = TierId::FASTEST;
 /// The policy driver (see module docs).
 pub struct Driver<'a> {
     app: &'a App,
-    cfg: &'a RuntimeConfig,
     policy: PolicyKind,
     platform: Platform,
     /// The memory system (tiers sized per policy).
@@ -99,12 +98,7 @@ pub struct Driver<'a> {
 impl<'a> Driver<'a> {
     /// Build a driver: allocates every object per the policy's initial
     /// placement.
-    pub fn new(
-        app: &'a App,
-        platform: &Platform,
-        cfg: &'a RuntimeConfig,
-        policy: PolicyKind,
-    ) -> Self {
+    pub fn new(app: &'a App, platform: &Platform, policy: PolicyKind) -> Self {
         let footprint = app.footprint();
         // The bounds policies must be able to hold everything in one tier.
         let plat = match policy {
@@ -132,8 +126,8 @@ impl<'a> Driver<'a> {
         for (i, spec) in app.objects.iter().enumerate() {
             let chunk = opts
                 .as_ref()
-                .filter(|o| o.chunking && spec.chunkable && spec.size > cfg.chunk_size)
-                .map(|_| cfg.chunk_size);
+                .filter(|o| o.chunking && spec.chunkable && spec.size > CHUNK_BYTES)
+                .map(|_| CHUNK_BYTES);
             match chunk {
                 Some(chunk_size) => {
                     let n = spec.size.div_ceil(chunk_size);
@@ -159,7 +153,8 @@ impl<'a> Driver<'a> {
         }
 
         // ---- offline calibration (Tahoe only needs it, harmless else) --
-        let calib = calibrate(plat.fastest(), plat.spill(), &cfg.sampler);
+        let sampler = SamplerConfig::default();
+        let calib = calibrate(plat.fastest(), plat.spill(), &sampler);
 
         let profiling_until = match &policy {
             PolicyKind::Tahoe(_) => PROFILE_WINDOWS,
@@ -168,7 +163,6 @@ impl<'a> Driver<'a> {
 
         Driver {
             app,
-            cfg,
             policy,
             channel: CopyChannel::new(plat.copy_bw_gbps),
             platform: plat,
@@ -179,7 +173,7 @@ impl<'a> Driver<'a> {
             inflight: HashMap::new(),
             matured: Vec::new(),
             block_until: 0.0,
-            sampler: Sampler::new(cfg.sampler.clone()),
+            sampler: Sampler::new(sampler),
             db: ProfileDb::new(),
             calib,
             plan: None,
@@ -525,11 +519,7 @@ impl<'a> Driver<'a> {
             nvm: self.platform.spill().clone(),
             dram: self.platform.fastest().clone(),
             calib: self.calib,
-            params: {
-                let mut p = self.cfg.model;
-                p.distinguish_rw = opts.distinguish_rw;
-                p
-            },
+            distinguish_rw: opts.distinguish_rw,
             copy_bw_gbps: self.platform.copy_bw_gbps,
             // The helper thread can hide at most a fraction of one
             // window of execution per migration.
@@ -753,7 +743,7 @@ impl<'a> Driver<'a> {
         }
         let d1 = self.window_started_at[n - 1].1 - self.window_started_at[n - 2].1;
         let d0 = self.window_started_at[n - 2].1 - self.window_started_at[n - 3].1;
-        if d0 > 0.0 && ((d1 - d0) / d0).abs() > self.cfg.model.variation_threshold {
+        if d0 > 0.0 && ((d1 - d0) / d0).abs() > VARIATION_THRESHOLD {
             // Re-profile the next PROFILE_WINDOWS windows, then replan.
             self.db.clear();
             self.plan = None;
@@ -928,8 +918,7 @@ mod tests {
     #[test]
     fn dram_only_places_everything_in_dram() {
         let app = two_object_app(3);
-        let cfg = RuntimeConfig::default();
-        let d = Driver::new(&app, &platform(), &cfg, PolicyKind::DramOnly);
+        let d = Driver::new(&app, &platform(), PolicyKind::DramOnly);
         assert_eq!(d.hms.objects_on(DRAM).len(), 2);
         assert_eq!(d.hms.objects_on(TierId(1)).len(), 0);
     }
@@ -937,16 +926,14 @@ mod tests {
     #[test]
     fn nvm_only_places_everything_in_nvm() {
         let app = two_object_app(3);
-        let cfg = RuntimeConfig::default();
-        let d = Driver::new(&app, &platform(), &cfg, PolicyKind::NvmOnly);
+        let d = Driver::new(&app, &platform(), PolicyKind::NvmOnly);
         assert_eq!(d.hms.objects_on(TierId(1)).len(), 2);
     }
 
     #[test]
     fn first_touch_fills_dram_then_overflows() {
         let app = two_object_app(3); // 2 MB footprint, 1 MB DRAM
-        let cfg = RuntimeConfig::default();
-        let d = Driver::new(&app, &platform(), &cfg, PolicyKind::FirstTouch);
+        let d = Driver::new(&app, &platform(), PolicyKind::FirstTouch);
         assert_eq!(d.hms.objects_on(DRAM).len(), 1);
         assert_eq!(d.hms.objects_on(TierId(1)).len(), 1);
         assert_eq!(d.hms.dram_fallbacks, 1);
@@ -955,8 +942,7 @@ mod tests {
     #[test]
     fn static_offline_picks_the_hot_object() {
         let app = two_object_app(3);
-        let cfg = RuntimeConfig::default();
-        let d = Driver::new(&app, &platform(), &cfg, PolicyKind::StaticOffline);
+        let d = Driver::new(&app, &platform(), PolicyKind::StaticOffline);
         let dram = d.hms.objects_on(DRAM);
         assert_eq!(dram.len(), 1);
         // Object 0 ("hot") must be the chosen one.
@@ -966,8 +952,7 @@ mod tests {
     #[test]
     fn tahoe_initial_placement_uses_compiler_estimates() {
         let app = two_object_app(3);
-        let cfg = RuntimeConfig::default();
-        let d = Driver::new(&app, &platform(), &cfg, PolicyKind::tahoe());
+        let d = Driver::new(&app, &platform(), PolicyKind::tahoe());
         let dram = d.hms.objects_on(DRAM);
         assert_eq!(dram.len(), 1);
         assert_eq!(d.hms.meta(dram[0]).unwrap().name, "hot");
@@ -976,29 +961,24 @@ mod tests {
     #[test]
     fn tahoe_without_initial_placement_starts_in_nvm() {
         let app = two_object_app(3);
-        let cfg = RuntimeConfig::default();
         let o = TahoeOptions {
             initial_placement: false,
             ..TahoeOptions::default()
         };
-        let d = Driver::new(&app, &platform(), &cfg, PolicyKind::Tahoe(o));
+        let d = Driver::new(&app, &platform(), PolicyKind::Tahoe(o));
         assert_eq!(d.hms.objects_on(DRAM).len(), 0);
     }
 
     #[test]
     fn chunking_materializes_chunks() {
         let mut b = AppBuilder::new("t");
-        let big = b.object_chunkable("big", 10 << 20);
+        let big = b.object_chunkable("big", 2 * CHUNK_BYTES + CHUNK_BYTES / 2);
         let c = b.class("s");
         b.task(c).read_streaming(big, 1000).submit();
         let app = b.build();
-        let cfg = RuntimeConfig {
-            chunk_size: 4 << 20,
-            ..RuntimeConfig::default()
-        };
-        let d = Driver::new(&app, &platform(), &cfg, PolicyKind::tahoe());
-        assert_eq!(d.units[0].len(), 3); // 4 + 4 + 2 MB
+        let d = Driver::new(&app, &platform(), PolicyKind::tahoe());
+        assert_eq!(d.units[0].len(), 3); // 512 + 512 + 256 KiB
         let total: u64 = d.units[0].iter().map(|&u| d.hms.size_of(u).unwrap()).sum();
-        assert_eq!(total, 10 << 20);
+        assert_eq!(total, 1280 << 10);
     }
 }

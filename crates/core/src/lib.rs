@@ -21,8 +21,9 @@
 //!    proactively at window boundaries, overlapping copies with task
 //!    execution; tasks stall only if they reach an object whose promotion
 //!    is still in flight ([`tahoe_hms::migrate`]).
-//! 5. **Adapt** — if per-window performance drifts beyond a threshold,
-//!    profiling is re-armed and the plan recomputed.
+//! 5. **Adapt** — if per-window performance drifts beyond the paper's
+//!    10 % ([`tahoe_perfmodel::VARIATION_THRESHOLD`]), profiling is
+//!    re-armed and the plan recomputed.
 //!
 //! ## Entry points
 //!
@@ -31,7 +32,9 @@
 //!   hardware-cache / offline-static / Tahoe (with ablation switches in
 //!   [`policy::TahoeOptions`]).
 //! * [`runtime::Runtime`] — run an [`app::App`] under a policy on a
-//!   configured platform and get a [`report::RunReport`].
+//!   platform and get a [`report::RunReport`]. Its [`RuntimeConfig`]
+//!   sets only the worker count: the model thresholds and the chunk
+//!   size ([`config::CHUNK_BYTES`]) are fixed.
 //! * [`MeasuredRuntime::with_observability`](measured::MeasuredRuntime::with_observability)
 //!   — a wall-clock run with the structured observability layer on: the
 //!   typed event stream (exportable as JSONL or a Chrome/Perfetto trace)

@@ -21,20 +21,10 @@ impl Runtime {
         Runtime { platform, config }
     }
 
-    /// The platform in force.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
     /// Execute `app` under `policy` and collect the report.
     pub fn run(&self, app: &App, policy: &PolicyKind) -> RunReport {
         app.validate().expect("invalid application");
-        let mut driver = Driver::new(app, &self.platform, &self.config, policy.clone());
+        let mut driver = Driver::new(app, &self.platform, policy.clone());
         let stats = SimScheduler::new(self.config.workers).run(&app.graph, &mut driver);
         RunReport {
             app: app.name.clone(),

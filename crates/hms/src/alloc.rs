@@ -137,11 +137,6 @@ impl TierAllocator {
         Some(size)
     }
 
-    /// Number of live allocations.
-    pub fn live_blocks(&self) -> usize {
-        self.live.len()
-    }
-
     /// Number of free blocks (a proxy for fragmentation).
     pub fn free_blocks(&self) -> usize {
         self.free.len()

@@ -602,13 +602,6 @@ impl Hms {
         self.next_id
     }
 
-    /// Ids of all live objects, ascending.
-    pub fn live_objects(&self) -> Vec<ObjectId> {
-        let mut v: Vec<ObjectId> = self.objects.keys().copied().collect();
-        v.sort();
-        v
-    }
-
     /// Ids of objects resident on `tier`, ascending.
     pub fn objects_on(&self, tier: impl TierRef) -> Vec<ObjectId> {
         let tier = self.resolve(tier);

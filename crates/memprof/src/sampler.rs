@@ -96,11 +96,6 @@ impl Sampler {
         Sampler { cfg, rng }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SamplerConfig {
-        &self.cfg
-    }
-
     /// Sample a true event count: `Binomial(truth, capture/interval)`
     /// approximated by its mean plus a Bernoulli on the fractional part —
     /// cheap, deterministic per seed, and within one sample of exact.

@@ -54,13 +54,6 @@ pub struct Segment {
     pub object: Option<u32>,
 }
 
-impl Segment {
-    /// Segment length in ns.
-    pub fn len_ns(&self) -> Ns {
-        (self.end - self.start).max(0.0)
-    }
-}
-
 /// The reconstructed critical path of one run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CritPath {

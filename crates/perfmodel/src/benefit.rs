@@ -4,7 +4,6 @@ use tahoe_hms::{Ns, TierSpec, CACHELINE};
 use tahoe_memprof::Calibration;
 
 use crate::demand::Demand;
-use crate::params::ModelParams;
 #[cfg(test)]
 use crate::sensitivity::{classify, Sensitivity};
 
@@ -37,35 +36,23 @@ pub fn benefit_bw_blind_ns(d: &Demand, nvm: &TierSpec, dram: &TierSpec, calib: &
     (n * cl / nvm.read_bw_gbps - n * cl / dram.read_bw_gbps) * calib.cf_bw
 }
 
-/// Read/write-blind latency benefit (Eq. 3).
-pub fn benefit_lat_blind_ns(
-    d: &Demand,
-    nvm: &TierSpec,
-    dram: &TierSpec,
-    calib: &Calibration,
-) -> Ns {
-    let n = d.accesses();
-    (n * nvm.read_lat_ns - n * dram.read_lat_ns) * calib.cf_lat / d.concurrency.max(1.0)
-}
-
 /// Full benefit of holding an object's traffic in DRAM for one horizon:
 /// the roofline-time difference between serving the demand from NVM and
 /// from DRAM (see [`crate::predict::predicted_mem_time_ns`]). For
 /// bandwidth-classified demand this reduces to the bandwidth model
 /// (Eq. 4), for dependent chains to the latency model (Eq. 5), and for
 /// the mixed band it avoids the over-prediction a bare `max(Eq.4, Eq.5)`
-/// gives to streams whose misses overlap. Honors `params.distinguish_rw`
-/// (the read/write-blind ablation prices all traffic at read cost,
-/// Eqs. 2–3).
+/// gives to streams whose misses overlap. `distinguish_rw = false` is
+/// the read/write-blind ablation: all traffic at read cost (Eqs. 2–3).
 pub fn dram_benefit_ns(
     d: &Demand,
     nvm: &TierSpec,
     dram: &TierSpec,
     calib: &Calibration,
-    params: &ModelParams,
+    distinguish_rw: bool,
 ) -> Ns {
-    crate::predict::predicted_mem_time_ns(d, nvm, calib, params)
-        - crate::predict::predicted_mem_time_ns(d, dram, calib, params)
+    crate::predict::predicted_mem_time_ns(d, nvm, calib, distinguish_rw)
+        - crate::predict::predicted_mem_time_ns(d, dram, calib, distinguish_rw)
 }
 
 #[cfg(test)]
@@ -103,18 +90,16 @@ mod tests {
     #[test]
     fn benefit_positive_when_nvm_slower() {
         let (dram, nvm, calib) = setup();
-        let p = ModelParams::default();
         let d = streaming(1.0e6, 5.0e5);
-        assert!(dram_benefit_ns(&d, &nvm, &dram, &calib, &p) > 0.0);
+        assert!(dram_benefit_ns(&d, &nvm, &dram, &calib, true) > 0.0);
         let d = chasing(1.0e6);
-        assert!(dram_benefit_ns(&d, &nvm, &dram, &calib, &p) > 0.0);
+        assert!(dram_benefit_ns(&d, &nvm, &dram, &calib, true) > 0.0);
     }
 
     #[test]
     fn benefit_zero_when_tiers_identical() {
         let dram = presets::dram(1 << 30);
         let calib = Calibration::identity(9.5, 9.5);
-        let p = ModelParams::default();
         // Write traffic prices differently (9 vs 10 GB/s) even on "DRAM
         // as NVM", so use pure loads for an exact zero.
         let d = Demand {
@@ -123,7 +108,7 @@ mod tests {
             active_ns: 6.4e6,
             ..Demand::ZERO
         };
-        let b = dram_benefit_ns(&d, &dram, &dram, &calib, &p);
+        let b = dram_benefit_ns(&d, &dram, &dram, &calib, true);
         assert!(b.abs() < 1e-6, "b = {b}");
     }
 
@@ -151,7 +136,6 @@ mod tests {
     #[test]
     fn mixed_takes_max_of_models() {
         let (dram, nvm, calib) = setup();
-        let p = ModelParams::default();
         // Mid-band demand: consumed bw = 50% of peak.
         let d = Demand {
             loads: 1.0e6,
@@ -159,10 +143,10 @@ mod tests {
             active_ns: 1.0e6 * 64.0 / 1.5,
             concurrency: 4.0,
         };
-        assert_eq!(classify(&d, calib.nvm_peak_bw_gbps, &p), Sensitivity::Mixed);
+        assert_eq!(classify(&d, calib.nvm_peak_bw_gbps), Sensitivity::Mixed);
         // The roofline benefit is bounded by both single-effect models'
         // NVM terms and is positive here.
-        let got = dram_benefit_ns(&d, &nvm, &dram, &calib, &p);
+        let got = dram_benefit_ns(&d, &nvm, &dram, &calib, true);
         assert!(got > 0.0);
         let bw = benefit_bw_ns(&d, &nvm, &dram, &calib);
         let lat = benefit_lat_ns(&d, &nvm, &dram, &calib);
@@ -182,7 +166,9 @@ mod tests {
     #[test]
     fn zero_demand_zero_benefit() {
         let (dram, nvm, calib) = setup();
-        let p = ModelParams::default();
-        assert_eq!(dram_benefit_ns(&Demand::ZERO, &nvm, &dram, &calib, &p), 0.0);
+        assert_eq!(
+            dram_benefit_ns(&Demand::ZERO, &nvm, &dram, &calib, true),
+            0.0
+        );
     }
 }

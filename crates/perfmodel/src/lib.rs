@@ -32,6 +32,6 @@ pub mod sensitivity;
 pub use benefit::dram_benefit_ns;
 pub use cost::migration_cost_ns;
 pub use demand::Demand;
-pub use params::ModelParams;
+pub use params::{T_HIGH, T_LOW, VARIATION_THRESHOLD};
 pub use predict::predicted_mem_time_ns;
 pub use sensitivity::{classify, Sensitivity};

@@ -1,60 +1,52 @@
-//! Tunable parameters of the models.
+//! The models' fixed thresholds: the paper's published values.
 
-/// Model thresholds and knobs, with the paper's published defaults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelParams {
-    /// Fraction of NVM peak bandwidth above which an object's traffic is
-    /// classified bandwidth-sensitive (the paper's `t1 = 80%`).
-    pub t_high: f64,
-    /// Fraction below which it is latency-sensitive (`t2 = 10%`).
-    pub t_low: f64,
-    /// Relative per-window performance drift that re-arms profiling
-    /// (the paper re-profiles on >10% variation).
-    pub variation_threshold: f64,
-    /// Whether the benefit model distinguishes loads from stores
-    /// (Eqs. 4–5) or treats all accesses as reads (Eqs. 2–3). The
-    /// read/write-distinction ablation flips this off.
-    pub distinguish_rw: bool,
-}
+/// Fraction of NVM peak bandwidth at or above which an object's traffic
+/// is classified bandwidth-sensitive (the paper's `t1 = 80%`).
+pub const T_HIGH: f64 = 0.8;
 
-impl Default for ModelParams {
-    fn default() -> Self {
-        ModelParams {
-            t_high: 0.8,
-            t_low: 0.1,
-            variation_threshold: 0.10,
-            distinguish_rw: true,
-        }
-    }
-}
+/// Fraction at or below which it is latency-sensitive (`t2 = 10%`).
+pub const T_LOW: f64 = 0.1;
 
-impl ModelParams {
-    /// The ablation variant that ignores read/write asymmetry.
-    pub fn without_rw_distinction(self) -> Self {
-        ModelParams {
-            distinguish_rw: false,
-            ..self
-        }
-    }
-}
+/// Relative per-window performance drift that re-arms profiling (the
+/// paper re-profiles on >10% variation).
+pub const VARIATION_THRESHOLD: f64 = 0.10;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{classify, predicted_mem_time_ns, Demand};
+    use tahoe_hms::presets;
+    use tahoe_memprof::Calibration;
 
     #[test]
     fn defaults_match_paper() {
-        let p = ModelParams::default();
-        assert_eq!(p.t_high, 0.8);
-        assert_eq!(p.t_low, 0.1);
-        assert_eq!(p.variation_threshold, 0.10);
-        assert!(p.distinguish_rw);
+        assert_eq!(T_HIGH, 0.8);
+        assert_eq!(T_LOW, 0.1);
+        assert_eq!(VARIATION_THRESHOLD, 0.10);
     }
 
+    /// The read/write-blind ablation flips only the pricing switch: a
+    /// store costs what a load does, and the classification thresholds
+    /// are the same for both models.
     #[test]
     fn ablation_flag() {
-        let p = ModelParams::default().without_rw_distinction();
-        assert!(!p.distinguish_rw);
-        assert_eq!(p.t_high, 0.8);
+        let nvm = presets::optane_pmm(1 << 30);
+        let calib = Calibration::identity(3.0, 9.5);
+        let loads = Demand {
+            loads: 1.0e6,
+            stores: 0.0,
+            active_ns: 1.0e6,
+            concurrency: 16.0,
+        };
+        let stores = Demand {
+            loads: 0.0,
+            stores: 1.0e6,
+            ..loads
+        };
+        let blind = |d| predicted_mem_time_ns(&d, &nvm, &calib, false);
+        assert_eq!(blind(stores), blind(loads));
+        let aware = |d| predicted_mem_time_ns(&d, &nvm, &calib, true);
+        assert!(aware(stores) > aware(loads));
+        assert_eq!(classify(&stores, 3.0), classify(&loads, 3.0));
     }
 }

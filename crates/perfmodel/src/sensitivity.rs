@@ -1,7 +1,7 @@
 //! Bandwidth- vs latency-sensitivity classification.
 
 use crate::demand::Demand;
-use crate::params::ModelParams;
+use crate::params::{T_HIGH, T_LOW};
 
 /// Why a data object's traffic suffers on NVM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,11 +17,11 @@ pub enum Sensitivity {
 /// Classify `demand` against the NVM peak bandwidth (the paper's rule:
 /// consumed BW ≥ t1·peak ⇒ bandwidth-sensitive; ≤ t2·peak ⇒
 /// latency-sensitive; otherwise mixed).
-pub fn classify(demand: &Demand, nvm_peak_bw_gbps: f64, params: &ModelParams) -> Sensitivity {
+pub fn classify(demand: &Demand, nvm_peak_bw_gbps: f64) -> Sensitivity {
     let bw = demand.consumed_bw_gbps();
-    if bw >= params.t_high * nvm_peak_bw_gbps {
+    if bw >= T_HIGH * nvm_peak_bw_gbps {
         Sensitivity::Bandwidth
-    } else if bw <= params.t_low * nvm_peak_bw_gbps {
+    } else if bw <= T_LOW * nvm_peak_bw_gbps {
         Sensitivity::Latency
     } else {
         Sensitivity::Mixed
@@ -45,44 +45,25 @@ mod tests {
 
     #[test]
     fn high_consumption_is_bandwidth_sensitive() {
-        let p = ModelParams::default();
-        assert_eq!(
-            classify(&demand_with_bw(4.0), 4.0, &p),
-            Sensitivity::Bandwidth
-        );
-        assert_eq!(
-            classify(&demand_with_bw(3.3), 4.0, &p),
-            Sensitivity::Bandwidth
-        );
+        assert_eq!(classify(&demand_with_bw(4.0), 4.0), Sensitivity::Bandwidth);
+        assert_eq!(classify(&demand_with_bw(3.3), 4.0), Sensitivity::Bandwidth);
     }
 
     #[test]
     fn low_consumption_is_latency_sensitive() {
-        let p = ModelParams::default();
-        assert_eq!(
-            classify(&demand_with_bw(0.3), 4.0, &p),
-            Sensitivity::Latency
-        );
-        assert_eq!(classify(&Demand::ZERO, 4.0, &p), Sensitivity::Latency);
+        assert_eq!(classify(&demand_with_bw(0.3), 4.0), Sensitivity::Latency);
+        assert_eq!(classify(&Demand::ZERO, 4.0), Sensitivity::Latency);
     }
 
     #[test]
     fn middle_band_is_mixed() {
-        let p = ModelParams::default();
-        assert_eq!(classify(&demand_with_bw(2.0), 4.0, &p), Sensitivity::Mixed);
+        assert_eq!(classify(&demand_with_bw(2.0), 4.0), Sensitivity::Mixed);
     }
 
     #[test]
     fn thresholds_are_inclusive() {
-        let p = ModelParams::default();
         // exactly t1·peak → bandwidth; exactly t2·peak → latency.
-        assert_eq!(
-            classify(&demand_with_bw(3.2), 4.0, &p),
-            Sensitivity::Bandwidth
-        );
-        assert_eq!(
-            classify(&demand_with_bw(0.4), 4.0, &p),
-            Sensitivity::Latency
-        );
+        assert_eq!(classify(&demand_with_bw(3.2), 4.0), Sensitivity::Bandwidth);
+        assert_eq!(classify(&demand_with_bw(0.4), 4.0), Sensitivity::Latency);
     }
 }

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use tahoe_hms::presets;
 use tahoe_memprof::Calibration;
 use tahoe_perfmodel::{
-    classify, dram_benefit_ns, migration_cost_ns, predicted_mem_time_ns, Demand, ModelParams,
-    Sensitivity,
+    classify, dram_benefit_ns, migration_cost_ns, predicted_mem_time_ns, Demand, Sensitivity,
+    T_HIGH, T_LOW,
 };
 
 fn demand_strategy() -> impl Strategy<Value = Demand> {
@@ -36,8 +36,7 @@ proptest! {
             .scale_latency(lat_mult)
             .unwrap();
         let calib = Calibration::identity(2.0, 9.5);
-        let params = ModelParams::default();
-        let b = dram_benefit_ns(&d, &nvm, &dram, &calib, &params);
+        let b = dram_benefit_ns(&d, &nvm, &dram, &calib, true);
         prop_assert!(b >= -1e-6, "negative benefit {b} on uniformly slower NVM");
     }
 
@@ -48,18 +47,17 @@ proptest! {
     ) {
         let nvm = presets::optane_pmm(1 << 30);
         let calib = Calibration::identity(2.3, 9.5);
-        let params = ModelParams::default();
         let mut bigger = d;
         bigger.loads += extra;
         prop_assert!(
-            predicted_mem_time_ns(&bigger, &nvm, &calib, &params)
-                >= predicted_mem_time_ns(&d, &nvm, &calib, &params) - 1e-9
+            predicted_mem_time_ns(&bigger, &nvm, &calib, true)
+                >= predicted_mem_time_ns(&d, &nvm, &calib, true) - 1e-9
         );
         let mut more_stores = d;
         more_stores.stores += extra;
         prop_assert!(
-            predicted_mem_time_ns(&more_stores, &nvm, &calib, &params)
-                >= predicted_mem_time_ns(&d, &nvm, &calib, &params) - 1e-9
+            predicted_mem_time_ns(&more_stores, &nvm, &calib, true)
+                >= predicted_mem_time_ns(&d, &nvm, &calib, true) - 1e-9
         );
     }
 
@@ -70,12 +68,11 @@ proptest! {
     ) {
         let nvm = presets::pcram(1 << 30);
         let calib = Calibration::identity(0.4, 9.5);
-        let params = ModelParams::default();
         let mut faster = d;
         faster.concurrency = d.concurrency * boost;
         prop_assert!(
-            predicted_mem_time_ns(&faster, &nvm, &calib, &params)
-                <= predicted_mem_time_ns(&d, &nvm, &calib, &params) + 1e-9
+            predicted_mem_time_ns(&faster, &nvm, &calib, true)
+                <= predicted_mem_time_ns(&d, &nvm, &calib, true) + 1e-9
         );
     }
 
@@ -84,15 +81,14 @@ proptest! {
         d in demand_strategy(),
         peak in 0.1f64..20.0,
     ) {
-        let params = ModelParams::default();
-        let class = classify(&d, peak, &params);
+        let class = classify(&d, peak);
         let bw = d.consumed_bw_gbps();
         match class {
-            Sensitivity::Bandwidth => prop_assert!(bw >= params.t_high * peak - 1e-9),
-            Sensitivity::Latency => prop_assert!(bw <= params.t_low * peak + 1e-9),
+            Sensitivity::Bandwidth => prop_assert!(bw >= T_HIGH * peak - 1e-9),
+            Sensitivity::Latency => prop_assert!(bw <= T_LOW * peak + 1e-9),
             Sensitivity::Mixed => {
-                prop_assert!(bw > params.t_low * peak - 1e-9);
-                prop_assert!(bw < params.t_high * peak + 1e-9);
+                prop_assert!(bw > T_LOW * peak - 1e-9);
+                prop_assert!(bw < T_HIGH * peak + 1e-9);
             }
         }
     }
@@ -131,9 +127,8 @@ proptest! {
     ) {
         let nvm = presets::optane_pmm(1 << 30);
         let calib = Calibration::identity(2.3, 9.5);
-        let params = ModelParams::default();
-        let whole = predicted_mem_time_ns(&d, &nvm, &calib, &params);
-        let part = predicted_mem_time_ns(&d.scale(f), &nvm, &calib, &params);
+        let whole = predicted_mem_time_ns(&d, &nvm, &calib, true);
+        let part = predicted_mem_time_ns(&d.scale(f), &nvm, &calib, true);
         prop_assert!((part - whole * f).abs() <= 1e-6 * whole.max(1.0));
     }
 }

@@ -178,14 +178,13 @@ mod tests {
     use super::*;
     use tahoe_hms::presets;
     use tahoe_memprof::Calibration;
-    use tahoe_perfmodel::ModelParams;
 
     fn ctx() -> WeighCtx {
         WeighCtx {
             nvm: presets::optane_pmm(1 << 34),
             dram: presets::dram(1 << 28),
             calib: Calibration::identity(3.0, 9.5),
-            params: ModelParams::default(),
+            distinguish_rw: true,
             copy_bw_gbps: 5.0,
             overlap_credit_ns: 0.0,
             dram_pressure: 0.0,

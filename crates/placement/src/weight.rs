@@ -11,7 +11,7 @@
 
 use tahoe_hms::{Ns, ObjectId, TierSpec};
 use tahoe_memprof::Calibration;
-use tahoe_perfmodel::{cost, dram_benefit_ns, Demand, ModelParams};
+use tahoe_perfmodel::{cost, dram_benefit_ns, Demand};
 
 use crate::knapsack::Item;
 
@@ -37,8 +37,9 @@ pub struct WeighCtx {
     pub dram: TierSpec,
     /// Platform calibration.
     pub calib: Calibration,
-    /// Model parameters.
-    pub params: ModelParams,
+    /// Whether the benefit model prices loads and stores separately
+    /// (`false`: the read/write-blind ablation).
+    pub distinguish_rw: bool,
     /// Copy-channel bandwidth, GB/s.
     pub copy_bw_gbps: f64,
     /// Expected overlap credit per migration, ns (how much copy time the
@@ -53,7 +54,13 @@ pub struct WeighCtx {
 impl WeighCtx {
     /// Price one candidate into a knapsack item.
     pub fn weigh(&self, c: &ObjectCandidate) -> Item {
-        let benefit = dram_benefit_ns(&c.demand, &self.nvm, &self.dram, &self.calib, &self.params);
+        let benefit = dram_benefit_ns(
+            &c.demand,
+            &self.nvm,
+            &self.dram,
+            &self.calib,
+            self.distinguish_rw,
+        );
         let move_cost = if c.resident {
             0.0
         } else {
@@ -87,7 +94,7 @@ mod tests {
             nvm: presets::optane_pmm(1 << 34),
             dram: presets::dram(1 << 28),
             calib: Calibration::identity(3.0, 9.5),
-            params: ModelParams::default(),
+            distinguish_rw: true,
             copy_bw_gbps: 5.0,
             overlap_credit_ns: 0.0,
             dram_pressure: pressure,

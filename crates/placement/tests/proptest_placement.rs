@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use tahoe_hms::{presets, ObjectId};
 use tahoe_memprof::Calibration;
-use tahoe_perfmodel::{Demand, ModelParams};
+use tahoe_perfmodel::Demand;
 use tahoe_placement::{global_plan, knapsack, local_plan, Item, WeighCtx};
 
 fn item_strategy(id: u32) -> impl Strategy<Value = Item> {
@@ -112,7 +112,7 @@ fn ctx() -> WeighCtx {
         nvm: presets::optane_pmm(1 << 34),
         dram: presets::dram(1 << 28),
         calib: Calibration::identity(2.3, 9.5),
-        params: ModelParams::default(),
+        distinguish_rw: true,
         copy_bw_gbps: 5.0,
         overlap_credit_ns: 1000.0,
         dram_pressure: 0.3,

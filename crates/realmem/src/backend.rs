@@ -184,15 +184,6 @@ impl RealBackend {
         self.copy_cfgs[from.index() * n + to.index()] = cfg;
     }
 
-    /// NUMA node of the fastest and spill arenas (`-1` = unbound, pure
-    /// emulation).
-    pub fn numa_nodes(&self) -> (i64, i64) {
-        (
-            self.arenas[0].numa_node(),
-            self.arenas[self.n() - 1].numa_node(),
-        )
-    }
-
     /// Fold what a free or an allocation released into stats and
     /// metrics.
     fn account_release(&mut self, released: Released) {

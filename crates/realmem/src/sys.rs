@@ -420,22 +420,6 @@ pub mod nr {
         }
     }
 
-    /// `move_pages(2)`.
-    pub fn move_pages() -> Option<super::c_long> {
-        #[cfg(target_arch = "x86_64")]
-        {
-            Some(279)
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            Some(239)
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            None
-        }
-    }
-
     /// `pidfd_open(2)`: the same number on both tabulated architectures
     /// (syscalls added after 4.20 share one table).
     pub fn pidfd_open() -> Option<super::c_long> {

@@ -28,9 +28,6 @@ use tahoe_hms::Ns;
 /// How the arbiter splits the DRAM budget across active tenants.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QuotaPolicy {
-    /// Fixed weighted shares: active tenant `i` gets
-    /// `budget * w_i / Σ w` regardless of how much it can use.
-    Static,
     /// Weighted floors plus a value-ordered leftover: active tenant `i`
     /// is guaranteed `floor_frac * budget * w_i / Σ w`, which its own
     /// densest objects fill first. The rest of the budget goes object
@@ -113,19 +110,8 @@ fn density((bytes, value): (u64, f64)) -> f64 {
 /// Per-tenant DRAM quotas in bytes. Inactive or zero-weight tenants
 /// get zero; the result always satisfies `sum(quotas) <= budget`.
 pub fn quotas(policy: &QuotaPolicy, budget: u64, tenants: &[TenantDemand]) -> Vec<u64> {
-    let mut q = match policy {
-        QuotaPolicy::Static => {
-            let live = Live::new(tenants);
-            let mut q = vec![0u64; tenants.len()];
-            for &i in &live.ids {
-                q[i] = live.share(budget as f64, tenants[i].weight);
-            }
-            q
-        }
-        QuotaPolicy::DemandProportional { floor_frac } => {
-            value_ordered(budget, *floor_frac, tenants, |_, _, _| {})
-        }
-    };
+    let QuotaPolicy::DemandProportional { floor_frac } = *policy;
+    let mut q = value_ordered(budget, floor_frac, tenants, |_, _, _| {});
     // Truncation keeps each quota at or below its real-valued share,
     // but guard against accumulated floating-point excess anyway.
     let mut total: u64 = q.iter().sum();
@@ -268,7 +254,6 @@ mod tests {
         let objects: Vec<Vec<(u64, f64)>> =
             (0..7).map(|i| vec![(100_000, 1.0 + i as f64); i]).collect();
         for policy in [
-            QuotaPolicy::Static,
             QuotaPolicy::DemandProportional { floor_frac: 0.5 },
             QuotaPolicy::DemandProportional { floor_frac: 0.0 },
             QuotaPolicy::DemandProportional { floor_frac: 1.0 },
@@ -287,25 +272,11 @@ mod tests {
     }
 
     #[test]
-    fn static_split_is_weight_proportional() {
-        let q = quotas(
-            &QuotaPolicy::Static,
-            BUDGET,
-            &[t(1.0, &[], true), t(3.0, &[], true)],
-        );
-        assert_eq!(q[0], BUDGET / 4);
-        assert_eq!(q[1], 3 * (BUDGET / 4));
-    }
-
-    #[test]
     fn inactive_and_zero_weight_tenants_get_zero() {
         let one = [(500, 1.0)];
-        for policy in [
-            QuotaPolicy::Static,
-            QuotaPolicy::DemandProportional { floor_frac: 0.5 },
-        ] {
+        for floor_frac in [0.0, 0.5, 1.0] {
             let q = quotas(
-                &policy,
+                &QuotaPolicy::DemandProportional { floor_frac },
                 BUDGET,
                 &[t(1.0, &one, false), t(0.0, &one, true), t(1.0, &one, true)],
             );
@@ -543,12 +514,14 @@ mod tests {
     #[test]
     fn all_inactive_means_all_zero() {
         let ten = [(10, 1.0)];
-        let q = quotas(
-            &QuotaPolicy::Static,
-            BUDGET,
-            &[t(1.0, &ten, false), t(2.0, &ten, false)],
-        );
-        assert_eq!(q, vec![0, 0]);
+        for floor_frac in [0.0, 0.5, 1.0] {
+            let q = quotas(
+                &QuotaPolicy::DemandProportional { floor_frac },
+                BUDGET,
+                &[t(1.0, &ten, false), t(2.0, &ten, false)],
+            );
+            assert_eq!(q, vec![0, 0]);
+        }
     }
 
     #[test]

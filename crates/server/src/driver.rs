@@ -50,69 +50,15 @@ pub fn closed_loop(handles: &[&TenantHandle], graphs: usize, base_seed: u64) -> 
     out
 }
 
-/// Pipelined closed loop: like [`closed_loop`] but each tenant keeps
-/// `depth` submissions in flight (one running, `depth - 1` queued), so
-/// the next graph is admitted from the completion callback with no
-/// client round trip between graphs. Depth buys throughput, not
-/// placement: the arbiter's active set is just as stable under a plain
-/// [`closed_loop`], whose tenants keep their quota across the
-/// submit→wait gap. Requires `depth - 1 <=` the server's
-/// `max_queue` — within that bound a pipelined submission is never
-/// shed, and the driver panics if one is.
-pub fn pipelined(
-    handles: &[&TenantHandle],
-    graphs: usize,
-    depth: usize,
-    base_seed: u64,
-) -> Vec<GraphOutcome> {
-    assert!(depth >= 1, "pipeline depth must be at least 1");
-    let mut out = Vec::with_capacity(handles.len() * graphs);
-    std::thread::scope(|scope| {
-        let joins: Vec<_> = handles
-            .iter()
-            .map(|h| {
-                scope.spawn(move || {
-                    let seed = tenant_seed(base_seed, h.tenant());
-                    let submit = |n: usize| match h.submit(seed) {
-                        Submission::Admitted(t) | Submission::Queued(t) => t,
-                        Submission::Shed { tenant, .. } => unreachable!(
-                            "pipelined shed: tenant {tenant} submission {n} \
-                             (depth exceeds the server's queue bound?)"
-                        ),
-                    };
-                    let mut inflight = std::collections::VecDeque::new();
-                    let mut submitted = 0usize;
-                    while submitted < graphs.min(depth) {
-                        inflight.push_back(submit(submitted));
-                        submitted += 1;
-                    }
-                    let mut mine = Vec::with_capacity(graphs);
-                    while let Some(t) = inflight.pop_front() {
-                        mine.push(t.wait());
-                        if submitted < graphs {
-                            inflight.push_back(submit(submitted));
-                            submitted += 1;
-                        }
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for j in joins {
-            out.extend(j.join().expect("driver thread"));
-        }
-    });
-    out
-}
-
 /// Time-bounded pipelined closed loop: every tenant keeps `depth`
 /// submissions in flight and resubmits on each completion until
 /// `duration` elapses, then drains what is still in flight. Unlike a
 /// fixed-graph-count loop, fast tenants never exit early — slow
 /// tenants stay contended for the whole window, so per-tenant latency
 /// distributions reflect sustained sharing rather than a tail where
-/// the winners already left. Same `depth - 1 <= max_queue` contract as
-/// [`pipelined`].
+/// the winners already left. Requires `depth - 1 <=` the server's
+/// `max_queue` — within that bound a submission is never shed, and the
+/// driver panics if one is.
 pub fn closed_loop_timed(
     handles: &[&TenantHandle],
     duration: std::time::Duration,

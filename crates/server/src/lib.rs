@@ -12,17 +12,17 @@
 //!   and submit graph executions concurrently through
 //!   [`TenantHandle`]s; admission control queues or sheds when a
 //!   tenant outruns itself.
-//! * [`arbiter`] — pure cross-tenant quota math (weighted static, or
-//!   guaranteed weighted floors with the rest of the budget handed out
-//!   object by object, highest modelled value per byte first, across
-//!   the active tenants) plus the Jain fairness index; the preemption
+//! * [`arbiter`] — pure cross-tenant quota math (guaranteed weighted
+//!   floors with the rest of the budget handed out object by object,
+//!   highest modelled value per byte first, across the active tenants)
+//!   plus the Jain fairness index; the preemption
 //!   pass demotes only objects held *above* their owner's quota, so
 //!   active tenants are starvation-free.
 //! * [`namespace`] — per-tenant object namespaces; a graph naming an
 //!   object outside its tenant's declared set is rejected at
 //!   admission, before anything is allocated or scheduled.
-//! * [`driver`] — closed-loop and open-loop submission drivers for
-//!   experiments.
+//! * [`driver`] — closed-loop (fixed count or timed) and open-loop
+//!   submission drivers for experiments.
 //! * [`compose`] — interleave tenant apps into one graph for the
 //!   access sanitizer's schedule fuzz.
 //! * [`telemetry`] — the live telemetry plane: a std-`TcpListener`

@@ -190,11 +190,6 @@ impl GraphTicket {
             slot = self.cell.cv.wait(slot).expect("ticket slot");
         }
     }
-
-    /// The outcome, if the graph already completed (non-blocking).
-    pub fn try_get(&self) -> Option<GraphOutcome> {
-        self.cell.slot.lock().expect("ticket slot").clone()
-    }
 }
 
 /// Result of [`TenantHandle::submit`].
@@ -333,20 +328,6 @@ pub struct TenantReport {
     /// Log-bucketed digest of the same latencies (mergeable across
     /// runs, same shape the flight-recorder histograms use).
     pub hist: HistData,
-}
-
-impl TenantReport {
-    /// Exact latency quantile (nearest-rank on the recorded samples);
-    /// 0 when the tenant completed nothing.
-    pub fn latency_percentile(&self, q: f64) -> f64 {
-        if self.latencies_ns.is_empty() {
-            return 0.0;
-        }
-        let mut v = self.latencies_ns.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let idx = ((v.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-        v[idx]
-    }
 }
 
 /// Lifetime summary returned by [`TahoeServer::shutdown`].
@@ -706,6 +687,25 @@ fn label_escape(s: &str) -> String {
     out
 }
 
+/// One [`TENANT_SERIES`] row.
+type TenantSeries = (&'static str, &'static str, fn(&TenantState) -> u64);
+
+/// The per-tenant counters both telemetry renderings list, in order, as
+/// (key, `counter` or `gauge`, value): the `/metrics` family is
+/// `tahoe_tenant_<key>`, plus `_total` for a counter, and the journal
+/// field is `<key>`. Values are the same u64s the end-of-run
+/// [`TenantReport`] snapshots — integer-formatted, so a scrape taken
+/// while the server is idle matches the report bit for bit.
+const TENANT_SERIES: [TenantSeries; 7] = [
+    ("submitted", "counter", |t| t.submitted),
+    ("completed", "counter", |t| t.completed),
+    ("shed", "counter", |t| t.shed),
+    ("preempted", "counter", |t| t.preempted),
+    ("promoted_bytes", "counter", |t| t.promoted_bytes),
+    ("demoted_bytes", "counter", |t| t.demoted_bytes),
+    ("quota_bytes", "gauge", |t| t.last_quota),
+];
+
 impl ServerShared {
     /// Render the Prometheus-style text exposition served on the
     /// telemetry endpoint's `/metrics` path: per-tenant counters and
@@ -722,62 +722,16 @@ impl ServerShared {
         let _ = writeln!(out, "# TYPE tahoe_server_tenants gauge");
         let _ = writeln!(out, "tahoe_server_tenants {}", inner.tenants.len());
 
-        // Per-tenant counter families. Values are the same u64s the
-        // end-of-run TenantReport snapshots — integer-formatted, so a
-        // scrape taken while the server is idle matches the report bit
-        // for bit.
-        struct Family {
-            name: &'static str,
-            kind: &'static str,
-            get: fn(&TenantState) -> u64,
-        }
-        let families: &[Family] = &[
-            Family {
-                name: "tahoe_tenant_submitted_total",
-                kind: "counter",
-                get: |t| t.submitted,
-            },
-            Family {
-                name: "tahoe_tenant_completed_total",
-                kind: "counter",
-                get: |t| t.completed,
-            },
-            Family {
-                name: "tahoe_tenant_shed_total",
-                kind: "counter",
-                get: |t| t.shed,
-            },
-            Family {
-                name: "tahoe_tenant_preempted_total",
-                kind: "counter",
-                get: |t| t.preempted,
-            },
-            Family {
-                name: "tahoe_tenant_promoted_bytes_total",
-                kind: "counter",
-                get: |t| t.promoted_bytes,
-            },
-            Family {
-                name: "tahoe_tenant_demoted_bytes_total",
-                kind: "counter",
-                get: |t| t.demoted_bytes,
-            },
-            Family {
-                name: "tahoe_tenant_quota_bytes",
-                kind: "gauge",
-                get: |t| t.last_quota,
-            },
-        ];
-        for f in families {
-            let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind);
+        for (key, kind, get) in TENANT_SERIES {
+            let total = if kind == "counter" { "_total" } else { "" };
+            let _ = writeln!(out, "# TYPE tahoe_tenant_{key}{total} {kind}");
             for t in &inner.tenants {
                 let _ = writeln!(
                     out,
-                    "{}{{tenant=\"{}\",name=\"{}\"}} {}",
-                    f.name,
+                    "tahoe_tenant_{key}{total}{{tenant=\"{}\",name=\"{}\"}} {}",
                     t.info.id,
                     label_escape(&t.info.name),
-                    (f.get)(t)
+                    get(t)
                 );
             }
         }
@@ -839,18 +793,12 @@ impl ServerShared {
             let mut tenants = w.array("tenants");
             for t in &self.inner.lock().expect("server state").tenants {
                 let s = t.hist.data().summary();
-                tenants
-                    .object(None)
-                    .field("tenant", t.info.id)
-                    .field("name", &t.info.name)
-                    .field("submitted", t.submitted)
-                    .field("completed", t.completed)
-                    .field("shed", t.shed)
-                    .field("preempted", t.preempted)
-                    .field("promoted_bytes", t.promoted_bytes)
-                    .field("demoted_bytes", t.demoted_bytes)
-                    .field("quota_bytes", t.last_quota)
-                    .field("latency_p50_ns", s.p50)
+                let mut o = tenants.object(None);
+                o.field("tenant", t.info.id).field("name", &t.info.name);
+                for (key, _, get) in TENANT_SERIES {
+                    o.field(key, get(t));
+                }
+                o.field("latency_p50_ns", s.p50)
                     .field("latency_p99_ns", s.p99);
             }
             drop(tenants);
@@ -1199,4 +1147,117 @@ mod tests {
         assert_eq!(tenants[0].get("name").and_then(|n| n.as_str()), Some(name));
         srv.shutdown();
     }
+
+    /// The `/metrics` text and one journal line, byte for byte, for two
+    /// tenants (the second with a hostile name) holding distinct counter
+    /// values, one latency sample each and two blame lines. The uptime
+    /// sample and `t_ns` read the clock and are left out.
+    #[test]
+    fn telemetry_exposition_and_journal_are_pinned() {
+        let cal = WallClockCalibration::synthetic(1 << 20, 1 << 24);
+        let cfg = ServerConfig {
+            workers: 1,
+            dram_budget: 64 << 10,
+            nvm_capacity: 1 << 24,
+            mode: ArbiterMode::FreeForAll,
+            max_queue: 1,
+        };
+        let srv =
+            TahoeServer::new(cfg, cal, Emitter::disabled(), Metrics::disabled()).expect("server");
+        for name in ["plain", "a\"b\\\nc\r\u{1}"] {
+            let mut b = AppBuilder::new("t");
+            let x = b.object("x", 4096);
+            let c = b.class("step");
+            b.task(c).update_streaming(x, 8).submit();
+            srv.register_tenant(TenantSpec::new(name, 1.0), b.build())
+                .expect("register");
+        }
+        for (k, t) in srv.sh.inner.lock().unwrap().tenants.iter_mut().enumerate() {
+            let base = 10 * k as u64;
+            t.submitted = base + 1;
+            t.completed = base + 2;
+            t.shed = base + 3;
+            t.preempted = base + 4;
+            t.promoted_bytes = base + 5;
+            t.demoted_bytes = base + 6;
+            t.last_quota = base + 7;
+            t.hist.record(1000.0 * (k + 1) as f64);
+        }
+        for (object, to, needed) in [(3, 0, 40.0), (5, 1, 90.0)] {
+            srv.sh.blame.record(&MigrationRecord {
+                object: ObjectId(object),
+                bytes: 4096,
+                from: TierId(1 - to),
+                to: TierId(to),
+                issued_at: 0.0,
+                start: 0.0,
+                finish: 100.0,
+                needed_at: Some(needed),
+            });
+        }
+
+        let text: String = srv
+            .sh
+            .telemetry_text(10)
+            .lines()
+            .filter(|l| !l.starts_with("tahoe_server_uptime_ns "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(text, PINNED_TEXT, "\n{text}");
+        let json = srv.sh.telemetry_json(10);
+        let (head, rest) = json.split_once(",\"t_ns\":").expect("t_ns");
+        let json = format!("{head}{}", &rest[rest.find(',').expect("after t_ns")..]);
+        assert_eq!(json, PINNED_JSON, "\n{json}");
+        srv.shutdown();
+    }
+
+    const PINNED_TEXT: &str = r#"# TYPE tahoe_server_uptime_ns gauge
+# TYPE tahoe_server_tenants gauge
+tahoe_server_tenants 2
+# TYPE tahoe_tenant_submitted_total counter
+tahoe_tenant_submitted_total{tenant="0",name="plain"} 1
+tahoe_tenant_submitted_total{tenant="1",name="a\"b\\\nc\u000d\u0001"} 11
+# TYPE tahoe_tenant_completed_total counter
+tahoe_tenant_completed_total{tenant="0",name="plain"} 2
+tahoe_tenant_completed_total{tenant="1",name="a\"b\\\nc\u000d\u0001"} 12
+# TYPE tahoe_tenant_shed_total counter
+tahoe_tenant_shed_total{tenant="0",name="plain"} 3
+tahoe_tenant_shed_total{tenant="1",name="a\"b\\\nc\u000d\u0001"} 13
+# TYPE tahoe_tenant_preempted_total counter
+tahoe_tenant_preempted_total{tenant="0",name="plain"} 4
+tahoe_tenant_preempted_total{tenant="1",name="a\"b\\\nc\u000d\u0001"} 14
+# TYPE tahoe_tenant_promoted_bytes_total counter
+tahoe_tenant_promoted_bytes_total{tenant="0",name="plain"} 5
+tahoe_tenant_promoted_bytes_total{tenant="1",name="a\"b\\\nc\u000d\u0001"} 15
+# TYPE tahoe_tenant_demoted_bytes_total counter
+tahoe_tenant_demoted_bytes_total{tenant="0",name="plain"} 6
+tahoe_tenant_demoted_bytes_total{tenant="1",name="a\"b\\\nc\u000d\u0001"} 16
+# TYPE tahoe_tenant_quota_bytes gauge
+tahoe_tenant_quota_bytes{tenant="0",name="plain"} 7
+tahoe_tenant_quota_bytes{tenant="1",name="a\"b\\\nc\u000d\u0001"} 17
+# TYPE tahoe_tenant_latency_ns summary
+tahoe_tenant_latency_ns{tenant="0",name="plain",quantile="0.5"} 768
+tahoe_tenant_latency_ns{tenant="0",name="plain",quantile="0.9"} 768
+tahoe_tenant_latency_ns{tenant="0",name="plain",quantile="0.99"} 768
+tahoe_tenant_latency_ns_count{tenant="0",name="plain"} 1
+tahoe_tenant_latency_ns_max{tenant="0",name="plain"} 1000
+tahoe_tenant_latency_ns{tenant="1",name="a\"b\\\nc\u000d\u0001",quantile="0.5"} 1536
+tahoe_tenant_latency_ns{tenant="1",name="a\"b\\\nc\u000d\u0001",quantile="0.9"} 1536
+tahoe_tenant_latency_ns{tenant="1",name="a\"b\\\nc\u000d\u0001",quantile="0.99"} 1536
+tahoe_tenant_latency_ns_count{tenant="1",name="a\"b\\\nc\u000d\u0001"} 1
+tahoe_tenant_latency_ns_max{tenant="1",name="a\"b\\\nc\u000d\u0001"} 2000
+# TYPE tahoe_blame_migrations_total counter
+tahoe_blame_migrations_total{object="3",tier="dram"} 1
+tahoe_blame_migrations_total{object="5",tier="nvm"} 1
+# TYPE tahoe_blame_bytes_total counter
+tahoe_blame_bytes_total{object="3",tier="dram"} 4096
+tahoe_blame_bytes_total{object="5",tier="nvm"} 4096
+# TYPE tahoe_blame_overlapped_ns_total counter
+tahoe_blame_overlapped_ns_total{object="3",tier="dram"} 40
+tahoe_blame_overlapped_ns_total{object="5",tier="nvm"} 90
+# TYPE tahoe_blame_exposed_ns_total counter
+tahoe_blame_exposed_ns_total{object="3",tier="dram"} 60
+tahoe_blame_exposed_ns_total{object="5",tier="nvm"} 10
+"#;
+    const PINNED_JSON: &str = r#"{"schema":"tahoe-telemetry/v1","tenants":[{"tenant":0,"name":"plain","submitted":1,"completed":2,"shed":3,"preempted":4,"promoted_bytes":5,"demoted_bytes":6,"quota_bytes":7,"latency_p50_ns":768,"latency_p99_ns":768},{"tenant":1,"name":"a\"b\\\nc\r\u0001","submitted":11,"completed":12,"shed":13,"preempted":14,"promoted_bytes":15,"demoted_bytes":16,"quota_bytes":17,"latency_p50_ns":1536,"latency_p99_ns":1536}],"blame":[{"object":3,"tier":"dram","migrations":1,"bytes":4096,"overlapped_ns":40,"exposed_ns":60},{"object":5,"tier":"nvm","migrations":1,"bytes":4096,"overlapped_ns":90,"exposed_ns":10}]}"#;
 }

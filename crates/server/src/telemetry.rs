@@ -112,6 +112,12 @@ impl BlameBoard {
     }
 }
 
+/// Journal snapshot period.
+const JOURNAL_EVERY: Duration = Duration::from_millis(100);
+
+/// Blame entries exposed per scrape/snapshot.
+const BLAME_TOP_K: usize = 10;
+
 /// Telemetry endpoint configuration.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
@@ -120,12 +126,8 @@ pub struct TelemetryConfig {
     /// [`TelemetryHandle::addr`].
     pub addr: String,
     /// When set, append one `telemetry_json` snapshot line to this
-    /// JSONL file every `journal_every` (plus a final line at stop).
+    /// JSONL file every 100 ms (plus a final line at stop).
     pub journal: Option<PathBuf>,
-    /// Journal snapshot period.
-    pub journal_every: Duration,
-    /// Blame entries exposed per scrape/snapshot.
-    pub blame_top_k: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -133,8 +135,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             addr: "127.0.0.1:0".to_string(),
             journal: None,
-            journal_every: Duration::from_millis(100),
-            blame_top_k: 10,
         }
     }
 }
@@ -207,33 +207,33 @@ fn serve(
     let mut last_snapshot = Instant::now();
     // First snapshot immediately: short-lived runs get at least one line.
     if let Some(j) = &mut journal {
-        let _ = writeln!(j, "{}", sh.telemetry_json(cfg.blame_top_k));
+        let _ = writeln!(j, "{}", sh.telemetry_json(BLAME_TOP_K));
     }
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => handle_conn(&sh, stream, cfg.blame_top_k),
+            Ok((stream, _)) => handle_conn(&sh, stream),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
-        if journal.is_some() && last_snapshot.elapsed() >= cfg.journal_every {
+        if journal.is_some() && last_snapshot.elapsed() >= JOURNAL_EVERY {
             last_snapshot = Instant::now();
             if let Some(j) = &mut journal {
-                let _ = writeln!(j, "{}", sh.telemetry_json(cfg.blame_top_k));
+                let _ = writeln!(j, "{}", sh.telemetry_json(BLAME_TOP_K));
             }
         }
     }
     // Final snapshot so the journal's last line reflects the end state.
     if let Some(j) = &mut journal {
-        let _ = writeln!(j, "{}", sh.telemetry_json(cfg.blame_top_k));
+        let _ = writeln!(j, "{}", sh.telemetry_json(BLAME_TOP_K));
         let _ = j.flush();
     }
 }
 
 /// Serve one connection: parse the request line just enough to get the
 /// path, answer `/metrics` with the exposition, 404 anything else.
-fn handle_conn(sh: &Arc<ServerShared>, mut stream: TcpStream, blame_top_k: usize) {
+fn handle_conn(sh: &Arc<ServerShared>, mut stream: TcpStream) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let mut buf = [0u8; 2048];
@@ -259,7 +259,7 @@ fn handle_conn(sh: &Arc<ServerShared>, mut stream: TcpStream, blame_top_k: usize
         .and_then(|line| line.split_whitespace().nth(1))
         .unwrap_or("");
     let (status, body) = if path == "/metrics" || path.starts_with("/metrics?") {
-        ("200 OK", sh.telemetry_text(blame_top_k))
+        ("200 OK", sh.telemetry_text(BLAME_TOP_K))
     } else {
         ("404 Not Found", "not found; try /metrics\n".to_string())
     };

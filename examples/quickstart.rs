@@ -42,11 +42,7 @@ fn main() {
 
     // DRAM holds 2 MB of the 5 MB footprint; NVM is Optane-like.
     let platform = Platform::optane(2 << 20, 1 << 30);
-    let cfg = RuntimeConfig {
-        chunk_size: 1 << 20, // let the runtime split "hot" into 1 MB chunks
-        ..RuntimeConfig::default()
-    };
-    let rt = Runtime::new(platform, cfg);
+    let rt = Runtime::new(platform, RuntimeConfig::default());
 
     println!(
         "app: {} ({} tasks, {} windows, {:.1} MB footprint)\n",
