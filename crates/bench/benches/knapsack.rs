@@ -10,6 +10,12 @@
 //! | `exact/1024` (random sizes, ⅓ footprint) | 1 | ≈ 8.4 M (1024 × 8193) |
 //! | `exact/1024-page-multiple` (4–64 KiB, 8 MiB) | 4 | ≈ 2.1 M (1024 × 2049) |
 //! | `exact/8192x8KiB` (`plan_heavy`: 16 MiB)  | 4 | ≈ 16.8 M (8192 × 2049) |
+//! | `solve/8192x8KiB` (the same call through `solve`) | — | 0: certified |
+//!
+//! `solve/8192x8KiB` is the call a Tahoe prepare of `plan_heavy` makes:
+//! its budget is filled exactly by a density prefix that is strictly
+//! denser than the rest, so `knapsack::solve` certifies greedy's answer
+//! and builds no table — one sort of the 8192 items instead of the DP.
 //!
 //! `mck3/*` is `solve_mck` over DRAM / CXL / NVM with a CXL tier of the
 //! DRAM budget's size (a quarter of the footprint each), at the item
@@ -67,6 +73,9 @@ fn bench_knapsack(c: &mut Criterion) {
     let chunks = items(8192, 0xfeed, |_| 8192);
     g.bench_function("exact/8192x8KiB", |b| {
         b.iter(|| knapsack::solve_exact(std::hint::black_box(&chunks), 16 << 20))
+    });
+    g.bench_function("solve/8192x8KiB", |b| {
+        b.iter(|| knapsack::solve(std::hint::black_box(&chunks), 16 << 20))
     });
     g.finish();
 }

@@ -144,6 +144,12 @@ impl AccessPrices {
         }
     }
 
+    /// Every price, slot-major: `[slot * tiers + t]` is the access in
+    /// `slot` on tier `t` — what the plan auditor's cost check reads.
+    pub fn slot_major(&self) -> &[f64] {
+        &self.ns
+    }
+
     /// The delay [`GraphRun::run_task`] injects for the access in `slot`
     /// on `tier`: its price there less its price on the fastest tier, ≥ 0.
     pub fn delay_ns(&self, slot: usize, tier: TierId) -> f64 {

@@ -41,7 +41,7 @@ use tahoe_placement::{
     plan_rotation, solve_mck, CopyRate, MckAssignment, MckItem, PlanValues, RotationInput, Schedule,
 };
 use tahoe_realmem::{traffic, CopyConfig, MmapArena, RealBackend};
-use tahoe_sanitize::{audit_plan, MigrationPlan, PlanContext, PlanStep, SanitizeReport};
+use tahoe_sanitize::{audit_plan_priced, MigrationPlan, PlanContext, PlanStep, SanitizeReport};
 
 use crate::app::App;
 use crate::config::Platform;
@@ -369,14 +369,16 @@ impl MeasuredRuntime {
         })
     }
 
-    /// Run the static plan auditor over the plan a prepared run carries.
+    /// Run the static plan auditor over the plan a prepared run carries,
+    /// its cost check at the prices the plan was solved with.
     pub(crate) fn audit_prepared(app: &App, prepared: &PreparedRun) -> SanitizeReport {
         let ctx = PlanContext::new(app.objects.iter().map(|o| o.size).collect());
-        audit_plan(
+        audit_plan_priced(
             &app.graph,
             &prepared.plan,
             prepared.config.tier_specs(),
             &ctx,
+            prepared.prices.slot_major(),
         )
     }
 
@@ -832,6 +834,81 @@ mod tests {
         // replayed the allocator in — then window 1: out before in.
         assert_eq!(steps, [(3, 0, 0), (1, 0, 0), (3, 1, 1), (2, 0, 1)]);
         assert_eq!(plan.final_tiers(2), [1, 0, 0, 1]);
+    }
+
+    /// Under a calibration whose correction factors differ, a swap of a
+    /// streamed object for a chased one regresses by the pure model and
+    /// not by the planner's prices (and the reverse swap the other way
+    /// round): the runtime's audit must take the planner's side.
+    #[test]
+    fn the_runtime_audits_at_the_planners_prices() {
+        use tahoe_hms::presets;
+        use tahoe_sanitize::ViolationKind;
+        const SIZE: u64 = 64 << 10;
+        let mut b = crate::app::AppBuilder::new("swap");
+        let (streamed, chased) = (b.object("streamed", SIZE), b.object("chased", SIZE));
+        let c = b.class("step");
+        b.task(c).read_streaming(streamed, SIZE / 64).submit();
+        b.task(c).read_chasing(chased, SIZE / 64 / 32).submit();
+        let app = b.build();
+        let (dram, nvm) = (2 * app.footprint(), 2 * app.footprint());
+        let mut cal = WallClockCalibration::synthetic(dram, nvm);
+        (cal.dram, cal.nvm) = (presets::dram(dram), presets::optane_pmm(nvm));
+        (cal.cf_bw, cal.cf_lat) = (0.1, 10.0);
+        let rt = MeasuredRuntime::new(
+            Platform::optane(dram, nvm),
+            tahoe_memprof::wallclock::WallClockConfig::smoke(),
+        );
+        let mut prepared = rt
+            .prepare_unaudited(&app, &PolicyKind::NvmOnly, &cal, 1, false)
+            .expect("prepares");
+        let specs = prepared.config.tier_specs().to_vec();
+        let ctx = PlanContext::new(vec![SIZE; 2]);
+        // `out` leaves DRAM for NVM, then `into` takes its place.
+        let swap = |out: u32, into: u32| MigrationPlan {
+            initial_tiers: if out == 0 { vec![0, 1] } else { vec![1, 0] },
+            steps: vec![
+                PlanStep {
+                    object: out,
+                    to_tier: 1,
+                    window: 0,
+                },
+                PlanStep {
+                    object: into,
+                    to_tier: 0,
+                    window: 0,
+                },
+            ],
+        };
+        let regresses = |r: &SanitizeReport| {
+            assert!(r
+                .violations
+                .iter()
+                .all(|v| v.kind == ViolationKind::PlanCostRegression));
+            !r.is_clean()
+        };
+        for (plan, pure_regresses) in [(swap(0, 1), true), (swap(1, 0), false)] {
+            let pure = tahoe_sanitize::audit_plan(&app.graph, &plan, &specs, &ctx);
+            assert_eq!(regresses(&pure), pure_regresses, "{:?}", pure.violations);
+            // The planner's verdict: the run at its own prices.
+            let cost = |tiers: &[u8]| -> f64 {
+                let rows = prepared.prices.rows(&app.graph);
+                rows.map(|(a, p)| p[tiers[a.object.index()] as usize]).sum()
+            };
+            let planner_regresses = cost(&plan.final_tiers(2)) > cost(&plan.initial_tiers);
+            assert_ne!(
+                planner_regresses, pure_regresses,
+                "the pricings must disagree"
+            );
+            prepared.plan = plan;
+            let report = MeasuredRuntime::audit_prepared(&app, &prepared);
+            assert_eq!(
+                regresses(&report),
+                planner_regresses,
+                "{:?}",
+                report.violations
+            );
+        }
     }
 
     #[test]

@@ -22,8 +22,34 @@
 //! *strictly* better than leaving it, so among equal-valued alternatives
 //! the earlier item wins, and `total_value` is summed over the chosen
 //! items from the last to the first. Digest-gated baselines pin both.
+//!
+//! # When the DP runs
+//!
+//! [`solve`] races the DP, [`solve_greedy`] and (up to
+//! [`BNB_ITEM_LIMIT`] eligible items) branch-and-bound, each replacing
+//! the answer so far only when strictly better. Before that it tries a
+//! *certificate*. Take the eligible items densest first (ties by id)
+//! and stop at the first that does not fit. The prefix must fill
+//! `capacity` exactly or take every item, and a cut density `λ` between
+//! its last item and the first one left out must give every taken item
+//! a reduced value `value − λ·size` above a margin `δ`, and every other
+//! item one below `−δ`. Then every other set that fits is worth at
+//! least `δ` less (Dantzig's LP bound): the prefix is the unique
+//! optimum, and greedy's answer. With `δ` above the rounding error of
+//! any `n`-term sum, no float comparison of the race can disagree, so
+//! the certificate returns the race's answer bit for bit without
+//! building the table. That is the DP's last-to-first sum when the
+//! prefix fits at the DP's grain (the DP finds it too), unless greedy's
+//! density-order sum is strictly greater; and greedy's sum when it does
+//! not (the DP's rounding leaves it short). A fractional break item, a
+//! tie at the cut, or a small item set runs the race. `plan_heavy`'s
+//! 8192 × 8 KiB at a quarter budget is certified (its hot quarter fills
+//! the budget and is worth strictly more per byte than the rest): one
+//! sort instead of an 8192 × 2049-cell table.
 
 use tahoe_hms::ObjectId;
+
+use crate::bnb::BNB_ITEM_LIMIT;
 
 /// One candidate object (or chunk) for DRAM residence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,7 +137,7 @@ pub fn solve_exact(items: &[Item], capacity: u64) -> Solution {
     // the width can never be taken.
     let mut eligible: Vec<(&Item, usize)> = items
         .iter()
-        .filter(|it| it.value > 0.0 && it.size > 0 && it.size <= capacity)
+        .filter(|it| eligible(it, capacity))
         .map(|it| (it, it.size.div_ceil(grain) as usize))
         .filter(|&(_, need)| need <= width)
         .collect();
@@ -172,44 +198,151 @@ pub fn solve_exact(items: &[Item], capacity: u64) -> Solution {
     }
 }
 
-/// Greedy by value density (value per byte), the classic 1/2-approximation
-/// companion. Used as a cross-check and as a fast path for huge item
-/// sets.
-pub fn solve_greedy(items: &[Item], capacity: u64) -> Solution {
-    let mut eligible: Vec<&Item> = items
-        .iter()
-        .filter(|it| it.value > 0.0 && it.size > 0 && it.size <= capacity)
+/// Whether `it` can be chosen at all: positive value, a non-zero size
+/// within `capacity`.
+fn eligible(it: &Item, capacity: u64) -> bool {
+    it.value > 0.0 && it.size > 0 && it.size <= capacity
+}
+
+/// Indices of the eligible items, densest first, ties by id: the order
+/// greedy takes them in.
+fn density_order(items: &[Item], capacity: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..items.len())
+        .filter(|&i| eligible(&items[i], capacity))
         .collect();
-    eligible.sort_by(|a, b| {
-        let da = a.value / a.size as f64;
-        let db = b.value / b.size as f64;
-        db.partial_cmp(&da)
+    let density = |i: usize| items[i].value / items[i].size as f64;
+    order.sort_by(|&a, &b| {
+        density(b)
+            .partial_cmp(&density(a))
             .expect("densities are finite")
-            .then(a.id.cmp(&b.id))
+            .then(items[a].id.cmp(&items[b].id))
     });
+    order
+}
+
+/// Greedy over `order`: take each item that still fits. Also returns the
+/// length of the prefix of `order` taken before the first item skipped.
+fn take_in_order(items: &[Item], order: &[usize], capacity: u64) -> (Solution, usize) {
     let mut remaining = capacity;
+    let mut prefix = None;
     let mut chosen = Vec::new();
     let mut total_size = 0u64;
     let mut total_value = 0.0;
-    for it in eligible {
+    for (k, it) in order.iter().map(|&i| &items[i]).enumerate() {
         if it.size <= remaining {
             remaining -= it.size;
             chosen.push(it.id);
             total_size += it.size;
             total_value += it.value;
+        } else if prefix.is_none() {
+            prefix = Some(k);
         }
     }
     chosen.sort_unstable();
-    Solution {
+    let solution = Solution {
         chosen,
         total_value,
         total_size,
+    };
+    (solution, prefix.unwrap_or(order.len()))
+}
+
+/// Greedy by value density (value per byte): take the densest items
+/// that still fit. On its own it has no approximation bound — with
+/// capacity 10, a 1-byte item worth 2 goes first and shuts out a 10-byte
+/// item worth 10 (only the better of it and the best single item is
+/// within half the optimum) — so it is a companion in [`solve`]'s race,
+/// and its answer when the certificate proves it optimal.
+pub fn solve_greedy(items: &[Item], capacity: u64) -> Solution {
+    take_in_order(items, &density_order(items, capacity), capacity).0
+}
+
+/// Greedy's answer, with the `total_value` the race reports for its
+/// set, when the LP bound proves it the unique optimum by a margin no
+/// rounding can close (see the module docs); `None` when the race must
+/// run.
+fn certified(items: &[Item], capacity: u64) -> Option<Solution> {
+    // Up to its limit branch-and-bound joins the race, summing in its own
+    // order; those sets are small enough to race.
+    let n = items.iter().filter(|it| eligible(it, capacity)).count();
+    if n <= BNB_ITEM_LIMIT {
+        return None;
+    }
+    let order = density_order(items, capacity);
+    let (greedy, prefix) = take_in_order(items, &order, capacity);
+    // Greedy must have taken a prefix, not skipped an item and gone on.
+    if prefix != greedy.chosen.len() {
+        return None;
+    }
+    // The cut: between the last item taken and the first left out, which
+    // needs the prefix to fill the budget; 0 when nothing is left out.
+    let cut = if prefix == n {
+        0.0
+    } else if greedy.total_size == capacity {
+        let density = |k: usize| items[order[k]].value / items[order[k]].size as f64;
+        (density(prefix - 1) + density(prefix)) / 2.0
+    } else {
+        return None;
+    };
+    // Any other set that fits is worth at least `margin` less; a sum of
+    // at most `n` positive terms is off by under `n·ε/2` of it, and the
+    // race compares two such sums.
+    let margin = order
+        .iter()
+        .enumerate()
+        .map(|(k, &i)| {
+            let reduced = items[i].value - cut * items[i].size as f64;
+            if k < prefix {
+                reduced
+            } else {
+                -reduced
+            }
+        })
+        .fold(f64::INFINITY, f64::min);
+    if margin <= 2.0 * n as f64 * f64::EPSILON * greedy.total_value {
+        return None;
+    }
+    let grain = (capacity / MAX_DP_WIDTH).max(1);
+    let needs: u64 = order[..prefix]
+        .iter()
+        .map(|&i| items[i].size.div_ceil(grain))
+        .sum();
+    if needs > capacity / grain {
+        // The DP cannot fit the prefix, so it returns less; greedy wins.
+        return Some(greedy);
+    }
+    // The DP returns the prefix too, summed from the last item to the
+    // first; greedy replaces it only when its own sum is strictly greater.
+    let mut taken = vec![false; items.len()];
+    for &i in &order[..prefix] {
+        taken[i] = true;
+    }
+    let dp_sum = items
+        .iter()
+        .zip(&taken)
+        .rev()
+        .filter(|&(_, &t)| t)
+        .fold(0.0, |sum, (it, _)| sum + it.value);
+    if greedy.total_value > dp_sum {
+        Some(greedy)
+    } else {
+        Some(Solution {
+            total_value: dp_sum,
+            ..greedy
+        })
     }
 }
 
 /// Solve, preferring the best of branch-and-bound (exact on unscaled
-/// sizes, for small candidate sets), exact-DP (scaled sizes) and greedy.
+/// sizes, for small candidate sets), exact-DP (scaled sizes) and greedy
+/// — or greedy's answer alone when the certificate proves it optimal.
 pub fn solve(items: &[Item], capacity: u64) -> Solution {
+    certified(items, capacity).unwrap_or_else(|| race(items, capacity))
+}
+
+/// The DP, greedy and (up to its limit) branch-and-bound, each replacing
+/// the answer so far only when strictly better.
+fn race(items: &[Item], capacity: u64) -> Solution {
     let mut best = solve_exact(items, capacity);
     let greedy = solve_greedy(items, capacity);
     if greedy.total_value > best.total_value {
@@ -309,5 +442,90 @@ mod tests {
         let s = solve(&[item(0, 100, 1.0)], 100);
         assert_eq!(s.chosen, vec![ObjectId(0)]);
         assert_eq!(s.total_size, 100);
+    }
+
+    #[test]
+    fn greedy_has_no_approximation_bound() {
+        let items = [item(0, 1, 2.0), item(1, 10, 10.0)];
+        assert_eq!(solve_greedy(&items, 10).total_value, 2.0);
+        assert_eq!(solve(&items, 10).total_value, 10.0);
+    }
+
+    fn assert_solves_as_the_race(items: &[Item], capacity: u64) {
+        let (got, want) = (solve(items, capacity), race(items, capacity));
+        assert_eq!(got.chosen, want.chosen);
+        assert_eq!(got.total_value.to_bits(), want.total_value.to_bits());
+        assert_eq!(got.total_size, want.total_size);
+    }
+
+    /// 8192 × 8 KiB, the `i % 4 == 0` quarter worth 3 (and a little by
+    /// index, so no two values tie), the rest `rest(i)`.
+    fn chunks(rest: impl Fn(u32) -> f64) -> Vec<Item> {
+        (0..8192)
+            .map(|i| {
+                let value = if i % 4 == 0 {
+                    3.0 + f64::from(i) * 1e-6
+                } else {
+                    rest(i)
+                };
+                item(i, 8192, value)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn certificate_fires_on_a_hot_quarter_of_equal_chunks() {
+        let capacity = 16 << 20;
+        let items = chunks(|i| 1.0 + f64::from(i) * 1e-6);
+        let s = certified(&items, capacity).expect("the quarter fills the budget");
+        assert_eq!(
+            s.chosen,
+            (0..8192).step_by(4).map(ObjectId).collect::<Vec<_>>()
+        );
+        assert_solves_as_the_race(&items, capacity);
+        // Every item fits: nothing is left out, so no cut is needed.
+        assert!(certified(&items, 8192 * 8192).is_some());
+        assert_solves_as_the_race(&items, 8192 * 8192);
+    }
+
+    #[test]
+    fn certificate_declines_a_tie_at_the_cut() {
+        // The budget holds 16 of the 24 items worth 2: the cut is a tie.
+        let items: Vec<Item> = (0..64)
+            .map(|i| item(i, 8192, if i < 24 { 2.0 } else { 1.0 }))
+            .collect();
+        assert_eq!(certified(&items, 16 * 8192), None);
+        assert_solves_as_the_race(&items, 16 * 8192);
+        // At three quarters of 8192 chunks the cut falls in a class.
+        let items = chunks(|i| 1.0 + f64::from(i % 7));
+        assert_eq!(certified(&items, 48 << 20), None);
+    }
+
+    #[test]
+    fn certificate_declines_a_fractional_break_item() {
+        // 33 items of 3 bytes fill 99 of 100: the 34th would be split.
+        let items: Vec<Item> = (0..64).map(|i| item(i, 3, 64.0 - f64::from(i))).collect();
+        assert_eq!(certified(&items, 100), None);
+        assert_solves_as_the_race(&items, 100);
+        // Greedy skips the 50-byte item and fills the budget with 2-byte
+        // ones: full, but not a prefix.
+        let mut items: Vec<Item> = (0..64)
+            .map(|i| item(i, 2, 0.1 * f64::from(64 - i)))
+            .collect();
+        (items[0].size, items[0].value) = (60, 600.0);
+        (items[1].size, items[1].value) = (50, 450.0);
+        assert_eq!(solve_greedy(&items, 100).total_size, 100);
+        assert_eq!(certified(&items, 100), None);
+        assert_solves_as_the_race(&items, 100);
+    }
+
+    #[test]
+    fn certificate_declines_a_gap_rounding_can_hide() {
+        // Every item fits, but the last adds less than an ulp of the sum:
+        // the DP does not take it, and the race keeps the DP's answer.
+        let mut items: Vec<Item> = (0..64).map(|i| item(i, 8, 1e6)).collect();
+        items[63].value = 1e-20;
+        assert_eq!(certified(&items, 1 << 20), None);
+        assert_solves_as_the_race(&items, 1 << 20);
     }
 }

@@ -13,6 +13,8 @@
 //!   reach; it keeps one take bit per cell. Its tie-break contract —
 //!   strict `>`, earlier item wins — is what the digest-gated baselines
 //!   pin; `tests/differential.rs` checks it against the plain loops.
+//!   [`knapsack::solve`] skips the DP when the LP bound proves the
+//!   density-greedy prefix the unique optimum, returning the same bits.
 //! * [`weight`] — assembly of knapsack items from model outputs,
 //!   including the paper's treatment of already-resident objects (no
 //!   promotion cost) and of eviction pressure.

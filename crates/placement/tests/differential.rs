@@ -1,21 +1,24 @@
 //! Differential tests: the optimised solvers against the retained
 //! reference loops in `reference/`.
 //!
-//! `knapsack::solve_exact` must return the reference's `Solution` bit
-//! for bit (`chosen`, `total_value.to_bits()`, `total_size`), and
+//! `knapsack::solve_exact` and `knapsack::solve` must return the
+//! reference DP's and the reference race's `Solution` bit for bit
+//! (`chosen`, `total_value.to_bits()`, `total_size`), and
 //! `solve_mck_dp` / `solve_mck_greedy` the reference's tier per item —
 //! on the shapes that stress each shortcut: uniform and page-multiple
 //! sizes (large gcd), random sizes (gcd 1), values with many exact ties,
 //! non-positive values, and capacities from 0 to twice the footprint
-//! (empty band to full band). A mismatch here means a digest-gated
-//! baseline would change: fix the solver, do not re-bless.
+//! (empty band to full band); for `solve`'s certificate also equal sizes
+//! in value classes with the budget at a class boundary (it fires) or
+//! inside a class (it must fall back). A mismatch here means a
+//! digest-gated baseline would change: fix the solver, do not re-bless.
 
 mod reference;
 
 use proptest::prelude::*;
 
 use tahoe_hms::ObjectId;
-use tahoe_placement::{knapsack, solve_mck_dp, solve_mck_greedy, Item, MckItem};
+use tahoe_placement::{knapsack, solve_mck_dp, solve_mck_greedy, Item, MckItem, Solution};
 
 /// Sizes by shape: 0 uniform, 1 page multiples, 2 random.
 fn size(shape: u32, raw: u64) -> u64 {
@@ -77,9 +80,7 @@ fn mck_items(max: usize, tiers: usize) -> impl Strategy<Value = Vec<MckItem>> {
     })
 }
 
-fn assert_same_solution(items: &[Item], capacity: u64) {
-    let want = reference::solve_exact(items, capacity);
-    let got = knapsack::solve_exact(items, capacity);
+fn assert_bit_identical(got: &Solution, want: &Solution, capacity: u64) {
     assert_eq!(got.chosen, want.chosen, "capacity {capacity}");
     assert_eq!(
         got.total_value.to_bits(),
@@ -89,6 +90,46 @@ fn assert_same_solution(items: &[Item], capacity: u64) {
         want.total_value
     );
     assert_eq!(got.total_size, want.total_size, "capacity {capacity}");
+}
+
+fn assert_same_solution(items: &[Item], capacity: u64) {
+    let want = reference::solve_exact(items, capacity);
+    assert_bit_identical(&knapsack::solve_exact(items, capacity), &want, capacity);
+}
+
+fn assert_same_race(items: &[Item], capacity: u64) {
+    let want = reference::solve_race(items, capacity);
+    assert_bit_identical(&knapsack::solve(items, capacity), &want, capacity);
+}
+
+/// Equal 8 KiB items, item `i` in value class `class[i]` worth
+/// `worth[class[i]]` (distinct), and for each class the bytes of the
+/// classes worth more: the budgets at the class boundaries.
+fn classed(class: &[usize], worth: &[f64]) -> (Vec<Item>, Vec<u64>) {
+    const SIZE: u64 = 8192;
+    let items: Vec<Item> = class
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| Item {
+            id: ObjectId(i as u32),
+            size: SIZE,
+            value: worth[c],
+        })
+        .collect();
+    let above = |v: f64| SIZE * class.iter().filter(|&&c| worth[c] > v).count() as u64;
+    let boundaries = worth.iter().map(|&v| above(v)).collect();
+    (items, boundaries)
+}
+
+/// Two to five class values, distinct: running sums of random steps.
+fn class_worth() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(1u64..1_000_000, 2..6).prop_map(|steps| {
+        let sums = steps.into_iter().scan(0, |sum, step| {
+            *sum += step;
+            Some(*sum as f64 / 7.0)
+        });
+        sums.collect()
+    })
 }
 
 /// One capacity of the grid per paid tier, so tight and slack tiers meet.
@@ -128,6 +169,35 @@ proptest! {
     fn solve_exact_is_bit_identical_to_the_reference(items in binary_items(96)) {
         for capacity in capacities(items.iter().map(|it| it.size)) {
             assert_same_solution(&items, capacity);
+        }
+    }
+
+    #[test]
+    fn solve_is_bit_identical_to_the_reference_race(items in binary_items(96)) {
+        for capacity in capacities(items.iter().map(|it| it.size)) {
+            assert_same_race(&items, capacity);
+        }
+    }
+}
+
+proptest! {
+    // The reference DP sweeps 8193 columns per item at every budget.
+    #![proptest_config(ProptestConfig::with_cases(cases(128)))]
+
+    /// A budget at a class boundary is filled exactly by the classes
+    /// worth more, strictly denser than the rest: the certificate fires.
+    /// One item more cuts into a class of equal values (unless that
+    /// class holds one item): the certificate must decline.
+    #[test]
+    fn solve_matches_the_race_at_and_past_a_class_boundary(
+        worth in class_worth(),
+        class in proptest::collection::vec(0usize..5, 41..128),
+    ) {
+        let class: Vec<usize> = class.into_iter().map(|c| c % worth.len()).collect();
+        let (items, boundaries) = classed(&class, &worth);
+        for capacity in boundaries {
+            assert_same_race(&items, capacity);
+            assert_same_race(&items, capacity + 8192);
         }
     }
 }

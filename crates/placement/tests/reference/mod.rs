@@ -1,13 +1,15 @@
 //! Reference solvers: the straightforward loops `knapsack::solve_exact`,
 //! `solve_mck_dp` and `solve_mck_greedy` ran before they were optimised
 //! (one `bool` / `u8` table entry per cell, a `div` + `mod` per cell per
-//! dimension, a full rescan per greedy move). They define the contract —
-//! chosen set, accumulation order, strict-`>` tie-breaks — the shipping
-//! solvers must reproduce bit for bit, and exist only as test oracles.
+//! dimension, a full rescan per greedy move), and the race
+//! `knapsack::solve` ran before it learned to certify greedy's answer.
+//! They define the contract — chosen set, accumulation order, strict-`>`
+//! tie-breaks — the shipping solvers must reproduce bit for bit, and
+//! exist only as test oracles.
 
 use tahoe_hms::ObjectId;
 use tahoe_placement::mck::MCK_MAX_DP_CELLS;
-use tahoe_placement::{Item, MckItem, Solution};
+use tahoe_placement::{knapsack, solve_bnb, Item, MckItem, Solution};
 
 const MAX_DP_WIDTH: u64 = 8192;
 
@@ -54,6 +56,22 @@ pub fn solve_exact(items: &[Item], capacity: u64) -> Solution {
         total_value,
         total_size,
     }
+}
+
+/// The DP, greedy and (up to its item limit) branch-and-bound, each
+/// replacing the answer so far only when strictly better.
+pub fn solve_race(items: &[Item], capacity: u64) -> Solution {
+    let mut best = solve_exact(items, capacity);
+    let greedy = knapsack::solve_greedy(items, capacity);
+    if greedy.total_value > best.total_value {
+        best = greedy;
+    }
+    if let Some(bnb) = solve_bnb(items, capacity) {
+        if bnb.total_value > best.total_value {
+            best = bnb;
+        }
+    }
+    best
 }
 
 /// Tier per item, as `solve_mck_greedy` assigned them.

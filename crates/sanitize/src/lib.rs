@@ -56,6 +56,6 @@ pub mod verify;
 pub use dynamic::{AccessSanitizer, ExtraAccess, NoSanitize, SanitizeHook};
 pub use hb::HappensBefore;
 pub use mcheck::{BugInjection, McheckConfig, McheckReport};
-pub use plan::{audit_plan, MigrationPlan, PlanContext, PlanReplay, PlanStep};
+pub use plan::{audit_plan, audit_plan_priced, MigrationPlan, PlanContext, PlanReplay, PlanStep};
 pub use report::{SanitizeReport, Violation, ViolationKind};
 pub use verify::{find_cycle, verify_graph, StaticContext};

@@ -37,8 +37,10 @@
 //!   the contention-free modelled memory time of the run, each window
 //!   priced under the placement in force in that window, must not
 //!   exceed the no-plan baseline (the initial placement throughout).
-//!   This is the same pure `mem_time_ns` pricing the MCK items are
-//!   built from, so a solver-produced plan always passes; a hand-edited
+//!   [`audit_plan`] prices with the pure `mem_time_ns` model;
+//!   [`audit_plan_priced`] reads the planner's own per-access table (the
+//!   wall-clock runtime's `cf`-corrected prices), so a solver-produced
+//!   plan always passes the pricing it was solved under; a hand-edited
 //!   plan that demotes hot objects, or a rotation that evicts an object
 //!   at the barrier before its use, is rejected.
 
@@ -46,7 +48,7 @@ use std::collections::HashMap;
 
 use tahoe_hms::alloc::TierAllocator;
 use tahoe_hms::TierSpec;
-use tahoe_taskrt::TaskGraph;
+use tahoe_taskrt::{TaskAccess, TaskGraph};
 
 use crate::dynamic::ExtraAccess;
 use crate::hb::HappensBefore;
@@ -263,11 +265,52 @@ impl PlanContext {
 
 /// Audit `plan` for `g` over the ordered tier list `specs` (fastest
 /// first, last = unbounded spill tier) and return the canonical report.
+/// The cost check prices each access with the pure model on each spec.
 pub fn audit_plan(
     g: &TaskGraph,
     plan: &MigrationPlan,
     specs: &[TierSpec],
     ctx: &PlanContext,
+) -> SanitizeReport {
+    audit(g, plan, specs, ctx, |_, a, t| {
+        a.profile.mem_time_ns(&specs[t])
+    })
+}
+
+/// [`audit_plan`] with the cost check reading `prices`, slot-major:
+/// `prices[slot * specs.len() + t]` is the access in `slot` (the graph's
+/// accesses numbered in task order) on tier `t` — the table the planner
+/// priced the plan with.
+///
+/// # Panics
+///
+/// If `prices` does not hold one price per access per tier.
+pub fn audit_plan_priced(
+    g: &TaskGraph,
+    plan: &MigrationPlan,
+    specs: &[TierSpec],
+    ctx: &PlanContext,
+    prices: &[f64],
+) -> SanitizeReport {
+    let slots: usize = g.tasks().iter().map(|t| t.accesses.len()).sum();
+    assert_eq!(
+        prices.len(),
+        slots * specs.len(),
+        "one price per access per tier"
+    );
+    audit(g, plan, specs, ctx, |slot, _, t| {
+        prices[slot * specs.len() + t]
+    })
+}
+
+/// The audit, with `price(slot, access, tier)` the cost check's price of
+/// the access in `slot` on `tier`.
+fn audit(
+    g: &TaskGraph,
+    plan: &MigrationPlan,
+    specs: &[TierSpec],
+    ctx: &PlanContext,
+    price: impl Fn(usize, &TaskAccess, usize) -> f64,
 ) -> SanitizeReport {
     let n_tiers = specs.len();
     let n_objects = ctx.object_sizes.len();
@@ -472,8 +515,8 @@ pub fn audit_plan(
     // ---- modelled-cost non-regression --------------------------------
     // Price what executes: each window's accesses under the placement
     // in force in that window, against the same accesses under the
-    // initial placement, with the pure per-access memory-time model the
-    // MCK items use. A plan that makes the modelled run *slower* is
+    // initial placement, at the per-access prices the MCK items were
+    // built from. A plan that makes the modelled run *slower* is
     // feasible but counterproductive — a mutated or stale plan, or a
     // rotation that evicts an object ahead of its use.
     if n_tiers > 0 {
@@ -482,13 +525,15 @@ pub fn audit_plan(
         let spill = n_tiers - 1;
         let on = |tiers: &[u8], obj: usize| tiers.get(obj).map_or(spill, |&t| t as usize);
         let (mut before, mut after) = (0.0, 0.0);
+        let mut slot = 0;
         // Tasks are stored in window order.
         for t in g.tasks() {
             let in_force = replay.advance_to(t.window);
             for a in &t.accesses {
                 let obj = a.object.index();
-                before += a.profile.mem_time_ns(&specs[on(&initial, obj)]);
-                after += a.profile.mem_time_ns(&specs[on(in_force, obj)]);
+                before += price(slot, a, on(&initial, obj));
+                after += price(slot, a, on(in_force, obj));
+                slot += 1;
             }
         }
         if after > before * (1.0 + 1e-9) {
@@ -806,6 +851,17 @@ mod tests {
         let r = audit_plan(&g, &plan, &specs2(1 << 20), &ctx);
         assert_eq!(r.count(ViolationKind::PlanCostRegression), 1);
         assert!(r.violations[0].detail.contains("regresses"));
+
+        // The same verdict from the model's prices as a table; none from
+        // a table in which NVM is as fast as DRAM.
+        let specs = specs2(1 << 20);
+        let accesses = g.tasks().iter().flat_map(|t| &t.accesses);
+        let model: Vec<f64> = accesses
+            .flat_map(|a| specs.iter().map(|s| a.profile.mem_time_ns(s)))
+            .collect();
+        assert_eq!(audit_plan_priced(&g, &plan, &specs, &ctx, &model), r);
+        let flat: Vec<f64> = model.chunks(2).flat_map(|p| [p[0], p[0]]).collect();
+        assert!(audit_plan_priced(&g, &plan, &specs, &ctx, &flat).is_clean());
     }
 
     /// The final placement equals the initial one, so pricing the final
