@@ -804,7 +804,6 @@ mod tests {
             "reconciliation": {"blame_pct_overlap": 99.8, "engine_pct_overlap": 100.0,
                                "delta_pct": 0.2, "blamed_migrations": 12,
                                "engine_migrations": 12, "unattributed_wait_ns": 3154.0},
-            "whatif": [],
             "audit": {"audited": 2, "median_ape_pct": 40.0, "sign_agreement_pct": 100.0},
             "objects": [
               {"object": 0, "name": "a0", "bytes": 65536, "chosen": true, "accesses": 4,

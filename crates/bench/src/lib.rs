@@ -964,9 +964,8 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> Result<String, String> {
 /// `exp blame`: the causal-profiler and model-audit artifact. Runs the
 /// parallel measured Tahoe policy once with the flight recorder on,
 /// reconstructs the critical path and the exposed-stall blame table from
-/// the merged event stream, prices COZ-style what-if estimates in the
-/// CF-free model, audits the planner's predictions against the same
-/// run's access timing, counts its events by kind, then boots a
+/// the merged event stream, audits the planner's predictions against the
+/// same run's access timing, counts its events by kind, then boots a
 /// small two-tenant server and scrapes its live telemetry plane (skipped
 /// gracefully where loopback sockets are unavailable), journalling it to
 /// `dir/telemetry.jsonl`.
@@ -1011,7 +1010,7 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
         "  {:<7} {:>5} {:>5} {:>12} {:>12} {:>12} {:>7}",
         "object", "tier", "migr", "exposed ms", "overlap ms", "gate ms", "chosen"
     );
-    for e in crit.blame.iter().take(8) {
+    for e in crit.blame.top_k(8) {
         println!(
             "  {:<7} {:>5} {:>5} {:>12.3} {:>12.3} {:>12.3} {:>7}",
             e.object,
@@ -1023,14 +1022,13 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
             e.chosen
         );
     }
-    let overlap_delta = (crit.blame_pct_overlap - r.migration.pct_overlap()).abs();
-    let blamed_migrations: u64 = crit.blame.iter().map(|e| e.migrations).sum();
+    let overlap_delta = (crit.blame.pct_overlap() - r.migration.pct_overlap()).abs();
+    let blamed_migrations: u64 = crit.blame.entries().map(|e| e.migrations).sum();
     println!(
-        "  reconciliation: blame overlap {:.2}% vs engine {:.2}% (delta {:.3}%), {} what-if estimates",
-        crit.blame_pct_overlap,
+        "  reconciliation: blame overlap {:.2}% vs engine {:.2}% (delta {:.3}%)",
+        crit.blame.pct_overlap(),
         r.migration.pct_overlap(),
-        overlap_delta,
-        crit.whatif.len()
+        overlap_delta
     );
 
     // ---- model audit ------------------------------------------------
@@ -1172,7 +1170,7 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
         );
     }
 
-    let blame_rows = crit.blame.iter().map(|e| {
+    let blame_rows = crit.blame.top_k(usize::MAX).into_iter().map(|e| {
         obj! {
             "object": e.object,
             "tier": e.tier.to_string(),
@@ -1183,16 +1181,6 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
             "gate_wait_ns": Value::fixed(e.gate_wait_ns, 1),
             "chosen": e.chosen,
             "predicted_benefit_ns": Value::fixed(e.predicted_benefit_ns, 1),
-        }
-    });
-    let whatif_rows = crit.whatif.iter().map(|w| {
-        obj! {
-            "object": w.object,
-            "exposed_ns": Value::fixed(w.exposed_ns, 1),
-            "whatif_wall_ns": Value::fixed(w.whatif_wall_ns, 1),
-            "modelled_saving_ns": Value::fixed(w.modelled_saving_ns, 1),
-            "predicted_benefit_ns": Value::fixed(w.predicted_benefit_ns, 1),
-            "sign_agrees": w.sign_agrees,
         }
     });
     let objects = audit.rows.iter().map(|o| {
@@ -1249,14 +1237,13 @@ fn blame(smoke: bool, dir: &Path) -> Result<Value, String> {
         },
         "blame": Value::array(blame_rows),
         "reconciliation": obj! {
-            "blame_pct_overlap": Value::fixed(crit.blame_pct_overlap, 6),
+            "blame_pct_overlap": Value::fixed(crit.blame.pct_overlap(), 6),
             "engine_pct_overlap": Value::fixed(r.migration.pct_overlap(), 6),
             "delta_pct": Value::fixed(overlap_delta, 6),
             "blamed_migrations": blamed_migrations,
             "engine_migrations": r.migration.count,
-            "unattributed_wait_ns": Value::fixed(crit.unattributed_wait_ns, 1),
+            "unattributed_wait_ns": Value::fixed(crit.blame.unattributed_wait_ns, 1),
         },
-        "whatif": Value::array(whatif_rows),
         "audit": obj! {
             "audited": audit.audited,
             "median_ape_pct": Value::fixed(audit.median_ape_pct, 6),

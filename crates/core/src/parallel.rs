@@ -91,7 +91,7 @@ use std::time::Instant;
 
 use tahoe_hms::{MigrationStats, Ns, ObjectId, SharedHms, TierId};
 use tahoe_memprof::wallclock::WallClockCalibration;
-use tahoe_obs::{BlameTable, CritPath, CritPathDigest, Emitter, Event, FlightRecorder, WhatIf};
+use tahoe_obs::{BlameTable, CritPath, CritPathDigest, Emitter, Event, FlightRecorder};
 use tahoe_realmem::BackgroundMigrator;
 use tahoe_sanitize::{
     AccessSanitizer, ExtraAccess, MigrationPlan, NoSanitize, SanitizeHook, SanitizeReport,
@@ -101,7 +101,7 @@ use tahoe_taskrt::{run_scoped, JobSpec, NoGate, TaskGraph, TaskSpec};
 
 use crate::app::App;
 pub use crate::engine::AccessTierTiming;
-use crate::engine::{AccessPrices, ClassQuota, GraphLayout, GraphRun};
+use crate::engine::{ClassQuota, GraphLayout, GraphRun};
 use crate::measured::{migrator_has_a_core, MeasuredRuntime};
 use crate::policy::PolicyKind;
 
@@ -207,9 +207,9 @@ pub struct ParallelPolicyReport {
     /// Contention counters of the lock-free pin/move state machines
     /// (CAS retries, shard parks/unparks, mid-move waits).
     pub contention: tahoe_hms::ContentionStats,
-    /// Causal-profile digest: critical path, exposed-stall blame and
-    /// per-object what-if estimates reconstructed from the merged
-    /// flight-recorder stream. `None` on unobserved runs (no recorder).
+    /// Causal-profile digest: critical path and exposed-stall blame
+    /// reconstructed from the merged flight-recorder stream. `None` on
+    /// unobserved runs (no recorder).
     pub crit: Option<CritPathDigest>,
 }
 
@@ -517,38 +517,12 @@ impl MeasuredRuntime {
             obs_ring_dropped = cap.total_dropped;
             // Causal profile: reconstruct the critical path and the
             // exposed-stall blame table from the merged stream before
-            // it is handed to the emitter. Blame labels objects by HMS
-            // id, the model by app index; `prepare` allocates app
-            // objects in order into a fresh heap, so the two agree.
+            // it is handed to the emitter. Copies label objects by HMS
+            // id, placement decisions by app index; `prepare` allocates
+            // app objects in order into a fresh heap, so the two agree.
             let path = CritPath::from_events(&cap.events);
-            let blame = BlameTable::from_events(&cap.events);
-            let mut digest = CritPathDigest::new(&path, &blame);
+            let mut digest = CritPathDigest::new(&path, BlameTable::from_events(&cap.events));
             digest.exec_wall_ns = exec_wall_ns;
-            // COZ-style what-if per blamed object: price whole-run DRAM
-            // residence (against everything on the spill tier) with the
-            // CF-free model, pair it with the knapsack's prediction, and
-            // bound the wall-clock win of an earlier migration by the
-            // stall the object exposed.
-            let model = AccessPrices::new(&app.graph, config.tier_specs(), None);
-            let mut saving = vec![0.0f64; app.objects.len()];
-            for (a, p) in model.rows(&app.graph) {
-                saving[a.object.index()] += p[p.len() - 1] - p[0];
-            }
-            for e in blame.entries.iter().filter(|e| e.exposed_ns > 0.0) {
-                let i = e.object as usize;
-                let Some(&modelled_saving_ns) = saving.get(i) else {
-                    continue;
-                };
-                let predicted_benefit_ns = plan_values.as_ref().map_or(0.0, |v| v[i]);
-                digest.whatif.push(WhatIf {
-                    object: e.object,
-                    exposed_ns: e.exposed_ns,
-                    whatif_wall_ns: (exec_wall_ns - e.exposed_ns).max(0.0),
-                    modelled_saving_ns,
-                    predicted_benefit_ns,
-                    sign_agrees: (modelled_saving_ns > 0.0) == (predicted_benefit_ns > 0.0),
-                });
-            }
             crit = Some(digest);
             self.emitter.emit_many(cap.events);
             for (key, data) in &cap.hists {
@@ -874,31 +848,23 @@ mod tests {
         // same records, same arithmetic.
         assert!(r.migration.count > 0, "plan must trigger migrations");
         assert!(
-            (crit.blame_pct_overlap - r.migration.pct_overlap()).abs() <= 1.0,
+            (crit.blame.pct_overlap() - r.migration.pct_overlap()).abs() <= 1.0,
             "blame overlap {} vs engine overlap {}",
-            crit.blame_pct_overlap,
+            crit.blame.pct_overlap(),
             r.migration.pct_overlap()
         );
-        let blamed_migrations: u64 = crit.blame.iter().map(|e| e.migrations).sum();
+        let blamed_migrations: u64 = crit.blame.entries().map(|e| e.migrations).sum();
         assert_eq!(blamed_migrations, r.migration.count);
         // Every waited nanosecond the engine reports lands in the blame
         // table: on the copies in flight during it, or unattributed.
-        let attributed_wait_ns: f64 = crit.blame.iter().map(|e| e.gate_wait_ns).sum();
+        let attributed_wait_ns: f64 = crit.blame.entries().map(|e| e.gate_wait_ns).sum();
         assert!(
-            (attributed_wait_ns + crit.unattributed_wait_ns - r.gate_wait_ns).abs()
+            (attributed_wait_ns + crit.blame.unattributed_wait_ns - r.gate_wait_ns).abs()
                 <= 1e-6 * r.gate_wait_ns.max(1.0),
             "blame {attributed_wait_ns} + {} vs engine {}",
-            crit.unattributed_wait_ns,
+            crit.blame.unattributed_wait_ns,
             r.gate_wait_ns
         );
-
-        // What-if estimates are bounded and sign-consistent with the
-        // knapsack: DRAM residence can only help in the model.
-        for w in &crit.whatif {
-            assert!(w.exposed_ns > 0.0);
-            assert!(w.whatif_wall_ns <= crit.exec_wall_ns);
-            assert!(w.modelled_saving_ns >= 0.0);
-        }
 
         // Unobserved runs carry no digest.
         let plain = runtime()

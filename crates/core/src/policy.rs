@@ -75,30 +75,23 @@ impl PolicyKind {
             PolicyKind::StaticOffline => "static-offline".into(),
             PolicyKind::Pinned(objs) => format!("pinned({})", objs.len()),
             PolicyKind::Tahoe(o) => {
-                if *o == TahoeOptions::default() {
-                    "tahoe".into()
-                } else {
-                    let mut tags = Vec::new();
-                    if !o.local_search {
-                        tags.push("-local");
+                let mut name = String::from("tahoe");
+                for (on, tag) in [
+                    (o.local_search, "-local"),
+                    (o.global_search, "-global"),
+                    (o.chunking, "-chunk"),
+                    (o.initial_placement, "-init"),
+                    (o.proactive, "-proactive"),
+                    (o.distinguish_rw, "-rw"),
+                ] {
+                    if !on {
+                        name.push_str(tag);
                     }
-                    if !o.global_search {
-                        tags.push("-global");
-                    }
-                    if !o.chunking {
-                        tags.push("-chunk");
-                    }
-                    if !o.initial_placement {
-                        tags.push("-init");
-                    }
-                    if !o.proactive {
-                        tags.push("-proactive");
-                    }
-                    if !o.distinguish_rw {
-                        tags.push("-rw");
-                    }
-                    format!("tahoe{}", tags.join(""))
                 }
+                if o.lookahead != TahoeOptions::default().lookahead {
+                    name.push_str(&format!("-la{}", o.lookahead));
+                }
+                name
             }
         }
     }
@@ -114,6 +107,10 @@ mod tests {
             proactive: false,
             ..TahoeOptions::default()
         };
+        let shallow = TahoeOptions {
+            lookahead: 1,
+            ..TahoeOptions::default()
+        };
         let names = [
             PolicyKind::DramOnly.name(),
             PolicyKind::NvmOnly.name(),
@@ -122,6 +119,7 @@ mod tests {
             PolicyKind::StaticOffline.name(),
             PolicyKind::tahoe().name(),
             PolicyKind::Tahoe(opts).name(),
+            PolicyKind::Tahoe(shallow).name(),
         ];
         let mut dedup = names.to_vec();
         dedup.sort();

@@ -152,13 +152,13 @@ fn a_forced_stall_is_the_same_number_everywhere() {
     // The blame table charges the wait to the copy that caused it.
     let hot = crit
         .blame
-        .iter()
+        .entries()
         .find(|e| e.object == HOT)
         .expect("the moved object is blamed");
     assert!(hot.gate_wait_ns > 0.0, "{hot:?}");
-    let attributed: f64 = crit.blame.iter().map(|e| e.gate_wait_ns).sum();
+    let attributed: f64 = crit.blame.entries().map(|e| e.gate_wait_ns).sum();
     assert!(
-        (attributed + crit.unattributed_wait_ns - report.gate_wait_ns).abs()
+        (attributed + crit.blame.unattributed_wait_ns - report.gate_wait_ns).abs()
             <= 1e-6 * report.gate_wait_ns
     );
 }

@@ -21,7 +21,12 @@
 //!   than double-count it). Wait time no copy overlaps lands in
 //!   [`BlameTable::unattributed_wait_ns`] — nothing is dropped.
 //! * `chosen` / `predicted_benefit_ns` — the placement decision the
-//!   knapsack made for the object, for the what-if sign check.
+//!   knapsack made for the object.
+//!
+//! [`BlameTable::record_copy`] is the one fold of a committed copy: the
+//! completion pass here calls it per completion, and the server's live
+//! plane per commit, so a batch run and a served tenant answer "which
+//! object is to blame" from the same rows.
 
 use std::collections::BTreeMap;
 
@@ -50,11 +55,11 @@ pub struct BlameEntry {
     pub predicted_benefit_ns: Ns,
 }
 
-/// Whole-run blame table: entries sorted by exposed time (worst first).
+/// Per-(object, destination tier) blame table: the one type a batch
+/// run's digest and the server's live plane both fold copies into.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BlameTable {
-    /// Entries, highest `exposed_ns` first (object id breaks ties).
-    pub entries: Vec<BlameEntry>,
+    cells: BTreeMap<(u32, Tier), BlameEntry>,
     /// Total overlapped copy ns across all entries.
     pub overlapped_ns: Ns,
     /// Total exposed copy ns across all entries.
@@ -77,9 +82,58 @@ impl BlameTable {
         }
     }
 
-    /// The `k` worst entries by exposed stall time.
-    pub fn top_k(&self, k: usize) -> &[BlameEntry] {
-        &self.entries[..k.min(self.entries.len())]
+    /// Fold one committed copy of `object` into `tier`: one map update
+    /// and the totals.
+    pub fn record_copy(
+        &mut self,
+        object: u32,
+        tier: Tier,
+        bytes: u64,
+        overlapped_ns: Ns,
+        exposed_ns: Ns,
+    ) {
+        let entry = self.cell(object, tier);
+        entry.migrations += 1;
+        entry.bytes += bytes;
+        entry.overlapped_ns += overlapped_ns;
+        entry.exposed_ns += exposed_ns;
+        self.overlapped_ns += overlapped_ns;
+        self.exposed_ns += exposed_ns;
+    }
+
+    fn cell(&mut self, object: u32, tier: Tier) -> &mut BlameEntry {
+        self.cells
+            .entry((object, tier))
+            .or_insert_with(|| BlameEntry {
+                object,
+                tier,
+                migrations: 0,
+                bytes: 0,
+                overlapped_ns: 0.0,
+                exposed_ns: 0.0,
+                gate_wait_ns: 0.0,
+                chosen: false,
+                predicted_benefit_ns: 0.0,
+            })
+    }
+
+    /// Every entry, by object id then tier.
+    pub fn entries(&self) -> impl Iterator<Item = &BlameEntry> {
+        self.cells.values()
+    }
+
+    /// The `k` worst entries by exposed stall time (object id, then
+    /// tier, breaks ties — the same order for the same copies).
+    pub fn top_k(&self, k: usize) -> Vec<BlameEntry> {
+        let mut entries: Vec<BlameEntry> = self.cells.values().cloned().collect();
+        entries.sort_by(|a, b| {
+            b.exposed_ns
+                .total_cmp(&a.exposed_ns)
+                .then(a.object.cmp(&b.object))
+                .then(a.tier.cmp(&b.tier))
+        });
+        entries.truncate(k);
+        entries
     }
 
     /// Build the table from a merged event stream.
@@ -124,29 +178,8 @@ impl BlameTable {
 
         // Pass 2: fold completions into per-(object, tier) entries and
         // collect the copy intervals for gate-wait attribution.
-        let mut table: BTreeMap<(u32, Tier), BlameEntry> = BTreeMap::new();
+        let mut table = BlameTable::default();
         let mut intervals: Vec<(Ns, Ns, u32, Tier)> = Vec::new(); // (start, finish, object, tier)
-        fn entry_for<'a>(
-            table: &'a mut BTreeMap<(u32, Tier), BlameEntry>,
-            decisions: &BTreeMap<u32, (bool, Ns)>,
-            object: u32,
-            to: Tier,
-        ) -> &'a mut BlameEntry {
-            let (chosen, predicted) = decisions.get(&object).copied().unwrap_or((false, 0.0));
-            table.entry((object, to)).or_insert_with(|| BlameEntry {
-                object,
-                tier: to,
-                migrations: 0,
-                bytes: 0,
-                overlapped_ns: 0.0,
-                exposed_ns: 0.0,
-                gate_wait_ns: 0.0,
-                chosen,
-                predicted_benefit_ns: predicted,
-            })
-        }
-        let mut overlapped_total = 0.0;
-        let mut exposed_total = 0.0;
         for e in events {
             if let Event::MigrationCompleted {
                 object, overlap_ns, ..
@@ -157,23 +190,14 @@ impl BlameTable {
                 };
                 let dur = (issue.finish - issue.start).max(0.0);
                 let overlapped = overlap_ns.clamp(0.0, dur);
-                let exposed = dur - overlapped;
                 intervals.push((issue.start, issue.finish, object, issue.to));
-                let entry = entry_for(&mut table, &decisions, object, issue.to);
-                entry.migrations += 1;
-                entry.bytes += issue.bytes;
-                entry.overlapped_ns += overlapped;
-                entry.exposed_ns += exposed;
-                overlapped_total += overlapped;
-                exposed_total += exposed;
+                table.record_copy(object, issue.to, issue.bytes, overlapped, dur - overlapped);
             }
         }
         intervals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
 
         // Pass 3: split every gate-wait interval across the copies in
         // flight during it; the remainder is unattributed.
-        let mut attributed = 0.0;
-        let mut unattributed = 0.0;
         for e in events {
             let Event::WorkerTask {
                 t,
@@ -196,34 +220,28 @@ impl BlameTable {
                     continue;
                 }
                 if m_start > cursor {
-                    unattributed += m_start - cursor;
+                    table.unattributed_wait_ns += m_start - cursor;
                     cursor = m_start;
                 }
                 let piece = m_finish.min(w_end) - cursor;
                 if piece > 0.0 {
-                    entry_for(&mut table, &decisions, object, tier).gate_wait_ns += piece;
-                    attributed += piece;
+                    table.cell(object, tier).gate_wait_ns += piece;
+                    table.attributed_wait_ns += piece;
                     cursor += piece;
                 }
             }
             if w_end > cursor {
-                unattributed += w_end - cursor;
+                table.unattributed_wait_ns += w_end - cursor;
             }
         }
 
-        let mut entries: Vec<BlameEntry> = table.into_values().collect();
-        entries.sort_by(|a, b| {
-            b.exposed_ns
-                .total_cmp(&a.exposed_ns)
-                .then(a.object.cmp(&b.object))
-        });
-        BlameTable {
-            entries,
-            overlapped_ns: overlapped_total,
-            exposed_ns: exposed_total,
-            attributed_wait_ns: attributed,
-            unattributed_wait_ns: unattributed,
+        for entry in table.cells.values_mut() {
+            if let Some(&(chosen, predicted)) = decisions.get(&entry.object) {
+                entry.chosen = chosen;
+                entry.predicted_benefit_ns = predicted;
+            }
         }
+        table
     }
 }
 
@@ -268,7 +286,7 @@ mod tests {
     #[test]
     fn empty_stream_reports_full_overlap() {
         let t = BlameTable::from_events(&[]);
-        assert!(t.entries.is_empty());
+        assert_eq!(t.entries().count(), 0);
         assert_eq!(t.pct_overlap(), 100.0);
     }
 
@@ -279,8 +297,9 @@ mod tests {
             completed(3, 4096, 200.0, 60.0),
         ];
         let t = BlameTable::from_events(&events);
-        assert_eq!(t.entries.len(), 1);
-        let e = &t.entries[0];
+        let rows = t.top_k(usize::MAX);
+        assert_eq!(rows.len(), 1);
+        let e = &rows[0];
         assert_eq!(e.object, 3);
         assert_eq!(e.tier, Tier::Dram);
         assert_eq!(e.migrations, 1);
@@ -305,7 +324,11 @@ mod tests {
             completed(4, 64, 30.0, 4.0),
         ];
         let t = BlameTable::from_events(&events);
-        let cells: Vec<(Tier, u64)> = t.entries.iter().map(|e| (e.tier, e.migrations)).collect();
+        let cells: Vec<(Tier, u64)> = t
+            .top_k(usize::MAX)
+            .iter()
+            .map(|e| (e.tier, e.migrations))
+            .collect();
         assert_eq!(cells, vec![(Tier::Dram, 1), (Tier::Mid(1), 1)]);
     }
 
@@ -322,7 +345,7 @@ mod tests {
         let t = BlameTable::from_events(&events);
         assert!((t.attributed_wait_ns - 30.0).abs() < 1e-9);
         assert!((t.unattributed_wait_ns - 50.0).abs() < 1e-9);
-        assert!((t.entries[0].gate_wait_ns - 30.0).abs() < 1e-9);
+        assert!((t.top_k(1)[0].gate_wait_ns - 30.0).abs() < 1e-9);
         assert!(
             (t.attributed_wait_ns + t.unattributed_wait_ns - 80.0).abs() < 1e-9,
             "wait time is conserved"
@@ -344,11 +367,7 @@ mod tests {
         let t = BlameTable::from_events(&events);
         assert!((t.attributed_wait_ns - 100.0).abs() < 1e-9);
         assert_eq!(t.unattributed_wait_ns, 0.0);
-        let by_obj: BTreeMap<u32, f64> = t
-            .entries
-            .iter()
-            .map(|e| (e.object, e.gate_wait_ns))
-            .collect();
+        let by_obj: BTreeMap<u32, f64> = t.entries().map(|e| (e.object, e.gate_wait_ns)).collect();
         assert!((by_obj[&1] - 60.0).abs() < 1e-9);
         assert!((by_obj[&2] - 40.0).abs() < 1e-9);
     }
@@ -367,8 +386,9 @@ mod tests {
             completed(9, 64, 20.0, 10.0),
         ];
         let t = BlameTable::from_events(&events);
-        assert!(t.entries[0].chosen);
-        assert_eq!(t.entries[0].predicted_benefit_ns, 123.0);
+        let e = &t.top_k(1)[0];
+        assert!(e.chosen);
+        assert_eq!(e.predicted_benefit_ns, 123.0);
     }
 
     #[test]
@@ -380,8 +400,85 @@ mod tests {
             completed(2, 10, 100.0, 0.0),
         ];
         let t = BlameTable::from_events(&events);
-        assert_eq!(t.entries[0].object, 2);
+        assert_eq!(t.top_k(1)[0].object, 2);
         assert_eq!(t.top_k(1).len(), 1);
         assert_eq!(t.top_k(5).len(), 2);
+    }
+
+    /// The server's path (`record_copy` per commit) and the batch
+    /// path (issue / completion events through `from_events`) fold
+    /// the same copies into the same table. Objects 1 and 2 tie on
+    /// exposed time, and object 1 ties with itself across two tiers.
+    #[test]
+    fn record_copy_and_the_event_stream_agree() {
+        // (object, tier, bytes, start, finish, overlapped)
+        let copies = [
+            (2, Tier::Dram, 64, 0.0, 100.0, 50.0),
+            (1, Tier::Mid(1), 32, 10.0, 60.0, 0.0),
+            (3, Tier::Nvm, 16, 20.0, 110.0, 0.0),
+            (1, Tier::Dram, 8, 30.0, 90.0, 10.0),
+            (3, Tier::Nvm, 16, 120.0, 130.0, 10.0),
+        ];
+        let mut events = Vec::new();
+        let mut served = BlameTable::default();
+        for &(object, to, bytes, start, finish, overlapped) in &copies {
+            events.push(Event::MigrationIssued {
+                t: start,
+                object,
+                bytes,
+                from: Tier::Nvm,
+                to,
+                start,
+                finish,
+                queue_depth: 0,
+            });
+            events.push(completed(object, bytes, finish, overlapped));
+            served.record_copy(object, to, bytes, overlapped, finish - start - overlapped);
+        }
+        let batch = BlameTable::from_events(&events);
+        assert_eq!(served, batch);
+        let order: Vec<(u32, Tier)> = served.top_k(4).iter().map(|e| (e.object, e.tier)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (3, Tier::Nvm),
+                (1, Tier::Dram),
+                (1, Tier::Mid(1)),
+                (2, Tier::Dram)
+            ]
+        );
+        assert_eq!(served.top_k(4), batch.top_k(4));
+        assert_eq!((served.overlapped_ns, served.exposed_ns), (70.0, 240.0));
+    }
+
+    #[test]
+    fn record_copy_accumulates_and_ranks_by_exposed() {
+        let mut t = BlameTable::default();
+        // Object 1: 50 of [0,100] overlapped, 50 exposed.
+        t.record_copy(1, Tier::Dram, 10, 50.0, 50.0);
+        // Object 2: 10 overlapped, 90 exposed.
+        t.record_copy(2, Tier::Dram, 20, 10.0, 90.0);
+        // Object 1 again, demotion direction: its own entry.
+        t.record_copy(1, Tier::Nvm, 10, 30.0, 0.0);
+        let top = t.top_k(10);
+        assert_eq!(top.len(), 3);
+        assert_eq!((top[0].object, top[0].tier), (2, Tier::Dram));
+        assert!((top[0].exposed_ns - 90.0).abs() < 1e-9);
+        assert_eq!(t.entries().map(|e| e.migrations).sum::<u64>(), 3);
+        assert_eq!(t.top_k(1).len(), 1);
+        // A fully overlapped demotion exposes nothing.
+        let demo = top.iter().find(|e| e.tier == Tier::Nvm).unwrap();
+        assert_eq!(demo.exposed_ns, 0.0);
+    }
+
+    #[test]
+    fn record_copy_keeps_a_middle_tier_destination_apart() {
+        // Spill → middle, then middle → fastest: one object, two
+        // entries, labelled by their destination.
+        let mut t = BlameTable::default();
+        t.record_copy(7, Tier::Mid(1), 64, 5.0, 5.0);
+        t.record_copy(7, Tier::Dram, 64, 5.0, 5.0);
+        let tiers: Vec<String> = t.top_k(10).iter().map(|e| e.tier.to_string()).collect();
+        assert_eq!(tiers, vec!["dram", "tier1"]);
     }
 }

@@ -21,7 +21,7 @@
 //! start → last task finish) exceeds the chain by less than that task's
 //! length, and so by less than the longest task's.
 
-use crate::blame::{BlameEntry, BlameTable};
+use crate::blame::BlameTable;
 use crate::event::{Event, Ns};
 
 /// What a critical-path segment spent its time on.
@@ -246,33 +246,8 @@ pub fn blame_object(migs: &[(u32, Ns, Ns)], s: Ns, e: Ns) -> Option<u32> {
     unblocker.or(widest).map(|(_, o)| o)
 }
 
-/// A COZ-style what-if estimate for one blamed object: what the run
-/// would have looked like had the object been DRAM-resident (or its
-/// migration fully overlapped). Model pricing is filled in by the
-/// runtime, which owns the app model and the fitted tier specs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WhatIf {
-    /// Blamed object.
-    pub object: u32,
-    /// Exposed stall ns attributed to it.
-    pub exposed_ns: Ns,
-    /// Estimated wall clock had the migration been fully overlapped:
-    /// `exec_wall_ns - exposed_ns`.
-    pub whatif_wall_ns: Ns,
-    /// CF-free modelled ns saved by whole-run DRAM residence of this
-    /// object against the all-NVM baseline: its accesses' model time on
-    /// the spill tier less their time on DRAM.
-    pub modelled_saving_ns: Ns,
-    /// The knapsack's predicted benefit for the object (the placement
-    /// decision's value).
-    pub predicted_benefit_ns: Ns,
-    /// Whether the model-side saving and the knapsack prediction agree
-    /// in sign — the cheap consistency check the blame bench gates on.
-    pub sign_agrees: bool,
-}
-
 /// Per-run causal-profile digest embedded in run reports: critical-path
-/// totals, the exposed-stall blame table and the what-if estimates.
+/// totals and the exposed-stall blame table.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CritPathDigest {
     /// Chain length (`compute + stall + idle`).
@@ -294,22 +269,16 @@ pub struct CritPathDigest {
     pub tasks_on_path: usize,
     /// `100 * |crit_total - span| / span` (0 when the span is empty).
     pub crit_vs_span_pct: f64,
-    /// Exposed-stall blame entries, highest exposed time first.
-    pub blame: Vec<BlameEntry>,
-    /// Blame-side aggregate `%overlap` — must reconcile with
-    /// `MigrationStats::pct_overlap` (same records, same arithmetic).
-    pub blame_pct_overlap: f64,
-    /// Gate-wait ns no in-flight copy overlapped (planning charges,
-    /// scheduler latency).
-    pub unattributed_wait_ns: Ns,
-    /// What-if estimates per blamed object (runtime-priced).
-    pub whatif: Vec<WhatIf>,
+    /// The run's exposed-stall blame table; its `pct_overlap()` must
+    /// reconcile with `MigrationStats::pct_overlap` (same records, same
+    /// arithmetic).
+    pub blame: BlameTable,
 }
 
 impl CritPathDigest {
     /// Fold a reconstructed path and blame table into a digest. The
-    /// runtime fills `exec_wall_ns` and `whatif` afterwards.
-    pub fn new(path: &CritPath, blame: &BlameTable) -> Self {
+    /// runtime fills `exec_wall_ns` afterwards.
+    pub fn new(path: &CritPath, blame: BlameTable) -> Self {
         let span = path.span_ns();
         let crit = path.total_ns();
         CritPathDigest {
@@ -326,10 +295,7 @@ impl CritPathDigest {
             } else {
                 0.0
             },
-            blame: blame.entries.clone(),
-            blame_pct_overlap: blame.pct_overlap(),
-            unattributed_wait_ns: blame.unattributed_wait_ns,
-            whatif: Vec::new(),
+            blame,
         }
     }
 }
@@ -454,7 +420,7 @@ mod tests {
         let longest_task = 2.0 * MS;
         let gap = p.span_ns() - p.total_ns();
         assert_eq!(gap, 1.0 * MS);
-        let d = CritPathDigest::new(&p, &crate::blame::BlameTable::from_events(&events));
+        let d = CritPathDigest::new(&p, crate::blame::BlameTable::from_events(&events));
         assert!(d.crit_vs_span_pct > 5.0, "{}", d.crit_vs_span_pct);
         assert!(gap <= longest_task, "the property holds");
         // A chain that bottomed out early, at 2.5 ms, leaves more of the
@@ -475,7 +441,7 @@ mod tests {
         ];
         let path = CritPath::from_events(&events);
         let blame = crate::blame::BlameTable::from_events(&events);
-        let d = CritPathDigest::new(&path, &blame);
+        let d = CritPathDigest::new(&path, blame);
         assert!((d.crit_total_ns - (d.compute_ns + d.stall_ns + d.idle_ns)).abs() < 1e-9);
         assert!(d.crit_vs_span_pct < 1e-9, "chain covers the whole span");
         assert_eq!(d.tasks_on_path, 2);

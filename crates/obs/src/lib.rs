@@ -29,8 +29,9 @@
 //!   with flow arrows linking each migration span to the stall it
 //!   unblocks.
 //! * [`critpath`] / [`blame`] — the causal profiler: critical-path
-//!   reconstruction, exposed-stall blame attribution and COZ-style
-//!   what-if digests, all computed from the same merged stream.
+//!   reconstruction and exposed-stall blame attribution from the same
+//!   merged stream. [`BlameTable`] is also the server's live blame
+//!   table, fed one committed copy at a time.
 //! * [`json`] — the one compact JSON writer behind the JSONL, trace,
 //!   metrics and server telemetry lines, plus a minimal parser used by
 //!   tests and tools to validate them without external dependencies.
@@ -54,7 +55,7 @@ pub mod metrics;
 pub mod recorder;
 
 pub use blame::{BlameEntry, BlameTable};
-pub use critpath::{CritPath, CritPathDigest, Segment, SegmentKind, WhatIf};
+pub use critpath::{CritPath, CritPathDigest, Segment, SegmentKind};
 pub use emit::{Emitter, EventBuffer, Sink, VecSink};
 pub use event::{Event, Tier};
 pub use export::{to_chrome_trace, to_jsonl, JsonlSink};

@@ -83,7 +83,7 @@ impl BackgroundMigrator {
     /// stream at drain time; each copy chunk's wall time also lands in
     /// the lane's `mig_chunk_ns` histogram), else to `emitter`. A
     /// per-commit `observer` lets live consumers (the server's telemetry
-    /// blame board) see each committed record as it happens instead of
+    /// blame table) see each committed record as it happens instead of
     /// waiting for [`finish`](Self::finish).
     pub fn spawn(
         shared: Arc<SharedHms>,
@@ -590,7 +590,7 @@ mod tests {
         // The middle-tier destination is its own blame cell, apart from
         // the same object's later move to tier 0.
         let blame = tahoe_obs::BlameTable::from_events(&events);
-        let mut cells: Vec<_> = blame.entries.iter().map(|e| (e.object, e.tier)).collect();
+        let mut cells: Vec<_> = blame.entries().map(|e| (e.object, e.tier)).collect();
         cells.sort();
         assert_eq!(
             cells,

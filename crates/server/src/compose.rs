@@ -11,8 +11,8 @@
 //! graph.
 //!
 //! Only access-derived dependences are replayed; explicit
-//! [`AppBuilder::dep`](tahoe_core::app::AppBuilder) edges (which no
-//! bundled workload uses) are not preserved.
+//! [`TaskGraph::add_dep`](tahoe_taskrt::TaskGraph::add_dep) edges
+//! (which no bundled workload adds) are not preserved.
 
 use tahoe_core::app::{App, AppBuilder, ObjectSpec};
 use tahoe_hms::ObjectId;

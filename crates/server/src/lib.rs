@@ -105,4 +105,4 @@ pub use server::{
     ArbiterMode, GraphOutcome, GraphTicket, ServerConfig, ServerReport, Submission, TahoeServer,
     TenantHandle, TenantReport, TenantSpec,
 };
-pub use telemetry::{BlameBoard, BlameLine, TelemetryConfig, TelemetryHandle};
+pub use telemetry::{TelemetryConfig, TelemetryHandle};

@@ -55,14 +55,15 @@ use tahoe_hms::{
     TierId,
 };
 use tahoe_memprof::wallclock::WallClockCalibration;
-use tahoe_obs::{json, Emitter, Event, FlightRecorder, HistData, Histogram, Metrics};
+use tahoe_obs::{
+    json, BlameEntry, BlameTable, Emitter, Event, FlightRecorder, HistData, Histogram, Metrics,
+};
 use tahoe_placement::Item;
 use tahoe_realmem::{BackgroundMigrator, RealBackend};
 use tahoe_taskrt::{JobSpec, NoGate, TaskGraph, TaskPanic, TaskPool, TaskSpec};
 
 use crate::arbiter::{self, Activity, QuotaPolicy, TenantDemand};
 use crate::namespace::{self, AdmitError, Namespace};
-use crate::telemetry::BlameBoard;
 
 /// How the server arbitrates the shared DRAM budget across tenants.
 #[derive(Debug, Clone, PartialEq)]
@@ -293,7 +294,7 @@ pub(crate) struct ServerShared {
     migrator: Mutex<Option<BackgroundMigrator>>,
     /// Rolling per-(object, tier) blame, fed by the migration engine's
     /// commit observer — readable while the server runs.
-    blame: Arc<BlameBoard>,
+    blame: Arc<Mutex<BlameTable>>,
     inner: Mutex<Inner>,
 }
 
@@ -403,17 +404,20 @@ impl TahoeServer {
         let mut hms = Hms::new(hms_cfg.clone());
         hms.set_backend(Box::new(backend));
         let hms = Arc::new(SharedHms::new(hms));
-        // The engine's commit observer feeds the live blame board: the
+        // The engine's commit observer feeds the live blame table: the
         // telemetry plane sees each migration's overlap split the
         // moment it commits, not at shutdown.
-        let blame = Arc::new(BlameBoard::new());
-        let board = Arc::clone(&blame);
+        let blame = Arc::new(Mutex::new(BlameTable::default()));
+        let table = Arc::clone(&blame);
+        let n_tiers = hms_cfg.n_tiers();
         let migrator = BackgroundMigrator::spawn(
             Arc::clone(&hms),
             copy_cfgs,
             emitter.clone(),
             None,
-            Some(Arc::new(move |rec: &MigrationRecord| board.record(rec))),
+            Some(Arc::new(move |rec: &MigrationRecord| {
+                record_commit(&table, n_tiers, rec)
+            })),
         );
         let steal_tap = metrics
             .is_enabled()
@@ -706,6 +710,32 @@ const TENANT_SERIES: [TenantSeries; 7] = [
     ("quota_bytes", "gauge", |t| t.last_quota),
 ];
 
+/// One [`BLAME_SERIES`] row.
+type BlameSeries = (&'static str, fn(&BlameEntry) -> f64);
+
+/// The per-(object, tier) blame counters both telemetry renderings list,
+/// in order, as (key, value): the `/metrics` family is
+/// `tahoe_blame_<key>_total` and the journal field is `<key>`. The two
+/// counts print as integers (exact below 2^53).
+const BLAME_SERIES: [BlameSeries; 4] = [
+    ("migrations", |e| e.migrations as f64),
+    ("bytes", |e| e.bytes as f64),
+    ("overlapped_ns", |e| e.overlapped_ns),
+    ("exposed_ns", |e| e.exposed_ns),
+];
+
+/// Fold one committed copy into the live blame table, its destination
+/// labelled against the server's `n_tiers`.
+fn record_commit(blame: &Mutex<BlameTable>, n_tiers: usize, rec: &MigrationRecord) {
+    blame.lock().expect("blame table").record_copy(
+        rec.object.0,
+        rec.to.label(n_tiers),
+        rec.bytes,
+        rec.overlapped_ns(),
+        rec.exposed_ns(),
+    );
+}
+
 impl ServerShared {
     /// Render the Prometheus-style text exposition served on the
     /// telemetry endpoint's `/metrics` path: per-tenant counters and
@@ -759,24 +789,17 @@ impl ServerShared {
 
         // Rolling blame top-K: worst exposed stall time first, labelled
         // by global HMS object id and destination tier.
-        let top = self.blame.top_k(blame_top_k);
-        let n_tiers = self.hms_cfg.n_tiers();
-        for (name, kind) in [
-            ("tahoe_blame_migrations_total", "counter"),
-            ("tahoe_blame_bytes_total", "counter"),
-            ("tahoe_blame_overlapped_ns_total", "counter"),
-            ("tahoe_blame_exposed_ns_total", "counter"),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} {kind}");
+        let top = self.blame.lock().expect("blame table").top_k(blame_top_k);
+        for (key, get) in BLAME_SERIES {
+            let _ = writeln!(out, "# TYPE tahoe_blame_{key}_total counter");
             for e in &top {
-                let labels = format!("object=\"{}\",tier=\"{}\"", e.object, e.tier.label(n_tiers));
-                let v: String = match name {
-                    "tahoe_blame_migrations_total" => e.migrations.to_string(),
-                    "tahoe_blame_bytes_total" => e.bytes.to_string(),
-                    "tahoe_blame_overlapped_ns_total" => format!("{}", e.overlapped_ns),
-                    _ => format!("{}", e.exposed_ns),
-                };
-                let _ = writeln!(out, "{name}{{{labels}}} {v}");
+                let _ = writeln!(
+                    out,
+                    "tahoe_blame_{key}_total{{object=\"{}\",tier=\"{}\"}} {}",
+                    e.object,
+                    e.tier,
+                    get(e)
+                );
             }
         }
         out
@@ -787,7 +810,7 @@ impl ServerShared {
     /// single self-contained JSON object.
     pub(crate) fn telemetry_json(&self, blame_top_k: usize) -> String {
         let now = self.hms.now_ns();
-        let n_tiers = self.hms_cfg.n_tiers();
+        let top = self.blame.lock().expect("blame table").top_k(blame_top_k);
         json::object(|w| {
             w.field("schema", "tahoe-telemetry/v1").field("t_ns", now);
             let mut tenants = w.array("tenants");
@@ -803,15 +826,12 @@ impl ServerShared {
             }
             drop(tenants);
             let mut blame = w.array("blame");
-            for e in self.blame.top_k(blame_top_k) {
-                blame
-                    .object(None)
-                    .field("object", e.object)
-                    .field("tier", e.tier.label(n_tiers))
-                    .field("migrations", e.migrations)
-                    .field("bytes", e.bytes)
-                    .field("overlapped_ns", e.overlapped_ns)
-                    .field("exposed_ns", e.exposed_ns);
+            for e in &top {
+                let mut o = blame.object(None);
+                o.field("object", e.object).field("tier", e.tier);
+                for (key, get) in BLAME_SERIES {
+                    o.field(key, get(e));
+                }
             }
         })
     }
@@ -1184,7 +1204,7 @@ mod tests {
             t.hist.record(1000.0 * (k + 1) as f64);
         }
         for (object, to, needed) in [(3, 0, 40.0), (5, 1, 90.0)] {
-            srv.sh.blame.record(&MigrationRecord {
+            let rec = MigrationRecord {
                 object: ObjectId(object),
                 bytes: 4096,
                 from: TierId(1 - to),
@@ -1193,7 +1213,8 @@ mod tests {
                 start: 0.0,
                 finish: 100.0,
                 needed_at: Some(needed),
-            });
+            };
+            record_commit(&srv.sh.blame, 2, &rec);
         }
 
         let text: String = srv

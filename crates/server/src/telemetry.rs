@@ -3,11 +3,12 @@
 //!
 //! Two pieces:
 //!
-//! * [`BlameBoard`] — a rolling per-(object, destination-tier) blame
-//!   table fed by the migration engine's commit observer
-//!   ([`tahoe_realmem::MigrationObserver`]). Every committed copy's
-//!   overlapped/exposed split lands here the moment it commits, so the
-//!   worst stall-causing objects are visible *while* tenants run.
+//! * A rolling [`tahoe_obs::BlameTable`] fed by the migration engine's
+//!   commit observer ([`tahoe_realmem::MigrationObserver`]) through
+//!   `BlameTable::record_copy`, the fold a batch run's digest uses too.
+//!   Every committed copy's overlapped/exposed split lands there the
+//!   moment it commits, so the worst stall-causing objects are visible
+//!   *while* tenants run.
 //! * [`TahoeServer::serve_telemetry`] — a `std::net::TcpListener`
 //!   text-exposition endpoint (Prometheus style, zero dependencies):
 //!   `GET /metrics` returns per-tenant counters, quota state, latency
@@ -26,91 +27,11 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tahoe_hms::{MigrationRecord, TierId};
-
 use crate::server::{ServerShared, TahoeServer};
-
-/// Blame accumulated against one (object, destination tier) pair on the
-/// live board. Mirrors `tahoe_obs::BlameEntry`'s copy-accounting fields
-/// (the gate-wait attribution needs the full event stream and stays a
-/// drain-time product).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlameLine {
-    /// Global HMS object id.
-    pub object: u32,
-    /// Destination tier (the exposition labels it `dram` / `tier<i>` /
-    /// `nvm` against the server's tier list).
-    pub tier: TierId,
-    /// Committed migrations of this object into this tier.
-    pub migrations: u64,
-    /// Bytes those migrations moved.
-    pub bytes: u64,
-    /// Copy time hidden behind compute, ns.
-    pub overlapped_ns: f64,
-    /// Copy time paid as exposed stalls, ns.
-    pub exposed_ns: f64,
-}
-
-/// Rolling blame table fed from the migration engine's commit observer.
-///
-/// `record` runs on the engine thread per committed copy (one mutex
-/// acquisition, one map update); readers snapshot through
-/// [`top_k`](BlameBoard::top_k).
-#[derive(Debug, Default)]
-pub struct BlameBoard {
-    cells: Mutex<std::collections::BTreeMap<(u32, TierId), BlameLine>>,
-}
-
-impl BlameBoard {
-    /// An empty board.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one committed migration record into the board.
-    pub fn record(&self, rec: &MigrationRecord) {
-        let mut cells = self.cells.lock().expect("blame board");
-        let line = cells
-            .entry((rec.object.0, rec.to))
-            .or_insert_with(|| BlameLine {
-                object: rec.object.0,
-                tier: rec.to,
-                migrations: 0,
-                bytes: 0,
-                overlapped_ns: 0.0,
-                exposed_ns: 0.0,
-            });
-        line.migrations += 1;
-        line.bytes += rec.bytes;
-        line.overlapped_ns += rec.overlapped_ns();
-        line.exposed_ns += rec.exposed_ns();
-    }
-
-    /// The `k` worst lines by exposed stall time (object id, then tier,
-    /// breaks ties — deterministic output for identical histories).
-    pub fn top_k(&self, k: usize) -> Vec<BlameLine> {
-        let cells = self.cells.lock().expect("blame board");
-        let mut lines: Vec<BlameLine> = cells.values().cloned().collect();
-        lines.sort_by(|a, b| {
-            b.exposed_ns
-                .total_cmp(&a.exposed_ns)
-                .then(a.object.cmp(&b.object))
-                .then(a.tier.cmp(&b.tier))
-        });
-        lines.truncate(k);
-        lines
-    }
-
-    /// Total committed migrations the board has seen.
-    pub fn migrations(&self) -> u64 {
-        let cells = self.cells.lock().expect("blame board");
-        cells.values().map(|l| l.migrations).sum()
-    }
-}
 
 /// Journal snapshot period.
 const JOURNAL_EVERY: Duration = Duration::from_millis(100);
@@ -269,53 +190,4 @@ fn handle_conn(sh: &Arc<ServerShared>, mut stream: TcpStream) {
         body.len()
     );
     let _ = stream.flush();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tahoe_hms::ObjectId;
-
-    fn rec(object: u32, bytes: u64, hop: (u8, u8), finish: f64, needed: f64) -> MigrationRecord {
-        MigrationRecord {
-            object: ObjectId(object),
-            bytes,
-            from: TierId(hop.0),
-            to: TierId(hop.1),
-            issued_at: 0.0,
-            start: 0.0,
-            finish,
-            needed_at: Some(needed),
-        }
-    }
-
-    #[test]
-    fn board_accumulates_and_ranks_by_exposed() {
-        let b = BlameBoard::new();
-        // Object 1: needed at 50 of [0,100] -> 50 overlapped, 50 exposed.
-        b.record(&rec(1, 10, (1, 0), 100.0, 50.0));
-        // Object 2: needed at 10 of [0,100] -> 10 overlapped, 90 exposed.
-        b.record(&rec(2, 20, (1, 0), 100.0, 10.0));
-        // Object 1 again, demotion direction: separate line.
-        b.record(&rec(1, 10, (0, 1), 30.0, 100.0));
-        let top = b.top_k(10);
-        assert_eq!(top.len(), 3);
-        assert_eq!((top[0].object, top[0].tier), (2, TierId(0)));
-        assert!((top[0].exposed_ns - 90.0).abs() < 1e-9);
-        assert_eq!(b.migrations(), 3);
-        assert_eq!(b.top_k(1).len(), 1);
-        // needed_at after finish: fully overlapped demotion.
-        let demo = top.iter().find(|l| l.tier == TierId(1)).unwrap();
-        assert_eq!(demo.exposed_ns, 0.0);
-    }
-
-    #[test]
-    fn a_middle_tier_destination_is_its_own_line() {
-        // Spill → middle, then middle → fastest: one object, two cells.
-        let b = BlameBoard::new();
-        b.record(&rec(7, 64, (2, 1), 10.0, 5.0));
-        b.record(&rec(7, 64, (1, 0), 10.0, 5.0));
-        let tiers: Vec<TierId> = b.top_k(10).iter().map(|l| l.tier).collect();
-        assert_eq!(tiers, vec![TierId(0), TierId(1)]);
-    }
 }
