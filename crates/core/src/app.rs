@@ -48,7 +48,10 @@ impl App {
         self.graph.window_count()
     }
 
-    /// Sanity-check that every task references declared objects.
+    /// Sanity-check that every task references declared objects. The
+    /// graph needs no check of its own: `TaskGraph` only ever adds an
+    /// edge from an earlier task to a later one, so it is acyclic by
+    /// construction.
     pub fn validate(&self) -> Result<(), String> {
         for t in self.graph.tasks() {
             for a in &t.accesses {
@@ -57,9 +60,7 @@ impl App {
                 }
             }
         }
-        self.graph
-            .verify_acyclic()
-            .map_err(|(a, b)| format!("cycle via {a:?} -> {b:?}"))
+        Ok(())
     }
 }
 

@@ -946,7 +946,7 @@ mod tests {
         let dram = d.hms.objects_on(DRAM);
         assert_eq!(dram.len(), 1);
         // Object 0 ("hot") must be the chosen one.
-        assert_eq!(d.hms.meta(dram[0]).unwrap().name, "hot");
+        assert_eq!(d.unit_parent[&dram[0]], 0);
     }
 
     #[test]
@@ -955,7 +955,7 @@ mod tests {
         let d = Driver::new(&app, &platform(), PolicyKind::tahoe());
         let dram = d.hms.objects_on(DRAM);
         assert_eq!(dram.len(), 1);
-        assert_eq!(d.hms.meta(dram[0]).unwrap().name, "hot");
+        assert_eq!(d.unit_parent[&dram[0]], 0, "the hot object");
     }
 
     #[test]

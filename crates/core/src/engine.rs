@@ -340,9 +340,10 @@ impl GraphLayout {
 /// What one executed task cost, for the caller's event stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskOutcome {
-    /// Completion stamp on the shared HMS clock, ns.
+    /// Completion stamp on the shared HMS clock, ns: the end of the
+    /// task's last access.
     pub t: Ns,
-    /// Wall-clock ns from pin to unpin.
+    /// Wall-clock ns from the pin to the end of the last access.
     pub wall_ns: f64,
     /// Of that, ns spent blocked on in-flight migrations before the
     /// pins were granted; exactly `0.0` when nothing blocked.
@@ -362,6 +363,14 @@ impl TaskOutcome {
             gate_wait_ns: self.gate_wait_ns,
         }
     }
+}
+
+/// What [`GraphRun::fill`] leaves for the run: each object's init
+/// checksum and size, in the order of the ids it filled.
+#[derive(Debug)]
+pub struct Fill {
+    sums: Vec<u64>,
+    sizes: Vec<u64>,
 }
 
 /// One execution of a laid-out graph on a [`SharedHms`].
@@ -391,9 +400,9 @@ pub struct GraphRun {
 impl GraphRun {
     /// Begin an execution: (re-)initialise every object with the seeded
     /// deterministic fill — real traffic, the first touch the policies
-    /// differ on — so each run starts from the bytes a solo run would.
-    /// One [`traffic::init_fill_all`] fills every object, several
-    /// objects' chains at once, on the calling thread.
+    /// differ on — so each run starts from the bytes a solo run would:
+    /// [`GraphRun::fill`] then [`GraphRun::filled`], on the calling
+    /// thread.
     ///
     /// No task of an earlier run over the same objects may still be
     /// executing (runs of one layout are serialised by their driver).
@@ -402,43 +411,57 @@ impl GraphRun {
         layout: Arc<GraphLayout>,
         run_seed: u64,
     ) -> Result<Self, String> {
-        let (init_sums, bytes) = {
-            let pins = shared
-                .pin_for_task(&layout.ids)
-                .map_err(|e| format!("pin objects for init: {e}"))?;
-            // SAFETY: the pin blocks moves and frees, the arenas never
-            // remap, distinct objects never share a byte, and no task of
-            // this graph runs before `start` returns while runs over the
-            // same objects are serialised — these are the only live
-            // references to the objects' bytes.
-            #[allow(unsafe_code)]
-            let mut bufs: Vec<&mut [u8]> = pins
-                .objects
-                .iter()
-                .map(|pin| unsafe { std::slice::from_raw_parts_mut(pin.as_ptr(), pin.len()) })
-                .collect();
-            let bytes = bufs
-                .iter()
-                .zip(&layout.accesses)
-                .map(|(b, n)| b.len() as u64 * (1 + n))
-                .sum::<u64>();
-            (
-                traffic::init_fill_all(&mut bufs, |i| init_seed(run_seed, i)),
-                bytes,
-            )
-        };
+        let fill = Self::fill(&shared, &layout.ids, run_seed)?;
+        Ok(Self::filled(shared, layout, run_seed, fill))
+    }
+
+    /// The seeded fill of the objects `ids` (a layout's, in app order):
+    /// one [`traffic::init_fill_all`], several objects' chains at once,
+    /// on the calling thread. It needs no layout, so a batch run fills
+    /// on one thread while it plans and lays the graph out on another.
+    /// The same rule as [`GraphRun::start`]'s holds: nothing else may
+    /// touch the objects meanwhile.
+    pub fn fill(shared: &SharedHms, ids: &[ObjectId], run_seed: u64) -> Result<Fill, String> {
+        let pins = shared
+            .pin_for_task(ids)
+            .map_err(|e| format!("pin objects for init: {e}"))?;
+        // SAFETY: the pin blocks moves and frees, the arenas never
+        // remap, distinct objects never share a byte, and no task of
+        // this graph runs before the fill returns while runs over the
+        // same objects are serialised — these are the only live
+        // references to the objects' bytes.
+        #[allow(unsafe_code)]
+        let mut bufs: Vec<&mut [u8]> = pins
+            .objects
+            .iter()
+            .map(|pin| unsafe { std::slice::from_raw_parts_mut(pin.as_ptr(), pin.len()) })
+            .collect();
+        Ok(Fill {
+            sizes: bufs.iter().map(|b| b.len() as u64).collect(),
+            sums: traffic::init_fill_all(&mut bufs, |i| init_seed(run_seed, i)),
+        })
+    }
+
+    /// An execution of `layout` whose objects `fill` has initialised.
+    pub fn filled(
+        shared: Arc<SharedHms>,
+        layout: Arc<GraphLayout>,
+        run_seed: u64,
+        fill: Fill,
+    ) -> Self {
+        let bytes = fill.sizes.iter().zip(&layout.accesses);
         let atomics = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        Ok(GraphRun {
+        GraphRun {
             slots: atomics(layout.access_pin.len()),
             acc_ns: atomics(2 * layout.ids.len()),
             acc_n: atomics(2 * layout.ids.len()),
-            bytes_touched: bytes,
+            bytes_touched: bytes.map(|(size, n)| size * (1 + n)).sum(),
             gate_wait: AtomicU64::new(0),
             shared,
             layout,
             run_seed,
-            init_sums,
-        })
+            init_sums: fill.sums,
+        }
     }
 
     /// Execute one task: pin its objects (waiting out any in-flight
@@ -449,6 +472,10 @@ impl GraphRun {
     /// and the fast one ([`AccessPrices::delay_ns`], Quartz-style). Injecting
     /// the delta rather than flooring to an absolute model time keeps
     /// the asymmetry honest whatever the native kernels cost.
+    ///
+    /// The clock is read once at the pin and twice per access: the
+    /// instant an access ends is also the task's completion stamp and
+    /// the end of its wall time, if it is the last.
     pub fn run_task<S: SanitizeHook>(
         &self,
         task: &TaskSpec,
@@ -463,6 +490,7 @@ impl GraphRun {
             .shared
             .pin_for_task(pin_set)
             .map_err(|e| format!("pin task {}: {e}", task.id.0))?;
+        let mut end = t0;
         for (ai, access) in task.accesses.iter().enumerate() {
             let object = access.object.index();
             let pin = &pins.objects[l.access_pin[slot_base + ai] as usize];
@@ -497,8 +525,10 @@ impl GraphRun {
             }
             // Charge the access (kernel + injected delay) to the side
             // it actually hit.
+            end = Instant::now();
             let side = 2 * object + usize::from(pin.tier != TierId::FASTEST);
-            self.acc_ns[side].fetch_add(a_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let access_ns = end.duration_since(a_t0).as_nanos() as u64;
+            self.acc_ns[side].fetch_add(access_ns, Ordering::Relaxed);
             self.acc_n[side].fetch_add(1, Ordering::Relaxed);
         }
         let gate_wait_ns = pins.waited_ns;
@@ -511,8 +541,8 @@ impl GraphRun {
                 .fetch_add(gate_wait_ns as u64, Ordering::Relaxed);
         }
         Ok(TaskOutcome {
-            t: self.shared.now_ns(),
-            wall_ns: t0.elapsed().as_nanos() as f64,
+            t: self.shared.ns_at(end),
+            wall_ns: end.duration_since(t0).as_nanos() as f64,
             gate_wait_ns,
         })
     }

@@ -9,8 +9,10 @@
 //!    ([`tahoe_memprof::wallclock`]). The NVM spec is the fitted DRAM
 //!    spec scaled by the reference platform's DRAM→NVM ratios.
 //! 2. **Prepare** — allocate every app object in [`RealBackend`]-backed
-//!    arenas on its policy-chosen tier, solve Tahoe's placement, and
-//!    refuse to run unless the static auditor certifies the resulting
+//!    arenas on its policy-chosen tier ([`MeasuredRuntime::allocate`]);
+//!    then, while another thread fills the arenas, solve Tahoe's
+//!    placement ([`Planner`]) and refuse to run unless the static
+//!    auditor certifies the resulting
 //!    [`MigrationPlan`]: the global plan (one knapsack over whole-run
 //!    values, every step at `window: 0`) or, where the model says it
 //!    pays and the machine can hide the copies, a per-window rotation
@@ -71,33 +73,188 @@ pub(crate) fn fold(acc: u64, x: u64) -> u64 {
     acc.rotate_left(7) ^ x
 }
 
-/// Everything a measured policy run needs before its first task: the
-/// derived HMS configuration, the backend-loaded [`Hms`] with every
-/// object allocated per the policy's initial placement, the app-order →
-/// HMS object id map, the migration plan to execute, and the copy-engine
-/// throttles (for the background migration thread).
-pub(crate) struct PreparedRun {
-    pub(crate) config: HmsConfig,
-    pub(crate) hms: Hms,
-    pub(crate) ids: Vec<ObjectId>,
+/// The half of a measured run's set-up that must precede its first
+/// byte: the derived HMS configuration, the backend-loaded [`Hms`] with
+/// every object allocated per the policy's initial placement, the
+/// app-order → HMS object id map, the copy-engine throttles (for the
+/// background migration thread) and the prices every plan and every
+/// injected delay read.
+pub struct Allocated {
+    /// The tier list the run's heap was built from, fastest first.
+    pub config: HmsConfig,
+    /// The heap, a [`RealBackend`] installed and every object allocated.
+    pub hms: Hms,
+    /// HMS id of app object `i`.
+    pub ids: Vec<ObjectId>,
+    /// Row-major per-(src, dst) copy throttles of the backend.
+    pub copy_cfgs: Vec<CopyConfig>,
+    /// Where the allocator placed every object, by tier index: where
+    /// the plan starts.
+    pub initial_tiers: Vec<u8>,
     /// The plan's prices, cf-corrected: also the delay the engine injects.
-    pub(crate) prices: AccessPrices,
+    pub prices: AccessPrices,
+}
+
+/// The other half: what the run executes, decided from the allocation
+/// without touching it, so that it can be worked out while the arenas
+/// fill (a run) or after them ([`MeasuredRuntime::verify_plan`]) by
+/// the one [`Planner`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunPlan {
     /// Where the allocator placed every object plus the moves to issue
     /// once the plan is released (no steps for the static policies).
-    /// This is the value [`MeasuredRuntime::audit_prepared`] certifies
-    /// *and* the value the engine's window loop reads its moves from.
-    pub(crate) plan: MigrationPlan,
-    /// Row-major per-(src, dst) copy throttles of the backend.
-    pub(crate) copy_cfgs: Vec<CopyConfig>,
+    /// This is the value the auditor certifies *and* the value the
+    /// engine's window loop reads its moves from.
+    pub plan: MigrationPlan,
     /// Tahoe's per-object knapsack value of DRAM residence (predicted
     /// ns saved over the whole run); `None` for non-Tahoe policies.
     /// This is the prediction the model-accuracy audit scores.
-    pub(crate) plan_values: Option<Vec<f64>>,
+    pub plan_values: Option<Vec<f64>>,
     /// Modelled value of the global plan, the plan chosen and the
     /// free-migration bound; `None` unless Tahoe plans over two tiers.
+    pub plan_worth: Option<PlanValues>,
+}
+
+/// Everything a run's plan is a function of. Pure: it reads no clock,
+/// no heap and no machine property (`spare_core` is observed by its
+/// caller), so the plan it makes does not depend on where or when it
+/// runs.
+pub struct Planner<'a> {
+    /// The app planned for.
+    pub app: &'a App,
+    /// Its policy: Tahoe plans, every other policy stays put.
+    pub policy: &'a PolicyKind,
+    /// The allocation's tier list.
+    pub config: &'a HmsConfig,
+    /// The allocation's prices.
+    pub prices: &'a AccessPrices,
+    /// How many threads share a window's work.
+    pub workers: usize,
+    /// Whether the migration thread has a core of its own, so that
+    /// copies issued after window 0 can hide behind it.
+    pub spare_core: bool,
+}
+
+impl Planner<'_> {
+    /// The plan from `initial_tiers`. Tahoe's global plan: the value of
+    /// residence on each tier per object over the whole run, from the
+    /// ground-truth profiles on the fitted specs; the multiple-choice
+    /// knapsack assigns every object one tier (at two tiers it *is* the
+    /// 0/1 knapsack, bit for bit), and every object not already there
+    /// moves once the engine's class quota releases the plan. At two
+    /// tiers the per-window local search is held against it and the
+    /// better plan, by the model, runs; at more the global plan stands.
+    /// Every other policy stays where it was allocated.
+    pub fn plan(&self, initial_tiers: Vec<u8>) -> Result<RunPlan, String> {
+        let (app, config) = (self.app, self.config);
+        if !matches!(self.policy, PolicyKind::Tahoe(_)) {
+            return Ok(RunPlan {
+                plan: MigrationPlan {
+                    initial_tiers,
+                    steps: Vec::new(),
+                },
+                plan_values: None,
+                plan_worth: None,
+            });
+        }
+        let specs = config.tier_specs();
+        let mut values = self.prices.values(app);
+        let plan_values = values.per_tier.iter().map(|v| v[0]).collect();
+        let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
+        let items = mck_items(app, std::mem::take(&mut values.per_tier));
+        let assignment = solve_mck(&items, &caps)?;
+        let rotation = (specs.len() == 2).then(|| {
+            let (fast, slow) = (TierId::FASTEST, config.last_tier());
+            let rate = |from: TierId, to: TierId| CopyRate {
+                gbps: config.copy_bw_between(from, to),
+                latency_ns: specs[from.index()].copy_lat_to(&specs[to.index()]),
+            };
+            let sizes: Vec<u64> = app.objects.iter().map(|o| o.size).collect();
+            let global: Vec<bool> = assignment.tiers.iter().map(|&t| t == 0).collect();
+            plan_rotation(&RotationInput {
+                sizes: &sizes,
+                touches: &values.touches,
+                spill_window_ns: &values.spill_window_ns,
+                capacity: caps[0],
+                global: &global,
+                promote: rate(slow, fast),
+                evict: rate(fast, slow),
+                workers: self.workers,
+                overlap: self.spare_core,
+            })
+        });
+        let plan = match rotation.as_ref().and_then(|r| r.schedule.as_ref()) {
+            Some(schedule) => rotation_plan(initial_tiers, schedule),
+            None => promotion_plan(&items, initial_tiers, &assignment.tiers),
+        };
+        Ok(RunPlan {
+            plan,
+            plan_values: Some(plan_values),
+            plan_worth: rotation.map(|r| r.values),
+        })
+    }
+
+    /// [`Planner::plan`], refused unless the static auditor certifies
+    /// it sound. Every wall-clock run's plan passes through here before
+    /// its first task, so no unsound plan can reach the executor.
+    pub fn audited(&self, initial_tiers: Vec<u8>) -> Result<RunPlan, String> {
+        let planned = self.plan(initial_tiers)?;
+        let report = audit(self.app, self.config, self.prices, &planned.plan);
+        refuse_unsound(self.policy, &report)?;
+        Ok(planned)
+    }
+}
+
+/// The static plan auditor's report on `plan`, its cost check at the
+/// prices the plan was solved with.
+fn audit(
+    app: &App,
+    config: &HmsConfig,
+    prices: &AccessPrices,
+    plan: &MigrationPlan,
+) -> SanitizeReport {
+    let ctx = PlanContext::new(app.objects.iter().map(|o| o.size).collect());
+    audit_plan_priced(
+        &app.graph,
+        plan,
+        config.tier_specs(),
+        &ctx,
+        prices.slot_major(),
+    )
+}
+
+/// `Err` naming `policy` and the violations unless `report` is clean.
+fn refuse_unsound(policy: &PolicyKind, report: &SanitizeReport) -> Result<(), String> {
+    if report.is_clean() {
+        return Ok(());
+    }
+    let kinds: Vec<String> = report
+        .by_kind()
+        .into_iter()
+        .filter(|(_, n)| *n > 0)
+        .map(|(tag, n)| format!("{tag}={n}"))
+        .collect();
+    Err(format!(
+        "refusing to run {}: plan audit found {} violation(s) [{}]; first: {}",
+        policy.name(),
+        report.violations.len(),
+        kinds.join(", "),
+        report.violations[0].detail
+    ))
+}
+
+/// A run's set-up with no fill beside it, as the tests inspect it: the
+/// allocation's configuration and prices, and the plan made from them.
+#[cfg(test)]
+pub(crate) struct PreparedRun {
+    pub(crate) config: HmsConfig,
+    pub(crate) prices: AccessPrices,
+    pub(crate) plan: MigrationPlan,
+    pub(crate) plan_values: Option<Vec<f64>>,
     pub(crate) plan_worth: Option<PlanValues>,
 }
 
+#[cfg(test)]
 impl PreparedRun {
     /// Tier every object ends on once the plan has fully executed.
     pub(crate) fn target_tiers(&self) -> Vec<u8> {
@@ -189,53 +346,17 @@ impl MeasuredRuntime {
         Ok(cal)
     }
 
-    /// Shared setup of a measured policy run: validate, derive the HMS
-    /// configuration, install a [`RealBackend`], allocate every object on
-    /// its policy-chosen tier, and (for Tahoe) compute the knapsack plan
-    /// — then refuse to hand the run over unless the static plan auditor
-    /// certifies the plan sound. Every wall-clock run passes through
-    /// here, so no unsound plan can reach the executor.
-    ///
-    /// `workers` and `spare_core` (see [`migrator_has_a_core`]) describe
-    /// the run the plan is for: how many threads share a window's work,
-    /// and whether copies issued after window 0 can hide behind it.
-    pub(crate) fn prepare(
+    /// The set-up of a measured policy run up to its first byte:
+    /// validate, derive the HMS configuration, install a
+    /// [`RealBackend`], allocate every object on its policy-chosen tier
+    /// and price every access. What the run executes is then decided by
+    /// a [`Planner`] over the result.
+    pub fn allocate(
         &self,
         app: &App,
         policy: &PolicyKind,
         cal: &WallClockCalibration,
-        workers: usize,
-        spare_core: bool,
-    ) -> Result<PreparedRun, String> {
-        let prepared = self.prepare_unaudited(app, policy, cal, workers, spare_core)?;
-        let report = Self::audit_prepared(app, &prepared);
-        if !report.is_clean() {
-            let kinds: Vec<String> = report
-                .by_kind()
-                .into_iter()
-                .filter(|(_, n)| *n > 0)
-                .map(|(tag, n)| format!("{tag}={n}"))
-                .collect();
-            return Err(format!(
-                "refusing to run {}: plan audit found {} violation(s) [{}]; first: {}",
-                policy.name(),
-                report.violations.len(),
-                kinds.join(", "),
-                report.violations[0].detail
-            ));
-        }
-        Ok(prepared)
-    }
-
-    /// [`MeasuredRuntime::prepare`] without the audit gate.
-    fn prepare_unaudited(
-        &self,
-        app: &App,
-        policy: &PolicyKind,
-        cal: &WallClockCalibration,
-        workers: usize,
-        spare_core: bool,
-    ) -> Result<PreparedRun, String> {
+    ) -> Result<Allocated, String> {
         let preferred = match policy {
             // First-touch fills DRAM in allocation order and spills.
             PolicyKind::DramOnly | PolicyKind::FirstTouch => TierId::FASTEST,
@@ -289,104 +410,93 @@ impl MeasuredRuntime {
         let mut hms = Hms::new(config.clone());
         hms.set_backend(Box::new(backend));
 
-        // ---- placement + allocation ----------------------------------
         let fallback = !matches!(policy, PolicyKind::DramOnly);
         let mut ids: Vec<ObjectId> = Vec::with_capacity(app.objects.len());
+        let mut initial_tiers: Vec<u8> = Vec::with_capacity(app.objects.len());
         for spec in &app.objects {
             let id = hms
                 .alloc_object(&spec.name, spec.size, preferred, fallback)
                 .map_err(|e| format!("alloc {}: {e}", spec.name))?;
+            // Where the allocator actually placed it.
+            initial_tiers.push(hms.tier_of(id).map_err(|e| e.to_string())?.0);
             ids.push(id);
         }
 
-        // Where the allocator actually placed everything.
-        let initial_tiers: Vec<u8> = ids
-            .iter()
-            .map(|&id| hms.tier_of(id).map(|t| t.0))
-            .collect::<Result<_, _>>()
-            .map_err(|e| e.to_string())?;
-
         // The delay the engine injects, and the price of every plan.
         let prices = AccessPrices::new(&app.graph, config.tier_specs(), Some(cal));
-
-        // Tahoe's global plan: the value of residence on each tier per
-        // object over the whole run, from the ground-truth profiles on
-        // the fitted specs; the multiple-choice knapsack assigns every
-        // object one tier (at two tiers it *is* the 0/1 knapsack, bit
-        // for bit), and every object not already there moves once the
-        // engine's class quota releases the plan. At two tiers the
-        // per-window local search is held against it and the better
-        // plan, by the model, runs; at more the global plan stands.
-        let (plan, plan_values, plan_worth) = if matches!(policy, PolicyKind::Tahoe(_)) {
-            let specs = config.tier_specs();
-            let mut values = prices.values(app);
-            let plan_values = values.per_tier.iter().map(|v| v[0]).collect();
-            let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
-            let items = mck_items(app, std::mem::take(&mut values.per_tier));
-            let assignment = solve_mck(&items, &caps)?;
-            let rotation = (specs.len() == 2).then(|| {
-                let (fast, slow) = (TierId::FASTEST, config.last_tier());
-                let rate = |from: TierId, to: TierId| CopyRate {
-                    gbps: config.copy_bw_between(from, to),
-                    latency_ns: specs[from.index()].copy_lat_to(&specs[to.index()]),
-                };
-                let sizes: Vec<u64> = app.objects.iter().map(|o| o.size).collect();
-                let global: Vec<bool> = assignment.tiers.iter().map(|&t| t == 0).collect();
-                plan_rotation(&RotationInput {
-                    sizes: &sizes,
-                    touches: &values.touches,
-                    spill_window_ns: &values.spill_window_ns,
-                    capacity: caps[0],
-                    global: &global,
-                    promote: rate(slow, fast),
-                    evict: rate(fast, slow),
-                    workers,
-                    overlap: spare_core,
-                })
-            });
-            let plan = match rotation.as_ref().and_then(|r| r.schedule.as_ref()) {
-                Some(schedule) => rotation_plan(initial_tiers, schedule),
-                None => promotion_plan(&items, initial_tiers, &assignment.tiers),
-            };
-            (plan, Some(plan_values), rotation.map(|r| r.values))
-        } else {
-            let stay = MigrationPlan {
-                initial_tiers,
-                steps: Vec::new(),
-            };
-            (stay, None, None)
-        };
-
-        Ok(PreparedRun {
+        Ok(Allocated {
             config,
             hms,
             ids,
-            prices,
-            plan,
             copy_cfgs,
-            plan_values,
-            plan_worth,
+            initial_tiers,
+            prices,
         })
     }
 
-    /// Run the static plan auditor over the plan a prepared run carries,
-    /// its cost check at the prices the plan was solved with.
+    /// [`MeasuredRuntime::allocate`], then the plan for a run at
+    /// `workers` workers, made on the calling thread.
+    #[cfg(test)]
+    pub(crate) fn prepare_unaudited(
+        &self,
+        app: &App,
+        policy: &PolicyKind,
+        cal: &WallClockCalibration,
+        workers: usize,
+        spare_core: bool,
+    ) -> Result<PreparedRun, String> {
+        let Allocated {
+            config,
+            initial_tiers,
+            prices,
+            ..
+        } = self.allocate(app, policy, cal)?;
+        let planner = Planner {
+            app,
+            policy,
+            config: &config,
+            prices: &prices,
+            workers,
+            spare_core,
+        };
+        let planned = planner.plan(initial_tiers)?;
+        Ok(PreparedRun {
+            plan: planned.plan,
+            plan_values: planned.plan_values,
+            plan_worth: planned.plan_worth,
+            config,
+            prices,
+        })
+    }
+
+    /// [`MeasuredRuntime::prepare_unaudited`] behind the audit gate a
+    /// run passes ([`Planner::audited`]).
+    #[cfg(test)]
+    pub(crate) fn prepare(
+        &self,
+        app: &App,
+        policy: &PolicyKind,
+        cal: &WallClockCalibration,
+        workers: usize,
+        spare_core: bool,
+    ) -> Result<PreparedRun, String> {
+        let prepared = self.prepare_unaudited(app, policy, cal, workers, spare_core)?;
+        refuse_unsound(policy, &Self::audit_prepared(app, &prepared))?;
+        Ok(prepared)
+    }
+
+    /// The static auditor's report on the plan a prepared run carries.
+    #[cfg(test)]
     pub(crate) fn audit_prepared(app: &App, prepared: &PreparedRun) -> SanitizeReport {
-        let ctx = PlanContext::new(app.objects.iter().map(|o| o.size).collect());
-        audit_plan_priced(
-            &app.graph,
-            &prepared.plan,
-            prepared.config.tier_specs(),
-            &ctx,
-            prepared.prices.slot_major(),
-        )
+        audit(app, &prepared.config, &prepared.prices, &prepared.plan)
     }
 
     /// Pre-flight a policy's migration plan without executing anything:
-    /// prepare the run exactly as a real run would (same allocator
-    /// decisions, same solver) and return the static auditor's report.
-    /// Every run enforces the same audit internally, erroring on an
-    /// unsound plan; this entry point exposes the full diagnostic set.
+    /// allocate exactly as a real run would (same allocator decisions),
+    /// plan with the same [`Planner`] and return the static auditor's
+    /// report. Every run enforces the same audit internally, erroring
+    /// on an unsound plan; this entry point exposes the full diagnostic
+    /// set.
     ///
     /// The plan depends on the worker count (a window shared by more
     /// workers hides less copy time) and on whether this machine has a
@@ -400,8 +510,22 @@ impl MeasuredRuntime {
         policy: &PolicyKind,
         cal: &WallClockCalibration,
     ) -> Result<SanitizeReport, String> {
-        let prepared = self.prepare_unaudited(app, policy, cal, 1, migrator_has_a_core(1))?;
-        Ok(Self::audit_prepared(app, &prepared))
+        let Allocated {
+            config,
+            initial_tiers,
+            prices,
+            ..
+        } = self.allocate(app, policy, cal)?;
+        let planner = Planner {
+            app,
+            policy,
+            config: &config,
+            prices: &prices,
+            workers: 1,
+            spare_core: migrator_has_a_core(1),
+        };
+        let planned = planner.plan(initial_tiers)?;
+        Ok(audit(app, &config, &prices, &planned.plan))
     }
 
     /// Execute `app` under `policy` on arena-backed objects with the
@@ -810,6 +934,77 @@ mod tests {
         let static_plan = rt.prepare(&app, &policy, &cal, 1, false).expect("clean");
         let expect = promotion_plan(&items, vec![1; items.len()], &assignment.tiers);
         assert_eq!(static_plan.plan, expect);
+    }
+
+    /// `benchmark/src/gen.rs`'s `plan_heavy`, shape only (a fixed
+    /// deal): 8192 objects of 8 KiB, half updated and half read, a
+    /// quarter touched in each of six windows, the rest in every third.
+    fn plan_heavy_shaped() -> App {
+        const OBJECTS: usize = 8192;
+        const SIZE: u64 = 8 << 10;
+        let mut b = crate::app::AppBuilder::new("plan-heavy-shaped");
+        let ids: Vec<_> = (0..OBJECTS)
+            .map(|i| b.object(&format!("p{i}"), SIZE))
+            .collect();
+        let class = b.class("short");
+        for w in 0..6u32 {
+            if w > 0 {
+                b.next_window();
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                // A fixed shuffle of the object's role.
+                let s = i * 2_654_435_761 % OBJECTS;
+                if !s.is_multiple_of(4) && s as u32 % 3 != w % 3 {
+                    continue;
+                }
+                let t = b.task(class);
+                match s % 2 {
+                    0 => t.update_streaming(id, SIZE / 64),
+                    _ => t.read_streaming(id, SIZE / 64),
+                }
+                .submit();
+            }
+        }
+        b.build()
+    }
+
+    /// The plan a run makes while a helper thread fills the arenas is
+    /// the plan made from the same allocation with nothing beside it
+    /// (the path of `verify_plan` and of `prepare`) bit for bit: steps,
+    /// per-object values and the modelled plan values — rotating or
+    /// not, on the three benchmark shapes that plan differently.
+    #[test]
+    fn the_overlapped_plan_is_the_synchronous_plan() {
+        let bits = |v: &Option<Vec<f64>>| -> Vec<u64> {
+            v.iter().flatten().map(|x| x.to_bits()).collect()
+        };
+        let worth_bits = |w: Option<PlanValues>| {
+            w.map(|w| [w.global_ns, w.chosen_ns, w.oracle_ns].map(f64::to_bits))
+        };
+        let policy = PolicyKind::tahoe();
+        for app in [stream_bw_shaped(), mixed_skew_shaped(), plan_heavy_shaped()] {
+            let (rt, cal) = pinned(&app);
+            for spare_core in [true, false] {
+                let run = rt
+                    .start(&app, &policy, &cal, 1, 0, spare_core)
+                    .expect("audits clean");
+                let sync = rt
+                    .prepare_unaudited(&app, &policy, &cal, 1, spare_core)
+                    .expect("plans");
+                let at = format!("{} spare_core={spare_core}", app.name);
+                assert!(!run.planned.plan.steps.is_empty(), "{at}");
+                assert_eq!(run.planned.plan, sync.plan, "{at}");
+                assert_eq!(
+                    bits(&run.planned.plan_values),
+                    bits(&sync.plan_values),
+                    "{at}"
+                );
+                assert!(sync.plan_values.is_some(), "{at}");
+                let worth = worth_bits(run.planned.plan_worth);
+                assert_eq!(worth, worth_bits(sync.plan_worth), "{at}");
+                assert!(worth.is_some(), "{at}");
+            }
+        }
     }
 
     #[test]

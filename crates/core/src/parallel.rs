@@ -89,10 +89,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use tahoe_hms::{MigrationStats, Ns, ObjectId, SharedHms, TierId};
+use tahoe_hms::{HmsConfig, MigrationStats, Ns, ObjectId, SharedHms, TierId};
 use tahoe_memprof::wallclock::WallClockCalibration;
 use tahoe_obs::{BlameTable, CritPath, CritPathDigest, Emitter, Event, FlightRecorder};
-use tahoe_realmem::BackgroundMigrator;
+use tahoe_realmem::{BackgroundMigrator, CopyConfig};
 use tahoe_sanitize::{
     AccessSanitizer, ExtraAccess, MigrationPlan, NoSanitize, SanitizeHook, SanitizeReport,
     ViolationKind,
@@ -102,7 +102,7 @@ use tahoe_taskrt::{run_scoped, JobSpec, NoGate, TaskGraph, TaskSpec};
 use crate::app::App;
 pub use crate::engine::AccessTierTiming;
 use crate::engine::{ClassQuota, GraphLayout, GraphRun};
-use crate::measured::{migrator_has_a_core, MeasuredRuntime};
+use crate::measured::{migrator_has_a_core, Allocated, MeasuredRuntime, Planner, RunPlan};
 use crate::policy::PolicyKind;
 
 /// Histogram keys the parallel runtime records (per worker lane, merged
@@ -120,16 +120,22 @@ pub struct ParallelPolicyReport {
     pub workers: usize,
     /// Run seed that parameterized the traffic.
     pub run_seed: u64,
-    /// Wall-clock time of the execution phase, ns (init + windows;
-    /// excludes setup, calibration, and post-run migration drain).
+    /// Wall-clock time of the execution phase, ns (init, with the plan
+    /// made beside it, + windows; excludes allocation, calibration, and
+    /// post-run migration drain).
     pub wall_ns: f64,
     /// Of `wall_ns`, the seeded fill that writes every object before
     /// the first task: the run's first touch of its arenas.
     pub init_ns: f64,
-    /// Summed task wall time (pin to unpin) of each window, ns, indexed
-    /// by window. At one worker, `init_ns` plus these sums falls short
-    /// of `wall_ns` only by the run's start-up (layout, thread spawns)
-    /// and the scheduler.
+    /// Of `wall_ns`, how long after the fill the plan (and the graph's
+    /// layout) were ready: they are made on the calling thread while
+    /// another thread fills, so this is the part of planning (solve,
+    /// rotation, audit) the fill did not hide, 0 when it hid all of it.
+    pub plan_wait_ns: f64,
+    /// Summed task wall time (pin to the end of the last access) of
+    /// each window, ns, indexed by window. At one worker, `init_ns`,
+    /// `plan_wait_ns` and these sums fall short of `wall_ns` only by the
+    /// run's start-up (thread spawns), the unpins and the scheduler.
     pub window_task_ns: Vec<f64>,
     /// Bytes of object data walked by the traffic kernels.
     pub bytes_touched: u64,
@@ -318,10 +324,25 @@ impl MeasuredRuntime {
         spare_core: bool,
         hook: &S,
     ) -> Result<ParallelPolicyReport, String> {
-        let prepared = self.prepare(app, policy, cal, workers, spare_core)?;
-        let targets = prepared.target_tiers();
-        let (config, plan, plan_values) = (prepared.config, prepared.plan, prepared.plan_values);
-        let plan_value = prepared.plan_worth;
+        let Started {
+            config,
+            copy_cfgs,
+            shared,
+            layout,
+            run,
+            planned,
+            defer,
+            late_fetches,
+            start,
+            init_ns,
+            plan_wait_ns,
+        } = self.start(app, policy, cal, workers, run_seed, spare_core)?;
+        let RunPlan {
+            plan,
+            plan_values,
+            plan_worth: plan_value,
+        } = planned;
+        let targets = plan.final_tiers(config.n_tiers());
         let nw = workers.max(1);
 
         // The flight recorder exists only when someone is listening:
@@ -336,17 +357,6 @@ impl MeasuredRuntime {
             FlightRecorder::with_capacities(&lanes, HIST_KEYS)
         });
 
-        let start = Instant::now();
-        let shared = Arc::new(SharedHms::new(prepared.hms));
-        let layout = Arc::new(GraphLayout::new(&app.graph, prepared.ids, prepared.prices));
-        // Init traffic runs here, before the workers spin up.
-        let init_t0 = Instant::now();
-        let run = Arc::new(GraphRun::start(
-            Arc::clone(&shared),
-            Arc::clone(&layout),
-            run_seed,
-        )?);
-        let init_ns = init_t0.elapsed().as_nanos() as f64;
         let window_task_ns: Vec<AtomicU64> = (0..app.graph.window_count())
             .map(|_| AtomicU64::new(0))
             .collect();
@@ -363,7 +373,7 @@ impl MeasuredRuntime {
         // disabled: nothing listens.
         let migrator = BackgroundMigrator::spawn(
             Arc::clone(&shared),
-            prepared.copy_cfgs,
+            copy_cfgs,
             Emitter::disabled(),
             recorder.as_ref().map(|r| r.handle(nw)),
             None,
@@ -415,7 +425,6 @@ impl MeasuredRuntime {
         // windows that open later go out at their barrier. Either way
         // the tasks on the objects a window's steps move start after the
         // window's other roots, which hide the copies.
-        let (defer, late_fetches) = deferrals(&app.graph, &plan);
         let quota = if plan.steps.is_empty() {
             ClassQuota::met()
         } else {
@@ -554,6 +563,7 @@ impl MeasuredRuntime {
             run_seed,
             wall_ns,
             init_ns,
+            plan_wait_ns,
             window_task_ns: window_task_ns
                 .iter()
                 .map(|ns| ns.load(Ordering::Relaxed) as f64)
@@ -584,6 +594,105 @@ impl MeasuredRuntime {
             crit,
         })
     }
+
+    /// A run's set-up, up to its first task: allocate, then fill every
+    /// object with its seeded bytes — and plan while the arenas fill.
+    /// The fill needs only the objects' ids, the [`Planner`] only the
+    /// allocation, so a scoped helper thread, on the core the migration
+    /// thread takes next, fills while this thread plans and lays the
+    /// graph out. The two meet before the first task: the release and
+    /// window 0's deferrals need the plan, and an unsound plan still
+    /// fails the run before anything executes.
+    ///
+    /// The planner, not the fill, stays on the calling thread because
+    /// of the heap: the planner's temporaries (≈ 2.5 MiB on
+    /// `plan_heavy`) are freed into this thread's malloc arena, where
+    /// the layout and the run's slots reuse them, whereas a helper
+    /// thread's arena would keep them resident beside the filled
+    /// arenas. The fill allocates almost nothing.
+    pub(crate) fn start(
+        &self,
+        app: &App,
+        policy: &PolicyKind,
+        cal: &WallClockCalibration,
+        workers: usize,
+        run_seed: u64,
+        spare_core: bool,
+    ) -> Result<Started, String> {
+        let Allocated {
+            config,
+            hms,
+            ids,
+            copy_cfgs,
+            initial_tiers,
+            prices,
+        } = self.allocate(app, policy, cal)?;
+        let start = Instant::now();
+        let shared = Arc::new(SharedHms::new(hms));
+        let (fill, planned, layout, init_ns, plan_wait_ns) = std::thread::scope(|s| {
+            let filling = s.spawn(|| {
+                let t0 = Instant::now();
+                let fill = GraphRun::fill(&shared, &ids, run_seed);
+                (fill, t0, Instant::now())
+            });
+            let planner = Planner {
+                app,
+                policy,
+                config: &config,
+                prices: &prices,
+                workers,
+                spare_core,
+            };
+            let planned = planner.audited(initial_tiers).map(|planned| {
+                let defer = deferrals(&app.graph, &planned.plan);
+                (planned, defer)
+            });
+            let layout = GraphLayout::new(&app.graph, ids.clone(), prices);
+            let ready = Instant::now();
+            let (fill, filling_t0, filled) = filling
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            let init_ns = filled.duration_since(filling_t0).as_nanos() as f64;
+            let waited = ready.saturating_duration_since(filled).as_nanos() as f64;
+            (fill, planned, layout, init_ns, waited)
+        });
+        let (fill, (planned, (defer, late_fetches))) = (fill?, planned?);
+        let layout = Arc::new(layout);
+        let run = GraphRun::filled(Arc::clone(&shared), Arc::clone(&layout), run_seed, fill);
+        Ok(Started {
+            config,
+            copy_cfgs,
+            shared,
+            layout,
+            run: Arc::new(run),
+            planned,
+            defer,
+            late_fetches,
+            start,
+            init_ns,
+            plan_wait_ns,
+        })
+    }
+}
+
+/// A run past its set-up ([`MeasuredRuntime::start`]): every object
+/// filled and the audited plan made, no task run yet.
+pub(crate) struct Started {
+    config: HmsConfig,
+    copy_cfgs: Vec<CopyConfig>,
+    shared: Arc<SharedHms>,
+    layout: Arc<GraphLayout>,
+    run: Arc<GraphRun>,
+    pub(crate) planned: RunPlan,
+    /// [`deferrals`] of the plan.
+    defer: Vec<Vec<ObjectId>>,
+    late_fetches: u64,
+    /// Where the run's wall clock starts: before the heap is shared.
+    start: Instant,
+    /// The fill, ns, and how long after it the plan and the layout
+    /// were ready.
+    init_ns: f64,
+    plan_wait_ns: f64,
 }
 
 /// Per window, the objects whose roots the pool starts last there —
@@ -704,8 +813,9 @@ mod tests {
         }
     }
 
-    /// The fill and each window's task time are layers of the run's
-    /// wall clock: at one worker they fit inside it, none is empty.
+    /// The fill, the wait for the plan after it and each window's task
+    /// time are layers of the run's wall clock: at one worker they fit
+    /// inside it, the fill and the windows are not empty.
     #[test]
     fn init_and_window_task_times_sit_inside_the_wall_clock() {
         let app = stream_app(4, 16 << 10, 3);
@@ -718,7 +828,8 @@ mod tests {
             assert_eq!(r.window_task_ns.len(), 3, "{}", r.policy);
             assert!(r.init_ns > 0.0, "{}", r.policy);
             assert!(r.window_task_ns.iter().all(|&ns| ns > 0.0), "{}", r.policy);
-            let tiled = r.init_ns + r.window_task_ns.iter().sum::<f64>();
+            assert!(r.plan_wait_ns >= 0.0, "{}", r.policy);
+            let tiled = r.init_ns + r.plan_wait_ns + r.window_task_ns.iter().sum::<f64>();
             assert!(tiled <= r.wall_ns, "{}: {tiled} > {}", r.policy, r.wall_ns);
         }
     }

@@ -7,8 +7,6 @@
 //! spill end" may pass the [`TierKind`](crate::TierKind) shorthand,
 //! which [`TierRef`] resolves against the configured list on entry.
 
-use std::collections::HashMap;
-
 use crate::alloc::TierAllocator;
 use crate::backend::{BackendStats, CopyOutcome, TierBackend, VirtualBackend};
 use crate::error::HmsError;
@@ -203,7 +201,9 @@ pub struct Hms {
     config: HmsConfig,
     /// One allocator per tier, fastest first.
     tiers: Vec<TierAllocator>,
-    objects: HashMap<ObjectId, ObjectRecord>,
+    /// Entry `i` is object `ObjectId(i)`: ids are dense and never
+    /// reused, so the table is indexed, not hashed (`None` once freed).
+    objects: Vec<Option<ObjectRecord>>,
     next_id: u32,
     /// Count of failed tier-0 allocations that fell back to a slower tier.
     pub dram_fallbacks: u64,
@@ -221,7 +221,7 @@ impl Hms {
         Hms {
             config,
             tiers,
-            objects: HashMap::new(),
+            objects: Vec::new(),
             next_id: 0,
             dram_fallbacks: 0,
             backend: Box::new(VirtualBackend),
@@ -254,7 +254,7 @@ impl Hms {
     /// until the object is moved or freed.
     pub fn object_bytes(&mut self, id: ObjectId) -> Result<Option<&mut [u8]>, HmsError> {
         let (tier, addr, size) = {
-            let rec = self.objects.get(&id).ok_or(HmsError::NoSuchObject(id))?;
+            let rec = self.record(id)?;
             (rec.tier, rec.addr, rec.meta.size)
         };
         match self.backend.data_ptr(tier, addr, size) {
@@ -298,27 +298,46 @@ impl Hms {
         &self.tiers[tier.index()]
     }
 
+    /// The live record of `id`.
+    fn record(&self, id: ObjectId) -> Result<&ObjectRecord, HmsError> {
+        let rec = self.objects.get(id.index()).and_then(Option::as_ref);
+        rec.ok_or(HmsError::NoSuchObject(id))
+    }
+
+    fn record_mut(&mut self, id: ObjectId) -> Result<&mut ObjectRecord, HmsError> {
+        let rec = self.objects.get_mut(id.index()).and_then(Option::as_mut);
+        rec.ok_or(HmsError::NoSuchObject(id))
+    }
+
+    /// Live records, by ascending id.
+    fn records(&self) -> impl Iterator<Item = &ObjectRecord> {
+        self.objects.iter().flatten()
+    }
+
     /// Allocate a new data object on tier `preferred`. With `fallback`
     /// the allocation cascades: first every *slower* tier in order
     /// (spill down, the paper's overflow direction: everything that
     /// does not fit in DRAM starts in NVM), then faster tiers (a full
     /// slow tier overflows upward rather than failing).
+    ///
+    /// `_name` labels the call site only: the heap knows an object by
+    /// its id and keeps no copy of the name, so an allocation costs no
+    /// string.
     pub fn alloc_object(
         &mut self,
-        name: &str,
+        _name: &str,
         size: u64,
         preferred: impl TierRef,
         fallback: bool,
     ) -> Result<ObjectId, HmsError> {
         let preferred = self.resolve(preferred);
-        self.alloc_resolved(name, size, preferred, fallback)
+        self.alloc_resolved(size, preferred, fallback)
     }
 
     /// [`Hms::alloc_object`] past the shorthand: one non-generic body,
     /// compiled here rather than once per caller crate and argument type.
     fn alloc_resolved(
         &mut self,
-        name: &str,
         size: u64,
         preferred: TierId,
         fallback: bool,
@@ -362,20 +381,16 @@ impl Hms {
         let (tier, addr) = placed.expect("placed or returned above");
         let id = ObjectId(self.next_id);
         self.next_id += 1;
-        self.objects.insert(
-            id,
-            ObjectRecord {
-                meta: ObjectMeta {
-                    id,
-                    name: name.to_string(),
-                    size,
-                    chunk_of: None,
-                },
-                tier,
-                addr,
-                moving: false,
+        self.objects.push(Some(ObjectRecord {
+            meta: ObjectMeta {
+                id,
+                size,
+                chunk_of: None,
             },
-        );
+            tier,
+            addr,
+            moving: false,
+        }));
         self.backend.on_alloc(tier, addr, size);
         Ok(id)
     }
@@ -392,19 +407,16 @@ impl Hms {
         fallback: bool,
     ) -> Result<ObjectId, HmsError> {
         let id = self.alloc_object(name, size, preferred, fallback)?;
-        if let Some(rec) = self.objects.get_mut(&id) {
-            rec.meta.chunk_of = Some((parent, index));
-        }
+        self.record_mut(id)?.meta.chunk_of = Some((parent, index));
         Ok(id)
     }
 
     /// Free an object. Fails mid-move.
     pub fn free_object(&mut self, id: ObjectId) -> Result<(), HmsError> {
-        let rec = self.objects.get(&id).ok_or(HmsError::NoSuchObject(id))?;
-        if rec.moving {
+        if self.record(id)?.moving {
             return Err(HmsError::Moving(id));
         }
-        let rec = self.objects.remove(&id).expect("checked above");
+        let rec = self.objects[id.index()].take().expect("checked above");
         self.allocator(rec.tier)
             .free(rec.addr)
             .expect("object address must be live in its tier allocator");
@@ -414,18 +426,12 @@ impl Hms {
 
     /// Current tier of an object.
     pub fn tier_of(&self, id: ObjectId) -> Result<TierId, HmsError> {
-        self.objects
-            .get(&id)
-            .map(|r| r.tier)
-            .ok_or(HmsError::NoSuchObject(id))
+        self.record(id).map(|r| r.tier)
     }
 
     /// Metadata of an object.
     pub fn meta(&self, id: ObjectId) -> Result<&ObjectMeta, HmsError> {
-        self.objects
-            .get(&id)
-            .map(|r| &r.meta)
-            .ok_or(HmsError::NoSuchObject(id))
+        self.record(id).map(|r| &r.meta)
     }
 
     /// Size of an object in bytes.
@@ -468,7 +474,7 @@ impl Hms {
     pub fn begin_move_to(&mut self, id: ObjectId, to: TierId) -> Result<MoveTicket, HmsError> {
         assert!(to.index() < self.tiers.len(), "tier {to} out of range");
         let (size, from, from_addr, moving) = {
-            let rec = self.objects.get(&id).ok_or(HmsError::NoSuchObject(id))?;
+            let rec = self.record(id)?;
             (rec.meta.size, rec.tier, rec.addr, rec.moving)
         };
         if from == to {
@@ -486,7 +492,7 @@ impl Hms {
                 largest_free: self.allocator_ref(to).largest_free_block(),
             })?;
         self.backend.on_alloc(to, to_addr, size);
-        self.objects.get_mut(&id).expect("checked above").moving = true;
+        self.record_mut(id).expect("checked above").moving = true;
         Ok(MoveTicket {
             object: id,
             from,
@@ -530,18 +536,14 @@ impl Hms {
             .free(ticket.to_addr)
             .expect("ticket destination must be live");
         self.backend.on_free(ticket.to, ticket.to_addr, ticket.size);
-        self.objects
-            .get_mut(&ticket.object)
+        self.record_mut(ticket.object)
             .expect("ticket object must be live")
             .moving = false;
     }
 
     /// Whether a two-phase move of `id` is currently in flight.
     pub fn is_moving(&self, id: ObjectId) -> Result<bool, HmsError> {
-        self.objects
-            .get(&id)
-            .map(|r| r.moving)
-            .ok_or(HmsError::NoSuchObject(id))
+        self.record(id).map(|r| r.moving)
     }
 
     /// Shared tail of a completed move: free the source, update the
@@ -553,8 +555,7 @@ impl Hms {
         self.backend
             .on_free(ticket.from, ticket.from_addr, ticket.size);
         let rec = self
-            .objects
-            .get_mut(&ticket.object)
+            .record_mut(ticket.object)
             .expect("ticket object must be live");
         rec.tier = ticket.to;
         rec.addr = ticket.to_addr;
@@ -569,15 +570,10 @@ impl Hms {
     /// objects and lets concurrent readers share the range without
     /// materializing overlapping `&mut`s).
     pub fn object_ptr(&mut self, id: ObjectId) -> Result<(*mut u8, u64, TierId), HmsError> {
-        let rec = self.objects.get(&id).ok_or(HmsError::NoSuchObject(id))?;
+        let rec = self.record(id)?;
         let (tier, addr, size) = (rec.tier, rec.addr, rec.meta.size);
         let ptr = self.backend.data_ptr(tier, addr, size);
         Ok((ptr.unwrap_or(std::ptr::null_mut()), size, tier))
-    }
-
-    /// Whether `bytes` more would fit on `tier` right now.
-    pub fn can_fit(&self, tier: impl TierRef, bytes: u64) -> bool {
-        self.allocator_ref(self.resolve(tier)).can_fit(bytes)
     }
 
     /// Bytes used on `tier`.
@@ -590,11 +586,6 @@ impl Hms {
         self.allocator_ref(self.resolve(tier)).free_bytes()
     }
 
-    /// External fragmentation of `tier`.
-    pub fn fragmentation(&self, tier: impl TierRef) -> f64 {
-        self.allocator_ref(self.resolve(tier)).fragmentation()
-    }
-
     /// One past the highest object id ever allocated (ids are dense and
     /// never reused, so every live id is below this watermark). The
     /// shared wrapper's slot table syncs against it.
@@ -605,19 +596,13 @@ impl Hms {
     /// Ids of objects resident on `tier`, ascending.
     pub fn objects_on(&self, tier: impl TierRef) -> Vec<ObjectId> {
         let tier = self.resolve(tier);
-        let mut v: Vec<ObjectId> = self
-            .objects
-            .iter()
-            .filter(|(_, r)| r.tier == tier)
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort();
-        v
+        let on = self.records().filter(|r| r.tier == tier);
+        on.map(|r| r.meta.id).collect()
     }
 
     /// Total footprint of live objects.
     pub fn footprint(&self) -> u64 {
-        self.objects.values().map(|r| r.meta.size).sum()
+        self.records().map(|r| r.meta.size).sum()
     }
 
     /// Check cross-structure invariants (object table vs allocators).
@@ -626,7 +611,7 @@ impl Hms {
             alloc.check_invariants()?;
         }
         let mut per_tier = vec![0u64; self.tiers.len()];
-        for rec in self.objects.values() {
+        for rec in self.records() {
             per_tier[rec.tier.index()] += rec.meta.size;
         }
         for (i, (bytes, alloc)) in per_tier.iter().zip(self.tiers.iter()).enumerate() {

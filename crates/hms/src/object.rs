@@ -31,8 +31,6 @@ impl fmt::Debug for ObjectId {
 pub struct ObjectMeta {
     /// The object's id.
     pub id: ObjectId,
-    /// Name given at allocation time (e.g. `"lhs"`, `"A[3][2]"`).
-    pub name: String,
     /// Size in bytes.
     pub size: u64,
     /// If this object is a chunk of a larger one: the parent id and the
@@ -61,13 +59,11 @@ mod tests {
     fn chunk_flag() {
         let plain = ObjectMeta {
             id: ObjectId(0),
-            name: "a".into(),
             size: 64,
             chunk_of: None,
         };
         let chunk = ObjectMeta {
             id: ObjectId(1),
-            name: "a[0]".into(),
             size: 32,
             chunk_of: Some((ObjectId(0), 0)),
         };

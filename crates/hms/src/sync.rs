@@ -293,7 +293,13 @@ impl SharedHms {
     /// Wall-clock ns since this wrapper was created — the time axis of
     /// every [`MigrationRecord`] it produces.
     pub fn now_ns(&self) -> Ns {
-        self.epoch.elapsed().as_nanos() as f64
+        self.ns_at(Instant::now())
+    }
+
+    /// `at` on the [`SharedHms::now_ns`] clock, for a caller that has
+    /// read the clock already.
+    pub fn ns_at(&self, at: Instant) -> Ns {
+        at.saturating_duration_since(self.epoch).as_nanos() as f64
     }
 
     /// Run `f` with exclusive access to the underlying [`Hms`] (setup,

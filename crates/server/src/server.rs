@@ -527,11 +527,6 @@ impl TahoeServer {
         })
     }
 
-    /// Number of registered tenants.
-    pub fn tenants(&self) -> usize {
-        self.sh.inner.lock().expect("server state").tenants.len()
-    }
-
     /// Drain all in-flight and queued graphs, stop the pool and the
     /// migration engine, and return the lifetime report.
     pub fn shutdown(self) -> ServerReport {

@@ -7,31 +7,15 @@ use tahoe_core::config::Platform;
 use tahoe_core::measured::{reference_checksum_seeded, MeasuredRuntime};
 use tahoe_core::policy::PolicyKind;
 use tahoe_hms::{AccessProfile, ObjectId};
-use tahoe_memprof::wallclock::{WallClockCalibration, WallClockConfig};
+use tahoe_memprof::wallclock::WallClockConfig;
 use tahoe_obs::{Emitter, Metrics};
 use tahoe_server::{
-    driver, AdmitError, ArbiterMode, QuotaPolicy, ServerConfig, TahoeServer, TelemetryConfig,
-    TenantSpec,
+    driver, AdmitError, ArbiterMode, ServerConfig, TahoeServer, TelemetryConfig, TenantSpec,
 };
 use tahoe_taskrt::{AccessMode, TaskAccess, TaskGraph};
 
-fn cal() -> WallClockCalibration {
-    WallClockCalibration::synthetic(1 << 20, 1 << 24)
-}
-
-fn config(mode: ArbiterMode, dram_budget: u64, max_queue: usize) -> ServerConfig {
-    ServerConfig {
-        workers: 2,
-        dram_budget,
-        nvm_capacity: 1 << 24,
-        mode,
-        max_queue,
-    }
-}
-
-fn quota_mode() -> ArbiterMode {
-    ArbiterMode::Quota(QuotaPolicy::DemandProportional { floor_frac: 0.5 })
-}
+mod common;
+use common::{cal, config, quota_mode, server, within_a_minute};
 
 /// A tenant app: one hot object touched by every task plus `cold`
 /// rarely-touched objects, across `windows` windows of `tasks_per_w`
@@ -58,10 +42,6 @@ fn tenant_app(name: &str, hot_bytes: u64, cold: u32, windows: u32, tasks_per_w: 
         }
     }
     b.build()
-}
-
-fn server(cfg: ServerConfig) -> TahoeServer {
-    TahoeServer::new(cfg, cal(), Emitter::disabled(), Metrics::disabled()).expect("server")
 }
 
 #[test]
@@ -185,17 +165,6 @@ fn checksums_under_contention_match_solo_references() {
     }
 }
 
-/// Run `f` on its own thread; a server that hangs fails the test after
-/// a minute instead of hanging the suite.
-fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(std::time::Duration::from_secs(60))
-        .expect("the server must make progress")
-}
-
 #[test]
 fn idle_tenant_hot_set_is_preempted_by_active_tenant() {
     // Budget holds exactly one hot object: whoever is active should
@@ -247,96 +216,6 @@ fn idle_tenant_hot_set_is_preempted_by_active_tenant() {
         tb.promoted_bytes >= hot,
         "b must win the DRAM once a is idle (promoted {})",
         tb.promoted_bytes
-    );
-}
-
-/// One hot object every task updates and one smaller cold one read once
-/// a window: the hot object alone fits a three-way quota, both fit a
-/// two-way one.
-fn hot_cold_app(name: &str, hot_bytes: u64, cold_bytes: u64) -> App {
-    let mut b = AppBuilder::new(name);
-    let hot = b.object("hot", hot_bytes);
-    let cold = b.object("cold", cold_bytes);
-    let c = b.class("work");
-    for w in 0..4 {
-        if w > 0 {
-            b.next_window();
-        }
-        for t in 0..4 {
-            let mut tb = b.task(c).update_streaming(hot, 1024);
-            if t == 0 {
-                tb = tb.read_streaming(cold, 16);
-            }
-            tb.submit();
-        }
-    }
-    b.build()
-}
-
-/// Three closed-loop tenants whose hot sets fill the budget: the hot
-/// data is bought once, not once per graph. Before the arbiter kept a
-/// tenant active across its submit→wait gap, every admission that fell
-/// into another tenant's gap took that tenant's hot object for its own
-/// cold one and gave it back a graph later — promoted bytes and
-/// preemptions grew with the number of graphs served.
-#[test]
-fn closed_loop_tenants_buy_their_hot_sets_once() {
-    const TENANTS: usize = 3;
-    const GRAPHS: usize = 50;
-    let (hot, cold) = (16u64 << 10, 8u64 << 10);
-    // Three-way quota: hot + 1 KiB. Two-way: 1.5 × that, hot + cold fit.
-    let budget = TENANTS as u64 * (hot + 1024);
-    let serve = move || {
-        // One worker: the grace is one graph long, and with both of a
-        // CI runner's cores spin-pacing emulated NVM delays a client
-        // thread can wait a whole scheduler slice — longer than that —
-        // for the CPU to resubmit on.
-        let srv = server(ServerConfig {
-            workers: 1,
-            ..config(quota_mode(), budget, 1)
-        });
-        let handles: Vec<_> = (0..TENANTS)
-            .map(|i| {
-                let name = format!("c{i}");
-                srv.register_tenant(TenantSpec::new(&name, 1.0), hot_cold_app(&name, hot, cold))
-                    .expect("register")
-            })
-            .collect();
-        let outcomes = driver::closed_loop(&handles.iter().collect::<Vec<_>>(), GRAPHS, 29);
-        drop(handles);
-        (outcomes, srv.shutdown())
-    };
-    // A client the host keeps off the CPU for longer than one graph
-    // *has* left, as far as the server can tell, and is rightly
-    // reclaimed; on a loaded runner that can happen. The claim is about
-    // clients that resubmit, so a second and third try are allowed —
-    // before the change every try read 36–72 preemptions.
-    let mut seen = Vec::new();
-    for _ in 0..3 {
-        let (outcomes, report) = within_a_minute(serve);
-        assert_eq!(outcomes.len(), TENANTS * GRAPHS);
-        for o in &outcomes {
-            let app = hot_cold_app(&format!("c{}", o.tenant), hot, cold);
-            assert_eq!(
-                o.checksum,
-                reference_checksum_seeded(&app, driver::tenant_seed(29, o.tenant)),
-                "tenant {} graph {} diverged from its solo reference",
-                o.tenant,
-                o.graph
-            );
-        }
-        let promoted: u64 = report.tenants.iter().map(|t| t.promoted_bytes).sum();
-        let preempted = report.preempted_total();
-        if promoted <= 4 * TENANTS as u64 * hot && preempted <= TENANTS as u64 {
-            return;
-        }
-        seen.push((promoted, preempted));
-    }
-    panic!(
-        "(promoted bytes, preemptions) per try {seen:?}: {} graphs, {TENANTS} tenants that \
-         never left, a {} byte combined hot set",
-        TENANTS * GRAPHS,
-        TENANTS as u64 * hot
     );
 }
 
