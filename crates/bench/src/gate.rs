@@ -8,10 +8,11 @@
 //! that decides its exit status — and `benchgate` runs the same table
 //! against a committed baseline under `baselines/`. A row whose
 //! precondition does not hold is reported *vacuous*, never silently
-//! passed. The rationale per row is the table itself, rendered by
-//! [`bands_markdown`] into `EXPERIMENTS.md` § "Regression gate".
+//! passed. The rationale per row is the table itself, rendered into
+//! `EXPERIMENTS.md` § "Regression gate" (a unit test holds the two
+//! together).
 
-use tahoe_obs::json::{self, Value};
+use tahoe_obs::json::Value;
 
 /// The quantity a band judges. Paths are dotted; a segment may carry a
 /// selector — `runs[*]` (every element), `tiers[1]` (one element),
@@ -580,22 +581,6 @@ impl Band {
     }
 }
 
-/// [`BANDS`] as the markdown table `EXPERIMENTS.md` § "Regression gate"
-/// carries verbatim (a unit test holds the two together).
-pub fn bands_markdown() -> String {
-    let mut out = String::from(
-        "| schema | quantity | op | tolerance | precondition | failure message |\n|---|---|---|---|---|---|\n",
-    );
-    for bands in BANDS {
-        let rows = bands.gate.iter().map(|r| (r, false));
-        for (row, exp_only) in rows.chain(bands.exp_only.iter().map(|r| (r, true))) {
-            let cells = row.cells(exp_only).join(" | ");
-            out.push_str(&format!("| `{}` | {cells} |\n", bands.schema));
-        }
-    }
-    out
-}
-
 fn schema_of(v: &Value) -> Result<&str, String> {
     let schema = v.get("schema").ok_or("missing field `schema`")?;
     Ok(schema.as_str().ok_or("field `schema` is not a string")?)
@@ -622,22 +607,6 @@ pub fn check(
     let rows = bands.gate.iter().chain(exp_only).filter(in_scope);
     rows.map(|row| Ok((row, row.judge(baseline, fresh)?)))
         .collect()
-}
-
-/// [`check`] over raw JSON text, reduced to the violations found (an
-/// empty vector means the gate passes).
-pub fn compare_text(baseline: &str, fresh: &str) -> Result<Vec<String>, String> {
-    let b = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let f = json::parse(fresh).map_err(|e| format!("fresh: {e}"))?;
-    let verdicts = check(Some(&b), &f)?;
-    Ok(verdicts
-        .into_iter()
-        .filter_map(|(_, v)| match v {
-            Verdict::Fail(messages) => Some(messages),
-            _ => None,
-        })
-        .flatten()
-        .collect())
 }
 
 // ---- named derivations the table references -------------------------
@@ -744,6 +713,39 @@ fn malformed_tenant_rows(v: &Value) -> Result<Vec<f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tahoe_obs::json;
+
+    /// [`BANDS`] as the markdown table `EXPERIMENTS.md` § "Regression gate"
+    /// carries verbatim.
+    fn bands_markdown() -> String {
+        let mut out = String::from(
+            "| schema | quantity | op | tolerance | precondition | failure message |\n|---|---|---|---|---|---|\n",
+        );
+        for bands in BANDS {
+            let rows = bands.gate.iter().map(|r| (r, false));
+            for (row, exp_only) in rows.chain(bands.exp_only.iter().map(|r| (r, true))) {
+                let cells = row.cells(exp_only).join(" | ");
+                out.push_str(&format!("| `{}` | {cells} |\n", bands.schema));
+            }
+        }
+        out
+    }
+
+    /// [`check`] over raw JSON text, reduced to the violations found (an
+    /// empty vector means the gate passes).
+    fn compare_text(baseline: &str, fresh: &str) -> Result<Vec<String>, String> {
+        let b = json::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
+        let f = json::parse(fresh).map_err(|e| format!("fresh: {e}"))?;
+        let verdicts = check(Some(&b), &f)?;
+        Ok(verdicts
+            .into_iter()
+            .filter_map(|(_, v)| match v {
+                Verdict::Fail(messages) => Some(messages),
+                _ => None,
+            })
+            .flatten()
+            .collect())
+    }
 
     fn obs_doc(total: u64) -> String {
         obs_doc_drops(total, 0)

@@ -243,25 +243,6 @@ fn refuse_unsound(policy: &PolicyKind, report: &SanitizeReport) -> Result<(), St
     ))
 }
 
-/// A run's set-up with no fill beside it, as the tests inspect it: the
-/// allocation's configuration and prices, and the plan made from them.
-#[cfg(test)]
-pub(crate) struct PreparedRun {
-    pub(crate) config: HmsConfig,
-    pub(crate) prices: AccessPrices,
-    pub(crate) plan: MigrationPlan,
-    pub(crate) plan_values: Option<Vec<f64>>,
-    pub(crate) plan_worth: Option<PlanValues>,
-}
-
-#[cfg(test)]
-impl PreparedRun {
-    /// Tier every object ends on once the plan has fully executed.
-    pub(crate) fn target_tiers(&self) -> Vec<u8> {
-        self.plan.final_tiers(self.config.n_tiers())
-    }
-}
-
 /// Whether the migration thread of a run at `workers` workers has a
 /// core of its own, so that its copies overlap the tasks instead of
 /// taking their place.
@@ -432,63 +413,6 @@ impl MeasuredRuntime {
             initial_tiers,
             prices,
         })
-    }
-
-    /// [`MeasuredRuntime::allocate`], then the plan for a run at
-    /// `workers` workers, made on the calling thread.
-    #[cfg(test)]
-    pub(crate) fn prepare_unaudited(
-        &self,
-        app: &App,
-        policy: &PolicyKind,
-        cal: &WallClockCalibration,
-        workers: usize,
-        spare_core: bool,
-    ) -> Result<PreparedRun, String> {
-        let Allocated {
-            config,
-            initial_tiers,
-            prices,
-            ..
-        } = self.allocate(app, policy, cal)?;
-        let planner = Planner {
-            app,
-            policy,
-            config: &config,
-            prices: &prices,
-            workers,
-            spare_core,
-        };
-        let planned = planner.plan(initial_tiers)?;
-        Ok(PreparedRun {
-            plan: planned.plan,
-            plan_values: planned.plan_values,
-            plan_worth: planned.plan_worth,
-            config,
-            prices,
-        })
-    }
-
-    /// [`MeasuredRuntime::prepare_unaudited`] behind the audit gate a
-    /// run passes ([`Planner::audited`]).
-    #[cfg(test)]
-    pub(crate) fn prepare(
-        &self,
-        app: &App,
-        policy: &PolicyKind,
-        cal: &WallClockCalibration,
-        workers: usize,
-        spare_core: bool,
-    ) -> Result<PreparedRun, String> {
-        let prepared = self.prepare_unaudited(app, policy, cal, workers, spare_core)?;
-        refuse_unsound(policy, &Self::audit_prepared(app, &prepared))?;
-        Ok(prepared)
-    }
-
-    /// The static auditor's report on the plan a prepared run carries.
-    #[cfg(test)]
-    pub(crate) fn audit_prepared(app: &App, prepared: &PreparedRun) -> SanitizeReport {
-        audit(app, &prepared.config, &prepared.prices, &prepared.plan)
     }
 
     /// Pre-flight a policy's migration plan without executing anything:
@@ -774,8 +698,22 @@ mod tests {
         let app = stream_bw_shaped();
         let (rt, cal) = pinned(&app);
         let policy = PolicyKind::tahoe();
-        let prepared = rt
-            .prepare(&app, &policy, &cal, 1, true)
+        let Allocated {
+            config,
+            initial_tiers,
+            prices,
+            ..
+        } = rt.allocate(&app, &policy, &cal).expect("allocates");
+        let planner = |spare_core| Planner {
+            app: &app,
+            policy: &policy,
+            config: &config,
+            prices: &prices,
+            workers: 1,
+            spare_core,
+        };
+        let prepared = planner(true)
+            .audited(initial_tiers.clone())
             .expect("audits clean");
         let per_window = |w: u32, to: u8| {
             let at = prepared.plan.steps.iter().filter(|s| s.window == w);
@@ -794,10 +732,8 @@ mod tests {
             assert!(at[..6].iter().all(|s| s.to_tier == 1));
         }
         assert_eq!(prepared.plan.steps.len(), 24 + 8 * 12);
-        assert_eq!(
-            prepared.target_tiers().iter().filter(|&&t| t == 0).count(),
-            24
-        );
+        let target = prepared.plan.final_tiers(config.n_tiers());
+        assert_eq!(target.iter().filter(|&&t| t == 0).count(), 24);
 
         let all: f64 = prepared.plan_values.as_ref().unwrap().iter().sum();
         let share = |ns: f64| (ns / all * 1e3).round() / 1e3;
@@ -808,9 +744,9 @@ mod tests {
 
         // Without a core for the migration thread nothing hides a copy:
         // the global plan, step for step.
-        let global = rt.prepare(&app, &policy, &cal, 1, false).expect("clean");
-        let specs = global.config.tier_specs();
-        let items = mck_items(&app, global.prices.values(&app).per_tier);
+        let global = planner(false).audited(initial_tiers).expect("clean");
+        let specs = config.tier_specs();
+        let items = mck_items(&app, prices.values(&app).per_tier);
         let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
         let assignment = solve_mck(&items, &caps).unwrap();
         assert_eq!(share(assignment.total_value), 0.640);
@@ -877,8 +813,22 @@ mod tests {
         let app = mixed_skew_shaped();
         let (rt, cal) = pinned(&app);
         let policy = PolicyKind::tahoe();
-        let prepared = rt
-            .prepare(&app, &policy, &cal, 1, true)
+        let Allocated {
+            config,
+            initial_tiers,
+            prices,
+            ..
+        } = rt.allocate(&app, &policy, &cal).expect("allocates");
+        let planner = |spare_core| Planner {
+            app: &app,
+            policy: &policy,
+            config: &config,
+            prices: &prices,
+            workers: 1,
+            spare_core,
+        };
+        let prepared = planner(true)
+            .audited(initial_tiers.clone())
             .expect("audits clean");
         let all: f64 = prepared.plan_values.as_ref().unwrap().iter().sum();
         let share = |ns: f64| (ns / all * 1e3).round() / 1e3;
@@ -888,15 +838,15 @@ mod tests {
         assert_eq!(share(worth.oracle_ns), 0.774);
 
         // Both leads, on the planner's own input: the late one runs.
-        let specs = prepared.config.tier_specs();
-        let values = prepared.prices.values(&app);
+        let specs = config.tier_specs();
+        let values = prices.values(&app);
         let sizes: Vec<u64> = app.objects.iter().map(|o| o.size).collect();
         let items = mck_items(&app, values.per_tier.clone());
         let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
         let assignment = solve_mck(&items, &caps).unwrap();
         let global: Vec<bool> = assignment.tiers.iter().map(|&t| t == 0).collect();
         let rate = |from: TierId, to: TierId| CopyRate {
-            gbps: prepared.config.copy_bw_between(from, to),
+            gbps: config.copy_bw_between(from, to),
             latency_ns: specs[from.index()].copy_lat_to(&specs[to.index()]),
         };
         let input = RotationInput {
@@ -931,7 +881,7 @@ mod tests {
 
         // Without a core for the migration thread: the global plan, step
         // for step.
-        let static_plan = rt.prepare(&app, &policy, &cal, 1, false).expect("clean");
+        let static_plan = planner(false).audited(initial_tiers).expect("clean");
         let expect = promotion_plan(&items, vec![1; items.len()], &assignment.tiers);
         assert_eq!(static_plan.plan, expect);
     }
@@ -970,7 +920,7 @@ mod tests {
 
     /// The plan a run makes while a helper thread fills the arenas is
     /// the plan made from the same allocation with nothing beside it
-    /// (the path of `verify_plan` and of `prepare`) bit for bit: steps,
+    /// (the path of `verify_plan`) bit for bit: steps,
     /// per-object values and the modelled plan values — rotating or
     /// not, on the three benchmark shapes that plan differently.
     #[test]
@@ -988,9 +938,21 @@ mod tests {
                 let run = rt
                     .start(&app, &policy, &cal, 1, 0, spare_core)
                     .expect("audits clean");
-                let sync = rt
-                    .prepare_unaudited(&app, &policy, &cal, 1, spare_core)
-                    .expect("plans");
+                let Allocated {
+                    config,
+                    initial_tiers,
+                    prices,
+                    ..
+                } = rt.allocate(&app, &policy, &cal).expect("allocates");
+                let planner = Planner {
+                    app: &app,
+                    policy: &policy,
+                    config: &config,
+                    prices: &prices,
+                    workers: 1,
+                    spare_core,
+                };
+                let sync = planner.plan(initial_tiers).expect("plans");
                 let at = format!("{} spare_core={spare_core}", app.name);
                 assert!(!run.planned.plan.steps.is_empty(), "{at}");
                 assert_eq!(run.planned.plan, sync.plan, "{at}");
@@ -1054,10 +1016,10 @@ mod tests {
             Platform::optane(dram, nvm),
             tahoe_memprof::wallclock::WallClockConfig::smoke(),
         );
-        let mut prepared = rt
-            .prepare_unaudited(&app, &PolicyKind::NvmOnly, &cal, 1, false)
-            .expect("prepares");
-        let specs = prepared.config.tier_specs().to_vec();
+        let Allocated { config, prices, .. } = rt
+            .allocate(&app, &PolicyKind::NvmOnly, &cal)
+            .expect("allocates");
+        let specs = config.tier_specs().to_vec();
         let ctx = PlanContext::new(vec![SIZE; 2]);
         // `out` leaves DRAM for NVM, then `into` takes its place.
         let swap = |out: u32, into: u32| MigrationPlan {
@@ -1087,7 +1049,7 @@ mod tests {
             assert_eq!(regresses(&pure), pure_regresses, "{:?}", pure.violations);
             // The planner's verdict: the run at its own prices.
             let cost = |tiers: &[u8]| -> f64 {
-                let rows = prepared.prices.rows(&app.graph);
+                let rows = prices.rows(&app.graph);
                 rows.map(|(a, p)| p[tiers[a.object.index()] as usize]).sum()
             };
             let planner_regresses = cost(&plan.final_tiers(2)) > cost(&plan.initial_tiers);
@@ -1095,8 +1057,7 @@ mod tests {
                 planner_regresses, pure_regresses,
                 "the pricings must disagree"
             );
-            prepared.plan = plan;
-            let report = MeasuredRuntime::audit_prepared(&app, &prepared);
+            let report = audit(&app, &config, &prices, &plan);
             assert_eq!(
                 regresses(&report),
                 planner_regresses,

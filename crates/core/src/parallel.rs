@@ -898,14 +898,25 @@ mod tests {
         );
         let policy = PolicyKind::tahoe();
 
-        let prepared = rt
-            .prepare(&app, &policy, &cal, 2, true)
-            .expect("plan audits clean");
+        let Allocated {
+            config,
+            initial_tiers,
+            prices,
+            ..
+        } = rt.allocate(&app, &policy, &cal).expect("allocates");
+        let planner = Planner {
+            app: &app,
+            policy: &policy,
+            config: &config,
+            prices: &prices,
+            workers: 2,
+            spare_core: true,
+        };
+        let prepared = planner.audited(initial_tiers).expect("plan audits clean");
         let mut planned = vec![0usize; 3];
-        for t in prepared.target_tiers() {
+        for t in prepared.plan.final_tiers(config.n_tiers()) {
             planned[t as usize] += 1;
         }
-        drop(prepared);
         assert!(
             planned[1] > 0,
             "the plan must use the middle tier: {planned:?}"

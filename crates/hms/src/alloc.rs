@@ -64,21 +64,6 @@ impl TierAllocator {
         self.free.values().copied().max().unwrap_or(0)
     }
 
-    /// External fragmentation in `[0, 1]`: `1 - largest_free/free_total`
-    /// (0 when all free space is one block or there is no free space).
-    pub fn fragmentation(&self) -> f64 {
-        let total = self.free_bytes();
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.largest_free_block() as f64 / total as f64
-    }
-
-    /// Whether an allocation of `size` bytes would currently succeed.
-    pub fn can_fit(&self, size: u64) -> bool {
-        size > 0 && self.largest_free_block() >= size
-    }
-
     /// Allocate `size` bytes; returns the block's start address.
     ///
     /// Best-fit: the smallest free block that fits is chosen, splitting
@@ -203,7 +188,7 @@ mod tests {
         assert_eq!(a.used(), 0);
         assert_eq!(a.free_bytes(), 1024);
         assert_eq!(a.largest_free_block(), 1024);
-        assert_eq!(a.fragmentation(), 0.0);
+        assert_eq!(a.free_blocks(), 1);
         a.check_invariants().unwrap();
     }
 
@@ -287,9 +272,9 @@ mod tests {
         a.free(ptrs[2]);
         assert_eq!(a.free_bytes(), 200);
         assert_eq!(a.largest_free_block(), 100);
-        assert!(a.fragmentation() > 0.49);
-        assert!(!a.can_fit(150));
-        assert!(a.can_fit(100));
+        // 200 bytes are free, but no 150-byte request fits.
+        assert_eq!(a.alloc(150), None);
+        assert_eq!(a.alloc(100), Some(0));
         a.check_invariants().unwrap();
     }
 
@@ -299,7 +284,7 @@ mod tests {
         let _ = a.alloc(256).unwrap();
         assert_eq!(a.free_bytes(), 0);
         assert_eq!(a.free_blocks(), 0);
-        assert_eq!(a.fragmentation(), 0.0);
+        assert_eq!(a.largest_free_block(), 0);
         a.check_invariants().unwrap();
     }
 }

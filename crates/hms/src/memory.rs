@@ -382,32 +382,12 @@ impl Hms {
         let id = ObjectId(self.next_id);
         self.next_id += 1;
         self.objects.push(Some(ObjectRecord {
-            meta: ObjectMeta {
-                id,
-                size,
-                chunk_of: None,
-            },
+            meta: ObjectMeta { id, size },
             tier,
             addr,
             moving: false,
         }));
         self.backend.on_alloc(tier, addr, size);
-        Ok(id)
-    }
-
-    /// Register a chunk object (metadata bookkeeping for large-object
-    /// decomposition). The chunk is allocated like a normal object.
-    pub fn alloc_chunk(
-        &mut self,
-        parent: ObjectId,
-        index: u32,
-        name: &str,
-        size: u64,
-        preferred: impl TierRef,
-        fallback: bool,
-    ) -> Result<ObjectId, HmsError> {
-        let id = self.alloc_object(name, size, preferred, fallback)?;
-        self.record_mut(id)?.meta.chunk_of = Some((parent, index));
         Ok(id)
     }
 
@@ -747,12 +727,24 @@ mod tests {
     }
 
     #[test]
-    fn chunk_allocation_links_parent() {
+    fn object_ids_are_never_reused() {
+        // Anything that keys state by `ObjectId` across allocations (the
+        // server's tenants share one heap) relies on this: an id, once
+        // handed out, never names another object, not even after a free.
         let mut h = small_hms(1024, 4096);
-        let parent = h.alloc_object("p", 512, NVM, false).unwrap();
-        let c = h.alloc_chunk(parent, 3, "p[3]", 128, NVM, false).unwrap();
-        assert_eq!(h.meta(c).unwrap().chunk_of, Some((parent, 3)));
-        assert!(h.meta(c).unwrap().is_chunk());
+        let mut seen = std::collections::HashSet::new();
+        for round in 0..4 {
+            let ids: Vec<_> = (0..8)
+                .map(|i| h.alloc_object("o", 64 + i, NVM, false).unwrap())
+                .collect();
+            for &id in &ids {
+                assert!(seen.insert(id), "{id:?} handed out twice (round {round})");
+            }
+            for &id in ids.iter().step_by(2) {
+                h.free_object(id).unwrap();
+            }
+        }
+        h.check_invariants().unwrap();
     }
 
     #[test]

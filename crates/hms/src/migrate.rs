@@ -152,16 +152,6 @@ impl MigrationStats {
     pub fn megabytes(&self) -> f64 {
         self.bytes as f64 / 1.0e6
     }
-
-    /// Merge another stats block into this one.
-    pub fn merge(&mut self, other: &MigrationStats) {
-        self.count += other.count;
-        self.bytes += other.bytes;
-        self.overlapped_ns += other.overlapped_ns;
-        self.exposed_ns += other.exposed_ns;
-        self.evictions += other.evictions;
-        self.promotions += other.promotions;
-    }
 }
 
 #[cfg(test)]
@@ -250,17 +240,6 @@ mod tests {
         st.record(&hop(2, 1));
         st.record(&hop(0, 1));
         assert_eq!((st.promotions, st.evictions), (3, 1));
-    }
-
-    #[test]
-    fn stats_merge() {
-        let mut a = MigrationStats::default();
-        a.record(&rec(0.0, 100.0, None));
-        let mut b = MigrationStats::default();
-        b.record(&rec(0.0, 300.0, Some(0.0)));
-        a.merge(&b);
-        assert_eq!(a.count, 2);
-        assert!((a.pct_overlap() - 25.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The paper manages placement at the granularity of *data objects* —
 //! application-level arrays and tiles allocated through the runtime's
-//! `malloc`-style API — not pages. Objects may be *chunked* (split into
-//! sub-objects) so that part of an object larger than DRAM can still be
-//! placed, mirroring the paper's large-object decomposition.
+//! `malloc`-style API — not pages. A chunk of a large object (the
+//! paper's large-object decomposition) is an object of its own here; the
+//! virtual-time driver keeps the chunk-to-parent map.
 
 use std::fmt;
 
@@ -33,17 +33,6 @@ pub struct ObjectMeta {
     pub id: ObjectId,
     /// Size in bytes.
     pub size: u64,
-    /// If this object is a chunk of a larger one: the parent id and the
-    /// chunk index within the parent.
-    pub chunk_of: Option<(ObjectId, u32)>,
-}
-
-impl ObjectMeta {
-    /// True if this object is a chunk produced by large-object
-    /// decomposition.
-    pub fn is_chunk(&self) -> bool {
-        self.chunk_of.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -53,21 +42,5 @@ mod tests {
     #[test]
     fn debug_format_is_compact() {
         assert_eq!(format!("{:?}", ObjectId(7)), "obj#7");
-    }
-
-    #[test]
-    fn chunk_flag() {
-        let plain = ObjectMeta {
-            id: ObjectId(0),
-            size: 64,
-            chunk_of: None,
-        };
-        let chunk = ObjectMeta {
-            id: ObjectId(1),
-            size: 32,
-            chunk_of: Some((ObjectId(0), 0)),
-        };
-        assert!(!plain.is_chunk());
-        assert!(chunk.is_chunk());
     }
 }

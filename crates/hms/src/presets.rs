@@ -155,19 +155,19 @@ pub fn copy_channel_gbps(dram: &TierSpec, nvm: &TierSpec) -> f64 {
     dram.copy_bw_to(nvm)
 }
 
-/// Every named device preset, for table-driven tests and sweeps.
-pub fn all_nvm_presets(capacity: u64) -> Vec<TierSpec> {
-    vec![
-        stt_ram(capacity),
-        pcram(capacity),
-        reram(capacity),
-        optane_pmm(capacity),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every named device preset.
+    fn all_nvm_presets(capacity: u64) -> Vec<TierSpec> {
+        vec![
+            stt_ram(capacity),
+            pcram(capacity),
+            reram(capacity),
+            optane_pmm(capacity),
+        ]
+    }
 
     #[test]
     fn all_presets_validate() {

@@ -163,12 +163,6 @@ impl TierSpec {
         })
     }
 
-    /// Geometric-mean bandwidth across reads and writes, used as the
-    /// single-number "peak bandwidth" in sensitivity thresholds.
-    pub fn mean_bw_gbps(&self) -> f64 {
-        (self.read_bw_gbps * self.write_bw_gbps).sqrt()
-    }
-
     /// The copy rule: modelled bandwidth, GB/s, of a helper-thread copy
     /// *out of* this tier *into* `dst`. The copy streams reads from the
     /// source and writes to the destination, so the slower side of that
@@ -187,11 +181,6 @@ impl TierSpec {
     /// its source nor reads its destination.
     pub fn copy_lat_to(&self, dst: &TierSpec) -> f64 {
         self.read_lat_ns.max(dst.write_lat_ns)
-    }
-
-    /// Ratio of write latency to read latency (1.0 for symmetric devices).
-    pub fn write_read_lat_ratio(&self) -> f64 {
-        self.write_lat_ns / self.read_lat_ns
     }
 
     /// Validate that the spec is physically sensible.
@@ -260,7 +249,6 @@ mod tests {
         let s = TierSpec::symmetric("t", 10.0, 10.0, 1 << 30);
         assert_eq!(s.read_lat_ns, s.write_lat_ns);
         assert_eq!(s.read_bw_gbps, s.write_bw_gbps);
-        assert!((s.write_read_lat_ratio() - 1.0).abs() < 1e-12);
         s.validate().unwrap();
     }
 
@@ -283,19 +271,6 @@ mod tests {
         assert!((s.read_lat_ns - 40.0).abs() < 1e-12);
         assert!((s.write_lat_ns - 40.0).abs() < 1e-12);
         assert!((s.read_bw_gbps - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_bw_is_geometric() {
-        let s = TierSpec {
-            name: "x".into(),
-            read_lat_ns: 1.0,
-            write_lat_ns: 1.0,
-            read_bw_gbps: 4.0,
-            write_bw_gbps: 1.0,
-            capacity: 1,
-        };
-        assert!((s.mean_bw_gbps() - 2.0).abs() < 1e-12);
     }
 
     #[test]

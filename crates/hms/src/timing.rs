@@ -75,18 +75,6 @@ impl AccessProfile {
         self.accesses() * CACHELINE
     }
 
-    /// Merge two profiles (counts add; MLP is the access-weighted mean).
-    pub fn merge(&self, other: &AccessProfile) -> AccessProfile {
-        let a = self.accesses() as f64;
-        let b = other.accesses() as f64;
-        let mlp = if a + b == 0.0 {
-            1.0
-        } else {
-            (self.mlp * a + other.mlp * b) / (a + b)
-        };
-        AccessProfile::new(self.loads + other.loads, self.stores + other.stores, mlp)
-    }
-
     /// Scale the access counts by `frac` (used when chunking objects).
     pub fn scale(&self, frac: f64) -> AccessProfile {
         AccessProfile::new(
@@ -207,19 +195,6 @@ mod tests {
         let writes = AccessProfile::streaming(0, 1_000_000);
         // Optane write bandwidth (1.3 GB/s) << read bandwidth (3.9 GB/s).
         assert!(writes.mem_time_ns(&optane) > 2.5 * reads.mem_time_ns(&optane));
-    }
-
-    #[test]
-    fn merge_adds_counts_and_weights_mlp() {
-        let a = AccessProfile::new(100, 0, 1.0);
-        let b = AccessProfile::new(300, 0, 9.0);
-        let m = a.merge(&b);
-        assert_eq!(m.loads, 400);
-        assert!((m.mlp - 7.0).abs() < 1e-12);
-        // Merging with empty is identity.
-        let e = AccessProfile::EMPTY.merge(&a);
-        assert_eq!(e.loads, 100);
-        assert!((e.mlp - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -63,25 +63,6 @@ impl WearStats {
         }
         self.dram_store_bytes as f64 / total as f64
     }
-
-    /// NVM write amplification: NVM bytes written per application store
-    /// byte (can exceed 1 when eviction copies dominate, or be far below
-    /// 1 when DRAM shields stores).
-    pub fn nvm_write_amplification(&self) -> f64 {
-        let total = self.total_store_bytes();
-        if total == 0 {
-            return 0.0;
-        }
-        self.nvm_written_bytes() as f64 / total as f64
-    }
-
-    /// Merge another tally into this one.
-    pub fn merge(&mut self, other: &WearStats) {
-        self.dram_store_bytes += other.dram_store_bytes;
-        self.nvm_store_bytes += other.nvm_store_bytes;
-        self.dram_copy_bytes += other.dram_copy_bytes;
-        self.nvm_copy_bytes += other.nvm_copy_bytes;
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +80,6 @@ mod tests {
         assert_eq!(w.total_store_bytes(), 400);
         assert_eq!(w.nvm_written_bytes(), 300);
         assert!((w.write_shielding() - 0.25).abs() < 1e-12);
-        assert!((w.nvm_write_amplification() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -117,25 +97,13 @@ mod tests {
         let mut w = WearStats::default();
         w.record_stores(DRAM, 100);
         w.record_copy(NVM, 400);
-        assert!(w.nvm_write_amplification() > 1.0);
+        assert!(w.nvm_written_bytes() > w.total_store_bytes());
     }
 
     #[test]
     fn empty_run_is_fully_shielded() {
         let w = WearStats::default();
         assert_eq!(w.write_shielding(), 1.0);
-        assert_eq!(w.nvm_write_amplification(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = WearStats::default();
-        a.record_stores(NVM, 10);
-        let mut b = WearStats::default();
-        b.record_stores(NVM, 30);
-        b.record_copy(DRAM, 5);
-        a.merge(&b);
-        assert_eq!(a.nvm_store_bytes, 40);
-        assert_eq!(a.dram_copy_bytes, 5);
+        assert_eq!(w.nvm_written_bytes(), 0);
     }
 }

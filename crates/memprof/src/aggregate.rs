@@ -39,27 +39,6 @@ pub struct ObjClassStats {
     pub instances: u32,
 }
 
-impl ObjClassStats {
-    /// Mean estimated accesses per instance.
-    pub fn mean_accesses(&self) -> f64 {
-        self.mean_loads + self.mean_stores
-    }
-
-    /// Mean estimated bytes per instance.
-    pub fn mean_bytes(&self) -> f64 {
-        self.mean_accesses() * tahoe_hms::CACHELINE as f64
-    }
-
-    /// Mean consumed bandwidth per instance (the paper's Eq. (1)).
-    pub fn mean_bw_gbps(&self) -> f64 {
-        if self.mean_active_ns <= 0.0 {
-            0.0
-        } else {
-            self.mean_bytes() / self.mean_active_ns
-        }
-    }
-}
-
 /// Profile store keyed by (task class, data object).
 #[derive(Debug, Default)]
 pub struct ProfileDb {
@@ -205,15 +184,6 @@ mod tests {
         assert!(db.is_profiled(C, 2));
         assert_eq!(db.instances_of(C), 2);
         assert_eq!(db.instances_of(D), 0);
-    }
-
-    #[test]
-    fn bandwidth_from_mean_stats() {
-        let mut db = ProfileDb::new();
-        // 1e6 lines over 6.4e6 ns = 10 GB/s.
-        db.record(C, O, &obs(1.0e6, 0.0, 6.4e6));
-        let s = db.get(C, O).unwrap();
-        assert!((s.mean_bw_gbps() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -70,16 +70,6 @@ impl SampledObservation {
     pub fn est_bytes(&self) -> f64 {
         self.est_accesses() * tahoe_hms::CACHELINE as f64
     }
-
-    /// Estimated consumed bandwidth in GB/s — the paper's Eq. (1):
-    /// accessed bytes over the time the object was actively accessed.
-    pub fn est_bw_gbps(&self) -> f64 {
-        if self.est_active_ns <= 0.0 {
-            0.0
-        } else {
-            self.est_bytes() / self.est_active_ns
-        }
-    }
 }
 
 /// The emulated sampling profiler.
@@ -213,7 +203,8 @@ mod tests {
         // 1e6 lines = 64 MB active for 6.4e6 ns → 10 GB/s.
         let truth = AccessProfile::streaming(1_000_000, 0);
         let obs = s.observe(&truth, 6.4e6, &dram());
-        assert!((obs.est_bw_gbps() - 10.0).abs() < 1e-9);
+        // Eq. (1): accessed bytes over the actively-accessed time.
+        assert!((obs.est_bytes() / obs.est_active_ns - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -223,17 +214,5 @@ mod tests {
         let a = Sampler::new(cfg.clone()).observe(&truth, 5.0e5, &dram());
         let b = Sampler::new(cfg).observe(&truth, 5.0e5, &dram());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zero_active_time_gives_zero_bandwidth() {
-        let obs = SampledObservation {
-            est_loads: 100.0,
-            est_stores: 0.0,
-            est_active_ns: 0.0,
-            est_concurrency: 1.0,
-            samples: 1,
-        };
-        assert_eq!(obs.est_bw_gbps(), 0.0);
     }
 }

@@ -1,5 +1,5 @@
-//! Event emission: the [`Emitter`] handle instrumented code holds, the
-//! shared buffered sink behind it, and the [`Sink`] consumer interface.
+//! Event emission: the [`Emitter`] handle instrumented code holds and the
+//! shared buffer behind it, which [`EventBuffer::drain`] empties.
 //!
 //! Design constraints, in order:
 //!
@@ -23,28 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::Event;
-
-/// Consumer of a drained event stream; exporters implement this.
-pub trait Sink {
-    /// Accept one event.
-    fn accept(&mut self, event: &Event);
-
-    /// Called once after the last event of a drain.
-    fn flush(&mut self) {}
-}
-
-/// The simplest sink: collect events into a vector.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// The collected events.
-    pub events: Vec<Event>,
-}
-
-impl Sink for VecSink {
-    fn accept(&mut self, event: &Event) {
-        self.events.push(event.clone());
-    }
-}
 
 #[derive(Debug, Default)]
 struct Shared {
@@ -165,14 +143,6 @@ impl EventBuffer {
                 .unwrap_or_else(PoisonError::into_inner),
         )
     }
-
-    /// Drain into a [`Sink`], flushing it at the end.
-    pub fn drain_into(&self, sink: &mut dyn Sink) {
-        for event in self.drain() {
-            sink.accept(&event);
-        }
-        sink.flush();
-    }
 }
 
 #[cfg(test)]
@@ -226,38 +196,6 @@ mod tests {
             }
         });
         assert_eq!(buf.len(), 400);
-    }
-
-    #[test]
-    fn drain_into_sink_flushes() {
-        struct CountSink {
-            n: usize,
-            flushed: bool,
-        }
-        impl Sink for CountSink {
-            fn accept(&mut self, _e: &Event) {
-                self.n += 1;
-            }
-            fn flush(&mut self) {
-                self.flushed = true;
-            }
-        }
-        let (e, buf) = Emitter::buffered();
-        e.emit(|| ws(0.0, 0));
-        let mut sink = CountSink {
-            n: 0,
-            flushed: false,
-        };
-        buf.drain_into(&mut sink);
-        assert_eq!(sink.n, 1);
-        assert!(sink.flushed);
-    }
-
-    #[test]
-    fn vec_sink_collects() {
-        let mut sink = VecSink::default();
-        sink.accept(&ws(0.0, 0));
-        assert_eq!(sink.events.len(), 1);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //!
 //! [Perfetto]: https://ui.perfetto.dev
 
-use crate::emit::Sink;
 use crate::event::Event;
 use crate::json::{self, Writer};
 
@@ -41,33 +40,6 @@ pub fn to_jsonl(events: &[Event]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// A [`Sink`] that appends JSONL lines to any `io::Write` target.
-pub struct JsonlSink<W: std::io::Write> {
-    writer: W,
-}
-
-impl<W: std::io::Write> JsonlSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer }
-    }
-
-    /// Unwrap the writer (after flushing yourself if needed).
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: std::io::Write> Sink for JsonlSink<W> {
-    fn accept(&mut self, event: &Event) {
-        let _ = writeln!(self.writer, "{}", event_to_json(event));
-    }
-
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
-    }
 }
 
 const NS_PER_US: f64 = 1_000.0;
@@ -438,17 +410,6 @@ mod tests {
     fn jsonl_is_deterministic() {
         let events = sample_events();
         assert_eq!(to_jsonl(&events), to_jsonl(&events));
-    }
-
-    #[test]
-    fn jsonl_sink_writes_lines() {
-        let mut sink = JsonlSink::new(Vec::<u8>::new());
-        for e in sample_events() {
-            sink.accept(&e);
-        }
-        sink.flush();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text, to_jsonl(&sample_events()));
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! * [`emit::Emitter`] — the cheap, clonable handle instrumented code
 //!   emits through. A disabled emitter costs one branch per call site and
 //!   never constructs the event; an enabled one appends to a lock-cheap
-//!   shared buffer (usable from the work-stealing executor's threads).
-//! * [`emit::Sink`] — consumer interface for drained events; exporters
-//!   implement it.
+//!   shared buffer (usable from the work-stealing executor's threads),
+//!   which [`emit::EventBuffer::drain`] empties into a `Vec<Event>`.
 //! * [`metrics::Metrics`] — a registry of monotonic counters, gauges and
 //!   latency histograms keyed by static names, snapshot into
 //!   [`metrics::MetricsSnapshot`].
@@ -56,9 +55,9 @@ pub mod recorder;
 
 pub use blame::{BlameEntry, BlameTable};
 pub use critpath::{CritPath, CritPathDigest, Segment, SegmentKind};
-pub use emit::{Emitter, EventBuffer, Sink, VecSink};
+pub use emit::{Emitter, EventBuffer};
 pub use event::{Event, Tier};
-pub use export::{to_chrome_trace, to_jsonl, JsonlSink};
+pub use export::{to_chrome_trace, to_jsonl};
 pub use hist::{HistData, HistSummary, Histogram};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use recorder::{FlightCapture, FlightHandle, FlightRecorder};

@@ -91,20 +91,6 @@ impl Metrics {
         }
     }
 
-    /// Record one nanosecond value into a named latency histogram.
-    #[inline]
-    pub fn hist_record(&self, key: &'static str, ns: f64) {
-        if let Some(shared) = &self.shared {
-            shared
-                .hists
-                .lock()
-                .expect("metrics hists poisoned")
-                .entry(key)
-                .or_default()
-                .record(ns);
-        }
-    }
-
     /// Fold a pre-merged histogram snapshot (e.g. a flight-recorder
     /// drain) into a named histogram. Bucket-wise addition, so fold order
     /// never changes the result.
@@ -289,8 +275,10 @@ mod tests {
         m.inc("obs.ring_dropped");
         m.gauge_set("core.overlap_pct", 91.25);
         m.gauge_set("hms.balance", -1.5);
-        m.hist_record("task_ns", 100.0);
-        m.hist_record("task_ns", 10_000.0);
+        let mut h = HistData::default();
+        h.record(100.0);
+        h.record(10_000.0);
+        m.hist_fold("task_ns", &h);
         assert_eq!(
             m.snapshot().to_json(),
             "{\"counters\":{\"obs.ring_dropped\":1,\"realmem.migrations\":34},\
@@ -310,8 +298,10 @@ mod tests {
     #[test]
     fn histograms_record_fold_and_export() {
         let m = Metrics::enabled();
-        m.hist_record("task_ns", 100.0);
-        m.hist_record("task_ns", 100.0);
+        let mut lane = HistData::default();
+        lane.record(100.0);
+        lane.record(100.0);
+        m.hist_fold("task_ns", &lane);
         let mut extra = HistData::default();
         extra.record(10_000.0);
         m.hist_fold("task_ns", &extra);
@@ -328,7 +318,6 @@ mod tests {
         );
         // Disabled registries ignore histogram calls too.
         let d = Metrics::disabled();
-        d.hist_record("task_ns", 1.0);
         d.hist_fold("task_ns", &extra);
         assert!(d.snapshot().is_empty());
     }

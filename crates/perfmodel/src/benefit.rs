@@ -1,40 +1,9 @@
 //! DRAM-placement benefit: the paper's Eqs. 2–5.
 
-use tahoe_hms::{Ns, TierSpec, CACHELINE};
+use tahoe_hms::{Ns, TierSpec};
 use tahoe_memprof::Calibration;
 
 use crate::demand::Demand;
-#[cfg(test)]
-use crate::sensitivity::{classify, Sensitivity};
-
-/// Bandwidth-model benefit with separate load/store terms (Eq. 4):
-/// time to stream the traffic at NVM's read/write bandwidths minus the
-/// time at DRAM's, corrected by `CF_bw`.
-pub fn benefit_bw_ns(d: &Demand, nvm: &TierSpec, dram: &TierSpec, calib: &Calibration) -> Ns {
-    let cl = CACHELINE as f64;
-    let nvm_time = d.loads * cl / nvm.read_bw_gbps + d.stores * cl / nvm.write_bw_gbps;
-    let dram_time = (d.loads + d.stores) * cl / dram.read_bw_gbps;
-    (nvm_time - dram_time) * calib.cf_bw
-}
-
-/// Latency-model benefit with separate load/store terms (Eq. 5),
-/// divided by the demand's estimated memory-level concurrency: misses
-/// that overlap in flight only pay their latency once per `concurrency`
-/// accesses, so pricing them serialized would overestimate the benefit
-/// of streaming traffic that lands in the latency/mixed band.
-pub fn benefit_lat_ns(d: &Demand, nvm: &TierSpec, dram: &TierSpec, calib: &Calibration) -> Ns {
-    let nvm_time = d.loads * nvm.read_lat_ns + d.stores * nvm.write_lat_ns;
-    let dram_time = (d.loads + d.stores) * dram.read_lat_ns;
-    (nvm_time - dram_time) * calib.cf_lat / d.concurrency.max(1.0)
-}
-
-/// Read/write-blind bandwidth benefit (Eq. 2): all accesses priced at the
-/// read bandwidth. Used by the ablation that ignores NVM asymmetry.
-pub fn benefit_bw_blind_ns(d: &Demand, nvm: &TierSpec, dram: &TierSpec, calib: &Calibration) -> Ns {
-    let cl = CACHELINE as f64;
-    let n = d.accesses();
-    (n * cl / nvm.read_bw_gbps - n * cl / dram.read_bw_gbps) * calib.cf_bw
-}
 
 /// Full benefit of holding an object's traffic in DRAM for one horizon:
 /// the roofline-time difference between serving the demand from NVM and
@@ -58,7 +27,32 @@ pub fn dram_benefit_ns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tahoe_hms::presets;
+    use crate::sensitivity::{classify, Sensitivity};
+    use tahoe_hms::{presets, CACHELINE};
+
+    // The paper's single-effect models, the references the roofline
+    // benefit is checked against.
+
+    /// Bandwidth-model benefit with separate load/store terms (Eq. 4):
+    /// time to stream the traffic at NVM's read/write bandwidths minus the
+    /// time at DRAM's, corrected by `CF_bw`.
+    fn benefit_bw_ns(d: &Demand, nvm: &TierSpec, dram: &TierSpec, calib: &Calibration) -> Ns {
+        let cl = CACHELINE as f64;
+        let nvm_time = d.loads * cl / nvm.read_bw_gbps + d.stores * cl / nvm.write_bw_gbps;
+        let dram_time = (d.loads + d.stores) * cl / dram.read_bw_gbps;
+        (nvm_time - dram_time) * calib.cf_bw
+    }
+
+    /// Latency-model benefit with separate load/store terms (Eq. 5),
+    /// divided by the demand's estimated memory-level concurrency: misses
+    /// that overlap in flight only pay their latency once per `concurrency`
+    /// accesses, so pricing them serialized would overestimate the benefit
+    /// of streaming traffic that lands in the latency/mixed band.
+    fn benefit_lat_ns(d: &Demand, nvm: &TierSpec, dram: &TierSpec, calib: &Calibration) -> Ns {
+        let nvm_time = d.loads * nvm.read_lat_ns + d.stores * nvm.write_lat_ns;
+        let dram_time = (d.loads + d.stores) * dram.read_lat_ns;
+        (nvm_time - dram_time) * calib.cf_lat / d.concurrency.max(1.0)
+    }
 
     fn setup() -> (TierSpec, TierSpec, Calibration) {
         let dram = presets::dram(1 << 30);
@@ -126,8 +120,8 @@ mod tests {
     fn blind_model_misprices_stores() {
         let (dram, nvm, calib) = setup();
         let d = streaming(0.0, 1.0e6);
-        let seeing = benefit_bw_ns(&d, &nvm, &dram, &calib);
-        let blind = benefit_bw_blind_ns(&d, &nvm, &dram, &calib);
+        let seeing = dram_benefit_ns(&d, &nvm, &dram, &calib, true);
+        let blind = dram_benefit_ns(&d, &nvm, &dram, &calib, false);
         // The blind model prices stores at the (faster) read bandwidth and
         // therefore underestimates the benefit on Optane.
         assert!(blind < seeing);

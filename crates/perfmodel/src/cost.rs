@@ -9,19 +9,6 @@ pub fn migration_cost_ns(bytes: u64, copy_bw_gbps: f64, overlap_ns: Ns) -> Ns {
     (bytes as f64 / copy_bw_gbps - overlap_ns).max(0.0)
 }
 
-/// Cost of evicting `victim_bytes` from DRAM to make room, plus moving
-/// the incoming object (the paper's `extra_COST` term). Evictions share
-/// the same copy channel, so their cost adds; overlap credit applies to
-/// the combined transfer.
-pub fn migration_cost_with_eviction_ns(
-    incoming_bytes: u64,
-    victim_bytes: u64,
-    copy_bw_gbps: f64,
-    overlap_ns: Ns,
-) -> Ns {
-    migration_cost_ns(incoming_bytes + victim_bytes, copy_bw_gbps, overlap_ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,13 +28,6 @@ mod tests {
     #[test]
     fn partial_overlap_subtracts() {
         assert!((migration_cost_ns(1000, 5.0, 150.0) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eviction_adds_victim_bytes() {
-        let plain = migration_cost_ns(1000, 5.0, 0.0);
-        let with = migration_cost_with_eviction_ns(1000, 500, 5.0, 0.0);
-        assert!((with - plain - 100.0).abs() < 1e-12);
     }
 
     #[test]

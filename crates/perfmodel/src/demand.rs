@@ -90,11 +90,6 @@ impl Demand {
             concurrency: self.concurrency,
         }
     }
-
-    /// Whether any traffic was observed at all.
-    pub fn is_zero(&self) -> bool {
-        self.accesses() == 0.0
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +138,6 @@ mod tests {
         let c = a.add(&b);
         assert_eq!(c.loads, 15.0);
         assert_eq!(c.stores, 6.0);
-        assert!(!c.is_zero());
-        assert!(Demand::ZERO.is_zero());
+        assert_eq!(Demand::ZERO.accesses(), 0.0);
     }
 }

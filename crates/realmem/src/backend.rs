@@ -170,20 +170,6 @@ impl RealBackend {
         self.copy_cfgs[from.index() * self.n() + to.index()]
     }
 
-    /// Override the copy-engine throttle for *every* tier pair (tests,
-    /// calibration sweeps).
-    pub fn set_copy_config(&mut self, cfg: CopyConfig) {
-        for c in &mut self.copy_cfgs {
-            *c = cfg;
-        }
-    }
-
-    /// Override one (src, dst) pair's copy-engine throttle.
-    pub fn set_copy_config_between(&mut self, from: TierId, to: TierId, cfg: CopyConfig) {
-        let n = self.n();
-        self.copy_cfgs[from.index() * n + to.index()] = cfg;
-    }
-
     /// Fold what a free or an allocation released into stats and
     /// metrics.
     fn account_release(&mut self, released: Released) {
@@ -336,7 +322,6 @@ mod tests {
         let (emitter, metrics) = (Emitter::disabled(), Metrics::disabled());
         let mut b = RealBackend::build(&config(), emitter, metrics, false).unwrap();
         assert_eq!(b.stats().huge_page_arenas, 0);
-        b.set_copy_config(CopyConfig::unthrottled());
         let src = b.data_ptr(TierId(1), 0, 1 << 16).unwrap();
         // SAFETY: `data_ptr` bounds-checked 64 KiB writable bytes at `src`.
         unsafe { src.write_bytes(0x6B, 1 << 16) };
@@ -350,7 +335,6 @@ mod tests {
     #[test]
     fn copy_moves_bytes_between_tiers_and_counts() {
         let mut b = RealBackend::new(&config()).unwrap();
-        b.set_copy_config(CopyConfig::unthrottled());
         let src = b.data_ptr(TierId(1), 128, 4096).unwrap();
         // SAFETY: `data_ptr` bounds-checked 4096 writable bytes at `src`.
         unsafe { src.write_bytes(0x77, 4096) };
@@ -417,7 +401,6 @@ mod tests {
         let (emitter, buffer) = Emitter::buffered();
         let mut b =
             RealBackend::with_observability(&config(), emitter, Metrics::enabled()).unwrap();
-        b.set_copy_config(CopyConfig::unthrottled());
         b.copy(9, TierId(0), 0, TierId(1), 0, 1024);
         let events = buffer.drain();
         let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
@@ -437,7 +420,6 @@ mod tests {
     #[test]
     fn three_tier_backend_maps_and_copies_every_pair() {
         let mut b = RealBackend::new(&three_tier_config()).unwrap();
-        b.set_copy_config(CopyConfig::unthrottled());
         // Three distinct mappings.
         let p0 = b.data_ptr(TierId(0), 0, 64).unwrap();
         let p1 = b.data_ptr(TierId(1), 0, 64).unwrap();
@@ -477,17 +459,5 @@ mod tests {
         // The migrator's matrix holds the same entries.
         assert_eq!(b.copy_configs()[2], dn);
         assert_eq!(b.copy_configs()[6], nd);
-    }
-
-    #[test]
-    fn pair_override_is_local() {
-        let mut b = RealBackend::new(&three_tier_config()).unwrap();
-        let before = b.copy_config_between(TierId(0), TierId(2));
-        b.set_copy_config_between(TierId(1), TierId(2), CopyConfig::unthrottled());
-        assert_eq!(
-            b.copy_config_between(TierId(1), TierId(2)),
-            CopyConfig::unthrottled()
-        );
-        assert_eq!(b.copy_config_between(TierId(0), TierId(2)), before);
     }
 }

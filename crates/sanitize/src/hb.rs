@@ -1,8 +1,8 @@
 //! Happens-before relation over a task DAG.
 //!
 //! Dependence edges always point forward in submission order (the
-//! tracker derives them that way and `TaskGraph::add_dep` enforces it),
-//! so the transitive closure can be computed in one forward sweep:
+//! tracker derives every edge from an earlier task's access), so the
+//! transitive closure can be computed in one forward sweep:
 //! task `t`'s *ancestor set* is the union of each predecessor's ancestor
 //! set plus the predecessor itself. Ancestor sets are dense bitsets —
 //! the DAG analogue of a vector clock, collapsed to one bit per task

@@ -187,14 +187,6 @@ impl SanitizeReport {
             .map(|k| (k.tag(), self.count(*k)))
             .collect()
     }
-
-    /// Fold another report into this one, restoring canonical order.
-    pub fn merge(&mut self, other: SanitizeReport) {
-        self.violations.extend(other.violations);
-        self.violations
-            .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        self.accesses_checked += other.accesses_checked;
-    }
 }
 
 #[cfg(test)]
@@ -263,16 +255,5 @@ mod tests {
         assert_eq!(counts[0].0, "dependency_cycle");
         assert_eq!(counts[9].0, "plan_over_capacity");
         assert_eq!(counts[14].0, "plan_cost_regression");
-    }
-
-    #[test]
-    fn merge_preserves_order_and_counts() {
-        let mut a = SanitizeReport::new(vec![v(ViolationKind::PinnedCopy, 9, 9)]);
-        a.accesses_checked = 5;
-        let mut b = SanitizeReport::new(vec![v(ViolationKind::DependencyCycle, 0, 0)]);
-        b.accesses_checked = 7;
-        a.merge(b);
-        assert_eq!(a.violations[0].kind, ViolationKind::DependencyCycle);
-        assert_eq!(a.accesses_checked, 12);
     }
 }

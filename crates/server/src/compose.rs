@@ -10,9 +10,8 @@
 //! tasks — becomes an ordinary sanitizer violation on the composed
 //! graph.
 //!
-//! Only access-derived dependences are replayed; explicit
-//! [`TaskGraph::add_dep`](tahoe_taskrt::TaskGraph::add_dep) edges
-//! (which no bundled workload adds) are not preserved.
+//! Every dependence is access-derived, so replaying the accesses
+//! replays the graph.
 
 use tahoe_core::app::{App, AppBuilder, ObjectSpec};
 use tahoe_hms::ObjectId;

@@ -2,7 +2,9 @@
 //!
 //! Every tenant describes its graph against its *own* dense object ids
 //! (`ObjectId(0..n)` indexing its `App::objects`); the server maps
-//! those to globally unique [`tahoe_hms::ObjectId`]s at registration.
+//! those to the global [`tahoe_hms::ObjectId`]s its objects got at
+//! registration through the tenant's own `GraphLayout`. The shared
+//! `Hms` never hands out an id twice, so no global id has two owners.
 //! Isolation is enforced *at admission time*: a graph that references
 //! an object index outside the tenant's declared set — the only way a
 //! tenant could name another tenant's memory, since the global ids are
@@ -10,11 +12,9 @@
 //! before anything is allocated or scheduled. Nothing about a buggy or
 //! malicious tenant graph can reach the runtime data path.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use tahoe_core::app::App;
-use tahoe_hms::ObjectId;
 
 /// Why a tenant registration or submission was refused at admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,14 +31,6 @@ pub enum AdmitError {
         object: u32,
         /// How many objects the tenant actually declared.
         owned: usize,
-    },
-    /// The task graph failed structural validation (e.g. a dependence
-    /// cycle).
-    InvalidGraph {
-        /// Offending tenant.
-        tenant: u32,
-        /// Validator message.
-        detail: String,
     },
     /// Backing allocation failed (NVM capacity exhausted).
     AllocFailed {
@@ -65,9 +57,6 @@ impl fmt::Display for AdmitError {
                  outside the tenant's namespace ({owned} objects declared); \
                  rejected at admission"
             ),
-            AdmitError::InvalidGraph { tenant, detail } => {
-                write!(f, "tenant {tenant}: invalid task graph: {detail}")
-            }
             AdmitError::AllocFailed {
                 tenant,
                 object,
@@ -81,7 +70,7 @@ impl std::error::Error for AdmitError {}
 
 /// Admission-time validation of a tenant's application against its own
 /// namespace: every declared access must target one of the tenant's
-/// `owned` object indices, and the graph must be structurally valid.
+/// `owned` object indices.
 pub fn validate_app(tenant: u32, app: &App) -> Result<(), AdmitError> {
     let owned = app.objects.len();
     for t in app.graph.tasks() {
@@ -96,67 +85,14 @@ pub fn validate_app(tenant: u32, app: &App) -> Result<(), AdmitError> {
             }
         }
     }
-    app.validate()
-        .map_err(|detail| AdmitError::InvalidGraph { tenant, detail })
-}
-
-/// Registry of which tenant owns which global object id.
-///
-/// The shared [`tahoe_hms::Hms`] hands out globally unique ids; this
-/// registry pins down the ownership invariant — no global id is ever
-/// owned by two tenants — so the data path can assume any id a
-/// tenant's dispatch maps to is the tenant's own memory.
-#[derive(Debug, Default)]
-pub struct Namespace {
-    owner: HashMap<u32, u32>,
-    per_tenant: Vec<Vec<ObjectId>>,
-}
-
-impl Namespace {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record tenant `tenant`'s global ids. Panics if any id is
-    /// already owned — that would mean the shared allocator recycled a
-    /// live id, which the server never frees.
-    pub fn register(&mut self, tenant: u32, ids: &[ObjectId]) {
-        for id in ids {
-            let prev = self.owner.insert(id.0, tenant);
-            assert!(
-                prev.is_none(),
-                "global object {id:?} already owned by tenant {prev:?}"
-            );
-        }
-        assert_eq!(self.per_tenant.len(), tenant as usize, "dense tenant ids");
-        self.per_tenant.push(ids.to_vec());
-    }
-
-    /// Who owns a global id, if anyone.
-    pub fn owner_of(&self, id: ObjectId) -> Option<u32> {
-        self.owner.get(&id.0).copied()
-    }
-
-    /// Translate a tenant-local object index to the global id.
-    pub fn resolve(&self, tenant: u32, local: usize) -> Option<ObjectId> {
-        self.per_tenant
-            .get(tenant as usize)
-            .and_then(|v| v.get(local))
-            .copied()
-    }
-
-    /// Number of registered tenants.
-    pub fn tenants(&self) -> usize {
-        self.per_tenant.len()
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tahoe_core::app::AppBuilder;
-    use tahoe_hms::AccessProfile;
+    use tahoe_hms::{AccessProfile, ObjectId};
     use tahoe_taskrt::{AccessMode, TaskAccess, TaskGraph};
 
     #[test]
@@ -205,27 +141,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("rejected at admission"));
-    }
-
-    #[test]
-    fn namespace_tracks_ownership_and_resolution() {
-        let mut ns = Namespace::new();
-        ns.register(0, &[ObjectId(10), ObjectId(11)]);
-        ns.register(1, &[ObjectId(12)]);
-        assert_eq!(ns.owner_of(ObjectId(10)), Some(0));
-        assert_eq!(ns.owner_of(ObjectId(12)), Some(1));
-        assert_eq!(ns.owner_of(ObjectId(13)), None);
-        assert_eq!(ns.resolve(0, 1), Some(ObjectId(11)));
-        assert_eq!(ns.resolve(1, 0), Some(ObjectId(12)));
-        assert_eq!(ns.resolve(1, 1), None);
-        assert_eq!(ns.tenants(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "already owned")]
-    fn double_ownership_panics() {
-        let mut ns = Namespace::new();
-        ns.register(0, &[ObjectId(10)]);
-        ns.register(1, &[ObjectId(10)]);
     }
 }

@@ -63,7 +63,7 @@ use tahoe_realmem::{BackgroundMigrator, RealBackend};
 use tahoe_taskrt::{JobSpec, NoGate, TaskGraph, TaskPanic, TaskPool, TaskSpec};
 
 use crate::arbiter::{self, Activity, QuotaPolicy, TenantDemand};
-use crate::namespace::{self, AdmitError, Namespace};
+use crate::namespace::{self, AdmitError};
 
 /// How the server arbitrates the shared DRAM budget across tenants.
 #[derive(Debug, Clone, PartialEq)]
@@ -276,7 +276,6 @@ fn planned_bytes(t: &TenantState) -> u64 {
 
 struct Inner {
     tenants: Vec<TenantState>,
-    namespace: Namespace,
     seq: u64,
 }
 
@@ -437,7 +436,6 @@ impl TahoeServer {
                 blame,
                 inner: Mutex::new(Inner {
                     tenants: Vec::new(),
-                    namespace: Namespace::new(),
                     seq: 0,
                 }),
             }),
@@ -457,12 +455,7 @@ impl TahoeServer {
         let mut fail: Option<AdmitError> = None;
         self.sh.hms.with(|hms| {
             for spec in &app.objects {
-                match hms.alloc_object(
-                    &format!("t{tid}.{}", spec.name),
-                    spec.size,
-                    self.sh.hms_cfg.last_tier(),
-                    false,
-                ) {
+                match hms.alloc_object(&spec.name, spec.size, self.sh.hms_cfg.last_tier(), false) {
                     Ok(id) => ids.push(id),
                     Err(e) => {
                         fail = Some(AdmitError::AllocFailed {
@@ -484,7 +477,6 @@ impl TahoeServer {
         if let Some(e) = fail {
             return Err(e);
         }
-        inner.namespace.register(tid, &ids);
 
         // Predicted value of DRAM residence per object, as the single-
         // tenant planner prices it: by the delays the tasks will suffer.
@@ -568,31 +560,32 @@ impl TahoeServer {
         contention.fold_into(&self.sh.metrics);
         let wall_ns = self.sh.hms.now_ns();
         let inner = self.sh.inner.lock().expect("server state");
-        let tenants = inner
-            .tenants
-            .iter()
-            .map(|t| TenantReport {
-                tenant: t.info.id,
-                name: t.info.name.clone(),
-                weight: t.info.weight,
-                submitted: t.submitted,
-                completed: t.completed,
-                shed: t.shed,
-                preempted: t.preempted,
-                promoted_bytes: t.promoted_bytes,
-                demoted_bytes: t.demoted_bytes,
-                last_quota: t.last_quota,
-                dram_objects: self.sh.hms.with(|hms| {
-                    (0..t.info.sizes.len() as u32)
+        // One `with` for every tenant: each call re-mirrors all slots.
+        let tenants = self.sh.hms.with(|hms| {
+            inner
+                .tenants
+                .iter()
+                .map(|t| TenantReport {
+                    tenant: t.info.id,
+                    name: t.info.name.clone(),
+                    weight: t.info.weight,
+                    submitted: t.submitted,
+                    completed: t.completed,
+                    shed: t.shed,
+                    preempted: t.preempted,
+                    promoted_bytes: t.promoted_bytes,
+                    demoted_bytes: t.demoted_bytes,
+                    last_quota: t.last_quota,
+                    dram_objects: (0..t.info.sizes.len() as u32)
                         .filter(|&i| {
                             hms.tier_of(t.info.layout.ids()[i as usize]) == Ok(TierId::FASTEST)
                         })
-                        .collect()
-                }),
-                latencies_ns: t.latencies.clone(),
-                hist: t.hist.data(),
-            })
-            .collect();
+                        .collect(),
+                    latencies_ns: t.latencies.clone(),
+                    hist: t.hist.data(),
+                })
+                .collect()
+        });
         ServerReport {
             tenants,
             pool: pool_stats,

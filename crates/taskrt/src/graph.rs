@@ -83,21 +83,6 @@ impl TaskGraph {
         id
     }
 
-    /// Add an explicit extra dependence `from → to` (e.g. a barrier).
-    ///
-    /// Only backward edges are accepted (`from` submitted before `to`),
-    /// which preserves acyclicity by construction.
-    pub fn add_dep(&mut self, from: TaskId, to: TaskId) {
-        assert!(
-            from < to,
-            "explicit dependences must point forward in submission order"
-        );
-        if !self.preds[to.index()].contains(&from) {
-            self.succs[from.index()].push(to);
-            self.preds[to.index()].push(from);
-        }
-    }
-
     /// Close the current window; subsequently submitted tasks belong to
     /// the next one.
     pub fn mark_window(&mut self) {
@@ -282,28 +267,6 @@ mod tests {
         assert_eq!(g.window_tasks(0), vec![t0]);
         assert_eq!(g.window_tasks(1), vec![t1, t2]);
         assert_eq!(g.task(t1).window, 1);
-    }
-
-    #[test]
-    fn explicit_dep_dedups_and_orders() {
-        let mut g = TaskGraph::new();
-        let c = g.class("x");
-        let t0 = g.add_task(c, vec![acc(0, AccessMode::Write)], 1.0);
-        let t1 = g.add_task(c, vec![acc(1, AccessMode::Write)], 1.0);
-        g.add_dep(t0, t1);
-        g.add_dep(t0, t1); // duplicate ignored
-        assert_eq!(g.preds(t1), &[t0]);
-        g.verify_acyclic().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "forward")]
-    fn backward_explicit_dep_panics() {
-        let mut g = TaskGraph::new();
-        let c = g.class("x");
-        let t0 = g.add_task(c, vec![acc(0, AccessMode::Write)], 1.0);
-        let t1 = g.add_task(c, vec![acc(1, AccessMode::Write)], 1.0);
-        g.add_dep(t1, t0);
     }
 
     #[test]

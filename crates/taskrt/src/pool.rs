@@ -185,11 +185,6 @@ impl JobHandle {
         }
     }
 
-    /// Whether the job has completed (non-blocking).
-    pub fn is_done(&self) -> bool {
-        *self.state.done.lock().expect("job done flag")
-    }
-
     /// The panic that failed the job, if one did.
     pub fn failure(&self) -> Option<&TaskPanic> {
         self.state.failed.get()
@@ -856,15 +851,22 @@ mod tests {
         });
         h.wait();
         assert_eq!(flag.load(Ordering::Acquire), 1);
-        assert!(h.is_done());
         pool.shutdown();
     }
 
     #[test]
     fn empty_graph_completes_synchronously() {
         let pool = TaskPool::new(1);
-        let h = pool.submit(job(TaskGraph::new(), 0, Arc::new(|_, _, _| {})));
-        assert!(h.is_done());
+        let done = Arc::new(AtomicU64::new(0));
+        let d2 = Arc::clone(&done);
+        let h = pool.submit(JobSpec {
+            on_done: Some(Box::new(move |_| {
+                d2.store(1, Ordering::Release);
+            })),
+            ..job(TaskGraph::new(), 0, Arc::new(|_, _, _| {}))
+        });
+        // The hook ran inside `submit`, before anyone waited.
+        assert_eq!(done.load(Ordering::Acquire), 1);
         h.wait();
         let stats = pool.shutdown();
         assert_eq!(stats.tasks_executed, 0);

@@ -35,15 +35,6 @@ impl SchedStats {
         let busy: f64 = self.busy_ns.iter().sum();
         busy / (self.makespan_ns * self.busy_ns.len() as f64)
     }
-
-    /// Average worker busy time.
-    pub fn mean_busy_ns(&self) -> Ns {
-        if self.busy_ns.is_empty() {
-            0.0
-        } else {
-            self.busy_ns.iter().sum::<f64>() / self.busy_ns.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -56,13 +47,11 @@ mod tests {
         s.makespan_ns = 100.0;
         s.busy_ns = vec![100.0, 50.0];
         assert!((s.utilization() - 0.75).abs() < 1e-12);
-        assert!((s.mean_busy_ns() - 75.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_makespan_utilization_is_zero() {
         let s = SchedStats::new(4);
         assert_eq!(s.utilization(), 0.0);
-        assert_eq!(s.mean_busy_ns(), 0.0);
     }
 }

@@ -96,20 +96,6 @@ impl TaskAccess {
             profile,
         }
     }
-
-    /// A read access with a streaming profile of `loads` line loads.
-    pub fn read_stream(object: ObjectId, loads: u64) -> Self {
-        Self::new(object, AccessMode::Read, AccessProfile::streaming(loads, 0))
-    }
-
-    /// A write access with a streaming profile of `stores` line stores.
-    pub fn write_stream(object: ObjectId, stores: u64) -> Self {
-        Self::new(
-            object,
-            AccessMode::Write,
-            AccessProfile::streaming(0, stores),
-        )
-    }
 }
 
 /// A task instance: class, declared accesses, and pure-compute time.
@@ -143,16 +129,6 @@ impl TaskSpec {
         }
         seen
     }
-
-    /// The access declared for `object`, if any (first match).
-    pub fn access_to(&self, object: ObjectId) -> Option<&TaskAccess> {
-        self.accesses.iter().find(|a| a.object == object)
-    }
-
-    /// Total ground-truth main-memory accesses of this task.
-    pub fn total_accesses(&self) -> u64 {
-        self.accesses.iter().map(|a| a.profile.accesses()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -174,17 +150,14 @@ mod tests {
             id: TaskId(0),
             class: TaskClassId(0),
             accesses: vec![
-                TaskAccess::read_stream(o2, 10),
-                TaskAccess::write_stream(o1, 5),
-                TaskAccess::read_stream(o2, 3),
+                TaskAccess::new(o2, AccessMode::Read, AccessProfile::streaming(10, 0)),
+                TaskAccess::new(o1, AccessMode::Write, AccessProfile::streaming(0, 5)),
+                TaskAccess::new(o2, AccessMode::Read, AccessProfile::streaming(3, 0)),
             ],
             compute_ns: 0.0,
             window: 0,
         };
         assert_eq!(t.objects(), vec![o2, o1]);
-        assert_eq!(t.total_accesses(), 18);
-        assert_eq!(t.access_to(o1).unwrap().mode, AccessMode::Write);
-        assert!(t.access_to(ObjectId(9)).is_none());
     }
 
     #[test]
